@@ -66,7 +66,7 @@ struct Point {
   double offered_rate = 0;
   bool protected_tier = true;
   workloads::OpenLoopResult r;
-  // Island-mode instrumentation (islands > 0 only).
+  // Executor instrumentation (islands > 1 only).
   double wall_s = 0;
   double model_speedup = 1.0;
   uint64_t windows = 0;
@@ -75,10 +75,10 @@ struct Point {
 
 /// One deployment + one open-loop run. Shard k gets its own 32-core host
 /// carrying its proxy pair and its 3 minipg instances (fig5's co-located
-/// placement, replicated per shard). `islands > 0` partitions the event
+/// placement, replicated per shard). `islands > 1` partitions the event
 /// loop (islands=1 is the sequential oracle with identical semantics).
 Point run_point(size_t shards, double offered_rate, double duration_s,
-                int accounts, bool protected_tier, size_t islands = 0) {
+                int accounts, bool protected_tier, size_t islands = 1) {
   sim::Simulator simulator;
   sim::Network net(simulator, 50 * sim::kMicrosecond);
 
@@ -451,7 +451,7 @@ int main(int argc, char** argv) {
 
   // Island scaling on the 16-shard deployment: byte-identity vs the
   // islands=1 oracle plus the model_speedup floor (full mode sweeps
-  // 1/2/4/8; smoke keeps the legacy fast path and relies on the
+  // 1/2/4/8; smoke stays on one island and relies on the
   // dedicated --smoke --islands=4 gate in tests/run_sanitized.sh).
   std::string parallel_json;
   if (!smoke) {

@@ -148,26 +148,6 @@ void BM_DenoiseTokenDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_DenoiseTokenDetect)->Arg(50)->Arg(500);
 
-void BM_HttpPluginCompare3(benchmark::State& state) {
-  core::HttpPlugin plugin;
-  Rng rng(3);
-  auto page = [&](const std::string& tok) {
-    http::Response r = http::make_response(
-        200, "<html><input value=\"" + tok + "\"><p>body body body</p></html>");
-    return core::Unit{r.to_bytes(), "http-resp"};
-  };
-  std::vector<core::Unit> units{page(rng.alnum_token(32)),
-                                page(rng.alnum_token(32)),
-                                page(rng.alnum_token(32))};
-  core::KnownVariance kv;
-  core::CompareContext ctx;
-  ctx.filter_pair = true;
-  ctx.variance = &kv;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(plugin.compare(units, ctx));
-}
-BENCHMARK(BM_HttpPluginCompare3);
-
 // The batched data plane end to end: one DiffEngine::compare call
 // canonicalises all 3 HTTP responses into the engine arena and runs the
 // N-way SIMD divergence scan. Steady state allocates nothing (the arena

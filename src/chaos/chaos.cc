@@ -611,11 +611,11 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
   // One proxy host => every shard shares one island; the shared db host
   // carries all the pools' SqlServers, so its completion events must run
   // on that island too (cpu tasks and connection events interleave).
-  if (opts.islands > 0) db_host.pin_island(front->shard_island(0));
+  db_host.pin_island(front->shard_island(0));
 
   const size_t kill = opts.kill_shard % opts.shards;
   // Global events: fault-state mutations run at a barrier with every
-  // island parked (equivalent to plain schedule_at in legacy mode).
+  // island parked (plain island-0 events on a 1-island run).
   sim.schedule_global_at(opts.kill_at, [&] {
     for (const std::string& a : pools[kill])
       net.crash_node(sim::Network::node_of(a));

@@ -60,34 +60,10 @@ void Connection::send_shared(SharedBytes data) {
   }
   // FIFO per direction: never deliver earlier than a previous delivery.
   Time arrival = next_arrival(net_);
-  // Batch into the open delivery event iff appending cannot change what
-  // any observer sees: the batch hasn't fired, it arrives at the same
-  // instant, and — decisive — its event is still this island's most
-  // recently scheduled one, so no event's sequence number lies between the
-  // batch and the event this send would otherwise have created.
-  // Cross-island deliveries return id 0 from schedule_on and therefore
-  // never batch: each send is its own mailbox message, and the barrier
-  // merge preserves their order. Batching is disabled entirely once
-  // islands are configured — a same-island send pair would otherwise
-  // coalesce into one on_data while the identical pair across a cut
-  // arrives as two, making delivery granularity depend on island
-  // layout. Configured mode (any count, including 1) delivers one
-  // event per send everywhere; only the legacy no-knob path batches.
-  if (!sim_.islands_configured() &&
-      outbox_ && !outbox_->fired && outbox_event_ != 0 &&
-      outbox_arrival_ == arrival &&
-      sim_.last_scheduled_id() == outbox_event_) {
-    outbox_->chunks.push_back(std::move(data));
-    return;
-  }
-  auto batch = std::make_shared<OutBatch>();
-  batch->chunks.push_back(std::move(data));
-  outbox_ = batch;
-  outbox_arrival_ = arrival;
-  outbox_event_ = sim_.schedule_on(peer->island_, arrival, [peer, batch] {
-    batch->fired = true;
-    peer->deliver_batch(*batch);
-  });
+  sim_.schedule_on(peer->island_, arrival,
+                   [peer, data = std::move(data)]() mutable {
+                     peer->deliver(std::move(data));
+                   });
 }
 
 void Connection::close() {
@@ -99,39 +75,31 @@ void Connection::close() {
   sim_.schedule_on(peer->island_, arrival, [peer] { peer->deliver_close(); });
 }
 
-void Connection::abort() {
-  auto self = shared_from_this();
-  auto peer = peer_.lock();
+void Connection::break_now() {
   open_ = false;
   aborted_ = true;
   pending_.clear();
-  // Crash semantics: this half observes the break "now"; anything still
-  // in flight to it is lost (deliver() drops data once aborted_ is set —
-  // even a delivery already queued for this very tick, which would
-  // otherwise run before the deliver_close scheduled below).
+  // deliver() drops data once aborted_ is set — even a delivery already
+  // queued for this very tick, which would otherwise run before the
+  // deliver_close scheduled here.
+  auto self = shared_from_this();
   sim_.schedule_on(island_, sim_.now(), [self] { self->deliver_close(); });
+}
+
+void Connection::abort() {
+  break_now();
+  auto peer = peer_.lock();
   if (!peer) return;
-  if (sim_.islands_configured()) {
-    // Islands mode: the break propagates to the peer like a RST — one
-    // link latency later (after any data already on the wire, per the
-    // FIFO watermark). This keeps the notification outside the
-    // conservative window for cross-island pairs, and applies to
-    // same-island pairs too so islands=1 replays are byte-identical to
-    // any island count.
-    Time arrival = next_arrival(net_);
-    sim_.schedule_on(peer->island_, arrival, [peer] {
-      peer->open_ = false;
-      peer->aborted_ = true;
-      peer->pending_.clear();
-      peer->deliver_close();
-    });
-  } else {
-    // Legacy semantics: both halves see the break in the same tick.
+  // The RST travels like data: one link latency later, after anything
+  // already on the wire (FIFO watermark). That keeps the notification
+  // outside the conservative window when the peer is on another island.
+  Time arrival = next_arrival(net_);
+  sim_.schedule_on(peer->island_, arrival, [peer] {
     peer->open_ = false;
     peer->aborted_ = true;
     peer->pending_.clear();
-    sim_.schedule(0, [peer] { peer->deliver_close(); });
-  }
+    peer->deliver_close();
+  });
 }
 
 void Connection::set_on_data(DataHandler h) {
@@ -150,14 +118,9 @@ void Connection::set_on_close(CloseHandler h) {
   }
 }
 
-void Connection::deliver_batch(OutBatch& batch) {
+void Connection::deliver(SharedBytes data) {
   if (close_delivered_ || aborted_) return;
-  if (pending_.empty()) {
-    pending_.swap(batch.chunks);
-  } else {
-    for (auto& c : batch.chunks) pending_.push_back(std::move(c));
-    batch.chunks.clear();
-  }
+  pending_.push_back(std::move(data));
   flush_pending();
 }
 
@@ -241,7 +204,8 @@ std::vector<std::string> Network::listener_nodes() const {
 
 void Network::set_island_router(const std::string& address,
                                 IslandRouter router) {
-  island_routers_[address] = std::move(router);
+  if (router) island_routers_[address] = std::move(router);
+  else island_routers_.erase(address);
 }
 
 ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
@@ -305,8 +269,8 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
     }
     ++pending_accepts_[address];
   }
-  // Per-island id spaces (no cross-thread coordination; dense legacy ids
-  // when only island 0 exists).
+  // Per-island id spaces (no cross-thread coordination; dense ids when
+  // only island 0 exists).
   uint64_t id = (static_cast<uint64_t>(client_island) << 48) |
                 ++next_conn_local_[client_island];
   conns_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -381,9 +345,9 @@ std::string Network::node_of(const std::string& address_or_name) {
 
 void Network::sever_matching(
     const std::function<bool(const Connection&, const Connection&)>& pred) {
-  // Collect first: abort() schedules events and conn handlers may mutate
-  // the registry re-entrantly via new connects.
-  std::vector<ConnPtr> doomed;
+  // Collect first, break after: the pass below only schedules events, but
+  // keeping it outside the registry walk leaves the walk side-effect free.
+  std::vector<std::pair<ConnPtr, ConnPtr>> doomed;
   std::lock_guard<std::mutex> lock(mu_);
   registry_.erase(
       std::remove_if(registry_.begin(), registry_.end(),
@@ -392,11 +356,19 @@ void Network::sever_matching(
                        if (!c) return true;  // prune expired
                        auto peer = c->peer_.lock();
                        if (!peer) return true;
-                       if (pred(*c, *peer)) doomed.push_back(c);
+                       if (pred(*c, *peer)) doomed.emplace_back(c, peer);
                        return false;
                      }),
       registry_.end());
-  for (auto& c : doomed) c->abort();
+  // Both halves break now, unlike a client RST (abort()), whose peer hears
+  // one latency later: the node being severed is going away, and a byte
+  // still in flight toward its half must not be delivered into whatever
+  // its handlers captured. Sequential contexts only (see network.h), so
+  // touching a half on another island is safe.
+  for (auto& [client, server] : doomed) {
+    client->break_now();
+    server->break_now();
+  }
 }
 
 void Network::crash_node(const std::string& node) {

@@ -17,10 +17,9 @@
 // ref-counted SharedBytes. send(SharedBytes) puts a buffer on the wire
 // without copying it — the same buffer can be in flight on many
 // connections at once (the proxies' N-way fan-out). send(ByteView) is the
-// compatibility path that materialises one copy on entry. Same-tick sends
-// on one connection are batched into a single delivery event when doing so
-// provably cannot reorder anything (no other event was scheduled in
-// between), so a burst of writes costs one event, not one per write.
+// compatibility path that materialises one copy on entry. Every send is
+// its own delivery event, so delivery granularity never depends on where
+// the island cut falls.
 //
 // Fault injection: the network additionally models node crashes, refused
 // addresses, per-node latency spikes, one-sided egress stalls, and
@@ -36,8 +35,9 @@
 // targeting the peer half are scheduled on the *peer's* island, so a
 // cross-island send travels through the executor's mailbox and arrives
 // at least one link latency later — which is exactly the conservative
-// lookahead the barrier relies on. On a simulator without islands all of
-// this degenerates to the historical single-loop behaviour.
+// lookahead the barrier relies on. The semantics are the same at every
+// island count, one included, so a 1-island run is the byte-identical
+// oracle for any N-island run.
 #pragma once
 
 #include <algorithm>
@@ -150,7 +150,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// the listener's node for the server half.
   const std::string& local_node() const;
 
-  /// Island this half's events execute on (0 without islands).
+  /// Island this half's events execute on (0 on a 1-island simulator).
   IslandId island() const { return island_; }
 
   /// Routing decision recorded by an island router at connect() time
@@ -159,28 +159,24 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// re-deriving it at accept time.
   uint32_t route_hint() const { return route_hint_; }
 
-  /// Severs the connection abruptly (crash semantics): both halves see
-  /// on_close "now"; bytes still in flight are lost. Unlike close(), the
-  /// peer is NOT guaranteed to receive previously sent data first.
+  /// Resets the connection (the client-issued RST): this half sees
+  /// on_close "now" and drops anything still in flight to it; the peer
+  /// learns of the break one link latency later, like any other transfer,
+  /// and drops whatever it had not yet received.
   void abort();
 
  private:
   friend class Network;
 
-  // Same-tick sends accumulate here and ride one delivery event. `fired`
-  // flips when the event runs, so a later send in the same tick (after the
-  // event) opens a fresh batch instead of appending to a dead one.
-  struct OutBatch {
-    std::vector<SharedBytes> chunks;
-    bool fired = false;
-  };
-
   Connection(Simulator& sim, uint64_t id, Time latency, ConnectMeta meta,
              std::string dialed_address, bool is_client_half);
 
   void send_shared(SharedBytes data);
-  void deliver_batch(OutBatch& batch);  // runs on the *receiving* half
-  void deliver_close();                 // runs on the *receiving* half
+  /// Marks this half broken and schedules its close at now() on its own
+  /// island; data arriving afterwards is dropped.
+  void break_now();
+  void deliver(SharedBytes data);  // runs on the *receiving* half
+  void deliver_close();            // runs on the *receiving* half
   void flush_pending();
   Time next_arrival(Network* net);  // FIFO watermark + fault adjustments
 
@@ -201,9 +197,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool close_pending_ = false;
   Time last_arrival_ = 0;  // per-direction FIFO watermark (arrivals at peer)
   std::vector<SharedBytes> pending_;  // received, not yet handed to on_data
-  std::shared_ptr<OutBatch> outbox_;  // open batch on the out direction
-  Time outbox_arrival_ = -1;
-  uint64_t outbox_event_ = 0;  // the batch's delivery event id
   // Per-site invocation counters for execution-index derivation.
   std::map<uint64_t, uint32_t> child_seq_;
   DataHandler on_data_;
@@ -328,8 +321,8 @@ class Network {
   /// overriding the listener node's pin. `route_hint` (opaque to the
   /// network) is recorded on the connection for the accepting service —
   /// the frontier stores the shard index so routing is decided exactly
-  /// once, at dial time. Must be deterministic given the meta. Setup-time
-  /// only.
+  /// once, at dial time. Must be deterministic given the meta. Setup and
+  /// teardown only; an empty router removes the address's router.
   using IslandRouter =
       std::function<IslandId(const ConnectMeta& meta, uint32_t& route_hint)>;
   void set_island_router(const std::string& address, IslandRouter router);
@@ -353,6 +346,12 @@ class Network {
   /// touching the node (both halves get on_close, in-flight bytes lost).
   /// Listener registrations survive — a restarted node serves again
   /// immediately, modelling a container restarting on the same address.
+  ///
+  /// Severing (crash, sever_node, partition) breaks both halves at once,
+  /// so nothing in flight can reach a half whose owner is being torn
+  /// down. It therefore touches halves on every island and must run from
+  /// a sequential context: setup, a schedule_global_at event, or a
+  /// 1-island loop.
   void crash_node(const std::string& node);
   void restart_node(const std::string& node);
   bool node_down(const std::string& node) const;

@@ -123,18 +123,6 @@ class DivergenceBus : public AttributionSink {
     }
   }
 
-  /// Pre-attribution entry point: a bare (proxy, reason) intervention.
-  [[deprecated(
-      "report a DivergenceRecord (with verdict/index) instead")]] void
-  report(std::string proxy, std::string reason) {
-    DivergenceRecord rec;
-    rec.time = sim_.now();
-    rec.proxy = std::move(proxy);
-    rec.reason = std::move(reason);
-    rec.verdict = "intervention";
-    report(rec);
-  }
-
   /// Intervention events (the cross-proxy abort channel). count() is the
   /// intervention count — outvote records don't appear here.
   const std::vector<DivergenceEvent>& events() const { return events_; }

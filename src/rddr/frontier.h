@@ -103,13 +103,14 @@ class Frontier {
     /// Observability sinks (optional, not owned).
     obs::MetricsRegistry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
-    /// Non-empty (one entry per shard) = islands mode: the frontier
-    /// installs a dial-time island router on `listen_address` that picks
-    /// the shard from ConnectMeta::source and lands the server half of
-    /// the connection on that shard's island; on_accept then trusts the
-    /// recorded route hint, so every shard's admission queue, tokens and
-    /// handoff run on the shard's own island. Filled by
-    /// Builder::islands(); see that knob for the determinism contract.
+    /// Island of each shard's column (one entry per shard; empty = all on
+    /// island 0). The frontier's dial-time island router on
+    /// `listen_address` picks the shard from ConnectMeta::source and lands
+    /// the server half of the connection on that shard's island;
+    /// on_accept then trusts the recorded route hint, so every shard's
+    /// admission queue, tokens and handoff run on the shard's own island.
+    /// Filled by Builder::build_frontier from Builder::islands(); see that
+    /// knob for the determinism contract.
     std::vector<IslandId> shard_islands;
   };
 
@@ -124,7 +125,7 @@ class Frontier {
   NVersionDeployment& shard(size_t k) { return *shards_.at(k); }
   const NVersionDeployment& shard(size_t k) const { return *shards_.at(k); }
 
-  /// Island shard k's column is pinned to (0 outside islands mode).
+  /// Island shard k's column is pinned to (0 on a 1-island run).
   /// Observers that sample a shard's live state mid-run (health, session
   /// counters) must schedule onto this island — a cross-island read is
   /// tear-free but sees a window-dependent snapshot.
@@ -180,8 +181,8 @@ class Frontier {
 
   void on_accept(sim::ConnPtr conn);
   /// Shard for a connect-time key; shared by route_of() and the island
-  /// router (single dialing island assumed in islands mode, so the lazy
-  /// ring sync stays unracy).
+  /// router (clients dial from one island, so the lazy ring sync stays
+  /// unracy).
   size_t route_for_key(const std::string& key) const;
   /// Consumes a token and admits, or returns false (bucket empty /
   /// backpressured shard).

@@ -170,8 +170,8 @@ class IncomingProxy {
   void note_units_consumed(uint64_t n);
   void attach_upstream(const std::shared_ptr<Session>& s, size_t i);
   void pump(const std::shared_ptr<Session>& s);
-  /// On divergence: count, report the attributed record (bus + legacy
-  /// hook), respond, tear down. `verdict`/`units` carry the diff region
+  /// On divergence: count, report the attributed record to the bus,
+  /// respond, tear down. `verdict`/`units` carry the diff region
   /// and instance-0 unit into the record when the divergence came from a
   /// compare.
   void intervene(const std::shared_ptr<Session>& s, const std::string& reason,

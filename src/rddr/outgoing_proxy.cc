@@ -665,12 +665,6 @@ void OutgoingProxy::record_divergence(const char* verdict_class,
   // notifies record subscribers and — for interventions — emits the
   // cross-proxy abort event.
   bus_->report(rec);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // Legacy per-proxy hook, honoured until out-of-tree callers move to the
-  // bus record stream.
-  if (config_.on_divergence) config_.on_divergence(rec);
-#pragma GCC diagnostic pop
 }
 
 void OutgoingProxy::intervene(const std::shared_ptr<Group>& g,

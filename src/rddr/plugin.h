@@ -75,11 +75,6 @@ struct SessionState {
   bool delete_tokens_after_use = true;
 };
 
-struct DiffOutcome {
-  bool divergent = false;
-  std::string reason;
-};
-
 /// The canonical comparable form of one Unit, produced exactly once per
 /// unit per batch by ProtocolPlugin::canonicalize() and consumed by the
 /// batched DiffEngine (rddr/diff_engine.h). All views either alias the
@@ -122,15 +117,6 @@ class ProtocolPlugin {
   virtual std::string name() const = 0;
 
   virtual std::unique_ptr<StreamFramer> make_framer(Direction dir) const = 0;
-
-  /// Diffs the k-th unit from every instance (units.size() == N).
-  ///
-  /// Since the batched DiffEngine landed this is a compatibility shim:
-  /// the concrete plugins implement it as DiffEngine::compare() in strict
-  /// mode, so there is exactly one comparison implementation. Proxies no
-  /// longer call it on the hot path — they hold their own engine.
-  virtual DiffOutcome compare(const std::vector<Unit>& units,
-                              const CompareContext& ctx) const = 0;
 
   /// Decomposes one unit into its canonical comparable form. Called by
   /// the DiffEngine exactly once per unit per batch (this is where the

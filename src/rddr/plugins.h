@@ -16,8 +16,6 @@ class TcpLinePlugin : public ProtocolPlugin {
  public:
   std::string name() const override { return "tcp-line"; }
   std::unique_ptr<StreamFramer> make_framer(Direction dir) const override;
-  DiffOutcome compare(const std::vector<Unit>& units,
-                      const CompareContext& ctx) const override;
   void canonicalize(const Unit& unit, const CompareContext& ctx, Arena& arena,
                     CanonicalUnit& out) const override;
   /// No per-instance rewriting: requests fan out as one shared buffer.
@@ -45,8 +43,6 @@ class HttpPlugin : public ProtocolPlugin {
 
   std::string name() const override { return "http"; }
   std::unique_ptr<StreamFramer> make_framer(Direction dir) const override;
-  DiffOutcome compare(const std::vector<Unit>& units,
-                      const CompareContext& ctx) const override;
   /// Parses the response, filters known-variance headers, decodes the
   /// content coding and canonicalises JSON — once per unit per batch.
   void canonicalize(const Unit& unit, const CompareContext& ctx, Arena& arena,
@@ -78,8 +74,6 @@ class PgPlugin : public ProtocolPlugin {
  public:
   std::string name() const override { return "pgwire"; }
   std::unique_ptr<StreamFramer> make_framer(Direction dir) const override;
-  DiffOutcome compare(const std::vector<Unit>& units,
-                      const CompareContext& ctx) const override;
   void canonicalize(const Unit& unit, const CompareContext& ctx, Arena& arena,
                     CanonicalUnit& out) const override;
   /// The pgwire comparability class folds in the ParameterStatus name, so
@@ -105,8 +99,6 @@ class JsonLinesPlugin : public ProtocolPlugin {
  public:
   std::string name() const override { return "json-lines"; }
   std::unique_ptr<StreamFramer> make_framer(Direction dir) const override;
-  DiffOutcome compare(const std::vector<Unit>& units,
-                      const CompareContext& ctx) const override;
   void canonicalize(const Unit& unit, const CompareContext& ctx, Arena& arena,
                     CanonicalUnit& out) const override;
   /// No per-instance rewriting: requests fan out as one shared buffer.

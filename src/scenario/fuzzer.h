@@ -111,9 +111,9 @@ struct FuzzOptions {
   /// the slowloris shed off — the no-hang invariant's self-test.
   sim::Time unit_timeout = 250 * sim::kMillisecond;
   sim::Time idle_timeout = 600 * sim::kMillisecond;
-  /// Forwarded to TopologyOptions::islands (0 = legacy single loop). The
-  /// report must be identical for every islands value >= 1.
-  size_t islands = 0;
+  /// Forwarded to TopologyOptions::islands. The report must be identical
+  /// for every islands value.
+  size_t islands = 1;
 };
 
 struct FuzzReport {

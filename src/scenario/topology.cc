@@ -77,18 +77,17 @@ Topology::Topology(sim::Simulator& sim, sim::Network& net,
 }
 
 void Topology::apply_islands() {
-  if (opts_.islands == 0) return;
+  if (opts_.islands <= 1) return;
   sim::ParallelOptions popts;
   sim::Network* net = &net_;
   popts.lookahead_provider = [net] { return net->min_link_latency(); };
   sim_.configure_islands(opts_.islands, popts);
-  // Every service host and every listening node joins one island; the
-  // fuzz harness's clients stay on island 0 and reach the graph across
-  // the entry links, whose latency bounds the executor's lookahead.
-  const IslandId isl = opts_.islands == 1 ? 0 : 1;
-  for (auto& h : hosts_) h->pin_island(isl);
+  // Every service host and every listening node joins island 1; the fuzz
+  // harness's clients stay on island 0 and reach the graph across the
+  // entry links, whose latency bounds the executor's lookahead.
+  for (auto& h : hosts_) h->pin_island(1);
   for (const std::string& n : net_.listener_nodes())
-    net_.set_node_island(n, isl);
+    net_.set_node_island(n, 1);
 }
 
 Topology::~Topology() = default;

@@ -361,20 +361,34 @@ TEST_F(FaultNetTest, CrashSeversConnectionsAndRefusesNewOnes) {
 }
 
 TEST_F(FaultNetTest, CrashLosesInFlightBytes) {
-  Bytes got;
-  ConnPtr server_side;
-  net.listen("srv:1", [&](ConnPtr c) {
-    server_side = c;
-    c->set_on_data([&got](ByteView d) { got += Bytes(d); });
-  });
-  auto conn = net.connect("srv:1", {.source = "cli"});
-  sim.run_until_idle();
-  // Bytes sent but not yet delivered when the sender's node crashes are
-  // lost (abort, not graceful close).
-  conn->send("lost");
-  net.crash_node("cli");
-  sim.run_until_idle();
-  EXPECT_EQ(got, "");
+  // Bytes sent but not yet delivered when either endpoint's node crashes
+  // are lost (abort, not graceful close): nothing reaches the server's
+  // handlers — which a crashed server no longer has — and the client sees
+  // the close.
+  struct Case {
+    const char* client;
+    const char* server;
+    const char* crashed;
+  };
+  for (const Case& tc : {Case{"cli-a", "srv-a", "cli-a"},
+                         Case{"cli-b", "srv-b", "srv-b"}}) {
+    SCOPED_TRACE(tc.crashed);
+    auto got = std::make_shared<Bytes>();
+    const std::string address = std::string(tc.server) + ":1";
+    net.listen(address, [got](ConnPtr c) {
+      c->set_on_data([c, got](ByteView d) { *got += Bytes(d); });
+    });
+    auto conn = net.connect(address, {.source = tc.client});
+    ASSERT_NE(conn, nullptr);
+    sim.run_until_idle();
+    bool closed = false;
+    conn->set_on_close([&] { closed = true; });
+    conn->send("lost");
+    net.crash_node(tc.crashed);
+    sim.run_until_idle();
+    EXPECT_EQ(*got, "");
+    EXPECT_TRUE(closed);
+  }
 }
 
 TEST_F(FaultNetTest, RefusedAddressBlocksOnlyThatAddress) {
@@ -525,13 +539,12 @@ TEST(SimulatorCancel, CancelFromInsideEventCancelsLaterSameTickEvent) {
   EXPECT_FALSE(second_ran);
 }
 
-TEST(Simulator, MoveOnlyCaptureAndLastScheduledId) {
+TEST(Simulator, MoveOnlyCapture) {
   Simulator sim;
   auto payload = std::make_unique<int>(41);
   int got = 0;
   // std::function could not hold this capture; EventFn must.
-  uint64_t id = sim.schedule(5, [p = std::move(payload), &got] { got = *p + 1; });
-  EXPECT_EQ(sim.last_scheduled_id(), id);
+  sim.schedule(5, [p = std::move(payload), &got] { got = *p + 1; });
   sim.run_until_idle();
   EXPECT_EQ(got, 42);
 }
@@ -584,7 +597,7 @@ TEST(NetworkSharedBytes, ByteViewSendCountsCopies) {
   EXPECT_EQ(net.payload_bytes_copied(), 5u);
 }
 
-TEST(NetworkSharedBytes, SameTickSendsBatchIntoOneDelivery) {
+TEST(NetworkSharedBytes, SameTickSendsDeliverSeparatelyInOrder) {
   Simulator sim;
   Network net(sim, 100);
   std::vector<Bytes> chunks;
@@ -595,41 +608,18 @@ TEST(NetworkSharedBytes, SameTickSendsBatchIntoOneDelivery) {
   });
   auto conn = net.connect("srv:1", {.source = "cli"});
   sim.run_until_idle();
-  // Three sends in the same tick with nothing scheduled in between ride
-  // one delivery event; the receiver sees the concatenation at the same
-  // virtual instant it always did.
+  // Every send is its own delivery event, whether or not anything else
+  // was scheduled between the sends: delivery granularity must not
+  // depend on which island the receiving half lives on.
   conn->send("aa");
   conn->send("bb");
+  sim.schedule(100, [] {});
   conn->send("cc");
   sim.run_until_idle();
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0], "aabbcc");
+  EXPECT_EQ(chunks, (std::vector<Bytes>{"aa", "bb", "cc"}));
 }
 
-TEST(NetworkSharedBytes, InterleavedScheduleBreaksBatch) {
-  Simulator sim;
-  Network net(sim, 100);
-  std::vector<Bytes> chunks;
-  ConnPtr server_side;
-  net.listen("srv:1", [&](ConnPtr c) {
-    server_side = c;
-    c->set_on_data([&](ByteView d) { chunks.push_back(Bytes(d)); });
-  });
-  auto conn = net.connect("srv:1", {.source = "cli"});
-  sim.run_until_idle();
-  conn->send("aa");
-  // An unrelated event scheduled between the sends could observe the gap:
-  // batching must not reorder across it, so the second send gets its own
-  // delivery.
-  sim.schedule(100, [] {});
-  conn->send("bb");
-  sim.run_until_idle();
-  ASSERT_EQ(chunks.size(), 2u);
-  EXPECT_EQ(chunks[0], "aa");
-  EXPECT_EQ(chunks[1], "bb");
-}
-
-TEST(NetworkSharedBytes, CloseStillDeliversBatchedBytesFirst) {
+TEST(NetworkSharedBytes, CloseStillDeliversSentBytesFirst) {
   Simulator sim;
   Network net(sim, 100);
   Bytes got;

@@ -1,8 +1,8 @@
 // Deterministic parallel simulation: multi-island event loop under
 // conservative time-window barriers (netsim/parallel.h).
 //
-// The load-bearing property is the oracle contract: islands(1) — every
-// islands-mode code path on, zero worker threads — must produce results
+// The load-bearing property is the oracle contract: islands(1) — the
+// same network semantics, zero worker threads — must produce results
 // byte-identical to islands(2/4/8) with real threads, for the raw
 // simulator, the frontier scale-out deployment, the shard-kill chaos
 // scenario, and the adversarial fuzzer. Wall-clock speed is a bench
@@ -193,6 +193,54 @@ TEST(ParallelIslands, LatencyFaultNeverZeroesLookahead) {
   EXPECT_EQ(two.clamps, 0u);
   EXPECT_GE(two.lookahead_seen, 1);
   EXPECT_EQ(one.transcript, run_echo_with_latency_fault(2).transcript);
+}
+
+// ---- severing a node whose server halves live on another island ----
+
+// A node is stopped (or crashed) while a request is on the wire toward
+// its server half on island 1. The break must reach both halves at once:
+// the bytes are dropped instead of being delivered into handlers whose
+// owner is gone, and the client on island 0 sees the close.
+TEST(ParallelIslands, SeverDropsBytesInFlightToAnotherIsland) {
+  for (bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash" : "stop");
+    sim::Simulator sim;
+    sim::Network net(sim, 50 * sim::kMicrosecond);
+    sim::ParallelOptions popts;
+    sim::Network* np = &net;
+    popts.lookahead_provider = [np] { return np->min_link_latency(); };
+    sim.configure_islands(2, popts);
+    net.set_node_island("svc", 1);
+
+    auto service_alive = std::make_shared<bool>(true);
+    auto delivered = std::make_shared<int>(0);
+    net.listen("svc:80", [service_alive, delivered](sim::ConnPtr c) {
+      // The handler owns its connection, as services' handlers do.
+      c->set_on_data([c, service_alive, delivered](ByteView) {
+        EXPECT_TRUE(*service_alive) << "delivered into a severed service";
+        ++*delivered;
+      });
+    });
+    auto conn = net.connect("svc:80", {.source = "cli"});
+    ASSERT_NE(conn, nullptr);
+    sim.run_until_idle();
+    ASSERT_TRUE(conn->is_open());
+
+    bool closed = false;
+    conn->set_on_close([&closed] { closed = true; });
+    conn->send("GET / HTTP/1.1\r\nHost: svc\r\n\r\n");  // lands in 50us
+    // The node goes away mid-flight, from a global event as fault plans
+    // and orchestrators do; its service object dies with it.
+    sim.schedule_global_at(sim.now() + 10 * sim::kMicrosecond, [&] {
+      if (crash) net.crash_node("svc");
+      else net.sever_node("svc");
+      *service_alive = false;
+    });
+    sim.run_until_idle();
+    EXPECT_EQ(*delivered, 0);
+    EXPECT_TRUE(closed);
+    EXPECT_FALSE(conn->is_open());
+  }
 }
 
 // ---- frontier scale-out byte-identity ----

@@ -5,6 +5,7 @@
 #include "proto/http/coding.h"
 #include "proto/http/parser.h"
 #include "proto/pgwire/pgwire.h"
+#include "rddr/diff_engine.h"
 #include "rddr/plugins.h"
 
 namespace rddr::core {
@@ -12,6 +13,15 @@ namespace {
 
 Unit make_unit(Bytes data, std::string kind) {
   return Unit{std::move(data), std::move(kind)};
+}
+
+/// Strict N-way compare through the one comparison implementation, the
+/// DiffEngine (the proxies hold their own engine and vote mode).
+BatchVerdict compare(const ProtocolPlugin& plugin,
+                     const std::vector<Unit>& units,
+                     const CompareContext& ctx) {
+  DiffEngine engine;
+  return engine.compare(plugin, units, ctx, VoteMode::kStrict);
 }
 
 Unit http_response_unit(int status, const std::string& body,
@@ -39,12 +49,12 @@ TEST(TcpLinePlugin, FramesLines) {
 TEST(TcpLinePlugin, ExactCompareWithoutFilterPair) {
   TcpLinePlugin plugin;
   CompareContext ctx;
-  auto same = plugin.compare(
+  auto same = compare(plugin,
       {make_unit("abc\n", "line"), make_unit("abc\n", "line")}, ctx);
-  EXPECT_FALSE(same.divergent);
-  auto diff = plugin.compare(
+  EXPECT_TRUE(same.agreed);
+  auto diff = compare(plugin,
       {make_unit("abc\n", "line"), make_unit("abd\n", "line")}, ctx);
-  EXPECT_TRUE(diff.divergent);
+  EXPECT_FALSE(diff.agreed);
 }
 
 TEST(TcpLinePlugin, FilterPairMasksNoise) {
@@ -52,17 +62,17 @@ TEST(TcpLinePlugin, FilterPairMasksNoise) {
   CompareContext ctx;
   ctx.filter_pair = true;
   // Pair (0,1) differ in a token; instance 2 with its own token passes.
-  auto ok = plugin.compare({make_unit("id=aaaa ok\n", "line"),
-                            make_unit("id=bbbb ok\n", "line"),
-                            make_unit("id=cccc ok\n", "line")},
-                           ctx);
-  EXPECT_FALSE(ok.divergent);
-  // Instance 2 differs outside the noise region: caught.
-  auto bad = plugin.compare({make_unit("id=aaaa ok\n", "line"),
+  auto ok = compare(plugin, {make_unit("id=aaaa ok\n", "line"),
                              make_unit("id=bbbb ok\n", "line"),
-                             make_unit("id=cccc KO\n", "line")},
+                             make_unit("id=cccc ok\n", "line")},
                             ctx);
-  EXPECT_TRUE(bad.divergent);
+  EXPECT_TRUE(ok.agreed);
+  // Instance 2 differs outside the noise region: caught.
+  auto bad = compare(plugin, {make_unit("id=aaaa ok\n", "line"),
+                              make_unit("id=bbbb ok\n", "line"),
+                              make_unit("id=cccc KO\n", "line")},
+                             ctx);
+  EXPECT_FALSE(bad.agreed);
 }
 
 // ---------- HttpPlugin ----------
@@ -74,7 +84,7 @@ TEST(HttpPlugin, IdenticalResponsesAgree) {
   ctx.variance = &kv;
   auto a = http_response_unit(200, "<h1>hi</h1>");
   auto b = http_response_unit(200, "<h1>hi</h1>");
-  EXPECT_FALSE(plugin.compare({a, b}, ctx).divergent);
+  EXPECT_TRUE(compare(plugin, {a, b}, ctx).agreed);
 }
 
 TEST(HttpPlugin, StatusMismatchDiverges) {
@@ -82,7 +92,7 @@ TEST(HttpPlugin, StatusMismatchDiverges) {
   CompareContext ctx;
   auto a = http_response_unit(200, "x");
   auto b = http_response_unit(403, "x");
-  EXPECT_TRUE(plugin.compare({a, b}, ctx).divergent);
+  EXPECT_FALSE(compare(plugin, {a, b}, ctx).agreed);
 }
 
 TEST(HttpPlugin, BodyMismatchDiverges) {
@@ -90,8 +100,8 @@ TEST(HttpPlugin, BodyMismatchDiverges) {
   CompareContext ctx;
   auto a = http_response_unit(200, "public");
   auto b = http_response_unit(200, "public + SECRET");
-  auto out = plugin.compare({a, b}, ctx);
-  EXPECT_TRUE(out.divergent);
+  auto out = compare(plugin, {a, b}, ctx);
+  EXPECT_FALSE(out.agreed);
   EXPECT_FALSE(out.reason.empty());
 }
 
@@ -104,10 +114,10 @@ TEST(HttpPlugin, KnownVarianceHeadersIgnored) {
   ra.headers.set("Server", "wsgx/1.13.2");
   http::Response rb = http::make_response(200, "same");
   rb.headers.set("Server", "wsgx/1.13.4");
-  auto out = plugin.compare({make_unit(ra.to_bytes(), "http-resp"),
-                             make_unit(rb.to_bytes(), "http-resp")},
-                            ctx);
-  EXPECT_FALSE(out.divergent);
+  auto out = compare(plugin, {make_unit(ra.to_bytes(), "http-resp"),
+                              make_unit(rb.to_bytes(), "http-resp")},
+                             ctx);
+  EXPECT_TRUE(out.agreed);
 }
 
 TEST(HttpPlugin, HeaderDifferenceNotIgnoredDiverges) {
@@ -119,10 +129,10 @@ TEST(HttpPlugin, HeaderDifferenceNotIgnoredDiverges) {
   ra.headers.set("X-Custom", "a");
   http::Response rb = http::make_response(200, "same");
   rb.headers.set("X-Custom", "b");
-  EXPECT_TRUE(plugin.compare({make_unit(ra.to_bytes(), "http-resp"),
-                              make_unit(rb.to_bytes(), "http-resp")},
-                             ctx)
-                  .divergent);
+  EXPECT_FALSE(compare(plugin, {make_unit(ra.to_bytes(), "http-resp"),
+                                make_unit(rb.to_bytes(), "http-resp")},
+                               ctx)
+                   .agreed);
 }
 
 TEST(HttpPlugin, CompressedBodiesComparedDecoded) {
@@ -135,20 +145,20 @@ TEST(HttpPlugin, CompressedBodiesComparedDecoded) {
   ra.body = http::xz77_compress(body);
   ra.headers.set("Content-Length", std::to_string(ra.body.size()));
   http::Response rb = ra;
-  auto out = plugin.compare({make_unit(ra.to_bytes(), "http-resp"),
-                             make_unit(rb.to_bytes(), "http-resp")},
-                            ctx);
-  EXPECT_FALSE(out.divergent);
+  auto out = compare(plugin, {make_unit(ra.to_bytes(), "http-resp"),
+                              make_unit(rb.to_bytes(), "http-resp")},
+                             ctx);
+  EXPECT_TRUE(out.agreed);
   // Different decoded content diverges even when lengths coincide.
   http::Response rc;
   rc.status = 200;
   rc.headers.set("Content-Encoding", "xz77");
   rc.body = http::xz77_compress("line one\nline 2wo\nline one\nline two\n");
   rc.headers.set("Content-Length", std::to_string(rc.body.size()));
-  EXPECT_TRUE(plugin.compare({make_unit(ra.to_bytes(), "http-resp"),
-                              make_unit(rc.to_bytes(), "http-resp")},
-                             ctx)
-                  .divergent);
+  EXPECT_FALSE(compare(plugin, {make_unit(ra.to_bytes(), "http-resp"),
+                                make_unit(rc.to_bytes(), "http-resp")},
+                               ctx)
+                   .agreed);
 }
 
 TEST(HttpPlugin, JsonBodiesComparedStructurally) {
@@ -156,9 +166,9 @@ TEST(HttpPlugin, JsonBodiesComparedStructurally) {
   CompareContext ctx;
   auto a = http_response_unit(200, R"({"a":1,"b":2})", "application/json");
   auto b = http_response_unit(200, R"({"b":2,"a":1})", "application/json");
-  EXPECT_FALSE(plugin.compare({a, b}, ctx).divergent);
+  EXPECT_TRUE(compare(plugin, {a, b}, ctx).agreed);
   auto c = http_response_unit(200, R"({"b":2,"a":9})", "application/json");
-  EXPECT_TRUE(plugin.compare({a, c}, ctx).divergent);
+  EXPECT_FALSE(compare(plugin, {a, c}, ctx).agreed);
 }
 
 TEST(HttpPlugin, FilterPairAbsorbsCsrfNoise) {
@@ -170,11 +180,11 @@ TEST(HttpPlugin, FilterPairAbsorbsCsrfNoise) {
         200, "<form><input name=\"user_token\" value=\"" + tok +
                  "\"></form>");
   };
-  auto out = plugin.compare({page("aaaaaaaaaaaaaaaa"),
-                             page("bbbbbbbbbbbbbbbb"),
-                             page("cccccccccccccccc")},
-                            ctx);
-  EXPECT_FALSE(out.divergent) << out.reason;
+  auto out = compare(plugin, {page("aaaaaaaaaaaaaaaa"),
+                              page("bbbbbbbbbbbbbbbb"),
+                              page("cccccccccccccccc")},
+                             ctx);
+  EXPECT_TRUE(out.agreed) << out.reason;
 }
 
 TEST(HttpPlugin, CsrfTokensHarvestedOnForward) {
@@ -276,7 +286,7 @@ TEST(PgPlugin, BackendKeyDataIgnored) {
   auto key = [](uint32_t pid) {
     return Unit{pg::build_backend_key_data(pid, pid * 7), "pg:K"};
   };
-  EXPECT_FALSE(plugin.compare({key(100), key(200), key(300)}, ctx).divergent);
+  EXPECT_TRUE(compare(plugin, {key(100), key(200), key(300)}, ctx).agreed);
 }
 
 TEST(PgPlugin, ServerVersionParamIgnoredByDefault) {
@@ -287,9 +297,9 @@ TEST(PgPlugin, ServerVersionParamIgnoredByDefault) {
   auto param = [](const char* v) {
     return Unit{pg::build_parameter_status("server_version", v), "pg:S"};
   };
-  EXPECT_FALSE(
-      plugin.compare({param("10.7"), param("10.7"), param("10.9")}, ctx)
-          .divergent);
+  EXPECT_TRUE(
+      compare(plugin, {param("10.7"), param("10.7"), param("10.9")}, ctx)
+          .agreed);
 }
 
 TEST(PgPlugin, OtherParamMismatchDiverges) {
@@ -300,9 +310,9 @@ TEST(PgPlugin, OtherParamMismatchDiverges) {
   auto param = [](const char* v) {
     return Unit{pg::build_parameter_status("server_encoding", v), "pg:S"};
   };
-  EXPECT_TRUE(
-      plugin.compare({param("UTF8"), param("UTF8"), param("LATIN1")}, ctx)
-          .divergent);
+  EXPECT_FALSE(
+      compare(plugin, {param("UTF8"), param("UTF8"), param("LATIN1")}, ctx)
+          .agreed);
 }
 
 TEST(PgPlugin, DataRowMismatchDiverges) {
@@ -311,8 +321,8 @@ TEST(PgPlugin, DataRowMismatchDiverges) {
   auto row = [](const char* v) {
     return Unit{pg::build_data_row({std::string(v)}), "pg:D"};
   };
-  EXPECT_FALSE(plugin.compare({row("alice"), row("alice")}, ctx).divergent);
-  EXPECT_TRUE(plugin.compare({row("alice"), row("mallory")}, ctx).divergent);
+  EXPECT_TRUE(compare(plugin, {row("alice"), row("alice")}, ctx).agreed);
+  EXPECT_FALSE(compare(plugin, {row("alice"), row("mallory")}, ctx).agreed);
 }
 
 TEST(PgPlugin, NoticeCountMismatchIsKindMismatch) {
@@ -322,8 +332,8 @@ TEST(PgPlugin, NoticeCountMismatchIsKindMismatch) {
   CompareContext ctx;
   Unit notice{pg::build_notice("leak 42, 1000"), "pg:N"};
   Unit row{pg::build_data_row({std::string("42")}), "pg:D"};
-  auto out = plugin.compare({notice, notice, row}, ctx);
-  EXPECT_TRUE(out.divergent);
+  auto out = compare(plugin, {notice, notice, row}, ctx);
+  EXPECT_FALSE(out.agreed);
   EXPECT_NE(out.reason.find("kind mismatch"), std::string::npos);
 }
 
@@ -338,10 +348,10 @@ TEST(PgPlugin, QueryMergeCompare) {
       "SELECT * FROM users WHERE id = '' OR '1'='1' ORDER BY 1;";
   std::string sanitized =
       "SELECT * FROM users WHERE id = ''' OR ''1''=''1' ORDER BY 1;";
-  EXPECT_FALSE(
-      plugin.compare({q(inject), q(inject), q(inject)}, ctx).divergent);
   EXPECT_TRUE(
-      plugin.compare({q(inject), q(inject), q(sanitized)}, ctx).divergent);
+      compare(plugin, {q(inject), q(inject), q(inject)}, ctx).agreed);
+  EXPECT_FALSE(
+      compare(plugin, {q(inject), q(inject), q(sanitized)}, ctx).agreed);
 }
 
 TEST(PgPlugin, InterventionIsErrorResponse) {
@@ -358,9 +368,9 @@ TEST(JsonLinesPlugin, StructuralEquality) {
   CompareContext ctx;
   Unit a{"{\"x\": 1, \"y\": 2}\n", "line"};
   Unit b{"{\"y\":2,\"x\":1}\n", "line"};
-  EXPECT_FALSE(plugin.compare({a, b}, ctx).divergent);
+  EXPECT_TRUE(compare(plugin, {a, b}, ctx).agreed);
   Unit c{"{\"y\":3,\"x\":1}\n", "line"};
-  EXPECT_TRUE(plugin.compare({a, c}, ctx).divergent);
+  EXPECT_FALSE(compare(plugin, {a, c}, ctx).agreed);
 }
 
 TEST(JsonLinesPlugin, MalformedComparedAsBytes) {
@@ -368,9 +378,9 @@ TEST(JsonLinesPlugin, MalformedComparedAsBytes) {
   CompareContext ctx;
   Unit a{"not json\n", "line"};
   Unit b{"not json\n", "line"};
-  EXPECT_FALSE(plugin.compare({a, b}, ctx).divergent);
+  EXPECT_TRUE(compare(plugin, {a, b}, ctx).agreed);
   Unit c{"not jsoN\n", "line"};
-  EXPECT_TRUE(plugin.compare({a, c}, ctx).divergent);
+  EXPECT_FALSE(compare(plugin, {a, c}, ctx).agreed);
 }
 
 }  // namespace
