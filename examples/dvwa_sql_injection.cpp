@@ -157,8 +157,9 @@ int main() {
                   : "no");
 
   std::printf("\n== RDDR interventions ==\n");
-  for (const auto& ev : rddr->bus().events())
-    std::printf("   [%s] %s\n", ev.proxy.c_str(), ev.reason.c_str());
+  for (const auto& rec : rddr->bus().records())
+    if (rec.is_intervention())
+      std::printf("   [%s] %s\n", rec.proxy.c_str(), rec.reason.c_str());
   std::printf("\nThe divergence was detected at the OUTGOING proxy — the\n"
               "malicious query never reached the database (backend served "
               "%llu queries total).\n",

@@ -111,8 +111,9 @@ int main() {
   attack("SELECT * FROM protected_rows WHERE col_to_leak <<< 1000;");
 
   std::printf("\n== interventions ==\n");
-  for (const auto& ev : rddr->bus().events())
-    std::printf("  [%s] %s\n", ev.proxy.c_str(), ev.reason.c_str());
+  for (const auto& rec : rddr->bus().records())
+    if (rec.is_intervention())
+      std::printf("  [%s] %s\n", rec.proxy.c_str(), rec.reason.c_str());
 
   // GitLab still works afterwards.
   std::printf("\n== GitLab after the intervention ==\n");

@@ -86,8 +86,9 @@ int main() {
   fetch("GET Range: bytes=-9000", "bytes=-9000");
 
   std::printf("\ninterventions: %zu\n", rddr->bus().count());
-  for (const auto& ev : rddr->bus().events())
-    std::printf("  %s\n", ev.reason.c_str());
+  for (const auto& rec : rddr->bus().records())
+    if (rec.is_intervention())
+      std::printf("  %s\n", rec.reason.c_str());
 
   std::printf("\nRolling the deployment forward is one line: deploy tags "
               "{\"1.13.4\", \"1.13.4\", \"1.13.5\"} instead.\n");

@@ -78,9 +78,10 @@ int main() {
   render("exploit", "[click me](java\x0bscript:alert(1))");
 
   std::printf("\nRDDR interventions: %zu\n", rddr->bus().count());
-  for (const auto& ev : rddr->bus().events())
-    std::printf("  t=%.3fms  %s: %s\n", sim::to_seconds(ev.time) * 1e3,
-                ev.proxy.c_str(), ev.reason.c_str());
+  for (const auto& rec : rddr->bus().records())
+    if (rec.is_intervention())
+      std::printf("  t=%.3fms  %s: %s\n", sim::to_seconds(rec.time) * 1e3,
+                  rec.proxy.c_str(), rec.reason.c_str());
 
   // The whole run was traced; open the file in chrome://tracing and look
   // for the diff span whose verdict tag says "divergent".

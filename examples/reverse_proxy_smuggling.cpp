@@ -106,7 +106,8 @@ int main() {
   }
 
   std::printf("\n== interventions ==\n");
-  for (const auto& ev : rddr->bus().events())
-    std::printf("  [%s] %s\n", ev.proxy.c_str(), ev.reason.c_str());
+  for (const auto& rec : rddr->bus().records())
+    if (rec.is_intervention())
+      std::printf("  [%s] %s\n", rec.proxy.c_str(), rec.reason.c_str());
   return 0;
 }

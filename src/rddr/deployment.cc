@@ -3,9 +3,7 @@
 namespace rddr::core {
 
 NVersionDeployment::NVersionDeployment(sim::Network& net,
-                                       sim::Host& proxy_host, Options options)
-    : bus_(net.simulator()) {
-  if (options.on_record) bus_.subscribe_records(options.on_record);
+                                       sim::Host& proxy_host, Options options) {
   // Outgoing proxies first: instances may dial the backend as soon as the
   // incoming proxy forwards them traffic.
   for (auto& out_cfg : options.outgoing) {
@@ -14,6 +12,9 @@ NVersionDeployment::NVersionDeployment(sim::Network& net,
   }
   incoming_ = std::make_unique<IncomingProxy>(net, proxy_host,
                                               options.incoming, &bus_);
+  // After the proxies: their cross-proxy abort listeners run before the
+  // observer sees a record.
+  if (options.on_record) bus_.subscribe_records(options.on_record);
 }
 
 void NVersionDeployment::replace_instance(size_t i,

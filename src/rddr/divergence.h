@@ -3,16 +3,18 @@
 // Every RDDR proxy guarding one protected microservice reports each
 // divergence — interventions and quorum outvotes alike — as a
 // DivergenceRecord into an AttributionSink. The deployment-wide sink is the
-// DivergenceBus, which fans the record out three ways:
-//   * the record log + record listeners (corpus mining, benches, tests);
-//   * the legacy event channel, interventions only: when the outgoing
-//     request proxy detects divergence in backend-bound traffic, the
-//     incoming proxy must also abort the client session (the information
-//     leak must not reach the client even though it was caught behind the
-//     instances);
-//   * a per-callsite dedup table keyed by the record's attribution key
-//     (`proto|kind|cs=<leaf site>` — the execution-index flavoured corner
-//     of the corpus fingerprint space, see scenario/corpus.h).
+// DivergenceBus: it logs the record, folds it into a per-callsite dedup
+// table keyed by the record's attribution key (`proto|kind|cs=<leaf site>`
+// — the execution-index flavoured corner of the corpus fingerprint space,
+// see scenario/corpus.h), and hands it to every record listener.
+//
+// The record stream is also the cross-proxy abort channel: each proxy
+// subscribes to it and, on an intervention reported by a sibling proxy,
+// aborts its own sessions. When the outgoing request proxy detects
+// divergence in backend-bound traffic the incoming proxy must abort the
+// client session too (the information leak must not reach the client even
+// though it was caught behind the instances).
+//
 // Records carry the full execution index (common/exec_index.h): the
 // originating edge request (root frame), the hop chain, and the exact call
 // site that issued the diverging call (leaf frame).
@@ -31,19 +33,13 @@
 
 namespace rddr::core {
 
-struct DivergenceEvent {
-  sim::Time time = 0;
-  std::string proxy;    // reporting proxy's name
-  std::string reason;   // human-readable cause
-};
-
 /// One divergence, enriched for attribution and the scenario-factory
 /// corpus: protocol, verdict class, the canonical diff region located by
 /// the DiffEngine, the instance-0 unit the region refers to, and the flow
 /// identity — trace id plus the execution index of the connection whose
 /// traffic diverged. Proxies report one of these for every intervention
 /// AND every quorum outvote (outvoted minorities are absorbed, not
-/// aborted; only interventions reach the cross-proxy abort channel).
+/// aborted; only interventions make sibling proxies abort).
 struct DivergenceRecord {
   sim::Time time = 0;
   std::string proxy;      // reporting proxy's name (the topology edge)
@@ -63,6 +59,8 @@ struct DivergenceRecord {
   // index: the divergence happened outside any indexed flow.
   uint64_t trace_id = 0;
   ExecutionIndex index;
+
+  bool is_intervention() const { return verdict == "intervention"; }
 };
 
 /// Per-callsite dedup key: `protocol|unit_kind|cs=<hex leaf site>`. Joins
@@ -86,13 +84,7 @@ class AttributionSink {
 
 class DivergenceBus : public AttributionSink {
  public:
-  using Listener = std::function<void(const DivergenceEvent&)>;
   using RecordListener = std::function<void(const DivergenceRecord&)>;
-
-  explicit DivergenceBus(sim::Simulator& sim) : sim_(sim) {}
-
-  /// Subscribes to the intervention event channel (cross-proxy aborts).
-  void subscribe(Listener l) { listeners_.push_back(std::move(l)); }
 
   /// Subscribes to every record (interventions and outvotes).
   void subscribe_records(RecordListener l) {
@@ -100,33 +92,23 @@ class DivergenceBus : public AttributionSink {
   }
 
   /// The AttributionSink entry point: logs the record, folds it into the
-  /// per-callsite dedup table, notifies record listeners, and — for
-  /// interventions — emits the cross-proxy abort event.
+  /// per-callsite dedup table and notifies record listeners.
   void report(const DivergenceRecord& rec) override {
     records_.push_back(rec);
     ++callsites_[attribution_key(rec)];
-    if (rec.verdict == "intervention") {
-      DivergenceEvent ev{rec.time, rec.proxy, rec.reason};
-      events_.push_back(ev);
-      // Index-based: listeners may subscribe re-entrantly (growing the
-      // vector, possibly reallocating), so re-read size each step and
-      // copy the callable out before invoking it. No per-event vector
-      // copy — this is on the fuzz-sweep hot path.
-      for (size_t i = 0; i < listeners_.size(); ++i) {
-        Listener l = listeners_[i];
-        l(ev);
-      }
-    }
+    if (rec.is_intervention()) ++interventions_;
+    // Index-based: listeners may subscribe re-entrantly (growing the
+    // vector, possibly reallocating), so re-read size each step and copy
+    // the callable out before invoking it. No per-record vector copy —
+    // this is on the fuzz-sweep hot path.
     for (size_t i = 0; i < record_listeners_.size(); ++i) {
       RecordListener l = record_listeners_[i];
       l(rec);
     }
   }
 
-  /// Intervention events (the cross-proxy abort channel). count() is the
-  /// intervention count — outvote records don't appear here.
-  const std::vector<DivergenceEvent>& events() const { return events_; }
-  size_t count() const { return events_.size(); }
+  /// Intervention count — outvote records don't count.
+  size_t count() const { return interventions_; }
 
   /// Every record reported (interventions and outvotes), in order.
   const std::vector<DivergenceRecord>& records() const { return records_; }
@@ -139,18 +121,16 @@ class DivergenceBus : public AttributionSink {
   size_t unique_callsites() const { return callsites_.size(); }
 
   void clear() {
-    events_.clear();
     records_.clear();
     callsites_.clear();
+    interventions_ = 0;
   }
 
  private:
-  sim::Simulator& sim_;
-  std::vector<Listener> listeners_;
   std::vector<RecordListener> record_listeners_;
-  std::vector<DivergenceEvent> events_;
   std::vector<DivergenceRecord> records_;
   std::map<std::string, uint64_t> callsites_;
+  size_t interventions_ = 0;
 };
 
 }  // namespace rddr::core

@@ -66,14 +66,9 @@ Frontier::Frontier(sim::Network& net, std::vector<sim::Host*> shard_hosts,
                    Options options)
     : net_(net),
       opts_(std::move(options)),
+      metrics_(opts_.metrics ? opts_.metrics : &owned_metrics_),
       router_(opts_.shards.size()),
       admin_enabled_(opts_.shards.size(), true) {
-  if (opts_.metrics) {
-    metrics_ = opts_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   counters_.bind(*metrics_, opts_.name);
   offered_ = metrics_->counter(opts_.name + ".offered");
   shed_deadline_ = metrics_->counter(opts_.name + ".shed_deadline");

@@ -201,8 +201,8 @@ class Frontier {
 
   sim::Network& net_;
   Options opts_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  obs::MetricsRegistry owned_metrics_;  // fallback registry
+  obs::MetricsRegistry* metrics_;  // configured, else &owned_metrics_
   ProxyCounters counters_;
   obs::Counter* offered_ = nullptr;
   obs::Counter* shed_deadline_ = nullptr;

@@ -66,25 +66,14 @@ IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
     : net_(net),
       host_(host),
       config_(std::move(config)),
-      bus_(bus),
+      bus_(bus ? bus : &own_bus_),
+      metrics_(config_.metrics ? config_.metrics : &owned_metrics_),
       health_([this] {
         HealthTracker::Options h = config_.health;
         h.n_instances = config_.instance_addresses.size();
         return h;
       }()),
       engine_(config_.diff) {
-  if (!bus_) {
-    // Bus-less construction keeps the one-sink invariant: the proxy owns a
-    // private bus, so every divergence still flows through AttributionSink.
-    own_bus_ = std::make_unique<DivergenceBus>(net.simulator());
-    bus_ = own_bus_.get();
-  }
-  if (config_.metrics) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   counters_.bind(*metrics_, config_.name);
   token_state_.n_instances = config_.instance_addresses.size();
   token_state_.delete_tokens_after_use = config_.delete_tokens_after_use;
@@ -95,14 +84,12 @@ IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
   if (!config_.listen_address.empty())
     net_.listen(config_.listen_address,
                 [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  if (bus_) {
-    bus_->subscribe([this](const DivergenceEvent& ev) {
-      // A sibling proxy (the outgoing one) saw divergence: the client
-      // session must not receive whatever the instances produce next.
-      if (ev.proxy != config_.name)
-        abort_all_sessions("sibling proxy reported: " + ev.reason);
-    });
-  }
+  bus_->subscribe_records([this](const DivergenceRecord& rec) {
+    // A sibling proxy (the outgoing one) saw divergence: the client
+    // session must not receive whatever the instances produce next.
+    if (rec.is_intervention() && rec.proxy != config_.name)
+      abort_all_sessions("sibling proxy reported: " + rec.reason);
+  });
 }
 
 IncomingProxy::~IncomingProxy() {
@@ -914,7 +901,7 @@ void IncomingProxy::pump(const std::shared_ptr<Session>& s) {
       if (vote.outlier != SIZE_MAX) {
         size_t inst = idxmap[vote.outlier];
         counters_.quorum_outvotes->inc();
-        record_divergence("outvote", vote.reason, &vote, units.get(), s.get());
+        record_divergence("outvote", vote.reason, &vote, units.get(), *s);
         obs::SpanId sp = verdict("outvoted");
         if (tracer)
           tracer->tag(sp, "outvoted_instance", strformat("%zu", inst));
@@ -981,29 +968,11 @@ void IncomingProxy::record_divergence(const char* verdict_class,
                                       const std::string& reason,
                                       const BatchVerdict* verdict,
                                       const std::vector<Unit>* units,
-                                      const Session* s) {
-  DivergenceRecord rec;
-  rec.time = net_.simulator().now();
-  rec.proxy = config_.name;
-  rec.protocol = config_.plugin->name();
-  rec.verdict = verdict_class;
-  rec.reason = reason;
-  if (units && !units->empty()) {
-    rec.unit_kind = (*units)[0].kind;
-    rec.unit_data = (*units)[0].data;
-  }
-  if (verdict) {
-    rec.region_line = verdict->region.line;
-    rec.region_offset = verdict->region.offset;
-    rec.region_instance = verdict->region.instance;
-  }
-  if (s) {
-    rec.trace_id = s->trace;
-    rec.index = s->index;
-  }
-  // The one reporting path: the bus logs the record, dedups per callsite,
-  // notifies record subscribers and — for interventions — emits the
-  // cross-proxy abort event.
+                                      const Session& s) {
+  DivergenceRecord rec = make_divergence_record(
+      net_.simulator().now(), config_, verdict_class, reason, verdict, units);
+  rec.trace_id = s.trace;
+  rec.index = s.index;
   bus_->report(rec);
 }
 
@@ -1023,7 +992,7 @@ void IncomingProxy::intervene(const std::shared_ptr<Session>& s,
   if (config_.path_quarantine_threshold > 0 && s->client &&
       !s->client->flow().index.empty())
     ++path_strikes_[s->index.leaf_site()];
-  record_divergence("intervention", reason, verdict, units, s.get());
+  record_divergence("intervention", reason, verdict, units, *s);
   Bytes page = config_.plugin->intervention_response();
   if (!page.empty() && s->client && s->client->is_open())
     s->client->send(page);

@@ -143,7 +143,7 @@ class IncomingProxy {
   uint64_t pending_units() const { return queued_units_; }
 
   /// Aborts every active session with the intervention response (invoked
-  /// via the DivergenceBus when a sibling proxy detects divergence).
+  /// from the bus's record stream on a sibling proxy's intervention).
   void abort_all_sessions(const std::string& reason);
 
   /// Swaps instance slot `i` to a freshly deployed replica at
@@ -182,7 +182,7 @@ class IncomingProxy {
   /// AttributionSink (the shared bus, or the proxy-private one).
   void record_divergence(const char* verdict_class, const std::string& reason,
                          const BatchVerdict* verdict,
-                         const std::vector<Unit>* units, const Session* s);
+                         const std::vector<Unit>* units, const Session& s);
   void teardown(const std::shared_ptr<Session>& s);
   void arm_timeout(const std::shared_ptr<Session>& s);
   /// Idle-session read timeout (Config::idle_timeout): re-arming timer
@@ -218,12 +218,12 @@ class IncomingProxy {
   sim::Network& net_;
   sim::Host& host_;
   Config config_;
-  DivergenceBus* bus_;
   /// Fallback sink when constructed without a shared bus: every record
   /// still flows through one AttributionSink.
-  std::unique_ptr<DivergenceBus> own_bus_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
-  obs::MetricsRegistry* metrics_;
+  DivergenceBus own_bus_;
+  DivergenceBus* bus_;  // the shared bus, else &own_bus_
+  obs::MetricsRegistry owned_metrics_;  // fallback registry
+  obs::MetricsRegistry* metrics_;  // configured, else &owned_metrics_
   ProxyCounters counters_;
   HealthTracker health_;
   /// Batched N-way diff-and-denoise data plane (configured from

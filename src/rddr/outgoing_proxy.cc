@@ -53,37 +53,24 @@ OutgoingProxy::OutgoingProxy(sim::Network& net, sim::Host& host,
     : net_(net),
       host_(host),
       config_(std::move(config)),
-      bus_(bus),
+      bus_(bus ? bus : &own_bus_),
+      metrics_(config_.metrics ? config_.metrics : &owned_metrics_),
       health_([this] {
         HealthTracker::Options h = config_.health;
         h.n_instances = config_.instance_sources.size();
         return h;
       }()),
       engine_(config_.diff) {
-  if (!bus_) {
-    // Bus-less construction keeps the one-sink invariant: the proxy owns a
-    // private bus, so every divergence still flows through AttributionSink.
-    own_bus_ = std::make_unique<DivergenceBus>(net.simulator());
-    bus_ = own_bus_.get();
-  }
-  if (config_.metrics) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   counters_.bind(*metrics_, config_.name);
   host_.charge_memory(config_.base_memory_bytes);
   net_.listen(config_.listen_address,
               [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  if (bus_) {
-    bus_->subscribe([this](const DivergenceEvent& ev) {
-      // A sibling proxy (the incoming one) saw divergence: whatever the
-      // instances are sending the backend must not go through.
-      if (ev.proxy != config_.name)
-        abort_all_sessions("sibling proxy reported: " + ev.reason);
-    });
-  }
+  bus_->subscribe_records([this](const DivergenceRecord& rec) {
+    // A sibling proxy (the incoming one) saw divergence: whatever the
+    // instances are sending the backend must not go through.
+    if (rec.is_intervention() && rec.proxy != config_.name)
+      abort_all_sessions("sibling proxy reported: " + rec.reason);
+  });
 }
 
 OutgoingProxy::~OutgoingProxy() {
@@ -593,7 +580,7 @@ void OutgoingProxy::pump(const std::shared_ptr<Group>& g) {
       if (vote.outlier != SIZE_MAX) {
         size_t slot = idxmap[vote.outlier];
         counters_.quorum_outvotes->inc();
-        record_divergence("outvote", vote.reason, &vote, units.get(), g.get());
+        record_divergence("outvote", vote.reason, &vote, units.get(), *g);
         obs::SpanId sp = verdict("outvoted");
         if (tracer)
           tracer->tag(sp, "outvoted_instance", strformat("%zu", slot));
@@ -633,37 +620,19 @@ void OutgoingProxy::record_divergence(const char* verdict_class,
                                       const std::string& reason,
                                       const BatchVerdict* verdict,
                                       const std::vector<Unit>* units,
-                                      const Group* g) {
-  DivergenceRecord rec;
-  rec.time = net_.simulator().now();
-  rec.proxy = config_.name;
-  rec.protocol = config_.plugin->name();
-  rec.verdict = verdict_class;
-  rec.reason = reason;
-  if (units && !units->empty()) {
-    rec.unit_kind = (*units)[0].kind;
-    rec.unit_data = (*units)[0].data;
-  }
-  if (verdict) {
-    rec.region_line = verdict->region.line;
-    rec.region_offset = verdict->region.offset;
-    rec.region_instance = verdict->region.instance;
-  }
-  if (g) {
-    rec.index = g->index;
-    // Attribution wants the originating edge request's trace when the
-    // members inherited one; the group's locally-rooted trace is the
-    // fallback for unindexed flows.
-    for (const auto& m : g->members)
-      if (m && m->flow().trace_id) {
-        rec.trace_id = m->flow().trace_id;
-        break;
-      }
-    if (!rec.trace_id) rec.trace_id = g->trace;
-  }
-  // The one reporting path: the bus logs the record, dedups per callsite,
-  // notifies record subscribers and — for interventions — emits the
-  // cross-proxy abort event.
+                                      const Group& g) {
+  DivergenceRecord rec = make_divergence_record(
+      net_.simulator().now(), config_, verdict_class, reason, verdict, units);
+  rec.index = g.index;
+  // Attribution wants the originating edge request's trace when the
+  // members inherited one; the group's locally-rooted trace is the
+  // fallback for unindexed flows.
+  for (const auto& m : g.members)
+    if (m && m->flow().trace_id) {
+      rec.trace_id = m->flow().trace_id;
+      break;
+    }
+  if (!rec.trace_id) rec.trace_id = g.trace;
   bus_->report(rec);
 }
 
@@ -676,7 +645,7 @@ void OutgoingProxy::intervene(const std::shared_ptr<Group>& g,
   RDDR_LOG_INFO("%s: intervention on flow '%s': %s", config_.name.c_str(),
                 g->flow_label.c_str(), reason.c_str());
   if (config_.tracer) config_.tracer->tag(g->root_span, "intervention", reason);
-  record_divergence("intervention", reason, verdict, units, g.get());
+  record_divergence("intervention", reason, verdict, units, *g);
   teardown(g);
 }
 

@@ -6,8 +6,9 @@
 // diffs each request unit across the group, forwards ONE copy to the real
 // backend, and fans the backend's response bytes back to every instance.
 // Divergence (including an instance that never dials in before the group
-// window expires) is reported on the DivergenceBus so the incoming proxy
-// can abort the client session.
+// window expires) is reported as an intervention record on the
+// DivergenceBus; the incoming proxy sees it there and aborts the client
+// session.
 //
 // Under a non-strict DegradationPolicy an absent or crashed instance is a
 // fault, not an attack: groups complete with the instances that did show
@@ -78,8 +79,8 @@ class OutgoingProxy {
   /// Per-instance health view (meaningful when `instance_sources` is set).
   const HealthTracker& health() const { return health_; }
 
-  /// Aborts every active flow group (invoked via the DivergenceBus when a
-  /// sibling proxy detects divergence).
+  /// Aborts every active flow group (invoked from the bus's record stream
+  /// on a sibling proxy's intervention).
   void abort_all_sessions(const std::string& reason);
 
   /// Swaps instance slot `i` to a replacement replica dialling in from
@@ -105,7 +106,7 @@ class OutgoingProxy {
   /// into the AttributionSink (the shared bus, or the proxy-private one).
   void record_divergence(const char* verdict_class, const std::string& reason,
                          const BatchVerdict* verdict,
-                         const std::vector<Unit>* units, const Group* g);
+                         const std::vector<Unit>* units, const Group& g);
   void teardown(const std::shared_ptr<Group>& g);
   /// Removes member i from the group (non-strict policies); returns false
   /// when the group could not continue and was ended.
@@ -121,12 +122,12 @@ class OutgoingProxy {
   sim::Network& net_;
   sim::Host& host_;
   Config config_;
-  DivergenceBus* bus_;
   /// Fallback sink when constructed without a shared bus: every record
   /// still flows through one AttributionSink.
-  std::unique_ptr<DivergenceBus> own_bus_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
-  obs::MetricsRegistry* metrics_;
+  DivergenceBus own_bus_;
+  DivergenceBus* bus_;  // the shared bus, else &own_bus_
+  obs::MetricsRegistry owned_metrics_;  // fallback registry
+  obs::MetricsRegistry* metrics_;  // configured, else &owned_metrics_
   ProxyCounters counters_;
   HealthTracker health_;
   /// Batched N-way diff-and-denoise data plane (configured from

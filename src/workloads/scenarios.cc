@@ -39,6 +39,8 @@ struct TestBed {
   sim::Network net{simulator, 20 * sim::kMicrosecond};
   sim::Host host{simulator, "node", 32, 128LL << 30};
 };
+// Every scenario runs the strict policy, so every divergence record on its
+// bus is an intervention (no quorum outvotes to skip).
 
 /// Blocking-style HTTP request: runs the simulator until the callback.
 struct HttpResult {
@@ -179,7 +181,7 @@ ScenarioResult run_rest_scenario(const RestSpec& spec) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   // Benign request passes and matches the library output byte-for-byte.
@@ -193,7 +195,7 @@ ScenarioResult run_rest_scenario(const RestSpec& spec) {
   for (const auto& marker : spec.leak_markers)
     if (client_visible.find(marker) != Bytes::npos)
       result.leak_reached_client = true;
-  if (!bus.events().empty()) result.detail = bus.events().back().reason;
+  if (!bus.records().empty()) result.detail = bus.records().back().reason;
   return result;
 }
 
@@ -385,7 +387,7 @@ ScenarioResult run_cve_2017_7484() {
   cfg.instance_addresses = {"pg-0:5432", "pg-1:5432", "pg-2:5432"};
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.filter_pair = true;
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   // Benign query (ORDER BY: the paper's row-order configuration note).
@@ -418,7 +420,7 @@ ScenarioResult run_cve_2017_7484() {
       step1_blocked && step2_blocked && step3_blocked && bus.count() >= 3;
   for (const auto& n : client_notices)
     if (n.find("leak") != std::string::npos) result.leak_reached_client = true;
-  if (!bus.events().empty()) result.detail = bus.events().front().reason;
+  if (!bus.records().empty()) result.detail = bus.records().front().reason;
   return result;
 }
 
@@ -477,7 +479,7 @@ ScenarioResult run_cve_2017_7529() {
   cfg.instance_addresses = {"web-0:80", "web-1:80", "web-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
   cfg.filter_pair = true;  // not needed (deterministic), but deployed as-is
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   // Benign: plain GET and a valid in-bounds range.
@@ -506,7 +508,7 @@ ScenarioResult run_cve_2017_7529() {
   result.exploit_blocked = bus.count() > 0 && r.status != 206;
   if (r.response.body.find("cache-secret-token") != Bytes::npos)
     result.leak_reached_client = true;
-  if (!bus.events().empty()) result.detail = bus.events().back().reason;
+  if (!bus.records().empty()) result.detail = bus.records().back().reason;
   return result;
 }
 
@@ -592,7 +594,7 @@ ScenarioResult run_cve_2019_10130() {
                             "gitlab-pg-2:5432"};
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.filter_pair = true;
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   services::GitlabApp::Options gopts;
@@ -629,7 +631,7 @@ ScenarioResult run_cve_2019_10130() {
   // GitLab keeps working after the intervention.
   auto after = do_get(bed, "gitlab:80", "/projects");
   result.benign_ok = result.benign_ok && after.status == 200;
-  if (!bus.events().empty()) result.detail = bus.events().back().reason;
+  if (!bus.records().empty()) result.detail = bus.records().back().reason;
   return result;
 }
 
@@ -721,8 +723,8 @@ ScenarioResult run_cve_2019_18277() {
   result.exploit_blocked = rddr.divergences() > 0 && s1.admin_hits() == 0;
   if (attack.data.find("SECRET-ADMIN-TOKEN") != Bytes::npos)
     result.leak_reached_client = true;
-  if (!rddr.bus().events().empty())
-    result.detail = rddr.bus().events().back().reason;
+  if (!rddr.bus().records().empty())
+    result.detail = rddr.bus().records().back().reason;
   return result;
 }
 
@@ -840,8 +842,8 @@ ScenarioResult run_dvwa_sqli() {
   if (attack.response.body.find("Bob") != Bytes::npos ||
       attack.response.body.find("Charlie") != Bytes::npos)
     result.leak_reached_client = true;
-  if (!rddr.bus().events().empty())
-    result.detail = rddr.bus().events().front().reason;
+  if (!rddr.bus().records().empty())
+    result.detail = rddr.bus().records().front().reason;
   return result;
 }
 
@@ -890,7 +892,7 @@ ScenarioResult run_aslr_poc() {
   cfg.listen_address = "echo:7";
   cfg.instance_addresses = {"echo-0:7", "echo-1:7"};
   cfg.plugin = std::make_shared<TcpLinePlugin>();
-  DivergenceBus bus(bed.simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(bed.net, bed.host, cfg, &bus);
 
   auto benign = do_raw(bed, "echo:7", "hello rddr\n");
@@ -905,7 +907,7 @@ ScenarioResult run_aslr_poc() {
   if (attack.data.find(p0) != Bytes::npos ||
       attack.data.find(p1) != Bytes::npos)
     result.leak_reached_client = true;
-  if (!bus.events().empty()) result.detail = bus.events().back().reason;
+  if (!bus.records().empty()) result.detail = bus.records().back().reason;
 
   // Ablation note: without ASLR both instances leak the same pointer and
   // RDDR cannot see the exploit — the diversity IS the defence.
@@ -919,7 +921,7 @@ ScenarioResult run_aslr_poc() {
     services::EchoVulnServer f0(bed2.net, bed2.host, n0);
     services::EchoVulnServer f1(bed2.net, bed2.host, n1);
     IncomingProxy::Config c2 = cfg;
-    DivergenceBus bus2(bed2.simulator);
+    DivergenceBus bus2;
     IncomingProxy proxy2(bed2.net, bed2.host, c2, &bus2);
     do_raw(bed2, "echo:7", overflow);
     if (bus2.count() == 0)

@@ -76,7 +76,7 @@ class FaultTest : public ::testing::Test {
 
 TEST_F(FaultTest, QuorumSurvivesInstanceCrashMidSession) {
   auto servers = make_pg_instances(100);
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kQuorum),
                       &bus);
 
@@ -102,7 +102,7 @@ TEST_F(FaultTest, QuorumSurvivesInstanceCrashMidSession) {
 
 TEST_F(FaultTest, StrictRefusesAfterInstanceCrash) {
   auto servers = make_pg_instances(100);
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kStrict),
                       &bus);
 
@@ -125,7 +125,7 @@ TEST_F(FaultTest, StrictRefusesAfterInstanceCrash) {
 
 TEST_F(FaultTest, CrashThenRestartReconnectsAndReadmits) {
   auto servers = make_pg_instances(100);
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kQuorum),
                       &bus);
 
@@ -162,7 +162,7 @@ TEST_F(FaultTest, ReconnectGivesUpAndMarksInstanceDead) {
   auto servers = make_pg_instances(100);
   IncomingProxy::Config cfg = pg_proxy_config(DegradationPolicy::kQuorum);
   cfg.health.reconnect_max_attempts = 3;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   faults.crash_at(10 * sim::kMillisecond, "pg-2");  // never restarted
@@ -191,7 +191,7 @@ TEST_F(FaultTest, QuorumOutvotesDivergentInstance) {
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
   cfg.degradation = DegradationPolicy::kQuorum;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -224,7 +224,7 @@ TEST_F(FaultTest, QuorumStillIntervenesWhenNoMajority) {
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
   cfg.degradation = DegradationPolicy::kQuorum;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -249,7 +249,7 @@ TEST_F(FaultTest, FailOpenServesUncomparedWithAlertCounters) {
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
   cfg.degradation = DegradationPolicy::kFailOpen;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   faults.crash_at(sim::kMillisecond, "svc-1");
@@ -284,7 +284,7 @@ TEST_F(FaultTest, QuorumRefusesBelowTwoHealthy) {
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
   cfg.degradation = DegradationPolicy::kQuorum;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   faults.crash_at(sim::kMillisecond, "svc-1");
@@ -307,7 +307,7 @@ TEST_F(FaultTest, QuorumRefusesBelowTwoHealthy) {
 
 TEST_F(FaultTest, PartitionDropsIsolatedInstanceAndHeals) {
   auto servers = make_pg_instances(100);
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kQuorum),
                       &bus);
 
@@ -417,7 +417,7 @@ class FaultAvailabilityTest : public ::testing::Test {
     cfg.filter_pair = true;
     cfg.degradation = policy;
     cfg.health.reconnect_jitter = 0;
-    DivergenceBus bus(sim);
+    DivergenceBus bus;
     IncomingProxy proxy(net, host, cfg, &bus);
 
     faults.crash_at(kCrashAt, "pg-2");

@@ -131,7 +131,7 @@ TEST_F(LimitsTest, OutgoingUnitTimeoutCatchesSilentInstance) {
   cfg.group_size = 2;
   cfg.plugin = std::make_shared<TcpLinePlugin>();
   cfg.unit_timeout = sim::kSecond;
-  DivergenceBus bus(simulator);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   auto talkative = net.connect("merge:1", {.source = "i0", .flow = {.label = "f"}});
@@ -139,7 +139,7 @@ TEST_F(LimitsTest, OutgoingUnitTimeoutCatchesSilentInstance) {
   talkative->send("query please\n");
   simulator.run_until(10 * sim::kSecond);
   ASSERT_EQ(bus.count(), 1u);
-  EXPECT_NE(bus.events()[0].reason.find("timeout"), std::string::npos);
+  EXPECT_NE(bus.records()[0].reason.find("timeout"), std::string::npos);
   EXPECT_EQ(proxy.stats().timeouts, 1u);
   EXPECT_FALSE(talkative->is_open());
   EXPECT_FALSE(silent->is_open());
@@ -155,7 +155,7 @@ TEST_F(LimitsTest, OutgoingUnitTimeoutOffHangsForever) {
   cfg.group_size = 2;
   cfg.plugin = std::make_shared<TcpLinePlugin>();
   cfg.unit_timeout = 0;  // the paper's default
-  DivergenceBus bus(simulator);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   auto talkative = net.connect("merge:1", {.source = "i0", .flow = {.label = "f"}});
@@ -202,7 +202,7 @@ TEST_F(LimitsTest, InstanceSpecificSecretsAreIncompatible) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(simulator);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   // The challenge itself already diverges (different codes, no filter

@@ -2,6 +2,8 @@
 // network, using small HTTP instances and the sqldb servers.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "netsim/host.h"
 #include "netsim/network.h"
 #include "rddr/deployment.h"
@@ -48,7 +50,7 @@ TEST_F(ProxyTest, UnanimousResponseForwarded) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -75,7 +77,7 @@ TEST_F(ProxyTest, DivergenceBlockedWithInterventionPage) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -102,7 +104,7 @@ TEST_F(ProxyTest, InstanceConnectionRefusedIsUnavailabilityNotDivergence) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   int status = -2;
@@ -375,7 +377,7 @@ TEST_F(ProxyTest, CompressedResponsesDiffedDecoded) {
   cfg.listen_address = "svc:80";
   cfg.instance_addresses = {"svc-0:80", "svc-1:80"};
   cfg.plugin = std::make_shared<HttpPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   IncomingProxy proxy(net, host, cfg, &bus);
 
   http::Request req;
@@ -438,7 +440,7 @@ TEST_F(ProxyTest, OutgoingProxyMergesAgreeingRequests) {
   cfg.backend_address = "backend:5432";
   cfg.group_size = 3;
   cfg.plugin = std::make_shared<PgPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   // Three "instances" issue the identical query with one flow label.
@@ -475,7 +477,7 @@ TEST_F(ProxyTest, OutgoingProxyCatchesDivergingRequest) {
   cfg.group_size = 3;
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.filter_pair = true;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   std::vector<std::unique_ptr<sqldb::PgClient>> clients;
@@ -507,7 +509,7 @@ TEST_F(ProxyTest, OutgoingProxyGroupWindowCatchesMissingInstance) {
   cfg.group_size = 3;
   cfg.plugin = std::make_shared<PgPlugin>();
   cfg.group_window = 50 * sim::kMillisecond;
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   // Only two of three instances dial the backend.
@@ -515,14 +517,14 @@ TEST_F(ProxyTest, OutgoingProxyGroupWindowCatchesMissingInstance) {
   sqldb::PgClient b(net, "inst-1", "rddr-out:5432", "app", "flow-1");
   sim.run_until_idle();
   ASSERT_EQ(bus.count(), 1u);
-  EXPECT_NE(bus.events()[0].reason.find("2 of 3"), std::string::npos);
+  EXPECT_NE(bus.records()[0].reason.find("2 of 3"), std::string::npos);
 }
 
 TEST_F(ProxyTest, BusAbortsIncomingSessionsOnOutgoingDivergence) {
   // Incoming proxy guards HTTP instances that each call a backend through
   // the outgoing proxy; when the outgoing proxy reports divergence, the
   // client's session is aborted with the intervention page.
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
 
   IncomingProxy::Config in_cfg;
   in_cfg.listen_address = "svc:80";
@@ -546,18 +548,31 @@ TEST_F(ProxyTest, BusAbortsIncomingSessionsOnOutgoingDivergence) {
     status = s;
     if (r) body = r->body;
   });
-  // While the client waits, the outgoing proxy reports divergence.
-  sim.schedule(5 * sim::kMillisecond, [&] {
+  auto report = [&](const std::string& proxy, const std::string& verdict) {
     DivergenceRecord rec;
     rec.time = sim.now();
-    rec.proxy = "rddr-out";
-    rec.verdict = "intervention";
+    rec.proxy = proxy;
+    rec.verdict = verdict;
     rec.reason = "backend query diverged";
     bus.report(rec);
+  };
+  // A sibling's outvote is absorbed, and a record carrying the proxy's own
+  // name is its own report: neither aborts the session.
+  sim.schedule(3 * sim::kMillisecond, [&] {
+    report("rddr-out", "outvote");
+    report(in_cfg.name, "intervention");
   });
+  sim.run_until(4 * sim::kMillisecond);
+  EXPECT_EQ(status, -2);
+  EXPECT_EQ(incoming.stats().divergences, 0u);
+  EXPECT_EQ(net.live_connections("client"), 1u);
+  // While the client waits, the outgoing proxy reports divergence.
+  sim.schedule(5 * sim::kMillisecond,
+               [&] { report("rddr-out", "intervention"); });
   sim.run_until_idle();
   EXPECT_EQ(status, 403);
   EXPECT_NE(body.find("RDDR intervened"), Bytes::npos);
+  EXPECT_EQ(incoming.stats().divergences, 1u);
 }
 
 TEST_F(ProxyTest, BusAbortsOutgoingGroupsOnIncomingDivergence) {
@@ -575,7 +590,7 @@ TEST_F(ProxyTest, BusAbortsOutgoingGroupsOnIncomingDivergence) {
   cfg.backend_address = "backend:5432";
   cfg.group_size = 2;
   cfg.plugin = std::make_shared<PgPlugin>();
-  DivergenceBus bus(sim);
+  DivergenceBus bus;
   OutgoingProxy proxy(net, host, cfg, &bus);
 
   sqldb::PgClient a(net, "inst-0", "rddr-out:5432", "app", "flow-1");
@@ -584,17 +599,97 @@ TEST_F(ProxyTest, BusAbortsOutgoingGroupsOnIncomingDivergence) {
   ASSERT_FALSE(a.broken());
   ASSERT_FALSE(b.broken());
 
-  DivergenceRecord rec;
-  rec.time = sim.now();
-  rec.proxy = "rddr-in";
-  rec.verdict = "intervention";
-  rec.reason = "client response diverged";
-  bus.report(rec);
+  auto report = [&](const std::string& proxy, const std::string& verdict) {
+    DivergenceRecord rec;
+    rec.time = sim.now();
+    rec.proxy = proxy;
+    rec.verdict = verdict;
+    rec.reason = "client response diverged";
+    bus.report(rec);
+  };
+  // A sibling's outvote is absorbed, and a record carrying the proxy's own
+  // name is its own report: neither tears the group down.
+  report("rddr-in", "outvote");
+  report(cfg.name, "intervention");
+  sim.run_until(40 * sim::kMillisecond);
+  EXPECT_FALSE(a.broken());
+  EXPECT_FALSE(b.broken());
+  EXPECT_EQ(proxy.stats().divergences, 0u);
+  EXPECT_EQ(net.live_connections("backend"), 1u);
+
+  report("rddr-in", "intervention");
   sim.run_until_idle();
   EXPECT_TRUE(a.broken());
   EXPECT_TRUE(b.broken());
   EXPECT_EQ(proxy.stats().divergences, 1u);
   EXPECT_EQ(net.live_connections("backend"), 0u);
+}
+
+TEST(ProxyCounters, TableBindsEveryRegistryNameToItsStatsField) {
+  // Spelled out by hand on purpose: a table entry that renames a metric or
+  // drops a field must fail here.
+  struct Field {
+    const char* name;
+    uint64_t ProxyStats::*field;
+  };
+  const std::vector<Field> fields = {
+      {"p.sessions", &ProxyStats::sessions},
+      {"p.units_replicated", &ProxyStats::units_replicated},
+      {"p.units_compared", &ProxyStats::units_compared},
+      {"p.divergences", &ProxyStats::divergences},
+      {"p.timeouts", &ProxyStats::timeouts},
+      {"p.idle_sheds", &ProxyStats::idle_sheds},
+      {"p.passthrough_sessions", &ProxyStats::passthrough_sessions},
+      {"p.signature_blocks", &ProxyStats::signature_blocks},
+      {"p.path_blocks", &ProxyStats::path_blocks},
+      {"p.instance_unreachable", &ProxyStats::instance_unreachable},
+      {"p.quarantines", &ProxyStats::quarantines},
+      {"p.reconnects", &ProxyStats::reconnects},
+      {"p.degraded_sessions", &ProxyStats::degraded_sessions},
+      {"p.quorum_outvotes", &ProxyStats::quorum_outvotes},
+      {"p.resyncs", &ProxyStats::resyncs},
+      {"p.replacements", &ProxyStats::replacements},
+      {"p.journal_replayed_requests", &ProxyStats::journal_replayed_requests},
+      {"p.pages_shipped", &ProxyStats::pages_shipped},
+      {"p.wal_bytes_replayed", &ProxyStats::wal_bytes_replayed},
+      {"p.admitted", &ProxyStats::admitted},
+      {"p.shed", &ProxyStats::shed},
+  };
+  ASSERT_EQ(fields.size(), 21u);
+  ASSERT_EQ(sizeof(ProxyStats), fields.size() * sizeof(uint64_t))
+      << "ProxyStats has a field this list does not name";
+
+  for (size_t i = 0; i < fields.size(); ++i) {
+    obs::MetricsRegistry reg;
+    ProxyCounters counters;
+    counters.bind(reg, "p");
+    ASSERT_EQ(reg.to_json().find("counters")->as_object().size(),
+              fields.size());
+    ASSERT_NE(reg.find_counter(fields[i].name), nullptr) << fields[i].name;
+    reg.counter(fields[i].name)->inc();
+    ProxyStats snap = counters.snapshot();
+    for (size_t j = 0; j < fields.size(); ++j)
+      EXPECT_EQ(snap.*fields[j].field, i == j ? 1u : 0u)
+          << "bumped " << fields[i].name << ", read " << fields[j].name;
+  }
+
+  obs::MetricsRegistry reg;
+  ProxyCounters counters;
+  counters.bind(reg, "p");
+  reg.histogram("p.compare_ms")->observe(1.0);
+  reg.histogram("p.queued_ms")->observe(2.0);
+  reg.histogram("p.queued_ms")->observe(3.0);
+  EXPECT_EQ(counters.compare_ms->count(), 1u);
+  EXPECT_EQ(counters.queued_ms->count(), 2u);
+
+  ProxyStats a, b;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    a.*fields[i].field = i + 1;
+    b.*fields[i].field = 100 * (i + 1);
+  }
+  a += b;
+  for (size_t i = 0; i < fields.size(); ++i)
+    EXPECT_EQ(a.*fields[i].field, 101 * (i + 1)) << fields[i].name;
 }
 
 }  // namespace
