@@ -5,7 +5,7 @@
 //            client
 //              |
 //     RDDR incoming proxy  (HTTP plugin, filter pair, CSRF handling)
-//        /     |      \
+//        /     |      \      (replicated)
 //   dvwa-0  dvwa-1   dvwa-2        <- low / low (filter pair) / high
 //        \     |      /
 //     RDDR outgoing proxy  (pgwire plugin: diffs the SQL each

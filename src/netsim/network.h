@@ -81,7 +81,7 @@ struct FlowContext {
   /// Deterministic call-path index from the originating edge request to
   /// this connection's dial site (common/exec_index.h). Empty for root
   /// dials outside any protected flow.
-  ExecutionIndex index;
+  ExecutionIndex index{};
 };
 
 /// Metadata attached to a connection at connect() time.
@@ -91,7 +91,7 @@ struct ConnectMeta {
   std::string source;
   /// Flow identity: label, trace ids and execution index. Fields left at
   /// their defaults are auto-derived from the ambient flow (see above).
-  FlowContext flow;
+  FlowContext flow{};
 };
 
 /// One endpoint of a duplex byte-stream connection. Obtained from

@@ -182,20 +182,20 @@ NVersionDeployment::Builder& NVersionDeployment::Builder::faults(
 }
 
 NVersionDeployment::Builder& NVersionDeployment::Builder::shards(size_t s) {
-  incoming_.shards = s;
+  shards_ = s;
   return *this;
 }
 
 NVersionDeployment::Builder& NVersionDeployment::Builder::admission(
     AdmissionOptions a) {
-  incoming_.admission = a;
+  admission_ = a;
   return *this;
 }
 
 NVersionDeployment::Builder& NVersionDeployment::Builder::shard_versions(
     std::vector<std::vector<std::string>> pools) {
   shard_versions_ = std::move(pools);
-  if (!shard_versions_.empty()) incoming_.shards = shard_versions_.size();
+  if (!shard_versions_.empty()) shards_ = shard_versions_.size();
   return *this;
 }
 

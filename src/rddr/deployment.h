@@ -152,6 +152,8 @@ class NVersionDeployment {
     std::vector<PendingBackend> backends_;
     std::function<void(const DivergenceRecord&)> on_record_;
     std::vector<std::vector<std::string>> shard_versions_;
+    size_t shards_ = 1;
+    AdmissionOptions admission_;
     std::function<void(sim::FaultPlan&)> faults_;
     size_t islands_ = 1;
   };

@@ -140,6 +140,11 @@ ArenaVec<TokenSpan> detect_tokens(const CanonicalUnit* canon, size_t n,
 
 namespace {
 
+// Initial reservation of the per-batch bump arena. The arena grows
+// geometrically past it and keeps its capacity across batches, so this only
+// sizes the warm-up.
+constexpr size_t kArenaReserveBytes = 64 << 10;
+
 using diff::LineCheck;
 using diff::LineFail;
 using diff::LineMask;
@@ -198,7 +203,7 @@ std::string inst_fail_reason(const InstResult& r, const CanonicalUnit& ref,
 
 DiffEngine::DiffEngine(const DiffEngineOptions& opts)
     : ops_(&simd::ops(simd::resolve_level(opts.simd))),
-      arena_(opts.arena_reserve_bytes) {}
+      arena_(kArenaReserveBytes) {}
 
 BatchVerdict DiffEngine::compare(const ProtocolPlugin& plugin,
                                  const std::vector<Unit>& units,

@@ -116,10 +116,6 @@ struct DiffEngineOptions {
   /// Kernel selection: "auto" (CPUID), "scalar", "sse2", "avx2". The
   /// RDDR_SIMD environment variable overrides this knob process-wide.
   std::string simd = "auto";
-  /// Initial arena reservation. The arena grows geometrically past this
-  /// and retains its capacity across batches, so the knob only sizes the
-  /// warm-up; 0 means allocate on first use.
-  size_t arena_reserve_bytes = 64 << 10;
 };
 
 class DiffEngine {
@@ -135,12 +131,14 @@ class DiffEngine {
                        const std::vector<Unit>& units,
                        const CompareContext& ctx, VoteMode mode);
 
-  /// Token harvest + forwarded bytes, replacing on_forward_downstream on
-  /// the proxy hot path. Reuses the canonical forms of the immediately
-  /// preceding compare() on the same `units` (no re-canonicalisation);
-  /// falls back to a fresh canonicalisation pass otherwise. Harvests only
-  /// when the plugin opts in, the batch was unanimous and ctx.session is
-  /// set — the exact conditions of the old call pattern.
+  /// The one forward entry point, called after an agreeing compare():
+  /// harvests ephemeral tokens (CSRF, session ids: alphanumeric runs >= 10
+  /// chars differing across ALL instances, paper §IV-B3) into ctx.session
+  /// and returns instance 0's bytes. Reuses the canonical forms of the
+  /// immediately preceding compare() on the same `units` (no
+  /// re-canonicalisation); falls back to a fresh canonicalisation pass
+  /// otherwise. Harvests only when the plugin opts in, the batch was
+  /// unanimous and ctx.session is set.
   Bytes forward_downstream(const ProtocolPlugin& plugin,
                            const std::vector<Unit>& units,
                            const CompareContext& ctx);

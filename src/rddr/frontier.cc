@@ -340,11 +340,11 @@ std::unique_ptr<Frontier> NVersionDeployment::Builder::build_frontier(
   Frontier::Options fo;
   fo.listen_address = incoming_.listen_address;
   fo.name = incoming_.name;
-  fo.admission = incoming_.admission;
+  fo.admission = admission_;
   fo.plugin = incoming_.plugin;
   fo.metrics = incoming_.metrics;
   fo.tracer = incoming_.tracer;
-  size_t S = shard_versions_.empty() ? std::max<size_t>(1, incoming_.shards)
+  size_t S = shard_versions_.empty() ? std::max<size_t>(1, shards_)
                                      : shard_versions_.size();
   if (islands_ > 1) {
     // Lookahead tracks the network's minimum link latency, recomputed at

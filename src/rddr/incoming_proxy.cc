@@ -1,36 +1,21 @@
 #include "rddr/incoming_proxy.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/log.h"
 #include "common/strutil.h"
 
 namespace rddr::core {
 
-struct IncomingProxy::Session {
-  uint64_t id = 0;
+struct IncomingProxy::Session : NWayFlow {
   sim::ConnPtr client;
   std::unique_ptr<StreamFramer> client_framer;
   bool client_passthrough = false;
 
-  // All vectors are indexed by instance id [0, N); a slot of a dropped or
-  // skipped instance holds a null upstream and participating=false.
-  std::vector<sim::ConnPtr> upstreams;
-  std::vector<std::unique_ptr<StreamFramer>> upstream_framers;
-  std::vector<std::deque<Unit>> queues;
-  std::vector<bool> upstream_closed;
-  std::vector<bool> participating;
   // Catch-up connections to readmitted instances that are not part of this
   // session (lazily dialled; responses are discarded, never compared).
   std::vector<sim::ConnPtr> shadows;
 
-  bool busy = false;          // a compare task is on the host
-  bool ended = false;
-  bool degraded = false;      // counted into degraded_sessions once
-  bool failopen = false;      // uncompared passthrough on the sole survivor
-  size_t failopen_idx = 0;
-  uint64_t timeout_event = 0; // pending instance-timeout event id
   uint64_t idle_event = 0;    // pending idle-shed event id
   // Last protocol progress: a completed client unit or a forwarded
   // response. Deliberately NOT raw byte activity — a slowloris sender
@@ -41,85 +26,48 @@ struct IncomingProxy::Session {
   // which mirrors real signature generators.
   uint64_t last_unit_fingerprint = 0;
   bool has_fingerprint = false;
-
-  // Trace context (zero when no tracer is configured).
-  obs::TraceId trace = 0;
-  obs::SpanId root_span = 0;
-  std::vector<obs::SpanId> upstream_spans;
-
-  // Execution index of this session's flow: the inbound connection's index
-  // verbatim for nested hops (the caller's dial frame is the call site), or
-  // a fresh root frame (listen site, session id) for originating edge
-  // requests. Replicated upstream dials carry it unchanged.
-  ExecutionIndex index;
-
-  size_t live() const {
-    size_t n = 0;
-    for (bool p : participating)
-      if (p) ++n;
-    return n;
-  }
 };
+
+namespace {
+const NWayProxy::Traits kResponseTraits = {
+    "response", "closed while peers responded", "closed while peers responded",
+    "instance response timeout", "response timeout", "quarantining it",
+    /*arm_timer_in_pump=*/false};
+}  // namespace
 
 IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
                              Config config, DivergenceBus* bus)
-    : net_(net),
-      host_(host),
-      config_(std::move(config)),
-      bus_(bus ? bus : &own_bus_),
-      metrics_(config_.metrics ? config_.metrics : &owned_metrics_),
-      health_([this] {
-        HealthTracker::Options h = config_.health;
-        h.n_instances = config_.instance_addresses.size();
-        return h;
-      }()),
-      engine_(config_.diff) {
-  counters_.bind(*metrics_, config_.name);
+    : NWayProxy(net, host, config, config.instance_addresses.size(), bus,
+                kResponseTraits),
+      config_(std::move(config)) {
   token_state_.n_instances = config_.instance_addresses.size();
   token_state_.delete_tokens_after_use = config_.delete_tokens_after_use;
   probe_events_.assign(config_.instance_addresses.size(), 0);
   dead_events_.assign(config_.instance_addresses.size(), 0);
   resync_.resize(config_.instance_addresses.size());
-  host_.charge_memory(config_.base_memory_bytes);
   if (!config_.listen_address.empty())
     net_.listen(config_.listen_address,
                 [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  bus_->subscribe_records([this](const DivergenceRecord& rec) {
-    // A sibling proxy (the outgoing one) saw divergence: the client
-    // session must not receive whatever the instances produce next.
-    if (rec.is_intervention() && rec.proxy != config_.name)
-      abort_all_sessions("sibling proxy reported: " + rec.reason);
-  });
 }
 
 IncomingProxy::~IncomingProxy() {
   if (!config_.listen_address.empty()) net_.unlisten(config_.listen_address);
-  host_.release_memory(config_.base_memory_bytes);
-  for (auto& [id, s] : sessions_) {
-    if (s->timeout_event) net_.simulator().cancel(s->timeout_event);
-    if (s->idle_event) net_.simulator().cancel(s->idle_event);
-  }
-  for (uint64_t ev : probe_events_)
-    if (ev) net_.simulator().cancel(ev);
-  for (uint64_t ev : dead_events_)
-    if (ev) net_.simulator().cancel(ev);
-  for (auto& rs : resync_)
-    if (rs.complete_event) net_.simulator().cancel(rs.complete_event);
+  for (auto& [id, f] : flows_)
+    cancel_event(static_cast<Session&>(*f).idle_event);
+  for (uint64_t& ev : probe_events_) cancel_event(ev);
+  for (uint64_t& ev : dead_events_) cancel_event(ev);
+  for (auto& rs : resync_) cancel_event(rs.complete_event);
 }
 
-void IncomingProxy::note_units_consumed(uint64_t n) {
+void IncomingProxy::units_queued(uint64_t n) { queued_units_ += n; }
+
+void IncomingProxy::units_consumed(uint64_t n) {
   if (n == 0) return;
   queued_units_ = queued_units_ >= n ? queued_units_ - n : 0;
   if (config_.on_load_change) config_.on_load_change();
 }
 
-void IncomingProxy::end_session_spans(const std::shared_ptr<Session>& s) {
-  if (!config_.tracer) return;
-  for (obs::SpanId sp : s->upstream_spans) config_.tracer->end(sp);
-  config_.tracer->end(s->root_span);
-}
-
-void IncomingProxy::note_instance_failure(size_t i) {
+void IncomingProxy::lane_lost(NWayFlow&, size_t i) {
   if (config_.degradation == DegradationPolicy::kStrict) return;
   if (health_.record_failure(i)) {
     counters_.quarantines->inc();
@@ -132,11 +80,11 @@ void IncomingProxy::note_instance_failure(size_t i) {
     // them); the resync snapshot covers everything it misses.
     net_.simulator().schedule(0, [this, i] {
       if (health_.state(i) != HealthTracker::State::kQuarantined) return;
-      std::vector<std::shared_ptr<Session>> live;
-      for (auto& [id, s] : sessions_) live.push_back(s);
-      for (auto& s : live) {
-        if (s->ended || !s->participating[i]) continue;
-        if (drop_instance(s, i, "quarantined")) pump(s);
+      std::vector<FlowPtr> live;
+      for (auto& [id, f] : flows_) live.push_back(f);
+      for (auto& f : live) {
+        if (f->ended || !f->lanes[i].participating) continue;
+        if (drop_lane(f, i, "quarantined")) pump(f);
       }
     });
     schedule_reconnect(i);
@@ -242,10 +190,7 @@ void IncomingProxy::begin_resync(size_t i) {
 
 void IncomingProxy::fail_resync(size_t i, const std::string& why) {
   ResyncState& rs = resync_[i];
-  if (rs.complete_event) {
-    net_.simulator().cancel(rs.complete_event);
-    rs.complete_event = 0;
-  }
+  cancel_event(rs.complete_event);
   rs.active = false;
   rs.journal.clear();
   if (config_.tracer && rs.span) {
@@ -351,19 +296,10 @@ void IncomingProxy::shadow_unit(const std::shared_ptr<Session>& s, size_t i,
 
 void IncomingProxy::replace_instance(size_t i,
                                      const std::string& new_address) {
-  if (probe_events_[i]) {
-    net_.simulator().cancel(probe_events_[i]);
-    probe_events_[i] = 0;
-  }
-  if (dead_events_[i]) {
-    net_.simulator().cancel(dead_events_[i]);
-    dead_events_[i] = 0;
-  }
+  cancel_event(probe_events_[i]);
+  cancel_event(dead_events_[i]);
   ResyncState& rs = resync_[i];
-  if (rs.complete_event) {
-    net_.simulator().cancel(rs.complete_event);
-    rs.complete_event = 0;
-  }
+  cancel_event(rs.complete_event);
   if (config_.tracer && rs.span) {
     config_.tracer->tag(rs.span, "aborted", "instance replaced");
     config_.tracer->end(rs.span);
@@ -371,10 +307,11 @@ void IncomingProxy::replace_instance(size_t i,
   rs = ResyncState{};
   // Catch-up connections of live sessions still point at the old replica;
   // drop them so the next shadowed unit dials the new address.
-  for (auto& [id, s] : sessions_) {
-    if (i < s->shadows.size() && s->shadows[i]) {
-      if (s->shadows[i]->is_open()) s->shadows[i]->close();
-      s->shadows[i] = nullptr;
+  for (auto& [id, f] : flows_) {
+    auto& shadows = static_cast<Session&>(*f).shadows;
+    if (i < shadows.size() && shadows[i]) {
+      if (shadows[i]->is_open()) shadows[i]->close();
+      shadows[i] = nullptr;
     }
   }
   config_.instance_addresses[i] = new_address;
@@ -400,21 +337,21 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       RDDR_LOG_INFO("%s: refusing session from quarantined call path %s",
                     config_.name.c_str(),
                     conn->flow().index.describe().c_str());
-      Bytes page = config_.plugin->intervention_response();
-      if (!page.empty() && conn->is_open()) conn->send(page);
-      if (conn->is_open()) conn->close();
+      send_and_close(conn, config_.plugin->intervention_response());
       return;
     }
   }
   auto s = std::make_shared<Session>();
   s->id = next_session_id_++;
+  s->label = strformat("session %llu", static_cast<unsigned long long>(s->id));
   s->client = std::move(conn);
   s->client_framer = config_.plugin->make_framer(Direction::kClientToServer);
   counters_.sessions->inc();
 
   // Execution index: nested hops keep the caller's index (its leaf frame
   // is the call site that dialed this edge); an originating edge request
-  // mints the root frame (listen site, session id).
+  // mints the root frame (listen site, session id). Replicated upstream
+  // dials carry it unchanged.
   if (s->client->flow().index.empty()) {
     s->index.push(
         ExecutionIndex::site_id(config_.name, config_.listen_address),
@@ -437,14 +374,18 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       tracer->tag(s->root_span, "client", s->client->meta().source);
   }
 
+  // Unavailability is not an attack: refuse the client without a
+  // divergence count or bus report, closing the upstream connections
+  // already opened.
+  auto refuse_unserved = [&](const char* why) {
+    s->close_lanes();
+    refuse(*s);
+    if (tracer) tracer->tag(s->root_span, "refused", why);
+    end_spans(*s);
+  };
   const size_t n = config_.instance_addresses.size();
   const bool strict = config_.degradation == DegradationPolicy::kStrict;
-  s->queues.resize(n);
-  s->upstream_closed.resize(n, false);
-  s->participating.assign(n, false);
-  s->upstreams.resize(n);
-  s->upstream_framers.resize(n);
-  s->upstream_spans.assign(n, 0);
+  s->lanes.resize(n);
   s->shadows.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (!strict && !health_.is_healthy(i)) continue;  // quarantined: skip
@@ -465,33 +406,21 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
                     config_.instance_addresses[i].c_str());
       counters_.instance_unreachable->inc();
       if (strict) {
-        // Unavailability is not an attack: refuse the client without a
-        // divergence count or bus report, and tear down the upstream
-        // connections already opened for lower indices (these leaked
-        // before).
-        for (size_t j = 0; j < i; ++j)
-          if (s->upstreams[j] && s->upstreams[j]->is_open())
-            s->upstreams[j]->close();
-        Bytes page = config_.plugin->intervention_response();
-        if (!page.empty() && s->client->is_open()) s->client->send(page);
-        if (s->client->is_open()) s->client->close();
-        if (tracer) tracer->tag(s->root_span, "refused", "instance unreachable");
-        end_session_spans(s);
+        refuse_unserved("instance unreachable");
         return;
       }
-      note_instance_failure(i);
+      lane_lost(*s, i);
       continue;
     }
-    s->upstreams[i] = up;
-    s->upstream_framers[i] =
-        config_.plugin->make_framer(Direction::kServerToClient);
-    s->participating[i] = true;
+    Lane& lane = s->lanes[i];
+    lane.conn = up;
+    lane.framer = config_.plugin->make_framer(Direction::kServerToClient);
+    lane.participating = true;
     if (tracer) {
-      s->upstream_spans[i] =
+      lane.span =
           tracer->begin(s->trace, s->root_span, "upstream", config_.name);
-      tracer->tag(s->upstream_spans[i], "instance", strformat("%zu", i));
-      tracer->tag(s->upstream_spans[i], "address",
-                  config_.instance_addresses[i]);
+      tracer->tag(lane.span, "instance", strformat("%zu", i));
+      tracer->tag(lane.span, "address", config_.instance_addresses[i]);
     }
   }
 
@@ -503,37 +432,26 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
   const bool failopen_ok = config_.degradation == DegradationPolicy::kFailOpen;
   if (live == 0 || (live == 1 && !failopen_ok)) {
     // Nothing to serve (or a single instance we are not allowed to trust
-    // unverified): refuse the client. Not a divergence.
-    for (auto& up : s->upstreams)
-      if (up && up->is_open()) up->close();
-    Bytes page = config_.plugin->intervention_response();
-    if (!page.empty() && s->client->is_open()) s->client->send(page);
-    if (s->client->is_open()) s->client->close();
-    if (tracer) tracer->tag(s->root_span, "refused", "too few healthy instances");
-    end_session_spans(s);
+    // unverified): refuse the client.
+    refuse_unserved("too few healthy instances");
     return;
   }
 
-  sessions_[s->id] = s;
+  flows_[s->id] = s;
   for (size_t i = 0; i < n; ++i)
-    if (s->participating[i]) attach_upstream(s, i);
+    if (s->lanes[i].participating) attach_lane(s, i);
   s->last_progress = net_.simulator().now();
   arm_idle(s);
 
-  if (live == 1) {
-    size_t sole = 0;
-    for (size_t i = 0; i < n; ++i)
-      if (s->participating[i]) sole = i;
-    enter_failopen(s, sole);
-  }
+  if (live == 1) enter_failopen(*s, s->sole());
 
   s->client->set_on_data([this, s](ByteView data) {
     if (s->ended) return;
     if (s->client_passthrough) {
       // Wrap once; all N upstreams share the buffer.
       SharedBytes shared{data};
-      for (auto& up : s->upstreams)
-        if (up && up->is_open()) up->send(shared);
+      for (Lane& l : s->lanes)
+        if (l.conn && l.conn->is_open()) l.conn->send(shared);
       return;
     }
     s->client_framer->feed(data);
@@ -544,8 +462,8 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       s->client_passthrough = true;
       counters_.passthrough_sessions->inc();
       SharedBytes rest{Bytes(s->client_framer->unconsumed())};
-      for (auto& up : s->upstreams)
-        if (up && up->is_open()) up->send(rest);
+      for (Lane& l : s->lanes)
+        if (l.conn && l.conn->is_open()) l.conn->send(rest);
       return;
     }
     CompareContext ctx;
@@ -569,8 +487,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
                                                    "replicate", config_.name);
             config_.tracer->tag(ev, "blocked", "divergence signature");
           }
-          Bytes page = config_.plugin->intervention_response();
-          if (!page.empty() && s->client->is_open()) s->client->send(page);
+          refuse(*s);
           teardown(s);
           return;
         }
@@ -590,12 +507,12 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
       const bool identity = config_.plugin->rewrites_identity();
       SharedBytes shared;
       if (identity) shared = SharedBytes(Bytes(u.data));
-      for (size_t i = 0; i < s->upstreams.size(); ++i) {
-        if (s->participating[i] && s->upstreams[i]) {
+      for (size_t i = 0; i < s->lanes.size(); ++i) {
+        if (s->lanes[i].participating) {
           if (identity) {
-            s->upstreams[i]->send(shared);
+            s->lanes[i].conn->send(shared);
           } else {
-            s->upstreams[i]->send(
+            s->lanes[i].conn->send(
                 SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
           }
           continue;
@@ -621,321 +538,62 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
   });
 }
 
-void IncomingProxy::attach_upstream(const std::shared_ptr<Session>& s,
-                                    size_t i) {
-  auto up = s->upstreams[i];
-  up->set_on_data([this, s, i](ByteView data) {
-    if (s->ended || !s->participating[i]) return;
-    if (s->failopen) {
-      s->last_progress = net_.simulator().now();
-      if (s->client->is_open()) s->client->send(data);
-      return;
-    }
-    auto& framer = *s->upstream_framers[i];
-    framer.feed(data);
-    if (framer.failed()) {
-      if (config_.degradation == DegradationPolicy::kStrict) {
-        intervene(s, strformat("instance %zu response framing error", i));
-      } else if (drop_instance(s, i, "response framing error")) {
-        pump(s);
-      }
-      return;
-    }
-    for (auto& u : framer.take()) {
-      s->queues[i].push_back(std::move(u));
-      ++queued_units_;
-    }
-    arm_timeout(s);
-    pump(s);
-  });
-  up->set_on_close([this, s, i] {
-    if (s->ended || !s->participating[i]) return;
-    s->upstream_closed[i] = true;
-    if (s->failopen) {
-      // The sole surviving instance is gone: nothing left to serve.
-      teardown(s);
-      return;
-    }
-    // Divergence-by-silence or a crash: pump decides with queue context.
-    pump(s);
-  });
+void IncomingProxy::pass_through(NWayFlow& f, ByteView data) {
+  auto& s = static_cast<Session&>(f);
+  s.last_progress = net_.simulator().now();
+  if (s.client->is_open()) s.client->send(data);
 }
 
-void IncomingProxy::enter_failopen(const std::shared_ptr<Session>& s,
-                                   size_t sole) {
-  s->failopen = true;
-  s->failopen_idx = sole;
-  s->client_passthrough = true;
+void IncomingProxy::enter_failopen(Session& s, size_t sole) {
+  s.failopen = true;
+  s.client_passthrough = true;
   counters_.passthrough_sessions->inc();
-  if (config_.tracer) config_.tracer->tag(s->root_span, "failopen",
+  if (config_.tracer) config_.tracer->tag(s.root_span, "failopen",
                                           strformat("instance %zu", sole));
   RDDR_LOG_WARN("%s: session %llu FAIL-OPEN: forwarding instance %zu "
                 "uncompared (fewer than 2 healthy instances)",
-                config_.name.c_str(),
-                static_cast<unsigned long long>(s->id), sole);
+                config_.name.c_str(), static_cast<unsigned long long>(s.id),
+                sole);
   // Everything already framed or buffered for the survivor flows straight
   // to the client from here on.
-  for (auto& u : s->queues[sole])
-    if (s->client->is_open()) s->client->send(u.data);
-  note_units_consumed(s->queues[sole].size());
-  s->queues[sole].clear();
-  if (s->upstream_framers[sole]) {
-    Bytes rest = s->upstream_framers[sole]->unconsumed();
-    if (!rest.empty() && s->client->is_open()) s->client->send(rest);
-  }
-  if (s->timeout_event) {
-    net_.simulator().cancel(s->timeout_event);
-    s->timeout_event = 0;
+  flush_failopen(s, sole, s.client);
+}
+
+void IncomingProxy::lost_quorum(const FlowPtr& f) {
+  if (f->live() == 1 && config_.degradation == DegradationPolicy::kFailOpen) {
+    enter_failopen(static_cast<Session&>(*f), f->sole());
+  } else {
+    // kQuorum with < 2 healthy: nothing left to verify against — refuse
+    // the rest of the session (fail closed, but not a divergence).
+    refuse(*f);
+    teardown(f);
   }
 }
 
-bool IncomingProxy::drop_instance(const std::shared_ptr<Session>& s, size_t i,
-                                  const std::string& why) {
-  if (s->ended) return false;
-  if (!s->participating[i]) return true;
-  RDDR_LOG_WARN("%s: session %llu: dropping instance %zu (%s)",
-                config_.name.c_str(),
-                static_cast<unsigned long long>(s->id), i, why.c_str());
-  s->participating[i] = false;
-  if (s->upstreams[i] && s->upstreams[i]->is_open()) s->upstreams[i]->close();
-  s->upstreams[i] = nullptr;
-  note_units_consumed(s->queues[i].size());
-  s->queues[i].clear();
-  if (config_.tracer && s->upstream_spans[i]) {
-    config_.tracer->tag(s->upstream_spans[i], "dropped", why);
-    config_.tracer->end(s->upstream_spans[i]);
-  }
-  if (!s->degraded) {
-    s->degraded = true;
-    counters_.degraded_sessions->inc();
-  }
-  const size_t live = s->live();
-  if (live >= 2) return true;
-  if (live == 1 && config_.degradation == DegradationPolicy::kFailOpen) {
-    size_t sole = 0;
-    for (size_t j = 0; j < s->participating.size(); ++j)
-      if (s->participating[j]) sole = j;
-    enter_failopen(s, sole);
-    return false;  // pump must not compare a fail-open session
-  }
-  // kQuorum with < 2 healthy: nothing left to verify against — refuse the
-  // rest of the session (fail closed, but not a divergence).
-  Bytes page = config_.plugin->intervention_response();
-  if (!page.empty() && s->client && s->client->is_open())
-    s->client->send(page);
-  teardown(s);
-  return false;
+bool IncomingProxy::outvoted(const FlowPtr& f, size_t slot) {
+  if (health_.quarantine(slot)) counters_.quarantines->inc();
+  // A divergent answer is evidence of compromise, not transient
+  // unavailability: no automatic re-admission (probes only test
+  // reachability, which an outvoted instance still has). With an
+  // orchestrator attached, on_instance_dead replaces the replica.
+  notify_dead(slot, "outvoted by quorum");
+  return drop_lane(f, slot, "outvoted by quorum");
 }
 
-void IncomingProxy::arm_timeout(const std::shared_ptr<Session>& s) {
-  if (config_.unit_timeout <= 0 || s->ended || s->failopen) return;
-  bool some = false, all = true;
-  for (size_t i = 0; i < s->queues.size(); ++i) {
-    if (!s->participating[i]) continue;
-    if (s->queues[i].empty()) all = false;
-    else some = true;
-  }
-  if (some && !all && !s->timeout_event) {
-    s->timeout_event = net_.simulator().schedule(
-        config_.unit_timeout, [this, s] {
-          s->timeout_event = 0;
-          if (s->ended || s->failopen) return;
-          std::vector<size_t> silent;
-          bool have_output = false;
-          for (size_t i = 0; i < s->queues.size(); ++i) {
-            if (!s->participating[i]) continue;
-            if (s->queues[i].empty()) silent.push_back(i);
-            else have_output = true;
-          }
-          if (silent.empty() || !have_output) return;
-          counters_.timeouts->inc();
-          if (config_.degradation == DegradationPolicy::kStrict) {
-            intervene(s, "instance response timeout");
-            return;
-          }
-          // Non-strict: the silent instances are lost, not the session.
-          for (size_t i : silent) {
-            counters_.instance_unreachable->inc();
-            note_instance_failure(i);
-            if (!drop_instance(s, i, "response timeout")) return;
-          }
-          pump(s);
-        });
-  }
+SessionState* IncomingProxy::token_state(NWayFlow&, size_t n) {
+  // Token harvesting assumes per-instance vectors of length N; skip it
+  // for degraded batches (pre-harvested tokens still rewrite fine).
+  return n == config_.instance_addresses.size() ? &token_state_ : nullptr;
 }
 
-void IncomingProxy::pump(const std::shared_ptr<Session>& s) {
-  if (s->busy || s->ended || s->failopen) return;
-  const bool strict = config_.degradation == DegradationPolicy::kStrict;
-
-  bool rescan = true;
-  while (rescan) {
-    rescan = false;
-    for (size_t i = 0; i < s->queues.size(); ++i) {
-      if (!s->participating[i] || !s->queues[i].empty()) continue;
-      if (!s->upstream_closed[i]) continue;
-      // This instance is gone. If a peer has produced output, the
-      // deployment has diverged (strict) or the instance crashed mid-unit
-      // (degraded); if nobody has anything pending, the close is a normal
-      // end-of-session — propagate it once everyone closed.
-      bool peer_has_output = false;
-      for (size_t j = 0; j < s->queues.size(); ++j)
-        if (s->participating[j] && !s->queues[j].empty())
-          peer_has_output = true;
-      if (peer_has_output) {
-        if (strict) {
-          intervene(s,
-                    strformat("instance %zu closed while peers responded", i));
-          return;
-        }
-        counters_.instance_unreachable->inc();
-        note_instance_failure(i);
-        if (!drop_instance(s, i, "closed while peers responded")) return;
-        rescan = true;
-        break;
-      }
-      bool all_closed = true;
-      for (size_t j = 0; j < s->queues.size(); ++j)
-        if (s->participating[j] && !s->upstream_closed[j]) all_closed = false;
-      if (all_closed) teardown(s);
-      return;
-    }
-  }
-
-  bool all_ready = true;
-  for (size_t i = 0; i < s->queues.size(); ++i)
-    if (s->participating[i] && s->queues[i].empty()) all_ready = false;
-  if (!all_ready) return;
-
-  if (s->timeout_event) {
-    net_.simulator().cancel(s->timeout_event);
-    s->timeout_event = 0;
-  }
-
-  auto units = std::make_shared<std::vector<Unit>>();
-  std::vector<size_t> idxmap;  // unit position -> instance id
-  size_t bytes = 0;
-  for (size_t i = 0; i < s->queues.size(); ++i) {
-    if (!s->participating[i]) continue;
-    bytes += s->queues[i].front().data.size();
-    units->push_back(std::move(s->queues[i].front()));
-    s->queues[i].pop_front();
-    idxmap.push_back(i);
-  }
-  note_units_consumed(idxmap.size());
-  s->busy = true;
-  obs::SpanId diff_span = 0;
-  const sim::Time diff_start = net_.simulator().now();
-  if (config_.tracer) {
-    diff_span =
-        config_.tracer->begin(s->trace, s->root_span, "diff", config_.name);
-    config_.tracer->tag(diff_span, "instances",
-                        strformat("%zu", idxmap.size()));
-  }
-  double cost = config_.cpu_per_unit +
-                static_cast<double>(bytes) * config_.cpu_per_byte;
-  host_.run_task(cost, [this, s, units, idxmap = std::move(idxmap), diff_span,
-                        diff_start] {
-    s->busy = false;
-    counters_.compare_ms->observe(
-        static_cast<double>(net_.simulator().now() - diff_start) / 1e6);
-    obs::Tracer* tracer = config_.tracer;
-    if (tracer) {
-      // The de-noise pass runs inside the plugin's compare; a marker span
-      // keeps it visible in the taxonomy.
-      obs::SpanId dn = tracer->event(s->trace, diff_span, "denoise",
-                                     config_.name);
-      tracer->tag(dn, "filter_pair", config_.filter_pair ? "true" : "false");
-    }
-    if (s->ended) {
-      if (tracer) tracer->end(diff_span);
-      return;
-    }
-    counters_.units_compared->inc();
-    const size_t n = config_.instance_addresses.size();
-    CompareContext ctx;
-    // The de-noise mask needs the filter pair in slots 0/1; a degraded
-    // group may have lost one of them.
-    ctx.filter_pair = config_.filter_pair && idxmap.size() >= 2 &&
-                      idxmap[0] == 0 && idxmap[1] == 1;
-    ctx.variance = &config_.variance;
-    // Token harvesting assumes per-instance vectors of length N; skip it
-    // for degraded groups (pre-harvested tokens still rewrite fine).
-    ctx.session = idxmap.size() == n ? &token_state_ : nullptr;
-
-    auto verdict = [&](const char* v) -> obs::SpanId {
-      if (!tracer) return 0;
-      obs::SpanId sp = tracer->event(s->trace, diff_span, "verdict",
-                                     config_.name);
-      tracer->tag(sp, "verdict", v);
-      return sp;
-    };
-
-    Bytes fwd;
-    if (config_.degradation == DegradationPolicy::kStrict) {
-      BatchVerdict outcome =
-          engine_.compare(*config_.plugin, *units, ctx, VoteMode::kStrict);
-      if (!outcome.agreed) {
-        obs::SpanId sp = verdict("divergent");
-        if (tracer) {
-          tracer->tag(sp, "reason", outcome.reason);
-          tracer->end(diff_span);
-        }
-        intervene(s, outcome.reason, &outcome, units.get());
-        return;
-      }
-      verdict("agree");
-      fwd = engine_.forward_downstream(*config_.plugin, *units, ctx);
-    } else {
-      BatchVerdict vote =
-          engine_.compare(*config_.plugin, *units, ctx, VoteMode::kQuorum);
-      if (!vote.agreed) {
-        obs::SpanId sp = verdict("divergent");
-        if (tracer) {
-          tracer->tag(sp, "reason", vote.reason);
-          tracer->end(diff_span);
-        }
-        intervene(s, vote.reason, &vote, units.get());
-        return;
-      }
-      if (vote.outlier != SIZE_MAX) {
-        size_t inst = idxmap[vote.outlier];
-        counters_.quorum_outvotes->inc();
-        record_divergence("outvote", vote.reason, &vote, units.get(), *s);
-        obs::SpanId sp = verdict("outvoted");
-        if (tracer)
-          tracer->tag(sp, "outvoted_instance", strformat("%zu", inst));
-        RDDR_LOG_WARN("%s: session %llu: instance %zu outvoted by quorum "
-                      "(%zu-of-%zu agree); quarantining it",
-                      config_.name.c_str(),
-                      static_cast<unsigned long long>(s->id), inst,
-                      units->size() - 1, units->size());
-        if (health_.quarantine(inst)) counters_.quarantines->inc();
-        // A divergent answer is evidence of compromise, not transient
-        // unavailability: no automatic re-admission (probes only test
-        // reachability, which an outvoted instance still has). With an
-        // orchestrator attached, on_instance_dead replaces the replica.
-        notify_dead(inst, "outvoted by quorum");
-        units->erase(units->begin() +
-                     static_cast<std::ptrdiff_t>(vote.outlier));
-        ctx.filter_pair = ctx.filter_pair && vote.outlier > 1;
-        ctx.session = nullptr;  // degraded group: see above
-        if (!drop_instance(s, inst, "outvoted by quorum")) {
-          if (tracer) tracer->end(diff_span);
-          return;
-        }
-      } else {
-        for (size_t i : idxmap) health_.record_success(i);
-        verdict("agree");
-      }
-      fwd = engine_.forward_downstream(*config_.plugin, *units, ctx);
-    }
-    if (tracer) tracer->end(diff_span);
-    s->last_progress = net_.simulator().now();
-    if (s->client->is_open()) s->client->send(SharedBytes(std::move(fwd)));
-    pump(s);
-    arm_timeout(s);
-  });
+void IncomingProxy::forward(const FlowPtr& f, const std::vector<Unit>& units,
+                            const CompareContext& ctx) {
+  auto& s = static_cast<Session&>(*f);
+  Bytes fwd = engine_.forward_downstream(*config_.plugin, units, ctx);
+  s.last_progress = net_.simulator().now();
+  if (s.client->is_open()) s.client->send(SharedBytes(std::move(fwd)));
+  pump(f);
+  arm_unit_timeout(f);
 }
 
 void IncomingProxy::arm_idle(const std::shared_ptr<Session>& s) {
@@ -957,89 +615,40 @@ void IncomingProxy::arm_idle(const std::shared_ptr<Session>& s) {
                   static_cast<long long>(config_.idle_timeout));
     if (config_.tracer)
       config_.tracer->tag(s->root_span, "shed", "idle timeout");
-    Bytes page = config_.plugin->overload_response();
-    if (!page.empty() && s->client && s->client->is_open())
-      s->client->send(page);
+    send_and_close(s->client, config_.plugin->overload_response());
     teardown(s);
   });
 }
 
-void IncomingProxy::record_divergence(const char* verdict_class,
-                                      const std::string& reason,
-                                      const BatchVerdict* verdict,
-                                      const std::vector<Unit>* units,
-                                      const Session& s) {
-  DivergenceRecord rec = make_divergence_record(
-      net_.simulator().now(), config_, verdict_class, reason, verdict, units);
-  rec.trace_id = s.trace;
-  rec.index = s.index;
-  bus_->report(rec);
-}
-
-void IncomingProxy::intervene(const std::shared_ptr<Session>& s,
-                              const std::string& reason,
-                              const BatchVerdict* verdict,
-                              const std::vector<Unit>* units) {
-  if (s->ended) return;
-  counters_.divergences->inc();
-  RDDR_LOG_INFO("%s: intervention on session %llu: %s", config_.name.c_str(),
-                static_cast<unsigned long long>(s->id), reason.c_str());
-  if (config_.tracer) config_.tracer->tag(s->root_span, "intervention", reason);
-  if (config_.signature_blocking && s->has_fingerprint)
-    ++signatures_[s->last_unit_fingerprint];
+void IncomingProxy::note_intervention(NWayFlow& f) {
+  auto& s = static_cast<Session&>(f);
+  if (config_.signature_blocking && s.has_fingerprint)
+    ++signatures_[s.last_unit_fingerprint];
   // Path quarantine strikes accrue against the call site that dialed this
   // edge (nested flows only; root sessions carry the proxy's own site).
-  if (config_.path_quarantine_threshold > 0 && s->client &&
-      !s->client->flow().index.empty())
-    ++path_strikes_[s->index.leaf_site()];
-  record_divergence("intervention", reason, verdict, units, *s);
-  Bytes page = config_.plugin->intervention_response();
-  if (!page.empty() && s->client && s->client->is_open())
-    s->client->send(page);
-  teardown(s);
+  if (config_.path_quarantine_threshold > 0 && s.client &&
+      !s.client->flow().index.empty())
+    ++path_strikes_[s.index.leaf_site()];
 }
 
-void IncomingProxy::teardown(const std::shared_ptr<Session>& s) {
-  if (s->ended) return;
-  s->ended = true;
-  if (s->timeout_event) {
-    net_.simulator().cancel(s->timeout_event);
-    s->timeout_event = 0;
-  }
-  if (s->idle_event) {
-    net_.simulator().cancel(s->idle_event);
-    s->idle_event = 0;
-  }
-  if (s->client && s->client->is_open()) s->client->close();
-  for (auto& up : s->upstreams)
-    if (up && up->is_open()) up->close();
-  for (auto& sh : s->shadows)
+void IncomingProxy::refuse(NWayFlow& f) {
+  send_and_close(static_cast<Session&>(f).client,
+                 config_.plugin->intervention_response());
+}
+
+void IncomingProxy::release(NWayFlow& f) {
+  auto& s = static_cast<Session&>(f);
+  cancel_event(s.idle_event);
+  if (s.client && s.client->is_open()) s.client->close();
+  s.close_lanes();
+  for (auto& sh : s.shadows)
     if (sh && sh->is_open()) sh->close();
-  end_session_spans(s);
-  sessions_.erase(s->id);
   uint64_t still_queued = 0;
-  for (const auto& q : s->queues) still_queued += q.size();
-  note_units_consumed(still_queued);
+  for (const Lane& l : s.lanes) still_queued += l.queue.size();
+  units_consumed(still_queued);
   // Session count dropped: wake a backpressured front tier even when no
   // units were pending.
   if (still_queued == 0 && config_.on_load_change) config_.on_load_change();
-}
-
-void IncomingProxy::abort_all_sessions(const std::string& reason) {
-  // Copy ids: teardown mutates the map.
-  std::vector<std::shared_ptr<Session>> active;
-  for (auto& [id, s] : sessions_) active.push_back(s);
-  for (auto& s : active) {
-    counters_.divergences->inc();
-    Bytes page = config_.plugin->intervention_response();
-    if (!page.empty() && s->client && s->client->is_open())
-      s->client->send(page);
-    RDDR_LOG_INFO("%s: aborting session %llu: %s", config_.name.c_str(),
-                  static_cast<unsigned long long>(s->id), reason.c_str());
-    if (config_.tracer)
-      config_.tracer->tag(s->root_span, "intervention", reason);
-    teardown(s);
-  }
 }
 
 }  // namespace rddr::core

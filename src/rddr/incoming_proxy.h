@@ -8,8 +8,12 @@
 // agreement, or emitting the intervention response and closing everything
 // on divergence.
 //
+// The lanes, pump, compare, drop, fail-open and teardown are the shared
+// N-way core (rddr/nway.h); this file adds client framing, replication,
+// token rewriting, signatures, path quarantine, idle shedding and resync.
+//
 // Observability: counters live in a metrics registry (ProxyCounters;
-// `stats()` is the compatibility snapshot) and, when a Tracer is
+// `stats()` is a snapshot of them) and, when a Tracer is
 // configured, every client session becomes a trace — root "session" span,
 // one "upstream" span per instance, "replicate" markers per request unit
 // and "diff"/"denoise"/"verdict" spans per comparison. Upstream connects
@@ -23,12 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "netsim/host.h"
-#include "netsim/network.h"
-#include "rddr/divergence.h"
-#include "rddr/health.h"
-#include "rddr/options.h"
-#include "rddr/plugin.h"
+#include "rddr/nway.h"
 
 namespace rddr::core {
 
@@ -76,7 +75,7 @@ struct ResyncOptions {
   bool catch_up_sessions = true;
 };
 
-class IncomingProxy {
+class IncomingProxy : public NWayProxy {
  public:
   struct Config : ProxyOptions {
     Config() { name = "rddr-in"; }
@@ -114,20 +113,9 @@ class IncomingProxy {
 
   IncomingProxy(sim::Network& net, sim::Host& host, Config config,
                 DivergenceBus* bus = nullptr);
-  ~IncomingProxy();
-  IncomingProxy(const IncomingProxy&) = delete;
-  IncomingProxy& operator=(const IncomingProxy&) = delete;
+  ~IncomingProxy() override;
 
-  /// Counter snapshot out of the metrics registry (compatibility view).
-  ProxyStats stats() const { return counters_.snapshot(); }
   const Config& config() const { return config_; }
-
-  /// Registry the proxy publishes into (the configured one, else the
-  /// proxy-private fallback).
-  obs::MetricsRegistry& metrics() { return *metrics_; }
-
-  /// Per-instance health view (quarantine state, for tests/operators).
-  const HealthTracker& health() const { return health_; }
 
   /// Hands the proxy one server-half connection, exactly as if it had
   /// arrived on the listener — the direct-handoff path a Frontier uses to
@@ -135,16 +123,12 @@ class IncomingProxy {
   void accept(sim::ConnPtr conn) { on_accept(std::move(conn)); }
 
   /// Live client sessions (backpressure signal).
-  size_t active_sessions() const { return sessions_.size(); }
+  size_t active_sessions() const { return flows_.size(); }
 
   /// Response units received from instances but not yet consumed by a
   /// compare batch, summed over all sessions — the queue a saturated pool
   /// grows. The other backpressure signal.
   uint64_t pending_units() const { return queued_units_; }
-
-  /// Aborts every active session with the intervention response (invoked
-  /// from the bus's record stream on a sibling proxy's intervention).
-  void abort_all_sessions(const std::string& reason);
 
   /// Swaps instance slot `i` to a freshly deployed replica at
   /// `new_address`. The slot starts quarantined with clean backoff state;
@@ -166,37 +150,12 @@ class IncomingProxy {
     obs::SpanId span = 0;
   };
   void on_accept(sim::ConnPtr conn);
-  /// Drops `n` units from the pending count and fires on_load_change.
-  void note_units_consumed(uint64_t n);
-  void attach_upstream(const std::shared_ptr<Session>& s, size_t i);
-  void pump(const std::shared_ptr<Session>& s);
-  /// On divergence: count, report the attributed record to the bus,
-  /// respond, tear down. `verdict`/`units` carry the diff region
-  /// and instance-0 unit into the record when the divergence came from a
-  /// compare.
-  void intervene(const std::shared_ptr<Session>& s, const std::string& reason,
-                 const BatchVerdict* verdict = nullptr,
-                 const std::vector<Unit>* units = nullptr);
-  /// Builds the enriched DivergenceRecord — diff region, instance-0 unit,
-  /// trace id and execution index of `s` — and reports it into the
-  /// AttributionSink (the shared bus, or the proxy-private one).
-  void record_divergence(const char* verdict_class, const std::string& reason,
-                         const BatchVerdict* verdict,
-                         const std::vector<Unit>* units, const Session& s);
-  void teardown(const std::shared_ptr<Session>& s);
-  void arm_timeout(const std::shared_ptr<Session>& s);
   /// Idle-session read timeout (Config::idle_timeout): re-arming timer
   /// that sheds sessions making no protocol progress with the plugin's
   /// overload response.
   void arm_idle(const std::shared_ptr<Session>& s);
-  /// Removes instance i from the session (non-strict policies); returns
-  /// false when the session could not continue and was ended.
-  bool drop_instance(const std::shared_ptr<Session>& s, size_t i,
-                     const std::string& why);
-  void note_instance_failure(size_t i);
   void schedule_reconnect(size_t i);
-  void enter_failopen(const std::shared_ptr<Session>& s, size_t live_idx);
-  void end_session_spans(const std::shared_ptr<Session>& s);
+  void enter_failopen(Session& s, size_t sole);
   /// Marks instance i dead and (deferred, on a fresh event) fires the
   /// on_instance_dead hook.
   void notify_dead(size_t i, const std::string& reason);
@@ -215,21 +174,24 @@ class IncomingProxy {
   void shadow_unit(const std::shared_ptr<Session>& s, size_t i, const Unit& u,
                    const CompareContext& ctx);
 
-  sim::Network& net_;
-  sim::Host& host_;
+  // N-way core hooks (rddr/nway.h).
+  const ProxyOptions& options() const override { return config_; }
+  /// Health bookkeeping for an unreachable instance (also at connect).
+  void lane_lost(NWayFlow& f, size_t slot) override;
+  void lost_quorum(const FlowPtr& f) override;
+  bool outvoted(const FlowPtr& f, size_t slot) override;
+  void pass_through(NWayFlow& f, ByteView data) override;
+  void units_queued(uint64_t n) override;
+  void forward(const FlowPtr& f, const std::vector<Unit>& units,
+               const CompareContext& ctx) override;
+  SessionState* token_state(NWayFlow& f, size_t n) override;
+  /// Load accounting: the pending count, and on_load_change when it drops.
+  void units_consumed(uint64_t n) override;
+  void note_intervention(NWayFlow& f) override;  // signature/path strikes
+  void refuse(NWayFlow& f) override;  // the client gets the intervention page
+  void release(NWayFlow& f) override;
+
   Config config_;
-  /// Fallback sink when constructed without a shared bus: every record
-  /// still flows through one AttributionSink.
-  DivergenceBus own_bus_;
-  DivergenceBus* bus_;  // the shared bus, else &own_bus_
-  obs::MetricsRegistry owned_metrics_;  // fallback registry
-  obs::MetricsRegistry* metrics_;  // configured, else &owned_metrics_
-  ProxyCounters counters_;
-  HealthTracker health_;
-  /// Batched N-way diff-and-denoise data plane (configured from
-  /// Config::diff): one engine, one arena, reused across every compare
-  /// this proxy runs.
-  DiffEngine engine_;
   /// Pending reconnect-probe event per instance (0 = none).
   std::vector<uint64_t> probe_events_;
   /// Pending deferred on_instance_dead event per instance (0 = none).
@@ -248,7 +210,6 @@ class IncomingProxy {
   std::map<uint64_t, uint32_t> path_strikes_;
   uint64_t next_session_id_ = 1;
   uint64_t queued_units_ = 0;  // see pending_units()
-  std::map<uint64_t, std::shared_ptr<Session>> sessions_;
 };
 
 }  // namespace rddr::core

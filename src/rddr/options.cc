@@ -20,28 +20,4 @@ ProxyStats ProxyCounters::snapshot() const {
   return s;
 }
 
-DivergenceRecord make_divergence_record(sim::Time now,
-                                        const ProxyOptions& options,
-                                        const char* verdict_class,
-                                        const std::string& reason,
-                                        const BatchVerdict* verdict,
-                                        const std::vector<Unit>* units) {
-  DivergenceRecord rec;
-  rec.time = now;
-  rec.proxy = options.name;
-  rec.protocol = options.plugin->name();
-  rec.verdict = verdict_class;
-  rec.reason = reason;
-  if (units && !units->empty()) {
-    rec.unit_kind = (*units)[0].kind;
-    rec.unit_data = (*units)[0].data;
-  }
-  if (verdict) {
-    rec.region_line = verdict->region.line;
-    rec.region_offset = verdict->region.offset;
-    rec.region_instance = verdict->region.instance;
-  }
-  return rec;
-}
-
 }  // namespace rddr::core

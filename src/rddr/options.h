@@ -1,11 +1,11 @@
 // Shared proxy configuration and the registry-backed stats surface.
 //
-// `ProxyOptions` factors the fields the incoming and outgoing proxies
-// used to duplicate (plugin, variance, degradation policy, health knobs,
-// CPU model, observability sinks); each proxy's `Config` extends it with
-// the fields specific to its direction. `ProxyStats` is a plain snapshot
-// of the registry-backed counters that do the actual counting (see
-// ProxyCounters); both are generated from one counter table.
+// `ProxyOptions` holds the fields both proxies share (plugin, variance,
+// degradation policy, health knobs, CPU model, observability sinks); each
+// proxy's `Config` extends it with the fields specific to its direction.
+// `ProxyStats` is a plain snapshot of the registry-backed counters that do
+// the actual counting (see ProxyCounters); both are generated from one
+// counter table.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,7 @@ struct ProxyOptions {
   /// `health.n_instances` is filled by the proxy from its instance list.
   HealthTracker::Options health;
   /// Per-unit wait for lagging instances; 0 (default) disables the
-  /// timeout, reproducing the paper's §IV-D DoS limitation. Canonical
-  /// spelling for what the incoming proxy called `instance_timeout`.
+  /// timeout, reproducing the paper's §IV-D DoS limitation.
   sim::Time unit_timeout = 0;
   /// Idle-session read timeout (incoming proxy): a session that makes no
   /// protocol progress — no completed client unit framed and no response
@@ -99,13 +98,6 @@ struct ProxyOptions {
   /// recorded.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
-  /// Scale-out: number of independent proxy shards a Frontier deploys in
-  /// front of the pool(s). 1 (default) is the paper's single proxy pair;
-  /// the plain proxies ignore this field.
-  size_t shards = 1;
-  /// Admission control / load shedding for the front tier (Frontier).
-  /// The plain proxies ignore this field.
-  AdmissionOptions admission;
 };
 
 /// The proxy counter table: every ProxyStats field, every ProxyCounters
@@ -169,16 +161,5 @@ struct ProxyCounters {
   void bind(obs::MetricsRegistry& reg, const std::string& prefix);
   ProxyStats snapshot() const;
 };
-
-/// The record fields both proxies fill the same way: time, reporting
-/// proxy, protocol, verdict class, reason, the diff region of `verdict`
-/// and the instance-0 unit of `units` (either may be null). Flow
-/// attribution — trace id and execution index — is left to the caller.
-DivergenceRecord make_divergence_record(sim::Time now,
-                                        const ProxyOptions& options,
-                                        const char* verdict_class,
-                                        const std::string& reason,
-                                        const BatchVerdict* verdict,
-                                        const std::vector<Unit>* units);
 
 }  // namespace rddr::core

@@ -15,24 +15,22 @@
 // up (down to `min_group_size`, or a single uncompared member under
 // kFailOpen), mid-stream losses drop the member instead of the flow, and
 // a kQuorum majority outvotes a single divergent minority.
+//
+// The lanes, pump, compare task, drop, fail-open and teardown are the
+// shared N-way core (rddr/nway.h); this file adds group formation by flow
+// label, the group window, source-order pinning and the backend leg.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "netsim/host.h"
-#include "netsim/network.h"
-#include "rddr/divergence.h"
-#include "rddr/health.h"
-#include "rddr/options.h"
-#include "rddr/plugin.h"
+#include "rddr/nway.h"
 
 namespace rddr::core {
 
-class OutgoingProxy {
+class OutgoingProxy : public NWayProxy {
  public:
   struct Config : ProxyOptions {
     Config() {
@@ -64,24 +62,9 @@ class OutgoingProxy {
 
   OutgoingProxy(sim::Network& net, sim::Host& host, Config config,
                 DivergenceBus* bus = nullptr);
-  ~OutgoingProxy();
-  OutgoingProxy(const OutgoingProxy&) = delete;
-  OutgoingProxy& operator=(const OutgoingProxy&) = delete;
+  ~OutgoingProxy() override;
 
-  /// Counter snapshot out of the metrics registry (compatibility view).
-  ProxyStats stats() const { return counters_.snapshot(); }
   const Config& config() const { return config_; }
-
-  /// Registry the proxy publishes into (the configured one, else the
-  /// proxy-private fallback).
-  obs::MetricsRegistry& metrics() { return *metrics_; }
-
-  /// Per-instance health view (meaningful when `instance_sources` is set).
-  const HealthTracker& health() const { return health_; }
-
-  /// Aborts every active flow group (invoked from the bus's record stream
-  /// on a sibling proxy's intervention).
-  void abort_all_sessions(const std::string& reason);
 
   /// Swaps instance slot `i` to a replacement replica dialling in from
   /// `source_node` (requires `instance_sources`). The slot starts
@@ -92,49 +75,37 @@ class OutgoingProxy {
  private:
   struct Group;
   void on_accept(sim::ConnPtr conn);
-  void register_handlers(const std::shared_ptr<Group>& g, size_t i);
   void on_window_expired(const std::shared_ptr<Group>& g);
   void complete_group(const std::shared_ptr<Group>& g);
-  void pump(const std::shared_ptr<Group>& g);
-  /// On divergence: count, report the attributed record to the bus,
-  /// tear down. `verdict`/`units` enrich the record when available.
-  void intervene(const std::shared_ptr<Group>& g, const std::string& reason,
-                 const BatchVerdict* verdict = nullptr,
-                 const std::vector<Unit>* units = nullptr);
-  /// Builds the enriched DivergenceRecord — diff region, instance-0 unit,
-  /// inherited trace id and the group's execution index — and reports it
-  /// into the AttributionSink (the shared bus, or the proxy-private one).
-  void record_divergence(const char* verdict_class, const std::string& reason,
-                         const BatchVerdict* verdict,
-                         const std::vector<Unit>* units, const Group& g);
-  void teardown(const std::shared_ptr<Group>& g);
-  /// Removes member i from the group (non-strict policies); returns false
-  /// when the group could not continue and was ended.
-  bool drop_member(const std::shared_ptr<Group>& g, size_t i,
-                   const std::string& why);
+  /// Completes a group that is short of instances: degraded, and fail-open
+  /// when one member came.
+  void complete_degraded(const std::shared_ptr<Group>& g);
   void enter_failopen(const std::shared_ptr<Group>& g);
   size_t source_index(const std::string& source) const;
+  /// Smallest group the degradation policy serves.
+  size_t min_members() const;
   /// How many members a new group should wait for: N, minus instances
   /// currently quarantined/dead (non-strict with health tracking only).
   size_t expected_members() const;
-  void end_group_spans(const std::shared_ptr<Group>& g);
 
-  sim::Network& net_;
-  sim::Host& host_;
+  // N-way core hooks (rddr/nway.h). Health is indexed by instance source,
+  // so a lost member's failure is recorded inside drop (lane_dropped).
+  const ProxyOptions& options() const override { return config_; }
+  void lane_dropped(NWayFlow& f, size_t slot) override;
+  void lost_quorum(const FlowPtr& f) override;
+  bool outvoted(const FlowPtr& f, size_t slot) override;
+  void pass_through(NWayFlow& f, ByteView data) override;
+  void forward(const FlowPtr& f, const std::vector<Unit>& units,
+               const CompareContext& ctx) override;
+  SessionState* token_state(NWayFlow& f, size_t n) override;
+  size_t health_index(const NWayFlow& f, size_t slot) const override;
+  /// The originating edge request's trace when the members inherited one;
+  /// the group's locally rooted trace otherwise.
+  obs::TraceId attribution_trace(const NWayFlow& f) const override;
+  void release(NWayFlow& f) override;
+
   Config config_;
-  /// Fallback sink when constructed without a shared bus: every record
-  /// still flows through one AttributionSink.
-  DivergenceBus own_bus_;
-  DivergenceBus* bus_;  // the shared bus, else &own_bus_
-  obs::MetricsRegistry owned_metrics_;  // fallback registry
-  obs::MetricsRegistry* metrics_;  // configured, else &owned_metrics_
-  ProxyCounters counters_;
-  HealthTracker health_;
-  /// Batched N-way diff-and-denoise data plane (configured from
-  /// Config::diff): one engine, one arena, reused across every compare.
-  DiffEngine engine_;
   uint64_t next_group_id_ = 1;
-  std::map<uint64_t, std::shared_ptr<Group>> groups_;
 };
 
 }  // namespace rddr::core

@@ -146,15 +146,6 @@ class ProtocolPlugin {
   /// the session (paper §IV-B3). Only HTTP opts in.
   virtual bool harvest_tokens() const { return false; }
 
-  /// Called after a successful compare, before forwarding instance 0's
-  /// unit to the client. May harvest ephemeral tokens into the session and
-  /// may rewrite the forwarded bytes. Default: forward instance 0 as-is.
-  virtual Bytes on_forward_downstream(const std::vector<Unit>& units,
-                                      const CompareContext& ctx) const {
-    (void)ctx;
-    return units[0].data;
-  }
-
   /// Rewrites a client->server unit for a specific instance (restores that
   /// instance's own ephemeral tokens). Default: forward unchanged.
   virtual Bytes rewrite_for_instance(const Unit& unit, size_t instance,

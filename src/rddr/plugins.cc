@@ -8,7 +8,6 @@
 #include "proto/http/parser.h"
 #include "proto/json/json.h"
 #include "proto/pgwire/pgwire.h"
-#include "rddr/diff_engine.h"
 
 namespace rddr::core {
 
@@ -225,16 +224,6 @@ std::vector<std::string> HttpPlugin::comparable_lines(
   lines.reserve(canon.lines.size());
   for (ByteView v : canon.lines) lines.emplace_back(v);
   return lines;
-}
-
-Bytes HttpPlugin::on_forward_downstream(const std::vector<Unit>& units,
-                                        const CompareContext& ctx) const {
-  // Harvest ephemeral tokens (CSRF, session ids): alphanumeric runs >= 10
-  // chars that differ across ALL instances (paper §IV-B3). Standalone
-  // callers get a fresh engine pass; proxies call their own engine's
-  // forward_downstream, which reuses the compare's canonical forms.
-  thread_local DiffEngine engine;
-  return engine.forward_downstream(*this, units, ctx);
 }
 
 Bytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,

@@ -49,8 +49,6 @@ class HttpPlugin : public ProtocolPlugin {
                     CanonicalUnit& out) const override;
   /// §IV-B3 token harvesting runs in the DiffEngine when enabled.
   bool harvest_tokens() const override { return opts_.handle_ephemeral_state; }
-  Bytes on_forward_downstream(const std::vector<Unit>& units,
-                              const CompareContext& ctx) const override;
   Bytes rewrite_for_instance(const Unit& unit, size_t instance,
                              const CompareContext& ctx) const override;
   Bytes intervention_response() const override;

@@ -23,12 +23,6 @@ int binary_precedence(const std::string& op) {
   return 4;  // custom operator symbols
 }
 
-bool is_builtin_binary(const std::string& op) {
-  return op == "=" || op == "<>" || op == "!=" || op == "<" || op == "<=" ||
-         op == ">" || op == ">=" || op == "||" || op == "+" || op == "-" ||
-         op == "*" || op == "/" || op == "%";
-}
-
 bool is_aggregate_name(const std::string& name) {
   return name == "count" || name == "sum" || name == "avg" || name == "min" ||
          name == "max";

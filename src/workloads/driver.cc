@@ -123,6 +123,9 @@ PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
 namespace {
 
 struct OpenLoopState {
+  OpenLoopState(sim::Simulator& s, sim::Network& n, const OpenLoopOptions& o)
+      : sim(s), net(n), options(o) {}
+
   sim::Simulator& sim;
   sim::Network& net;
   const OpenLoopOptions& options;
@@ -185,8 +188,7 @@ void open_loop_arrival(const std::shared_ptr<OpenLoopState>& st) {
 
 OpenLoopResult run_open_loop(sim::Simulator& sim, sim::Network& net,
                              const OpenLoopOptions& options) {
-  auto st =
-      std::make_shared<OpenLoopState>(OpenLoopState{sim, net, options, {}});
+  auto st = std::make_shared<OpenLoopState>(sim, net, options);
   st->rng = Rng(options.seed);
   if (options.metrics) {
     const std::string& p = options.metrics_prefix;

@@ -177,7 +177,9 @@ TEST_P(EngineProperty, CompareIsAntisymmetricAndTransitiveOnSamples) {
       for (const auto& c : pool) {
         auto bc = b.compare(c);
         auto ac = a.compare(c);
-        if (*ab <= 0 && *bc <= 0) EXPECT_LE(*ac, 0);
+        if (*ab <= 0 && *bc <= 0) {
+          EXPECT_LE(*ac, 0);
+        }
       }
     }
 }

@@ -198,10 +198,15 @@ TEST(HttpPlugin, CsrfTokensHarvestedOnForward) {
     return http_response_unit(
         200, "<input value=\"" + tok + "\">");
   };
-  auto fwd = plugin.on_forward_downstream(
-      {page("aaaaaaaaaaaaaaaa"), page("bbbbbbbbbbbbbbbb"),
-       page("cccccccccccccccc")},
-      ctx);
+  // The proxies' forward path: compare, then forward_downstream on the
+  // same batch harvests the tokens from the compare's canonical forms.
+  const std::vector<Unit> units = {page("aaaaaaaaaaaaaaaa"),
+                                   page("bbbbbbbbbbbbbbbb"),
+                                   page("cccccccccccccccc")};
+  DiffEngine engine;
+  BatchVerdict verdict = engine.compare(plugin, units, ctx, VoteMode::kStrict);
+  ASSERT_TRUE(verdict.agreed) << verdict.reason;
+  auto fwd = engine.forward_downstream(plugin, units, ctx);
   // Instance 0's bytes are forwarded (canonical token = instance 0's).
   EXPECT_NE(fwd.find("aaaaaaaaaaaaaaaa"), Bytes::npos);
   ASSERT_EQ(state.tokens.size(), 1u);

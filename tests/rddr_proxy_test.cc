@@ -21,6 +21,13 @@ namespace {
 using services::HttpClient;
 using services::HttpServer;
 
+/// A fresh simulator, network and host, for tests that run several inputs.
+struct World {
+  sim::Simulator sim;
+  sim::Network net{sim, 10 * sim::kMicrosecond};
+  sim::Host host{sim, "node", 8, 4LL << 30};
+};
+
 class ProxyTest : public ::testing::Test {
  protected:
   sim::Simulator sim;
@@ -466,58 +473,129 @@ TEST_F(ProxyTest, OutgoingProxyMergesAgreeingRequests) {
 }
 
 TEST_F(ProxyTest, OutgoingProxyCatchesDivergingRequest) {
-  auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-  sqldb::SqlServer::Options so;
-  so.address = "backend:5432";
-  sqldb::SqlServer backend(net, host, db, so);
+  // One instance sends different SQL. kStrict cuts every instance off;
+  // kQuorum forwards the 2-of-3 majority's query once and outvotes the
+  // divergent instance, which is cut off and written off for good.
+  for (DegradationPolicy policy :
+       {DegradationPolicy::kStrict, DegradationPolicy::kQuorum}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    World w;
+    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
+    sqldb::SqlServer::Options so;
+    so.address = "backend:5432";
+    sqldb::SqlServer backend(w.net, w.host, db, so);
 
-  OutgoingProxy::Config cfg;
-  cfg.listen_address = "rddr-out:5432";
-  cfg.backend_address = "backend:5432";
-  cfg.group_size = 3;
-  cfg.plugin = std::make_shared<PgPlugin>();
-  cfg.filter_pair = true;
-  DivergenceBus bus;
-  OutgoingProxy proxy(net, host, cfg, &bus);
+    OutgoingProxy::Config cfg;
+    cfg.listen_address = "rddr-out:5432";
+    cfg.backend_address = "backend:5432";
+    cfg.group_size = 3;
+    cfg.plugin = std::make_shared<PgPlugin>();
+    cfg.degradation = policy;
+    // The quorum input runs without the filter pair: its vote reports the
+    // whole-unit reason rather than the masked per-line one.
+    cfg.filter_pair = policy == DegradationPolicy::kStrict;
+    if (policy != DegradationPolicy::kStrict)
+      cfg.instance_sources = {"inst-0", "inst-1", "inst-2"};
+    DivergenceBus bus;
+    OutgoingProxy proxy(w.net, w.host, cfg, &bus);
 
-  std::vector<std::unique_ptr<sqldb::PgClient>> clients;
-  int lost = 0;
-  for (int i = 0; i < 3; ++i) {
-    clients.push_back(std::make_unique<sqldb::PgClient>(
-        net, "inst-" + std::to_string(i), "rddr-out:5432", "app", "flow-1"));
-    std::string sql = i < 2 ? "SELECT 1;" : "SELECT 1; -- sanitized";
-    clients[static_cast<size_t>(i)]->query(
-        sql, [&lost](sqldb::QueryOutcome out) {
-          if (out.connection_lost) ++lost;
-        });
+    std::vector<std::unique_ptr<sqldb::PgClient>> clients;
+    std::vector<bool> lost(3, false);
+    for (size_t i = 0; i < 3; ++i) {
+      clients.push_back(std::make_unique<sqldb::PgClient>(
+          w.net, "inst-" + std::to_string(i), "rddr-out:5432", "app",
+          "flow-1"));
+      std::string sql = i < 2 ? "SELECT 1;" : "SELECT 1; -- sanitized";
+      clients[i]->query(sql, [&lost, i](sqldb::QueryOutcome out) {
+        lost[i] = out.connection_lost;
+      });
+    }
+    w.sim.run_until_idle();
+    if (policy == DegradationPolicy::kStrict) {
+      EXPECT_EQ(lost, (std::vector<bool>{true, true, true}));  // all cut off
+      EXPECT_EQ(backend.queries_served(), 0u);  // nothing reached the backend
+      EXPECT_EQ(bus.count(), 1u);
+      continue;
+    }
+    EXPECT_EQ(backend.queries_served(), 1u);
+    EXPECT_EQ(bus.count(), 0u);
+    ASSERT_EQ(bus.records().size(), 1u);
+    EXPECT_EQ(bus.records()[0].verdict, "outvote");
+    EXPECT_EQ(bus.records()[0].reason, "Query SQL differs across instances");
+    EXPECT_EQ(proxy.stats().quorum_outvotes, 1u);
+    EXPECT_EQ(proxy.stats().degraded_sessions, 1u);
+    EXPECT_EQ(lost, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(proxy.health().state(2), HealthTracker::State::kDead);
   }
-  sim.run_until_idle();
-  EXPECT_EQ(lost, 3);                       // all instances cut off
-  EXPECT_EQ(backend.queries_served(), 0u);  // nothing reached the backend
-  EXPECT_EQ(bus.count(), 1u);
 }
 
 TEST_F(ProxyTest, OutgoingProxyGroupWindowCatchesMissingInstance) {
-  auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-  sqldb::SqlServer::Options so;
-  so.address = "backend:5432";
-  sqldb::SqlServer backend(net, host, db, so);
+  // kStrict: an instance that never dials in is divergence-by-absence.
+  // Non-strict policies treat a no-show as unavailability: the window
+  // completes the group with whoever came, down to the floor
+  // (min_group_size for kQuorum, one uncompared member for kFailOpen).
+  struct Case {
+    DegradationPolicy policy;
+    size_t joined;
+  };
+  for (Case c : {Case{DegradationPolicy::kStrict, 2},
+                 Case{DegradationPolicy::kQuorum, 1},
+                 Case{DegradationPolicy::kQuorum, 2},
+                 Case{DegradationPolicy::kFailOpen, 1},
+                 Case{DegradationPolicy::kFailOpen, 2}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "policy " << static_cast<int>(c.policy) << ", joined "
+                 << c.joined);
+    World w;
+    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
+    sqldb::SqlServer::Options so;
+    so.address = "backend:5432";
+    sqldb::SqlServer backend(w.net, w.host, db, so);
 
-  OutgoingProxy::Config cfg;
-  cfg.listen_address = "rddr-out:5432";
-  cfg.backend_address = "backend:5432";
-  cfg.group_size = 3;
-  cfg.plugin = std::make_shared<PgPlugin>();
-  cfg.group_window = 50 * sim::kMillisecond;
-  DivergenceBus bus;
-  OutgoingProxy proxy(net, host, cfg, &bus);
+    OutgoingProxy::Config cfg;
+    cfg.listen_address = "rddr-out:5432";
+    cfg.backend_address = "backend:5432";
+    cfg.group_size = 3;
+    cfg.plugin = std::make_shared<PgPlugin>();
+    cfg.group_window = 50 * sim::kMillisecond;
+    cfg.degradation = c.policy;
+    if (c.policy != DegradationPolicy::kStrict)
+      cfg.instance_sources = {"inst-0", "inst-1", "inst-2"};
+    DivergenceBus bus;
+    OutgoingProxy proxy(w.net, w.host, cfg, &bus);
 
-  // Only two of three instances dial the backend.
-  sqldb::PgClient a(net, "inst-0", "rddr-out:5432", "app", "flow-1");
-  sqldb::PgClient b(net, "inst-1", "rddr-out:5432", "app", "flow-1");
-  sim.run_until_idle();
-  ASSERT_EQ(bus.count(), 1u);
-  EXPECT_NE(bus.records()[0].reason.find("2 of 3"), std::string::npos);
+    std::vector<std::unique_ptr<sqldb::PgClient>> clients;
+    for (size_t i = 0; i < c.joined; ++i) {
+      clients.push_back(std::make_unique<sqldb::PgClient>(
+          w.net, "inst-" + std::to_string(i), "rddr-out:5432", "app",
+          "flow-1"));
+      if (c.policy != DegradationPolicy::kStrict)
+        clients.back()->query("SELECT 1;", [](sqldb::QueryOutcome) {});
+    }
+    w.sim.run_until_idle();
+    const ProxyStats st = proxy.stats();
+    if (c.policy == DegradationPolicy::kStrict) {
+      ASSERT_EQ(bus.count(), 1u);
+      EXPECT_NE(bus.records()[0].reason.find("2 of 3"), std::string::npos);
+    } else if (c.policy == DegradationPolicy::kQuorum && c.joined == 1) {
+      ASSERT_EQ(bus.count(), 1u);
+      EXPECT_NE(bus.records()[0].reason.find(
+                    "1 of 3 instances is below the degradation floor"),
+                std::string::npos);
+      EXPECT_EQ(backend.queries_served(), 0u);
+    } else if (c.joined == 1) {  // kFailOpen: the sole member is uncompared
+      EXPECT_EQ(bus.count(), 0u);
+      EXPECT_EQ(backend.queries_served(), 1u);
+      EXPECT_EQ(st.passthrough_sessions, 1u);
+      EXPECT_EQ(st.instance_unreachable, 2u);
+    } else {
+      EXPECT_EQ(bus.count(), 0u);
+      EXPECT_EQ(backend.queries_served(), 1u);
+      EXPECT_EQ(st.degraded_sessions, 1u);
+      EXPECT_EQ(st.instance_unreachable, 1u);
+      EXPECT_EQ(st.quarantines, 1u);
+    }
+  }
 }
 
 TEST_F(ProxyTest, BusAbortsIncomingSessionsOnOutgoingDivergence) {
