@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <unordered_map>
-#include <variant>
 
 #include "common/strutil.h"
+#include "sqldb/eval.h"
 #include "sqldb/parser.h"
 
 namespace rddr::sqldb {
@@ -17,7 +16,6 @@ namespace {
 /// Rows sampled by the planner's selectivity estimation probe — stands in
 /// for Postgres' pg_statistic histogram contents (the CVE leak channel).
 constexpr size_t kStatsSampleRows = 30;
-constexpr int kMaxFunctionDepth = 16;
 
 // ---------- version handling ----------
 
@@ -158,396 +156,9 @@ int64_t Database::total_rows() const {
   return total;
 }
 
-// ---------- evaluation ----------
+// ---------- evaluation helpers ----------
 
 namespace {
-
-struct SqlError {
-  std::string sqlstate;
-  std::string message;
-};
-
-template <typename T>
-using EvalResult = std::variant<T, SqlError>;
-
-struct ScopeEntry {
-  std::string alias;
-  const TableData* table;
-  const Row* row;
-};
-
-struct EvalCtx {
-  const Database* db = nullptr;
-  const std::string* user = nullptr;
-  std::vector<ScopeEntry> scope;
-  const std::vector<Datum>* params = nullptr;
-  std::vector<std::string>* notices = nullptr;
-  int64_t* rows_scanned = nullptr;
-  int depth = 0;
-};
-
-EvalResult<Datum> eval(const Expr& e, EvalCtx& ctx);
-
-SqlError err(std::string sqlstate, std::string message) {
-  return SqlError{std::move(sqlstate), std::move(message)};
-}
-
-bool like_match(std::string_view text, std::string_view pat) {
-  // Iterative wildcard match: '%' any run, '_' one char.
-  size_t ti = 0, pi = 0, star_ti = std::string_view::npos, star_pi = 0;
-  while (ti < text.size()) {
-    if (pi < pat.size() && (pat[pi] == '_' || pat[pi] == text[ti])) {
-      ++ti;
-      ++pi;
-    } else if (pi < pat.size() && pat[pi] == '%') {
-      star_pi = ++pi;
-      star_ti = ti;
-    } else if (star_ti != std::string_view::npos) {
-      pi = star_pi;
-      ti = ++star_ti;
-    } else {
-      return false;
-    }
-  }
-  while (pi < pat.size() && pat[pi] == '%') ++pi;
-  return pi == pat.size();
-}
-
-/// Expands a plpgsql RAISE NOTICE format: each '%' consumes one argument.
-std::string expand_notice(const std::string& fmt,
-                          const std::vector<Datum>& args) {
-  std::string out;
-  size_t arg = 0;
-  for (size_t i = 0; i < fmt.size(); ++i) {
-    if (fmt[i] == '%' && i + 1 < fmt.size() && fmt[i + 1] == '%') {
-      out.push_back('%');
-      ++i;
-    } else if (fmt[i] == '%') {
-      out += arg < args.size() ? args[arg].to_text() : "<null>";
-      ++arg;
-    } else {
-      out.push_back(fmt[i]);
-    }
-  }
-  return out;
-}
-
-EvalResult<Datum> call_function(const FunctionDef& fn,
-                                std::vector<Datum> args, EvalCtx& ctx) {
-  if (ctx.depth >= kMaxFunctionDepth)
-    return err("54001", "function call depth limit exceeded");
-  if (args.size() != fn.nargs)
-    return err("42883",
-               strformat("function %s expects %zu arguments, got %zu",
-                         fn.name.c_str(), fn.nargs, args.size()));
-  EvalCtx inner = ctx;
-  inner.params = &args;
-  inner.depth = ctx.depth + 1;
-  inner.scope.clear();
-  if (fn.notice_format && ctx.notices) {
-    std::vector<Datum> notice_vals;
-    for (const auto& a : fn.notice_args) {
-      auto v = eval(*a, inner);
-      if (std::holds_alternative<SqlError>(v)) return v;
-      notice_vals.push_back(std::get<Datum>(std::move(v)));
-    }
-    ctx.notices->push_back(expand_notice(*fn.notice_format, notice_vals));
-  }
-  if (!fn.return_expr) return Datum();
-  return eval(*fn.return_expr, inner);
-}
-
-EvalResult<Datum> eval_builtin(const std::string& name,
-                               std::vector<Datum> args, EvalCtx& ctx) {
-  auto need = [&](size_t n) { return args.size() == n; };
-  if (name == "lower" && need(1))
-    return args[0].is_null() ? Datum() : Datum::text(to_lower(args[0].to_text()));
-  if (name == "upper" && need(1))
-    return args[0].is_null() ? Datum() : Datum::text(to_upper(args[0].to_text()));
-  if (name == "length" && need(1))
-    return args[0].is_null()
-               ? Datum()
-               : Datum::integer(static_cast<int64_t>(args[0].to_text().size()));
-  if (name == "abs" && need(1)) {
-    if (args[0].is_null()) return Datum();
-    if (args[0].type() == Type::kInt)
-      return Datum::integer(std::llabs(args[0].as_int()));
-    return Datum::floating(std::fabs(args[0].numeric()));
-  }
-  if (name == "substr" || name == "substring") {
-    if (args.size() != 2 && args.size() != 3)
-      return err("42883", "substr expects 2 or 3 arguments");
-    if (args[0].is_null()) return Datum();
-    std::string s = args[0].to_text();
-    int64_t start = args[1].is_null() ? 1 : args[1].as_int();
-    int64_t len = args.size() == 3 && !args[2].is_null()
-                      ? args[2].as_int()
-                      : static_cast<int64_t>(s.size());
-    int64_t begin = std::max<int64_t>(start - 1, 0);
-    if (begin >= static_cast<int64_t>(s.size()) || len <= 0)
-      return Datum::text("");
-    return Datum::text(s.substr(static_cast<size_t>(begin),
-                                static_cast<size_t>(len)));
-  }
-  if (name == "coalesce") {
-    for (auto& a : args)
-      if (!a.is_null()) return std::move(a);
-    return Datum();
-  }
-  if (name == "concat") {
-    std::string out;
-    for (const auto& a : args) out += a.to_text();
-    return Datum::text(std::move(out));
-  }
-  if (name == "round") {
-    if (args.empty() || args.size() > 2) return err("42883", "round arity");
-    if (args[0].is_null()) return Datum();
-    double v = args[0].numeric();
-    int digits = args.size() == 2 && !args[1].is_null()
-                     ? static_cast<int>(args[1].as_int())
-                     : 0;
-    double scale = std::pow(10.0, digits);
-    return Datum::floating(std::round(v * scale) / scale);
-  }
-  if (name == "floor" && need(1))
-    return args[0].is_null() ? Datum() : Datum::floating(std::floor(args[0].numeric()));
-  if (name == "ceil" && need(1))
-    return args[0].is_null() ? Datum() : Datum::floating(std::ceil(args[0].numeric()));
-  if (name == "mod" && need(2)) {
-    if (args[0].is_null() || args[1].is_null()) return Datum();
-    int64_t d = args[1].as_int();
-    if (d == 0) return err("22012", "division by zero");
-    return Datum::integer(args[0].as_int() % d);
-  }
-  if (name == "power" && need(2)) {
-    if (args[0].is_null() || args[1].is_null()) return Datum();
-    return Datum::floating(std::pow(args[0].numeric(), args[1].numeric()));
-  }
-  if (name == "version" && need(0))
-    return Datum::text(ctx.db->info().version_banner);
-  if (name == "current_user" && need(0)) return Datum::text(*ctx.user);
-  return err("42883", "unknown function: " + name);
-}
-
-EvalResult<Datum> eval_binary(const Expr& e, EvalCtx& ctx) {
-  const std::string& op = e.op;
-  // Logical operators need SQL three-valued short-circuiting.
-  if (op == "and" || op == "or") {
-    auto lv = eval(*e.args[0], ctx);
-    if (std::holds_alternative<SqlError>(lv)) return lv;
-    Datum l = std::get<Datum>(std::move(lv));
-    bool l_known = !l.is_null();
-    bool l_true = l_known && l.type() == Type::kBool && l.as_bool();
-    if (op == "and" && l_known && !l_true) return Datum::boolean(false);
-    if (op == "or" && l_true) return Datum::boolean(true);
-    auto rv = eval(*e.args[1], ctx);
-    if (std::holds_alternative<SqlError>(rv)) return rv;
-    Datum r = std::get<Datum>(std::move(rv));
-    bool r_known = !r.is_null();
-    bool r_true = r_known && r.type() == Type::kBool && r.as_bool();
-    if (op == "and") {
-      if (!l_known || !r_known) return r_known && !r_true ? Datum::boolean(false) : Datum();
-      return Datum::boolean(l_true && r_true);
-    }
-    if (!l_known || !r_known) return r_true ? Datum::boolean(true) : Datum();
-    return Datum::boolean(l_true || r_true);
-  }
-
-  auto lv = eval(*e.args[0], ctx);
-  if (std::holds_alternative<SqlError>(lv)) return lv;
-  auto rv = eval(*e.args[1], ctx);
-  if (std::holds_alternative<SqlError>(rv)) return rv;
-  Datum l = std::get<Datum>(std::move(lv));
-  Datum r = std::get<Datum>(std::move(rv));
-
-  if (op == "=" || op == "<>" || op == "!=" || op == "<" || op == "<=" ||
-      op == ">" || op == ">=") {
-    auto c = l.compare(r);
-    if (!c) return Datum();  // NULL comparison
-    int cv = *c;
-    bool res = false;
-    if (op == "=") res = cv == 0;
-    else if (op == "<>" || op == "!=") res = cv != 0;
-    else if (op == "<") res = cv < 0;
-    else if (op == "<=") res = cv <= 0;
-    else if (op == ">") res = cv > 0;
-    else res = cv >= 0;
-    return Datum::boolean(res);
-  }
-  if (op == "||") {
-    if (l.is_null() || r.is_null()) return Datum();
-    return Datum::text(l.to_text() + r.to_text());
-  }
-  if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") {
-    if (l.is_null() || r.is_null()) return Datum();
-    bool both_int = l.type() == Type::kInt && r.type() == Type::kInt;
-    if (op == "%") {
-      if (!both_int) return err("42883", "operator %% requires integers");
-      if (r.as_int() == 0) return err("22012", "division by zero");
-      return Datum::integer(l.as_int() % r.as_int());
-    }
-    if (both_int) {
-      int64_t a = l.as_int(), b = r.as_int();
-      if (op == "+") return Datum::integer(a + b);
-      if (op == "-") return Datum::integer(a - b);
-      if (op == "*") return Datum::integer(a * b);
-      if (b == 0) return err("22012", "division by zero");
-      return Datum::integer(a / b);
-    }
-    double a = l.type() == Type::kText ? parse_f64(l.as_text()).value_or(0)
-                                       : l.numeric();
-    double b = r.type() == Type::kText ? parse_f64(r.as_text()).value_or(0)
-                                       : r.numeric();
-    if (op == "+") return Datum::floating(a + b);
-    if (op == "-") return Datum::floating(a - b);
-    if (op == "*") return Datum::floating(a * b);
-    if (b == 0) return err("22012", "division by zero");
-    return Datum::floating(a / b);
-  }
-
-  // Custom operator: resolve via the operator catalog.
-  auto oit = ctx.db->operators().find(op);
-  if (oit == ctx.db->operators().end())
-    return err("42883", "operator does not exist: " + op);
-  auto fit = ctx.db->functions().find(oit->second.procedure);
-  if (fit == ctx.db->functions().end())
-    return err("42883", "operator procedure missing: " + oit->second.procedure);
-  std::vector<Datum> args;
-  args.push_back(std::move(l));
-  args.push_back(std::move(r));
-  return call_function(fit->second, std::move(args), ctx);
-}
-
-EvalResult<Datum> eval(const Expr& e, EvalCtx& ctx) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return e.literal;
-    case ExprKind::kParam: {
-      if (!ctx.params || e.param_index < 1 ||
-          static_cast<size_t>(e.param_index) > ctx.params->size())
-        return err("42P02", strformat("parameter $%d out of range", e.param_index));
-      return (*ctx.params)[static_cast<size_t>(e.param_index - 1)];
-    }
-    case ExprKind::kColumnRef: {
-      const Datum* found = nullptr;
-      for (const auto& entry : ctx.scope) {
-        if (!e.table.empty() && entry.alias != e.table) continue;
-        int idx = entry.table->find_column(e.column);
-        if (idx >= 0) {
-          if (found)
-            return err("42702", "ambiguous column reference: " + e.column);
-          found = &(*entry.row)[static_cast<size_t>(idx)];
-          if (!e.table.empty()) break;
-        }
-      }
-      if (!found) {
-        // Postgres exposes current_user as a bare keyword, not a call.
-        if (e.table.empty() && e.column == "current_user")
-          return Datum::text(*ctx.user);
-        return err("42703", "column does not exist: " +
-                                (e.table.empty() ? e.column
-                                                 : e.table + "." + e.column));
-      }
-      return *found;
-    }
-    case ExprKind::kUnary: {
-      auto v = eval(*e.args[0], ctx);
-      if (std::holds_alternative<SqlError>(v)) return v;
-      Datum d = std::get<Datum>(std::move(v));
-      if (d.is_null()) return Datum();
-      if (e.op == "-") {
-        if (d.type() == Type::kInt) return Datum::integer(-d.as_int());
-        return Datum::floating(-d.numeric());
-      }
-      if (d.type() != Type::kBool)
-        return err("42804", "argument of NOT must be boolean");
-      return Datum::boolean(!d.as_bool());
-    }
-    case ExprKind::kBinary:
-      return eval_binary(e, ctx);
-    case ExprKind::kFuncCall: {
-      std::vector<Datum> args;
-      for (const auto& a : e.args) {
-        auto v = eval(*a, ctx);
-        if (std::holds_alternative<SqlError>(v)) return v;
-        args.push_back(std::get<Datum>(std::move(v)));
-      }
-      auto fit = ctx.db->functions().find(e.func_name);
-      if (fit != ctx.db->functions().end())
-        return call_function(fit->second, std::move(args), ctx);
-      return eval_builtin(e.func_name, std::move(args), ctx);
-    }
-    case ExprKind::kAggregate:
-      return err("42803", "aggregate not allowed here: " + e.func_name);
-    case ExprKind::kIsNull: {
-      auto v = eval(*e.args[0], ctx);
-      if (std::holds_alternative<SqlError>(v)) return v;
-      bool isnull = std::get<Datum>(v).is_null();
-      return Datum::boolean(e.negated ? !isnull : isnull);
-    }
-    case ExprKind::kLike: {
-      auto lv = eval(*e.args[0], ctx);
-      if (std::holds_alternative<SqlError>(lv)) return lv;
-      auto rv = eval(*e.args[1], ctx);
-      if (std::holds_alternative<SqlError>(rv)) return rv;
-      Datum l = std::get<Datum>(std::move(lv));
-      Datum r = std::get<Datum>(std::move(rv));
-      if (l.is_null() || r.is_null()) return Datum();
-      bool m = like_match(l.to_text(), r.to_text());
-      return Datum::boolean(e.negated ? !m : m);
-    }
-    case ExprKind::kBetween: {
-      auto vv = eval(*e.args[0], ctx);
-      if (std::holds_alternative<SqlError>(vv)) return vv;
-      auto lov = eval(*e.args[1], ctx);
-      if (std::holds_alternative<SqlError>(lov)) return lov;
-      auto hiv = eval(*e.args[2], ctx);
-      if (std::holds_alternative<SqlError>(hiv)) return hiv;
-      Datum v = std::get<Datum>(std::move(vv));
-      Datum lo = std::get<Datum>(std::move(lov));
-      Datum hi = std::get<Datum>(std::move(hiv));
-      auto c1 = v.compare(lo);
-      auto c2 = v.compare(hi);
-      if (!c1 || !c2) return Datum();
-      bool in = *c1 >= 0 && *c2 <= 0;
-      return Datum::boolean(e.negated ? !in : in);
-    }
-    case ExprKind::kInList: {
-      auto vv = eval(*e.args[0], ctx);
-      if (std::holds_alternative<SqlError>(vv)) return vv;
-      Datum v = std::get<Datum>(std::move(vv));
-      bool saw_null = v.is_null();
-      bool found = false;
-      for (size_t i = 1; i < e.args.size() && !found; ++i) {
-        auto iv = eval(*e.args[i], ctx);
-        if (std::holds_alternative<SqlError>(iv)) return iv;
-        Datum item = std::get<Datum>(std::move(iv));
-        auto c = v.compare(item);
-        if (!c) {
-          saw_null = true;
-          continue;
-        }
-        if (*c == 0) found = true;
-      }
-      if (found) return Datum::boolean(!e.negated);
-      if (saw_null) return Datum();
-      return Datum::boolean(e.negated);
-    }
-    case ExprKind::kCase: {
-      size_t pairs = (e.args.size() - (e.case_has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        auto cv = eval(*e.args[2 * i], ctx);
-        if (std::holds_alternative<SqlError>(cv)) return cv;
-        Datum c = std::get<Datum>(std::move(cv));
-        if (!c.is_null() && c.type() == Type::kBool && c.as_bool())
-          return eval(*e.args[2 * i + 1], ctx);
-      }
-      if (e.case_has_else) return eval(*e.args.back(), ctx);
-      return Datum();
-    }
-  }
-  return err("XX000", "unreachable expression kind");
-}
 
 bool expr_has_aggregate(const Expr& e) {
   if (e.kind == ExprKind::kAggregate) return true;
@@ -556,12 +167,7 @@ bool expr_has_aggregate(const Expr& e) {
   return false;
 }
 
-/// Truthiness of a WHERE/HAVING result (NULL and non-bool are false).
-bool datum_is_true(const Datum& d) {
-  return !d.is_null() && d.type() == Type::kBool && d.as_bool();
-}
-
-Datum coerce(const Datum& d, Type target) {
+Datum coerce(Datum d, Type target) {
   if (d.is_null()) return d;
   if (d.type() == target) return d;
   switch (target) {
@@ -591,6 +197,20 @@ Datum coerce(const Datum& d, Type target) {
     default:
       return d;
   }
+}
+
+/// The value an evaluation returned, moved out of `tmp` when it lives
+/// there and copied otherwise.
+Datum take(const Datum* v, Datum& tmp) {
+  if (v == &tmp) return std::move(tmp);
+  return *v;
+}
+
+/// Ends a statement with the evaluator's error.
+StatementResult fail_with(StatementResult& out, const SqlError& e) {
+  out.error_sqlstate = e.sqlstate;
+  out.error_message = e.message;
+  return std::move(out);
 }
 
 }  // namespace
@@ -677,24 +297,6 @@ bool rls_applies(const TableData& t, const std::string& user) {
   return t.rls_enabled && user != "postgres" && user != t.owner;
 }
 
-/// Evaluates the table's policies for `user` against `row`.
-EvalResult<bool> rls_row_visible(const Database& db, const TableData& t,
-                                 const std::string& user, const Row& row) {
-  bool visible = false;
-  for (const auto& pol : t.policies) {
-    if (!pol.role.empty() && pol.role != user) continue;
-    EvalCtx ctx;
-    ctx.db = &db;
-    ctx.user = &user;
-    ctx.scope.push_back(ScopeEntry{t.name, &t, &row});
-    auto v = eval(*pol.using_expr, ctx);
-    if (std::holds_alternative<SqlError>(v))
-      return std::get<SqlError>(std::move(v));
-    if (datum_is_true(std::get<Datum>(v))) visible = true;
-  }
-  return visible;
-}
-
 /// For single-table queries, resolves "col = <int literal>" conjuncts
 /// against a hash index. Returns matching row ordinals (sorted, so scan
 /// order stays deterministic), or nullopt for a full scan.
@@ -738,6 +340,100 @@ std::optional<std::vector<size_t>> index_candidates(const TableData& t,
   return std::nullopt;
 }
 
+/// Planner statistics probe: the CVE site. Selectivity estimation for
+/// user-defined operators with a `restrict` estimator evaluates the
+/// operator's procedure over sampled column values. Which rows may be
+/// sampled depends on the engine build:
+///   - privilege unchecked (CVE-2017-7484) on vulnerable builds;
+///   - RLS unchecked (CVE-2019-10130) on vulnerable builds.
+/// Visits `e` bottom-up, probing every such operator it contains.
+void probe_statistics(const Database& db, const std::string& user,
+                      const Expr& e, std::span<const ScopeLevel> from,
+                      StatementResult& out) {
+  for (const auto& a : e.args)
+    if (a) probe_statistics(db, user, *a, from, out);
+  if (e.kind != ExprKind::kBinary) return;
+  auto oit = db.operators().find(e.op);
+  if (oit == db.operators().end()) return;
+  if (oit->second.restrict_estimator.empty()) return;
+  auto fit = db.functions().find(oit->second.procedure);
+  if (fit == db.functions().end()) return;
+  // Identify the column operand and its table.
+  const Expr* col_expr = nullptr;
+  const Expr* other = nullptr;
+  if (e.args[0]->kind == ExprKind::kColumnRef) {
+    col_expr = e.args[0].get();
+    other = e.args[1].get();
+  } else if (e.args[1]->kind == ExprKind::kColumnRef) {
+    col_expr = e.args[1].get();
+    other = e.args[0].get();
+  } else {
+    return;
+  }
+  const TableData* table = nullptr;
+  size_t col_idx = 0;
+  for (const auto& level : from) {
+    if (!col_expr->table.empty() && *level.alias != col_expr->table) continue;
+    int idx = level.table->find_column(col_expr->column);
+    if (idx >= 0) {
+      table = level.table;
+      col_idx = static_cast<size_t>(idx);
+      break;
+    }
+  }
+  if (!table) return;
+  // Privilege gate (fixed in 9.2.21+ for CVE-2017-7484).
+  if (!db.info().vulns.stats_leak_ignores_privilege && !can_select(*table, user))
+    return;
+  // Constant side of the operator, evaluated without notices.
+  Evaluator constant(db, user, nullptr);
+  Datum const_tmp;
+  const Datum* const_side = constant.eval_constant(*other, const_tmp);
+  if (!const_side) return;
+  bool col_on_left = col_expr == e.args[0].get();
+  // Sample rows; RLS gate (fixed in 10.8+ for CVE-2019-10130).
+  Evaluator ev(db, user, &out.notices);
+  bool rls = rls_applies(*table, user) && !db.info().vulns.stats_leak_ignores_rls;
+  std::vector<BoundExpr> policies;
+  if (rls) policies = ev.bind_policies(*table);
+  size_t sampled = 0;
+  for (const auto& row : table->rows) {
+    if (sampled >= kStatsSampleRows) break;
+    if (rls) {
+      bool visible = false;
+      if (!ev.row_visible(policies, row, visible) || !visible) {
+        ev.clear_error();
+        continue;
+      }
+    }
+    ++sampled;
+    const Datum* colv = &row[col_idx];
+    const Datum* args[] = {col_on_left ? colv : const_side,
+                           col_on_left ? const_side : colv};
+    Datum result;
+    if (!ev.call_function(fit->second, args, 2, result)) ev.clear_error();
+    out.rows_scanned += 1;
+  }
+}
+
+/// Moves row `ordinal` from `before` to `after` in a hash index on one of
+/// its columns (only integer keys are indexed).
+void reindex_row(std::unordered_multimap<int64_t, size_t>& index,
+                 size_t ordinal, const Datum& before, const Datum& after) {
+  bool had = before.type() == Type::kInt;
+  bool has = after.type() == Type::kInt;
+  if (had && has && before.as_int() == after.as_int()) return;
+  if (had) {
+    auto [b, end] = index.equal_range(before.as_int());
+    for (auto it = b; it != end; ++it)
+      if (it->second == ordinal) {
+        index.erase(it);
+        break;
+      }
+  }
+  if (has) index.emplace(after.as_int(), ordinal);
+}
+
 }  // namespace
 
 // ---------- SELECT ----------
@@ -748,12 +444,9 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
   StatementResult out;
   out.is_rowset = true;
 
-  // Resolve FROM tables.
-  struct FromEntry {
-    const TableRef* ref;
-    const TableData* table;
-  };
-  std::vector<FromEntry> from;
+  // Resolve FROM tables; expressions see them as scope levels, in order.
+  std::vector<ScopeLevel> from;
+  from.reserve(sel.from.size());
   for (const auto& tr : sel.from) {
     const TableData* t = db_.find_table(tr.table);
     if (!t) {
@@ -761,100 +454,20 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
       out.error_message = "relation does not exist: " + tr.table;
       return out;
     }
-    from.push_back(FromEntry{&tr, t});
+    from.push_back(ScopeLevel{&tr.alias, t});
   }
+  const size_t width = from.size();
 
-  // ---- Planner statistics probe: the CVE site. ----
-  // Selectivity estimation for user-defined operators with a `restrict`
-  // estimator evaluates the operator's procedure over sampled column
-  // values. Which rows may be sampled depends on the engine build:
-  //   - privilege unchecked (CVE-2017-7484) on vulnerable builds;
-  //   - RLS unchecked (CVE-2019-10130) on vulnerable builds.
-  if (sel.where) {
-    std::function<void(const Expr&)> probe = [&](const Expr& e) {
-      for (const auto& a : e.args)
-        if (a) probe(*a);
-      if (e.kind != ExprKind::kBinary) return;
-      auto oit = db_.operators().find(e.op);
-      if (oit == db_.operators().end()) return;
-      if (oit->second.restrict_estimator.empty()) return;
-      auto fit = db_.functions().find(oit->second.procedure);
-      if (fit == db_.functions().end()) return;
-      // Identify the column operand and its table.
-      const Expr* col_expr = nullptr;
-      const Expr* other = nullptr;
-      if (e.args[0]->kind == ExprKind::kColumnRef) {
-        col_expr = e.args[0].get();
-        other = e.args[1].get();
-      } else if (e.args[1]->kind == ExprKind::kColumnRef) {
-        col_expr = e.args[1].get();
-        other = e.args[0].get();
-      } else {
-        return;
-      }
-      const TableData* table = nullptr;
-      int col_idx = -1;
-      for (const auto& fe : from) {
-        if (!col_expr->table.empty() && fe.ref->alias != col_expr->table)
-          continue;
-        int idx = fe.table->find_column(col_expr->column);
-        if (idx >= 0) {
-          table = fe.table;
-          col_idx = idx;
-          break;
-        }
-      }
-      if (!table) return;
-      // Privilege gate (fixed in 9.2.21+ for CVE-2017-7484).
-      if (!db_.info().vulns.stats_leak_ignores_privilege &&
-          !can_select(*table, user_))
-        return;
-      // Constant side of the operator.
-      EvalCtx const_ctx;
-      const_ctx.db = &db_;
-      const_ctx.user = &user_;
-      auto other_v = eval(*other, const_ctx);
-      if (std::holds_alternative<SqlError>(other_v)) return;
-      Datum const_side = std::get<Datum>(std::move(other_v));
-      bool col_on_left = col_expr == e.args[0].get();
-      // Sample rows; RLS gate (fixed in 10.8+ for CVE-2019-10130).
-      size_t sampled = 0;
-      for (const auto& row : table->rows) {
-        if (sampled >= kStatsSampleRows) break;
-        if (rls_applies(*table, user_) &&
-            !db_.info().vulns.stats_leak_ignores_rls) {
-          auto vis = rls_row_visible(db_, *table, user_, row);
-          if (std::holds_alternative<SqlError>(vis) ||
-              !std::get<bool>(vis))
-            continue;
-        }
-        ++sampled;
-        EvalCtx fctx;
-        fctx.db = &db_;
-        fctx.user = &user_;
-        fctx.notices = &out.notices;
-        std::vector<Datum> args;
-        const Datum& colv = row[static_cast<size_t>(col_idx)];
-        if (col_on_left) {
-          args = {colv, const_side};
-        } else {
-          args = {const_side, colv};
-        }
-        (void)call_function(fit->second, std::move(args), fctx);
-        out.rows_scanned += 1;
-      }
-    };
-    probe(*sel.where);
-  }
+  if (sel.where) probe_statistics(db_, user_, *sel.where, from, out);
 
   if (explain_only) {
     out.columns = {"QUERY PLAN"};
-    for (size_t i = 0; i < from.size(); ++i) {
+    for (size_t i = 0; i < width; ++i) {
       std::string line = (i == 0 ? "Seq Scan on " : "  Nested Loop join with ")
-                         + from[i].ref->table;
+                         + sel.from[i].table;
       out.rows.push_back({line});
-      if (from[i].ref->join_on)
-        out.rows.push_back({"    Join Filter: " + from[i].ref->join_on->to_string()});
+      if (sel.from[i].join_on)
+        out.rows.push_back({"    Join Filter: " + sel.from[i].join_on->to_string()});
     }
     if (from.empty()) out.rows.push_back({"Result"});
     if (sel.where) out.rows.push_back({"  Filter: " + sel.where->to_string()});
@@ -864,19 +477,13 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
 
   // Privilege checks happen *after* planning — that ordering is the
   // CVE-2017-7484 leak-before-denial behaviour.
-  for (const auto& fe : from) {
-    if (!can_select(*fe.table, user_)) {
+  for (const auto& level : from) {
+    if (!can_select(*level.table, user_)) {
       out.error_sqlstate = "42501";
-      out.error_message = "permission denied for table " + fe.table->name;
+      out.error_message = "permission denied for table " + level.table->name;
       return out;
     }
   }
-
-  EvalCtx base_ctx;
-  base_ctx.db = &db_;
-  base_ctx.user = &user_;
-  base_ctx.notices = &out.notices;
-  base_ctx.rows_scanned = &out.rows_scanned;
 
   // Determine grouping.
   bool has_agg = !sel.group_by.empty();
@@ -895,141 +502,122 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
     return "?column?";
   };
 
-  std::vector<size_t> star_positions;  // indices in sel.items that are '*'
-  for (size_t i = 0; i < sel.items.size(); ++i) {
-    const auto& item = sel.items[i];
+  for (const auto& item : sel.items) {
     if (item.star) {
-      for (const auto& fe : from)
-        for (const auto& col : fe.table->columns) out.columns.push_back(col.name);
-      star_positions.push_back(i);
+      for (const auto& level : from)
+        for (const auto& col : level.table->columns) out.columns.push_back(col.name);
     } else {
       out.columns.push_back(derive_name(item));
     }
   }
 
+  // ---- Bind every expression once, against the levels it can see. ----
+  Evaluator ev(db_, user_, &out.notices);
+  const BoundExpr where = sel.where ? ev.bind(*sel.where, from) : kNoExpr;
+  struct LevelPlan {
+    BoundExpr join_on = kNoExpr;  // sees levels [0, this one]
+    bool rls = false;
+    std::vector<BoundExpr> policies;
+  };
+  std::vector<LevelPlan> levels(width);
+  for (size_t l = 0; l < width; ++l) {
+    if (sel.from[l].join_on)
+      levels[l].join_on =
+          ev.bind(*sel.from[l].join_on, std::span(from).first(l + 1));
+    levels[l].rls = rls_applies(*from[l].table, user_);
+    if (levels[l].rls) levels[l].policies = ev.bind_policies(*from[l].table);
+  }
+  std::vector<BoundExpr> items;
+  items.reserve(sel.items.size());
+  for (const auto& item : sel.items)
+    items.push_back(item.star ? kNoExpr : ev.bind(*item.expr, from));
+  std::vector<BoundExpr> group_by;
+  for (const auto& g : sel.group_by) group_by.push_back(ev.bind(*g, from));
+  const BoundExpr having = sel.having ? ev.bind(*sel.having, from) : kNoExpr;
+  std::vector<BoundExpr> order_by;
+  for (const auto& oi : sel.order_by) order_by.push_back(ev.bind(*oi.expr, from));
+
   // ---- Build the joined, filtered row stream. ----
+  std::vector<const Row*> matches;  // `width` row pointers per match
+  size_t n_matches = 0;
+  std::vector<const Row*> acc(width);
+  auto scan = [&](auto& self, size_t level) -> bool {
+    if (level == width) {
+      if (where != kNoExpr) {
+        Datum tmp;
+        const Datum* v = ev.eval(where, acc.data(), tmp);
+        if (!v) return false;
+        if (!datum_is_true(*v)) return true;
+      }
+      matches.insert(matches.end(), acc.begin(), acc.end());
+      ++n_matches;
+      return true;
+    }
+    const TableData& t = *from[level].table;
+    const LevelPlan& plan = levels[level];
+    // Indexed fast path: a single-table equality predicate with a hash
+    // index visits only the matching rows (pgbench's PK lookup).
+    std::optional<std::vector<size_t>> candidates;
+    if (level == 0 && width == 1)
+      candidates = index_candidates(t, sel.where.get());
+    size_t scan_count = candidates ? candidates->size() : t.rows.size();
+    // Buffer-pool modeling: tell the storage layer which pages this pass
+    // over the table touches (all of them for a heap scan, just the
+    // candidates' pages for an index probe).
+    db_.note_scan(t, candidates ? &*candidates : nullptr);
+    for (size_t scan_i = 0; scan_i < scan_count; ++scan_i) {
+      const Row& row = t.rows[candidates ? (*candidates)[scan_i] : scan_i];
+      out.rows_scanned += 1;
+      if (plan.rls) {
+        bool visible = false;
+        if (!ev.row_visible(plan.policies, row, visible)) return false;
+        if (!visible) continue;
+      }
+      acc[level] = &row;
+      // Apply the JOIN ON condition as soon as its table is in scope.
+      if (plan.join_on != kNoExpr) {
+        Datum tmp;
+        const Datum* v = ev.eval(plan.join_on, acc.data(), tmp);
+        if (!v) return false;
+        if (!datum_is_true(*v)) continue;
+      }
+      if (!self(self, level + 1)) return false;
+    }
+    return true;
+  };
+  if (width == 0) {
+    n_matches = 1;  // SELECT <exprs> without FROM: one row, nothing in scope
+  } else if (!scan(scan, 0)) {
+    return fail_with(out, ev.error());
+  }
+  auto match_rows = [&](size_t m) -> const Row* const* {
+    return width ? matches.data() + m * width : nullptr;
+  };
+
   struct ResultRow {
-    std::vector<Datum> values;      // projected (non-grouped path)
+    std::vector<Datum> values;      // projected
     std::vector<Datum> order_keys;  // evaluated ORDER BY keys
-    std::vector<const Row*> scope_rows;  // per-FROM-table source rows
+    size_t match = 0;               // source rows (non-grouped path)
   };
-  std::vector<std::vector<const Row*>> matches;  // scope rows per match
-  SqlError scan_error{"", ""};
-  bool errored = false;
-
-  std::function<void(size_t, std::vector<const Row*>&)> scan =
-      [&](size_t level, std::vector<const Row*>& acc) {
-        if (errored) return;
-        if (level == from.size()) {
-          // WHERE filter.
-          if (sel.where) {
-            EvalCtx ctx = base_ctx;
-            for (size_t i = 0; i < from.size(); ++i)
-              ctx.scope.push_back(
-                  ScopeEntry{from[i].ref->alias, from[i].table, acc[i]});
-            auto v = eval(*sel.where, ctx);
-            if (std::holds_alternative<SqlError>(v)) {
-              scan_error = std::get<SqlError>(std::move(v));
-              errored = true;
-              return;
-            }
-            if (!datum_is_true(std::get<Datum>(v))) return;
-          }
-          matches.push_back(acc);
-          return;
-        }
-        const auto& fe = from[level];
-        bool rls = rls_applies(*fe.table, user_);
-        // Indexed fast path: a single-table equality predicate with a hash
-        // index visits only the matching rows (pgbench's PK lookup).
-        std::optional<std::vector<size_t>> candidates;
-        if (level == 0 && from.size() == 1)
-          candidates = index_candidates(*fe.table, sel.where.get());
-        size_t scan_count =
-            candidates ? candidates->size() : fe.table->rows.size();
-        // Buffer-pool modeling: tell the storage layer which pages this
-        // pass over the table touches (all of them for a heap scan, just
-        // the candidates' pages for an index probe).
-        db_.note_scan(*fe.table, candidates ? &*candidates : nullptr);
-        for (size_t scan_i = 0; scan_i < scan_count; ++scan_i) {
-          const Row& row =
-              fe.table->rows[candidates ? (*candidates)[scan_i] : scan_i];
-          if (errored) return;
-          out.rows_scanned += 1;
-          if (rls) {
-            auto vis = rls_row_visible(db_, *fe.table, user_, row);
-            if (std::holds_alternative<SqlError>(vis)) {
-              scan_error = std::get<SqlError>(std::move(vis));
-              errored = true;
-              return;
-            }
-            if (!std::get<bool>(vis)) continue;
-          }
-          acc.push_back(&row);
-          // Apply the JOIN ON condition as soon as its table is in scope.
-          bool pass = true;
-          if (fe.ref->join_on) {
-            EvalCtx ctx = base_ctx;
-            for (size_t i = 0; i <= level; ++i)
-              ctx.scope.push_back(
-                  ScopeEntry{from[i].ref->alias, from[i].table, acc[i]});
-            auto v = eval(*fe.ref->join_on, ctx);
-            if (std::holds_alternative<SqlError>(v)) {
-              scan_error = std::get<SqlError>(std::move(v));
-              errored = true;
-              acc.pop_back();
-              return;
-            }
-            pass = datum_is_true(std::get<Datum>(v));
-          }
-          if (pass) scan(level + 1, acc);
-          acc.pop_back();
-        }
-      };
-
-  if (from.empty()) {
-    // SELECT <exprs> without FROM: a single empty-scope row.
-    matches.push_back({});
-  } else {
-    std::vector<const Row*> acc;
-    scan(0, acc);
-  }
-  if (errored) {
-    out.error_sqlstate = scan_error.sqlstate;
-    out.error_message = scan_error.message;
-    return out;
-  }
-
-  auto make_scope = [&](const std::vector<const Row*>& rows_in_scope) {
-    std::vector<ScopeEntry> scope;
-    for (size_t i = 0; i < from.size(); ++i)
-      scope.push_back(
-          ScopeEntry{from[i].ref->alias, from[i].table, rows_in_scope[i]});
-    return scope;
-  };
-
   std::vector<ResultRow> results;
 
   if (!has_agg) {
-    for (const auto& m : matches) {
+    results.reserve(n_matches);
+    for (size_t m = 0; m < n_matches; ++m) {
+      const Row* const* rows = match_rows(m);
       ResultRow rr;
-      rr.scope_rows = m;
-      EvalCtx ctx = base_ctx;
-      ctx.scope = make_scope(m);
-      for (const auto& item : sel.items) {
-        if (item.star) {
-          for (const auto* r : m)
-            for (const auto& d : *r) rr.values.push_back(d);
+      rr.match = m;
+      rr.values.reserve(out.columns.size());
+      for (size_t i = 0; i < sel.items.size(); ++i) {
+        if (sel.items[i].star) {
+          for (size_t l = 0; l < width; ++l)
+            rr.values.insert(rr.values.end(), rows[l]->begin(), rows[l]->end());
           continue;
         }
-        auto v = eval(*item.expr, ctx);
-        if (std::holds_alternative<SqlError>(v)) {
-          auto& se = std::get<SqlError>(v);
-          out.error_sqlstate = se.sqlstate;
-          out.error_message = se.message;
-          return out;
-        }
-        rr.values.push_back(std::get<Datum>(std::move(v)));
+        Datum tmp;
+        const Datum* v = ev.eval(items[i], rows, tmp);
+        if (!v) return fail_with(out, ev.error());
+        rr.values.push_back(take(v, tmp));
       }
       results.push_back(std::move(rr));
     }
@@ -1037,23 +625,17 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
     // ---- Grouped / aggregated path. ----
     struct Group {
       std::vector<Datum> keys;
-      std::vector<std::vector<const Row*>> members;
+      std::vector<size_t> members;  // match numbers
     };
     std::vector<Group> groups;
     std::unordered_map<size_t, std::vector<size_t>> index;  // hash -> group ids
-    for (const auto& m : matches) {
-      EvalCtx ctx = base_ctx;
-      ctx.scope = make_scope(m);
+    for (size_t m = 0; m < n_matches; ++m) {
       std::vector<Datum> keys;
-      for (const auto& g : sel.group_by) {
-        auto v = eval(*g, ctx);
-        if (std::holds_alternative<SqlError>(v)) {
-          auto& se = std::get<SqlError>(v);
-          out.error_sqlstate = se.sqlstate;
-          out.error_message = se.message;
-          return out;
-        }
-        keys.push_back(std::get<Datum>(std::move(v)));
+      for (BoundExpr g : group_by) {
+        Datum tmp;
+        const Datum* v = ev.eval(g, match_rows(m), tmp);
+        if (!v) return fail_with(out, ev.error());
+        keys.push_back(take(v, tmp));
       }
       size_t h = 1469598103u;
       for (const auto& k : keys) h = h * 1099511628211ull ^ k.hash();
@@ -1079,125 +661,31 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
     }
     if (groups.empty() && sel.group_by.empty()) {
       // Aggregate over an empty input still yields one row (COUNT = 0).
-      groups.push_back(Group{{}, {}});
+      groups.push_back(Group{});
     }
 
-    // Aggregate evaluation helper: replaces kAggregate nodes with computed
-    // datums by evaluating bottom-up over group members.
-    std::function<EvalResult<Datum>(const Expr&, Group&)> eval_agg_expr =
-        [&](const Expr& e, Group& grp) -> EvalResult<Datum> {
-      if (e.kind == ExprKind::kAggregate) {
-        const std::string& fn = e.func_name;
-        int64_t count = 0;
-        double sum = 0;
-        bool any = false;
-        bool all_int = true;
-        Datum min_v, max_v;
-        std::vector<Datum> seen;  // DISTINCT support
-        for (const auto& m : grp.members) {
-          Datum v;
-          if (e.star) {
-            v = Datum::integer(1);
-          } else {
-            EvalCtx ctx = base_ctx;
-            ctx.scope = make_scope(m);
-            auto ev = eval(*e.args[0], ctx);
-            if (std::holds_alternative<SqlError>(ev)) return ev;
-            v = std::get<Datum>(std::move(ev));
-          }
-          if (v.is_null()) continue;
-          if (e.distinct) {
-            bool dup = false;
-            for (const auto& s : seen)
-              if (s.group_equal(v)) {
-                dup = true;
-                break;
-              }
-            if (dup) continue;
-            seen.push_back(v);
-          }
-          ++count;
-          if (v.type() != Type::kInt) all_int = false;
-          if (v.type() == Type::kInt || v.type() == Type::kFloat ||
-              v.type() == Type::kBool)
-            sum += v.numeric();
-          if (!any) {
-            min_v = v;
-            max_v = v;
-            any = true;
-          } else {
-            auto c1 = v.compare(min_v);
-            if (c1 && *c1 < 0) min_v = v;
-            auto c2 = v.compare(max_v);
-            if (c2 && *c2 > 0) max_v = v;
-          }
-        }
-        if (fn == "count") return Datum::integer(count);
-        if (!any) return Datum();  // SUM/AVG/MIN/MAX over empty -> NULL
-        if (fn == "sum")
-          return all_int ? Datum::integer(static_cast<int64_t>(sum))
-                         : Datum::floating(sum);
-        if (fn == "avg") return Datum::floating(sum / static_cast<double>(count));
-        if (fn == "min") return min_v;
-        if (fn == "max") return max_v;
-        return err("42883", "unknown aggregate: " + fn);
-      }
-      // Non-aggregate nodes: must be computable from the group keys; we
-      // evaluate over the first member's scope (valid for grouped columns).
-      if (e.args.empty() || e.kind == ExprKind::kColumnRef ||
-          e.kind == ExprKind::kLiteral) {
-        EvalCtx ctx = base_ctx;
-        if (!grp.members.empty()) ctx.scope = make_scope(grp.members.front());
-        return eval(e, ctx);
-      }
-      // Recurse: clone evaluation over children.
-      Expr shallow;
-      shallow.kind = e.kind;
-      shallow.op = e.op;
-      shallow.func_name = e.func_name;
-      shallow.negated = e.negated;
-      shallow.star = e.star;
-      shallow.case_has_else = e.case_has_else;
-      std::vector<Datum> child_vals;
-      for (const auto& a : e.args) {
-        auto cv = eval_agg_expr(*a, grp);
-        if (std::holds_alternative<SqlError>(cv)) return cv;
-        child_vals.push_back(std::get<Datum>(std::move(cv)));
-      }
-      for (const auto& d : child_vals) shallow.args.push_back(make_literal(d));
-      EvalCtx ctx = base_ctx;
-      return eval(shallow, ctx);
-    };
-
-    for (auto& grp : groups) {
-      ResultRow rr;
+    for (const auto& grp : groups) {
+      const GroupRows rows{matches.data(), width, grp.members.data(),
+                           grp.members.size()};
       // HAVING filter.
-      if (sel.having) {
-        auto hv = eval_agg_expr(*sel.having, grp);
-        if (std::holds_alternative<SqlError>(hv)) {
-          auto& se = std::get<SqlError>(hv);
-          out.error_sqlstate = se.sqlstate;
-          out.error_message = se.message;
-          return out;
-        }
-        if (!datum_is_true(std::get<Datum>(hv))) continue;
+      if (having != kNoExpr) {
+        Datum tmp;
+        const Datum* v = ev.eval_group(having, rows, tmp);
+        if (!v) return fail_with(out, ev.error());
+        if (!datum_is_true(*v)) continue;
       }
-      for (const auto& item : sel.items) {
-        if (item.star) {
+      ResultRow rr;
+      for (size_t i = 0; i < sel.items.size(); ++i) {
+        if (sel.items[i].star) {
           out.error_sqlstate = "42803";
           out.error_message = "SELECT * not allowed with GROUP BY";
           return out;
         }
-        auto v = eval_agg_expr(*item.expr, grp);
-        if (std::holds_alternative<SqlError>(v)) {
-          auto& se = std::get<SqlError>(v);
-          out.error_sqlstate = se.sqlstate;
-          out.error_message = se.message;
-          return out;
-        }
-        rr.values.push_back(std::get<Datum>(std::move(v)));
+        Datum tmp;
+        const Datum* v = ev.eval_group(items[i], rows, tmp);
+        if (!v) return fail_with(out, ev.error());
+        rr.values.push_back(take(v, tmp));
       }
-      if (!grp.members.empty()) rr.scope_rows = grp.members.front();
       results.push_back(std::move(rr));
     }
   }
@@ -1208,8 +696,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
     // alias, (c) a select-item expression match, or (d) for non-grouped
     // queries, an arbitrary expression over the row scope.
     struct KeySpec {
-      int select_index = -1;  // resolved to a projected column
-      const Expr* expr = nullptr;
+      int select_index = -1;  // resolved to a projected column, else evaluated
       bool descending;
     };
     std::vector<KeySpec> specs;
@@ -1232,11 +719,11 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
         bool found = false;
         for (size_t i = 0; i < sel.items.size() && !found; ++i) {
           const auto& item = sel.items[i];
-          int width = 1;
+          int width_i = 1;
           if (item.star) {
-            width = 0;
-            for (const auto& fe : from)
-              width += static_cast<int>(fe.table->columns.size());
+            width_i = 0;
+            for (const auto& level : from)
+              width_i += static_cast<int>(level.table->columns.size());
           } else {
             if ((e.kind == ExprKind::kColumnRef && e.table.empty() &&
                  item.alias == e.column) ||
@@ -1245,28 +732,21 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
               found = true;
             }
           }
-          col += width;
+          col += width_i;
         }
-        if (!found) ks.expr = &e;
       }
       specs.push_back(ks);
     }
     // Evaluate expression keys (non-grouped path only).
     for (auto& rr : results) {
-      for (const auto& ks : specs) {
-        if (ks.select_index >= 0) {
-          rr.order_keys.push_back(rr.values[static_cast<size_t>(ks.select_index)]);
-        } else if (!has_agg && !rr.scope_rows.empty()) {
-          EvalCtx ctx = base_ctx;
-          ctx.scope = make_scope(rr.scope_rows);
-          auto v = eval(*ks.expr, ctx);
-          if (std::holds_alternative<SqlError>(v)) {
-            auto& se = std::get<SqlError>(v);
-            out.error_sqlstate = se.sqlstate;
-            out.error_message = se.message;
-            return out;
-          }
-          rr.order_keys.push_back(std::get<Datum>(std::move(v)));
+      for (size_t k = 0; k < specs.size(); ++k) {
+        if (specs[k].select_index >= 0) {
+          rr.order_keys.push_back(rr.values[static_cast<size_t>(specs[k].select_index)]);
+        } else if (!has_agg && width > 0) {
+          Datum tmp;
+          const Datum* v = ev.eval(order_by[k], match_rows(rr.match), tmp);
+          if (!v) return fail_with(out, ev.error());
+          rr.order_keys.push_back(take(v, tmp));
         } else {
           out.error_sqlstate = "42803";
           out.error_message =
@@ -1359,11 +839,7 @@ StatementResult Session::run_insert(const InsertStmt& ins) {
       target_cols.push_back(idx);
     }
   }
-  EvalCtx ctx;
-  ctx.db = &db_;
-  ctx.user = &user_;
-  ctx.notices = &out.notices;
-  const size_t first_new_row = t->rows.size();
+  Evaluator ev(db_, user_, &out.notices);
   for (const auto& row_exprs : ins.rows) {
     if (row_exprs.size() != target_cols.size()) {
       out.error_sqlstate = "42601";
@@ -1372,23 +848,20 @@ StatementResult Session::run_insert(const InsertStmt& ins) {
     }
     Row row(t->columns.size());  // defaults to NULL
     for (size_t i = 0; i < row_exprs.size(); ++i) {
-      auto v = eval(*row_exprs[i], ctx);
-      if (std::holds_alternative<SqlError>(v)) {
-        auto& se = std::get<SqlError>(v);
-        out.error_sqlstate = se.sqlstate;
-        out.error_message = se.message;
-        return out;
-      }
+      Datum tmp;
+      const Datum* v = ev.eval_constant(*row_exprs[i], tmp);
+      if (!v) return fail_with(out, ev.error());
       size_t col = static_cast<size_t>(target_cols[i]);
-      row[col] = coerce(std::get<Datum>(std::move(v)), t->columns[col].type);
+      row[col] = coerce(take(v, tmp), t->columns[col].type);
     }
     t->rows.push_back(std::move(row));
-    // Noted per row, not per statement: a later row's eval error aborts
-    // the statement but keeps the rows already appended (engine
-    // semantics), and the storage layer must see those too.
+    // Noted and indexed per row, not per statement: a later row's eval
+    // error aborts the statement but keeps the rows already appended
+    // (engine semantics), and the storage layer and the indexes must see
+    // those too.
     db_.note_rows_appended(*t, t->rows.size() - 1);
+    t->index_appended(t->rows.size() - 1);
   }
-  t->index_appended(first_new_row);
   out.command_tag = "INSERT 0 " + std::to_string(ins.rows.size());
   return out;
 }
@@ -1406,7 +879,15 @@ StatementResult Session::run_update(const UpdateStmt& up) {
     out.error_message = "permission denied for table " + t->name;
     return out;
   }
-  std::vector<std::pair<int, const ExprPtr*>> sets;
+  Evaluator ev(db_, user_, &out.notices);
+  const ScopeLevel scope[] = {{&t->name, t}};
+  struct SetTarget {
+    size_t column;
+    BoundExpr value;
+    std::unordered_multimap<int64_t, size_t>* index;  // null: not indexed
+  };
+  std::vector<SetTarget> sets;
+  sets.reserve(up.sets.size());
   for (const auto& [col, expr] : up.sets) {
     int idx = t->find_column(col);
     if (idx < 0) {
@@ -1414,47 +895,53 @@ StatementResult Session::run_update(const UpdateStmt& up) {
       out.error_message = "column does not exist: " + col;
       return out;
     }
-    sets.emplace_back(idx, &expr);
+    auto it = t->hash_indexes.find(idx);
+    sets.push_back(SetTarget{static_cast<size_t>(idx), ev.bind(*expr, scope),
+                             it == t->hash_indexes.end() ? nullptr : &it->second});
   }
+  const BoundExpr where = up.where ? ev.bind(*up.where, scope) : kNoExpr;
+  const bool rls = rls_applies(*t, user_);
+  std::vector<BoundExpr> policies;
+  if (rls) policies = ev.bind_policies(*t);
   int64_t updated = 0;
   db_.note_scan(*t, nullptr);  // UPDATE reads the whole heap
-  for (auto& row : t->rows) {
+  for (size_t ordinal = 0; ordinal < t->rows.size(); ++ordinal) {
+    Row& row = t->rows[ordinal];
+    const Row* rows[] = {&row};
     out.rows_scanned += 1;
-    EvalCtx ctx;
-    ctx.db = &db_;
-    ctx.user = &user_;
-    ctx.notices = &out.notices;
-    ctx.scope.push_back(ScopeEntry{t->name, t, &row});
-    if (rls_applies(*t, user_)) {
-      auto vis = rls_row_visible(db_, *t, user_, row);
-      if (std::holds_alternative<SqlError>(vis)) continue;
-      if (!std::get<bool>(vis)) continue;
-    }
-    if (up.where) {
-      auto v = eval(*up.where, ctx);
-      if (std::holds_alternative<SqlError>(v)) {
-        auto& se = std::get<SqlError>(v);
-        out.error_sqlstate = se.sqlstate;
-        out.error_message = se.message;
-        return out;
+    if (rls) {
+      bool visible = false;
+      if (!ev.row_visible(policies, row, visible)) {
+        ev.clear_error();  // a failing policy hides the row
+        continue;
       }
-      if (!datum_is_true(std::get<Datum>(v))) continue;
+      if (!visible) continue;
     }
-    for (auto& [idx, expr] : sets) {
-      auto v = eval(**expr, ctx);
-      if (std::holds_alternative<SqlError>(v)) {
-        auto& se = std::get<SqlError>(v);
-        out.error_sqlstate = se.sqlstate;
-        out.error_message = se.message;
-        return out;
+    if (where != kNoExpr) {
+      Datum tmp;
+      const Datum* v = ev.eval(where, rows, tmp);
+      if (!v) return fail_with(out, ev.error());
+      if (!datum_is_true(*v)) continue;
+    }
+    // Each SET sees the ones before it; an indexed column moves its index
+    // entry as it changes. A later SET that fails ends the statement but
+    // keeps its partial effects, so the index and the listener must see
+    // the SETs already applied to this row.
+    for (size_t i = 0; i < sets.size(); ++i) {
+      const SetTarget& set = sets[i];
+      Datum tmp;
+      const Datum* v = ev.eval(set.value, rows, tmp);
+      if (!v) {
+        if (i > 0) db_.note_row_updated(*t, ordinal);
+        return fail_with(out, ev.error());
       }
-      row[static_cast<size_t>(idx)] = coerce(std::get<Datum>(std::move(v)),
-                                             t->columns[static_cast<size_t>(idx)].type);
+      Datum value = coerce(take(v, tmp), t->columns[set.column].type);
+      if (set.index) reindex_row(*set.index, ordinal, row[set.column], value);
+      row[set.column] = std::move(value);
     }
     ++updated;
-    db_.note_row_updated(*t, static_cast<size_t>(&row - t->rows.data()));
+    db_.note_row_updated(*t, ordinal);
   }
-  if (updated > 0 && !t->hash_indexes.empty()) t->rebuild_indexes();
   out.command_tag = "UPDATE " + std::to_string(updated);
   return out;
 }
@@ -1472,44 +959,45 @@ StatementResult Session::run_delete(const DeleteStmt& del) {
     out.error_message = "permission denied for table " + t->name;
     return out;
   }
+  Evaluator ev(db_, user_, &out.notices);
+  const ScopeLevel scope[] = {{&t->name, t}};
+  const BoundExpr where = del.where ? ev.bind(*del.where, scope) : kNoExpr;
+  const bool rls = rls_applies(*t, user_);
+  std::vector<BoundExpr> policies;
+  if (rls) policies = ev.bind_policies(*t);
+  // Decide every row first, so a failing WHERE leaves the table as it was.
+  std::vector<bool> doomed(t->rows.size());
   int64_t deleted = 0;
-  std::vector<Row> kept;
-  kept.reserve(t->rows.size());
   size_t first_removed = t->rows.size();
   db_.note_scan(*t, nullptr);  // DELETE reads the whole heap
-  for (auto& row : t->rows) {
+  for (size_t ordinal = 0; ordinal < t->rows.size(); ++ordinal) {
+    const Row* rows[] = {&t->rows[ordinal]};
     out.rows_scanned += 1;
     bool remove = true;
-    EvalCtx ctx;
-    ctx.db = &db_;
-    ctx.user = &user_;
-    ctx.notices = &out.notices;
-    ctx.scope.push_back(ScopeEntry{t->name, t, &row});
-    if (rls_applies(*t, user_)) {
-      auto vis = rls_row_visible(db_, *t, user_, row);
-      remove = !std::holds_alternative<SqlError>(vis) && std::get<bool>(vis);
+    if (rls) {
+      bool visible = false;
+      remove = ev.row_visible(policies, *rows[0], visible) && visible;
+      ev.clear_error();  // a failing policy keeps the row
     }
-    if (remove && del.where) {
-      auto v = eval(*del.where, ctx);
-      if (std::holds_alternative<SqlError>(v)) {
-        auto& se = std::get<SqlError>(v);
-        out.error_sqlstate = se.sqlstate;
-        out.error_message = se.message;
-        return out;
-      }
-      remove = datum_is_true(std::get<Datum>(v));
+    if (remove && where != kNoExpr) {
+      Datum tmp;
+      const Datum* v = ev.eval(where, rows, tmp);
+      if (!v) return fail_with(out, ev.error());
+      remove = datum_is_true(*v);
     }
-    if (remove) {
-      if (++deleted == 1)
-        first_removed = static_cast<size_t>(&row - t->rows.data());
-    } else {
-      kept.push_back(std::move(row));
-    }
+    if (!remove) continue;
+    doomed[ordinal] = true;
+    if (++deleted == 1) first_removed = ordinal;
   }
-  size_t old_row_count = t->rows.size();
-  t->rows = std::move(kept);
-  if (deleted > 0) db_.note_rows_compacted(*t, first_removed, old_row_count);
-  if (deleted > 0 && !t->hash_indexes.empty()) t->rebuild_indexes();
+  if (deleted > 0) {
+    size_t old_row_count = t->rows.size();
+    size_t kept = first_removed;
+    for (size_t ordinal = first_removed; ordinal < old_row_count; ++ordinal)
+      if (!doomed[ordinal]) t->rows[kept++] = std::move(t->rows[ordinal]);
+    t->rows.resize(kept);
+    db_.note_rows_compacted(*t, first_removed, old_row_count);
+    if (!t->hash_indexes.empty()) t->rebuild_indexes();
+  }
   out.command_tag = "DELETE " + std::to_string(deleted);
   return out;
 }

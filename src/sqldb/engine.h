@@ -94,7 +94,9 @@ struct TableData {
   void build_index(const std::string& column);
   /// Reindexes appended rows starting at `first_new_row`.
   void index_appended(size_t first_new_row);
-  /// Rebuilds all indexes (after UPDATE/DELETE row motion).
+  /// Rebuilds all indexes: after DELETE compaction moves row ordinals, and
+  /// after recovery reloads the rows. (UPDATE moves the entries of the
+  /// rows it changes instead.)
   void rebuild_indexes();
 };
 

@@ -35,37 +35,6 @@ std::optional<Type> parse_type_name(std::string_view s) {
   return std::nullopt;
 }
 
-Datum Datum::boolean(bool b) {
-  Datum d;
-  d.v_ = b;
-  return d;
-}
-Datum Datum::integer(int64_t i) {
-  Datum d;
-  d.v_ = i;
-  return d;
-}
-Datum Datum::floating(double f) {
-  Datum d;
-  d.v_ = f;
-  return d;
-}
-Datum Datum::text(std::string s) {
-  Datum d;
-  d.v_ = std::move(s);
-  return d;
-}
-
-Type Datum::type() const {
-  switch (v_.index()) {
-    case 0: return Type::kNull;
-    case 1: return Type::kBool;
-    case 2: return Type::kInt;
-    case 3: return Type::kFloat;
-    default: return Type::kText;
-  }
-}
-
 double Datum::numeric() const {
   switch (type()) {
     case Type::kBool: return as_bool() ? 1.0 : 0.0;

@@ -23,12 +23,13 @@ class Datum {
  public:
   Datum() = default;  // NULL
   static Datum null() { return Datum(); }
-  static Datum boolean(bool b);
-  static Datum integer(int64_t i);
-  static Datum floating(double d);
-  static Datum text(std::string s);
+  static Datum boolean(bool b) { return Datum(b); }
+  static Datum integer(int64_t i) { return Datum(i); }
+  static Datum floating(double d) { return Datum(d); }
+  static Datum text(std::string s) { return Datum(std::move(s)); }
 
-  Type type() const;
+  /// The alternatives of `v_` are declared in Type's order.
+  Type type() const { return static_cast<Type>(v_.index()); }
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
 
   bool as_bool() const { return std::get<bool>(v_); }
@@ -57,7 +58,10 @@ class Datum {
   bool operator==(const Datum& other) const { return v_ == other.v_; }
 
  private:
-  std::variant<std::monostate, bool, int64_t, double, std::string> v_;
+  using Value = std::variant<std::monostate, bool, int64_t, double, std::string>;
+  explicit Datum(Value v) : v_(std::move(v)) {}
+
+  Value v_;
 };
 
 }  // namespace rddr::sqldb

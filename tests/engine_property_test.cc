@@ -184,6 +184,176 @@ TEST_P(EngineProperty, CompareIsAntisymmetricAndTransitiveOnSamples) {
     }
 }
 
+namespace {
+/// A random expression tree over the columns of
+///   t (i int, f float, s text, n int)
+/// that renders either with column references or with one row's values
+/// spelled as literals.
+struct GenExpr {
+  std::string op;  // leaf literal text, or the node's shape
+  int column = -1;  // leaf column ordinal, -1 otherwise
+  bool negated = false;
+  std::vector<GenExpr> kids;
+};
+
+const char* const kGenColumns[] = {"i", "f", "s", "n"};
+
+std::string literal_for(const Datum& d) {
+  switch (d.type()) {
+    case Type::kNull: return "null";
+    case Type::kText: return "'" + d.as_text() + "'";
+    case Type::kFloat:
+      return d.as_float() < 0 ? strformat("(-%.1f)", -d.as_float())
+                              : strformat("%.1f", d.as_float());
+    case Type::kInt:
+      return d.as_int() < 0 ? strformat("(-%lld)", static_cast<long long>(-d.as_int()))
+                            : std::to_string(d.as_int());
+    default: return d.as_bool() ? "true" : "false";
+  }
+}
+
+Datum random_value(Rng& rng, int column) {
+  if (rng.uniform(0, 4) == 0) return Datum();
+  switch (column) {
+    case 1: return Datum::floating(static_cast<double>(rng.uniform(-19, 19)) / 2.0);
+    case 2: {
+      const char* texts[] = {"", "a", "ab", "b_c", "10", "2.5", "abc"};
+      return Datum::text(texts[rng.uniform(0, 6)]);
+    }
+    default: return Datum::integer(rng.uniform(-9, 9));
+  }
+}
+
+GenExpr gen_expr(Rng& rng, int depth) {
+  GenExpr e;
+  if (depth == 0 || rng.uniform(0, 3) == 0) {
+    if (rng.uniform(0, 1) == 0) {
+      e.column = static_cast<int>(rng.uniform(0, 3));
+    } else {
+      switch (rng.uniform(0, 4)) {
+        case 0: e.op = literal_for(random_value(rng, 0)); break;
+        case 1: e.op = literal_for(random_value(rng, 1)); break;
+        case 2: e.op = literal_for(random_value(rng, 2)); break;
+        case 3: e.op = "null"; break;
+        default: e.op = rng.uniform(0, 1) ? "true" : "false";
+      }
+    }
+    return e;
+  }
+  const char* binary[] = {"+", "-", "*", "/", "%", "=", "<>", "<",
+                          "<=", ">", ">=", "and", "or", "||"};
+  const char* shapes[] = {"binary", "binary", "binary", "not", "neg",
+                          "case", "in", "between", "like", "isnull",
+                          "coalesce"};
+  std::string shape = shapes[rng.uniform(0, 10)];
+  e.negated = rng.uniform(0, 2) == 0;
+  size_t kids = 1;
+  if (shape == "binary") {
+    e.op = binary[rng.uniform(0, 13)];
+    kids = 2;
+  } else {
+    e.op = shape;
+    if (shape == "case") kids = static_cast<size_t>(rng.uniform(2, 5));
+    if (shape == "in") kids = static_cast<size_t>(rng.uniform(2, 4));
+    if (shape == "between") kids = 3;
+    if (shape == "like") kids = 2;
+    if (shape == "coalesce") kids = static_cast<size_t>(rng.uniform(1, 3));
+  }
+  for (size_t k = 0; k < kids; ++k) e.kids.push_back(gen_expr(rng, depth - 1));
+  return e;
+}
+
+/// Renders `e`; with `row` set, column references become its literals.
+std::string render(const GenExpr& e, const std::vector<Datum>* row) {
+  if (e.column >= 0)
+    return row ? literal_for((*row)[static_cast<size_t>(e.column)])
+               : kGenColumns[e.column];
+  if (e.kids.empty()) return e.op;
+  std::vector<std::string> k;
+  for (const auto& kid : e.kids) k.push_back(render(kid, row));
+  std::string neg = e.negated ? " not" : "";
+  if (e.op == "not") return "(not " + k[0] + ")";
+  if (e.op == "neg") return "(-" + k[0] + ")";
+  if (e.op == "isnull") return "(" + k[0] + " is" + neg + " null)";
+  if (e.op == "like") return "(" + k[0] + neg + " like " + k[1] + ")";
+  if (e.op == "between")
+    return "(" + k[0] + neg + " between " + k[1] + " and " + k[2] + ")";
+  if (e.op == "in") {
+    std::string out = "(" + k[0] + neg + " in (";
+    for (size_t i = 1; i < k.size(); ++i) out += (i > 1 ? ", " : "") + k[i];
+    return out + "))";
+  }
+  if (e.op == "coalesce") {
+    std::string out = "coalesce(";
+    for (size_t i = 0; i < k.size(); ++i) out += (i ? ", " : "") + k[i];
+    return out + ")";
+  }
+  if (e.op == "case") {
+    std::string out = "(case";
+    size_t pairs = k.size() / 2;
+    for (size_t i = 0; i < pairs; ++i)
+      out += " when " + k[2 * i] + " then " + k[2 * i + 1];
+    if (k.size() % 2) out += " else " + k.back();
+    return out + " end)";
+  }
+  return "(" + k[0] + " " + e.op + " " + k[1] + ")";
+}
+}  // namespace
+
+TEST_P(EngineProperty, BoundColumnsMatchLiteralEvaluation) {
+  // Column binding checked against the literal path: each row of
+  // SELECT <expr> FROM t equals SELECT <expr with that row's values>.
+  // The WHERE form checks the filter path the same way.
+  Rng rng(seed() * 31 + 7);
+  Database db(minipg_info("13.0"));
+  Session s(db, "postgres");
+  auto* t = db.create_table("t", {{"i", Type::kInt},
+                                  {"f", Type::kFloat},
+                                  {"s", Type::kText},
+                                  {"n", Type::kInt}});
+  for (int r = 0; r < 6; ++r) {
+    Row row;
+    for (int c = 0; c < 4; ++c) row.push_back(random_value(rng, c));
+    t->rows.push_back(std::move(row));
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    GenExpr e = gen_expr(rng, 3);
+    std::string with_columns = render(e, nullptr);
+    std::vector<std::vector<std::optional<std::string>>> values, kept;
+    std::optional<std::string> first_error;
+    for (const auto& row : t->rows) {
+      std::string lit = render(e, &row);
+      auto one = s.execute("SELECT " + lit + ", case when " + lit +
+                           " then 1 else 0 end;")
+                     .statements[0];
+      if (one.failed()) {
+        first_error = *one.error_sqlstate;
+        break;
+      }
+      ASSERT_EQ(one.rows.size(), 1u) << lit;
+      values.push_back({one.rows[0][0]});
+      if (one.rows[0][1] == "1") kept.push_back({row[3].is_null()
+                                                     ? std::nullopt
+                                                     : std::optional<std::string>(
+                                                           row[3].to_text())});
+    }
+    auto projected = s.execute("SELECT " + with_columns + " FROM t;").statements[0];
+    auto filtered =
+        s.execute("SELECT n FROM t WHERE " + with_columns + ";").statements[0];
+    if (first_error) {
+      ASSERT_TRUE(projected.failed()) << with_columns;
+      EXPECT_EQ(*projected.error_sqlstate, *first_error) << with_columns;
+      ASSERT_TRUE(filtered.failed()) << with_columns;
+      EXPECT_EQ(*filtered.error_sqlstate, *first_error) << with_columns;
+      continue;
+    }
+    ASSERT_FALSE(projected.failed()) << with_columns << ": " << projected.error_message;
+    EXPECT_EQ(projected.rows, values) << with_columns;
+    ASSERT_FALSE(filtered.failed()) << with_columns << ": " << filtered.error_message;
+    EXPECT_EQ(filtered.rows, kept) << with_columns;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty, ::testing::Range(1, 16));
 
 }  // namespace

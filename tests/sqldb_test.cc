@@ -2,6 +2,7 @@
 // user-defined operators, and the version-gated CVE behaviours.
 #include <gtest/gtest.h>
 
+#include "common/strutil.h"
 #include "sqldb/engine.h"
 #include "sqldb/parser.h"
 
@@ -359,6 +360,130 @@ TEST_F(EngineTest, IndexMaintainedAcrossDml) {
   last(db, "UPDATE k SET id = 10 WHERE id = 1;");
   r = last(db, "SELECT v FROM k WHERE id = 10;");
   EXPECT_EQ(r.rows.size(), 1u);
+}
+
+TEST_F(EngineTest, FailedDeleteLeavesTableIntact) {
+  last(db,
+       "CREATE TABLE d (id int, v text);"
+       "INSERT INTO d VALUES (1,'a'),(2,'b'),(3,'c');");
+  // Rows 1 and 2 are kept before row 3 divides by zero.
+  auto r = last(db, "DELETE FROM d WHERE 10 / (id - 3) > 0;");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22012");
+  EXPECT_EQ(r.rows_scanned, 3);
+  const TableData* t = db.find_table("d");
+  ASSERT_EQ(t->rows.size(), 3u);
+  for (const auto& row : t->rows) EXPECT_EQ(row.size(), 2u);
+  r = last(db, "SELECT id, v FROM d;");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][1].value(), "a");
+  EXPECT_EQ(r.rows[1][1].value(), "b");
+  EXPECT_EQ(r.rows[2][0].value(), "3");
+}
+
+TEST_F(EngineTest, FailedUpdateKeepsIndexConsistent) {
+  last(db, "CREATE TABLE k (id int, v text);");
+  db.find_table("k")->build_index("id");
+  last(db, "INSERT INTO k VALUES (1,'a'),(2,'b'),(3,'c');");
+  // Rows 1 and 2 move to 6 and 12 before row 3 divides by zero; the
+  // engine keeps those partial effects, so the index must follow them.
+  auto r = last(db, "UPDATE k SET id = 12 / (3 - id);");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22012");
+  for (int key : {1, 2, 3, 6, 12}) {
+    auto probe = last(db, strformat("SELECT v FROM k WHERE id = %d;", key));
+    auto scan = last(db, strformat("SELECT v FROM k WHERE id + 0 = %d;", key));
+    ASSERT_FALSE(probe.failed()) << probe.error_message;
+    EXPECT_EQ(probe.rows, scan.rows) << "id = " << key;
+  }
+  auto r6 = last(db, "SELECT v FROM k WHERE id = 6;");
+  ASSERT_EQ(r6.rows.size(), 1u);
+  EXPECT_EQ(r6.rows[0][0].value(), "a");
+  EXPECT_EQ(r6.rows_scanned, 1);  // answered by the index
+}
+
+TEST_F(EngineTest, FailedUpdateNotesItsPartiallyUpdatedRow) {
+  struct Recorder : MutationListener {
+    std::vector<size_t> updated;
+    void on_row_updated(const TableData&, size_t ordinal) override {
+      updated.push_back(ordinal);
+    }
+  } recorder;
+  last(db, "CREATE TABLE p (a int, b int); INSERT INTO p VALUES (1, 1), (2, 0);");
+  db.set_mutation_listener(&recorder);
+  // Row 0 takes both SETs; row 1 takes `a` before `b` divides by zero,
+  // and the engine keeps that partial effect, so the listener must see it.
+  auto r = last(db, "UPDATE p SET a = a + 10, b = 1 / b;");
+  db.set_mutation_listener(nullptr);
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22012");
+  EXPECT_EQ(recorder.updated, (std::vector<size_t>{0, 1}));
+  r = last(db, "SELECT a FROM p;");
+  EXPECT_EQ(r.rows[1][0].value(), "12");
+}
+
+TEST_F(EngineTest, ColumnErrorsAreRaisedPerEvaluatedRow) {
+  last(db,
+       "CREATE TABLE e (id int);"
+       "CREATE TABLE a (id int, x int);"
+       "INSERT INTO a VALUES (1, 10), (2, 20);"
+       "CREATE TABLE b (id int, y int);"
+       "INSERT INTO b VALUES (1, 100);");
+  struct Case {
+    const char* sql;
+    const char* tag;       // expected command tag when it succeeds
+    const char* sqlstate;  // expected SQLSTATE when it fails
+    int64_t rows_scanned;
+  };
+  const Case cases[] = {
+      // Unknown column: raised only once a row is evaluated.
+      {"SELECT nosuch FROM e;", "SELECT 0", nullptr, 0},
+      {"SELECT nosuch FROM a;", nullptr, "42703", 2},
+      {"SELECT a.nosuch FROM a;", nullptr, "42703", 2},
+      {"SELECT id FROM a WHERE nosuch = 1;", nullptr, "42703", 1},
+      {"SELECT id FROM a WHERE id = 3 AND nosuch = 1;", "SELECT 0", nullptr, 2},
+      {"UPDATE a SET x = nosuch WHERE id = 99;", "UPDATE 0", nullptr, 2},
+      {"UPDATE a SET x = nosuch WHERE id = 2;", nullptr, "42703", 2},
+      {"UPDATE a SET nosuch = 1;", nullptr, "42703", 0},
+      {"DELETE FROM a WHERE nosuch = 1;", nullptr, "42703", 1},
+      // Unqualified `id` is ambiguous across a and b, but only for rows
+      // that reach the projection.
+      {"SELECT id FROM a, b;", nullptr, "42702", 4},
+      {"SELECT id FROM a, e;", "SELECT 0", nullptr, 2},
+      {"SELECT x FROM a JOIN b ON id = 1;", nullptr, "42702", 2},
+      // Qualified references resolve per FROM entry.
+      {"SELECT a.id, b.y FROM a JOIN b ON a.id = b.id;", "SELECT 1", nullptr, 4},
+      {"SELECT a.id FROM a, b WHERE b.id = a.id;", "SELECT 1", nullptr, 4},
+      // current_user falls back to the session user when no column has
+      // that name, with and without a FROM row in scope.
+      {"SELECT current_user FROM a;", "SELECT 2", nullptr, 2},
+      {"SELECT current_user;", "SELECT 1", nullptr, 0},
+      // An aggregate over no rows evaluates its non-aggregate parts with no
+      // row in scope.
+      {"SELECT id, count(*) FROM e;", nullptr, "42703", 0},
+      {"SELECT current_user, count(*) FROM e;", "SELECT 1", nullptr, 0},
+      {"SELECT id, count(*) FROM a;", "SELECT 1", nullptr, 2},
+  };
+  for (const auto& c : cases) {
+    auto r = last(db, c.sql);
+    if (c.sqlstate) {
+      ASSERT_TRUE(r.failed()) << c.sql;
+      EXPECT_EQ(*r.error_sqlstate, c.sqlstate) << c.sql;
+    } else {
+      ASSERT_FALSE(r.failed()) << c.sql << ": " << r.error_message;
+      EXPECT_EQ(r.command_tag, c.tag) << c.sql;
+    }
+    EXPECT_EQ(r.rows_scanned, c.rows_scanned) << c.sql;
+  }
+  auto r = last(db, "SELECT current_user FROM a;", "postgres");
+  EXPECT_EQ(r.rows[1][0].value(), "postgres");
+  r = last(db, "SELECT a.id, b.y FROM a JOIN b ON a.id = b.id;");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][1].value(), "100");
+  // Nothing above changed the table.
+  r = last(db, "SELECT x FROM a ORDER BY id;");
+  EXPECT_EQ(r.rows[1][0].value(), "20");
 }
 
 TEST_F(EngineTest, TransactionNoOpsAccepted) {
