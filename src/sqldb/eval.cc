@@ -137,17 +137,6 @@ Datum in_list(bool negated, const Datum& v, const Datum* const* items,
   return Datum::boolean(negated);
 }
 
-/// Datum::compare with the integer case, the one every keyed predicate
-/// takes, inline (integers compare as doubles there too).
-std::optional<int> compare(const Datum& l, const Datum& r) {
-  if (l.type() == Type::kInt && r.type() == Type::kInt) {
-    double x = static_cast<double>(l.as_int());
-    double y = static_cast<double>(r.as_int());
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
-  return l.compare(r);
-}
-
 /// Text view of a datum without copying text values.
 struct TextOf {
   explicit TextOf(const Datum& d) {
@@ -414,21 +403,20 @@ const Datum* Evaluator::fail(std::string sqlstate, std::string message) {
 
 // ---------- the evaluator ----------
 
-/// ev() with the two leaves every keyed predicate has, columns and
-/// literals, read without a call.
-inline const Datum* Evaluator::operand(const Node* prog, const Node& n,
-                                       Datum& tmp) {
+/// Leaves, which most operands are, are read here without a call into
+/// the node switch.
+inline const Datum* Evaluator::ev(const Node* prog, const Node& n,
+                                  Datum& tmp) {
   if (n.op == Op::kColumn) return &(*rows_[n.level])[n.column];
   if (n.op == Op::kLiteral) return &n.src->literal;
-  return ev(prog, n, tmp);
+  return ev_node(prog, n, tmp);
 }
 
-const Datum* Evaluator::ev(const Node* prog, const Node& n, Datum& tmp) {
+const Datum* Evaluator::ev_node(const Node* prog, const Node& n, Datum& tmp) {
   switch (n.op) {
     case Op::kLiteral:
-      return &n.src->literal;
     case Op::kColumn:
-      return &(*rows_[n.level])[n.column];
+      return ev(prog, n, tmp);
     case Op::kBadColumn:
       if (n.ambiguous)
         return fail("42702", "ambiguous column reference: " + n.src->column);
@@ -501,9 +489,9 @@ const Datum* Evaluator::ev(const Node* prog, const Node& n, Datum& tmp) {
     case Op::kGe: case Op::kConcat: case Op::kAdd: case Op::kSub:
     case Op::kMul: case Op::kDiv: case Op::kMod: case Op::kCustomOp: {
       Datum lt, rt;
-      const Datum* l = operand(prog, n.kid(prog, 0), lt);
+      const Datum* l = ev(prog, n.kid(prog, 0), lt);
       if (!l) return nullptr;
-      const Datum* r = operand(prog, n.kid(prog, 1), rt);
+      const Datum* r = ev(prog, n.kid(prog, 1), rt);
       if (!r) return nullptr;
       return binary(n, *l, *r, tmp) ? &tmp : nullptr;
     }
@@ -631,7 +619,7 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
   switch (n.op) {
     case Op::kEq: case Op::kNe: case Op::kLt: case Op::kLe: case Op::kGt:
     case Op::kGe: {
-      auto c = compare(l, r);
+      auto c = l.compare(r);
       if (!c) {
         out = Datum();  // NULL comparison
         return true;

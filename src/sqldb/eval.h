@@ -109,7 +109,7 @@ class Evaluator {
   const FunctionBody& function_body(const FunctionDef& fn);
 
   const Datum* ev(const Node* prog, const Node& n, Datum& tmp);
-  const Datum* operand(const Node* prog, const Node& n, Datum& tmp);
+  const Datum* ev_node(const Node* prog, const Node& n, Datum& tmp);
   const Datum* ev_group(const Node* prog, const Node& n, const GroupRows& g,
                         Datum& tmp);
   bool apply(const Node& n, const Datum* const* v, size_t count, Datum& out);

@@ -65,7 +65,7 @@ std::string Datum::to_text() const {
   return "";
 }
 
-std::optional<int> Datum::compare(const Datum& other) const {
+std::optional<int> Datum::compare_other(const Datum& other) const {
   if (is_null() || other.is_null()) return std::nullopt;
   Type a = type(), b = other.type();
   auto num_cmp = [](double x, double y) { return x < y ? -1 : (x > y ? 1 : 0); };

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <variant>
 
 namespace rddr::sqldb {
@@ -28,7 +29,7 @@ class Datum {
   static Datum floating(double d) { return Datum(d); }
   static Datum text(std::string s) { return Datum(std::move(s)); }
 
-  /// The alternatives of `v_` are declared in Type's order.
+  /// The alternatives of `v_` are declared in Type's order (checked below).
   Type type() const { return static_cast<Type>(v_.index()); }
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
 
@@ -45,11 +46,19 @@ class Datum {
   std::string to_text() const;
 
   /// Three-valued SQL comparison: nullopt when either side is NULL.
-  /// Numeric types compare numerically; text compares bytewise.
-  /// Cross-type text/number comparisons attempt numeric coercion of the
-  /// text side (Postgres would error; our subset coerces, which is enough
-  /// for the workloads and keeps both engines consistent).
-  std::optional<int> compare(const Datum& other) const;
+  /// Numeric types compare numerically (integers as doubles); text
+  /// compares bytewise. Cross-type text/number comparisons attempt numeric
+  /// coercion of the text side (Postgres would error; our subset coerces,
+  /// which is enough for the workloads and keeps both engines consistent).
+  /// The int/int case, the one every keyed predicate takes, is inline.
+  std::optional<int> compare(const Datum& other) const {
+    if (type() == Type::kInt && other.type() == Type::kInt) {
+      double x = static_cast<double>(as_int());
+      double y = static_cast<double>(other.as_int());
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    return compare_other(other);
+  }
 
   /// Equality for hashing/grouping: NULLs group together (SQL GROUP BY).
   bool group_equal(const Datum& other) const;
@@ -59,7 +68,20 @@ class Datum {
 
  private:
   using Value = std::variant<std::monostate, bool, int64_t, double, std::string>;
+  template <Type T, typename Alt>
+  static constexpr bool kAltIs =
+      std::is_same_v<std::variant_alternative_t<static_cast<size_t>(T), Value>,
+                     Alt>;
+  // type() casts the variant index to Type.
+  static_assert(kAltIs<Type::kNull, std::monostate> &&
+                kAltIs<Type::kBool, bool> && kAltIs<Type::kInt, int64_t> &&
+                kAltIs<Type::kFloat, double> &&
+                kAltIs<Type::kText, std::string> &&
+                std::variant_size_v<Value> == 5);
+
   explicit Datum(Value v) : v_(std::move(v)) {}
+  /// compare() for every pair but int/int.
+  std::optional<int> compare_other(const Datum& other) const;
 
   Value v_;
 };

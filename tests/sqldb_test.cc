@@ -403,6 +403,28 @@ TEST_F(EngineTest, FailedUpdateKeepsIndexConsistent) {
   EXPECT_EQ(r6.rows_scanned, 1);  // answered by the index
 }
 
+TEST_F(EngineTest, FailedInsertKeepsIndexConsistent) {
+  last(db, "CREATE TABLE k (id int, v text);");
+  db.find_table("k")->build_index("id");
+  // Row 1 is appended before row 2's value divides by zero; the engine
+  // keeps that partial effect, so the index must hold row 1 too, also
+  // after a later INSERT succeeds.
+  auto r = last(db, "INSERT INTO k VALUES (1,'a'),(2/0,'b');");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22012");
+  last(db, "INSERT INTO k VALUES (3,'c');");
+  for (int key : {1, 2, 3}) {
+    auto probe = last(db, strformat("SELECT v FROM k WHERE id = %d;", key));
+    auto scan = last(db, strformat("SELECT v FROM k WHERE id + 0 = %d;", key));
+    ASSERT_FALSE(probe.failed()) << probe.error_message;
+    EXPECT_EQ(probe.rows, scan.rows) << "id = " << key;
+  }
+  auto r1 = last(db, "SELECT v FROM k WHERE id = 1;");
+  ASSERT_EQ(r1.rows.size(), 1u);
+  EXPECT_EQ(r1.rows[0][0].value(), "a");
+  EXPECT_EQ(r1.rows_scanned, 1);  // answered by the index
+}
+
 TEST_F(EngineTest, FailedUpdateNotesItsPartiallyUpdatedRow) {
   struct Recorder : MutationListener {
     std::vector<size_t> updated;
