@@ -83,7 +83,6 @@ RunMetrics run_deployment(int n_instances, int clients) {
   opts.clients = clients;
   opts.transactions_per_client = static_cast<int>(queries.size());
   opts.metrics = &registry;
-  opts.metrics_prefix = "pool";
   opts.next_query = [&queries](Rng&, int, int tx) { return queries[static_cast<size_t>(tx)]; };
   opts.on_tx_complete = [&metrics](int, int tx, double ms) {
     metrics.per_query_latency[static_cast<size_t>(tx)].add(ms);

@@ -101,7 +101,6 @@ Measurement run_one(Deployment d, int clients) {
   opts.transactions_per_client = kTxPerClient;
   opts.seed = 5;
   opts.metrics = &registry;
-  opts.metrics_prefix = "pool";
   opts.next_query = [](Rng& rng, int, int) {
     return workloads::pgbench_select_tx(rng, kAccounts);
   };

@@ -40,8 +40,8 @@ if [ "${1:-}" = "--smoke" ]; then
   # 2.5x the pre-SIMD pairwise baseline of ~4.0e7, with ~25% headroom
   # below the 1.3-1.5e8 the batched engine measures on the reference
   # machine class (a shared vCPU whose run-to-run spread is ~10%). The
-  # regression class this guards against — losing vectorisation or the
-  # AVX->SSE transition-penalty bug — measured 3.3e7, far below it.
+  # regression class this guards against — a kernel losing its vector
+  # loop — measured 3.3e7 the one time it happened, far below it.
   DENOISE_FLOOR="${RDDR_DENOISE_FLOOR:-1.0e8}"
   DENOISE_ITEMS=$("$BUILD/bench/micro_hotpaths" \
       --benchmark_filter='BM_DenoiseTokenDetect/500$' \

@@ -171,7 +171,6 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
 
   core::ResyncOptions resync;
   resync.enabled = opts.resync_enabled;
-  resync.catch_up_sessions = opts.resync_enabled;
   resync.min_transfer_time = opts.resync_min_transfer;
   using WarmResult = core::ResyncOptions::WarmResult;
   resync.warm = [&, last_warm_source](size_t i) -> WarmResult {

@@ -253,21 +253,9 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
   if (rit != island_routers_.end())
     server_island = rit->second(meta, route_hint);
   if (server_island >= sim_.island_count()) server_island = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (listeners_.find(address) == listeners_.end()) {
-      RDDR_LOG_DEBUG("connect to %s refused (no listener)", address.c_str());
-      return nullptr;
-    }
-    auto depth_it = accept_queue_depth_.find(address);
-    if (depth_it != accept_queue_depth_.end() && depth_it->second > 0 &&
-        pending_accepts_[address] >= depth_it->second) {
-      accepts_refused_.fetch_add(1, std::memory_order_relaxed);
-      RDDR_LOG_DEBUG("connect to %s refused (accept queue full at %zu)",
-                     address.c_str(), depth_it->second);
-      return nullptr;
-    }
-    ++pending_accepts_[address];
+  if (!has_listener(address)) {
+    RDDR_LOG_DEBUG("connect to %s refused (no listener)", address.c_str());
+    return nullptr;
   }
   // Per-island id spaces (no cross-thread coordination; dense ids when
   // only island 0 exists).
@@ -304,9 +292,6 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
     AcceptHandler handler;
     {
       std::lock_guard<std::mutex> lock(net->mu_);
-      auto pend = net->pending_accepts_.find(addr);
-      if (pend != net->pending_accepts_.end() && pend->second > 0)
-        --pend->second;
       auto lit = net->listeners_.find(addr);
       if (lit != net->listeners_.end()) handler = lit->second;
     }
@@ -320,19 +305,6 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
     handler(server);
   });
   return client;
-}
-
-void Network::set_accept_queue_depth(const std::string& address,
-                                     size_t depth) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (depth > 0) accept_queue_depth_[address] = depth;
-  else accept_queue_depth_.erase(address);
-}
-
-size_t Network::accept_queue_len(const std::string& address) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pending_accepts_.find(address);
-  return it == pending_accepts_.end() ? 0 : it->second;
 }
 
 // ---- fault injection ----

@@ -256,26 +256,10 @@ class Network {
   bool has_listener(const std::string& address) const;
 
   /// Dials `address`. Returns the client half, or nullptr if nothing
-  /// listens there (connection refused), the address's accept queue is
-  /// full, or a fault refuses it. The listener's accept handler is
-  /// invoked after one link latency with the server half.
+  /// listens there (connection refused) or a fault refuses it. The
+  /// listener's accept handler is invoked after one link latency with the
+  /// server half; the accept backlog is unbounded.
   ConnPtr connect(const std::string& address, ConnectMeta meta = {});
-
-  /// Bounds the listener's accept queue (the SYN-backlog analogue): at
-  /// most `depth` connections may be dialed-but-not-yet-accepted at once;
-  /// further connects are refused deterministically (connect() returns
-  /// nullptr and `accepts_refused()` counts it). 0 (the default) restores
-  /// the historical unbounded behaviour. Survives listener replacement.
-  void set_accept_queue_depth(const std::string& address, size_t depth);
-
-  /// Connections currently dialed but not yet delivered to the accept
-  /// handler of `address`.
-  size_t accept_queue_len(const std::string& address) const;
-
-  /// Total connects refused because an accept queue was full.
-  uint64_t accepts_refused() const {
-    return accepts_refused_.load(std::memory_order_relaxed);
-  }
 
   /// Link latency applied to each direction of new connections.
   void set_default_latency(Time latency) { default_latency_ = latency; }
@@ -407,7 +391,6 @@ class Network {
   std::atomic<uint64_t> conns_opened_{0};
   std::atomic<uint64_t> payload_bytes_sent_{0};
   std::atomic<uint64_t> payload_bytes_copied_{0};
-  std::atomic<uint64_t> accepts_refused_{0};
   std::atomic<Time> min_latency_seen_{INT64_MAX};
   // Guards the maps that connect() (any island) and accept/listen events
   // (server islands) both touch. Never held while running user callbacks.
@@ -416,8 +399,6 @@ class Network {
   // during windows, which the barrier's acquire/release edges order.
   mutable std::mutex mu_;
   std::map<std::string, AcceptHandler> listeners_;
-  std::map<std::string, size_t> accept_queue_depth_;  // 0/absent = unbounded
-  std::map<std::string, size_t> pending_accepts_;
   std::map<std::string, IslandId> node_islands_;     // setup-time only
   std::map<std::string, IslandRouter> island_routers_;  // setup-time only
   std::vector<std::weak_ptr<Connection>> registry_;  // client halves

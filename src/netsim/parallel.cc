@@ -51,9 +51,6 @@ ParallelExecutor::ParallelExecutor(Simulator& sim, const ParallelOptions& opts)
   nthreads_ = std::min(nthreads_, islands);
   nthreads_ = std::max<size_t>(nthreads_, 1);
   if (opts_.min_lookahead < 1) opts_.min_lookahead = 1;
-  rngs_.reserve(islands);
-  Rng base(opts_.rng_seed);
-  for (size_t i = 0; i < islands; ++i) rngs_.push_back(base.fork(i));
   workers_.reserve(nthreads_ - 1);
   for (size_t w = 1; w < nthreads_; ++w)
     workers_.emplace_back([this, w] { worker_loop(w); });

@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "netsim/simulator.h"
 
 namespace rddr::obs {
@@ -64,9 +63,6 @@ struct ParallelOptions {
   /// latency is a valid conservative bound; re-sampling every window
   /// still lets a provider tighten or relax it dynamically.
   std::function<Time()> lookahead_provider;
-
-  /// Seed for the per-island RNG streams (island_rng()).
-  uint64_t rng_seed = 0x15a4d5;
 };
 
 struct ParallelStats {
@@ -111,12 +107,6 @@ class ParallelExecutor {
   const ParallelStats& stats() const { return stats_; }
   size_t thread_count() const { return nthreads_; }
 
-  /// Independent deterministic RNG stream for one island, forked from
-  /// options.rng_seed. Island-count-invariant consumers should prefer
-  /// their own per-component streams; this one is for island-scoped
-  /// machinery (diagnostics, sampling).
-  Rng& island_rng(IslandId island) { return rngs_[island]; }
-
   /// Publishes per-island observability into `reg` (updated at every
   /// barrier, from the coordinator — never from workers):
   ///   islands.events.<i>   counter  events executed by island i
@@ -141,7 +131,6 @@ class ParallelExecutor {
   size_t nthreads_;
   Time limit_ = INT64_MAX;  // exclusive bound while inside run_until
   ParallelStats stats_;
-  std::vector<Rng> rngs_;
 
   // Metrics handles (bound lazily; coordinator-only).
   std::vector<obs::Counter*> island_event_counters_;

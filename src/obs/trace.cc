@@ -136,11 +136,10 @@ std::string Tracer::export_events(const std::vector<const Span*>& order,
         // tid groups a trace's spans on one row (or one row per island in
         // by-island mode); the low 32 bits keep the number inside JS-safe
         // integer range for chrome://tracing.
-        "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-        "\"pid\":1,\"tid\":%llu,\"args\":{\"trace\":\"%016llx\","
-        "\"span\":%llu,\"parent\":%llu",
-        ("\"" + json::escape(s.name) + "\"").c_str(),
-        ("\"" + json::escape(s.category) + "\"").c_str(),
+        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
+        "\"dur\":%.3f,\"pid\":1,\"tid\":%llu,\"args\":{\"trace\":"
+        "\"%016llx\",\"span\":%llu,\"parent\":%llu",
+        json::escape(s.name).c_str(), json::escape(s.category).c_str(),
         static_cast<double>(s.start) / 1e3,
         static_cast<double>(end - s.start) / 1e3,
         static_cast<unsigned long long>(tid),

@@ -122,12 +122,6 @@ NVersionDeployment::Builder& NVersionDeployment::Builder::cpu_model(
   return *this;
 }
 
-NVersionDeployment::Builder& NVersionDeployment::Builder::delete_tokens(
-    bool on) {
-  incoming_.delete_tokens_after_use = on;
-  return *this;
-}
-
 NVersionDeployment::Builder& NVersionDeployment::Builder::signature_blocking(
     bool on, uint32_t threshold) {
   incoming_.signature_blocking = on;

@@ -79,8 +79,6 @@ class NVersionDeployment {
     Builder& diff(DiffEngineOptions d);
     /// CPU model for the de-noise+diff work (per compared unit / byte).
     Builder& cpu_model(double cpu_per_unit, double cpu_per_byte);
-    /// Whether ephemeral tokens are deleted after first use (default on).
-    Builder& delete_tokens(bool on = true);
     Builder& signature_blocking(bool on, uint32_t threshold = 1);
     /// Recovery: resync quarantined instances from a trusted peer before
     /// readmission (incoming proxy only; see ResyncOptions).

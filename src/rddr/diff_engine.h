@@ -9,8 +9,8 @@
 //   * each unit is canonicalised exactly once (ProtocolPlugin::
 //     canonicalize) into arena-backed line views;
 //   * the benign fast path scans first-divergence across ALL N responses
-//     in one interleaved vectorised pass (SSE2/AVX2/scalar, runtime
-//     dispatch — see rddr/diff_simd.h);
+//     in one interleaved vectorised pass (SSE2 or scalar — see
+//     rddr/diff_simd.h);
 //   * on divergence, the filter-pair mask is built once and every quorum
 //     subset verdict is derived from precomputed per-instance facts
 //     (masked-match bits + exact-equality classes) without re-comparing;
@@ -113,8 +113,9 @@ enum class VoteMode {
 /// NVersionDeployment::Builder::diff() down to every proxy and frontier
 /// shard.
 struct DiffEngineOptions {
-  /// Kernel selection: "auto" (CPUID), "scalar", "sse2", "avx2". The
-  /// RDDR_SIMD environment variable overrides this knob process-wide.
+  /// Kernel selection: "auto" (SSE2 where built for it), "scalar",
+  /// "sse2". The RDDR_SIMD environment variable overrides this knob
+  /// process-wide.
   std::string simd = "auto";
 };
 

@@ -3,9 +3,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__x86_64__) || defined(__i386__)
-#define RDDR_SIMD_X86 1
-#include <immintrin.h>
+#if defined(__SSE2__)
+#define RDDR_SIMD_SSE2 1
+#include <emmintrin.h>
 #endif
 
 namespace rddr::core::simd {
@@ -49,7 +49,7 @@ NwayHit nway_mismatch_scalar(const char* ref, const char* const* cands,
   return {n, SIZE_MAX};
 }
 
-#if RDDR_SIMD_X86
+#if RDDR_SIMD_SSE2
 
 // ---------------- SSE2 (x86-64 baseline) ----------------
 
@@ -137,124 +137,18 @@ NwayHit nway_mismatch_sse2(const char* ref, const char* const* cands,
   return {n, SIZE_MAX};
 }
 
-// ---------------- AVX2 (function-level target, CPUID-gated) ----------------
-
-__attribute__((target("avx2"))) inline uint32_t neq_mask32(const char* a,
-                                                           const char* b) {
-  __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-  __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-  return ~static_cast<uint32_t>(
-      _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-}
-
-// NOTE on the shape of every *_avx2 function below: the short-input
-// delegate comes FIRST (before any 256-bit register is touched), and the
-// tail delegate is preceded by an explicit _mm256_zeroupper(). The sse2
-// helpers are legacy-SSE encoded (they must run on AVX-less CPUs), so
-// calling them with dirty ymm upper halves makes every SSE instruction
-// pay the AVX->SSE transition penalty — measured at ~4x on the token
-// detection hot path before these guards existed. GCC emits vzeroupper
-// at returns but NOT before calls to these local helpers.
-__attribute__((target("avx2"))) size_t mismatch_avx2(const char* a,
-                                                     const char* b, size_t n) {
-  if (n < 32) return mismatch_sse2(a, b, n);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    uint32_t bad = neq_mask32(a + i, b + i);
-    if (bad) return i + static_cast<size_t>(__builtin_ctz(bad));
-  }
-  _mm256_zeroupper();
-  return i + mismatch_sse2(a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) size_t suffix_len_avx2(const char* a_end,
-                                                       const char* b_end,
-                                                       size_t n) {
-  if (n < 32) return suffix_len_sse2(a_end, b_end, n);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    uint32_t bad = neq_mask32(a_end - i - 32, b_end - i - 32);
-    if (bad)
-      return i + 31 - static_cast<size_t>(31 - __builtin_clz(bad));
-  }
-  _mm256_zeroupper();
-  return i + suffix_len_sse2(a_end - i, b_end - i, n - i);
-}
-
-__attribute__((target("avx2"))) inline uint32_t non_alnum_mask32(
-    const char* p) {
-  __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i digit =
-      _mm256_and_si256(_mm256_cmpgt_epi8(v, _mm256_set1_epi8('0' - 1)),
-                       _mm256_cmpgt_epi8(_mm256_set1_epi8('9' + 1), v));
-  __m256i lower = _mm256_or_si256(v, _mm256_set1_epi8(0x20));
-  __m256i alpha =
-      _mm256_and_si256(_mm256_cmpgt_epi8(lower, _mm256_set1_epi8('a' - 1)),
-                       _mm256_cmpgt_epi8(_mm256_set1_epi8('z' + 1), lower));
-  return ~static_cast<uint32_t>(
-      _mm256_movemask_epi8(_mm256_or_si256(digit, alpha)));
-}
-
-__attribute__((target("avx2"))) size_t find_non_alnum_avx2(const char* p,
-                                                           size_t n) {
-  if (n < 32) return find_non_alnum_sse2(p, n);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    uint32_t bad = non_alnum_mask32(p + i);
-    if (bad) return i + static_cast<size_t>(__builtin_ctz(bad));
-  }
-  _mm256_zeroupper();
-  return i + find_non_alnum_sse2(p + i, n - i);
-}
-
-__attribute__((target("avx2"))) NwayHit nway_mismatch_avx2(
-    const char* ref, const char* const* cands, size_t k, size_t n) {
-  if (n < 32) return nway_mismatch_sse2(ref, cands, k, n);
-  size_t off = 0;
-  for (; off + 32 <= n; off += 32) {
-    __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ref + off));
-    NwayHit best{n, SIZE_MAX};
-    for (size_t j = 0; j < k; ++j) {
-      __m256i c = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cands[j] + off));
-      uint32_t bad = ~static_cast<uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(r, c)));
-      if (bad) {
-        size_t at = off + static_cast<size_t>(__builtin_ctz(bad));
-        if (at < best.offset) best = {at, j};
-      }
-    }
-    if (best.instance != SIZE_MAX) return best;
-  }
-  if (off < n) {
-    _mm256_zeroupper();
-    NwayHit tail{n, SIZE_MAX};
-    for (size_t j = 0; j < k; ++j) {
-      size_t at =
-          off + mismatch_sse2(ref + off, cands[j] + off, n - off);
-      if (at < tail.offset) tail = {at, j};
-    }
-    if (tail.instance != SIZE_MAX && tail.offset < n) return tail;
-  }
-  return {n, SIZE_MAX};
-}
-
-#endif  // RDDR_SIMD_X86
+#endif  // RDDR_SIMD_SSE2
 
 const Ops kScalarOps = {Level::kScalar, mismatch_scalar, suffix_len_scalar,
                         find_non_alnum_scalar, nway_mismatch_scalar};
-#if RDDR_SIMD_X86
+#if RDDR_SIMD_SSE2
 const Ops kSse2Ops = {Level::kSse2, mismatch_sse2, suffix_len_sse2,
                       find_non_alnum_sse2, nway_mismatch_sse2};
-const Ops kAvx2Ops = {Level::kAvx2, mismatch_avx2, suffix_len_avx2,
-                      find_non_alnum_avx2, nway_mismatch_avx2};
 #endif
 
 Level parse_level_name(const char* s) {
   if (std::strcmp(s, "scalar") == 0) return Level::kScalar;
   if (std::strcmp(s, "sse2") == 0) return Level::kSse2;
-  if (std::strcmp(s, "avx2") == 0) return Level::kAvx2;
   return best_supported();  // "auto" and unknown spellings
 }
 
@@ -264,14 +158,13 @@ const char* level_name(Level l) {
   switch (l) {
     case Level::kScalar: return "scalar";
     case Level::kSse2: return "sse2";
-    case Level::kAvx2: return "avx2";
   }
   return "?";
 }
 
 Level best_supported() {
-#if RDDR_SIMD_X86
-  return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kSse2;
+#if RDDR_SIMD_SSE2
+  return Level::kSse2;
 #else
   return Level::kScalar;
 #endif
@@ -286,11 +179,10 @@ Level resolve_level(const std::string& knob) {
 }
 
 const Ops& ops(Level l) {
-#if RDDR_SIMD_X86
+#if RDDR_SIMD_SSE2
   switch (l) {
     case Level::kScalar: return kScalarOps;
     case Level::kSse2: return kSse2Ops;
-    case Level::kAvx2: return kAvx2Ops;
   }
 #endif
   (void)l;

@@ -1,11 +1,12 @@
-// Runtime-dispatched SIMD kernels for the diff-and-denoise data plane.
+// SIMD kernels for the diff-and-denoise data plane.
 //
-// Three implementations of each primitive — portable scalar, SSE2 and
-// AVX2 — selected at runtime from CPUID (or pinned via the RDDR_SIMD
-// environment variable / the DiffEngineOptions::simd knob). All levels
-// are bit-identical by contract: tests/rddr_diff_engine_test.cc runs a
-// seeded differential property suite asserting identical mismatch
-// offsets, masks and verdicts across every supported level.
+// Two implementations of each primitive — portable scalar and SSE2 (the
+// x86-64 baseline, so "auto" is SSE2 wherever the compiler targets it) —
+// selected per engine via the DiffEngineOptions::simd knob or pinned for
+// a whole run via the RDDR_SIMD environment variable. Both levels are
+// bit-identical by contract: tests/rddr_diff_engine_test.cc runs a seeded
+// differential property suite asserting identical mismatch offsets, masks
+// and verdicts across every supported level, with scalar as the oracle.
 //
 // The kernels are byte-exact replacements for the scalar loops the old
 // pairwise de-noise implementation used; none changes comparison semantics.
@@ -20,14 +21,14 @@
 
 namespace rddr::core::simd {
 
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kSse2 = 1 };
 
 const char* level_name(Level l);
 
-/// Highest level this CPU supports (kScalar on non-x86 builds).
+/// Highest level this build supports (kScalar without SSE2).
 Level best_supported();
 
-/// Maps a knob string ("auto", "scalar", "sse2", "avx2") to a level,
+/// Maps a knob string ("auto", "scalar", "sse2") to a level,
 /// clamped to best_supported(). The RDDR_SIMD environment variable, when
 /// set, overrides the knob (so CI can pin the path for a whole run).
 /// Unknown spellings resolve like "auto".

@@ -99,10 +99,6 @@ Frontier::Frontier(sim::Network& net, std::vector<sim::Host*> shard_hosts,
     st.admission_queue = metrics_->gauge(p + ".admission_queue");
   }
 
-  if (opts_.admission.accept_queue > 0) {
-    net_.set_accept_queue_depth(opts_.listen_address,
-                                opts_.admission.accept_queue);
-  }
   net_.listen(opts_.listen_address,
               [this](sim::ConnPtr c) { on_accept(std::move(c)); });
   // The shard is decided at dial time so the server half of the
@@ -121,7 +117,6 @@ Frontier::Frontier(sim::Network& net, std::vector<sim::Host*> shard_hosts,
 Frontier::~Frontier() {
   net_.unlisten(opts_.listen_address);
   net_.set_island_router(opts_.listen_address, nullptr);
-  net_.set_accept_queue_depth(opts_.listen_address, 0);
   for (auto& st : shard_state_) {
     if (st.token_wake_event) net_.simulator().cancel(st.token_wake_event);
     for (auto& w : st.queue) {
@@ -210,9 +205,6 @@ bool Frontier::try_admit(size_t k) {
   if (adm.rate_per_s > 0 && st.tokens < 1.0) return false;
   auto& in = shards_[k]->incoming();
   if (adm.max_sessions > 0 && in.active_sessions() >= adm.max_sessions)
-    return false;
-  if (adm.queued_units_watermark > 0 &&
-      in.pending_units() >= adm.queued_units_watermark)
     return false;
   if (adm.rate_per_s > 0) st.tokens -= 1.0;
   return true;

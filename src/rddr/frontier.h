@@ -19,15 +19,11 @@
 //    `shed_deadline` is rejected fast and protocol-correctly: the client
 //    receives ProtocolPlugin::overload_response() (e.g. SQLSTATE 53300,
 //    HTTP 503) instead of a hang or a raw close.
-//  * Backpressure — admission consults the shard's live load
-//    (active_sessions vs max_sessions, IncomingProxy::pending_units vs
-//    queued_units_watermark), so a saturated pool slows admission instead
-//    of growing unbounded internal queues; IncomingProxy::Config::
-//    on_load_change wakes the frontier when load drops.
-//  * Accept-queue depth — AdmissionOptions::accept_queue bounds the
-//    simulated kernel backlog of the public listener
-//    (Network::set_accept_queue_depth); overflow is refused before the
-//    frontier ever sees the connection.
+//  * Backpressure — admission consults the shard's live session count
+//    (IncomingProxy::active_sessions vs max_sessions), so a saturated
+//    pool slows admission instead of growing unbounded internal queues;
+//    IncomingProxy::Config::on_load_change wakes the frontier when load
+//    drops.
 //
 // Metrics (under "<name>."): offered, admitted, shed, shed_deadline,
 // shed_queue_full, shed_unroutable counters; queued_ms histogram

@@ -29,6 +29,11 @@ struct IncomingProxy::Session : NWayFlow {
 };
 
 namespace {
+// Resync transfer model (ResyncOptions): ~1 GB/s, and a journal bound
+// that keeps a long transfer window from buffering writes without limit.
+constexpr double kTransferSecondsPerByte = 1e-9;
+constexpr size_t kJournalMaxUnits = 256;
+
 const NWayProxy::Traits kResponseTraits = {
     "response", "closed while peers responded", "closed while peers responded",
     "instance response timeout", "response timeout", "quarantining it",
@@ -41,7 +46,6 @@ IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,
                 kResponseTraits),
       config_(std::move(config)) {
   token_state_.n_instances = config_.instance_addresses.size();
-  token_state_.delete_tokens_after_use = config_.delete_tokens_after_use;
   probe_events_.assign(config_.instance_addresses.size(), 0);
   dead_events_.assign(config_.instance_addresses.size(), 0);
   resync_.resize(config_.instance_addresses.size());
@@ -59,12 +63,8 @@ IncomingProxy::~IncomingProxy() {
   for (auto& rs : resync_) cancel_event(rs.complete_event);
 }
 
-void IncomingProxy::units_queued(uint64_t n) { queued_units_ += n; }
-
 void IncomingProxy::units_consumed(uint64_t n) {
-  if (n == 0) return;
-  queued_units_ = queued_units_ >= n ? queued_units_ - n : 0;
-  if (config_.on_load_change) config_.on_load_change();
+  if (n > 0 && config_.on_load_change) config_.on_load_change();
 }
 
 void IncomingProxy::lane_lost(NWayFlow&, size_t i) {
@@ -175,7 +175,7 @@ void IncomingProxy::begin_resync(size_t i) {
   sim::Time window = std::max(
       config_.resync.min_transfer_time,
       static_cast<sim::Time>(static_cast<double>(bytes) *
-                             config_.resync.transfer_seconds_per_byte *
+                             kTransferSecondsPerByte *
                              static_cast<double>(sim::kSecond)));
   RDDR_LOG_INFO("%s: instance %zu (%s) resyncing: %lld bytes warmed, "
                 "journaling writes for %lld ns",
@@ -211,7 +211,7 @@ void IncomingProxy::finish_resync(size_t i) {
   if (!rs.active) return;
   if (rs.overflow) {
     fail_resync(i, strformat("journal overflow (> %zu units)",
-                             config_.resync.journal_max_units));
+                             kJournalMaxUnits));
     return;
   }
   size_t replayed = 0;
@@ -261,7 +261,7 @@ void IncomingProxy::finish_resync(size_t i) {
 void IncomingProxy::journal_unit(size_t i, const Unit& u) {
   ResyncState& rs = resync_[i];
   if (rs.overflow) return;
-  if (rs.journal.size() >= config_.resync.journal_max_units) {
+  if (rs.journal.size() >= kJournalMaxUnits) {
     rs.overflow = true;  // finish_resync aborts; a later probe starts over
     return;
   }
@@ -525,8 +525,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
         if (!config_.plugin->replayable(u)) continue;
         if (resync_[i].active) {
           journal_unit(i, u);
-        } else if (config_.resync.enabled && config_.resync.catch_up_sessions &&
-                   health_.is_healthy(i)) {
+        } else if (config_.resync.enabled && health_.is_healthy(i)) {
           shadow_unit(s, i, u, ctx);
         }
       }
@@ -643,12 +642,8 @@ void IncomingProxy::release(NWayFlow& f) {
   s.close_lanes();
   for (auto& sh : s.shadows)
     if (sh && sh->is_open()) sh->close();
-  uint64_t still_queued = 0;
-  for (const Lane& l : s.lanes) still_queued += l.queue.size();
-  units_consumed(still_queued);
-  // Session count dropped: wake a backpressured front tier even when no
-  // units were pending.
-  if (still_queued == 0 && config_.on_load_change) config_.on_load_change();
+  // Session count dropped: wake a backpressured front tier.
+  if (config_.on_load_change) config_.on_load_change();
 }
 
 }  // namespace rddr::core

@@ -38,9 +38,10 @@ namespace rddr::core {
 /// peer (for sqldb: snapshot_database of the lowest healthy replica),
 /// request units arriving during the modelled transfer window are
 /// journaled (bounded) and replayed to the instance afterwards, and only
-/// then is the instance admitted to new sessions. Sessions that started
-/// while it was away keep it state-consistent via catch-up shadowing (see
-/// ResyncOptions::catch_up_sessions).
+/// then is the instance admitted to new sessions. After readmission,
+/// client units of sessions that opened while it was away are
+/// shadow-forwarded to it (responses discarded: catch-up shadowing), so
+/// long-lived write sessions cannot silently diverge its state.
 struct ResyncOptions {
   bool enabled = false;
   /// What one warm-up transfer did. `bytes` sizes the modeled transfer
@@ -59,20 +60,12 @@ struct ResyncOptions {
   /// was available or the load failed (the instance goes back to
   /// quarantine and a later probe retries).
   std::function<WarmResult(size_t instance)> warm;
-  /// Virtual-time model of the copy; admission is delayed by
-  /// max(min_transfer_time, bytes * transfer_seconds_per_byte) and the
-  /// journal covers writes landing inside that window.
-  double transfer_seconds_per_byte = 1e-9;  // ~1 GB/s
+  /// Virtual-time model of the copy: admission is delayed by
+  /// max(min_transfer_time, bytes at ~1 GB/s) and the journal (at most
+  /// 256 units; overflow aborts the resync back to quarantine, and the
+  /// next probe starts over with a fresher snapshot) covers writes
+  /// landing inside that window.
   sim::Time min_transfer_time = sim::kMillisecond;
-  /// Journal capacity in units; overflow aborts the resync (back to
-  /// quarantine; the next probe starts over with a fresher snapshot).
-  size_t journal_max_units = 256;
-  /// After readmission, client units of sessions that opened while the
-  /// instance was away are shadow-forwarded to it (responses discarded),
-  /// so long-lived write sessions cannot silently diverge its state.
-  /// Leave off for deployments with outgoing proxies: shadow traffic
-  /// would show up as extra backend flows.
-  bool catch_up_sessions = true;
 };
 
 class IncomingProxy : public NWayProxy {
@@ -86,7 +79,6 @@ class IncomingProxy : public NWayProxy {
     /// Addresses of the N protected-microservice instances. With
     /// `filter_pair`, instances 0 and 1 must be the identical-image pair.
     std::vector<std::string> instance_addresses;
-    bool delete_tokens_after_use = true;
     /// §IV-D's suggested mitigation ("automated signature generation to
     /// defeat an attacker who repetitively triggers divergence"): when
     /// enabled, the client request that preceded a divergence is
@@ -105,9 +97,10 @@ class IncomingProxy : public NWayProxy {
     std::function<void(size_t instance, const std::string& reason)>
         on_instance_dead;
     /// Queue-limit hook for a front tier: fired whenever this proxy's load
-    /// drops (a compare batch was dispatched, a session ended, queued
-    /// units were discarded), so backpressured admission can resume. May
-    /// fire mid-pump — defer real work to a fresh simulator event.
+    /// drops (a compare batch was dispatched or queued units were
+    /// discarded, and once per ended session), so backpressured admission
+    /// can resume. May fire mid-pump — defer real work to a fresh
+    /// simulator event.
     std::function<void()> on_load_change;
   };
 
@@ -124,11 +117,6 @@ class IncomingProxy : public NWayProxy {
 
   /// Live client sessions (backpressure signal).
   size_t active_sessions() const { return flows_.size(); }
-
-  /// Response units received from instances but not yet consumed by a
-  /// compare batch, summed over all sessions — the queue a saturated pool
-  /// grows. The other backpressure signal.
-  uint64_t pending_units() const { return queued_units_; }
 
   /// Swaps instance slot `i` to a freshly deployed replica at
   /// `new_address`. The slot starts quarantined with clean backoff state;
@@ -181,11 +169,10 @@ class IncomingProxy : public NWayProxy {
   void lost_quorum(const FlowPtr& f) override;
   bool outvoted(const FlowPtr& f, size_t slot) override;
   void pass_through(NWayFlow& f, ByteView data) override;
-  void units_queued(uint64_t n) override;
   void forward(const FlowPtr& f, const std::vector<Unit>& units,
                const CompareContext& ctx) override;
   SessionState* token_state(NWayFlow& f, size_t n) override;
-  /// Load accounting: the pending count, and on_load_change when it drops.
+  /// Fires on_load_change when a batch or discard consumed units.
   void units_consumed(uint64_t n) override;
   void note_intervention(NWayFlow& f) override;  // signature/path strikes
   void refuse(NWayFlow& f) override;  // the client gets the intervention page
@@ -209,7 +196,6 @@ class IncomingProxy : public NWayProxy {
   /// (Config::path_quarantine_threshold).
   std::map<uint64_t, uint32_t> path_strikes_;
   uint64_t next_session_id_ = 1;
-  uint64_t queued_units_ = 0;  // see pending_units()
 };
 
 }  // namespace rddr::core

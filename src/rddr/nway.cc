@@ -159,12 +159,7 @@ void NWayProxy::on_lane_data(const FlowPtr& f, size_t slot, ByteView data) {
     }
     return;
   }
-  uint64_t n = 0;
-  for (auto& u : framer.take()) {
-    f->lanes[slot].queue.push_back(std::move(u));
-    ++n;
-  }
-  units_queued(n);
+  for (auto& u : framer.take()) f->lanes[slot].queue.push_back(std::move(u));
   if (!traits_.arm_timer_in_pump) arm_unit_timeout(f);
   pump(f);
 }

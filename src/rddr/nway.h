@@ -155,8 +155,6 @@ class NWayProxy {
   virtual bool outvoted(const FlowPtr& f, size_t slot) = 0;
   /// Fail-open: forwards the survivor's raw bytes downstream.
   virtual void pass_through(NWayFlow& f, ByteView data) = 0;
-  /// A lane framed `n` more units.
-  virtual void units_queued(uint64_t /*n*/) {}
   /// Forwards the agreed batch and keeps the flow going.
   virtual void forward(const FlowPtr& f, const std::vector<Unit>& units,
                        const CompareContext& ctx) = 0;

@@ -37,17 +37,9 @@ struct AdmissionOptions {
   /// A queued connection not admitted within this deadline is shed with
   /// the plugin's overload response (fast, protocol-correct rejection).
   sim::Time shed_deadline = 5 * sim::kMillisecond;
-  /// netsim listener accept-queue depth for the public address (0 =
-  /// unbounded); overflow is refused at the (simulated) kernel, before
-  /// the proxy ever sees the connection.
-  size_t accept_queue = 0;
   /// Backpressure: stop admitting to a shard holding this many concurrent
   /// sessions (0 = unbounded).
   size_t max_sessions = 0;
-  /// Backpressure: stop admitting to a shard whose proxies have this many
-  /// response units queued but not yet compared (0 = off). A saturated
-  /// pool therefore slows admission instead of growing unbounded queues.
-  size_t queued_units_watermark = 0;
 };
 
 /// Configuration shared by both RDDR proxies. Defaults are the paper's

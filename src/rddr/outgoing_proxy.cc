@@ -46,9 +46,7 @@ size_t OutgoingProxy::source_index(const std::string& source) const {
 }
 
 size_t OutgoingProxy::min_members() const {
-  return config_.degradation == DegradationPolicy::kFailOpen
-             ? 1
-             : config_.min_group_size;
+  return config_.degradation == DegradationPolicy::kFailOpen ? 1 : 2;
 }
 
 size_t OutgoingProxy::expected_members() const {

@@ -12,7 +12,7 @@
 //
 // Under a non-strict DegradationPolicy an absent or crashed instance is a
 // fault, not an attack: groups complete with the instances that did show
-// up (down to `min_group_size`, or a single uncompared member under
+// up (down to two members, or a single uncompared member under
 // kFailOpen), mid-stream losses drop the member instead of the flow, and
 // a kQuorum majority outvotes a single divergent minority.
 //
@@ -48,13 +48,12 @@ class OutgoingProxy : public NWayProxy {
     /// connected, that is divergence-by-absence (e.g. one proxy variant
     /// refused the request the others forwarded).
     sim::Time group_window = 100 * sim::kMillisecond;
-    /// Smallest group a non-strict policy will still verify (kFailOpen
+    /// A non-strict policy still verifies a group of two (kFailOpen
     /// additionally passes a single surviving member through uncompared).
     /// `health` reconnect fields are unused here: instances dial in, so a
     /// quarantined source is re-admitted the moment it shows up in a new
     /// group; health is indexed like `instance_sources` (which must be set
     /// for per-instance tracking to engage).
-    size_t min_group_size = 2;
     /// Optional: pin instance order by ConnectMeta::source so the filter
     /// pair occupies slots 0 and 1 regardless of arrival order.
     std::vector<std::string> instance_sources;

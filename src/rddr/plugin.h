@@ -69,10 +69,8 @@ struct KnownVariance {
 struct SessionState {
   size_t n_instances = 0;
   /// canonical token -> per-instance tokens ([i] for instance i).
+  /// Tokens are deleted after one use (paper §IV-B3).
   std::map<std::string, std::vector<std::string>> tokens;
-  /// Tokens are deleted after one use (paper §IV-B3); the DVWA session
-  /// cookie style of reuse can disable this.
-  bool delete_tokens_after_use = true;
 };
 
 /// The canonical comparable form of one Unit, produced exactly once per

@@ -287,8 +287,7 @@ Bytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,
   }
   // "Because they are ephemeral, tokens are deleted after forwarding" —
   // once the LAST instance's copy was rewritten.
-  if (ctx.session->delete_tokens_after_use &&
-      instance + 1 == ctx.session->n_instances) {
+  if (instance + 1 == ctx.session->n_instances) {
     std::sort(used.begin(), used.end());
     used.erase(std::unique(used.begin(), used.end()), used.end());
     for (const auto& c : used) ctx.session->tokens.erase(c);

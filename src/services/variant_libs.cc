@@ -74,19 +74,18 @@ std::string md_render(std::string_view markdown, bool check_before_strip) {
           std::string text(rest.substr(i + 1, close - i - 1));
           std::string url(rest.substr(paren_open + 1,
                                       paren_close - paren_open - 1));
-          std::string final_url;
-          if (check_before_strip) {
-            // BUG (markdown2 / CVE-2020-11888 shape): the scheme check runs
-            // on the raw URL; control characters are stripped afterwards,
-            // re-fusing "java\x01script:" into "javascript:".
-            if (dangerous_scheme(url)) url = "#";
-            final_url = strip_controls(url);
-          } else {
-            final_url = strip_controls(url);
-            if (dangerous_scheme(final_url)) final_url = "#";
-          }
-          body += "<a href=\"" + html_escape(final_url) + "\">" +
-                  html_escape(text) + "</a>";
+          // BUG when check_before_strip (markdown2 / CVE-2020-11888
+          // shape): the scheme check runs on the raw URL while the link
+          // keeps the stripped one, re-fusing "java\x01script:" into
+          // "javascript:".
+          std::string final_url = strip_controls(url);
+          if (dangerous_scheme(check_before_strip ? url : final_url))
+            final_url = '#';
+          body += "<a href=\"";
+          body += html_escape(final_url);
+          body += "\">";
+          body += html_escape(text);
+          body += "</a>";
           i = paren_close + 1;
           continue;
         }

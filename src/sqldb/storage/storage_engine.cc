@@ -73,8 +73,10 @@ std::string StorageEngine::catalog_lines(const Database& db) const {
            strformat("\t%zu\t%d\t", fn.nargs, fn.notice_format ? 1 : 0) +
            escape_field(fn.notice_format ? *fn.notice_format : "") +
            strformat("\t%zu", fn.notice_args.size());
-    for (const auto& a : fn.notice_args)
-      out += "\t" + escape_field(a->to_string());
+    for (const auto& a : fn.notice_args) {
+      out += '\t';
+      out += escape_field(a->to_string());
+    }
     out += strformat("\t%d\t", fn.return_expr ? 1 : 0) +
            escape_field(fn.return_expr ? fn.return_expr->to_string() : "") +
            "\n";

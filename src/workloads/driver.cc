@@ -10,6 +10,9 @@ namespace rddr::workloads {
 
 namespace {
 
+/// The role every client connects as (minipg grants it table access).
+const char* const kUser = "postgres";
+
 struct PoolState {
   sim::Simulator& sim;
   const ClientPoolOptions& options;
@@ -73,10 +76,9 @@ PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
                            const ClientPoolOptions& options) {
   auto pool = std::make_shared<PoolState>(PoolState{sim, options, {}, -1, 0});
   if (options.metrics) {
-    const std::string& p = options.metrics_prefix;
-    pool->tx_ok = options.metrics->counter(p + ".tx_ok");
-    pool->tx_failed = options.metrics->counter(p + ".tx_failed");
-    pool->latency_hist = options.metrics->histogram(p + ".latency_ms");
+    pool->tx_ok = options.metrics->counter("pool.tx_ok");
+    pool->tx_failed = options.metrics->counter("pool.tx_failed");
+    pool->latency_hist = options.metrics->histogram("pool.latency_ms");
   }
   std::vector<std::shared_ptr<ClientState>> clients;
   Rng seeder(options.seed);
@@ -90,8 +92,8 @@ PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
       // record for this client's requests hangs off this id.
       meta.flow.trace_id = options.tracer->new_trace();
     }
-    c->client = std::make_unique<sqldb::PgClient>(net, options.address,
-                                                  options.user, meta);
+    c->client =
+        std::make_unique<sqldb::PgClient>(net, options.address, kUser, meta);
     clients.push_back(c);
   }
   pool->clients_remaining = options.clients;
@@ -106,13 +108,12 @@ PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
   if (options.metrics) {
     // Publish the EXACT aggregates of this run (same doubles PoolResult
     // reports), so registry consumers print identical numbers.
-    const std::string& p = options.metrics_prefix;
     const PoolResult& r = pool->result;
-    options.metrics->gauge(p + ".tps")->set(r.throughput_tps());
-    options.metrics->gauge(p + ".latency_mean_ms")->set(r.latency_ms.mean());
-    options.metrics->gauge(p + ".latency_p50_ms")
+    options.metrics->gauge("pool.tps")->set(r.throughput_tps());
+    options.metrics->gauge("pool.latency_mean_ms")->set(r.latency_ms.mean());
+    options.metrics->gauge("pool.latency_p50_ms")
         ->set(r.latency_ms.percentile(50));
-    options.metrics->gauge(p + ".elapsed_s")
+    options.metrics->gauge("pool.elapsed_s")
         ->set(static_cast<double>(r.elapsed) / 1e9);
   }
   return pool->result;
@@ -147,10 +148,10 @@ void open_loop_arrival(const std::shared_ptr<OpenLoopState>& st) {
   ++st->result.offered;
   ++st->outstanding;
   sim::ConnectMeta meta;
-  meta.source = strformat("%s-%d", st->options.source_prefix.c_str(), idx);
+  meta.source = strformat("open-client-%d", idx);
   if (st->options.tracer) meta.flow.trace_id = st->options.tracer->new_trace();
   auto client = std::make_unique<sqldb::PgClient>(
-      st->net, st->options.address, st->options.user, meta);
+      st->net, st->options.address, kUser, meta);
   auto* raw = client.get();
   st->clients.emplace(idx, std::move(client));
   std::string sql = st->options.next_query
@@ -191,10 +192,9 @@ OpenLoopResult run_open_loop(sim::Simulator& sim, sim::Network& net,
   auto st = std::make_shared<OpenLoopState>(sim, net, options);
   st->rng = Rng(options.seed);
   if (options.metrics) {
-    const std::string& p = options.metrics_prefix;
-    st->ok = options.metrics->counter(p + ".ok");
-    st->rejected = options.metrics->counter(p + ".rejected");
-    st->latency_hist = options.metrics->histogram(p + ".latency_ms");
+    st->ok = options.metrics->counter("openloop.ok");
+    st->rejected = options.metrics->counter("openloop.rejected");
+    st->latency_hist = options.metrics->histogram("openloop.latency_ms");
   }
   // Self-scheduling arrival chain: each arrival schedules the next after a
   // seeded exponential gap, independent of service completions (open loop).
@@ -213,14 +213,13 @@ OpenLoopResult run_open_loop(sim::Simulator& sim, sim::Network& net,
   st->result.elapsed =
       st->first_send >= 0 ? st->last_done - st->first_send : 0;
   if (options.metrics) {
-    const std::string& p = options.metrics_prefix;
     const OpenLoopResult& r = st->result;
-    options.metrics->gauge(p + ".goodput_tps")->set(r.goodput_tps());
-    options.metrics->gauge(p + ".latency_p50_ms")
+    options.metrics->gauge("openloop.goodput_tps")->set(r.goodput_tps());
+    options.metrics->gauge("openloop.latency_p50_ms")
         ->set(r.latency_ms.percentile(50));
-    options.metrics->gauge(p + ".rejection_p50_ms")
+    options.metrics->gauge("openloop.rejection_p50_ms")
         ->set(r.rejection_ms.percentile(50));
-    options.metrics->gauge(p + ".elapsed_s")
+    options.metrics->gauge("openloop.elapsed_s")
         ->set(static_cast<double>(r.elapsed) / 1e9);
   }
   return st->result;

@@ -16,8 +16,8 @@
 namespace rddr::workloads {
 
 struct ClientPoolOptions {
+  /// Clients connect as user "postgres".
   std::string address;
-  std::string user = "postgres";
   int clients = 1;
   int transactions_per_client = 100;
   /// Produces the next SQL text for a client (called per transaction).
@@ -27,13 +27,12 @@ struct ClientPoolOptions {
   std::function<void(int client_id, int tx_index, double latency_ms)>
       on_tx_complete;
   uint64_t seed = 1;
-  /// Optional registry: the pool publishes "<prefix>.tx_ok"/".tx_failed"
-  /// counters, a "<prefix>.latency_ms" histogram, and — at completion —
-  /// gauges holding the exact PoolResult aggregates ("<prefix>.tps",
+  /// Optional registry: the pool publishes "pool.tx_ok"/".tx_failed"
+  /// counters, a "pool.latency_ms" histogram, and — at completion —
+  /// gauges holding the exact PoolResult aggregates ("pool.tps",
   /// ".latency_mean_ms", ".latency_p50_ms", ".elapsed_s"), so figure
   /// drivers can read the registry instead of re-deriving numbers.
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "pool";
   /// Optional tracer: each client connection becomes one trace whose id is
   /// carried to the server/proxy via ConnectMeta, linking the pool's
   /// requests to "session" and "db.query" spans downstream.
@@ -65,8 +64,10 @@ PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
 /// closed-loop pool self-throttles and can never drive a server past its
 /// capacity, hiding exactly the regime admission control exists for.
 struct OpenLoopOptions {
+  /// Arrival i connects as user "postgres" with ConnectMeta::source
+  /// "open-client-<i>": distinct sources spread sessions across a
+  /// Frontier's shards.
   std::string address;
-  std::string user = "postgres";
   /// Mean arrival rate (requests/second of virtual time).
   double rate_per_s = 1000;
   /// Total arrivals to generate.
@@ -74,15 +75,11 @@ struct OpenLoopOptions {
   /// SQL for arrival `req_index` (called once per arrival).
   std::function<std::string(Rng&, int req_index)> next_query;
   uint64_t seed = 1;
-  /// ConnectMeta::source per arrival: "<source_prefix>-<req_index>".
-  /// Distinct sources spread sessions across a Frontier's shards.
-  std::string source_prefix = "open-client";
-  /// Optional registry: publishes "<prefix>.ok"/".rejected" counters and a
-  /// "<prefix>.latency_ms" histogram live, plus exact-aggregate gauges at
+  /// Optional registry: publishes "openloop.ok"/".rejected" counters and a
+  /// "openloop.latency_ms" histogram live, plus exact-aggregate gauges at
   /// completion (".goodput_tps", ".latency_p50_ms", ".rejection_p50_ms",
   /// ".elapsed_s").
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "openloop";
   obs::Tracer* tracer = nullptr;
 };
 
@@ -90,8 +87,8 @@ struct OpenLoopResult {
   uint64_t offered = 0;    // arrivals generated
   uint64_t completed = 0;  // queries answered successfully
   /// Arrivals that got an error or lost the connection before an answer —
-  /// shed by the front tier, refused at the accept queue, or failed by the
-  /// pool. A fast rejection is the design goal; `rejection_ms` measures it.
+  /// shed by the front tier, refused, or failed by the pool. A fast
+  /// rejection is the design goal; `rejection_ms` measures it.
   uint64_t rejected = 0;
   SampleStats latency_ms;    // successful requests, send -> answer
   SampleStats rejection_ms;  // rejected requests, send -> rejection

@@ -105,7 +105,6 @@ Fig5Point run_fig5_rddr_point() {
   opts.transactions_per_client = 100;
   opts.seed = 5;
   opts.metrics = &registry;
-  opts.metrics_prefix = "pool";
   opts.next_query = [](Rng& rng, int, int) {
     return workloads::pgbench_select_tx(rng, 20000);
   };

@@ -100,39 +100,6 @@ TEST_F(NetworkTest, AcceptQueueUnboundedByDefault) {
   for (const auto& c : conns) EXPECT_NE(c, nullptr);
   sim.run_until_idle();
   EXPECT_EQ(accepted, 100);
-  EXPECT_EQ(net.accepts_refused(), 0u);
-}
-
-TEST_F(NetworkTest, AcceptQueueDepthRefusesOverflowDeterministically) {
-  int accepted = 0;
-  net.listen("svc:80", [&](ConnPtr) { ++accepted; });
-  net.set_accept_queue_depth("svc:80", 2);
-  // Three simultaneous connects: the accept events are still in flight, so
-  // the third arrival finds the backlog full and is refused synchronously.
-  auto c1 = net.connect("svc:80");
-  auto c2 = net.connect("svc:80");
-  EXPECT_EQ(net.accept_queue_len("svc:80"), 2u);
-  auto c3 = net.connect("svc:80");
-  EXPECT_NE(c1, nullptr);
-  EXPECT_NE(c2, nullptr);
-  EXPECT_EQ(c3, nullptr);
-  EXPECT_EQ(net.accepts_refused(), 1u);
-  sim.run_until_idle();
-  EXPECT_EQ(accepted, 2);
-  // Once the backlog drained, new connects are accepted again.
-  EXPECT_EQ(net.accept_queue_len("svc:80"), 0u);
-  auto c4 = net.connect("svc:80");
-  EXPECT_NE(c4, nullptr);
-  sim.run_until_idle();
-  EXPECT_EQ(accepted, 3);
-  // Depth 0 restores unbounded accepts.
-  net.set_accept_queue_depth("svc:80", 0);
-  std::vector<ConnPtr> burst;
-  for (int i = 0; i < 10; ++i) burst.push_back(net.connect("svc:80"));
-  for (const auto& c : burst) EXPECT_NE(c, nullptr);
-  sim.run_until_idle();
-  EXPECT_EQ(accepted, 13);
-  EXPECT_EQ(net.accepts_refused(), 1u);
 }
 
 TEST_F(NetworkTest, FifoOrderingPreserved) {

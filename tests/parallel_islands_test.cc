@@ -298,7 +298,6 @@ std::string run_scaleout_fingerprint(size_t islands) {
   opts.transactions_per_client = 12;
   opts.seed = 5;
   opts.metrics = &registry;
-  opts.metrics_prefix = "pool";
   opts.tracer = &tracer;
   opts.next_query = [](Rng& rng, int, int) {
     return workloads::pgbench_select_tx(rng, 200);

@@ -1,11 +1,11 @@
 // Differential property tests for the batched DiffEngine data plane.
 //
-// The SIMD kernels (scalar / SSE2 / AVX2, rddr/diff_simd.h) are
+// The SIMD kernels (scalar / SSE2, rddr/diff_simd.h) are
 // bit-identical by contract. This suite enforces that contract three
 // ways:
 //   1. kernel level: every supported Ops table vs naive in-test
 //      references, on adversarial buffers (differences planted on and
-//      around 16/32-byte lane boundaries);
+//      around 16-byte lane boundaries and their multiples);
 //   2. primitive level: masks, masked checks and token detection agree
 //      across levels on seeded random + adversarial corpora;
 //   3. engine level: full batched verdicts (strict and quorum) agree
@@ -87,7 +87,7 @@ std::vector<std::string> supported_knobs() {
   return out;
 }
 
-// Offsets that straddle the 16-byte (SSE2) and 32-byte (AVX2) lanes.
+// Offsets that straddle the 16-byte SSE2 lanes and their multiples.
 const size_t kLaneOffsets[] = {0,  1,  14, 15, 16, 17, 30, 31,
                                32, 33, 47, 48, 63, 64, 65, 100};
 

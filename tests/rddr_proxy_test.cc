@@ -102,6 +102,42 @@ TEST_F(ProxyTest, DivergenceBlockedWithInterventionPage) {
   ASSERT_EQ(bus.count(), 1u);
 }
 
+TEST_F(ProxyTest, LoadChangeFiresPerComparedBatchAndOncePerRelease) {
+  // A front tier drains its admission queue on these wakeups: one per
+  // compare batch that consumed queued units, and exactly one when a
+  // session is released.
+  auto i0 = make_instance("svc-0:80", "same answer");
+  auto i1 = make_instance("svc-1:80", "same answer");
+  auto i2 = make_instance("svc-2:80", "same answer");
+
+  int wakeups = 0;
+  IncomingProxy::Config cfg;
+  cfg.listen_address = "svc:80";
+  cfg.instance_addresses = {"svc-0:80", "svc-1:80", "svc-2:80"};
+  cfg.plugin = std::make_shared<HttpPlugin>();
+  cfg.on_load_change = [&wakeups] { ++wakeups; };
+  IncomingProxy proxy(net, host, cfg);
+
+  // Three keep-alive requests on one session: three compared batches.
+  auto client = net.connect("svc:80", {.source = "client"});
+  ASSERT_NE(client, nullptr);
+  Bytes got;
+  client->set_on_data([&got](ByteView d) { got += Bytes(d); });
+  for (int k = 0; k < 3; ++k)
+    client->send("GET / HTTP/1.1\r\nHost: svc\r\n\r\n");
+  sim.run_until_idle();
+  EXPECT_EQ(proxy.stats().units_compared, 3u);
+  EXPECT_EQ(proxy.active_sessions(), 1u);
+  EXPECT_EQ(wakeups, 3);
+
+  // Closing the session releases it: exactly one more wakeup.
+  client->close();
+  sim.run_until_idle();
+  EXPECT_EQ(proxy.active_sessions(), 0u);
+  EXPECT_EQ(wakeups, 4);
+  EXPECT_EQ(proxy.stats().divergences, 0u);
+}
+
 TEST_F(ProxyTest, InstanceConnectionRefusedIsUnavailabilityNotDivergence) {
   auto i0 = make_instance("svc-0:80", "x");
   // svc-1:80 does not exist. An unreachable instance is a fault, not an
@@ -533,7 +569,7 @@ TEST_F(ProxyTest, OutgoingProxyGroupWindowCatchesMissingInstance) {
   // kStrict: an instance that never dials in is divergence-by-absence.
   // Non-strict policies treat a no-show as unavailability: the window
   // completes the group with whoever came, down to the floor
-  // (min_group_size for kQuorum, one uncompared member for kFailOpen).
+  // (two for kQuorum, one uncompared member for kFailOpen).
   struct Case {
     DegradationPolicy policy;
     size_t joined;

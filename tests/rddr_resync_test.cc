@@ -47,7 +47,8 @@ class ResyncTest : public ::testing::Test {
 
   /// Deploys pg-0..pg-2 behind a kQuorum incoming proxy with resync on.
   void build_deployment(ResyncOptions resync,
-                        uint32_t reconnect_max_attempts = 0) {
+                        uint32_t reconnect_max_attempts = 0,
+                        obs::Tracer* tracer = nullptr) {
     std::vector<std::string> addresses = orch.deploy_replicas(
         "pg", "minipg", {"13.0", "13.0", "13.0"}, "db-host", 5432);
     names.clear();
@@ -86,6 +87,7 @@ class ResyncTest : public ::testing::Test {
               .resync(resync)
               .on_instance_dead(
                   [this](size_t slot, const std::string&) { replace(slot); })
+              .trace(tracer)
               .build(net, orch.host("proxy-host"));
   }
 
@@ -228,6 +230,104 @@ TEST_F(ResyncTest, WritesDuringTransferWindowAreJournaled) {
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->dump_snapshot(), b->dump_snapshot());
+}
+
+TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
+  ResyncOptions resync;
+  resync.enabled = true;
+  // A wide transfer window under a back-to-back writer: far more than the
+  // journal's 256 units land inside it.
+  resync.min_transfer_time = 1 * sim::kSecond;
+  obs::Tracer tracer([this] { return sim.now(); }, /*seed=*/3);
+  build_deployment(resync, /*reconnect_max_attempts=*/0, &tracer);
+  const HealthTracker& health = dep->incoming().health();
+
+  // pg-0 crashes before the writer connects (so the writer's session
+  // quarantines it) and is back before the first probe succeeds.
+  sim.schedule_at(100 * sim::kMillisecond, [this] { orch.crash("pg-0"); });
+  sim.schedule_at(300 * sim::kMillisecond, [this] { orch.restart("pg-0"); });
+
+  // The writer runs until the overflowed resync has put pg-0 back into
+  // quarantine, then stops, so the retry transfers with an idle journal.
+  std::unique_ptr<sqldb::PgClient> writer;
+  uint64_t writes_ok = 0;
+  bool overflow_seen = false;
+  ProxyStats at_overflow;
+  Rng rng(23);
+  auto step = std::make_shared<std::function<void()>>();
+  *step = [&, step] {
+    if (dep->incoming().stats().resyncs >= 1 &&
+        health.state(0) == HealthTracker::State::kQuarantined) {
+      overflow_seen = true;
+      at_overflow = dep->incoming().stats();
+      writer->close();
+      return;
+    }
+    int aid = 1 + static_cast<int>(rng.next() % kAccounts);
+    writer->query(strformat("UPDATE pgbench_accounts SET abalance = "
+                            "abalance + 1 WHERE aid = %d",
+                            aid),
+                  [&, step](sqldb::QueryOutcome o) {
+                    if (!o.failed()) ++writes_ok;
+                    sim.schedule(sim::kMillisecond, [step] { (*step)(); });
+                  });
+  };
+  sim.schedule_at(200 * sim::kMillisecond, [&, step] {
+    writer = std::make_unique<sqldb::PgClient>(net, "writer", "front:5432",
+                                               "postgres");
+    (*step)();
+  });
+
+  // Readmission must never happen with partial state: the first time
+  // pg-0 is seen healthy again, its database already equals a peer's.
+  int readmitted_after_resyncs = -1;
+  bool equal_at_readmission = false;
+  bool was_out = false;
+  auto watch = std::make_shared<std::function<void()>>();
+  *watch = [&, watch] {
+    was_out = was_out || !health.is_healthy(0);
+    if (was_out && health.is_healthy(0)) {
+      readmitted_after_resyncs =
+          static_cast<int>(dep->incoming().stats().resyncs);
+      equal_at_readmission = orch.get<sqldb::SqlServer>("pg-0")
+                                 ->dump_snapshot() ==
+                             orch.get<sqldb::SqlServer>("pg-1")
+                                 ->dump_snapshot();
+      return;
+    }
+    sim.schedule(sim::kMillisecond, [watch] { (*watch)(); });
+  };
+  sim.schedule_at(0, [watch] { (*watch)(); });
+  sim.run_until(20 * sim::kSecond);
+
+  // The first resync overflowed its journal: back to quarantine, nothing
+  // replayed, never readmitted.
+  ASSERT_TRUE(overflow_seen);
+  EXPECT_GT(writes_ok, 256u);
+  EXPECT_EQ(at_overflow.resyncs, 1u);
+  EXPECT_EQ(at_overflow.reconnects, 0u);
+  EXPECT_EQ(at_overflow.journal_replayed_requests, 0u);
+  size_t overflowed = 0;
+  for (const obs::Span& sp : tracer.all_spans()) {
+    if (sp.name != "resync") continue;
+    for (const auto& [k, v] : sp.tags)
+      if (k == "failed" && v == "journal overflow (> 256 units)") ++overflowed;
+  }
+  EXPECT_EQ(overflowed, 1u);
+
+  // A later probe completed the resync: full N, one readmission, and the
+  // replicas agree.
+  EXPECT_EQ(readmitted_after_resyncs, 2);
+  EXPECT_TRUE(equal_at_readmission);
+  EXPECT_EQ(health.healthy_count(), 3u);
+  auto stats = dep->incoming().stats();
+  EXPECT_EQ(stats.resyncs, 2u);
+  EXPECT_EQ(stats.reconnects, 1u);
+  EXPECT_EQ(dep->divergences(), 0u);
+  EXPECT_EQ(stats.quorum_outvotes, 0u);
+  const std::string snap = orch.get<sqldb::SqlServer>("pg-0")->dump_snapshot();
+  EXPECT_EQ(snap, orch.get<sqldb::SqlServer>("pg-1")->dump_snapshot());
+  EXPECT_EQ(snap, orch.get<sqldb::SqlServer>("pg-2")->dump_snapshot());
 }
 
 TEST_F(ResyncTest, ResyncDisabledReadmitsWithoutTransfer) {

@@ -28,11 +28,12 @@ for preset in asan ubsan; do
 
   # Diff data-plane property suite with the kernel level pinned at both
   # extremes (RDDR_SIMD overrides the engine knob process-wide): the
-  # scalar run proves the portable path, the avx2 run puts the widest
-  # vector kernels under the sanitizer. The kernel-table differential
-  # tests inside exercise every supported level regardless of the pin.
+  # scalar run proves the portable path, the sse2 run puts the widest
+  # (and only) vector kernels under the sanitizer. The kernel-table
+  # differential tests inside exercise every supported level regardless
+  # of the pin.
   RDDR_SIMD=scalar "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
-  RDDR_SIMD=avx2 "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
+  RDDR_SIMD=sse2 "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
 
   # Observability smoke under the sanitizers: a seeded divergence run must
   # close every span and tag the outvoted instance (exits nonzero if not).

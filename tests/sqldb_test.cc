@@ -339,7 +339,7 @@ TEST_F(EngineTest, IndexedLookupMatchesFullScan) {
   last(db, "CREATE TABLE k (id int, v text);");
   TableData* t = db.find_table("k");
   for (int i = 0; i < 1000; ++i)
-    t->rows.push_back({Datum::integer(i), Datum::text("v" + std::to_string(i))});
+    t->rows.push_back({Datum::integer(i), Datum::text(strformat("v%d", i))});
   t->build_index("id");
   auto r = last(db, "SELECT v FROM k WHERE id = 437;");
   ASSERT_EQ(r.rows.size(), 1u);
