@@ -243,6 +243,22 @@ void BM_SqlParseOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlParseOnly);
 
+// The pgbench -S point SELECT, parse only: the text every backend parses
+// once per pgbench-ro transaction. Texts are generated up front so the
+// loop times the parser, not the formatting.
+void BM_SqlParsePointSelect(benchmark::State& state) {
+  Rng rng(4);
+  std::vector<std::string> texts;
+  for (int i = 0; i < 1024; ++i)
+    texts.push_back(workloads::pgbench_select_tx(rng, 20000));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sqldb::parse_sql(texts[i]));
+    i = (i + 1) % texts.size();
+  }
+}
+BENCHMARK(BM_SqlParsePointSelect);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -222,7 +222,7 @@ Session::Session(Database& db, std::string user)
   settings_["client_min_messages"] = "notice";
 }
 
-std::string Session::setting(const std::string& name) const {
+std::string Session::setting(std::string_view name) const {
   auto it = settings_.find(name);
   return it == settings_.end() ? "" : it->second;
 }

@@ -17,11 +17,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -274,7 +276,7 @@ class Session {
   bool is_superuser() const { return user_ == "postgres"; }
 
   /// Current value of a session setting ("" when unset).
-  std::string setting(const std::string& name) const;
+  std::string setting(std::string_view name) const;
 
  private:
   StatementResult run_statement(const Statement& st);
@@ -294,7 +296,7 @@ class Session {
 
   Database& db_;
   std::string user_;
-  std::map<std::string, std::string> settings_;
+  std::map<std::string, std::string, std::less<>> settings_;
 };
 
 }  // namespace rddr::sqldb

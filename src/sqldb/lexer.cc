@@ -1,6 +1,9 @@
 #include "sqldb/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cassert>
+#include <cstdint>
+#include <cstring>
 
 #include "common/strutil.h"
 
@@ -8,27 +11,82 @@ namespace rddr::sqldb {
 
 namespace {
 
-bool is_op_char(char c) {
-  return std::string_view("+-*/<>=~!@#%^&|?").find(c) != std::string_view::npos;
+// Byte classes, matching <cctype> in the "C" locale the repo runs under.
+enum : uint8_t { kSpace = 1, kDigit = 2, kAlpha = 4, kOp = 8 };
+
+constexpr std::array<uint8_t, 256> kClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (char c : std::string_view(" \t\n\v\f\r"))
+    t[static_cast<uint8_t>(c)] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kDigit;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = t[c - 'a' + 'A'] = kAlpha;
+  t['_'] = kAlpha;
+  for (char c : std::string_view("+-*/<>=~!@#%^&|?"))
+    t[static_cast<uint8_t>(c)] = kOp;
+  return t;
+}();
+
+bool is(char c, uint8_t cls) { return kClass[static_cast<uint8_t>(c)] & cls; }
+
+bool is_digit(char c) { return is(c, kDigit); }
+
+/// Whether a token can start at a byte of class `cls` right after a byte of
+/// class `prev`. It starts only at a non-space byte, and never at a letter,
+/// digit or '_' after a letter or '_', nor at a digit after a digit: the
+/// identifier, number or $n before it would have taken that byte (a number
+/// never ends in a letter, and quoted forms end in their quote).
+constexpr auto kMayStart = [] {
+  std::array<std::array<uint8_t, 16>, 16> t{};
+  for (int prev = 0; prev < 16; ++prev)
+    for (int cls = 0; cls < 16; ++cls)
+      t[prev][cls] = !(cls & kSpace) &&
+                     !((prev & kAlpha) && (cls & (kAlpha | kDigit))) &&
+                     !((prev & kDigit) && (cls & kDigit));
+  return t;
+}();
+
+/// An upper bound on the tokens `lex_sql` emits for `sql`, kEnd included.
+/// Bytes inside literals and comments count too, which only loosens it.
+size_t token_bound(std::string_view sql) {
+  size_t bound = 1;
+  uint8_t prev = kSpace;
+  for (char c : sql) {
+    uint8_t cls = kClass[static_cast<uint8_t>(c)];
+    bound += kMayStart[prev][cls];
+    prev = cls;
+  }
+  return bound;
 }
 
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+/// ASCII lowercase, branch-free: only 'A'..'Z' change.
+char lower(char c) {
+  return static_cast<char>(
+      c + (static_cast<unsigned char>(c - 'A') < 26 ? 'a' - 'A' : 0));
 }
 
 }  // namespace
 
-Result<std::vector<Token>> lex_sql(std::string_view sql) {
-  std::vector<Token> out;
-  size_t i = 0;
+Result<TokenList> lex_sql(std::string_view sql) {
   const size_t n = sql.size();
+  if (n >= UINT32_MAX) return Err("query text too long");
+  TokenList list;
+  // Scanning reads `sql`; normalization writes the same offsets of `buf`
+  // (or, for '' escapes, lower ones), so it never disturbs unread input.
+  list.buf_ = std::make_unique_for_overwrite<char[]>(n);
+  char* buf = list.buf_.get();
+  if (n) std::memcpy(buf, sql.data(), n);
+  // Reserve the bound once, so the array never grows; a short query gets
+  // a small array, which malloc serves from its per-size caches.
+  std::vector<Token>& out = list.toks_;
+  const size_t bound = token_bound(sql);
+  out.reserve(bound);
+  auto view = [buf](size_t start, size_t end) {
+    return std::string_view(buf + start, end - start);
+  };
+  size_t i = 0;
   while (i < n) {
     char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is(c, kSpace)) {
       ++i;
       continue;
     }
@@ -45,14 +103,14 @@ Result<std::vector<Token>> lex_sql(std::string_view sql) {
       i = end + 2;
       continue;
     }
-    Token tok;
-    tok.offset = i;
-    if (is_ident_start(c)) {
+    Token& tok = out.emplace_back();
+    tok.offset = static_cast<uint32_t>(i);
+    if (is(c, kAlpha)) {
       size_t start = i;
-      while (i < n && is_ident_char(sql[i])) ++i;
+      for (; i < n && is(sql[i], kAlpha | kDigit); ++i)
+        buf[i] = lower(sql[i]);
       tok.kind = TokKind::kIdent;
-      tok.text = to_lower(sql.substr(start, i - start));
-      out.push_back(std::move(tok));
+      tok.text = view(start, i);
       continue;
     }
     if (c == '"') {
@@ -60,27 +118,24 @@ Result<std::vector<Token>> lex_sql(std::string_view sql) {
       if (end == std::string_view::npos)
         return Err("unterminated quoted identifier");
       tok.kind = TokKind::kIdent;
-      tok.text = std::string(sql.substr(i + 1, end - i - 1));
+      tok.text = view(i + 1, end);
       i = end + 1;
-      out.push_back(std::move(tok));
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
+    if (is_digit(c) || (c == '.' && i + 1 < n && is_digit(sql[i + 1]))) {
       size_t start = i;
       bool seen_dot = false, seen_exp = false;
       while (i < n) {
         char d = sql[i];
-        if (std::isdigit(static_cast<unsigned char>(d))) {
+        if (is_digit(d)) {
           ++i;
         } else if (d == '.' && !seen_dot && !seen_exp) {
           seen_dot = true;
           ++i;
         } else if ((d == 'e' || d == 'E') && !seen_exp && i + 1 < n &&
-                   (std::isdigit(static_cast<unsigned char>(sql[i + 1])) ||
+                   (is_digit(sql[i + 1]) ||
                     ((sql[i + 1] == '+' || sql[i + 1] == '-') && i + 2 < n &&
-                     std::isdigit(static_cast<unsigned char>(sql[i + 2]))))) {
+                     is_digit(sql[i + 2])))) {
           seen_exp = true;
           i += (sql[i + 1] == '+' || sql[i + 1] == '-') ? 2 : 1;
         } else {
@@ -88,19 +143,19 @@ Result<std::vector<Token>> lex_sql(std::string_view sql) {
         }
       }
       tok.kind = TokKind::kNumber;
-      tok.text = std::string(sql.substr(start, i - start));
-      out.push_back(std::move(tok));
+      tok.text = view(start, i);
       continue;
     }
     if (c == '\'') {
-      // Standard SQL string: '' is an escaped quote.
-      std::string content;
-      ++i;
+      // Standard SQL string: '' is an escaped quote. Unescaping only
+      // shortens the content, so it compacts in place behind the scan.
+      size_t start = ++i;
+      size_t w = start;
       bool closed = false;
       while (i < n) {
         if (sql[i] == '\'') {
           if (i + 1 < n && sql[i + 1] == '\'') {
-            content.push_back('\'');
+            buf[w++] = '\'';
             i += 2;
             continue;
           }
@@ -108,23 +163,20 @@ Result<std::vector<Token>> lex_sql(std::string_view sql) {
           closed = true;
           break;
         }
-        content.push_back(sql[i]);
-        ++i;
+        buf[w++] = sql[i++];
       }
       if (!closed) return Err("unterminated string literal");
       tok.kind = TokKind::kString;
-      tok.text = std::move(content);
-      out.push_back(std::move(tok));
+      tok.text = view(start, w);
       continue;
     }
     if (c == '$') {
       // $n parameter or $$dollar-quoted body$$.
-      if (i + 1 < n && std::isdigit(static_cast<unsigned char>(sql[i + 1]))) {
+      if (i + 1 < n && is_digit(sql[i + 1])) {
         size_t start = ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
+        while (i < n && is_digit(sql[i])) ++i;
         tok.kind = TokKind::kParam;
-        tok.text = std::string(sql.substr(start, i - start));
-        out.push_back(std::move(tok));
+        tok.text = view(start, i);
         continue;
       }
       if (i + 1 < n && sql[i + 1] == '$') {
@@ -132,9 +184,8 @@ Result<std::vector<Token>> lex_sql(std::string_view sql) {
         if (end == std::string_view::npos)
           return Err("unterminated dollar-quoted string");
         tok.kind = TokKind::kString;
-        tok.text = std::string(sql.substr(i + 2, end - i - 2));
+        tok.text = view(i + 2, end);
         i = end + 2;
-        out.push_back(std::move(tok));
         continue;
       }
       return Err("stray '$'");
@@ -146,27 +197,27 @@ Result<std::vector<Token>> lex_sql(std::string_view sql) {
       case ';': tok.kind = TokKind::kSemicolon; ++i; break;
       case '.': tok.kind = TokKind::kDot; ++i; break;
       default: {
-        if (!is_op_char(c))
-          return Err(strformat("unexpected character '%c' at offset %zu", c, i));
+        if (!is(c, kOp))
+          return Err(
+              strformat("unexpected character '%c' at offset %zu", c, i));
         size_t start = i;
-        while (i < n && is_op_char(sql[i])) {
+        while (i < n && is(sql[i], kOp)) {
           // Don't swallow a comment start inside an operator run.
           if (sql[i] == '-' && i + 1 < n && sql[i + 1] == '-') break;
           if (sql[i] == '/' && i + 1 < n && sql[i + 1] == '*') break;
           ++i;
         }
         tok.kind = TokKind::kOperator;
-        tok.text = std::string(sql.substr(start, i - start));
+        tok.text = view(start, i);
         break;
       }
     }
-    out.push_back(std::move(tok));
   }
-  Token end;
+  Token& end = out.emplace_back();
   end.kind = TokKind::kEnd;
-  end.offset = n;
-  out.push_back(std::move(end));
-  return out;
+  end.offset = static_cast<uint32_t>(n);
+  assert(out.size() <= bound);
+  return list;
 }
 
 }  // namespace rddr::sqldb

@@ -1,6 +1,7 @@
 #include "sqldb/parser.h"
 
 #include <cassert>
+#include <charconv>
 
 #include "common/strutil.h"
 #include "sqldb/lexer.h"
@@ -11,7 +12,7 @@ namespace {
 
 /// Binary operator precedence (higher binds tighter). Unknown (custom)
 /// operator symbols sit at comparison level, like Postgres' generic Op.
-int binary_precedence(const std::string& op) {
+int binary_precedence(std::string_view op) {
   if (op == "or") return 1;
   if (op == "and") return 2;
   if (op == "=" || op == "<>" || op == "!=" || op == "<" || op == "<=" ||
@@ -23,7 +24,18 @@ int binary_precedence(const std::string& op) {
   return 4;  // custom operator symbols
 }
 
-bool is_aggregate_name(const std::string& name) {
+/// Reads all of `s` as a base-10 integer of type T: nullopt when it is
+/// not one or does not fit.
+template <typename T>
+std::optional<T> parse_int(std::string_view s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return v;
+}
+
+bool is_aggregate_name(std::string_view name) {
   return name == "count" || name == "sum" || name == "avg" || name == "min" ||
          name == "max";
 }
@@ -31,7 +43,7 @@ bool is_aggregate_name(const std::string& name) {
 /// Keywords that may never appear as bare column references (Postgres
 /// reserves these too); keeps "SELECT FROM" a syntax error instead of a
 /// column named "from".
-bool is_reserved_word(const std::string& s) {
+bool is_reserved_word(std::string_view s) {
   return s == "select" || s == "from" || s == "where" || s == "group" ||
          s == "having" || s == "order" || s == "limit" || s == "join" ||
          s == "inner" || s == "on" || s == "union" || s == "insert" ||
@@ -43,7 +55,7 @@ bool is_reserved_word(const std::string& s) {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
+  explicit Parser(TokenList toks) : toks_(std::move(toks)) {}
 
   Result<std::vector<Statement>> parse_script() {
     std::vector<Statement> stmts;
@@ -104,14 +116,17 @@ class Parser {
 
   Error unexpected(std::string_view wanted) {
     const Token& t = peek();
-    std::string got = t.kind == TokKind::kEnd
-                          ? "end of input"
-                          : strformat("'%s'", t.text.c_str());
-    return Err(strformat("syntax error: expected %s, got %s at offset %zu",
-                         std::string(wanted).c_str(), got.c_str(), t.offset));
+    std::string got =
+        t.kind == TokKind::kEnd
+            ? "end of input"
+            : strformat("'%.*s'", static_cast<int>(t.text.size()), t.text.data());
+    return Err(strformat("syntax error: expected %.*s, got %s at offset %zu",
+                         static_cast<int>(wanted.size()), wanted.data(),
+                         got.c_str(), static_cast<size_t>(t.offset)));
   }
 
-  Result<std::string> expect_ident(std::string_view what) {
+  /// The identifier's view; callers copy it only when the AST keeps it.
+  Result<std::string_view> expect_ident(std::string_view what) {
     if (peek().kind != TokKind::kIdent) return unexpected(what);
     return advance().text;
   }
@@ -239,14 +254,14 @@ class Parser {
     }
     if (match_kw("limit")) {
       if (peek().kind != TokKind::kNumber) return unexpected("limit count");
-      auto v = parse_i64(advance().text);
+      auto v = parse_int<int64_t>(advance().text);
       if (!v) return Err("bad LIMIT value");
       sel.limit = *v;
     }
     return sel;
   }
 
-  static bool is_clause_kw(const std::string& s) {
+  static bool is_clause_kw(std::string_view s) {
     return s == "from" || s == "where" || s == "group" || s == "having" ||
            s == "order" || s == "limit" || s == "as" || s == "join" ||
            s == "inner" || s == "left" || s == "on" || s == "asc" ||
@@ -280,7 +295,7 @@ class Parser {
       while (true) {
         auto c = expect_ident("column name");
         if (!c.ok()) return Err(c.error());
-        ins.columns.push_back(c.take());
+        ins.columns.emplace_back(c.take());
         if (match(TokKind::kRParen)) break;
         if (!match(TokKind::kComma)) return unexpected("',' or ')'");
       }
@@ -389,7 +404,7 @@ class Parser {
           advance();
         }
       }
-      ct.columns.push_back(ColumnDef{c.take(), ty.take()});
+      ct.columns.push_back(ColumnDef{std::string(c.take()), ty.take()});
       if (match(TokKind::kRParen)) break;
       if (!match(TokKind::kComma)) return unexpected("',' or ')'");
     }
@@ -404,7 +419,7 @@ class Parser {
   Result<Type> parse_type_spec() {
     auto first = expect_ident("type name");
     if (!first.ok()) return Err(first.error());
-    std::string name = first.take();
+    std::string_view name = first.take();
     if (name == "double" && peek_kw("precision")) {
       advance();
       name = "double precision";
@@ -416,7 +431,9 @@ class Parser {
       }
     }
     auto ty = parse_type_name(name);
-    if (!ty) return Err("unknown type: " + name);
+    if (!ty)
+      return Err(strformat("unknown type: %.*s", static_cast<int>(name.size()),
+                           name.data()));
     return *ty;
   }
 
@@ -442,7 +459,7 @@ class Parser {
     fn.return_type = rty.take();
     if (!match_kw("as")) return unexpected("AS");
     if (peek().kind != TokKind::kString) return unexpected("function body string");
-    std::string body = advance().text;
+    std::string_view body = advance().text;
     if (!match_kw("language")) return unexpected("LANGUAGE");
     auto lang = expect_ident("language name");
     if (!lang.ok()) return Err(lang.error());
@@ -460,7 +477,7 @@ class Parser {
 
   /// Parses the plpgsql subset:
   ///   BEGIN [RAISE NOTICE 'fmt' [, expr]* ;] RETURN expr ; END [;]
-  Result<bool> parse_plpgsql_body(const std::string& body,
+  Result<bool> parse_plpgsql_body(std::string_view body,
                                   CreateFunctionStmt& fn) {
     auto toks = lex_sql(body);
     if (!toks.ok()) return Err("in function body: " + toks.error());
@@ -499,7 +516,7 @@ class Parser {
       auto key = expect_ident("operator attribute");
       if (!key.ok()) return Err(key.error());
       if (!match_op("=")) return unexpected("'='");
-      std::string k = key.take();
+      std::string_view k = key.take();
       if (k == "procedure" || k == "function") {
         auto v = expect_ident("procedure name");
         if (!v.ok()) return Err(v.error());
@@ -517,7 +534,8 @@ class Parser {
         if (!v.ok()) return Err(v.error());
         op.restrict_estimator = v.take();
       } else {
-        return Err("unknown operator attribute: " + k);
+        return Err(strformat("unknown operator attribute: %.*s",
+                             static_cast<int>(k.size()), k.data()));
       }
       if (match(TokKind::kRParen)) break;
       if (!match(TokKind::kComma)) return unexpected("',' or ')'");
@@ -596,20 +614,22 @@ class Parser {
   Result<Statement> parse_set() {
     advance();  // SET
     SetStmt set;
-    // Name: one or more idents up to TO/=/end.
-    std::vector<std::string> name_parts;
+    // Name: one or more idents up to TO/=/end, joined by single spaces.
+    size_t name_parts = 0;
     while (peek().kind == TokKind::kIdent && !peek_kw("to")) {
-      name_parts.push_back(advance().text);
+      if (name_parts++) set.name += ' ';
+      set.name += advance().text;
       if (peek().kind == TokKind::kOperator && peek().text == "=") break;
     }
-    if (name_parts.empty()) return unexpected("setting name");
-    set.name = join(name_parts, " ");
+    if (!name_parts) return unexpected("setting name");
     if (match_kw("to") || match_op("=")) {
-      std::vector<std::string> value_parts;
-      while (!at_end() && peek().kind != TokKind::kSemicolon) {
-        value_parts.push_back(advance().text);
+      // Every token's text up to the end of the statement, space-joined
+      // (punctuation contributes its empty text).
+      for (bool first = true; !at_end() && peek().kind != TokKind::kSemicolon;
+           first = false) {
+        if (!first) set.value += ' ';
+        set.value += advance().text;
       }
-      set.value = join(value_parts, " ");
     }
     Statement st;
     st.kind = Statement::Kind::kSet;
@@ -646,8 +666,8 @@ class Parser {
         if (at_end()) return unexpected("')'");
         auto opt = expect_ident("explain option");
         if (!opt.ok()) return Err(opt.error());
-        std::string key = opt.take();
-        std::string val;
+        std::string_view key = opt.take();
+        std::string_view val;
         if (peek().kind == TokKind::kIdent && peek().text != ")") {
           val = advance().text;
         }
@@ -749,7 +769,7 @@ class Parser {
       }
       pos_ = save;  // undo a lone NOT that wasn't followed by LIKE/IN/BETWEEN
 
-      std::string op;
+      std::string_view op;
       if (peek().kind == TokKind::kOperator) {
         op = peek().text;
       } else if (peek_kw("and") || peek_kw("or")) {
@@ -765,6 +785,7 @@ class Parser {
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kBinary;
       e->op = op;
+      e->args.reserve(2);
       e->args.push_back(std::move(left));
       e->args.push_back(std::move(rhs.take()));
       left = std::move(e);
@@ -802,15 +823,16 @@ class Parser {
         advance();
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::kLiteral;
-        if (t.text.find('.') != std::string::npos ||
-            t.text.find('e') != std::string::npos ||
-            t.text.find('E') != std::string::npos) {
+        const int len = static_cast<int>(t.text.size());
+        if (t.text.find_first_of(".eE") != std::string_view::npos) {
           auto d = parse_f64(t.text);
-          if (!d) return Err("bad numeric literal: " + t.text);
+          if (!d)
+            return Err(strformat("bad numeric literal: %.*s", len, t.text.data()));
           e->literal = Datum::floating(*d);
         } else {
-          auto i = parse_i64(t.text);
-          if (!i) return Err("bad integer literal: " + t.text);
+          auto i = parse_int<int64_t>(t.text);
+          if (!i)
+            return Err(strformat("bad integer literal: %.*s", len, t.text.data()));
           e->literal = Datum::integer(*i);
         }
         return ExprPtr(std::move(e));
@@ -819,14 +841,20 @@ class Parser {
         advance();
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::kLiteral;
-        e->literal = Datum::text(t.text);
+        e->literal = Datum::text(std::string(t.text));
         return ExprPtr(std::move(e));
       }
       case TokKind::kParam: {
+        auto n = parse_int<int>(t.text);
+        if (!n)
+          return Err(strformat(
+              "syntax error: parameter number $%.*s out of range at offset %zu",
+              static_cast<int>(t.text.size()), t.text.data(),
+              static_cast<size_t>(t.offset)));
         advance();
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::kParam;
-        e->param_index = static_cast<int>(*parse_i64(t.text));
+        e->param_index = *n;
         return ExprPtr(std::move(e));
       }
       case TokKind::kLParen: {
@@ -854,7 +882,7 @@ class Parser {
         if (is_reserved_word(t.text)) return unexpected("an expression");
         // Function call?
         if (peek(1).kind == TokKind::kLParen) {
-          std::string name = advance().text;
+          std::string_view name = advance().text;
           advance();  // '('
           auto e = std::make_unique<Expr>();
           e->kind = is_aggregate_name(name) ? ExprKind::kAggregate
@@ -878,7 +906,7 @@ class Parser {
           return ExprPtr(std::move(e));
         }
         // Column reference (possibly qualified).
-        std::string first = advance().text;
+        std::string_view first = advance().text;
         auto e = std::make_unique<Expr>();
         e->kind = ExprKind::kColumnRef;
         if (match(TokKind::kDot)) {
@@ -920,7 +948,7 @@ class Parser {
     return ExprPtr(std::move(e));
   }
 
-  std::vector<Token> toks_;
+  TokenList toks_;
   size_t pos_ = 0;
 };
 

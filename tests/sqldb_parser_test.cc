@@ -3,16 +3,24 @@
 // parameters), error reporting, and expression semantics.
 #include <gtest/gtest.h>
 
+#include "sqldb/engine.h"
 #include "sqldb/lexer.h"
 #include "sqldb/parser.h"
 
 namespace rddr::sqldb {
 namespace {
 
-std::vector<Token> lex_ok(const std::string& sql) {
+// Returns the owning list: token views are only valid while it lives.
+TokenList lex_ok(std::string_view sql) {
   auto r = lex_sql(sql);
   EXPECT_TRUE(r.ok()) << r.error();
-  return r.ok() ? r.take() : std::vector<Token>{};
+  return r.ok() ? r.take() : TokenList{};
+}
+
+std::string lex_error(std::string_view sql) {
+  auto r = lex_sql(sql);
+  EXPECT_FALSE(r.ok());
+  return r.ok() ? "" : r.error();
 }
 
 TEST(Lexer, IdentifiersAreLowercased) {
@@ -37,7 +45,7 @@ TEST(Lexer, StringEscaping) {
 }
 
 TEST(Lexer, UnterminatedStringFails) {
-  EXPECT_FALSE(lex_sql("SELECT 'oops").ok());
+  EXPECT_EQ(lex_error("SELECT 'oops"), "unterminated string literal");
 }
 
 TEST(Lexer, DollarQuotedBody) {
@@ -69,7 +77,84 @@ TEST(Lexer, CommentsSkipped) {
 }
 
 TEST(Lexer, UnterminatedBlockCommentFails) {
-  EXPECT_FALSE(lex_sql("SELECT 1 /* oops").ok());
+  EXPECT_EQ(lex_error("SELECT 1 /* oops"), "unterminated block comment");
+}
+
+TEST(Lexer, UppercaseSurvivesInsideQuotes) {
+  auto toks = lex_ok("SELECT 'AbC', \"DeF\", $$GhI$$ FROM Tbl");
+  ASSERT_EQ(toks.size(), 9u);
+  EXPECT_EQ(toks[1].kind, TokKind::kString);
+  EXPECT_EQ(toks[1].text, "AbC");
+  EXPECT_EQ(toks[3].kind, TokKind::kIdent);
+  EXPECT_EQ(toks[3].text, "DeF");
+  EXPECT_EQ(toks[5].kind, TokKind::kString);
+  EXPECT_EQ(toks[5].text, "GhI");
+  EXPECT_EQ(toks[7].text, "tbl");
+}
+
+TEST(Lexer, ShortenedLiteralLeavesNextTokenIntact) {
+  // Resolving '' shortens the literal in place; every token after it,
+  // lowercased or copied verbatim, must still read its own bytes.
+  auto toks = lex_ok("'it''s' AS X >= 42");
+  ASSERT_EQ(toks.size(), 6u);
+  EXPECT_EQ(toks[0].text, "it's");
+  EXPECT_EQ(toks[1].text, "as");
+  EXPECT_EQ(toks[2].text, "x");
+  EXPECT_EQ(toks[3].text, ">=");
+  EXPECT_EQ(toks[4].text, "42");
+  auto quotes = lex_ok("'''''''' Y");
+  ASSERT_EQ(quotes.size(), 3u);
+  EXPECT_EQ(quotes[0].text, "'''");
+  EXPECT_EQ(quotes[1].text, "y");
+}
+
+TEST(Lexer, InputShorterThanSmallStringBuffer) {
+  auto toks = lex_ok("SELECT A;");
+  ASSERT_EQ(toks.size(), 4u);
+  EXPECT_EQ(toks[0].text, "select");
+  EXPECT_EQ(toks[1].text, "a");
+  EXPECT_EQ(toks[2].kind, TokKind::kSemicolon);
+  EXPECT_EQ(toks[3].kind, TokKind::kEnd);
+  EXPECT_EQ(toks[3].offset, 9u);
+  EXPECT_EQ(lex_ok("").size(), 1u);
+}
+
+TEST(Lexer, TokensSurviveMovingTheirOwner) {
+  // Short texts (which a std::string would keep inline) and a longer one,
+  // each moved into a vector that then reallocates: every view must still
+  // point at live, unchanged bytes.
+  std::vector<TokenList> lists;
+  lists.push_back(lex_ok("SELECT Q"));
+  lists.push_back(lex_ok("'x''y'"));
+  lists.push_back(lex_ok("SELECT abalance FROM pgbench_accounts WHERE aid = 42;"));
+  for (int i = 0; i < 64; ++i) lists.push_back(lex_ok("1"));
+  EXPECT_EQ(lists[0][1].text, "q");
+  EXPECT_EQ(lists[1][0].text, "x'y");
+  EXPECT_EQ(lists[2][3].text, "pgbench_accounts");
+  EXPECT_EQ(lists[2][7].text, "42");
+  TokenList moved = std::move(lists[0]);
+  EXPECT_EQ(moved[0].text, "select");
+  EXPECT_EQ(moved[1].text, "q");
+}
+
+TEST(Lexer, ErrorMessagesAndOffsets) {
+  EXPECT_EQ(lex_error("SELECT \"oops"), "unterminated quoted identifier");
+  EXPECT_EQ(lex_error("AS $$oops"), "unterminated dollar-quoted string");
+  EXPECT_EQ(lex_error("SELECT $x"), "stray '$'");
+  EXPECT_EQ(lex_error("SELECT 'a''b' ` 1"),
+            "unexpected character '`' at offset 14");
+  // Token offsets count bytes of the original text, not of the
+  // normalized copy.
+  auto toks = lex_ok("SELECT 'a''b' 'c'");
+  EXPECT_EQ(toks[2].offset, 14u);
+  auto r = parse_sql("SELECT 'a''b' 'c'");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(),
+            "syntax error: expected ';' or end of input, got 'c' at offset 14");
+  auto r2 = parse_sql("SELECT a FROM t WHERE ;");
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.error(),
+            "syntax error: expected an expression, got '' at offset 22");
 }
 
 TEST(Lexer, NumbersWithExponents) {
@@ -221,6 +306,29 @@ TEST(Parser, SyntaxErrorsCarryOffsets) {
   EXPECT_FALSE(parse_sql("INSERT INTO t VALUES (1,);").ok());
   EXPECT_FALSE(parse_sql("SELECT a FROM t WHERE;").ok());
   EXPECT_FALSE(parse_sql("CREATE TABLE t (a zzz_type);").ok());
+}
+
+TEST(Parser, ParameterNumberMustFitInt) {
+  auto ok = parse_sql("SELECT $2147483647;");
+  ASSERT_TRUE(ok.ok()) << ok.error();
+  EXPECT_EQ(ok.value()[0].select->items[0].expr->param_index, 2147483647);
+  for (const char* sql : {"SELECT $99999999999999999999;",
+                          "SELECT $4294967297;", "SELECT $2147483648;"}) {
+    auto r = parse_sql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_NE(r.error().find("syntax error: parameter number $"),
+              std::string::npos)
+        << r.error();
+    EXPECT_NE(r.error().find("at offset 7"), std::string::npos) << r.error();
+  }
+  Database db(minipg_info("13.0"));
+  Session s(db, "postgres");
+  for (const char* sql :
+       {"SELECT $99999999999999999999;", "SELECT $4294967297;"}) {
+    auto res = s.execute(sql);
+    ASSERT_EQ(res.statements.size(), 1u) << sql;
+    EXPECT_EQ(res.statements[0].error_sqlstate, "42601") << sql;
+  }
 }
 
 TEST(Parser, InjectionTextParsesTheWayAttackersExpect) {
