@@ -12,9 +12,13 @@
 # over PR.
 #
 #   bench/run_benches.sh          full run (a few minutes)
-#   bench/run_benches.sh --smoke  fast regression gate only: fails if the
-#                                 simulator core drops below the events/sec
-#                                 floor (RDDR_SIMLOOP_FLOOR, default 1e6).
+#   bench/run_benches.sh --smoke  fast regression gates only: storage
+#                                 recovery, the de-noise+diff items/s floor,
+#                                 the islands oracle/scaling floor and the
+#                                 simulator core events/sec floor
+#                                 (RDDR_SIMLOOP_FLOOR, default 1e6). Every
+#                                 gate runs and prints its verdict; the
+#                                 script exits nonzero if any failed.
 #                                 Used by tests/run_sanitized.sh.
 set -euo pipefail
 
@@ -30,10 +34,24 @@ cmake --build "$BUILD" -j --target simloop_throughput micro_hotpaths \
     table1_graph >/dev/null
 
 if [ "${1:-}" = "--smoke" ]; then
+  # Runs one gate, prints its verdict on stderr and records a failure; a
+  # failing gate never stops the later ones.
+  FAILED=()
+  gate() {
+    local name="$1"
+    shift
+    if "$@"; then
+      echo "gate $name: PASS" >&2
+    else
+      echo "gate $name: FAIL" >&2
+      FAILED+=("$name")
+    fi
+  }
+
   # Storage gate first (deterministic invariants: recovery correctness,
   # delta-vs-snapshot ratio, trace determinism), then the data-plane and
   # events/sec floors.
-  "$BUILD/bench/storage_recovery" --smoke
+  gate storage "$BUILD/bench/storage_recovery" --smoke
 
   # De-noise + diff floor: BM_DenoiseTokenDetect/500 (items = lines x 3
   # instances) must stay above RDDR_DENOISE_FLOOR items/s. Default 1.0e8:
@@ -47,18 +65,24 @@ if [ "${1:-}" = "--smoke" ]; then
       --benchmark_filter='BM_DenoiseTokenDetect/500$' \
       --benchmark_format=json 2>/dev/null |
       awk -F': ' '/"items_per_second"/ { gsub(/[,[:space:]]/, "", $2); v=$2 }
-                  END { print v }')
-  awk -v v="$DENOISE_ITEMS" -v f="$DENOISE_FLOOR" 'BEGIN {
+                  END { print v }') || DENOISE_ITEMS=0
+  gate denoise awk -v v="$DENOISE_ITEMS" -v f="$DENOISE_FLOOR" 'BEGIN {
       printf "denoise+diff: %.3g items/s (floor %.3g)\n", v + 0, f + 0
       exit (v + 0 >= f + 0) ? 0 : 1
-    }' || { echo "FAIL: denoise+diff items/s below floor" >&2; exit 1; }
+    }'
 
   # Island scaling floor: the 16-shard fig5 point on the partitioned
   # event loop must stay byte-identical to the islands=1 oracle and keep
   # model_speedup >= 1.8x at 4 islands (JSON dropped; checks on stderr).
-  "$BUILD/bench/fig5_scaleout" --smoke --islands=4 >/dev/null
+  gate islands "$BUILD/bench/fig5_scaleout" --smoke --islands=4 >/dev/null
 
-  exec "$BUILD/bench/simloop_throughput" --smoke
+  gate simloop "$BUILD/bench/simloop_throughput" --smoke
+
+  if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "FAIL: smoke gates failed: ${FAILED[*]}" >&2
+    exit 1
+  fi
+  exit 0
 fi
 
 echo "== simulator core + data plane =="

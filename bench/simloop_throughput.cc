@@ -177,9 +177,7 @@ struct IslandPoint {
 // windowed executor and its deterministic model_speedup.
 IslandPoint bench_islands(size_t islands, size_t events_per_island) {
   sim::Simulator sim;
-  sim::ParallelOptions popts;
-  popts.min_lookahead = 10 * sim::kMicrosecond;
-  sim.configure_islands(islands, popts);
+  sim.configure_islands(islands, 10 * sim::kMicrosecond);
   IslandPoint p;
   p.islands = islands;
   std::vector<size_t> remaining(islands, events_per_island);

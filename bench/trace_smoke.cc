@@ -101,7 +101,7 @@ int main() {
   }
 
   std::printf("served=%d spans=%zu open=%zu quorum_outvotes=%llu\n", served,
-              tracer.spans().size(), tracer.open_spans(),
+              tracer.span_count(), tracer.open_spans(),
               static_cast<unsigned long long>(
                   deployment->aggregate_stats().quorum_outvotes));
   std::printf("wrote trace_smoke.json (%zu bytes), trace_smoke_metrics.json\n",

@@ -90,7 +90,7 @@ int main() {
     std::fwrite(trace.data(), 1, trace.size(), f);
     std::fclose(f);
     std::printf("\nwrote quickstart_trace.json (%zu spans)\n",
-                tracer.spans().size());
+                tracer.span_count());
   }
   return 0;
 }

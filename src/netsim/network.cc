@@ -6,12 +6,11 @@
 
 namespace rddr::sim {
 
-Connection::Connection(Simulator& sim, uint64_t id, Time latency,
-                       ConnectMeta meta, std::string dialed_address,
-                       bool is_client_half)
-    : sim_(sim),
+Connection::Connection(Network& net, uint64_t id, ConnectMeta meta,
+                       std::string dialed_address, bool is_client_half)
+    : sim_(net.simulator()),
+      net_(net),
       id_(id),
-      latency_(latency),
       meta_(std::move(meta)),
       dialed_address_(std::move(dialed_address)),
       is_client_half_(is_client_half) {
@@ -21,24 +20,18 @@ Connection::Connection(Simulator& sim, uint64_t id, Time latency,
 
 const std::string& Connection::local_node() const { return local_node_; }
 
-Time Connection::next_arrival(Network* net) {
-  Time lat = latency_;
-  Time earliest = sim_.now();
-  if (net) {
-    auto peer = peer_.lock();
-    const std::string& remote = peer ? peer->local_node_ : local_node_;
-    lat += net->fault_delay(local_node_, remote);
-  }
-  Time arrival = std::max(last_arrival_, earliest + lat);
+Time Connection::next_arrival() {
+  auto peer = peer_.lock();
+  const std::string& remote = peer ? peer->local_node_ : local_node_;
+  Time lat = net_.default_latency() + net_.fault_delay(local_node_, remote);
+  Time arrival = std::max(last_arrival_, sim_.now() + lat);
   last_arrival_ = arrival;
   return arrival;
 }
 
 void Connection::send(ByteView data) {
   if (!open_ || data.empty()) return;
-  if (net_)
-    net_->payload_bytes_copied_.fetch_add(data.size(),
-                                          std::memory_order_relaxed);
+  net_.payload_bytes_copied_.fetch_add(data.size(), std::memory_order_relaxed);
   send_shared(SharedBytes(data));
 }
 
@@ -50,16 +43,13 @@ void Connection::send(SharedBytes data) {
 void Connection::send_shared(SharedBytes data) {
   auto peer = peer_.lock();
   if (!peer) return;
-  if (net_) {
-    // Crashed or partitioned-away endpoints blackhole traffic. The
-    // connection itself is severed separately; this guards the window
-    // between the fault firing and the close delivery.
-    if (!net_->link_up(local_node_, peer->local_node_)) return;
-    net_->payload_bytes_sent_.fetch_add(data.size(),
-                                        std::memory_order_relaxed);
-  }
+  // Crashed or partitioned-away endpoints blackhole traffic. The
+  // connection itself is severed separately; this guards the window
+  // between the fault firing and the close delivery.
+  if (!net_.link_up(local_node_, peer->local_node_)) return;
+  net_.payload_bytes_sent_.fetch_add(data.size(), std::memory_order_relaxed);
   // FIFO per direction: never deliver earlier than a previous delivery.
-  Time arrival = next_arrival(net_);
+  Time arrival = next_arrival();
   sim_.schedule_on(peer->island_, arrival,
                    [peer, data = std::move(data)]() mutable {
                      peer->deliver(std::move(data));
@@ -71,7 +61,7 @@ void Connection::close() {
   open_ = false;
   auto peer = peer_.lock();
   if (!peer) return;
-  Time arrival = next_arrival(net_);
+  Time arrival = next_arrival();
   sim_.schedule_on(peer->island_, arrival, [peer] { peer->deliver_close(); });
 }
 
@@ -93,7 +83,7 @@ void Connection::abort() {
   // The RST travels like data: one link latency later, after anything
   // already on the wire (FIFO watermark). That keeps the notification
   // outside the conservative window when the peer is on another island.
-  Time arrival = next_arrival(net_);
+  Time arrival = next_arrival();
   sim_.schedule_on(peer->island_, arrival, [peer] {
     peer->open_ = false;
     peer->aborted_ = true;
@@ -262,19 +252,12 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
   uint64_t id = (static_cast<uint64_t>(client_island) << 48) |
                 ++next_conn_local_[client_island];
   conns_opened_.fetch_add(1, std::memory_order_relaxed);
-  Time lat = default_latency_;
-  Time seen = min_latency_seen_.load(std::memory_order_relaxed);
-  while (lat < seen && !min_latency_seen_.compare_exchange_weak(
-                           seen, lat, std::memory_order_relaxed)) {
-  }
-  auto client = std::shared_ptr<Connection>(new Connection(
-      sim_, id, default_latency_, meta, address, /*is_client_half=*/true));
-  auto server = std::shared_ptr<Connection>(new Connection(
-      sim_, id, default_latency_, meta, address, /*is_client_half=*/false));
+  auto client = std::shared_ptr<Connection>(
+      new Connection(*this, id, meta, address, /*is_client_half=*/true));
+  auto server = std::shared_ptr<Connection>(
+      new Connection(*this, id, meta, address, /*is_client_half=*/false));
   client->peer_ = server;
   server->peer_ = client;
-  client->net_ = this;
-  server->net_ = this;
   client->island_ = client_island;
   server->island_ = server_island;
   client->route_hint_ = route_hint;
@@ -287,15 +270,15 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
   // re-check the listener and fault state then so a service that stopped
   // (or crashed) in the meantime refuses cleanly.
   sim_.schedule_on(server_island, sim_.now() + default_latency_, [server] {
-    Network* net = server->net_;
+    Network& net = server->net_;
     const std::string& addr = server->dialed_address();
     AcceptHandler handler;
     {
-      std::lock_guard<std::mutex> lock(net->mu_);
-      auto lit = net->listeners_.find(addr);
-      if (lit != net->listeners_.end()) handler = lit->second;
+      std::lock_guard<std::mutex> lock(net.mu_);
+      auto lit = net.listeners_.find(addr);
+      if (lit != net.listeners_.end()) handler = lit->second;
     }
-    if (!handler || net->node_down(node_of(addr))) {
+    if (!handler || net.node_down(node_of(addr))) {
       server->close();
       return;
     }

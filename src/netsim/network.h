@@ -168,7 +168,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
  private:
   friend class Network;
 
-  Connection(Simulator& sim, uint64_t id, Time latency, ConnectMeta meta,
+  Connection(Network& net, uint64_t id, ConnectMeta meta,
              std::string dialed_address, bool is_client_half);
 
   void send_shared(SharedBytes data);
@@ -178,18 +178,17 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void deliver(SharedBytes data);  // runs on the *receiving* half
   void deliver_close();            // runs on the *receiving* half
   void flush_pending();
-  Time next_arrival(Network* net);  // FIFO watermark + fault adjustments
+  Time next_arrival();  // FIFO watermark + fault adjustments
 
   Simulator& sim_;
+  Network& net_;  // faults and byte counters consulted per send
   uint64_t id_;
-  Time latency_;
   ConnectMeta meta_;
   std::string dialed_address_;
   bool is_client_half_;
   IslandId island_ = 0;
   uint32_t route_hint_ = UINT32_MAX;
   std::string local_node_;   // cached node name for fault lookups
-  Network* net_ = nullptr;   // set by Network; faults consulted per send
   std::weak_ptr<Connection> peer_;
   bool open_ = true;
   bool aborted_ = false;  // break observed "now"; drop same-tick arrivals
@@ -261,8 +260,9 @@ class Network {
   /// server half; the accept backlog is unbounded.
   ConnPtr connect(const std::string& address, ConnectMeta meta = {});
 
-  /// Link latency applied to each direction of new connections.
-  void set_default_latency(Time latency) { default_latency_ = latency; }
+  /// Link latency of each direction of every connection, fixed for the
+  /// network's lifetime. Faults only ever add to it, so it is the
+  /// lookahead a multi-island simulator runs with (configure_islands).
   Time default_latency() const { return default_latency_; }
 
   Simulator& simulator() { return sim_; }
@@ -310,15 +310,6 @@ class Network {
   using IslandRouter =
       std::function<IslandId(const ConnectMeta& meta, uint32_t& route_hint)>;
   void set_island_router(const std::string& address, IslandRouter router);
-
-  /// Smallest per-direction base latency any connection was created with
-  /// (including the current default). Faults only ever *add* latency on
-  /// top of this, so it is a valid conservative lookahead for the
-  /// parallel executor.
-  Time min_link_latency() const {
-    Time seen = min_latency_seen_.load(std::memory_order_relaxed);
-    return std::min(seen, default_latency_);
-  }
 
   // ---- fault injection (usually driven via FaultPlan, netsim/fault.h) ----
 
@@ -382,7 +373,7 @@ class Network {
   friend class Connection;
 
   Simulator& sim_;
-  Time default_latency_;
+  const Time default_latency_;
   // Per-(caller-)island connection-id spaces keep id allocation
   // deterministic without cross-thread coordination: id =
   // island << 48 | island-local counter. With one island this reproduces
@@ -391,7 +382,6 @@ class Network {
   std::atomic<uint64_t> conns_opened_{0};
   std::atomic<uint64_t> payload_bytes_sent_{0};
   std::atomic<uint64_t> payload_bytes_copied_{0};
-  std::atomic<Time> min_latency_seen_{INT64_MAX};
   // Guards the maps that connect() (any island) and accept/listen events
   // (server islands) both touch. Never held while running user callbacks.
   // The fault-state containers below are NOT guarded: they are only

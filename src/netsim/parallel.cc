@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstdlib>
 
-#include "obs/metrics.h"
-
 namespace rddr::sim {
 
 namespace {
@@ -34,23 +32,19 @@ void spin_until(Pred&& done) {
 
 }  // namespace
 
-ParallelExecutor::ParallelExecutor(Simulator& sim, const ParallelOptions& opts)
-    : sim_(sim), opts_(opts) {
+ParallelExecutor::ParallelExecutor(Simulator& sim, Time lookahead)
+    : sim_(sim), lookahead_(std::max<Time>(lookahead, 1)) {
   size_t islands = sim_.island_count();
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  nthreads_ = opts_.threads ? opts_.threads : hw;
-  // RDDR_PARALLEL_THREADS overrides everything: the sanitizer suite uses
-  // it to force real worker threads on single-core CI boxes, where the
-  // hardware default would collapse to 1 and TSan would see no
+  nthreads_ = std::max<size_t>(std::thread::hardware_concurrency(), 1);
+  // RDDR_PARALLEL_THREADS overrides the hardware default: the sanitizer
+  // suite uses it to force real worker threads on single-core CI boxes,
+  // where the default would collapse to 1 and TSan would see no
   // concurrency at all. Results never depend on the value.
   if (const char* env = std::getenv("RDDR_PARALLEL_THREADS")) {
     int v = std::atoi(env);
     if (v > 0) nthreads_ = static_cast<size_t>(v);
   }
   nthreads_ = std::min(nthreads_, islands);
-  nthreads_ = std::max<size_t>(nthreads_, 1);
-  if (opts_.min_lookahead < 1) opts_.min_lookahead = 1;
   workers_.reserve(nthreads_ - 1);
   for (size_t w = 1; w < nthreads_; ++w)
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -84,13 +78,6 @@ void ParallelExecutor::drain_share(size_t w) {
     sim_.drain_island(*sim_.islands_[i], window_end_, SIZE_MAX);
 }
 
-Time ParallelExecutor::sample_lookahead() {
-  Time la = opts_.lookahead_provider ? opts_.lookahead_provider() : 0;
-  if (la < opts_.min_lookahead) la = opts_.min_lookahead;
-  stats_.current_lookahead = la;
-  return la;
-}
-
 bool ParallelExecutor::run_window() {
   Time next = Simulator::kNoEvent;
   for (auto& isl : sim_.islands_)
@@ -104,8 +91,8 @@ bool ParallelExecutor::run_window() {
     return true;
   }
   if (next >= limit_) return false;
-  Time la = sample_lookahead();
-  Time end = next > Simulator::kNoEvent - la ? Simulator::kNoEvent : next + la;
+  Time end = next > Simulator::kNoEvent - lookahead_ ? Simulator::kNoEvent
+                                                      : next + lookahead_;
   end = std::min(end, std::min(g, limit_));  // never span a global event
   execute_window(end);
   return true;
@@ -134,7 +121,6 @@ void ParallelExecutor::execute_window(Time end) {
   ++stats_.windows;
   stats_.total_events += sum_ev;
   stats_.critical_path_events += max_ev;
-  if (window_counter_) publish_metrics();
 }
 
 void ParallelExecutor::merge_outboxes(Time end) {
@@ -194,17 +180,16 @@ void ParallelExecutor::run_global_batch() {
     EventFn fn = std::move(sim_.global_.back().fn);
     sim_.global_.pop_back();
     fn();  // may push further globals; the heap stays valid
-    ++stats_.global_events;
+    ++sim_.islands_[0]->executed;
   }
 }
 
 size_t ParallelExecutor::run_until_idle(size_t max_events) {
   size_t n = 0;
   while (n < max_events) {
-    uint64_t before = sim_.events_executed() + stats_.global_events;
+    uint64_t before = sim_.events_executed();
     if (!run_window()) break;
-    n += static_cast<size_t>(sim_.events_executed() + stats_.global_events -
-                             before);
+    n += static_cast<size_t>(sim_.events_executed() - before);
   }
   return n;
 }
@@ -219,38 +204,6 @@ void ParallelExecutor::run_until(Time t) {
   limit_ = saved;
   for (auto& isl : sim_.islands_)
     if (isl->now < t) isl->now = t;
-}
-
-void ParallelExecutor::bind_metrics(obs::MetricsRegistry& reg) {
-  size_t islands = sim_.island_count();
-  island_event_counters_.resize(islands);
-  published_events_.assign(islands, 0);
-  for (size_t i = 0; i < islands; ++i)
-    island_event_counters_[i] =
-        reg.counter("islands.events." + std::to_string(i));
-  stall_counter_ = reg.counter("islands.stalls");
-  window_counter_ = reg.counter("islands.windows");
-  merged_counter_ = reg.counter("islands.merged");
-  clamp_counter_ = reg.counter("islands.clamps");
-  lookahead_gauge_ = reg.gauge("islands.lookahead_ns");
-  publish_metrics();
-}
-
-void ParallelExecutor::publish_metrics() {
-  for (size_t i = 0; i < island_event_counters_.size(); ++i) {
-    uint64_t total = sim_.island_events_executed(static_cast<IslandId>(i));
-    island_event_counters_[i]->inc(total - published_events_[i]);
-    published_events_[i] = total;
-  }
-  stall_counter_->inc(stats_.barrier_stalls - published_stalls_);
-  published_stalls_ = stats_.barrier_stalls;
-  window_counter_->inc(stats_.windows - published_windows_);
-  published_windows_ = stats_.windows;
-  merged_counter_->inc(stats_.merged_messages - published_merged_);
-  published_merged_ = stats_.merged_messages;
-  clamp_counter_->inc(stats_.causality_clamps - published_clamps_);
-  published_clamps_ = stats_.causality_clamps;
-  lookahead_gauge_->set(static_cast<double>(stats_.current_lookahead));
 }
 
 }  // namespace rddr::sim

@@ -6,10 +6,9 @@
 //     islands). Each island is a fully single-threaded event loop.
 //   * Execution proceeds in windows. A window starts at the earliest
 //     pending event time `t` across islands and extends to
-//     `t + lookahead`, where lookahead is the minimum cross-island link
-//     latency (sampled from the options' provider at every barrier, so
-//     latency faults are picked up, and clamped to a positive floor so
-//     fault injection can never drive it to zero).
+//     `t + lookahead`, where lookahead is the network's link latency,
+//     passed once to configure_islands (latency faults only add to it,
+//     so it stays a lower bound on every cross-island transfer).
 //   * Within a window every island runs independently on a worker
 //     thread. Cross-island schedules are buffered in per-island outboxes
 //     (owner-thread only — no locks on the hot path).
@@ -20,60 +19,33 @@
 //   * Global events (fault injection mutating shared network state) are
 //     executed between windows with every worker parked and every island
 //     clock advanced to the event time; windows never span a pending
-//     global event.
+//     global event. They count as island-0 events, as they do on a
+//     1-island loop.
 //
 // Causality: an event sent during window [t, t+L) across islands carries
-// at least the minimum cross-island latency L, so its delivery time is
-// >= t+L — at or after the window edge, never inside a window another
-// island is concurrently executing. The merge asserts this; in release
-// builds violations are clamped to the window edge and counted
+// at least the link latency L, so its delivery time is >= t+L — at or
+// after the window edge, never inside a window another island is
+// concurrently executing. The merge asserts this; in release builds
+// violations are clamped to the window edge and counted
 // (`causality_clamps`, exposed so tests can require it to be zero).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
 #include "netsim/simulator.h"
 
-namespace rddr::obs {
-class MetricsRegistry;
-class Counter;
-class Gauge;
-}  // namespace rddr::obs
-
 namespace rddr::sim {
-
-struct ParallelOptions {
-  /// Worker threads (including the coordinating caller). 0 = one per
-  /// island, capped at std::thread::hardware_concurrency(). Thread count
-  /// never affects results — only wall-clock.
-  size_t threads = 0;
-
-  /// Conservative lookahead floor in virtual nanoseconds. The effective
-  /// lookahead each window is max(floor, lookahead_provider()); the floor
-  /// guarantees forward progress even if a provider misbehaves.
-  Time min_lookahead = 100;
-
-  /// Samples the current safe lookahead (min cross-island link latency)
-  /// at every barrier. Latency *faults* only ever add latency on top of
-  /// the per-link base in this simulator, so the network's minimum base
-  /// latency is a valid conservative bound; re-sampling every window
-  /// still lets a provider tighten or relax it dynamically.
-  std::function<Time()> lookahead_provider;
-};
 
 struct ParallelStats {
   uint64_t windows = 0;
   uint64_t merged_messages = 0;   // cross-island events exchanged
   uint64_t causality_clamps = 0;  // lookahead violations (should be 0)
-  uint64_t global_events = 0;
   uint64_t barrier_stalls = 0;  // island-windows that had no work
   uint64_t total_events = 0;    // events executed inside windows
   uint64_t critical_path_events = 0;  // sum over windows of max per island
-  Time current_lookahead = 0;
 
   /// Model speedup: how much faster than one core this run could go with
   /// unlimited cores — total events over the window critical path. This
@@ -89,9 +61,12 @@ struct ParallelStats {
 
 /// Runs a multi-island Simulator under conservative time-window barriers.
 /// Created by Simulator::configure_islands(count >= 2); not used directly.
+/// Runs one worker thread per island, capped at the hardware concurrency;
+/// RDDR_PARALLEL_THREADS overrides the count. Thread count never affects
+/// results — only wall-clock.
 class ParallelExecutor {
  public:
-  ParallelExecutor(Simulator& sim, const ParallelOptions& opts);
+  ParallelExecutor(Simulator& sim, Time lookahead);
   ~ParallelExecutor();
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
@@ -107,43 +82,18 @@ class ParallelExecutor {
   const ParallelStats& stats() const { return stats_; }
   size_t thread_count() const { return nthreads_; }
 
-  /// Publishes per-island observability into `reg` (updated at every
-  /// barrier, from the coordinator — never from workers):
-  ///   islands.events.<i>   counter  events executed by island i
-  ///   islands.stalls       counter  empty island-windows
-  ///   islands.windows      counter  barriers crossed
-  ///   islands.merged       counter  cross-island events exchanged
-  ///   islands.clamps       counter  causality clamps (should stay 0)
-  ///   islands.lookahead_ns gauge    lookahead of the latest window
-  void bind_metrics(obs::MetricsRegistry& reg);
-
  private:
   void worker_loop(size_t w);
   void drain_share(size_t w);
   void execute_window(Time end);
   void merge_outboxes(Time end);
   void run_global_batch();
-  Time sample_lookahead();
-  void publish_metrics();
 
   Simulator& sim_;
-  ParallelOptions opts_;
+  const Time lookahead_;  // >= 1, so every window makes progress
   size_t nthreads_;
   Time limit_ = INT64_MAX;  // exclusive bound while inside run_until
   ParallelStats stats_;
-
-  // Metrics handles (bound lazily; coordinator-only).
-  std::vector<obs::Counter*> island_event_counters_;
-  std::vector<uint64_t> published_events_;
-  obs::Counter* stall_counter_ = nullptr;
-  obs::Counter* window_counter_ = nullptr;
-  obs::Counter* merged_counter_ = nullptr;
-  obs::Counter* clamp_counter_ = nullptr;
-  obs::Gauge* lookahead_gauge_ = nullptr;
-  uint64_t published_stalls_ = 0;
-  uint64_t published_windows_ = 0;
-  uint64_t published_merged_ = 0;
-  uint64_t published_clamps_ = 0;
 
   // Barrier state. The coordinator writes window_end_, then bumps epoch_
   // (release); workers observe the bump (acquire), drain their islands,

@@ -233,10 +233,10 @@ size_t Simulator::pending_events() const {
   return n;
 }
 
-void Simulator::configure_islands(size_t count, const ParallelOptions& opts) {
+void Simulator::configure_islands(size_t count, Time lookahead) {
   // Grow-only and idempotent: a scenario harness and a deployment builder
   // may both declare the island count; the first call that needs an
-  // executor fixes its options.
+  // executor fixes its lookahead.
   assert(count >= 1 && count <= kMaxIslands);
   if (count > kMaxIslands) count = kMaxIslands;
   if (count == 0) count = 1;
@@ -248,11 +248,7 @@ void Simulator::configure_islands(size_t count, const ParallelOptions& opts) {
     islands_.push_back(std::move(isl));
   }
   if (islands_.size() >= 2 && !exec_)
-    exec_ = std::make_unique<ParallelExecutor>(*this, opts);
-}
-
-void Simulator::configure_islands(size_t count) {
-  configure_islands(count, ParallelOptions{});
+    exec_ = std::make_unique<ParallelExecutor>(*this, lookahead);
 }
 
 }  // namespace rddr::sim

@@ -51,7 +51,6 @@ inline Time from_seconds(double s) { return static_cast<Time>(s * 1e9); }
 using EventFn = InlineFunction<48>;
 
 class ParallelExecutor;
-struct ParallelOptions;
 
 /// Event loop over virtual time; single-threaded per island.
 class Simulator {
@@ -83,7 +82,8 @@ class Simulator {
   /// mutate state shared by all islands (fault injection, partition
   /// state). Under a ParallelExecutor, global events run at a barrier
   /// with every worker parked and every island clock advanced to `t`;
-  /// without one they are ordinary island-0 events. Must be called from
+  /// without one they are ordinary island-0 events. Either way they count
+  /// as island-0 events in events_executed(). Must be called from
   /// setup or from another global event, never from inside a parallel
   /// window.
   void schedule_global_at(Time t, EventFn fn);
@@ -120,23 +120,18 @@ class Simulator {
   /// keeps everything scheduled so far; new islands start empty at the
   /// current time. With count >= 2 a ParallelExecutor is created and
   /// step()/run_until_idle()/run_until() drive conservative windows
-  /// instead of the single-island loop. Call once, before running; `opts`
-  /// carries lookahead and worker-thread knobs (see netsim/parallel.h).
+  /// instead of the single-island loop. Call once, before running.
+  /// `lookahead` is the smallest delay of any cross-island schedule —
+  /// callers pass their network's link latency — and is clamped to >= 1.
   /// With count == 1 nothing changes: no executor is created and the loop
   /// stays single-threaded.
-  void configure_islands(size_t count, const ParallelOptions& opts);
-  void configure_islands(size_t count);
+  void configure_islands(size_t count, Time lookahead);
 
   /// Number of islands (1 when never configured).
   size_t island_count() const { return islands_.size(); }
 
   /// Executor driving multi-island runs; nullptr when island_count()<=1.
   ParallelExecutor* executor() { return exec_.get(); }
-
-  /// Events executed by one island (diagnostic / per-island gauges).
-  uint64_t island_events_executed(IslandId i) const {
-    return islands_[i]->executed;
-  }
 
  private:
   friend class ParallelExecutor;

@@ -51,7 +51,6 @@ SpanId Tracer::begin(TraceId trace, SpanId parent, std::string name,
   s.name = std::move(name);
   s.category = std::move(category);
   s.start = clock_();
-  s.island = lane;
   l.spans.push_back(std::move(s));
   ++l.open;
   return l.spans.back().id;
@@ -75,7 +74,7 @@ void Tracer::end(SpanId span) {
   Span* s = find_mutable(span);
   if (!s || !s->open()) return;
   s->end = clock_();
-  --lanes_[s->island].open;
+  --lanes_[span >> kIdIndexBits].open;
 }
 
 SpanId Tracer::event(TraceId trace, SpanId parent, std::string name,
@@ -101,57 +100,11 @@ size_t Tracer::span_count() const {
   return n;
 }
 
-std::vector<Span> Tracer::all_spans() const {
+std::vector<Span> Tracer::spans() const {
   std::vector<Span> out;
   out.reserve(span_count());
   for (const Lane& l : lanes_)
     out.insert(out.end(), l.spans.begin(), l.spans.end());
-  return out;
-}
-
-std::string Tracer::export_events(const std::vector<const Span*>& order,
-                                  const std::map<SpanId, SpanId>* renumber,
-                                  bool tid_by_island) const {
-  // Hand-assembled rather than json::Value so event order is preserved;
-  // json::Object would re-sort keys but also cannot hold the heterogeneous
-  // event list in a chosen order.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const Span* sp : order) {
-    const Span& s = *sp;
-    if (!first) out += ",";
-    first = false;
-    const TimeNs end = s.open() ? s.start : s.end;
-    uint64_t id = s.id;
-    uint64_t parent = s.parent;
-    if (renumber) {
-      auto it = renumber->find(s.id);
-      if (it != renumber->end()) id = it->second;
-      auto pit = renumber->find(s.parent);
-      if (pit != renumber->end()) parent = pit->second;
-    }
-    const uint64_t tid =
-        tid_by_island ? s.island : (s.trace & 0xffffffffULL);
-    out += strformat(
-        // tid groups a trace's spans on one row (or one row per island in
-        // by-island mode); the low 32 bits keep the number inside JS-safe
-        // integer range for chrome://tracing.
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-        "\"dur\":%.3f,\"pid\":1,\"tid\":%llu,\"args\":{\"trace\":"
-        "\"%016llx\",\"span\":%llu,\"parent\":%llu",
-        json::escape(s.name).c_str(), json::escape(s.category).c_str(),
-        static_cast<double>(s.start) / 1e3,
-        static_cast<double>(end - s.start) / 1e3,
-        static_cast<unsigned long long>(tid),
-        static_cast<unsigned long long>(s.trace),
-        static_cast<unsigned long long>(id),
-        static_cast<unsigned long long>(parent));
-    for (const auto& [k, v] : s.tags)
-      out += ",\"" + json::escape(k) + "\":\"" + json::escape(v) + "\"";
-    if (s.open()) out += ",\"unclosed\":\"true\"";
-    out += "}}";
-  }
-  out += "]}";
   return out;
 }
 
@@ -173,15 +126,41 @@ std::string Tracer::export_chrome() const {
                    });
   std::map<SpanId, SpanId> renumber;
   for (size_t i = 0; i < order.size(); ++i) renumber[order[i]->id] = i + 1;
-  return export_events(order, &renumber, /*tid_by_island=*/false);
-}
+  auto renumbered = [&renumber](SpanId id) {
+    auto it = renumber.find(id);
+    return it != renumber.end() ? it->second : id;
+  };
 
-std::string Tracer::export_chrome_by_island() const {
-  std::vector<const Span*> order;
-  order.reserve(span_count());
-  for (const Lane& l : lanes_)
-    for (const Span& s : l.spans) order.push_back(&s);
-  return export_events(order, nullptr, /*tid_by_island=*/true);
+  // Hand-assembled rather than json::Value so event order is preserved;
+  // json::Object would re-sort keys but also cannot hold the heterogeneous
+  // event list in a chosen order.
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
+  for (const Span* sp : order) {
+    const Span& s = *sp;
+    if (!first) out += ",";
+    first = false;
+    const TimeNs end = s.open() ? s.start : s.end;
+    out += strformat(
+        // tid groups a trace's spans on one row; the low 32 bits keep the
+        // number inside JS-safe integer range for chrome://tracing.
+        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
+        "\"dur\":%.3f,\"pid\":1,\"tid\":%llu,\"args\":{\"trace\":"
+        "\"%016llx\",\"span\":%llu,\"parent\":%llu",
+        json::escape(s.name).c_str(), json::escape(s.category).c_str(),
+        static_cast<double>(s.start) / 1e3,
+        static_cast<double>(end - s.start) / 1e3,
+        static_cast<unsigned long long>(s.trace & 0xffffffffULL),
+        static_cast<unsigned long long>(s.trace),
+        static_cast<unsigned long long>(renumbered(s.id)),
+        static_cast<unsigned long long>(renumbered(s.parent)));
+    for (const auto& [k, v] : s.tags)
+      out += ",\"" + json::escape(k) + "\":\"" + json::escape(v) + "\"";
+    if (s.open()) out += ",\"unclosed\":\"true\"";
+    out += "}}";
+  }
+  out += "]}";
+  return out;
 }
 
 void Tracer::clear() {

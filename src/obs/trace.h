@@ -59,7 +59,6 @@ struct Span {
   std::string category;  // emitting component ("rddr-in", "pg-0:5432", ...)
   TimeNs start = 0;
   TimeNs end = -1;  // -1 while open
-  IslandId island = 0;  // lane the span was recorded on
   std::vector<std::pair<std::string, std::string>> tags;
 
   bool open() const { return end < 0; }
@@ -114,13 +113,9 @@ class Tracer {
   SpanId event(TraceId trace, SpanId parent, std::string name,
                std::string category);
 
-  /// Island-0 lane in recording order — the complete span list for
-  /// simulations that never leave island 0 (every pre-island test and
-  /// tool). Multi-island consumers should use all_spans().
-  const std::vector<Span>& spans() const { return lanes_[0].spans; }
-
-  /// Every recorded span, lane by lane (lane-local recording order).
-  std::vector<Span> all_spans() const;
+  /// Every recorded span, lane by lane (lane-local recording order). On a
+  /// 1-island run that is simply recording order.
+  std::vector<Span> spans() const;
 
   const Span* find(SpanId span) const;
   size_t open_spans() const;
@@ -133,11 +128,6 @@ class Tracer {
   /// across island counts (canonical ordering + dense renumbering, see
   /// file comment).
   std::string export_chrome() const;
-
-  /// Diagnostic export with one Chrome row per island (tid = island id),
-  /// raw span ids, lane order. Shows the actual parallel layout — and is
-  /// therefore deliberately NOT island-count-invariant.
-  std::string export_chrome_by_island() const;
 
   void clear();
 
@@ -152,9 +142,6 @@ class Tracer {
   static constexpr uint64_t kIdIndexMask = (1ull << kIdIndexBits) - 1;
 
   Span* find_mutable(SpanId span);
-  std::string export_events(const std::vector<const Span*>& order,
-                            const std::map<SpanId, SpanId>* renumber,
-                            bool tid_by_island) const;
 
   std::function<TimeNs()> clock_;
   uint64_t seed_;

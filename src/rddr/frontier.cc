@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "netsim/parallel.h"
 
 namespace rddr::core {
 
@@ -338,14 +337,8 @@ std::unique_ptr<Frontier> NVersionDeployment::Builder::build_frontier(
   fo.tracer = incoming_.tracer;
   size_t S = shard_versions_.empty() ? std::max<size_t>(1, shards_)
                                      : shard_versions_.size();
-  if (islands_ > 1) {
-    // Lookahead tracks the network's minimum link latency, recomputed at
-    // every barrier so runtime latency faults shrink (but never zero) the
-    // window.
-    sim::ParallelOptions popts;
-    popts.lookahead_provider = [&net] { return net.min_link_latency(); };
-    net.simulator().configure_islands(islands_, popts);
-  }
+  if (islands_ > 1)
+    net.simulator().configure_islands(islands_, net.default_latency());
   for (size_t k = 0; k < S; ++k) {
     Builder per = *this;
     per.incoming_.name = incoming_.name + "-s" + std::to_string(k);

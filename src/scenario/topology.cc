@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "netsim/parallel.h"
-
 #include "common/strutil.h"
 #include "proto/http/message.h"
 #include "rddr/plugins.h"
@@ -78,10 +76,7 @@ Topology::Topology(sim::Simulator& sim, sim::Network& net,
 
 void Topology::apply_islands() {
   if (opts_.islands <= 1) return;
-  sim::ParallelOptions popts;
-  sim::Network* net = &net_;
-  popts.lookahead_provider = [net] { return net->min_link_latency(); };
-  sim_.configure_islands(opts_.islands, popts);
+  sim_.configure_islands(opts_.islands, net_.default_latency());
   // Every service host and every listening node joins island 1; the fuzz
   // harness's clients stay on island 0 and reach the graph across the
   // entry links, whose latency bounds the executor's lookahead.

@@ -308,7 +308,7 @@ TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
   EXPECT_EQ(at_overflow.reconnects, 0u);
   EXPECT_EQ(at_overflow.journal_replayed_requests, 0u);
   size_t overflowed = 0;
-  for (const obs::Span& sp : tracer.all_spans()) {
+  for (const obs::Span& sp : tracer.spans()) {
     if (sp.name != "resync") continue;
     for (const auto& [k, v] : sp.tags)
       if (k == "failed" && v == "journal overflow (> 256 units)") ++overflowed;
