@@ -8,9 +8,10 @@
 # working directory so files the binaries write land next to their output,
 # then diffs stdout, stderr and those files. Exits non-zero on any
 # difference. Host timings differ on every run, so simloop_throughput and
-# micro_hotpaths are skipped, and fig5_scaleout and storage_recovery, whose
-# full runs print wall times, run only with --smoke. A refactor that must
-# not change behaviour has to pass this against the build of its parent
+# micro_hotpaths are skipped, fig5_scaleout, whose full run prints wall
+# times, runs only with --smoke, and storage_recovery's full run has its
+# "wall_ms": <n> values masked before the diff. A refactor that must not
+# change behaviour has to pass this against the build of its parent
 # commit.
 set -euo pipefail
 
@@ -42,7 +43,7 @@ run_all() {  # run_all <build-dir> <out-dir>
     name=$(basename "$b")
     case "$name" in
       simloop_throughput|micro_hotpaths) continue ;;
-      fig5_scaleout|storage_recovery) ;;
+      fig5_scaleout) ;;
       *) run "$2" "$name" "$b" ;;
     esac
     if grep -qa -- '--smoke' "$b"; then run "$2" "$name.smoke" "$b" --smoke; fi
@@ -53,6 +54,10 @@ rm -rf "$out/parent" "$out/change"
 run_all "$parent" "$out/parent" &
 run_all "$change" "$out/change"
 wait
+for side in parent change; do
+  f=$out/$side/storage_recovery/stdout
+  [ -f "$f" ] && sed -i -E 's/"wall_ms": [0-9.]+/"wall_ms": <masked>/g' "$f"
+done
 
 if diff -r "$out/parent" "$out/change"; then
   echo "identity_check: $(ls "$out/change" | wc -l) runs byte-identical ($out)"

@@ -45,27 +45,16 @@ class ExecutionIndex {
   /// role string like "catchup-shadow").
   static uint64_t site_id(const std::string& service,
                           const std::string& callsite) {
-    uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](const std::string& s) {
-      for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(service);
-    h ^= ':';
-    h *= 1099511628211ull;
-    mix(callsite);
-    return h;
+    return fnv1a64(callsite, fnv1a64(":", fnv1a64(service)));
   }
 
   /// Appends one frame in place and folds it into the incremental hash.
   void push(uint64_t site, uint32_t seq) {
     frames_.push_back({site, seq});
     hash_ ^= site;
-    hash_ *= 1099511628211ull;
+    hash_ *= kFnv1a64Prime;
     hash_ ^= seq;
-    hash_ *= 1099511628211ull;
+    hash_ *= kFnv1a64Prime;
   }
   void push(const std::string& service, const std::string& callsite,
             uint32_t seq) {
@@ -138,7 +127,7 @@ class ExecutionIndex {
 
  private:
   std::vector<Frame> frames_;
-  uint64_t hash_ = 14695981039346656037ull;
+  uint64_t hash_ = kFnv1a64Offset;
 };
 
 }  // namespace rddr

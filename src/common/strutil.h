@@ -51,6 +51,20 @@ std::optional<double> parse_f64(std::string_view s);
 std::string replace_all(std::string_view s, std::string_view from,
                         std::string_view to);
 
+/// FNV-1a 64 over a byte string. `h` continues a running hash, so
+/// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b). The one string hash behind
+/// durable-format checksums, ring placement, volume seeds, trace-id
+/// streams and call-site ids — changing it moves every one of them.
+inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;
+inline uint64_t fnv1a64(std::string_view s, uint64_t h = kFnv1a64Offset) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= kFnv1a64Prime;
+  }
+  return h;
+}
+
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -37,6 +37,17 @@ BlockDevice::ReadResult BlockDevice::read(uint64_t block) const {
   return r;
 }
 
+BlockDevice::ReadResult BlockDevice::read_retrying(uint64_t block,
+                                                  Time* io) const {
+  ReadResult r;
+  for (int i = 0; i < kReadAttempts; ++i) {
+    r = read(block);
+    if (io) *io += r.latency;
+    if (r.ok || !r.exists) break;
+  }
+  return r;
+}
+
 Time BlockDevice::sync() {
   counters_.syncs++;
   Time cost = opts_.sync_latency;

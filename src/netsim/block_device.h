@@ -80,6 +80,11 @@ class BlockDevice {
   /// like a checksum failure and may retry or fall back.
   ReadResult read(uint64_t block) const;
 
+  /// `read`, retried up to kReadAttempts times while the block exists but
+  /// the read errors; adds every try's latency to `*io` (if non-null).
+  static constexpr int kReadAttempts = 3;
+  ReadResult read_retrying(uint64_t block, Time* io) const;
+
   /// Durability barrier: every staged block becomes durable, in block
   /// order. Returns the modeled latency (sync_latency + per-page write
   /// cost of the promoted payloads).
@@ -100,9 +105,6 @@ class BlockDevice {
   /// staged at crash time.
   void force_torn_on_next_crash() { force_torn_ = true; }
 
-  bool has_block(uint64_t block) const {
-    return staged_.count(block) || durable_.count(block);
-  }
   uint64_t staged_blocks() const { return staged_.size(); }
   uint64_t durable_blocks() const { return durable_.size(); }
   /// Total durable payload bytes (simulated disk usage).

@@ -7,17 +7,6 @@
 
 namespace rddr::obs {
 
-namespace {
-uint64_t fnv1a64(const std::string& s) {
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-}  // namespace
-
 Tracer::Tracer(std::function<TimeNs()> clock, uint64_t seed)
     : clock_(std::move(clock)),
       seed_(seed),

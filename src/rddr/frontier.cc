@@ -4,15 +4,12 @@
 #include <cmath>
 
 #include "common/log.h"
+#include "common/strutil.h"
 
 namespace rddr::core {
 
 uint64_t hash_key(const std::string& key) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
+  uint64_t h = fnv1a64(key);
   // Raw FNV-1a clusters badly on short structured keys ("shard-1#42",
   // "open-client-7"): ring arcs collapse and one shard can end up with no
   // keyspace at all. A 64-bit avalanche finalizer fixes the spread.

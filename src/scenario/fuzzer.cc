@@ -16,15 +16,6 @@ namespace rddr::scenario {
 
 namespace {
 
-uint64_t fnv1a(ByteView b) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : b) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 Bytes valid_startup() {
   return pg::build_startup({{"user", "postgres"}, {"database", "app"}});
 }
@@ -584,7 +575,7 @@ std::string describe(const AdvOp& op) {
         out += strformat(" +%lldms send %zuB/%08llx",
                          static_cast<long long>(s.delay / sim::kMillisecond),
                          s.bytes.size(),
-                         static_cast<unsigned long long>(fnv1a(s.bytes) &
+                         static_cast<unsigned long long>(fnv1a64(s.bytes) &
                                                          0xffffffffULL));
         break;
       case AdvStep::Action::kClose:

@@ -29,15 +29,6 @@ std::string secret_for(const std::string& tag, uint64_t seed) {
                        (seed * 0x9e3779b97f4a7c15ULL) & 0xffffff));
 }
 
-uint64_t fnv1a(ByteView b) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : b) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Lenient framing for the diverse HTTP app instance: recognises
 // "\x0bchunked" as chunked and tolerates duplicate Content-Length — the
 // parser-diversity levers behind the smuggling mutation families.
@@ -225,7 +216,7 @@ void Topology::build_http_fanout() {
                       status > 0 && lr
                           ? strformat("leaf%zu=%016llx", k,
                                       static_cast<unsigned long long>(
-                                          fnv1a(lr->body)))
+                                          fnv1a64(lr->body)))
                           : strformat("leaf%zu=err", k);
                   if (--fan->remaining > 0) return;
                   Bytes body;

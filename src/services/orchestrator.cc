@@ -7,21 +7,6 @@
 
 namespace rddr::services {
 
-namespace {
-
-// Local FNV-1a so volume seeds depend only on the orchestrator seed and
-// the container name (stable across runs, not on std::hash).
-uint64_t fnv1a64(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 Orchestrator::Orchestrator(sim::Simulator& sim, sim::Network& net,
                            uint64_t seed)
     : sim_(sim), net_(net), seed_(seed) {}

@@ -93,4 +93,88 @@ std::string encode_row(const std::vector<Datum>& row) {
   return out;
 }
 
+bool decode_row(std::string_view line, std::vector<Datum>* out) {
+  out->clear();
+  if (line.empty()) return true;
+  auto cells = split(line, '\t');
+  out->reserve(cells.size());
+  for (const auto& cell : cells) {
+    Datum d;
+    if (!decode_datum(cell, &d)) return false;
+    out->push_back(std::move(d));
+  }
+  return true;
+}
+
+namespace {
+
+// Splits "<fields>\t<sum>" into the fields and the parsed checksum.
+bool split_checksum(std::string_view line, std::string_view* fields,
+                    uint64_t* sum) {
+  size_t last_tab = line.rfind('\t');
+  if (last_tab == std::string_view::npos) return false;
+  auto parsed = parse_hex64(line.substr(last_tab + 1));
+  if (!parsed) return false;
+  *fields = line.substr(0, last_tab);
+  *sum = *parsed;
+  return true;
+}
+
+}  // namespace
+
+std::string hex64(uint64_t v) {
+  return strformat("%016llx", static_cast<unsigned long long>(v));
+}
+
+std::optional<uint64_t> parse_hex64(std::string_view s) {
+  if (s.size() != 16) return std::nullopt;
+  uint64_t out = 0;
+  for (char c : s) {
+    int v = 0;
+    if (c >= '0' && c <= '9') v = c - '0';
+    else if (c >= 'a' && c <= 'f') v = 10 + (c - 'a');
+    else return std::nullopt;
+    out = (out << 4) | static_cast<uint64_t>(v);
+  }
+  return out;
+}
+
+std::string seal_line(std::string line) {
+  uint64_t sum = fnv1a64(line);
+  line.reserve(line.size() + 17);
+  line += '\t';
+  line += hex64(sum);
+  return line;
+}
+
+std::optional<std::vector<std::string>> open_line(std::string_view bytes) {
+  std::string_view fields;
+  uint64_t sum = 0;
+  if (!split_checksum(bytes, &fields, &sum) || fnv1a64(fields) != sum)
+    return std::nullopt;
+  return split(fields, '\t');
+}
+
+std::string seal_block(std::string_view head, std::string_view body) {
+  std::string out;
+  out.reserve(head.size() + 18 + body.size());
+  out += head;
+  out += '\t';
+  out += hex64(fnv1a64(head) ^ fnv1a64(body));
+  out += '\n';
+  out += body;
+  return out;
+}
+
+std::optional<OpenedBlock> open_block(std::string_view bytes) {
+  size_t nl = bytes.find('\n');
+  if (nl == std::string_view::npos) return std::nullopt;
+  std::string_view head, body = bytes.substr(nl + 1);
+  uint64_t sum = 0;
+  if (!split_checksum(bytes.substr(0, nl), &head, &sum) ||
+      (fnv1a64(head) ^ fnv1a64(body)) != sum)
+    return std::nullopt;
+  return OpenedBlock{split(head, '\t'), body};
+}
+
 }  // namespace rddr::sqldb

@@ -96,9 +96,8 @@ struct TableData {
   void build_index(const std::string& column);
   /// Reindexes appended rows starting at `first_new_row`.
   void index_appended(size_t first_new_row);
-  /// Rebuilds all indexes: after DELETE compaction moves row ordinals, and
-  /// after recovery reloads the rows. (UPDATE moves the entries of the
-  /// rows it changes instead.)
+  /// Rebuilds all indexes after DELETE compaction moves row ordinals.
+  /// (UPDATE moves the entries of the rows it changes instead.)
   void rebuild_indexes();
 };
 
@@ -219,8 +218,7 @@ class Database {
 
  private:
   friend class Session;
-  friend bool restore_database(Database& db, std::string_view snapshot,
-                               std::string* error);
+  friend struct SnapshotReader;  // sqldb/snapshot.cc: wholesale loads
 
   void note_rows_appended(const TableData& t, size_t first) {
     ++mutation_epoch_;

@@ -16,39 +16,29 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-}  // namespace
-
-std::string snapshot_database(const Database& db) {
-  std::string out = "RDDRSNAP 1\n";
-  out += "# engine " + db.info().product + " " + db.info().version + "\n";
-  for (const auto& [name, t] : db.tables()) {
-    out += "T " + escape_field(name) + "\t" + escape_field(t.owner) + "\t" +
-           (t.rls_enabled ? "1" : "0") + "\n";
-    for (const auto& c : t.columns)
-      out += strformat("C %s\t%d\n", escape_field(c.name).c_str(),
-                       static_cast<int>(c.type));
-    for (const auto& [priv, users] : t.grants)
-      for (const auto& u : users)
-        out += "G " + escape_field(priv) + "\t" + escape_field(u) + "\n";
-    for (const auto& p : t.policies)
-      out += "P " + escape_field(p.name) + "\t" + escape_field(p.role) + "\t" +
-             escape_field(p.using_expr ? p.using_expr->to_string() : "") +
+// One table's catalog records: T, then its C, G, P and X records.
+void write_table_catalog(const TableData& t, std::string& out) {
+  out += "T " + escape_field(t.name) + "\t" + escape_field(t.owner) + "\t" +
+         (t.rls_enabled ? "1" : "0") + "\n";
+  for (const auto& c : t.columns)
+    out += strformat("C %s\t%d\n", escape_field(c.name).c_str(),
+                     static_cast<int>(c.type));
+  for (const auto& [priv, users] : t.grants)
+    for (const auto& u : users)
+      out += "G " + escape_field(priv) + "\t" + escape_field(u) + "\n";
+  for (const auto& p : t.policies)
+    out += "P " + escape_field(p.name) + "\t" + escape_field(p.role) + "\t" +
+           escape_field(p.using_expr ? p.using_expr->to_string() : "") + "\n";
+  for (const auto& [col, index] : t.hash_indexes) {
+    (void)index;
+    if (col >= 0 && static_cast<size_t>(col) < t.columns.size())
+      out += "X " + escape_field(t.columns[static_cast<size_t>(col)].name) +
              "\n";
-    for (const auto& [col, index] : t.hash_indexes) {
-      (void)index;
-      if (col >= 0 && static_cast<size_t>(col) < t.columns.size())
-        out += "X " + escape_field(t.columns[static_cast<size_t>(col)].name) +
-               "\n";
-    }
-    for (const auto& row : t.rows) {
-      out += "R ";
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i) out += '\t';
-        out += encode_datum(row[i]);
-      }
-      out += '\n';
-    }
   }
+}
+
+// The database-level catalog records: F (UDFs), then O (operators).
+void write_routines(const Database& db, std::string& out) {
   for (const auto& [name, fn] : db.functions()) {
     out += "F " + escape_field(name) +
            strformat("\t%zu\t%d\t", fn.nargs, fn.notice_format ? 1 : 0) +
@@ -66,67 +56,104 @@ std::string snapshot_database(const Database& db) {
     out += "O " + escape_field(symbol) + "\t" + escape_field(op.procedure) +
            "\t" + escape_field(op.restrict_estimator) + "\n";
   }
-  return out;
 }
-
-namespace {
-
-bool restore_into(Database& db, std::map<std::string, FunctionDef>& functions,
-                  std::map<std::string, OperatorDef>& operators,
-                  std::string_view snapshot, std::string* error);
 
 }  // namespace
 
-bool restore_database(Database& db, std::string_view snapshot,
-                      std::string* error) {
-  // A restore is a wholesale replacement, not a statement-level mutation:
-  // mute the listener for the duration (the storage engine re-adopts the
-  // contents afterwards via rebase) but still advance the epoch once.
-  MutationListener* saved_listener = db.listener_;
-  db.listener_ = nullptr;
-  db.mutation_epoch_++;
-  db.tables_.clear();
-  db.functions_.clear();
-  db.operators_.clear();
-  if (restore_into(db, db.functions_, db.operators_, snapshot, error)) {
-    db.listener_ = saved_listener;
-    return true;
+std::string snapshot_database(const Database& db) {
+  std::string out = "RDDRSNAP 1\n";
+  out += "# engine " + db.info().product + " " + db.info().version + "\n";
+  for (const auto& [name, t] : db.tables()) {
+    write_table_catalog(t, out);
+    for (const auto& row : t.rows) {
+      out += "R ";
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (i) out += '\t';
+        out += encode_datum(row[i]);
+      }
+      out += '\n';
+    }
   }
-  // A failed restore must not leave a half-warmed mix of old and new
-  // state: clear everything so the caller sees an empty instance.
-  db.tables_.clear();
-  db.functions_.clear();
-  db.operators_.clear();
-  db.listener_ = saved_listener;
-  return false;
+  write_routines(db, out);
+  return out;
 }
 
-namespace {
+std::string catalog_records(const Database& db) {
+  std::string out;
+  for (const auto& [name, t] : db.tables()) write_table_catalog(t, out);
+  write_routines(db, out);
+  return out;
+}
 
-bool restore_into(Database& db, std::map<std::string, FunctionDef>& functions,
-                  std::map<std::string, OperatorDef>& operators,
-                  std::string_view snapshot, std::string* error) {
+// Loads records into a Database. A friend of Database: a load replaces
+// its private contents wholesale rather than through statements.
+struct SnapshotReader {
+  // Empties `db`, runs `load` on it, and empties it again if the load
+  // fails: a failed load must not leave a half-warmed mix of old and new
+  // state. A replacement is not a statement-level mutation, so the
+  // listener is muted for the duration (the storage engine re-adopts the
+  // contents afterwards) but the epoch still advances.
+  template <typename Load>
+  static bool replace(Database& db, Load&& load) {
+    MutationListener* saved_listener = db.listener_;
+    db.listener_ = nullptr;
+    db.mutation_epoch_++;
+    clear(db);
+    bool ok = load();
+    if (!ok) clear(db);
+    db.listener_ = saved_listener;
+    return ok;
+  }
+
+  static void clear(Database& db) {
+    db.tables_.clear();
+    db.functions_.clear();
+    db.operators_.clear();
+  }
+
+  // Parses the records in lines[first, end) into the emptied `db`. With
+  // `rows` set, each table takes its rows from there and R records are
+  // refused; otherwise rows come from R records.
+  static bool load(Database& db, const std::vector<std::string>& lines,
+                   size_t first, TableRows* rows, std::string* error);
+};
+
+bool restore_database(Database& db, std::string_view snapshot,
+                      std::string* error) {
+  return SnapshotReader::replace(db, [&] {
+    auto lines = split_lines(snapshot);
+    if (lines.empty()) return fail(error, "snapshot: empty input");
+    if (lines[0] != "RDDRSNAP 1") {
+      // Distinguish a future/garbled version stamp from plain garbage: the
+      // operator story differs (upgrade skew vs corrupt transfer).
+      if (lines[0].rfind("RDDRSNAP ", 0) == 0)
+        return fail(error,
+                    "snapshot: unsupported version '" + lines[0] + "'");
+      return fail(error, "snapshot: bad header");
+    }
+    // Writers always terminate with a newline, so a missing one means the
+    // transfer was cut mid-record — reject before parsing a half row as a
+    // (smaller, valid-looking) table.
+    if (snapshot.back() != '\n')
+      return fail(error, "snapshot: truncated input");
+    return SnapshotReader::load(db, lines, 1, nullptr, error);
+  });
+}
+
+bool install_database(Database& db, std::string_view catalog, TableRows rows,
+                      std::string* error) {
+  return SnapshotReader::replace(db, [&] {
+    return SnapshotReader::load(db, split_lines(catalog), 0, &rows, error);
+  });
+}
+
+bool SnapshotReader::load(Database& db, const std::vector<std::string>& lines,
+                          size_t first, TableRows* rows, std::string* error) {
   TableData* table = nullptr;
   // Index builds are deferred until all rows are in.
   std::vector<std::pair<std::string, std::string>> indexes;  // table, column
 
-  auto lines = split_lines(snapshot);
-  if (lines.empty())
-    return fail(error, "snapshot: empty input");
-  if (lines[0] != "RDDRSNAP 1") {
-    // Distinguish a future/garbled version stamp from plain garbage: the
-    // operator story differs (upgrade skew vs corrupt transfer).
-    if (lines[0].rfind("RDDRSNAP ", 0) == 0)
-      return fail(error,
-                  "snapshot: unsupported version '" + lines[0] + "'");
-    return fail(error, "snapshot: bad header");
-  }
-  // Writers always terminate with a newline, so a missing one means the
-  // transfer was cut mid-record — reject before parsing a half row as a
-  // (smaller, valid-looking) table.
-  if (snapshot.back() != '\n')
-    return fail(error, "snapshot: truncated input");
-  for (size_t ln = 1; ln < lines.size(); ++ln) {
+  for (size_t ln = first; ln < lines.size(); ++ln) {
     const std::string& line = lines[ln];
     if (line.empty() || line[0] == '#') continue;
     if (line.size() < 2 || line[1] != ' ')
@@ -182,6 +209,9 @@ bool restore_into(Database& db, std::map<std::string, FunctionDef>& functions,
         break;
       }
       case 'R': {
+        if (rows)
+          return fail(error, strformat("snapshot line %zu: row in a catalog",
+                                       ln + 1));
         if (!table)
           return fail(error, strformat("snapshot line %zu: row before table",
                                        ln + 1));
@@ -228,7 +258,7 @@ bool restore_into(Database& db, std::map<std::string, FunctionDef>& functions,
             return fail(error, "snapshot: return expr: " + parsed.error());
           fn.return_expr = parsed.take();
         }
-        functions[fn.name] = std::move(fn);
+        db.functions_[fn.name] = std::move(fn);
         break;
       }
       case 'O': {
@@ -240,7 +270,7 @@ bool restore_into(Database& db, std::map<std::string, FunctionDef>& functions,
         op.symbol = unescape_field(fields[0]);
         op.procedure = unescape_field(fields[1]);
         op.restrict_estimator = unescape_field(fields[2]);
-        operators[op.symbol] = std::move(op);
+        db.operators_[op.symbol] = std::move(op);
         break;
       }
       default:
@@ -249,13 +279,25 @@ bool restore_into(Database& db, std::map<std::string, FunctionDef>& functions,
                               rec));
     }
   }
+  if (rows) {
+    // Each row passes the arity check an R record gets; every table takes
+    // exactly one entry.
+    for (auto& [name, table_rows] : *rows) {
+      TableData* t = db.find_table(name);
+      if (!t) return fail(error, "snapshot: rows for unknown table " + name);
+      for (const auto& row : table_rows)
+        if (row.size() != t->columns.size())
+          return fail(error, "snapshot: row arity in " + name);
+      t->rows = std::move(table_rows);
+    }
+    if (rows->size() != db.tables_.size())
+      return fail(error, "snapshot: a table has no rows entry");
+  }
   for (const auto& [tname, column] : indexes) {
     TableData* t = db.find_table(tname);
     if (t) t->build_index(column);
   }
   return true;
 }
-
-}  // namespace
 
 }  // namespace rddr::sqldb

@@ -5,32 +5,6 @@
 
 namespace rddr::sqldb::storage {
 
-uint64_t fnv1a64(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string hex64(uint64_t v) {
-  return strformat("%016llx", static_cast<unsigned long long>(v));
-}
-
-std::optional<uint64_t> parse_hex64(std::string_view s) {
-  if (s.size() != 16) return std::nullopt;
-  uint64_t out = 0;
-  for (char c : s) {
-    int v;
-    if (c >= '0' && c <= '9') v = c - '0';
-    else if (c >= 'a' && c <= 'f') v = 10 + (c - 'a');
-    else return std::nullopt;
-    out = (out << 4) | static_cast<uint64_t>(v);
-  }
-  return out;
-}
-
 namespace {
 
 // The checksum covers a canonical rendering of the header fields plus
@@ -98,15 +72,7 @@ std::optional<PageImage> decode_page(ByteView bytes) {
     std::string_view line = body.substr(pos, eol - pos);
     pos = eol + 1;
     Row row;
-    if (!line.empty()) {
-      auto cells = split(line, '\t');
-      row.reserve(cells.size());
-      for (const auto& cell : cells) {
-        Datum d;
-        if (!decode_datum(cell, &d)) return std::nullopt;
-        row.push_back(std::move(d));
-      }
-    }
+    if (!decode_row(line, &row)) return std::nullopt;
     img.rows.push_back(std::move(row));
   }
   if (pos != body.size()) return std::nullopt;  // trailing garbage

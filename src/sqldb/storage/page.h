@@ -10,7 +10,9 @@
 //
 // The checksum (FNV-1a 64) covers the header fields and the row body, so
 // a torn device write — a prefix of the new image spliced over the old —
-// is detected no matter where the tear lands. `page_lsn` is the LSN of
+// is detected no matter where the tear lands. It hashes a rendering of
+// the fields rather than the header line, so pages keep this framing
+// instead of sqldb/codec.h's sealed layouts. `page_lsn` is the LSN of
 // the last statement that touched any row in the page; it is what makes
 // page-level incremental resync sound: replicas fed the same statement
 // prefix have byte-identical pages at equal page_lsn.
@@ -26,14 +28,6 @@
 #include "sqldb/engine.h"
 
 namespace rddr::sqldb::storage {
-
-/// FNV-1a 64-bit over a byte string (shared by page, WAL and root
-/// checksums — one hash, one framing discipline).
-uint64_t fnv1a64(std::string_view s);
-
-/// Fixed-width lowercase hex rendering of a checksum, and its inverse.
-std::string hex64(uint64_t v);
-std::optional<uint64_t> parse_hex64(std::string_view s);
 
 struct PageImage {
   std::string table;

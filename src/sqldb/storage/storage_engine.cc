@@ -11,11 +11,14 @@ namespace rddr::sqldb::storage {
 
 namespace {
 
-constexpr int kReadRetries = 3;
-
 bool set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
   return false;
+}
+
+// Catalog records are one per line (escape_field encodes newlines).
+size_t line_count(std::string_view text) {
+  return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
 }  // namespace
@@ -42,57 +45,10 @@ void StorageEngine::detach() {
   flush_event_ = 0;
 }
 
-// ---- Catalog text ------------------------------------------------------
-
-std::string StorageEngine::catalog_lines(const Database& db) const {
-  // Byte-for-byte the snapshot format (sqldb/snapshot.cc) minus the "R"
-  // row records — restore_database parses it directly.
-  std::string out;
-  for (const auto& [name, t] : db.tables()) {
-    out += "T " + escape_field(name) + "\t" + escape_field(t.owner) + "\t" +
-           (t.rls_enabled ? "1" : "0") + "\n";
-    for (const auto& c : t.columns)
-      out += strformat("C %s\t%d\n", escape_field(c.name).c_str(),
-                       static_cast<int>(c.type));
-    for (const auto& [priv, users] : t.grants)
-      for (const auto& u : users)
-        out += "G " + escape_field(priv) + "\t" + escape_field(u) + "\n";
-    for (const auto& p : t.policies)
-      out += "P " + escape_field(p.name) + "\t" + escape_field(p.role) + "\t" +
-             escape_field(p.using_expr ? p.using_expr->to_string() : "") +
-             "\n";
-    for (const auto& [col, index] : t.hash_indexes) {
-      (void)index;
-      if (col >= 0 && static_cast<size_t>(col) < t.columns.size())
-        out += "X " + escape_field(t.columns[static_cast<size_t>(col)].name) +
-               "\n";
-    }
-  }
-  for (const auto& [name, fn] : db.functions()) {
-    out += "F " + escape_field(name) +
-           strformat("\t%zu\t%d\t", fn.nargs, fn.notice_format ? 1 : 0) +
-           escape_field(fn.notice_format ? *fn.notice_format : "") +
-           strformat("\t%zu", fn.notice_args.size());
-    for (const auto& a : fn.notice_args) {
-      out += '\t';
-      out += escape_field(a->to_string());
-    }
-    out += strformat("\t%d\t", fn.return_expr ? 1 : 0) +
-           escape_field(fn.return_expr ? fn.return_expr->to_string() : "") +
-           "\n";
-  }
-  for (const auto& [symbol, op] : db.operators()) {
-    out += "O " + escape_field(symbol) + "\t" + escape_field(op.procedure) +
-           "\t" + escape_field(op.restrict_estimator) + "\n";
-  }
-  return out;
-}
-
 // ---- Root manifest -----------------------------------------------------
 
 Bytes StorageEngine::encode_root(const RootImage& root) const {
-  std::string body;
-  for (const auto& line : root.catalog_lines) body += line + "\n";
+  std::string body = root.catalog;
   for (const auto& m : root.tables) {
     body += strformat("M\t%s\t%llu\t%zu\t", escape_field(m.name).c_str(),
                       static_cast<unsigned long long>(m.nrows),
@@ -109,23 +65,16 @@ Bytes StorageEngine::encode_root(const RootImage& root) const {
       static_cast<unsigned long long>(root.lsn), hex64(root.lineage).c_str(),
       static_cast<unsigned long long>(root.next_free_block),
       static_cast<unsigned long long>(root.rows_per_page),
-      root.catalog_lines.size(), root.tables.size());
-  uint64_t sum = fnv1a64(head) ^ fnv1a64(body);
-  return head + "\t" + hex64(sum) + "\n" + body;
+      line_count(root.catalog), root.tables.size());
+  return seal_block(head, body);
 }
 
 std::optional<StorageEngine::RootImage> StorageEngine::decode_root(
     ByteView bytes) const {
-  size_t nl = bytes.find('\n');
-  if (nl == ByteView::npos) return std::nullopt;
-  std::string_view head = bytes.substr(0, nl);
-  std::string_view body = bytes.substr(nl + 1);
-  auto fields = split(head, '\t');
-  if (fields.size() != 9 || fields[0] != "RDDRROOT 1") return std::nullopt;
-  auto sum = parse_hex64(fields[8]);
-  size_t last_tab = head.rfind('\t');
-  if (!sum || (fnv1a64(head.substr(0, last_tab)) ^ fnv1a64(body)) != *sum)
-    return std::nullopt;
+  auto opened = open_block(bytes);
+  if (!opened) return std::nullopt;
+  const auto& fields = opened->head;
+  if (fields.size() != 8 || fields[0] != "RDDRROOT 1") return std::nullopt;
   auto seq = parse_i64(fields[1]);
   auto lsn = parse_i64(fields[2]);
   auto lineage = parse_hex64(fields[3]);
@@ -143,14 +92,16 @@ std::optional<StorageEngine::RootImage> StorageEngine::decode_root(
   root.lineage = *lineage;
   root.next_free_block = static_cast<uint64_t>(*next_free);
   root.rows_per_page = static_cast<uint64_t>(*rpp);
-  auto lines = split_lines(body);
+  auto lines = split_lines(opened->body);
   // split_lines may yield a trailing empty line for "a\n" inputs — trim.
   while (!lines.empty() && lines.back().empty()) lines.pop_back();
   if (lines.size() !=
       static_cast<size_t>(*ncat) + static_cast<size_t>(*ntables))
     return std::nullopt;
-  for (int64_t i = 0; i < *ncat; ++i)
-    root.catalog_lines.push_back(lines[static_cast<size_t>(i)]);
+  for (int64_t i = 0; i < *ncat; ++i) {
+    root.catalog += lines[static_cast<size_t>(i)];
+    root.catalog += '\n';
+  }
   for (int64_t i = 0; i < *ntables; ++i) {
     const std::string& line = lines[static_cast<size_t>(*ncat + i)];
     auto mf = split(line, '\t');
@@ -181,12 +132,7 @@ std::optional<StorageEngine::RootImage> StorageEngine::read_root(
     sim::Time* io) const {
   std::optional<RootImage> best;
   for (uint64_t slot = 0; slot < 2; ++slot) {
-    sim::BlockDevice::ReadResult r;
-    for (int i = 0; i < kReadRetries; ++i) {
-      r = data_->read(slot);
-      if (io) *io += r.latency;
-      if (r.ok || !r.exists) break;
-    }
+    auto r = data_->read_retrying(slot, io);
     if (!r.ok) continue;
     auto root = decode_root(r.data);
     if (!root) continue;
@@ -254,7 +200,6 @@ sim::Time StorageEngine::bootstrap(Database& db, uint64_t lineage_seed) {
   db.set_mutation_listener(this);
   lsn_ = 0;
   checkpointed_lsn_ = 0;
-  catalog_lsn_ = 0;
   root_seq_ = 0;
   next_free_block_ = 2;
   stale_blocks_.clear();
@@ -281,7 +226,7 @@ StorageEngine::RecoveryResult StorageEngine::recover(Database& db) {
     counters_.recovery_failures++;
     // The instance restarts empty (peer-resync territory): cleared
     // database, zero lineage so no delta can be built against it.
-    restore_database(db, "RDDRSNAP 1\n");
+    install_database(db, "", {});
     db.set_mutation_listener(this);
     tables_.clear();
     pool_.clear();
@@ -300,42 +245,31 @@ StorageEngine::RecoveryResult StorageEngine::recover(Database& db) {
   opts_.rows_per_page = root->rows_per_page;
   lsn_ = root->lsn;
   checkpointed_lsn_ = root->lsn;
-  catalog_lsn_ = root->lsn;
   out.trace += strformat("root seq=%llu lsn=%llu tables=%zu\n",
                          static_cast<unsigned long long>(root->seq),
                          static_cast<unsigned long long>(root->lsn),
                          root->tables.size());
 
-  // Catalog first (tables, grants, policies, index defs, UDFs/operators),
-  // then heap pages, then the WAL tail.
-  std::string catalog_snap = "RDDRSNAP 1\n";
-  for (const auto& line : root->catalog_lines) catalog_snap += line + "\n";
-  std::string err;
-  if (!restore_database(db, catalog_snap, &err))
-    return fail("catalog restore: " + err);
-
+  // Heap pages first, then the catalog and rows install in one step
+  // (tables, grants, policies, UDFs/operators, then indexes over the
+  // rows), then the WAL tail.
   tables_.clear();
   pool_.clear();
   stale_blocks_.clear();
+  TableRows rows;
   for (const auto& m : root->tables) {
-    TableData* t = db.find_table(m.name);
-    if (!t) return fail("root names unknown table " + m.name);
+    std::vector<Row>& t_rows = rows[m.name];
     TableState ts;
     ts.blocks = m.blocks;
     ts.page_lsns.assign(m.blocks.size(), 0);
     for (size_t p = 0; p < m.blocks.size(); ++p) {
-      sim::BlockDevice::ReadResult r;
-      for (int i = 0; i < kReadRetries; ++i) {
-        r = data_->read(m.blocks[p]);
-        out.io_time += r.latency;
-        if (r.ok || !r.exists) break;
-      }
+      auto r = data_->read_retrying(m.blocks[p], &out.io_time);
       if (!r.ok)
         return fail(strformat("page %s/%zu unreadable", m.name.c_str(), p));
       auto img = decode_page(r.data);
       if (!img || img->table != m.name || img->page_no != p)
         return fail(strformat("page %s/%zu corrupt", m.name.c_str(), p));
-      for (auto& row : img->rows) t->rows.push_back(std::move(row));
+      for (auto& row : img->rows) t_rows.push_back(std::move(row));
       ts.page_lsns[p] = img->page_lsn;
       ts.avg_page_bytes = std::max<uint64_t>(256, r.data.size());
       counters_.pages_read++;
@@ -346,11 +280,13 @@ StorageEngine::RecoveryResult StorageEngine::recover(Database& db) {
                              static_cast<unsigned long long>(img->page_lsn),
                              img->rows.size());
     }
-    if (t->rows.size() != m.nrows)
+    if (t_rows.size() != m.nrows)
       return fail("row count mismatch for " + m.name);
-    if (!t->hash_indexes.empty()) t->rebuild_indexes();
     tables_[m.name] = std::move(ts);
   }
+  std::string err;
+  if (!install_database(db, root->catalog, std::move(rows), &err))
+    return fail("catalog restore: " + err);
 
   // Redo: replay the committed statement tail through the engine. The
   // listener is attached first so replayed mutations re-mark page LSNs.
@@ -359,23 +295,16 @@ StorageEngine::RecoveryResult StorageEngine::recover(Database& db) {
   if (!wrec.ok) return fail(wrec.error);
   out.wal_torn = wrec.torn;
   db.set_mutation_listener(this);
-  replaying_ = true;
   for (const auto& rec : wrec.records) {
     if (rec.lsn <= lsn_) continue;
     if (rec.lsn != lsn_ + 1) break;  // gap: stop at the valid prefix
-    replay_lsn_ = rec.lsn;
-    Session session(db, rec.user);
-    session.execute(rec.sql);
-    lsn_ = rec.lsn;
-    counters_.wal_records_replayed++;
-    counters_.wal_bytes_replayed += rec.sql.size();
+    redo(rec);
     out.wal_records_replayed++;
     out.wal_bytes_replayed += rec.sql.size();
     out.trace += strformat("redo lsn=%llu user=%s bytes=%zu\n",
                            static_cast<unsigned long long>(rec.lsn),
                            rec.user.c_str(), rec.sql.size());
   }
-  replaying_ = false;
   statement_mutated_ = false;
   pending_io_ = 0;
   wal_records_since_ckpt_ = lsn_ - checkpointed_lsn_;
@@ -389,12 +318,22 @@ StorageEngine::RecoveryResult StorageEngine::recover(Database& db) {
   return out;
 }
 
+void StorageEngine::redo(const WalRecord& rec) {
+  // Replayed mutations mark pages with the record's own LSN.
+  replaying_ = true;
+  replay_lsn_ = rec.lsn;
+  Session(*db_, rec.user).execute(rec.sql);
+  replaying_ = false;
+  lsn_ = rec.lsn;
+  counters_.wal_records_replayed++;
+  counters_.wal_bytes_replayed += rec.sql.size();
+}
+
 sim::Time StorageEngine::rebase(uint64_t source_lsn, uint64_t source_lineage) {
   if (!db_) return 0;
   reclaim_all_blocks();
   pool_.clear();
   lsn_ = source_lsn;
-  catalog_lsn_ = source_lsn;
   lineage_id_ = source_lineage;
   adopt_tables(source_lsn);
   sim::Time io = wal_.reset(source_lsn);
@@ -468,8 +407,7 @@ void StorageEngine::maybe_start_checkpoint(bool force) {
   root.lsn = lsn_;
   root.lineage = lineage_id_;
   root.rows_per_page = opts_.rows_per_page;
-  for (const auto& line : split_lines(catalog_lines(*db_)))
-    if (!line.empty()) root.catalog_lines.push_back(line);
+  root.catalog = catalog_records(*db_);
   // Capture page images NOW (consistent at target_lsn); the device
   // writes are spread over the steps that follow.
   for (const auto& [name, t] : db_->tables()) {
@@ -573,11 +511,9 @@ std::optional<std::string> StorageEngine::build_delta(
     }
   } else {
     st.mode = "pages";
-    std::string cat = catalog_lines(*db_);
-    auto catv = split_lines(cat);
-    while (!catv.empty() && catv.back().empty()) catv.pop_back();
-    body += strformat("CAT\t%zu\n", catv.size());
-    for (const auto& line : catv) body += line + "\n";
+    std::string cat = catalog_records(*db_);
+    body += strformat("CAT\t%zu\n", line_count(cat));
+    body += cat;
     for (const auto& [name, t] : db_->tables()) {
       body += "S\t" + escape_field(name) + "\t" +
               std::to_string(t.rows.size()) + "\n";
@@ -606,8 +542,7 @@ std::optional<std::string> StorageEngine::build_delta(
       "RDDRDELTA 1\t%s\t%llu\t%llu\t%s", st.mode,
       static_cast<unsigned long long>(target_lsn),
       static_cast<unsigned long long>(lsn_), hex64(lineage_id_).c_str());
-  uint64_t sum = fnv1a64(head) ^ fnv1a64(body);
-  std::string out = head + "\t" + hex64(sum) + "\n" + body;
+  std::string out = seal_block(head, body);
   st.bytes = out.size();
   counters_.deltas_built++;
   if (stats) *stats = st;
@@ -617,17 +552,11 @@ std::optional<std::string> StorageEngine::build_delta(
 bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
                                 std::string* error) {
   if (!db_) return set_error(error, "delta: no attached database");
-  size_t nl = delta.find('\n');
-  if (nl == std::string_view::npos) return set_error(error, "delta: no header");
-  std::string_view head = delta.substr(0, nl);
-  std::string_view body = delta.substr(nl + 1);
-  auto fields = split(head, '\t');
-  if (fields.size() != 6 || fields[0] != "RDDRDELTA 1")
+  auto opened = open_block(delta);
+  if (!opened) return set_error(error, "delta: bad frame or checksum");
+  const auto& fields = opened->head;
+  if (fields.size() != 5 || fields[0] != "RDDRDELTA 1")
     return set_error(error, "delta: bad header");
-  auto sum = parse_hex64(fields[5]);
-  size_t last_tab = head.rfind('\t');
-  if (!sum || (fnv1a64(head.substr(0, last_tab)) ^ fnv1a64(body)) != *sum)
-    return set_error(error, "delta: checksum mismatch");
   const std::string& mode = fields[1];
   auto from = parse_i64(fields[2]);
   auto to = parse_i64(fields[3]);
@@ -645,33 +574,22 @@ bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
 
   if (mode == "wal") {
     st.mode = "wal";
-    replaying_ = true;
-    for (const auto& line : split_lines(body)) {
+    for (const auto& line : split_lines(opened->body)) {
       if (line.empty()) continue;
       auto wf = split(line, '\t');
-      if (wf.size() != 4 || wf[0] != "W") {
-        replaying_ = false;
+      if (wf.size() != 4 || wf[0] != "W")
         return set_error(error, "delta: bad wal line");
-      }
       auto lsn = parse_i64(wf[1]);
-      if (!lsn || static_cast<uint64_t>(*lsn) != lsn_ + 1) {
-        replaying_ = false;
+      if (!lsn || static_cast<uint64_t>(*lsn) != lsn_ + 1)
         return set_error(error, "delta: wal lsn discontinuity");
-      }
       WalRecord rec{static_cast<uint64_t>(*lsn), unescape_field(wf[2]),
                     unescape_field(wf[3])};
-      replay_lsn_ = rec.lsn;
-      Session session(*db_, rec.user);
-      session.execute(rec.sql);
-      lsn_ = rec.lsn;
+      redo(rec);
       st.wal_records++;
       st.wal_bytes += rec.sql.size();
-      counters_.wal_records_replayed++;
-      counters_.wal_bytes_replayed += rec.sql.size();
       wal_records_since_ckpt_++;
       wal_.append(std::move(rec));
     }
-    replaying_ = false;
     statement_mutated_ = false;
     pending_io_ = 0;
     if (lsn_ != static_cast<uint64_t>(*to))
@@ -684,12 +602,12 @@ bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
     // Parse the shipped catalog, table sizes and dirty pages.
     struct DeltaPage {
       uint64_t lsn = 0;
-      std::vector<std::string> rows;  // encoded
+      std::vector<Row> rows;
     };
-    std::vector<std::string> cat;
+    std::string catalog;
     std::vector<std::pair<std::string, uint64_t>> sizes;  // table -> nrows
     std::map<std::pair<std::string, uint64_t>, DeltaPage> pages;
-    auto lines = split_lines(body);
+    auto lines = split_lines(opened->body);
     while (!lines.empty() && lines.back().empty()) lines.pop_back();
     size_t i = 0;
     if (lines.empty() || !starts_with(lines[0], "CAT\t"))
@@ -698,7 +616,10 @@ bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
     if (!ncat || *ncat < 0 ||
         lines.size() < 1 + static_cast<size_t>(*ncat))
       return set_error(error, "delta: bad catalog count");
-    for (i = 1; i <= static_cast<size_t>(*ncat); ++i) cat.push_back(lines[i]);
+    for (i = 1; i <= static_cast<size_t>(*ncat); ++i) {
+      catalog += lines[i];
+      catalog += '\n';
+    }
     DeltaPage* cur_page = nullptr;
     size_t cur_expect = 0;
     for (; i < lines.size(); ++i) {
@@ -729,7 +650,10 @@ bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
         if (!cur_page) return set_error(error, "delta: row before page");
         // The row payload is everything after the "R\t" prefix (it
         // contains tabs between datums).
-        cur_page->rows.push_back(line.substr(2));
+        Row row;
+        if (!decode_row(std::string_view(line).substr(2), &row))
+          return set_error(error, "delta: bad row");
+        cur_page->rows.push_back(std::move(row));
       } else {
         return set_error(error, "delta: unknown line");
       }
@@ -737,72 +661,43 @@ bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
     if (cur_page && cur_page->rows.size() != cur_expect)
       return set_error(error, "delta: short page");
 
-    // Merge into a synthetic full snapshot: shipped catalog, rows from
-    // shipped pages where dirty and from our own (identical-by-LSN)
-    // pages where clean — then reuse the hardened restore path.
-    std::map<std::string, uint64_t> size_of;
-    for (const auto& [name, nrows] : sizes) size_of[name] = nrows;
-    auto emit_rows = [&](const std::string& table,
-                         std::string* out) -> bool {
-      auto sz = size_of.find(table);
-      if (sz == size_of.end()) return false;
-      uint64_t nrows = sz->second;
-      const TableData* existing = db_->find_table(table);
-      uint64_t np = npages(nrows);
-      for (uint64_t p = 0; p < np; ++p) {
+    // Each table's rows: shipped pages where dirty, our own
+    // (identical-by-LSN) pages where clean.
+    TableRows rows;
+    for (const auto& [name, nrows] : sizes) {
+      const TableData* existing = db_->find_table(name);
+      std::vector<Row>& out = rows[name];
+      out.reserve(nrows);
+      for (uint64_t p = 0; p < npages(nrows); ++p) {
         size_t first = static_cast<size_t>(p * opts_.rows_per_page);
-        size_t n =
-            std::min<size_t>(opts_.rows_per_page, nrows - first);
-        auto it = pages.find({table, p});
+        size_t n = std::min<size_t>(opts_.rows_per_page, nrows - first);
+        auto it = pages.find({name, p});
         if (it != pages.end()) {
-          if (it->second.rows.size() != n) return false;
-          for (const auto& r : it->second.rows) *out += "R " + r + "\n";
+          if (it->second.rows.size() != n)
+            return set_error(error, "delta: short page");
+          for (auto& row : it->second.rows) out.push_back(std::move(row));
         } else {
-          if (!existing || existing->rows.size() < first + n) return false;
-          for (size_t k = 0; k < n; ++k)
-            *out += "R " + encode_row(existing->rows[first + k]) + "\n";
+          if (!existing || existing->rows.size() < first + n)
+            return set_error(error, "delta: missing page for " + name);
+          out.insert(out.end(), existing->rows.begin() + first,
+                     existing->rows.begin() + first + n);
         }
       }
-      return true;
-    };
-    std::string synthetic = "RDDRSNAP 1\n";
-    std::string cur_table;
-    bool rows_done = false;
-    auto flush_table = [&]() -> bool {
-      if (cur_table.empty() || rows_done) return true;
-      rows_done = true;
-      return emit_rows(cur_table, &synthetic);
-    };
-    for (const auto& line : cat) {
-      if (starts_with(line, "T ")) {
-        if (!flush_table())
-          return set_error(error, "delta: missing page for " + cur_table);
-        auto tf = split(std::string_view(line).substr(2), '\t');
-        if (tf.empty()) return set_error(error, "delta: bad catalog");
-        cur_table = unescape_field(tf[0]);
-        rows_done = false;
-      } else if (starts_with(line, "F ") || starts_with(line, "O ")) {
-        if (!flush_table())
-          return set_error(error, "delta: missing page for " + cur_table);
-      }
-      synthetic += line + "\n";
     }
-    if (!flush_table())
-      return set_error(error, "delta: missing page for " + cur_table);
 
     // Preserve the old page bookkeeping for clean-page carry-over.
     std::map<std::string, TableState> old_tables = std::move(tables_);
     tables_.clear();
     std::string err;
-    if (!restore_database(*db_, synthetic, &err)) {
-      // The database is cleared (restore's contract); storage state is
+    if (!install_database(*db_, catalog, std::move(rows), &err)) {
+      // The database is cleared (install's contract); storage state is
       // reset to "empty, no lineage" so callers fall back to a full
       // snapshot.
       pool_.clear();
       lsn_ = 0;
       lineage_id_ = 0;
       wal_.reset(0);
-      return set_error(error, "delta: restore: " + err);
+      return set_error(error, "delta: install: " + err);
     }
     pool_.clear();
     for (const auto& [name, nrows] : sizes) {
@@ -833,7 +728,6 @@ bool StorageEngine::apply_delta(std::string_view delta, DeltaStats* stats,
       for (uint64_t b : ts.blocks)
         if (b) stale_blocks_.push_back(b);
     lsn_ = static_cast<uint64_t>(*to);
-    catalog_lsn_ = lsn_;
     wal_.reset(lsn_);
     maybe_start_checkpoint(/*force=*/true);
   } else {
@@ -888,7 +782,6 @@ void StorageEngine::on_rows_compacted(const TableData& table,
 
 void StorageEngine::on_table_created(const TableData& table) {
   ensure_table(table);
-  catalog_lsn_ = effective_lsn();
   statement_mutated_ = true;
 }
 
@@ -900,20 +793,15 @@ void StorageEngine::on_table_dropped(const std::string& name) {
     tables_.erase(it);
   }
   pool_.drop_table(name);
-  catalog_lsn_ = effective_lsn();
   statement_mutated_ = true;
 }
 
 void StorageEngine::on_catalog_changed(const TableData& table) {
   (void)table;
-  catalog_lsn_ = effective_lsn();
   statement_mutated_ = true;
 }
 
-void StorageEngine::on_schema_changed() {
-  catalog_lsn_ = effective_lsn();
-  statement_mutated_ = true;
-}
+void StorageEngine::on_schema_changed() { statement_mutated_ = true; }
 
 void StorageEngine::on_scan(const TableData& table,
                             const std::vector<size_t>* candidates) {

@@ -20,6 +20,11 @@
 //                   root is synced)
 //                 + WAL tail (statements after the root's LSN)
 //
+// Format owners: this file the root manifest and resync delta, page.h
+// page images, wal.h the WAL; the catalog records inside roots and
+// pages-mode deltas are sqldb/snapshot.h's, and escaping, rows and
+// checksum framing sqldb/codec.h's.
+//
 // LSN discipline: the LSN counts mutating statement scripts since
 // bootstrap. Replicas of one lineage fed the same replicated statement
 // stream assign identical LSNs, which is what makes `page_lsn <= L ⇒
@@ -164,9 +169,12 @@ class StorageEngine : public MutationListener {
                                          DeltaStats* stats) const;
 
   /// Target side: applies a delta built against exactly this LSN and
-  /// lineage. False on any mismatch or corruption — the database is left
-  /// unchanged (wal mode may have partially replayed; callers fall back
-  /// to a full snapshot either way).
+  /// lineage. One whole-delta checksum guards it: a checksum, header,
+  /// lineage, LSN or parse failure refuses the delta before anything
+  /// changes. Past that, a wal-mode delta may stop part-way through its
+  /// replay, and a pages-mode delta whose catalog or rows fail to install
+  /// leaves the database cleared and the lineage zero. Callers fall back
+  /// to a full snapshot on any false.
   bool apply_delta(std::string_view delta, DeltaStats* stats,
                    std::string* error = nullptr);
 
@@ -191,7 +199,6 @@ class StorageEngine : public MutationListener {
   /// Kicks a checkpoint now (no-op if one is running) — lets the chaos
   /// harness open a crash-during-checkpoint window on demand.
   void force_checkpoint() { maybe_start_checkpoint(/*force=*/true); }
-  sim::BlockDevice& data_device() { return *data_; }
   sim::BlockDevice& wal_device() { return *wal_dev_; }
 
   // ---- MutationListener -----------------------------------------------
@@ -220,7 +227,7 @@ class StorageEngine : public MutationListener {
     uint64_t lineage = 0;
     uint64_t next_free_block = 2;
     uint64_t rows_per_page = 64;
-    std::vector<std::string> catalog_lines;
+    std::string catalog;  // catalog_records (sqldb/snapshot.h)
     struct TableMap {
       std::string name;
       uint64_t nrows = 0;
@@ -249,8 +256,10 @@ class StorageEngine : public MutationListener {
   void mark_page(const TableData& t, uint64_t page);
   void adopt_tables(uint64_t page_lsn);
   void reclaim_all_blocks();
+  /// The one redo step (crash recovery and wal-mode deltas): re-executes
+  /// `rec` so its mutations mark pages with its LSN, and advances to it.
+  void redo(const WalRecord& rec);
 
-  std::string catalog_lines(const Database& db) const;
   Bytes encode_root(const RootImage& root) const;
   std::optional<RootImage> decode_root(ByteView bytes) const;
   std::optional<RootImage> read_root(sim::Time* io) const;
@@ -273,7 +282,6 @@ class StorageEngine : public MutationListener {
   uint64_t lineage_id_ = 0;
   uint64_t root_seq_ = 0;
   uint64_t next_free_block_ = 2;  // 0/1 are the root slots
-  uint64_t catalog_lsn_ = 0;
   uint64_t wal_records_since_ckpt_ = 0;
   std::map<std::string, TableState> tables_;
   std::vector<uint64_t> stale_blocks_;  // freed at next checkpoint

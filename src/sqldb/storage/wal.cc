@@ -2,45 +2,36 @@
 
 #include "common/strutil.h"
 #include "sqldb/codec.h"
-#include "sqldb/storage/page.h"
 
 namespace rddr::sqldb::storage {
-
-namespace {
-constexpr int kReadRetries = 3;  // transient device read errors
-}
 
 LogManager::LogManager(std::shared_ptr<sim::BlockDevice> dev)
     : dev_(std::move(dev)) {}
 
 std::string LogManager::encode_record(const WalRecord& rec) {
-  std::string body =
-      strformat("RDDRWALR 1\t%llu\t%s\t%s",
-                static_cast<unsigned long long>(rec.lsn),
-                escape_field(rec.user).c_str(), escape_field(rec.sql).c_str());
-  return body + "\t" + hex64(fnv1a64(body));
+  return seal_line(strformat("RDDRWALR 1\t%llu\t%s\t%s",
+                             static_cast<unsigned long long>(rec.lsn),
+                             escape_field(rec.user).c_str(),
+                             escape_field(rec.sql).c_str()));
 }
 
 std::optional<WalRecord> LogManager::decode_record(std::string_view bytes) {
-  auto fields = split(bytes, '\t');
-  if (fields.size() != 5 || fields[0] != "RDDRWALR 1") return std::nullopt;
-  size_t last_tab = bytes.rfind('\t');
-  auto sum = parse_hex64(fields[4]);
-  if (!sum || fnv1a64(bytes.substr(0, last_tab)) != *sum) return std::nullopt;
-  auto lsn = parse_i64(fields[1]);
+  auto fields = open_line(bytes);
+  if (!fields || fields->size() != 4 || (*fields)[0] != "RDDRWALR 1")
+    return std::nullopt;
+  auto lsn = parse_i64((*fields)[1]);
   if (!lsn || *lsn < 0) return std::nullopt;
   WalRecord rec;
   rec.lsn = static_cast<uint64_t>(*lsn);
-  rec.user = unescape_field(fields[2]);
-  rec.sql = unescape_field(fields[3]);
+  rec.user = unescape_field((*fields)[2]);
+  rec.sql = unescape_field((*fields)[3]);
   return rec;
 }
 
 std::string LogManager::encode_header() const {
-  std::string body = strformat("RDDRWALH 1\t%llu\t%llu",
-                               static_cast<unsigned long long>(start_block_),
-                               static_cast<unsigned long long>(start_lsn_));
-  return body + "\t" + hex64(fnv1a64(body));
+  return seal_line(strformat("RDDRWALH 1\t%llu\t%llu",
+                             static_cast<unsigned long long>(start_block_),
+                             static_cast<unsigned long long>(start_lsn_)));
 }
 
 sim::Time LogManager::write_header() { return dev_->write(0, encode_header()); }
@@ -68,12 +59,7 @@ LogManager::RecoverResult LogManager::recover() {
 
   // Header first (block 0). Transient read errors get bounded retries;
   // a missing or corrupt header means no usable log at all.
-  sim::BlockDevice::ReadResult head;
-  for (int i = 0; i < kReadRetries; ++i) {
-    head = dev_->read(0);
-    out.io += head.latency;
-    if (head.ok || !head.exists) break;
-  }
+  auto head = dev_->read_retrying(0, &out.io);
   if (!head.exists) {
     out.ok = false;
     out.error = "wal: no header";
@@ -84,17 +70,12 @@ LogManager::RecoverResult LogManager::recover() {
     out.error = "wal: header unreadable";
     return out;
   }
-  auto fields = split(head.data, '\t');
-  auto sum = fields.size() == 4 ? parse_hex64(fields[3]) : std::nullopt;
-  size_t last_tab = head.data.rfind('\t');
-  if (fields.size() != 4 || fields[0] != "RDDRWALH 1" || !sum ||
-      fnv1a64(std::string_view(head.data).substr(0, last_tab)) != *sum) {
-    out.ok = false;
-    out.error = "wal: corrupt header";
-    return out;
+  auto fields = open_line(head.data);
+  std::optional<int64_t> start_block, start_lsn;
+  if (fields && fields->size() == 3 && (*fields)[0] == "RDDRWALH 1") {
+    start_block = parse_i64((*fields)[1]);
+    start_lsn = parse_i64((*fields)[2]);
   }
-  auto start_block = parse_i64(fields[1]);
-  auto start_lsn = parse_i64(fields[2]);
   if (!start_block || *start_block < 1 || !start_lsn || *start_lsn < 0) {
     out.ok = false;
     out.error = "wal: corrupt header";
@@ -108,19 +89,13 @@ LogManager::RecoverResult LogManager::recover() {
   uint64_t expect_lsn = start_lsn_ + 1;
   uint64_t block = start_block_;
   for (;;) {
-    sim::BlockDevice::ReadResult r;
-    for (int i = 0; i < kReadRetries; ++i) {
-      r = dev_->read(block);
-      out.io += r.latency;
-      if (r.ok || !r.exists) break;
-    }
+    auto r = dev_->read_retrying(block, &out.io);
     if (!r.exists) break;  // end of log
     auto rec = r.ok ? decode_record(r.data) : std::nullopt;
     if (!rec || rec->lsn != expect_lsn) {
       out.torn = true;
       break;
     }
-    out.bytes += r.data.size();
     records_.push_back(*rec);
     out.records.push_back(std::move(*rec));
     expect_lsn++;

@@ -3,7 +3,8 @@
 // Statement-level redo log (the MySQL-binlog point in the design space:
 // the engine is deterministic, so re-executing the committed statement
 // stream reproduces the exact state). One record per mutating statement
-// script, one device block per record, framed and checksummed:
+// script, one device block per record, each a sealed line
+// (sqldb/codec.h):
 //
 //   block 0:    RDDRWALH 1\t<start_block>\t<start_lsn>\t<checksum>
 //   block k>=1: RDDRWALR 1\t<lsn>\t<user>\t<sql>\t<checksum>
@@ -48,7 +49,6 @@ class LogManager {
 
   struct RecoverResult {
     std::vector<WalRecord> records;  ///< valid durable tail, LSN order
-    uint64_t bytes = 0;              ///< payload bytes scanned (replayed)
     bool torn = false;               ///< scan stopped at a corrupt record
     sim::Time io = 0;
     std::string error;  ///< non-empty when the header itself is unreadable
@@ -73,9 +73,6 @@ class LogManager {
   std::optional<std::vector<WalRecord>> records_after(uint64_t after_lsn) const;
 
   uint64_t retained_records() const { return records_.size(); }
-  uint64_t last_lsn() const {
-    return records_.empty() ? start_lsn_ : records_.back().lsn;
-  }
   /// Payload bytes currently staged (not yet flushed) — part of the
   /// container's modeled resident memory.
   uint64_t staged_bytes() const { return staged_bytes_; }
