@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the hot paths on RDDR's critical
-// path: framing, tokenizing, de-noise + diff, content decoding, and the
-// engine's query execution.
+// path: framing, tokenizing, de-noise + diff, content decoding, the
+// engine's query execution, and checkpoint page encoding.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -15,6 +15,8 @@
 #include "rddr/plugins.h"
 #include "sqldb/engine.h"
 #include "sqldb/parser.h"
+#include "sqldb/storage/page.h"
+#include "sqldb/storage/storage_engine.h"
 #include "workloads/pgbench.h"
 #include "workloads/tpch.h"
 
@@ -208,25 +210,52 @@ void BM_SqlIndexedLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlIndexedLookup);
 
-// The pgbench read-write UPDATE: a full heap scan of 2000 accounts with
-// the WHERE evaluated per row (UPDATE does not use the index) and a SET
-// on a column no index covers.
-void BM_SqlUpdateHeapScan(benchmark::State& state) {
+// The pgbench read-write UPDATE, `SET abalance = abalance + d` on a column
+// no index covers, over 2000 accounts. `key` is the WHERE's key conjunct:
+// `aid` probes the hash index, `aid + 0` forces a heap scan with the WHERE
+// evaluated on every row. Items are the rows the statements scanned.
+void run_pgbench_update(benchmark::State& state, const char* key) {
   constexpr int kAccounts = 2000;
   sqldb::Database db(sqldb::minipg_info("13.0"));
   workloads::load_pgbench(db, kAccounts, 1);
   sqldb::Session s(db, "postgres");
   Rng rng(4);
+  int64_t rows_scanned = 0;
   for (auto _ : state) {
     std::string q = strformat(
-        "UPDATE pgbench_accounts SET abalance = abalance + %lld WHERE aid = %lld;",
-        static_cast<long long>(rng.uniform(-5000, 5000)),
+        "UPDATE pgbench_accounts SET abalance = abalance + %lld WHERE %s = %lld;",
+        static_cast<long long>(rng.uniform(-5000, 5000)), key,
         static_cast<long long>(rng.uniform(1, kAccounts)));
-    benchmark::DoNotOptimize(s.execute(q));
+    auto r = s.execute(q);
+    rows_scanned += r.rows_scanned;
+    benchmark::DoNotOptimize(r);
   }
-  state.SetItemsProcessed(state.iterations() * kAccounts);  // rows scanned
+  state.SetItemsProcessed(rows_scanned);
+}
+
+void BM_SqlUpdateKeyed(benchmark::State& state) {
+  run_pgbench_update(state, "aid");
+}
+BENCHMARK(BM_SqlUpdateKeyed);
+
+void BM_SqlUpdateHeapScan(benchmark::State& state) {
+  run_pgbench_update(state, "aid + 0");
 }
 BENCHMARK(BM_SqlUpdateHeapScan);
+
+// One checkpoint page image of pgbench_accounts at the storage engine's
+// default page size. Items are rows encoded.
+void BM_EncodePage(benchmark::State& state) {
+  sqldb::Database db(sqldb::minipg_info("13.0"));
+  workloads::load_pgbench(db, 2000, 1);
+  const sqldb::TableData& t = *db.find_table("pgbench_accounts");
+  const size_t rows = sqldb::storage::StorageOptions{}.rows_per_page;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        sqldb::storage::encode_page(t, 3, 1234, 3 * rows, rows));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_EncodePage);
 
 void BM_SqlTpchQ1(benchmark::State& state) {
   sqldb::Database db(sqldb::minipg_info("13.0"));

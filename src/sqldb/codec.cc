@@ -1,23 +1,36 @@
 #include "sqldb/codec.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/strutil.h"
 
 namespace rddr::sqldb {
 
+void append_escaped(std::string& out, std::string_view s) {
+  size_t run = 0;  // start of the bytes not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    char code;
+    switch (s[i]) {
+      case '\\': code = '\\'; break;
+      case '\t': code = 't'; break;
+      case '\n': code = 'n'; break;
+      case '\r': code = 'r'; break;
+      default: continue;
+    }
+    out.append(s.data() + run, i - run);
+    out += '\\';
+    out += code;
+    run = i + 1;
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
 std::string escape_field(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
@@ -39,16 +52,32 @@ std::string unescape_field(std::string_view s) {
   return out;
 }
 
-std::string encode_datum(const Datum& d) {
+void append_datum(std::string& out, const Datum& d) {
   switch (d.type()) {
-    case Type::kNull: return "N";
-    case Type::kBool: return d.as_bool() ? "B:t" : "B:f";
-    case Type::kInt:
-      return strformat("I:%lld", static_cast<long long>(d.as_int()));
-    case Type::kFloat: return strformat("F:%a", d.as_float());
-    case Type::kText: return "T:" + escape_field(d.as_text());
+    case Type::kNull: out += 'N'; return;
+    case Type::kBool: out += d.as_bool() ? "B:t" : "B:f"; return;
+    case Type::kInt: {
+      char buf[24];
+      auto res = std::to_chars(buf, buf + sizeof buf, d.as_int());
+      out += "I:";
+      out.append(buf, res.ptr);
+      return;
+    }
+    case Type::kFloat: {
+      // Hexfloat is what keeps doubles bit-exact; to_chars would not
+      // match printf's %a spelling byte for byte.
+      char buf[64];
+      int n = std::snprintf(buf, sizeof buf, "%a", d.as_float());
+      out += "F:";
+      out.append(buf, static_cast<size_t>(n));
+      return;
+    }
+    case Type::kText:
+      out += "T:";
+      append_escaped(out, d.as_text());
+      return;
   }
-  return "N";
+  out += 'N';
 }
 
 bool decode_datum(std::string_view s, Datum* out) {
@@ -84,13 +113,11 @@ bool decode_datum(std::string_view s, Datum* out) {
   return false;
 }
 
-std::string encode_row(const std::vector<Datum>& row) {
-  std::string out;
+void append_row(std::string& out, const std::vector<Datum>& row) {
   for (size_t i = 0; i < row.size(); ++i) {
     if (i) out += '\t';
-    out += encode_datum(row[i]);
+    append_datum(out, row[i]);
   }
-  return out;
 }
 
 bool decode_row(std::string_view line, std::vector<Datum>* out) {

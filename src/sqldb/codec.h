@@ -35,16 +35,24 @@
 
 namespace rddr::sqldb {
 
+// The writers append to `out`, so a whole page, snapshot or delta is
+// rendered into one buffer without a string per field.
+
+/// Appends `s` with the four delimiter bytes escaped.
+void append_escaped(std::string& out, std::string_view s);
+/// append_escaped into a fresh string (catalog and WAL fields).
 std::string escape_field(std::string_view s);
 std::string unescape_field(std::string_view s);
 
-std::string encode_datum(const Datum& d);
+/// Appends one datum in the Datum format above.
+void append_datum(std::string& out, const Datum& d);
 /// Returns false (out untouched) on malformed input.
 bool decode_datum(std::string_view s, Datum* out);
 
-/// Encodes a whole row tab-delimited (the snapshot/page "R" payload).
-std::string encode_row(const std::vector<Datum>& row);
-/// Inverse of encode_row; an empty line is a zero-column row. Returns
+/// Appends a whole row tab-delimited (the snapshot, page and delta row
+/// payload).
+void append_row(std::string& out, const std::vector<Datum>& row);
+/// Inverse of append_row; an empty line is a zero-column row. Returns
 /// false (out unspecified) on a malformed datum.
 bool decode_row(std::string_view line, std::vector<Datum>* out);
 

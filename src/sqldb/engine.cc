@@ -297,47 +297,33 @@ bool rls_applies(const TableData& t, const std::string& user) {
   return t.rls_enabled && user != "postgres" && user != t.owner;
 }
 
-/// For single-table queries, resolves "col = <int literal>" conjuncts
-/// against a hash index. Returns matching row ordinals (sorted, so scan
-/// order stays deterministic), or nullopt for a full scan.
+/// Resolves the first "col = <int literal>" conjunct of `e` that a
+/// hash index covers, visiting AND operands right to left. Returns the
+/// matching row ordinals (sorted, so scan order stays deterministic), or
+/// nullopt for a full scan.
 std::optional<std::vector<size_t>> index_candidates(const TableData& t,
-                                                    const Expr* where) {
-  if (!where) return std::nullopt;
-  std::vector<const Expr*> conjuncts{where};
-  while (!conjuncts.empty()) {
-    const Expr* e = conjuncts.back();
-    conjuncts.pop_back();
-    if (e->kind == ExprKind::kBinary && e->op == "and") {
-      conjuncts.push_back(e->args[0].get());
-      conjuncts.push_back(e->args[1].get());
-      continue;
-    }
-    if (e->kind != ExprKind::kBinary || e->op != "=") continue;
-    const Expr* col = nullptr;
-    const Expr* lit = nullptr;
-    if (e->args[0]->kind == ExprKind::kColumnRef &&
-        e->args[1]->kind == ExprKind::kLiteral) {
-      col = e->args[0].get();
-      lit = e->args[1].get();
-    } else if (e->args[1]->kind == ExprKind::kColumnRef &&
-               e->args[0]->kind == ExprKind::kLiteral) {
-      col = e->args[1].get();
-      lit = e->args[0].get();
-    } else {
-      continue;
-    }
-    if (lit->literal.type() != Type::kInt) continue;
-    int ci = t.find_column(col->column);
-    if (ci < 0) continue;
-    auto it = t.hash_indexes.find(ci);
-    if (it == t.hash_indexes.end()) continue;
-    auto [b, end] = it->second.equal_range(lit->literal.as_int());
-    std::vector<size_t> out;
-    for (auto i = b; i != end; ++i) out.push_back(i->second);
-    std::sort(out.begin(), out.end());
-    return out;
+                                                    const Expr* e) {
+  if (!e || e->kind != ExprKind::kBinary) return std::nullopt;
+  if (e->op == "and") {
+    if (auto out = index_candidates(t, e->args[1].get())) return out;
+    return index_candidates(t, e->args[0].get());
   }
-  return std::nullopt;
+  if (e->op != "=") return std::nullopt;
+  const Expr* col = e->args[0].get();
+  const Expr* lit = e->args[1].get();
+  if (col->kind == ExprKind::kLiteral) std::swap(col, lit);
+  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
+      lit->literal.type() != Type::kInt)
+    return std::nullopt;
+  int ci = t.find_column(col->column);
+  if (ci < 0) return std::nullopt;
+  auto it = t.hash_indexes.find(ci);
+  if (it == t.hash_indexes.end()) return std::nullopt;
+  auto [b, end] = it->second.equal_range(lit->literal.as_int());
+  std::vector<size_t> out;
+  for (auto i = b; i != end; ++i) out.push_back(i->second);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// Planner statistics probe: the CVE site. Selectivity estimation for
@@ -435,6 +421,31 @@ void reindex_row(std::unordered_multimap<int64_t, size_t>& index,
 }
 
 }  // namespace
+
+// ---------- Access path ----------
+
+/// The row ordinals one pass over a table visits, ascending: the
+/// hash-index candidates of its WHERE clause, or every row when no index
+/// applies. SELECT, UPDATE and DELETE all walk their table through it, so
+/// a WHERE clause is evaluated only on the rows the access path visits.
+struct Session::AccessPath {
+  std::optional<std::vector<size_t>> candidates;  // nullopt: heap scan
+  size_t heap_rows = 0;
+
+  size_t size() const { return candidates ? candidates->size() : heap_rows; }
+  size_t operator[](size_t i) const {
+    return candidates ? (*candidates)[i] : i;
+  }
+};
+
+Session::AccessPath Session::open_scan(const TableData& t, const Expr* where) {
+  AccessPath path{index_candidates(t, where), t.rows.size()};
+  // Buffer-pool modeling: tell the storage layer which pages this pass
+  // touches (all of them for a heap scan, just the candidates' pages for
+  // an index probe).
+  db_.note_scan(t, path.candidates ? &*path.candidates : nullptr);
+  return path;
+}
 
 // ---------- SELECT ----------
 
@@ -555,18 +566,12 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
     }
     const TableData& t = *from[level].table;
     const LevelPlan& plan = levels[level];
-    // Indexed fast path: a single-table equality predicate with a hash
-    // index visits only the matching rows (pgbench's PK lookup).
-    std::optional<std::vector<size_t>> candidates;
-    if (level == 0 && width == 1)
-      candidates = index_candidates(t, sel.where.get());
-    size_t scan_count = candidates ? candidates->size() : t.rows.size();
-    // Buffer-pool modeling: tell the storage layer which pages this pass
-    // over the table touches (all of them for a heap scan, just the
-    // candidates' pages for an index probe).
-    db_.note_scan(t, candidates ? &*candidates : nullptr);
-    for (size_t scan_i = 0; scan_i < scan_count; ++scan_i) {
-      const Row& row = t.rows[candidates ? (*candidates)[scan_i] : scan_i];
+    // Only a single-table query narrows its scan through an index; a
+    // join level scans its whole table once per outer row.
+    const AccessPath path =
+        open_scan(t, level == 0 && width == 1 ? sel.where.get() : nullptr);
+    for (size_t i = 0; i < path.size(); ++i) {
+      const Row& row = t.rows[path[i]];
       out.rows_scanned += 1;
       if (plan.rls) {
         bool visible = false;
@@ -904,8 +909,11 @@ StatementResult Session::run_update(const UpdateStmt& up) {
   std::vector<BoundExpr> policies;
   if (rls) policies = ev.bind_policies(*t);
   int64_t updated = 0;
-  db_.note_scan(*t, nullptr);  // UPDATE reads the whole heap
-  for (size_t ordinal = 0; ordinal < t->rows.size(); ++ordinal) {
+  // The candidates are fixed before any SET runs, so a row whose indexed
+  // column moves is visited once, as in a heap scan.
+  const AccessPath path = open_scan(*t, up.where.get());
+  for (size_t i = 0; i < path.size(); ++i) {
+    const size_t ordinal = path[i];
     Row& row = t->rows[ordinal];
     const Row* rows[] = {&row};
     out.rows_scanned += 1;
@@ -969,8 +977,9 @@ StatementResult Session::run_delete(const DeleteStmt& del) {
   std::vector<bool> doomed(t->rows.size());
   int64_t deleted = 0;
   size_t first_removed = t->rows.size();
-  db_.note_scan(*t, nullptr);  // DELETE reads the whole heap
-  for (size_t ordinal = 0; ordinal < t->rows.size(); ++ordinal) {
+  const AccessPath path = open_scan(*t, del.where.get());
+  for (size_t i = 0; i < path.size(); ++i) {
+    const size_t ordinal = path[i];
     const Row* rows[] = {&t->rows[ordinal]};
     out.rows_scanned += 1;
     bool remove = true;

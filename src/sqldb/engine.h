@@ -84,8 +84,9 @@ struct TableData {
   bool rls_enabled = false;
   std::map<std::string, std::set<std::string>> grants;  // privilege -> users
   std::vector<Policy> policies;
-  /// Equality hash indexes: column ordinal -> value-hash -> row ordinals.
-  /// Models the B-tree primary-key lookup pgbench depends on.
+  /// Equality hash indexes: column ordinal -> integer key -> row
+  /// ordinals. SELECT, UPDATE and DELETE all probe them for a
+  /// `col = <int literal>` conjunct: pgbench's primary-key lookups.
   std::map<int, std::unordered_multimap<int64_t, size_t>> hash_indexes;
 
   int find_column(std::string_view col) const;
@@ -168,9 +169,9 @@ class MutationListener {
   virtual void on_catalog_changed(const TableData& table) { (void)table; }
   /// Database-level catalog change: functions / operators.
   virtual void on_schema_changed() {}
-  /// A scan visited `table`: `candidates` lists the row ordinals when an
-  /// index narrowed the scan, null for a full heap scan. Read-only (does
-  /// not advance the mutation epoch).
+  /// A SELECT, UPDATE or DELETE pass visited `table`: `candidates` lists
+  /// the row ordinals when an index narrowed it, null for a full heap
+  /// scan. Read-only (does not advance the mutation epoch).
   virtual void on_scan(const TableData& table,
                        const std::vector<size_t>* candidates) {
     (void)table;
@@ -277,6 +278,11 @@ class Session {
   std::string setting(std::string_view name) const;
 
  private:
+  struct AccessPath;  // engine.cc
+  /// The rows one pass over `t` visits, chosen by `where`'s indexed
+  /// equality conjuncts; reports the pass to the buffer-pool model.
+  AccessPath open_scan(const TableData& t, const Expr* where);
+
   StatementResult run_statement(const Statement& st);
   StatementResult run_select(const SelectStmt& sel, bool explain_only,
                              bool costs_off);

@@ -67,10 +67,7 @@ std::string snapshot_database(const Database& db) {
     write_table_catalog(t, out);
     for (const auto& row : t.rows) {
       out += "R ";
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i) out += '\t';
-        out += encode_datum(row[i]);
-      }
+      append_row(out, row);
       out += '\n';
     }
   }

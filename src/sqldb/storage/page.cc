@@ -1,5 +1,8 @@
 #include "sqldb/storage/page.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/strutil.h"
 #include "sqldb/codec.h"
 
@@ -7,38 +10,59 @@ namespace rddr::sqldb::storage {
 
 namespace {
 
-// The checksum covers a canonical rendering of the header fields plus
-// the row body, so neither half can be torn without detection.
-uint64_t page_checksum(std::string_view table, uint64_t page_no, uint64_t lsn,
-                       size_t nrows, std::string_view body) {
-  std::string head = strformat("%.*s\t%llu\t%llu\t%zu\n",
-                               static_cast<int>(table.size()), table.data(),
-                               static_cast<unsigned long long>(page_no),
-                               static_cast<unsigned long long>(lsn), nrows);
-  return fnv1a64(head) ^ fnv1a64(body);
+void append_u64(std::string& out, uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
+
+// Appends the numeric header fields, \t<page_no>\t<page_lsn>\t<nrows>,
+// that follow the escaped table name.
+void append_numbers(std::string& out, uint64_t page_no, uint64_t lsn,
+                    size_t nrows) {
+  out += '\t';
+  append_u64(out, page_no);
+  out += '\t';
+  append_u64(out, lsn);
+  out += '\t';
+  append_u64(out, nrows);
+}
+
+// The checksum covers the header fields (ended by a newline) plus the
+// row body, so neither half can be torn without detection.
+uint64_t page_checksum(std::string_view fields, std::string_view body) {
+  return fnv1a64("\n", fnv1a64(fields)) ^ fnv1a64(body);
+}
+
+constexpr std::string_view kMagic = "RDDRPAGE 1\t";
 
 }  // namespace
 
 Bytes encode_page(const TableData& table, uint64_t page_no, uint64_t page_lsn,
                   size_t first, size_t n) {
-  std::string body;
-  size_t end = first + n;
-  if (end > table.rows.size()) end = table.rows.size();
+  size_t end = std::min(first + n, table.rows.size());
   size_t nrows = end > first ? end - first : 0;
+  // The image renders into one buffer reused across calls: the header
+  // with a placeholder checksum, then the rows; the checksum is filled in
+  // once the body is known. The result is one exact-size copy, because
+  // images stay resident on the block device.
+  thread_local std::string buf;
+  buf.assign(kMagic);
+  append_escaped(buf, table.name);
+  append_numbers(buf, page_no, page_lsn, nrows);
+  const size_t fields_end = buf.size();
+  buf.append("\t0000000000000000\n");
+  const size_t body_begin = buf.size();
   for (size_t i = first; i < end; ++i) {
-    body += encode_row(table.rows[i]);
-    body += '\n';
+    append_row(buf, table.rows[i]);
+    buf += '\n';
   }
-  std::string esc = escape_field(table.name);
-  uint64_t sum = page_checksum(esc, page_no, page_lsn, nrows, body);
-  Bytes out = strformat("RDDRPAGE 1\t%s\t%llu\t%llu\t%zu\t%016llx\n",
-                        esc.c_str(),
-                        static_cast<unsigned long long>(page_no),
-                        static_cast<unsigned long long>(page_lsn), nrows,
-                        static_cast<unsigned long long>(sum));
-  out += body;
-  return out;
+  std::string_view bytes = buf;
+  uint64_t sum = page_checksum(
+      bytes.substr(kMagic.size(), fields_end - kMagic.size()),
+      bytes.substr(body_begin));
+  for (size_t d = fields_end + 16; d > fields_end; --d, sum >>= 4)
+    buf[d] = "0123456789abcdef"[sum & 15];
+  return Bytes(buf);
 }
 
 std::optional<PageImage> decode_page(ByteView bytes) {
@@ -54,11 +78,12 @@ std::optional<PageImage> decode_page(ByteView bytes) {
   if (!page_no || !lsn || !nrows || *page_no < 0 || *lsn < 0 || *nrows < 0)
     return std::nullopt;
   auto want = parse_hex64(fields[5]);
-  if (!want ||
-      page_checksum(fields[1], static_cast<uint64_t>(*page_no),
-                    static_cast<uint64_t>(*lsn),
-                    static_cast<size_t>(*nrows), body) != *want)
-    return std::nullopt;
+  if (!want) return std::nullopt;
+  // The checksum covers the canonical rendering of the parsed fields.
+  std::string canonical(fields[1]);
+  append_numbers(canonical, static_cast<uint64_t>(*page_no),
+                 static_cast<uint64_t>(*lsn), static_cast<size_t>(*nrows));
+  if (page_checksum(canonical, body) != *want) return std::nullopt;
 
   PageImage img;
   img.table = unescape_field(fields[1]);

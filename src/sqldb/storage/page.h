@@ -6,7 +6,7 @@
 // line-oriented — see sqldb/codec.h) with a checksummed header:
 //
 //   RDDRPAGE 1\t<table>\t<page_no>\t<page_lsn>\t<nrows>\t<checksum>\n
-//   <encoded row>\n           (nrows lines, sqldb::encode_row)
+//   <encoded row>\n           (nrows lines, sqldb::append_row)
 //
 // The checksum (FNV-1a 64) covers the header fields and the row body, so
 // a torn device write — a prefix of the new image spliced over the old —

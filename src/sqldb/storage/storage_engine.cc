@@ -532,8 +532,11 @@ std::optional<std::string> StorageEngine::build_delta(
                           escape_field(name).c_str(),
                           static_cast<unsigned long long>(p),
                           static_cast<unsigned long long>(plsn), n);
-        for (size_t i = 0; i < n; ++i)
-          body += "R\t" + encode_row(t.rows[first + i]) + "\n";
+        for (size_t i = 0; i < n; ++i) {
+          body += "R\t";
+          append_row(body, t.rows[first + i]);
+          body += '\n';
+        }
         st.pages_shipped++;
       }
     }

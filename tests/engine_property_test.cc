@@ -1,7 +1,8 @@
 // Property tests for the SQL engine's semantics: aggregates agree with
 // hand computation over random data, engine personalities agree on ordered
-// queries for random seeds, LIKE agrees with a reference matcher, and
-// value comparison is a proper ordering.
+// queries for random seeds, indexed SELECT/UPDATE/DELETE agree with their
+// heap-scan forms, LIKE agrees with a reference matcher, and value
+// comparison is a proper ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "sqldb/engine.h"
+#include "sqldb/snapshot.h"
 
 namespace rddr::sqldb {
 namespace {
@@ -105,6 +107,144 @@ TEST_P(EngineProperty, IndexedEqualityMatchesFullScan) {
     auto rb = b.execute(q).statements[0];
     EXPECT_EQ(ra.rows, rb.rows) << q;
   }
+}
+
+TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
+  // Each random UPDATE/DELETE runs on two identical databases: keyed
+  // (`WHERE id = k ...`, an index probe) and scanned (`WHERE id + 0 = k
+  // ...`, which no index serves). Keyed DML visits only the key's rows, so
+  // the one allowed difference is a WHERE conjunct that fails on a row
+  // outside them: the scanned form fails there and the keyed form need
+  // not. A heap-scan SELECT over the rows outside the key detects that
+  // case; every other statement must leave both databases identical.
+  Rng rng(seed() * 13 + 5);
+  int allowed_differences = 0;
+  int failed_with_effects = 0;
+  for (int round = 0; round < 8; ++round) {
+    Database keyed_db(minipg_info("13.0"));
+    Database scanned_db(minipg_info("13.0"));
+    Rng data(rng.next());
+    for (Database* db : {&keyed_db, &scanned_db}) {
+      Rng d = data;  // identical rows in both
+      auto* t = db->create_table(
+          "t", {{"id", Type::kInt}, {"v", Type::kInt}, {"s", Type::kText}});
+      // Ids 0..9 with duplicates and NULLs; row 0 has id 0, which the
+      // guard family below fails on.
+      for (int i = 0; i < 40; ++i) {
+        Datum id = Datum::integer(0);
+        if (i > 0)
+          id = d.uniform(0, 6) > 0 ? Datum::integer(d.uniform(0, 9))
+                                   : Datum::null();
+        Datum v = d.uniform(0, 9) > 0 ? Datum::integer(d.uniform(-1, 2))
+                                      : Datum::null();
+        t->rows.push_back(
+            {std::move(id), std::move(v), Datum::text(d.alnum_token(3))});
+      }
+      t->build_index("id");
+    }
+    Session keyed(keyed_db, "postgres"), scanned(scanned_db, "postgres");
+    for (int trial = 0; trial < 16; ++trial) {
+      const int64_t k = rng.uniform(0, 12);  // 10..12 are absent keys
+      const std::string key = strformat("%lld", static_cast<long long>(k));
+      // The key conjunct, in keyed and scanned spelling.
+      const bool key_first = rng.uniform(0, 1) == 0;
+      const std::string keyed_pred = key_first ? "id = " + key : key + " = id";
+      const std::string scanned_pred = "id + 0 = " + key;
+      // Guard family: `100 / id > 0` fails only on id 0 rows and comes
+      // first, so it runs on every row the access path visits.
+      const int shape = static_cast<int>(rng.uniform(0, 5));
+      const bool guard = shape == 5;
+      std::string extra;
+      switch (shape) {
+        case 1:
+          extra = strformat("v > %lld",
+                            static_cast<long long>(rng.uniform(-2, 2)));
+          break;
+        case 2: extra = "10 / v > 0"; break;  // fails on v = 0, NULL ids too
+        case 3: extra = "s <> 'zzz'"; break;
+        default: break;
+      }
+      const bool extra_first = rng.uniform(0, 1) == 0;
+      auto where = [&](const std::string& pred) {
+        if (guard) return "100 / id > 0 AND " + pred;
+        if (extra.empty()) return pred;
+        return extra_first ? extra + " AND " + pred : pred + " AND " + extra;
+      };
+      static const char* const kSets[] = {
+          "v = v + 1",
+          "v = 10 / v",                // fails on a matched v = 0 row
+          "v = v + 1, id = 100 / v",   // fails after its first SET applied
+          "id = id + 1",               // moves the indexed column
+          "id = NULL, s = 'moved'",    // takes the row out of the index
+          "s = 'set'",
+      };
+      const bool is_delete = rng.uniform(0, 3) == 0;
+      const char* set = guard ? kSets[0] : kSets[rng.uniform(0, 5)];
+      auto statement = [&](const std::string& pred) {
+        return (is_delete ? std::string("DELETE FROM t WHERE ")
+                          : "UPDATE t SET " + std::string(set) + " WHERE ") +
+               where(pred) + ";";
+      };
+      const std::string keyed_sql = statement(keyed_pred);
+      const std::string scanned_sql = statement(scanned_pred);
+
+      const TableData& kt = *keyed_db.find_table("t");
+      size_t candidates = 0;
+      bool has_zero = false;
+      for (const auto& row : kt.rows) {
+        if (row[0].type() != Type::kInt) continue;
+        candidates += row[0].as_int() == k;
+        has_zero |= row[0].as_int() == 0;
+      }
+      const size_t heap_rows = kt.rows.size();
+      const std::string before = snapshot_database(keyed_db);
+      const bool fails_outside =
+          scanned
+              .execute("SELECT count(*) FROM t WHERE NOT coalesce(id = " + key +
+                       ", false) AND (" + where(scanned_pred) + ");")
+              .statements[0]
+              .failed();
+
+      StatementResult kr = keyed.execute(keyed_sql).statements[0];
+      StatementResult sr = scanned.execute(scanned_sql).statements[0];
+      SCOPED_TRACE(keyed_sql);
+      if (guard) {
+        EXPECT_EQ(fails_outside, k != 0 && has_zero);
+      }
+      if (!kr.failed()) {
+        EXPECT_EQ(kr.rows_scanned, static_cast<int64_t>(candidates));
+      }
+      if (fails_outside) {
+        ASSERT_TRUE(sr.failed());
+        if (guard) {
+          // The explicit allowed difference: the guard failed on an id 0
+          // row that the key's access path never visits.
+          EXPECT_EQ(*sr.error_sqlstate, "22012");
+          ASSERT_FALSE(kr.failed()) << kr.error_message;
+          EXPECT_EQ(kr.command_tag, (is_delete ? "DELETE " : "UPDATE ") +
+                                        std::to_string(candidates));
+        }
+        ++allowed_differences;
+        // Continue from the keyed database's state.
+        ASSERT_TRUE(restore_database(scanned_db, snapshot_database(keyed_db)));
+        continue;
+      }
+      EXPECT_EQ(kr.command_tag, sr.command_tag);
+      EXPECT_EQ(kr.error_sqlstate, sr.error_sqlstate);
+      if (!sr.failed()) {
+        EXPECT_EQ(sr.rows_scanned, static_cast<int64_t>(heap_rows));
+      }
+      const std::string after = snapshot_database(keyed_db);
+      ASSERT_EQ(after, snapshot_database(scanned_db));
+      failed_with_effects += kr.failed() && after != before;
+      ASSERT_EQ(keyed_db.find_table("t")->hash_indexes,
+                scanned_db.find_table("t")->hash_indexes);
+    }
+  }
+  // The generator reaches both the allowed difference and statements
+  // that fail part-way, keeping identical partial effects.
+  EXPECT_GT(allowed_differences, 0);
+  EXPECT_GT(failed_with_effects, 0);
 }
 
 namespace {

@@ -16,6 +16,7 @@
 #include "netsim/simulator.h"
 #include "services/orchestrator.h"
 #include "sqldb/client.h"
+#include "sqldb/codec.h"
 #include "sqldb/engine.h"
 #include "sqldb/server.h"
 #include "sqldb/snapshot.h"
@@ -348,6 +349,70 @@ TEST(StorageEngine, CrashMidCheckpointFallsBackToOldRootPlusRedo) {
   ASSERT_TRUE(rec.ok) << rec.error;
   EXPECT_EQ(snapshot_database(*h.db), before);  // old root + full redo
   EXPECT_EQ(rec.wal_records_replayed, 5u);
+}
+
+TEST(StorageEngine, KeyedUpdateTouchesAndDirtiesOnlyItsPage) {
+  // pgbench-rw-durable's shape: 2000 accounts (32 pages) over 16 frames.
+  StorageOptions opts;
+  opts.frame_budget = 16;
+  EngineHarness keyed(opts), scanned(opts);
+  for (EngineHarness* h : {&keyed, &scanned}) {
+    workloads::load_pgbench(*h->db, /*accounts=*/2000, /*seed=*/9);
+    h->engine->bootstrap(*h->db, /*lineage_seed=*/7);
+    h->sim.run_until_idle();  // initial checkpoint completes: all clean
+    ASSERT_EQ(h->engine->pool().dirty_frames(), 0u);
+  }
+  auto touches = [](const EngineHarness& h) {
+    const auto& st = h.engine->pool().stats();
+    return st.hits + st.misses;
+  };
+  const std::string keyed_sql =
+      "UPDATE pgbench_accounts SET abalance = abalance + 5 WHERE aid = 1000";
+  const std::string scanned_sql =
+      "UPDATE pgbench_accounts SET abalance = abalance + 5 WHERE aid + 0 = 1000";
+  uint64_t keyed_before = touches(keyed), scanned_before = touches(scanned);
+  keyed.exec(keyed_sql);
+  scanned.exec(scanned_sql);
+  // The index probe touches the one page holding aid 1000 and dirties it
+  // while it is resident. The scanned form reads all 32 pages, and by
+  // the time it dirties page 15 the later pages have evicted it, so the
+  // write faults it in again: one more pool access.
+  EXPECT_EQ(touches(keyed) - keyed_before, 1u);
+  EXPECT_EQ(touches(scanned) - scanned_before, 32u + 1u);
+  EXPECT_EQ(keyed.engine->pool().dirty_frames(), 1u);
+  EXPECT_EQ(scanned.engine->pool().dirty_frames(), 1u);
+  EXPECT_EQ(snapshot_database(*keyed.db), snapshot_database(*scanned.db));
+
+  // Checkpointed page images carry each page's LSN, so identical data
+  // devices mean identical page_lsns as well as identical rows.
+  for (EngineHarness* h : {&keyed, &scanned}) {
+    h->engine->force_checkpoint();
+    h->sim.run_until_idle();
+  }
+  for (uint64_t b = 0; b < 128; ++b) {
+    auto kb = keyed.data->read(b), sb = scanned.data->read(b);
+    ASSERT_EQ(kb.exists, sb.exists) << "data block " << b;
+    EXPECT_EQ(kb.data, sb.data) << "data block " << b;
+  }
+  // The WAL is byte-identical except for the one record that carries
+  // each form's own statement text.
+  int records_differing = 0;
+  for (uint64_t b = 0; b < 64; ++b) {
+    auto kb = keyed.wal->read(b), sb = scanned.wal->read(b);
+    ASSERT_EQ(kb.exists, sb.exists) << "wal block " << b;
+    if (kb.data == sb.data) continue;
+    ++records_differing;
+    auto kf = sqldb::open_line(kb.data), sf = sqldb::open_line(sb.data);
+    ASSERT_TRUE(kf && sf) << "wal block " << b;
+    ASSERT_EQ(kf->size(), 4u);
+    ASSERT_EQ(sf->size(), 4u);
+    EXPECT_EQ((*kf)[0], (*sf)[0]);  // record magic
+    EXPECT_EQ((*kf)[1], (*sf)[1]);  // LSN
+    EXPECT_EQ((*kf)[2], (*sf)[2]);  // user
+    EXPECT_EQ((*kf)[3], keyed_sql);
+    EXPECT_EQ((*sf)[3], scanned_sql);
+  }
+  EXPECT_EQ(records_differing, 1);
 }
 
 TEST(StorageEngine, SameSeedRecoveryTraceIsByteIdentical) {
