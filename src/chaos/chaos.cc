@@ -78,9 +78,9 @@ std::vector<FaultSpec> generate_fault_plan(uint64_t seed,
   Rng root(seed);
   Rng r = root.fork(0xC4A05);
   std::vector<FaultSpec> plan;
-  size_t n_faults = 1 + r.next() % std::max<size_t>(opts.max_faults, 1);
+  size_t n_faults = 1 + r.next() % kMaxFaults;
   const sim::Time window =
-      std::max<sim::Time>(opts.fault_window_end - opts.fault_window_start, 1);
+      std::max<sim::Time>(opts.fault_window_end - kFaultWindowStart, 1);
   for (size_t k = 0; k < n_faults; ++k) {
     FaultSpec f;
     // Disk kinds join the draw only under the durable profile, so plans
@@ -96,7 +96,7 @@ std::vector<FaultSpec> generate_fault_plan(uint64_t seed,
       case 7: f.kind = FaultKind::kCrashCheckpoint; break;
       default: f.kind = FaultKind::kCrashResync; break;
     }
-    f.at = opts.fault_window_start +
+    f.at = kFaultWindowStart +
            static_cast<sim::Time>(r.next() % static_cast<uint64_t>(window));
     f.duration = 200 * sim::kMillisecond +
                  static_cast<sim::Time>(r.next() % (1300ULL * sim::kMillisecond));
@@ -357,7 +357,7 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
         break;
       case FaultKind::kCrashCheckpoint:
         // Kick a checkpoint, then crash 3ms later — inside the paced
-        // write-out (steps are checkpoint_step_interval apart), so the
+        // write-out (steps are kCheckpointStepInterval apart), so the
         // staged pages and the not-yet-written root race the crash.
         sim.schedule_at(f.at, [&, slot] {
           try {
@@ -399,6 +399,13 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
   }
 
   // ---- workload: per-client query loops with periodic reconnects ----
+  // Queries with index % kUpdateEvery == 0 are UPDATEs (state the replicas
+  // must not lose across resync), the rest pgbench SELECTs.
+  constexpr size_t kUpdateEvery = 3;
+  // A client opens a fresh connection every this many queries, so
+  // readmitted instances actually join compared sessions.
+  constexpr size_t kQueriesPerSession = 5;
+  constexpr sim::Time kClientSpacing = 100 * sim::kMillisecond;
   struct Client {
     std::unique_ptr<sqldb::PgClient> pg;
     size_t issued = 0;
@@ -417,10 +424,8 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
       if (cl.pg) cl.pg->close();
       return;
     }
-    const bool fresh_session =
-        !cl.pg || cl.pg->broken() ||
-        (opts.queries_per_session > 0 &&
-         cl.issued % opts.queries_per_session == 0);
+    const bool fresh_session = !cl.pg || cl.pg->broken() ||
+                               cl.issued % kQueriesPerSession == 0;
     if (fresh_session) {
       if (cl.pg) cl.pg->close();
       cl.pg = std::make_unique<sqldb::PgClient>(
@@ -428,7 +433,7 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
     }
     const size_t qi = cl.issued++;
     std::string sql;
-    if (opts.update_every > 0 && qi % opts.update_every == 0) {
+    if (qi % kUpdateEvery == 0) {
       int aid = 1 + static_cast<int>(cl.rng.next() %
                                      static_cast<uint64_t>(opts.accounts));
       int delta = 1 + static_cast<int>(cl.rng.next() % 100);
@@ -443,7 +448,7 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
       if (o.failed()) ++rep.refused;
       else ++rep.served;
     });
-    sim.schedule(opts.client_spacing, [step, c] { (*step)(c); });
+    sim.schedule(kClientSpacing, [step, c] { (*step)(c); });
   };
   for (size_t c = 0; c < opts.clients; ++c) {
     sim.schedule_at(10 * sim::kMillisecond +
@@ -463,7 +468,7 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
   sim.schedule_at(last_fault_end, [watch] { (*watch)(); });
 
   const sim::Time workload_span =
-      static_cast<sim::Time>(opts.queries_per_client) * opts.client_spacing +
+      static_cast<sim::Time>(opts.queries_per_client) * kClientSpacing +
       sim::kSecond;
   sim.run_until(std::max(last_fault_end, workload_span) + opts.settle);
 
@@ -564,6 +569,15 @@ std::string ShardKillReport::summary() const {
 }
 
 ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
+  // Sessions open one every kSessionSpacing, each issuing
+  // kQueriesPerSession queries.
+  constexpr size_t kQueriesPerSession = 2;
+  constexpr sim::Time kSessionSpacing = 20 * sim::kMillisecond;
+  // Which shard's whole pool is crashed, and when / for how long.
+  constexpr size_t kKillShard = 1;
+  constexpr sim::Time kKillAt = 600 * sim::kMillisecond;
+  constexpr sim::Time kRestartAt = 1500 * sim::kMillisecond;
+
   ShardKillReport rep;
   sim::Simulator sim;
   sim::Network net{sim, 10 * sim::kMicrosecond};
@@ -575,7 +589,7 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
   std::vector<std::vector<std::string>> pools(opts.shards);
   std::vector<std::shared_ptr<sqldb::SqlServer>> servers;
   for (size_t k = 0; k < opts.shards; ++k) {
-    for (size_t i = 0; i < opts.instances_per_shard; ++i) {
+    for (size_t i = 0; i < kInstancesPerShard; ++i) {
       std::string address = strformat("pg-s%zu-%zu:5432", k, i);
       auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
       workloads::load_pgbench(*db, opts.accounts, /*seed=*/9);
@@ -612,14 +626,14 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
   // on that island too (cpu tasks and connection events interleave).
   db_host.pin_island(front->shard_island(0));
 
-  const size_t kill = opts.kill_shard % opts.shards;
+  const size_t kill = kKillShard % opts.shards;
   // Global events: fault-state mutations run at a barrier with every
   // island parked (plain island-0 events on a 1-island run).
-  sim.schedule_global_at(opts.kill_at, [&] {
+  sim.schedule_global_at(kKillAt, [&] {
     for (const std::string& a : pools[kill])
       net.crash_node(sim::Network::node_of(a));
   });
-  sim.schedule_global_at(opts.restart_at, [&] {
+  sim.schedule_global_at(kRestartAt, [&] {
     for (const std::string& a : pools[kill])
       net.restart_node(sim::Network::node_of(a));
   });
@@ -634,15 +648,15 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
   auto watch = std::make_shared<std::function<void()>>();
   *watch = [&, watch] {
     if (front->shard(kill).incoming().health().healthy_count() ==
-        opts.instances_per_shard) {
-      if (rep.readmit_time < 0) rep.readmit_time = sim.now() - opts.restart_at;
+        kInstancesPerShard) {
+      if (rep.readmit_time < 0) rep.readmit_time = sim.now() - kRestartAt;
       return;
     }
     sim.schedule(25 * sim::kMillisecond, [watch] { (*watch)(); });
   };
-  sim.schedule_on(kill_island, opts.restart_at, [watch] { (*watch)(); });
+  sim.schedule_on(kill_island, kRestartAt, [watch] { (*watch)(); });
   uint64_t killed_sessions_at_restart = 0;
-  sim.schedule_on(kill_island, opts.restart_at, [&] {
+  sim.schedule_on(kill_island, kRestartAt, [&] {
     killed_sessions_at_restart = front->shard(kill).incoming().stats().sessions;
   });
 
@@ -658,27 +672,27 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
   Rng root(seed);
   for (size_t s = 0; s < opts.sessions; ++s) {
     sim::Time open_at = 10 * sim::kMillisecond +
-                        static_cast<sim::Time>(s) * opts.session_spacing;
+                        static_cast<sim::Time>(s) * kSessionSpacing;
     sim.schedule_at(open_at, [&, s, open_at] {
       Client& cl = (*clients)[s];
       cl.pg = std::make_unique<sqldb::PgClient>(
           net, strformat("skc-%zu", s), "front:5432", "postgres");
       Rng rng = root.fork(1000 + s);
-      for (size_t q = 0; q < opts.queries_per_session; ++q) {
+      for (size_t q = 0; q < kQueriesPerSession; ++q) {
         std::string sql = workloads::pgbench_select_tx(rng, opts.accounts);
         ++rep.issued;
         cl.pg->query(sql, [&, s, open_at, q](sqldb::QueryOutcome o) {
           if (o.failed()) {
             ++rep.refused;
-            if (open_at >= opts.kill_at && open_at < opts.restart_at) {
+            if (open_at >= kKillAt && open_at < kRestartAt) {
               ++rep.refused_during_outage;
-              if (open_at >= opts.kill_at + detect_grace)
+              if (open_at >= kKillAt + detect_grace)
                 ++refused_after_detection;
             }
           } else {
             ++rep.served;
           }
-          if (q + 1 == opts.queries_per_session && cl.pg) cl.pg->close();
+          if (q + 1 == kQueriesPerSession && cl.pg) cl.pg->close();
         });
       }
     });
@@ -686,8 +700,8 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
 
   const sim::Time workload_end =
       10 * sim::kMillisecond +
-      static_cast<sim::Time>(opts.sessions) * opts.session_spacing;
-  sim.run_until(std::max(workload_end, opts.restart_at) + opts.settle);
+      static_cast<sim::Time>(opts.sessions) * kSessionSpacing;
+  sim.run_until(std::max(workload_end, kRestartAt) + opts.settle);
 
   rep.lost = rep.issued - rep.served - rep.refused;
   rep.killed_shard_healthy_at_end =
@@ -707,10 +721,10 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
         static_cast<unsigned long long>(refused_after_detection)));
   if (rep.readmit_time < 0)
     rep.violations.push_back("killed shard never returned to full health");
-  if (rep.killed_shard_healthy_at_end < opts.instances_per_shard)
+  if (rep.killed_shard_healthy_at_end < kInstancesPerShard)
     rep.violations.push_back(strformat(
         "killed shard ended at %zu/%zu healthy instances",
-        rep.killed_shard_healthy_at_end, opts.instances_per_shard));
+        rep.killed_shard_healthy_at_end, kInstancesPerShard));
   if (rep.sessions_after_readmit == 0)
     rep.violations.push_back(
         "killed shard served no sessions after readmission");

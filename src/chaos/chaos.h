@@ -54,21 +54,17 @@ struct FaultSpec {
 std::string describe(const FaultSpec& fault);
 std::string describe(const std::vector<FaultSpec>& plan);
 
+/// A generated plan holds 1..kMaxFaults faults.
+inline constexpr size_t kMaxFaults = 3;
+/// Faults are drawn from [kFaultWindowStart, ChaosOptions::fault_window_end).
+inline constexpr sim::Time kFaultWindowStart = 500 * sim::kMillisecond;
+
 struct ChaosOptions {
   size_t n_instances = 3;
   int accounts = 20;  // small table => updates collide with later reads
   size_t clients = 3;
   size_t queries_per_client = 60;
-  /// Queries with index % 3 == 0 are UPDATEs (state the replicas must not
-  /// lose across resync), the rest pgbench SELECTs.
-  size_t update_every = 3;
-  /// A client opens a fresh connection every this many queries, so
-  /// readmitted instances actually join compared sessions.
-  size_t queries_per_session = 5;
-  sim::Time client_spacing = 100 * sim::kMillisecond;
-  size_t max_faults = 3;
-  /// Faults are drawn from [fault_window_start, fault_window_end).
-  sim::Time fault_window_start = 500 * sim::kMillisecond;
+  /// End of the fault window (see kFaultWindowStart).
   sim::Time fault_window_end = 8 * sim::kSecond;
   /// Extra drain time after the last fault for probes + resync to finish.
   sim::Time settle = 20 * sim::kSecond;
@@ -157,20 +153,16 @@ ShrinkResult shrink_fault_plan(const std::vector<FaultSpec>& failing_plan,
 
 // ---- front-tier shard-kill scenario (rddr/frontier.h) ----
 
+/// minipg replicas in each shard's pool.
+inline constexpr size_t kInstancesPerShard = 3;
+
 struct ShardKillOptions {
   size_t shards = 3;
-  size_t instances_per_shard = 3;
   int accounts = 20;
-  /// Client sessions opened over the run, one every `session_spacing`,
-  /// each issuing `queries_per_session` queries on a fresh connection
-  /// with a distinct source (so consistent hashing spreads them).
+  /// Client sessions opened over the run, each on a fresh connection
+  /// with a distinct source (so consistent hashing spreads them); the
+  /// spacing and per-session query count are fixed in chaos.cc.
   size_t sessions = 150;
-  size_t queries_per_session = 2;
-  sim::Time session_spacing = 20 * sim::kMillisecond;
-  /// Which shard's whole pool is crashed, and when / for how long.
-  size_t kill_shard = 1;
-  sim::Time kill_at = 600 * sim::kMillisecond;
-  sim::Time restart_at = 1500 * sim::kMillisecond;
   /// Extra drain time after the last session for probes to readmit.
   sim::Time settle = 15 * sim::kSecond;
   /// Partition the simulation into this many islands (<= 1 = one island,

@@ -22,7 +22,6 @@ const char* level_name(LogLevel l) {
 }  // namespace
 
 void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
 void set_log_clock(std::function<int64_t()> clock) { g_clock = std::move(clock); }
 
 void log_message(LogLevel level, const char* fmt, ...) {

@@ -15,7 +15,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Sets the global log threshold; messages below it are dropped.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Installs a clock hook; when set, log lines are prefixed with its value
 /// (virtual nanoseconds). Pass nullptr to clear.

@@ -61,14 +61,6 @@ std::string Rng::alnum_token(size_t n) {
   return out;
 }
 
-std::string Rng::hex_token(size_t n) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(kHex[next() % 16]);
-  return out;
-}
-
 Rng Rng::fork(uint64_t label) {
   // Mix the parent's next output with the label so children with different
   // labels are decorrelated even when forked from identical parent states.

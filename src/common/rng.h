@@ -38,9 +38,6 @@ class Rng {
   /// Random alphanumeric token of length `n` ([0-9a-zA-Z]).
   std::string alnum_token(size_t n);
 
-  /// Random lowercase-hex token of length `n`.
-  std::string hex_token(size_t n);
-
   /// Derives an independent child stream; `label` decorrelates children
   /// created from the same parent state.
   Rng fork(uint64_t label);

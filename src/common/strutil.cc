@@ -23,20 +23,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
   }
 }
 
-std::vector<std::string> split_str(std::string_view s, std::string_view sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + sep.size();
-  }
-}
-
 std::vector<std::string> split_lines(std::string_view s) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -93,10 +79,6 @@ bool iequals(std::string_view a, std::string_view b) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
 size_t ifind(std::string_view haystack, std::string_view needle) {

@@ -12,10 +12,6 @@ namespace rddr {
 /// Splits `s` on the separator character; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char sep);
 
-/// Splits `s` on a separator string; keeps empty fields. `sep` must be
-/// non-empty.
-std::vector<std::string> split_str(std::string_view s, std::string_view sep);
-
 /// Splits into lines at '\n', keeping each line without its terminator.
 /// A trailing '\r' (CRLF input) is also stripped from each line.
 std::vector<std::string> split_lines(std::string_view s);
@@ -36,7 +32,6 @@ std::string to_upper(std::string_view s);
 bool iequals(std::string_view a, std::string_view b);
 
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Case-insensitive substring search; returns npos when absent.
 size_t ifind(std::string_view haystack, std::string_view needle);

@@ -53,9 +53,6 @@ Time BlockDevice::sync() {
   Time cost = opts_.sync_latency;
   for (auto& [block, data] : staged_) {
     cost += pages_cost(data.size(), opts_.write_latency);
-    auto it = durable_.find(block);
-    if (it != durable_.end()) durable_bytes_ -= it->second.size();
-    durable_bytes_ += data.size();
     durable_[block] = std::move(data);
   }
   staged_.clear();
@@ -64,11 +61,7 @@ Time BlockDevice::sync() {
 
 void BlockDevice::trim(uint64_t block) {
   staged_.erase(block);
-  auto it = durable_.find(block);
-  if (it != durable_.end()) {
-    durable_bytes_ -= it->second.size();
-    durable_.erase(it);
-  }
+  durable_.erase(block);
 }
 
 void BlockDevice::crash() {
@@ -101,15 +94,9 @@ void BlockDevice::crash() {
       auto it = durable_.find(block);
       if (it != durable_.end() && it->second.size() > mangled.size())
         mangled += it->second.substr(mangled.size());
-      auto dt = durable_.find(block);
-      if (dt != durable_.end()) durable_bytes_ -= dt->second.size();
-      durable_bytes_ += mangled.size();
       durable_[block] = std::move(mangled);
       continue;
     }
-    auto it = durable_.find(block);
-    if (it != durable_.end()) durable_bytes_ -= it->second.size();
-    durable_bytes_ += data.size();
     durable_[block] = std::move(data);
   }
   staged_.clear();

@@ -11,7 +11,7 @@
 // single-threaded simulation.
 //
 // The device is passive: it never touches the Simulator. Each operation
-// returns the virtual time it should cost (charged per `page_size` unit of
+// returns the virtual time it should cost (charged per `kPageSize` unit of
 // payload) and the caller schedules that delay on its own clock, keeping
 // storage latency inside the same deterministic pipeline as network and
 // CPU costs (the CloudNativeSim simulated-resource approach; PAPERS.md).
@@ -43,9 +43,6 @@ struct DiskFaults {
 class BlockDevice {
  public:
   struct Options {
-    /// Latency accounting granularity: payloads are charged per
-    /// ceil(size / page_size) pages. Blocks may hold any payload size.
-    uint64_t page_size = 4096;
     Time read_latency = 20 * kMicrosecond;    ///< per page read
     Time write_latency = 40 * kMicrosecond;   ///< per page staged
     Time sync_latency = 250 * kMicrosecond;   ///< per sync barrier
@@ -105,17 +102,18 @@ class BlockDevice {
   /// staged at crash time.
   void force_torn_on_next_crash() { force_torn_ = true; }
 
-  uint64_t staged_blocks() const { return staged_.size(); }
   uint64_t durable_blocks() const { return durable_.size(); }
-  /// Total durable payload bytes (simulated disk usage).
-  uint64_t durable_bytes() const { return durable_bytes_; }
 
   const Counters& counters() const { return counters_; }
   const Options& options() const { return opts_; }
 
  private:
+  /// Latency accounting granularity: payloads are charged per
+  /// ceil(size / kPageSize) pages. Blocks may hold any payload size.
+  static constexpr uint64_t kPageSize = 4096;
+
   Time pages_cost(size_t size, Time per_page) const {
-    uint64_t pages = (size + opts_.page_size - 1) / opts_.page_size;
+    uint64_t pages = (size + kPageSize - 1) / kPageSize;
     if (pages == 0) pages = 1;
     return static_cast<Time>(pages) * per_page;
   }
@@ -124,7 +122,6 @@ class BlockDevice {
   mutable Rng rng_;
   std::map<uint64_t, Bytes> staged_;
   std::map<uint64_t, Bytes> durable_;
-  uint64_t durable_bytes_ = 0;
   bool force_torn_ = false;
   mutable Counters counters_;
 };

@@ -64,9 +64,6 @@ class Host {
   void restore();
   bool failed() const { return failed_; }
 
-  /// Number of currently active CPU tasks.
-  size_t active_tasks() const { return heap_.size(); }
-
   /// Resident memory accounting (per-container charges flow through here).
   void charge_memory(int64_t bytes);
   void release_memory(int64_t bytes);

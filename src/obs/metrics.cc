@@ -75,12 +75,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Histogram* MetricsRegistry::find_histogram(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);

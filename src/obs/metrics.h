@@ -148,7 +148,6 @@ class MetricsRegistry {
 
   /// Lookup without creation; nullptr when absent.
   const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
 
   /// Flat JSON dump:

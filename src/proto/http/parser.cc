@@ -10,6 +10,9 @@ namespace detail {
 
 namespace {
 
+/// Upper bound on body size.
+constexpr size_t kMaxBodyBytes = 256 * 1024 * 1024;
+
 // Trims per the configured whitespace model. Strict HTTP optional whitespace
 // is SP / HTAB only; lenient backends use isspace().
 std::string_view trim_ows(std::string_view s, TeWhitespace mode) {
@@ -91,7 +94,7 @@ bool MessageParserBase::decide_framing(const HeaderMap& h, bool& chunked,
     return false;
   }
   if (!chunked && have_cl) {
-    if (static_cast<uint64_t>(cl) > opts_.max_body_bytes) {
+    if (static_cast<uint64_t>(cl) > kMaxBodyBytes) {
       fail("body too large");
       return false;
     }
@@ -211,7 +214,7 @@ bool MessageParserBase::try_parse_one() {
           return false;
         }
         chunk_len = chunk_len * 16 + static_cast<uint64_t>(d);
-        if (chunk_len > opts_.max_body_bytes) {
+        if (chunk_len > kMaxBodyBytes) {
           fail("chunk too large");
           return false;
         }
@@ -242,7 +245,7 @@ bool MessageParserBase::try_parse_one() {
       }
       if (rest.size() < p + chunk_len + 2) return false;  // need more data
       body.append(rest.substr(p, chunk_len));
-      if (body.size() > opts_.max_body_bytes) {
+      if (body.size() > kMaxBodyBytes) {
         fail("body too large");
         return false;
       }

@@ -38,8 +38,6 @@ struct ParserOptions {
   bool reject_duplicate_cl = true;
   /// Upper bound on header block size; larger blocks are a parse error.
   size_t max_header_bytes = 64 * 1024;
-  /// Upper bound on body size.
-  size_t max_body_bytes = 256 * 1024 * 1024;
 };
 
 namespace detail {
@@ -55,9 +53,6 @@ class MessageParserBase {
   /// True once a framing/syntax error was hit; the parser stops consuming.
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
-
-  /// Bytes fed but not yet consumed by a complete message (diagnostics).
-  size_t buffered_bytes() const { return buf_.size() - consumed_; }
 
   /// Copy of the not-yet-consumed bytes (pass-through fallback after a
   /// framing failure).

@@ -99,7 +99,7 @@ class NVersionDeployment {
     Builder& trace(obs::Tracer* tracer);
     /// Schedules deterministic faults against the deployment's network.
     /// The callback runs once inside build(); the FaultPlan it receives is
-    /// owned by the deployment (see fault_plan()).
+    /// owned by the deployment.
     Builder& faults(std::function<void(sim::FaultPlan&)> fn);
 
     // -- scale-out (consumed by build_frontier; build() ignores them) --
@@ -163,10 +163,6 @@ class NVersionDeployment {
   DivergenceBus& bus() { return bus_; }
   IncomingProxy& incoming() { return *incoming_; }
   OutgoingProxy& outgoing(size_t i = 0) { return *outgoing_.at(i); }
-  size_t outgoing_count() const { return outgoing_.size(); }
-
-  /// The fault plan scheduled via Builder::faults (null when none).
-  sim::FaultPlan* fault_plan() { return fault_plan_.get(); }
 
   /// Swaps instance slot `i` to a replacement replica at `new_address`
   /// across every proxy: the incoming proxy re-probes (and resyncs) the

@@ -72,7 +72,6 @@ class ConsistentHash {
 
   /// Marks a shard (un)routable; route() skips disabled shards.
   void set_shard_enabled(size_t shard, bool enabled);
-  bool shard_enabled(size_t shard) const { return enabled_.at(shard); }
 
  private:
   size_t nshards_;
@@ -152,11 +151,6 @@ class Frontier {
 
   /// Registry the frontier publishes into (configured one, else private).
   obs::MetricsRegistry& metrics() { return *metrics_; }
-
-  /// Connections currently parked in shard k's admission queue.
-  size_t admission_queue_len(size_t k) const {
-    return shard_state_.at(k).queue.size();
-  }
 
  private:
   struct Waiting {

@@ -37,7 +37,7 @@ constexpr size_t kJournalMaxUnits = 256;
 const NWayProxy::Traits kResponseTraits = {
     "response", "closed while peers responded", "closed while peers responded",
     "instance response timeout", "response timeout", "quarantining it",
-    /*arm_timer_in_pump=*/false};
+    /*arm_timer_in_pump=*/false, /*base_memory_bytes=*/24LL << 20};
 }  // namespace
 
 IncomingProxy::IncomingProxy(sim::Network& net, sim::Host& host,

@@ -49,10 +49,9 @@ NWayProxy::NWayProxy(sim::Network& net, sim::Host& host,
         return h;
       }()),
       engine_(opts.diff),
-      traits_(traits),
-      memory_bytes_(opts.base_memory_bytes) {
+      traits_(traits) {
   counters_.bind(*metrics_, opts.name);
-  host_.charge_memory(memory_bytes_);
+  host_.charge_memory(traits_.base_memory_bytes);
   // A sibling proxy saw divergence: whatever the instances produce next
   // must not go through.
   bus_->subscribe_records([this, name = opts.name](const DivergenceRecord& r) {
@@ -62,7 +61,7 @@ NWayProxy::NWayProxy(sim::Network& net, sim::Host& host,
 }
 
 NWayProxy::~NWayProxy() {
-  host_.release_memory(memory_bytes_);
+  host_.release_memory(traits_.base_memory_bytes);
   for (auto& [id, f] : flows_) cancel_event(f->timeout_event);
 }
 

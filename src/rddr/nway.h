@@ -80,6 +80,8 @@ class NWayProxy {
     /// true: pump() arms the silent-lane timer on a short batch; false: it
     /// is armed on every framed unit and the proxy re-arms it per forward.
     bool arm_timer_in_pump;
+    /// Proxy footprint charged to the host while it runs.
+    int64_t base_memory_bytes;
   };
 
   virtual ~NWayProxy();
@@ -201,7 +203,6 @@ class NWayProxy {
   void compare_next(const FlowPtr& f);
 
   const Traits traits_;
-  const int64_t memory_bytes_;  // charged at construction
 };
 
 }  // namespace rddr::core

@@ -84,7 +84,6 @@ struct ProxyOptions {
   /// CPU model for the de-noise+diff work, charged to the proxy host.
   double cpu_per_unit = 15e-6;
   double cpu_per_byte = 2e-9;
-  int64_t base_memory_bytes = 24LL << 20;
   /// Observability sinks (optional, not owned). With `metrics` unset the
   /// proxy keeps a private registry; with `tracer` unset no spans are
   /// recorded.

@@ -21,7 +21,8 @@ const NWayProxy::Traits kRequestTraits = {
     "request", "closed while peers kept sending to the backend",
     "closed while peers kept sending",
     "instance request timeout at the backend merge", "request timeout",
-    "dropping it", /*arm_timer_in_pump=*/true};
+    "dropping it", /*arm_timer_in_pump=*/true,
+    /*base_memory_bytes=*/16LL << 20};
 }  // namespace
 
 OutgoingProxy::OutgoingProxy(sim::Network& net, sim::Host& host,

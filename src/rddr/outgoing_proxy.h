@@ -33,10 +33,7 @@ namespace rddr::core {
 class OutgoingProxy : public NWayProxy {
  public:
   struct Config : ProxyOptions {
-    Config() {
-      name = "rddr-out";
-      base_memory_bytes = 16LL << 20;
-    }
+    Config() { name = "rddr-out"; }
 
     /// Address the instances dial (their configured "backend").
     std::string listen_address;

@@ -193,9 +193,10 @@ void HttpPlugin::canonicalize(const Unit& unit, const CompareContext& ctx,
     if (decoded) body = std::move(*decoded);
     else out.lines.push_back(arena, ByteView("!undecodable-content-coding"));
   }
+  // JSON bodies compare structurally (canonicalised before diffing), so
+  // key order is not a divergence.
   auto ctype = resp.headers.get("Content-Type");
-  if (opts_.canonicalize_json && ctype &&
-      ifind(*ctype, "json") != std::string::npos) {
+  if (ctype && ifind(*ctype, "json") != std::string::npos) {
     auto doc = json::parse(body);
     if (doc) {
       out.lines.push_back(arena, arena.copy(doc->dump()));
@@ -394,21 +395,6 @@ bool PgPlugin::replayable(const Unit& unit) const {
   // must not inject a second startup (which desyncs pgwire framing) or a
   // Terminate (which would cut the replay stream short) mid-replay.
   return unit.kind != "pg:startup" && unit.kind != "pg:X";
-}
-
-// ---------- JsonLinesPlugin ----------
-
-std::unique_ptr<StreamFramer> JsonLinesPlugin::make_framer(Direction) const {
-  return std::make_unique<LineFramer>();
-}
-
-void JsonLinesPlugin::canonicalize(const Unit& unit, const CompareContext&,
-                                   Arena& arena, CanonicalUnit& out) const {
-  out.klass = unit.kind;
-  out.what = ByteView("json document");
-  // Canonicalise the document; malformed docs compare as raw bytes.
-  auto doc = json::parse(trim(unit.data));
-  out.lines.push_back(arena, doc ? arena.copy(doc->dump()) : ByteView(unit.data));
 }
 
 }  // namespace rddr::core

@@ -30,9 +30,6 @@ class TcpLinePlugin : public ProtocolPlugin {
 class HttpPlugin : public ProtocolPlugin {
  public:
   struct Options {
-    /// Compare JSON bodies structurally (canonicalise before diffing), so
-    /// key order is not a divergence.
-    bool canonicalize_json = true;
     /// §IV-B3 ephemeral-state handling (CSRF capture + per-instance
     /// restore). Off only for the ablation study.
     bool handle_ephemeral_state = true;
@@ -88,18 +85,6 @@ class PgPlugin : public ProtocolPlugin {
   bool replayable(const Unit& unit) const override;
   /// pgwire requests carry no ephemeral tokens to restore (BackendKeyData
   /// flows server->client only), so the fan-out is zero-copy.
-  bool rewrites_identity() const override { return true; }
-};
-
-/// Newline-delimited JSON documents over raw TCP. Units are lines;
-/// comparison is structural (canonical dump) with filter-pair masking.
-class JsonLinesPlugin : public ProtocolPlugin {
- public:
-  std::string name() const override { return "json-lines"; }
-  std::unique_ptr<StreamFramer> make_framer(Direction dir) const override;
-  void canonicalize(const Unit& unit, const CompareContext& ctx, Arena& arena,
-                    CanonicalUnit& out) const override;
-  /// No per-instance rewriting: requests fan out as one shared buffer.
   bool rewrites_identity() const override { return true; }
 };
 

@@ -52,7 +52,6 @@ void DvwaApp::handle_sqli_get(Responder respond) {
   // the ephemeral state RDDR's HTTP plugin must manage (paper §IV-B3).
   std::string token = rng_.alnum_token(32);
   live_tokens_.insert(token);
-  ++tokens_issued_;
   std::string page =
       "<html><body>\n"
       "<h2>Vulnerability: SQL Injection</h2>\n"

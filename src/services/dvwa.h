@@ -53,7 +53,6 @@ class DvwaApp {
   /// for tests documenting the sanitisation difference).
   std::string build_query(const std::string& id) const;
 
-  uint64_t tokens_issued() const { return tokens_issued_; }
   uint64_t token_failures() const { return token_failures_; }
 
  private:
@@ -66,7 +65,6 @@ class DvwaApp {
   Rng rng_;
   std::unique_ptr<HttpServer> server_;
   std::set<std::string> live_tokens_;
-  uint64_t tokens_issued_ = 0;
   uint64_t token_failures_ = 0;
   uint64_t sqli_posts_ = 0;
 };

@@ -79,8 +79,9 @@ void GitlabApp::stop_sidekiq() {
 }
 
 void GitlabApp::schedule_sidekiq() {
-  if (opts_.sidekiq_max_jobs > 0 && sidekiq_jobs_ >= opts_.sidekiq_max_jobs)
-    return;
+  // Stop after this many background jobs (keeps simulations finite).
+  constexpr uint64_t kSidekiqMaxJobs = 6;
+  if (sidekiq_jobs_ >= kSidekiqMaxJobs) return;
   sidekiq_event_ = net_.simulator().schedule(opts_.sidekiq_interval, [this] {
     sidekiq_event_ = 0;
     // Background job: refresh project statistics.

@@ -31,8 +31,6 @@ class GitlabApp {
     std::string db_address = "gitlab-db:5432";
     /// Sidekiq background-job cadence (0 disables).
     sim::Time sidekiq_interval = 500 * sim::kMillisecond;
-    /// Stop after this many background jobs (keeps simulations finite).
-    uint64_t sidekiq_max_jobs = 6;
     double cpu_per_request = 150e-6;
   };
 

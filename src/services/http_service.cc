@@ -15,15 +15,20 @@ struct HttpServer::Conn {
   explicit Conn(http::ParserOptions opts) : parser(opts) {}
 };
 
+namespace {
+/// Container footprint charged while running.
+constexpr int64_t kBaseMemoryBytes = 32LL << 20;
+}  // namespace
+
 HttpServer::HttpServer(sim::Network& net, sim::Host& host, Options opts)
     : net_(net), host_(host), opts_(std::move(opts)) {
-  host_.charge_memory(opts_.base_memory_bytes);
+  host_.charge_memory(kBaseMemoryBytes);
   net_.listen(opts_.address, [this](sim::ConnPtr c) { on_accept(std::move(c)); });
 }
 
 HttpServer::~HttpServer() {
   net_.unlisten(opts_.address);
-  host_.release_memory(opts_.base_memory_bytes);
+  host_.release_memory(kBaseMemoryBytes);
 }
 
 void HttpServer::on_accept(sim::ConnPtr conn) {
@@ -61,10 +66,7 @@ void HttpServer::pump(const std::shared_ptr<Conn>& c) {
     sim::FlowScope flow_scope(c->conn.get());
     ++requests_served_;
     auto respond = [this, c](http::Response resp) {
-      if (c->conn->is_open()) {
-        c->conn->send(SharedBytes(resp.to_bytes()));
-        if (opts_.close_after_response) c->conn->close();
-      }
+      if (c->conn->is_open()) c->conn->send(SharedBytes(resp.to_bytes()));
       c->busy = false;
       pump(c);
     };

@@ -30,10 +30,6 @@ class HttpServer {
     http::ParserOptions parser;
     /// CPU seconds charged per request before the handler runs.
     double cpu_per_request = 50e-6;
-    /// Container footprint charged while running.
-    int64_t base_memory_bytes = 32LL << 20;
-    /// Close connections after each response (Connection: close semantics).
-    bool close_after_response = false;
   };
 
   HttpServer(sim::Network& net, sim::Host& host, Options opts);

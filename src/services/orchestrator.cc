@@ -109,23 +109,6 @@ void Orchestrator::crash(const std::string& container_name) {
     vit->second.data->crash();
     vit->second.wal->crash();
   }
-  if (replacement_policy_.auto_replace) {
-    sim_.schedule(replacement_policy_.replace_delay, [this, container_name] {
-      auto rit = containers_.find(container_name);
-      if (rit == containers_.end() || !rit->second.crashed) return;
-      std::string new_address = replace(container_name);
-      if (replacement_policy_.on_replaced)
-        replacement_policy_.on_replaced(container_name,
-                                        sim::Network::node_of(new_address),
-                                        new_address);
-    });
-  } else if (restart_policy_.auto_restart) {
-    sim_.schedule(restart_policy_.restart_delay,
-                  [this, container_name] {
-                    if (containers_.count(container_name) > 0)
-                      restart(container_name);
-                  });
-  }
 }
 
 void Orchestrator::restart(const std::string& container_name) {

@@ -95,31 +95,6 @@ class Orchestrator {
   /// container's address.
   std::string replace(const std::string& container_name);
 
-  /// Kubernetes-style restartPolicy: when enabled, a crashed container is
-  /// automatically restarted `restart_delay` after the crash.
-  struct RestartPolicy {
-    bool auto_restart = false;
-    sim::Time restart_delay = 2 * sim::kSecond;
-  };
-  void set_restart_policy(RestartPolicy policy) { restart_policy_ = policy; }
-
-  /// Deployment-style replacement: when enabled, a crashed container is
-  /// automatically replaced (see `replace`) `replace_delay` after the
-  /// crash. Takes precedence over RestartPolicy when both are enabled.
-  /// `on_replaced` lets the wiring layer re-point proxies at the new
-  /// address (NVersionDeployment::replace_instance).
-  struct ReplacementPolicy {
-    bool auto_replace = false;
-    sim::Time replace_delay = 2 * sim::kSecond;
-    std::function<void(const std::string& old_name,
-                       const std::string& new_name,
-                       const std::string& new_address)>
-        on_replaced;
-  };
-  void set_replacement_policy(ReplacementPolicy policy) {
-    replacement_policy_ = std::move(policy);
-  }
-
   /// Persistent volume claim: a pair of block devices (data + WAL) owned
   /// by the orchestrator and keyed by container name. Unlike the service
   /// object, a volume survives crash/restart — that is what makes the
@@ -134,13 +109,10 @@ class Orchestrator {
   /// Returns the container's volume, creating it (empty, deterministically
   /// seeded from the orchestrator seed and the name) on first use.
   Volume& volume(const std::string& container_name);
-  bool has_volume(const std::string& container_name) const {
-    return volumes_.count(container_name) > 0;
-  }
 
   /// Device template applied to volumes created after this call: fault
-  /// probabilities and latencies for the chaos harness. (rng_seed and
-  /// page_size are still derived per volume.)
+  /// probabilities and latencies for the chaos harness. (rng_seed is
+  /// still derived per volume.)
   void set_volume_options(sim::BlockDevice::Options opts) {
     volume_template_ = opts;
   }
@@ -176,8 +148,6 @@ class Orchestrator {
   std::map<std::string, std::unique_ptr<sim::Host>> hosts_;
   std::map<std::string, Factory> images_;
   std::map<std::string, Deployed> containers_;
-  RestartPolicy restart_policy_;
-  ReplacementPolicy replacement_policy_;
   std::map<std::string, Volume> volumes_;
   sim::BlockDevice::Options volume_template_;
   /// Replacements per lineage base name ("pg-1" for pg-1, pg-1-r1, ...).

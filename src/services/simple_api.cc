@@ -2,12 +2,16 @@
 
 namespace rddr::services {
 
+namespace {
+/// What /admin discloses to whoever reaches it.
+constexpr const char* kAdminSecret = "SECRET-ADMIN-TOKEN-4242";
+}  // namespace
+
 SimpleApiService::SimpleApiService(sim::Network& net, sim::Host& host,
-                                   Options opts)
-    : opts_(std::move(opts)) {
+                                   Options opts) {
   HttpServer::Options sopts;
-  sopts.address = opts_.address;
-  sopts.cpu_per_request = opts_.cpu_per_request;
+  sopts.address = std::move(opts.address);
+  sopts.cpu_per_request = opts.cpu_per_request;
   // Lenient backend framing: isspace() trimming recognises "\x0bchunked".
   sopts.parser.te_whitespace = http::TeWhitespace::kAnyWhitespace;
   sopts.parser.reject_te_and_cl = false;
@@ -17,7 +21,7 @@ SimpleApiService::SimpleApiService(sim::Network& net, sim::Host& host,
       // Reachable only by internal callers — the proxies' ACL is the sole
       // guard, which is exactly what request smuggling defeats.
       ++admin_hits_;
-      respond(http::make_response(200, opts_.admin_secret, "text/plain"));
+      respond(http::make_response(200, kAdminSecret, "text/plain"));
       return;
     }
     if (req.target == "/" || req.target == "/api/echo") {

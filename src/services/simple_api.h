@@ -18,7 +18,6 @@ class SimpleApiService {
  public:
   struct Options {
     std::string address;
-    std::string admin_secret = "SECRET-ADMIN-TOKEN-4242";
     double cpu_per_request = 20e-6;
   };
 
@@ -27,7 +26,6 @@ class SimpleApiService {
   uint64_t admin_hits() const { return admin_hits_; }
 
  private:
-  Options opts_;
   std::unique_ptr<HttpServer> server_;
   uint64_t admin_hits_ = 0;
 };

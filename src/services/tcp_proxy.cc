@@ -2,15 +2,21 @@
 
 namespace rddr::services {
 
+namespace {
+/// CPU charged per chunk relayed (a light L4 proxy).
+constexpr double kCpuPerChunk = 3e-6;
+constexpr int64_t kBaseMemoryBytes = 16LL << 20;
+}  // namespace
+
 TcpProxy::TcpProxy(sim::Network& net, sim::Host& host, Options opts)
     : net_(net), host_(host), opts_(std::move(opts)) {
-  host_.charge_memory(opts_.base_memory_bytes);
+  host_.charge_memory(kBaseMemoryBytes);
   net_.listen(opts_.address, [this](sim::ConnPtr c) { on_accept(std::move(c)); });
 }
 
 TcpProxy::~TcpProxy() {
   net_.unlisten(opts_.address);
-  host_.release_memory(opts_.base_memory_bytes);
+  host_.release_memory(kBaseMemoryBytes);
 }
 
 void TcpProxy::on_accept(sim::ConnPtr client) {
@@ -26,7 +32,7 @@ void TcpProxy::on_accept(sim::ConnPtr client) {
       bytes_relayed_ += data.size();
       // Charge relay CPU; forward immediately (latency effect of the hop
       // itself is carried by the extra network link).
-      host_.run_task(opts_.cpu_per_chunk +
+      host_.run_task(kCpuPerChunk +
                          static_cast<double>(data.size()) * opts_.cpu_per_byte,
                      nullptr);
       if (to->is_open()) to->send(data);

@@ -16,10 +16,7 @@ class TcpProxy {
   struct Options {
     std::string address;
     std::string backend_address;
-    /// CPU charged per chunk relayed (a light L4 proxy).
-    double cpu_per_chunk = 3e-6;
     double cpu_per_byte = 1e-9;
-    int64_t base_memory_bytes = 16LL << 20;
     std::string name = "envoy";
   };
 

@@ -166,7 +166,6 @@ struct CreatePolicyStmt {
 };
 
 struct ExplainStmt {
-  bool costs_off = false;
   std::unique_ptr<SelectStmt> select;
 };
 

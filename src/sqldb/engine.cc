@@ -250,7 +250,7 @@ ExecResult Session::execute(std::string_view sql) {
 StatementResult Session::run_statement(const Statement& st) {
   using K = Statement::Kind;
   switch (st.kind) {
-    case K::kSelect: return run_select(*st.select, false, false);
+    case K::kSelect: return run_select(*st.select, false);
     case K::kInsert: return run_insert(*st.insert);
     case K::kUpdate: return run_update(*st.update);
     case K::kDelete: return run_delete(*st.del);
@@ -263,7 +263,7 @@ StatementResult Session::run_statement(const Statement& st) {
     case K::kAlterTableRls: return run_alter_rls(*st.alter_rls);
     case K::kCreatePolicy: return run_create_policy(*st.create_policy);
     case K::kExplain:
-      return run_select(*st.explain->select, true, st.explain->costs_off);
+      return run_select(*st.explain->select, true);
     case K::kTxn: {
       StatementResult sr;
       sr.command_tag = to_upper(st.txn->keyword);
@@ -449,9 +449,7 @@ Session::AccessPath Session::open_scan(const TableData& t, const Expr* where) {
 
 // ---------- SELECT ----------
 
-StatementResult Session::run_select(const SelectStmt& sel, bool explain_only,
-                                    bool costs_off) {
-  (void)costs_off;  // cost output is always off in this engine
+StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
   StatementResult out;
   out.is_rowset = true;
 

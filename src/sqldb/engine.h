@@ -210,43 +210,30 @@ class Database {
   void set_mutation_listener(MutationListener* listener) {
     listener_ = listener;
   }
-  MutationListener* mutation_listener() const { return listener_; }
-
-  /// Monotonic count of state mutations. The pgwire server compares it
-  /// around Session::execute to decide whether a statement script must be
-  /// logged to the WAL. Scans do not advance it.
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
 
  private:
   friend class Session;
   friend struct SnapshotReader;  // sqldb/snapshot.cc: wholesale loads
 
   void note_rows_appended(const TableData& t, size_t first) {
-    ++mutation_epoch_;
     if (listener_) listener_->on_rows_appended(t, first);
   }
   void note_row_updated(const TableData& t, size_t ordinal) {
-    ++mutation_epoch_;
     if (listener_) listener_->on_row_updated(t, ordinal);
   }
   void note_rows_compacted(const TableData& t, size_t first, size_t old_rows) {
-    ++mutation_epoch_;
     if (listener_) listener_->on_rows_compacted(t, first, old_rows);
   }
   void note_table_created(const TableData& t) {
-    ++mutation_epoch_;
     if (listener_) listener_->on_table_created(t);
   }
   void note_table_dropped(const std::string& name) {
-    ++mutation_epoch_;
     if (listener_) listener_->on_table_dropped(name);
   }
   void note_catalog_changed(const TableData& t) {
-    ++mutation_epoch_;
     if (listener_) listener_->on_catalog_changed(t);
   }
   void note_schema_changed() {
-    ++mutation_epoch_;
     if (listener_) listener_->on_schema_changed();
   }
   void note_scan(const TableData& t, const std::vector<size_t>* candidates) {
@@ -258,7 +245,6 @@ class Database {
   std::map<std::string, FunctionDef> functions_;
   std::map<std::string, OperatorDef> operators_;
   MutationListener* listener_ = nullptr;
-  uint64_t mutation_epoch_ = 0;
 };
 
 /// One client session: user identity + session settings. Sessions are
@@ -272,7 +258,6 @@ class Session {
   ExecResult execute(std::string_view sql);
 
   const std::string& user() const { return user_; }
-  bool is_superuser() const { return user_ == "postgres"; }
 
   /// Current value of a session setting ("" when unset).
   std::string setting(std::string_view name) const;
@@ -284,8 +269,7 @@ class Session {
   AccessPath open_scan(const TableData& t, const Expr* where);
 
   StatementResult run_statement(const Statement& st);
-  StatementResult run_select(const SelectStmt& sel, bool explain_only,
-                             bool costs_off);
+  StatementResult run_select(const SelectStmt& sel, bool explain_only);
   StatementResult run_insert(const InsertStmt& ins);
   StatementResult run_update(const UpdateStmt& up);
   StatementResult run_delete(const DeleteStmt& del);

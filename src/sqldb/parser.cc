@@ -662,17 +662,13 @@ class Parser {
     advance();  // EXPLAIN
     ExplainStmt ex;
     if (match(TokKind::kLParen)) {
+      // Options such as (COSTS OFF) are accepted and ignored: this engine
+      // never prints costs.
       while (!match(TokKind::kRParen)) {
         if (at_end()) return unexpected("')'");
         auto opt = expect_ident("explain option");
         if (!opt.ok()) return Err(opt.error());
-        std::string_view key = opt.take();
-        std::string_view val;
-        if (peek().kind == TokKind::kIdent && peek().text != ")") {
-          val = advance().text;
-        }
-        if (key == "costs" && (val == "off" || val == "false"))
-          ex.costs_off = true;
+        if (peek().kind == TokKind::kIdent && peek().text != ")") advance();
         match(TokKind::kComma);
       }
     }

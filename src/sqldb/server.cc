@@ -6,6 +6,11 @@
 
 namespace rddr::sqldb {
 
+namespace {
+/// Container footprint charged to the host at start.
+constexpr int64_t kBaseMemoryBytes = 96LL << 20;
+}  // namespace
+
 struct SqlServer::Conn {
   sim::ConnPtr conn;
   pg::MessageReader reader{/*expect_startup=*/true};
@@ -36,8 +41,8 @@ SqlServer::SqlServer(sim::Network& net, sim::Host& host,
     query_counter_ = opts_.metrics->counter(node + ".queries");
     query_ms_ = opts_.metrics->histogram(node + ".query_ms");
   }
-  host_.charge_memory(opts_.base_memory_bytes);
-  charged_memory_ = opts_.base_memory_bytes;
+  host_.charge_memory(kBaseMemoryBytes);
+  charged_memory_ = kBaseMemoryBytes;
   recovery_.ok = true;
   sim::Time startup_io = 0;
   if (opts_.storage) {
@@ -84,7 +89,7 @@ void SqlServer::refresh_memory_charge() {
   // the whole dataset — that bound is the fig6 cache-pressure story.
   int64_t data_bytes = opts_.storage ? opts_.storage->resident_bytes()
                                      : db_->approx_bytes();
-  int64_t want = opts_.base_memory_bytes + data_bytes;
+  int64_t want = kBaseMemoryBytes + data_bytes;
   if (want == charged_memory_) return;
   host_.charge_memory(want - charged_memory_);
   charged_memory_ = want;

@@ -31,8 +31,6 @@ class SqlServer {
     double cpu_per_query = 200e-6;
     /// CPU seconds per row scanned by the executor.
     double cpu_per_row = 0.5e-6;
-    /// Container footprint charged to the host at start.
-    int64_t base_memory_bytes = 96LL << 20;
     /// Seed for instance-local randomness (backend pid/secret — the
     /// nondeterminism the paper's filter pair must absorb).
     uint64_t rng_seed = 1;

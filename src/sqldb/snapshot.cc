@@ -89,12 +89,11 @@ struct SnapshotReader {
   // fails: a failed load must not leave a half-warmed mix of old and new
   // state. A replacement is not a statement-level mutation, so the
   // listener is muted for the duration (the storage engine re-adopts the
-  // contents afterwards) but the epoch still advances.
+  // contents afterwards).
   template <typename Load>
   static bool replace(Database& db, Load&& load) {
     MutationListener* saved_listener = db.listener_;
     db.listener_ = nullptr;
-    db.mutation_epoch_++;
     clear(db);
     bool ok = load();
     if (!ok) clear(db);

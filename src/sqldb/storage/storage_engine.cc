@@ -11,6 +11,11 @@ namespace rddr::sqldb::storage {
 
 namespace {
 
+/// Virtual-time gap between checkpoint steps (with
+/// StorageOptions::checkpoint_pages_per_step: how long the
+/// crash-during-checkpoint window is).
+constexpr sim::Time kCheckpointStepInterval = 2 * sim::kMillisecond;
+
 bool set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
   return false;
@@ -434,7 +439,7 @@ void StorageEngine::maybe_start_checkpoint(bool force) {
   root.next_free_block = next_free_block_;
   ckpt_.root_image = encode_root(root);
   ckpt_.step_event =
-      sim_.schedule(opts_.checkpoint_step_interval, [this] { checkpoint_step(); });
+      sim_.schedule(kCheckpointStepInterval, [this] { checkpoint_step(); });
 }
 
 void StorageEngine::checkpoint_step() {
@@ -450,8 +455,8 @@ void StorageEngine::checkpoint_step() {
     done++;
   }
   if (ckpt_.next_write < ckpt_.writes.size()) {
-    ckpt_.step_event = sim_.schedule(opts_.checkpoint_step_interval,
-                                     [this] { checkpoint_step(); });
+    ckpt_.step_event =
+        sim_.schedule(kCheckpointStepInterval, [this] { checkpoint_step(); });
     return;
   }
   finish_checkpoint();

@@ -67,11 +67,10 @@ struct StorageOptions {
   sim::Time wal_flush_interval = 0;
   /// WAL records between automatic checkpoints.
   uint64_t checkpoint_every_records = 256;
-  /// Page writes staged per checkpoint step, and the virtual-time gap
-  /// between steps (together: how long the crash-during-checkpoint
-  /// window is).
+  /// Page writes staged per checkpoint step (with the fixed gap between
+  /// steps, kCheckpointStepInterval in storage_engine.cc: how long the
+  /// crash-during-checkpoint window is).
   uint64_t checkpoint_pages_per_step = 16;
-  sim::Time checkpoint_step_interval = 2 * sim::kMillisecond;
   /// Records kept in the WAL past a checkpoint — the reach-back window
   /// for WAL-mode incremental resync.
   uint64_t wal_keep_records = 4096;
@@ -195,7 +194,6 @@ class StorageEngine : public MutationListener {
   const BufferPool& pool() const { return pool_; }
   const StorageOptions& options() const { return opts_; }
   bool checkpoint_in_progress() const { return ckpt_.active; }
-  uint64_t checkpointed_lsn() const { return checkpointed_lsn_; }
   /// Kicks a checkpoint now (no-op if one is running) — lets the chaos
   /// harness open a crash-during-checkpoint window on demand.
   void force_checkpoint() { maybe_start_checkpoint(/*force=*/true); }

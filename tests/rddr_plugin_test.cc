@@ -366,27 +366,5 @@ TEST(PgPlugin, InterventionIsErrorResponse) {
   EXPECT_EQ(b[0], 'E');
 }
 
-// ---------- JsonLinesPlugin ----------
-
-TEST(JsonLinesPlugin, StructuralEquality) {
-  JsonLinesPlugin plugin;
-  CompareContext ctx;
-  Unit a{"{\"x\": 1, \"y\": 2}\n", "line"};
-  Unit b{"{\"y\":2,\"x\":1}\n", "line"};
-  EXPECT_TRUE(compare(plugin, {a, b}, ctx).agreed);
-  Unit c{"{\"y\":3,\"x\":1}\n", "line"};
-  EXPECT_FALSE(compare(plugin, {a, c}, ctx).agreed);
-}
-
-TEST(JsonLinesPlugin, MalformedComparedAsBytes) {
-  JsonLinesPlugin plugin;
-  CompareContext ctx;
-  Unit a{"not json\n", "line"};
-  Unit b{"not json\n", "line"};
-  EXPECT_TRUE(compare(plugin, {a, b}, ctx).agreed);
-  Unit c{"not jsoN\n", "line"};
-  EXPECT_FALSE(compare(plugin, {a, c}, ctx).agreed);
-}
-
 }  // namespace
 }  // namespace rddr::core

@@ -143,24 +143,18 @@ TEST_F(ResyncTest, CrashedReplicaIsReplacedResyncedAndReadmitted) {
   resync.enabled = true;
   build_deployment(resync);
 
-  // Orchestrator-driven self-healing: crashed containers are replaced
-  // (fresh name + seed) and the deployment is re-pointed at the newcomer.
-  services::Orchestrator::ReplacementPolicy policy;
-  policy.auto_replace = true;
-  policy.replace_delay = 500 * sim::kMillisecond;
-  policy.on_replaced = [this](const std::string& old_name, const std::string&,
-                              const std::string& new_address) {
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (names[i] != old_name) continue;
-      names[i] = sim::Network::node_of(new_address);
-      dep->replace_instance(i, new_address);
-    }
-  };
-  orch.set_replacement_policy(policy);
-
   Workload w;
   run_workload(w, 60);  // ~6s of traffic
   sim.schedule_at(1 * sim::kSecond, [this] { orch.crash("pg-2"); });
+  // Self-healing, as the chaos harness does it: the crashed container is
+  // replaced (fresh name + seed) and the deployment is re-pointed at the
+  // newcomer.
+  sim.schedule_at(1500 * sim::kMillisecond, [this] {
+    ASSERT_TRUE(orch.crashed("pg-2"));
+    std::string new_address = orch.replace("pg-2");
+    names[2] = sim::Network::node_of(new_address);
+    dep->replace_instance(2, new_address);
+  });
   sim.run_until(30 * sim::kSecond);
 
   // Full N again: the replacement was admitted after resync.

@@ -15,8 +15,9 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
 # Leak checking is off by default: netsim Connections are kept alive by
-# self-referential on_data handlers (a deliberate lifetime idiom in the
-# simulator), which LSan reports as cycles. Opt back in with
+# self-referential on_data handlers, a reference cycle that frees no
+# Connection. That is a real leak, the one ROADMAP item 1 measures and
+# means to fix; until then LSan would fail most binaries. Opt back in with
 #   ASAN_OPTIONS=detect_leaks=1 tests/run_sanitized.sh
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"

