@@ -266,6 +266,17 @@ void BM_SqlTpchQ1(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlTpchQ1);
 
+// Q3: customer JOIN orders JOIN lineitem, grouped; each join level
+// probes its per-statement key table.
+void BM_SqlTpchJoinQ3(benchmark::State& state) {
+  sqldb::Database db(sqldb::minipg_info("13.0"));
+  workloads::load_tpch(db, workloads::TpchScale{0.25}, 1);
+  sqldb::Session s(db, "postgres");
+  const auto& q3 = workloads::tpch_queries()[1];
+  for (auto _ : state) benchmark::DoNotOptimize(s.execute(q3));
+}
+BENCHMARK(BM_SqlTpchJoinQ3);
+
 void BM_SqlParseOnly(benchmark::State& state) {
   const auto& q = workloads::tpch_queries()[1];  // join-heavy text
   for (auto _ : state) benchmark::DoNotOptimize(sqldb::parse_sql(q));

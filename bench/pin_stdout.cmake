@@ -2,6 +2,8 @@
 # file GOLDEN. The run's stdout is kept at OUT for inspection.
 #
 #   cmake -DBIN=<exe> -DGOLDEN=<file> -DOUT=<file> -P pin_stdout.cmake
+get_filename_component(out_dir ${OUT} DIRECTORY)
+file(MAKE_DIRECTORY ${out_dir})
 execute_process(COMMAND ${BIN} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BIN} exited with ${rc}")

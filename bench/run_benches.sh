@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf trajectory harness: builds the default preset and emits
 #   BENCH_simloop.json  — simulator core events/sec, fan-out copy ratio,
-#                         and fig5-driver wall time (vs recorded baselines)
+#                         and fig5-driver and fig4 wall times (vs recorded
+#                         baselines)
 #   BENCH_hotpaths.json — google-benchmark JSON for the micro hot paths
 #   BENCH_scaleout.json — sharded-frontier sweep (goodput vs offered load,
 #                         shed latency; self-checks exit nonzero)
@@ -30,7 +31,7 @@ if [ ! -d "$BUILD" ]; then
   cmake --preset default >/dev/null
 fi
 cmake --build "$BUILD" -j --target simloop_throughput micro_hotpaths \
-    fig5_throughput_latency fig5_scaleout storage_recovery fuzz_sweep \
+    fig5_throughput_latency fig4_tpch_overhead fig5_scaleout storage_recovery fuzz_sweep \
     table1_graph >/dev/null
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -89,18 +90,33 @@ echo "== simulator core + data plane =="
 SIMLOOP_JSON="$("$BUILD/bench/simloop_throughput")"
 echo "$SIMLOOP_JSON"
 
-# Wall time of the full fig5 driver: the end-to-end number a person feels
-# when regenerating the paper figures. Baseline measured at the seed
-# commit, same build type, same machine class as the other baselines.
-echo "== fig5 driver wall time =="
+# Wall time of the full fig5 driver and of fig4: the end-to-end numbers a
+# person feels when regenerating the paper figures. Baselines measured with
+# the same build type on the same machine class as the other baselines.
+echo "== fig5 driver and fig4 wall time =="
+# Prints the wall time of one run of bench binary $1, in seconds.
+wall_s() {
+  local start end
+  start=$(date +%s.%N)
+  "$BUILD/bench/$1" >/dev/null
+  end=$(date +%s.%N)
+  awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }'
+}
+speedup() { awk -v w="$1" -v b="$2" 'BEGIN { printf "%.2f", b / w }'; }
+
+# fig5 baseline: the seed commit.
 FIG5_BASELINE_S=3.245
-start=$(date +%s.%N)
-"$BUILD/bench/fig5_throughput_latency" >/dev/null
-end=$(date +%s.%N)
-FIG5_WALL_S=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }')
-FIG5_SPEEDUP=$(awk -v w="$FIG5_WALL_S" -v b="$FIG5_BASELINE_S" \
-    'BEGIN { printf "%.2f", b / w }')
+FIG5_WALL_S=$(wall_s fig5_throughput_latency)
+FIG5_SPEEDUP=$(speedup "$FIG5_WALL_S" "$FIG5_BASELINE_S")
 echo "fig5 driver: ${FIG5_WALL_S}s (baseline ${FIG5_BASELINE_S}s, ${FIG5_SPEEDUP}x)"
+
+# fig4 (TPC-H under 3-version RDDR) is bound by sqldb join execution; its
+# baseline is the nested-loop executor, before join levels probed a
+# per-statement key table (4 shared vCPUs).
+FIG4_BASELINE_S=2.09
+FIG4_WALL_S=$(wall_s fig4_tpch_overhead)
+FIG4_SPEEDUP=$(speedup "$FIG4_WALL_S" "$FIG4_BASELINE_S")
+echo "fig4: ${FIG4_WALL_S}s (baseline ${FIG4_BASELINE_S}s, ${FIG4_SPEEDUP}x)"
 
 cat > "$ROOT/BENCH_simloop.json" <<EOF
 {
@@ -109,6 +125,11 @@ cat > "$ROOT/BENCH_simloop.json" <<EOF
     "wall_s": $FIG5_WALL_S,
     "baseline_wall_s": $FIG5_BASELINE_S,
     "speedup": $FIG5_SPEEDUP
+  },
+  "fig4": {
+    "wall_s": $FIG4_WALL_S,
+    "baseline_wall_s": $FIG4_BASELINE_S,
+    "speedup": $FIG4_SPEEDUP
   }
 }
 EOF

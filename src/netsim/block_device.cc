@@ -8,7 +8,7 @@ BlockDevice::BlockDevice(Options opts)
 Time BlockDevice::write(uint64_t block, Bytes data) {
   counters_.writes++;
   counters_.bytes_written += data.size();
-  Time cost = pages_cost(data.size(), opts_.write_latency);
+  Time cost = pages_cost(data.size(), kWriteLatency);
   staged_[block] = std::move(data);
   return cost;
 }
@@ -22,10 +22,10 @@ BlockDevice::ReadResult BlockDevice::read(uint64_t block) const {
     src = &dt->second;
   r.exists = src != nullptr;
   if (!r.exists) {
-    r.latency = opts_.read_latency;
+    r.latency = kReadLatency;
     return r;
   }
-  r.latency = pages_cost(src->size(), opts_.read_latency);
+  r.latency = pages_cost(src->size(), kReadLatency);
   if (opts_.faults.read_error_prob > 0 &&
       rng_.uniform01() < opts_.faults.read_error_prob) {
     counters_.read_errors++;
@@ -50,9 +50,9 @@ BlockDevice::ReadResult BlockDevice::read_retrying(uint64_t block,
 
 Time BlockDevice::sync() {
   counters_.syncs++;
-  Time cost = opts_.sync_latency;
+  Time cost = kSyncLatency;
   for (auto& [block, data] : staged_) {
-    cost += pages_cost(data.size(), opts_.write_latency);
+    cost += pages_cost(data.size(), kWriteLatency);
     durable_[block] = std::move(data);
   }
   staged_.clear();

@@ -42,10 +42,12 @@ struct DiskFaults {
 
 class BlockDevice {
  public:
+  /// Modeled device latencies.
+  static constexpr Time kReadLatency = 20 * kMicrosecond;   ///< per page read
+  static constexpr Time kWriteLatency = 40 * kMicrosecond;  ///< per page staged
+  static constexpr Time kSyncLatency = 250 * kMicrosecond;  ///< per sync barrier
+
   struct Options {
-    Time read_latency = 20 * kMicrosecond;    ///< per page read
-    Time write_latency = 40 * kMicrosecond;   ///< per page staged
-    Time sync_latency = 250 * kMicrosecond;   ///< per sync barrier
     DiskFaults faults;
     uint64_t rng_seed = 1;
   };
@@ -105,7 +107,6 @@ class BlockDevice {
   uint64_t durable_blocks() const { return durable_.size(); }
 
   const Counters& counters() const { return counters_; }
-  const Options& options() const { return opts_; }
 
  private:
   /// Latency accounting granularity: payloads are charged per

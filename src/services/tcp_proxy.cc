@@ -3,8 +3,9 @@
 namespace rddr::services {
 
 namespace {
-/// CPU charged per chunk relayed (a light L4 proxy).
+/// CPU charged per chunk relayed, plus per byte (a light L4 proxy).
 constexpr double kCpuPerChunk = 3e-6;
+constexpr double kCpuPerByte = 1e-9;
 constexpr int64_t kBaseMemoryBytes = 16LL << 20;
 }  // namespace
 
@@ -33,7 +34,7 @@ void TcpProxy::on_accept(sim::ConnPtr client) {
       // Charge relay CPU; forward immediately (latency effect of the hop
       // itself is carried by the extra network link).
       host_.run_task(kCpuPerChunk +
-                         static_cast<double>(data.size()) * opts_.cpu_per_byte,
+                         static_cast<double>(data.size()) * kCpuPerByte,
                      nullptr);
       if (to->is_open()) to->send(data);
     };

@@ -16,7 +16,6 @@ class TcpProxy {
   struct Options {
     std::string address;
     std::string backend_address;
-    double cpu_per_byte = 1e-9;
     std::string name = "envoy";
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/strutil.h"
@@ -420,6 +421,104 @@ void reindex_row(std::unordered_multimap<int64_t, size_t>& index,
   if (has) index.emplace(after.as_int(), ordinal);
 }
 
+/// A join level's key table: its table's rows keyed by the column of its
+/// ON's equi-conjunct (Evaluator::JoinKey), built on the level's first open
+/// in a statement. Candidates follow Datum::compare's equality, which
+/// compares numbers as doubles: a numeric key is its double value with
+/// -0.0 folded to +0.0, a NULL key matches nothing, and a text, bool or NaN
+/// key, which may equal values of other types, is a candidate for every
+/// outer value.
+class JoinKeyTable {
+  struct Entry {
+    double key;
+    size_t ordinal;
+  };
+
+ public:
+  /// Row ordinals, ascending: the matching keys' rows merged with the rows
+  /// every outer value visits, or every row of the table.
+  class Candidates {
+   public:
+    bool next(size_t& ordinal) {
+      if (next_row_ < every_) {
+        ordinal = next_row_++;
+        return true;
+      }
+      bool keyed = keyed_ != keyed_end_, always = always_ != always_end_;
+      if (!keyed && !always) return false;
+      if (keyed && (!always || keyed_->ordinal < *always_))
+        ordinal = (keyed_++)->ordinal;
+      else
+        ordinal = *always_++;
+      return true;
+    }
+
+   private:
+    friend class JoinKeyTable;
+    const Entry* keyed_ = nullptr;
+    const Entry* keyed_end_ = nullptr;
+    const size_t* always_ = nullptr;
+    const size_t* always_end_ = nullptr;
+    size_t next_row_ = 0, every_ = 0;
+  };
+
+  explicit JoinKeyTable(Evaluator::JoinKey key) : key_(key) {}
+
+  /// The candidates of table `t` for the outer rows in `rows`.
+  Candidates candidates(const TableData& t, const Row* const* rows) {
+    if (!built_) build(t);
+    const Datum& outer = (*rows[key_.outer_level])[key_.outer_column];
+    Candidates c;
+    if (outer.is_null()) return c;
+    std::optional<double> k = numeric_key(outer);
+    if (!k) {
+      c.every_ = t.rows.size();
+      return c;
+    }
+    const Entry* keyed = keyed_.data();
+    std::tie(c.keyed_, c.keyed_end_) = std::equal_range(
+        keyed, keyed + keyed_.size(), Entry{*k, 0},
+        [](const Entry& a, const Entry& b) { return a.key < b.key; });
+    c.always_ = always_.data();
+    c.always_end_ = always_.data() + always_.size();
+    return c;
+  }
+
+ private:
+  /// The key of a value equal only to numbers of the same double value.
+  static std::optional<double> numeric_key(const Datum& d) {
+    double v;
+    if (d.type() == Type::kInt)
+      v = static_cast<double>(d.as_int());
+    else if (d.type() == Type::kFloat && !std::isnan(d.as_float()))
+      v = d.as_float();
+    else
+      return std::nullopt;
+    return v == 0 ? 0.0 : v;
+  }
+
+  void build(const TableData& t) {
+    built_ = true;
+    keyed_.reserve(t.rows.size());
+    for (size_t i = 0; i < t.rows.size(); ++i) {
+      const Datum& d = t.rows[i][key_.column];
+      if (d.is_null()) continue;
+      if (std::optional<double> k = numeric_key(d))
+        keyed_.push_back({*k, i});
+      else
+        always_.push_back(i);
+    }
+    std::sort(keyed_.begin(), keyed_.end(), [](const Entry& a, const Entry& b) {
+      return a.key < b.key || (a.key == b.key && a.ordinal < b.ordinal);
+    });
+  }
+
+  Evaluator::JoinKey key_;
+  bool built_ = false;
+  std::vector<Entry> keyed_;   // by (key, ordinal)
+  std::vector<size_t> always_;  // ascending
+};
+
 }  // namespace
 
 // ---------- Access path ----------
@@ -527,14 +626,19 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     BoundExpr join_on = kNoExpr;  // sees levels [0, this one]
     bool rls = false;
     std::vector<BoundExpr> policies;
+    std::unique_ptr<JoinKeyTable> keys;  // set: the level probes, see scan
   };
   std::vector<LevelPlan> levels(width);
   for (size_t l = 0; l < width; ++l) {
+    LevelPlan& plan = levels[l];
     if (sel.from[l].join_on)
-      levels[l].join_on =
+      plan.join_on =
           ev.bind(*sel.from[l].join_on, std::span(from).first(l + 1));
-    levels[l].rls = rls_applies(*from[l].table, user_);
-    if (levels[l].rls) levels[l].policies = ev.bind_policies(*from[l].table);
+    plan.rls = rls_applies(*from[l].table, user_);
+    if (plan.rls) plan.policies = ev.bind_policies(*from[l].table);
+    if (l > 0 && plan.join_on != kNoExpr && !plan.rls)
+      if (auto key = ev.join_key(plan.join_on, static_cast<uint32_t>(l)))
+        plan.keys = std::make_unique<JoinKeyTable>(*key);
   }
   std::vector<BoundExpr> items;
   items.reserve(sel.items.size());
@@ -563,18 +667,13 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
       return true;
     }
     const TableData& t = *from[level].table;
-    const LevelPlan& plan = levels[level];
-    // Only a single-table query narrows its scan through an index; a
-    // join level scans its whole table once per outer row.
-    const AccessPath path =
-        open_scan(t, level == 0 && width == 1 ? sel.where.get() : nullptr);
-    for (size_t i = 0; i < path.size(); ++i) {
-      const Row& row = t.rows[path[i]];
-      out.rows_scanned += 1;
+    LevelPlan& plan = levels[level];
+    // Visits one row of this level; false on error.
+    auto visit = [&](const Row& row) -> bool {
       if (plan.rls) {
         bool visible = false;
         if (!ev.row_visible(plan.policies, row, visible)) return false;
-        if (!visible) continue;
+        if (!visible) return true;
       }
       acc[level] = &row;
       // Apply the JOIN ON condition as soon as its table is in scope.
@@ -582,10 +681,33 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
         Datum tmp;
         const Datum* v = ev.eval(plan.join_on, acc.data(), tmp);
         if (!v) return false;
-        if (!datum_is_true(*v)) continue;
+        if (!datum_is_true(*v)) return true;
       }
-      if (!self(self, level + 1)) return false;
+      return self(self, level + 1);
+    };
+    // Only a single-table query narrows its scan through an index. A join
+    // level is modeled as the nested loop: one heap scan of its table per
+    // outer row, every row counted.
+    const AccessPath path =
+        open_scan(t, level == 0 && width == 1 ? sel.where.get() : nullptr);
+    if (!plan.keys) {
+      for (size_t i = 0; i < path.size(); ++i) {
+        out.rows_scanned += 1;
+        if (!visit(t.rows[path[i]])) return false;
+      }
+      return true;
     }
+    // A probing level visits only the rows its ON's key conjunct can
+    // admit, ascending, and counts rows as the nested loop reaches them:
+    // ordinal o has counted o + 1, the finished level every row.
+    auto candidates = plan.keys->candidates(t, acc.data());
+    size_t counted = 0;
+    for (size_t o; candidates.next(o);) {
+      out.rows_scanned += static_cast<int64_t>(o + 1 - counted);
+      counted = o + 1;
+      if (!visit(t.rows[o])) return false;
+    }
+    out.rows_scanned += static_cast<int64_t>(t.rows.size() - counted);
     return true;
   };
   if (width == 0) {
@@ -626,50 +748,74 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     }
   } else {
     // ---- Grouped / aggregated path. ----
-    struct Group {
-      std::vector<Datum> keys;
-      std::vector<size_t> members;  // match numbers
+    // Each match's keys are evaluated in place (`key` points into a row,
+    // a literal or `key_tmp`); a group copies them only when it is
+    // created. `slots` is an open-addressing table of group id + 1, probed
+    // linearly from the keys' hash. Groups with equal hashes lie along one
+    // probe sequence in creation order, so a match joins the first-created
+    // group whose hash and keys are equal.
+    const size_t nk = group_by.size();
+    std::vector<Datum> key_tmp(nk);
+    std::vector<const Datum*> key(nk);
+    std::vector<Datum> group_keys;   // nk per group
+    std::vector<size_t> group_hash;  // per group
+    std::vector<uint32_t> slots(16);
+    std::vector<uint32_t> group_of(n_matches);
+    auto slot_of = [&](size_t h) {
+      return (h * 0x9E3779B97F4A7C15ull) & (slots.size() - 1);
     };
-    std::vector<Group> groups;
-    std::unordered_map<size_t, std::vector<size_t>> index;  // hash -> group ids
     for (size_t m = 0; m < n_matches; ++m) {
-      std::vector<Datum> keys;
-      for (BoundExpr g : group_by) {
-        Datum tmp;
-        const Datum* v = ev.eval(g, match_rows(m), tmp);
-        if (!v) return fail_with(out, ev.error());
-        keys.push_back(take(v, tmp));
-      }
       size_t h = 1469598103u;
-      for (const auto& k : keys) h = h * 1099511628211ull ^ k.hash();
-      Group* grp = nullptr;
-      for (size_t gid : index[h]) {
-        bool equal = true;
-        for (size_t i = 0; i < keys.size(); ++i)
-          if (!groups[gid].keys[i].group_equal(keys[i])) {
-            equal = false;
-            break;
-          }
-        if (equal) {
-          grp = &groups[gid];
-          break;
+      for (size_t i = 0; i < nk; ++i) {
+        key[i] = ev.eval(group_by[i], match_rows(m), key_tmp[i]);
+        if (!key[i]) return fail_with(out, ev.error());
+        h = h * 1099511628211ull ^ key[i]->hash();
+      }
+      size_t slot = slot_of(h);
+      for (; slots[slot]; slot = (slot + 1) & (slots.size() - 1)) {
+        const size_t gid = slots[slot] - 1;
+        if (group_hash[gid] != h) continue;
+        const Datum* gk = group_keys.data() + gid * nk;
+        size_t i = 0;
+        while (i < nk && gk[i].group_equal(*key[i])) ++i;
+        if (i == nk) break;
+      }
+      if (slots[slot]) {
+        group_of[m] = slots[slot] - 1;
+        continue;
+      }
+      const size_t gid = group_hash.size();
+      for (size_t i = 0; i < nk; ++i) group_keys.push_back(*key[i]);
+      group_hash.push_back(h);
+      group_of[m] = static_cast<uint32_t>(gid);
+      slots[slot] = static_cast<uint32_t>(gid + 1);
+      if (2 * group_hash.size() > slots.size()) {
+        // Grow, re-inserting in creation order so that each probe
+        // sequence keeps it.
+        slots.assign(2 * slots.size(), 0);
+        for (size_t g = 0; g < group_hash.size(); ++g) {
+          size_t t = slot_of(group_hash[g]);
+          while (slots[t]) t = (t + 1) & (slots.size() - 1);
+          slots[t] = static_cast<uint32_t>(g + 1);
         }
       }
-      if (!grp) {
-        index[h].push_back(groups.size());
-        groups.push_back(Group{std::move(keys), {}});
-        grp = &groups.back();
-      }
-      grp->members.push_back(m);
     }
-    if (groups.empty() && sel.group_by.empty()) {
-      // Aggregate over an empty input still yields one row (COUNT = 0).
-      groups.push_back(Group{});
+    size_t n_groups = group_hash.size();
+    // Aggregate over an empty input still yields one row (COUNT = 0).
+    if (n_groups == 0 && sel.group_by.empty()) n_groups = 1;
+    // Members of group g, in match order: members[first[g], first[g + 1]).
+    std::vector<size_t> first(n_groups + 1, 0);
+    for (uint32_t g : group_of) ++first[g + 1];
+    for (size_t g = 0; g < n_groups; ++g) first[g + 1] += first[g];
+    std::vector<size_t> members(n_matches);
+    {
+      std::vector<size_t> at(first.begin(), first.end() - 1);
+      for (size_t m = 0; m < n_matches; ++m) members[at[group_of[m]]++] = m;
     }
 
-    for (const auto& grp : groups) {
-      const GroupRows rows{matches.data(), width, grp.members.data(),
-                           grp.members.size()};
+    for (size_t g = 0; g < n_groups; ++g) {
+      const GroupRows rows{matches.data(), width, members.data() + first[g],
+                           first[g + 1] - first[g]};
       // HAVING filter.
       if (having != kNoExpr) {
         Datum tmp;

@@ -285,6 +285,36 @@ void Evaluator::bind_into(std::vector<Node>& nodes, uint32_t at, const Expr& e,
   nodes[at] = n;
 }
 
+std::optional<Evaluator::JoinKey> Evaluator::join_key(BoundExpr on,
+                                                     uint32_t level) const {
+  const Node* prog = nodes_.data();
+  auto calls_catalog = [&](auto& self, const Node& n) -> bool {
+    if (n.op == Op::kCustomOp ||
+        (n.op == Op::kCall && db_.functions().count(n.src->func_name)))
+      return true;
+    for (size_t i = 0; i < n.n_kids; ++i)
+      if (self(self, n.kid(prog, i))) return true;
+    return false;
+  };
+  if (calls_catalog(calls_catalog, prog[on])) return std::nullopt;
+  auto find = [&](auto& self, const Node& n) -> std::optional<JoinKey> {
+    if (n.op == Op::kAnd) {
+      if (auto key = self(self, n.kid(prog, 0))) return key;
+      return self(self, n.kid(prog, 1));
+    }
+    if (n.op != Op::kEq) return std::nullopt;
+    const Node& a = n.kid(prog, 0);
+    const Node& b = n.kid(prog, 1);
+    if (a.op != Op::kColumn || b.op != Op::kColumn) return std::nullopt;
+    if (a.level == level && b.level < level)
+      return JoinKey{a.column, b.level, b.column};
+    if (b.level == level && a.level < level)
+      return JoinKey{b.column, a.level, a.column};
+    return std::nullopt;
+  };
+  return find(find, prog[on]);
+}
+
 const Evaluator::FunctionBody& Evaluator::function_body(const FunctionDef& fn) {
   for (const auto& body : functions_)
     if (body->def == &fn) return *body;

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,6 +79,19 @@ class Evaluator {
   BoundExpr bind(const Expr& e, std::span<const ScopeLevel> scope);
   /// Binds the policies of `t` that apply to this user, in catalog order.
   std::vector<BoundExpr> bind_policies(const TableData& t);
+
+  /// A conjunct `a = b` of a JOIN ON whose sides are plain column
+  /// references: one to the join's own FROM level, one to an earlier level.
+  struct JoinKey {
+    uint32_t column;  // in the join level's own table
+    uint32_t outer_level;
+    uint32_t outer_column;
+  };
+  /// The first such conjunct of the AND-tree of `on`, bound for FROM level
+  /// `level`. None when there is none, or when `on` calls a user-defined
+  /// function or custom operator anywhere: each may emit notices or reach
+  /// the catalog on every row it sees.
+  std::optional<JoinKey> join_key(BoundExpr on, uint32_t level) const;
 
   /// Evaluates `root` with FROM level k's current row at rows[k].
   const Datum* eval(BoundExpr root, const Row* const* rows, Datum& tmp);

@@ -814,7 +814,7 @@ void StorageEngine::on_schema_changed() { statement_mutated_ = true; }
 void StorageEngine::on_scan(const TableData& table,
                             const std::vector<size_t>* candidates) {
   TableState& ts = ensure_table(table);
-  sim::Time miss_cost = data_->options().read_latency;
+  constexpr sim::Time miss_cost = sim::BlockDevice::kReadLatency;
   if (candidates) {
     uint64_t last = UINT64_MAX;
     for (size_t ord : *candidates) {

@@ -1,16 +1,18 @@
 // Property tests for the SQL engine's semantics: aggregates agree with
 // hand computation over random data, engine personalities agree on ordered
-// queries for random seeds, indexed SELECT/UPDATE/DELETE agree with their
-// heap-scan forms, LIKE agrees with a reference matcher, and value
-// comparison is a proper ordering.
+// queries for random seeds, indexed SELECT/UPDATE/DELETE and probing joins
+// agree with their heap-scan forms, LIKE agrees with a reference matcher,
+// and value comparison is a proper ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "sqldb/engine.h"
 #include "sqldb/snapshot.h"
+#include "workloads/tpch.h"
 
 namespace rddr::sqldb {
 namespace {
@@ -245,6 +247,255 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
   // that fail part-way, keeping identical partial effects.
   EXPECT_GT(allowed_differences, 0);
   EXPECT_GT(failed_with_effects, 0);
+}
+
+namespace {
+/// A join key drawn to reach every class of the join key tables: integer
+/// duplicates, NULL, floats equal to integers (1 = 1.0) and -0.0, plus,
+/// when `any_type`, the keys that every outer value visits: NaN (equal to
+/// every number), text that coerces to a number, and bools. Each keeps
+/// `x + 0 = y` equal to `x = y`.
+Datum random_join_key(Rng& rng, bool any_type) {
+  switch (rng.uniform(0, any_type ? 12 : 8)) {
+    case 0: return Datum();
+    case 1: return Datum::floating(static_cast<double>(rng.uniform(0, 3)));
+    case 2: return Datum::floating(2.5);
+    case 3: return Datum::floating(-0.0);
+    case 9: return Datum::floating(std::nan(""));
+    case 10: return Datum::text("2");
+    case 11: return Datum::text("2.5");
+    case 12: return Datum::boolean(rng.uniform(0, 1) == 1);
+    default: return Datum::integer(rng.uniform(0, 3));
+  }
+}
+
+/// `sql` with each `ON x = ...` respelled `ON x + 0 = ...`, which no join
+/// key table serves.
+std::string scanned_spelling(std::string sql) {
+  for (size_t at = sql.find(" ON "); at != std::string::npos;
+       at = sql.find(" ON ", at + 1)) {
+    size_t eq = sql.find(" = ", at);
+    if (eq != std::string::npos) sql.insert(eq, " + 0");
+  }
+  return sql;
+}
+}  // namespace
+
+TEST_P(EngineProperty, JoinProbeMatchesScannedForm) {
+  // Each random two- or three-table join runs in probing spelling (`ON
+  // a.k = b.k`: the join level visits only its key table's candidates)
+  // and scanned spelling (`ON a.k + 0 = b.k`: every row, the nested loop).
+  // Rows, errors and rows_scanned must match. The one allowed difference
+  // is an ON conjunct that fails on a row the key table never offers: the
+  // scanned form fails there and the probing form need not. A count query
+  // over the pairs whose key conjunct is not true detects that case.
+  Rng rng(seed() * 17 + 3);
+  int allowed_differences = 0;
+  int joins_with_rows = 0;
+  for (int round = 0; round < 8; ++round) {
+    Database db(minipg_info("13.0"));
+    const bool any_type = round % 2 == 1;
+    for (const char* name : {"a", "b", "c"}) {
+      auto* t = db.create_table(name, {{"k", Type::kInt},
+                                       {"v", Type::kInt},
+                                       {"w", Type::kInt},
+                                       {"s", Type::kText}});
+      const int n = static_cast<int>(rng.uniform(4, 12));
+      for (int i = 0; i < n; ++i) {
+        // Row 0 has a NULL key, which the guard family below fails on.
+        Datum k = i == 0 ? Datum::null() : random_join_key(rng, any_type);
+        Datum v = rng.uniform(0, 9) > 0 ? Datum::integer(rng.uniform(-1, 2))
+                                        : Datum::null();
+        // w is 0 exactly on the NULL-key rows, which no key table offers.
+        Datum w = Datum::integer(k.is_null() ? 0 : rng.uniform(1, 3));
+        t->rows.push_back({std::move(k), std::move(v), std::move(w),
+                           Datum::text(rng.alnum_token(2))});
+      }
+    }
+    // Row-level security on one inner table (or none) for user alice: an
+    // RLS level keeps the scan, so a policy that fails on some row fails
+    // both forms alike.
+    const int rls_choice = static_cast<int>(rng.uniform(0, 2));
+    const std::string rls_table = rls_choice == 1 ? "b" : rls_choice == 2 ? "c" : "";
+    const bool failing_policy = !rls_table.empty() && rng.uniform(0, 1) == 1;
+    {
+      Session admin(db, "postgres");
+      // A function and an operator that raise a notice per call: an ON
+      // that calls either keeps the scan, so notices match too.
+      std::string ddl =
+          "GRANT SELECT ON a TO alice; GRANT SELECT ON b TO alice;"
+          "GRANT SELECT ON c TO alice;"
+          "CREATE FUNCTION noisy(int) RETURNS bool AS "
+          "'BEGIN RAISE NOTICE ''row %'', $1; RETURN true; END' "
+          "LANGUAGE plpgsql;"
+          "CREATE FUNCTION noisy_lt(int, int) RETURNS bool AS "
+          "'BEGIN RAISE NOTICE ''lt %, %'', $1, $2; RETURN $1 < $2; END' "
+          "LANGUAGE plpgsql;"
+          "CREATE OPERATOR <<< (procedure=noisy_lt, leftarg=int, "
+          "rightarg=int);";
+      if (!rls_table.empty())
+        ddl += "ALTER TABLE " + rls_table + " ENABLE ROW LEVEL SECURITY;"
+               "CREATE POLICY p ON " + rls_table + " USING (" +
+               (failing_policy ? "100 / (w - 1) >= 0" : "v <> 1") + ");";
+      for (const auto& r : admin.execute(ddl).statements)
+        ASSERT_FALSE(r.failed()) << r.error_message;
+    }
+    Session session(db, rls_table.empty() ? "postgres" : "alice");
+
+    for (int trial = 0; trial < 16; ++trial) {
+      struct Level {
+        std::string inner, outer, probing_on, scanned_on, scanned_key;
+      };
+      std::vector<Level> levels = {{"b", "a", "", "", ""}};
+      if (rng.uniform(0, 1) == 1)
+        levels.push_back({"c", rng.uniform(0, 1) ? "a" : "b", "", "", ""});
+      // At most one level carries a conjunct that can fail: the guard
+      // `100 / w > 0` (fails only on NULL-key rows) or `10 / v > 0`. None
+      // does under a failing policy.
+      const int failing =
+          failing_policy ? -1
+                         : static_cast<int>(rng.uniform(
+                               -1, static_cast<int64_t>(levels.size()) - 1));
+      const bool guard = failing >= 0 && rng.uniform(0, 2) > 0;
+      for (size_t l = 0; l < levels.size(); ++l) {
+        Level& lv = levels[l];
+        const std::string in = lv.inner + ".k", out = lv.outer + ".k";
+        std::string probing_key =
+            rng.uniform(0, 1) ? out + " = " + in : in + " = " + out;
+        lv.scanned_key = out + " + 0 = " + in;
+        if (static_cast<int>(l) != failing && rng.uniform(0, 7) == 0) {
+          // Under an OR the equality admits no key table.
+          probing_key = "(" + probing_key + " OR " + in + " = 2)";
+          lv.scanned_key = "(" + lv.scanned_key + " OR " + in + " = 2)";
+        }
+        std::string extra;
+        if (static_cast<int>(l) == failing) {
+          extra = guard ? "100 / " + lv.inner + ".w > 0"
+                        : "10 / " + lv.inner + ".v > 0";
+        } else {
+          switch (rng.uniform(0, 5)) {
+            case 1:
+              extra = strformat("%s.v > %lld", lv.inner.c_str(),
+                                static_cast<long long>(rng.uniform(-2, 1)));
+              break;
+            case 2: extra = lv.outer + ".s <> 'zz'"; break;
+            case 3: extra = lv.inner + ".v IS NOT NULL"; break;
+            case 4: extra = "noisy(" + lv.inner + ".v)"; break;
+            case 5: extra = "NOT " + lv.inner + ".v <<< -5"; break;
+            default: break;
+          }
+        }
+        const bool extra_first = guard || rng.uniform(0, 1) == 0;
+        auto on = [&](const std::string& key) {
+          if (extra.empty()) return key;
+          return extra_first ? extra + " AND " + key : key + " AND " + extra;
+        };
+        lv.probing_on = on(probing_key);
+        lv.scanned_on = on(lv.scanned_key);
+      }
+      static const char* const kItems[] = {
+          "a.v, a.s, b.k, b.s", "count(*), sum(b.v)", "b.k, count(*)"};
+      const int items = static_cast<int>(rng.uniform(0, 2));
+      auto query = [&](auto&& on_of, const std::string& select) {
+        std::string sql = "SELECT " + select + " FROM a";
+        for (size_t l = 0; l < levels.size(); ++l)
+          sql += " JOIN " + levels[l].inner + " ON " + on_of(l);
+        if (items == 2) sql += " GROUP BY b.k";
+        return sql + ";";
+      };
+      std::string select = kItems[items];
+      if (items == 0 && levels.size() == 2) select += ", c.k, c.w";
+      const std::string probing_sql =
+          query([&](size_t l) { return levels[l].probing_on; }, select);
+      const std::string scanned_sql =
+          query([&](size_t l) { return levels[l].scanned_on; }, select);
+      SCOPED_TRACE(probing_sql);
+      StatementResult pr = session.execute(probing_sql).statements[0];
+      StatementResult sr = session.execute(scanned_sql).statements[0];
+
+      bool fails_outside = false;
+      if (failing >= 0) {
+        const Level& lf = levels[static_cast<size_t>(failing)];
+        fails_outside =
+            session
+                .execute(query(
+                    [&](size_t l) {
+                      if (static_cast<int>(l) != failing)
+                        return levels[l].scanned_on;
+                      return "NOT coalesce(" + lf.scanned_key + ", false) AND (" +
+                             lf.scanned_on + ")";
+                    },
+                    "count(*)"))
+                .statements[0]
+                .failed();
+      }
+      if (!fails_outside) {
+        EXPECT_EQ(pr.error_sqlstate, sr.error_sqlstate) << pr.error_message;
+        EXPECT_EQ(pr.rows, sr.rows);
+        EXPECT_EQ(pr.command_tag, sr.command_tag);
+        EXPECT_EQ(pr.rows_scanned, sr.rows_scanned);
+        EXPECT_EQ(pr.notices, sr.notices);
+        joins_with_rows += !pr.failed() && items == 0 && !pr.rows.empty();
+        continue;
+      }
+      ASSERT_TRUE(sr.failed());
+      const Level& lf = levels[static_cast<size_t>(failing)];
+      if (guard && lf.inner == rls_table) {
+        // An RLS level keeps the scan, so both forms fail alike.
+        EXPECT_EQ(pr.error_sqlstate, sr.error_sqlstate);
+        EXPECT_EQ(pr.rows_scanned, sr.rows_scanned);
+      } else if (guard) {
+        // The explicit allowed difference: the guard fails on a NULL-key
+        // row, which the key table offers only to a text, bool or NaN outer
+        // key (those visit every row). Otherwise the probing form succeeds
+        // with the rows and count of the unguarded join.
+        bool visits_all = false;
+        for (const Row& row : db.find_table(lf.outer)->rows) {
+          const Datum& k = row[0];
+          visits_all |= k.type() == Type::kText || k.type() == Type::kBool ||
+                        (k.type() == Type::kFloat && std::isnan(k.as_float()));
+        }
+        if (visits_all && pr.failed()) {
+          EXPECT_EQ(*pr.error_sqlstate, "22012");
+          continue;
+        }
+        ASSERT_FALSE(pr.failed()) << pr.error_message;
+        std::vector<Level> unguarded = levels;
+        unguarded[static_cast<size_t>(failing)].scanned_on = lf.scanned_key;
+        StatementResult ur =
+            session
+                .execute(query([&](size_t l) { return unguarded[l].scanned_on; },
+                               select))
+                .statements[0];
+        ASSERT_FALSE(ur.failed()) << ur.error_message;
+        EXPECT_EQ(pr.rows, ur.rows);
+        EXPECT_EQ(pr.rows_scanned, ur.rows_scanned);
+        ++allowed_differences;
+      }
+    }
+  }
+  // The generator reaches the allowed difference and non-empty joins.
+  EXPECT_GT(allowed_differences, 0);
+  EXPECT_GT(joins_with_rows, 0);
+
+  // The TPC-H-lite join queries, on this seed's scale-0.25 data.
+  Database tpch(minipg_info("13.0"));
+  workloads::load_tpch(tpch, workloads::TpchScale{0.25}, seed());
+  Session s(tpch, "postgres");
+  int joins = 0;
+  for (const auto& q : workloads::tpch_queries()) {
+    if (q.find(" JOIN ") == std::string::npos) continue;
+    ++joins;
+    const std::string scanned = scanned_spelling(q);
+    ASSERT_NE(scanned, q);
+    StatementResult pr = s.execute(q).statements[0];
+    StatementResult sr = s.execute(scanned).statements[0];
+    ASSERT_FALSE(pr.failed()) << q << ": " << pr.error_message;
+    ASSERT_FALSE(sr.failed()) << scanned << ": " << sr.error_message;
+    EXPECT_EQ(pr.rows, sr.rows) << q;
+    EXPECT_EQ(pr.rows_scanned, sr.rows_scanned) << q;
+  }
+  EXPECT_EQ(joins, 10);
 }
 
 namespace {

@@ -333,6 +333,14 @@ TEST_F(EngineTest, ExplainProducesPlanRows) {
   ASSERT_FALSE(r.failed()) << r.error_message;
   ASSERT_EQ(r.columns, std::vector<std::string>{"QUERY PLAN"});
   EXPECT_NE(r.rows[0][0].value().find("Seq Scan on t"), std::string::npos);
+  // A join level that probes its key table is still explained as the
+  // nested loop it is charged as.
+  last(db, "CREATE TABLE u (a int);");
+  r = last(db, "EXPLAIN SELECT * FROM t JOIN u ON t.a = u.a;");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[1][0].value(), "  Nested Loop join with u");
+  EXPECT_EQ(r.rows[2][0].value().rfind("    Join Filter: ", 0), 0u);
 }
 
 TEST_F(EngineTest, IndexedLookupMatchesFullScan) {
