@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Perf trajectory harness: builds the default preset and emits
 #   BENCH_simloop.json  — simulator core events/sec, fan-out copy ratio,
-#                         and fig5-driver and fig4 wall times (vs recorded
-#                         baselines)
+#                         fig5-driver and fig4 wall times (vs recorded
+#                         baselines) and the wall times of fig6, the two
+#                         slowest ablations and fuzz_sweep
 #   BENCH_hotpaths.json — google-benchmark JSON for the micro hot paths
 #   BENCH_scaleout.json — sharded-frontier sweep (goodput vs offered load,
 #                         shed latency; self-checks exit nonzero)
-#   BENCH_table1.json   — Table I rows replayed through the three-tier
-#                         generated topology with execution-index
-#                         attribution checks (see bench/table1_graph.cc)
 # at the repo root. Committed snapshots document the perf trajectory PR
-# over PR.
+# over PR. The virtual-time outputs of the paper binaries are not here:
+# ctest label `pin` compares them with tests/golden/paper/.
 #
 #   bench/run_benches.sh          full run (a few minutes)
 #   bench/run_benches.sh --smoke  fast regression gates only: storage
@@ -31,8 +30,9 @@ if [ ! -d "$BUILD" ]; then
   cmake --preset default >/dev/null
 fi
 cmake --build "$BUILD" -j --target simloop_throughput micro_hotpaths \
-    fig5_throughput_latency fig4_tpch_overhead fig5_scaleout storage_recovery fuzz_sweep \
-    table1_graph >/dev/null
+    fig5_throughput_latency fig4_tpch_overhead fig5_scaleout storage_recovery \
+    fig6_resource_timeseries ablation_overhead_vs_n ablation_distributed_hosts \
+    fuzz_sweep >/dev/null
 
 if [ "${1:-}" = "--smoke" ]; then
   # Runs one gate, prints its verdict on stderr and records a failure; a
@@ -118,6 +118,16 @@ FIG4_WALL_S=$(wall_s fig4_tpch_overhead)
 FIG4_SPEEDUP=$(speedup "$FIG4_WALL_S" "$FIG4_BASELINE_S")
 echo "fig4: ${FIG4_WALL_S}s (baseline ${FIG4_BASELINE_S}s, ${FIG4_SPEEDUP}x)"
 
+# The other paper binaries that take over a second, wall time only.
+OTHER_WALL_JSON=""
+for b in fig6_resource_timeseries ablation_overhead_vs_n \
+         ablation_distributed_hosts fuzz_sweep; do
+  w=$(wall_s "$b")
+  echo "$b: ${w}s"
+  OTHER_WALL_JSON+=",
+  \"$b\": { \"wall_s\": $w }"
+done
+
 cat > "$ROOT/BENCH_simloop.json" <<EOF
 {
   "bench": $SIMLOOP_JSON,
@@ -130,7 +140,7 @@ cat > "$ROOT/BENCH_simloop.json" <<EOF
     "wall_s": $FIG4_WALL_S,
     "baseline_wall_s": $FIG4_BASELINE_S,
     "speedup": $FIG4_SPEEDUP
-  }
+  }$OTHER_WALL_JSON
 }
 EOF
 echo "wrote BENCH_simloop.json"
@@ -154,20 +164,3 @@ echo "wrote BENCH_scaleout.json"
 echo "== durable storage recovery =="
 "$BUILD/bench/storage_recovery" > "$ROOT/BENCH_storage.json"
 echo "wrote BENCH_storage.json"
-
-# Adversarial fuzz sweep: 20 seeds x every mutation family x every
-# generated topology, baseline vs miner-tuned denoiser rules (exits
-# nonzero on any invariant violation, determinism break, or if the miner
-# fails to lower the benign-divergence rate).
-echo "== adversarial fuzz sweep =="
-"$BUILD/bench/fuzz_sweep" > "$ROOT/BENCH_fuzz.json"
-echo "wrote BENCH_fuzz.json"
-
-# Graph-wide attribution replay: all Table I rows through the three-tier
-# generated topology, asserting execution-index attribution of every
-# divergence to the exact (request, hop, call site), per-callsite dedup,
-# and byte-identical reports across islands {1, 2, 4} (exits nonzero on
-# any violation; the per-row attribution report goes to stderr).
-echo "== table1 graph attribution =="
-"$BUILD/bench/table1_graph" > "$ROOT/BENCH_table1.json"
-echo "wrote BENCH_table1.json"

@@ -30,8 +30,9 @@
 //   * determinism: the full attribution report is byte-identical across
 //     island counts {1, 2, 4} ({1, 2} under --smoke).
 //
-// Full runs print a JSON summary (redirected to BENCH_table1.json by
-// bench/run_benches.sh); any violated invariant exits nonzero.
+// Full runs print a JSON summary (pinned by ctest as
+// tests/golden/paper/table1_graph/stdout); any violated invariant exits
+// nonzero.
 #include <cstdio>
 #include <cstring>
 #include <map>

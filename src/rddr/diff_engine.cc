@@ -225,7 +225,7 @@ BatchVerdict DiffEngine::compare(const ProtocolPlugin& plugin,
     arena_.reset();
     canon_ = nullptr;
     canon_key_ = &units;  // marks the batch known-identical for forward_
-    canon_n_ = n;         // downstream (token detection provably empty)
+    canon_n_ = n;         // downstream (no tokens to harvest)
     last_all_equal_ = true;
     last_unanimous_ = true;
     BatchVerdict v;
@@ -524,38 +524,23 @@ BatchVerdict DiffEngine::compare_canonical(const CanonicalUnit* canon,
 Bytes DiffEngine::forward_downstream(const ProtocolPlugin& plugin,
                                      const std::vector<Unit>& units,
                                      const CompareContext& ctx) {
-  if (plugin.harvest_tokens() && ctx.session && units.size() >= 2) {
-    const bool key_match = canon_key_ == static_cast<const void*>(&units) &&
-                           canon_n_ == units.size();
-    const bool cached = key_match && canon_ != nullptr;
-    // When the raw short-circuit or the interleaved scan proved the batch
-    // byte-identical, no line can differ across all instances — detection
-    // would find nothing. (The raw path leaves no canonical forms at all.)
-    const bool skip = key_match && (last_all_equal_ || !last_unanimous_);
-    if (!skip) {
-      const CanonicalUnit* canon = canon_;
-      size_t n = units.size();
-      if (!cached) {
-        arena_.reset();
-        canon_ = nullptr;
-        canon_key_ = nullptr;
-        CanonicalUnit* fresh = arena_.alloc_array<CanonicalUnit>(n);
-        for (size_t i = 0; i < n; ++i) {
-          fresh[i] = CanonicalUnit{};
-          plugin.canonicalize(units[i], ctx, arena_, fresh[i]);
-        }
-        canon = fresh;
-      }
-      ArenaVec<diff::TokenSpan> tokens =
-          diff::detect_tokens(canon, n, arena_, *ops_);
-      for (const diff::TokenSpan& t : tokens) {
-        std::vector<std::string> per;
-        per.reserve(t.n);
-        for (size_t a = 0; a < t.n; ++a) per.emplace_back(t.per_instance[a]);
-        std::string key = per[0];
-        ctx.session->tokens[std::move(key)] = std::move(per);
-        ++stats_.tokens_harvested;
-      }
+  // A token differs across every instance, so only a unanimous batch whose
+  // canonical forms were not all equal can hold one. Those forms are the
+  // preceding compare()'s, still in the arena; a byte-identical batch
+  // never had any.
+  const bool compared = canon_key_ == static_cast<const void*>(&units) &&
+                        canon_n_ == units.size();
+  if (plugin.harvest_tokens() && ctx.session && units.size() >= 2 &&
+      compared && last_unanimous_ && !last_all_equal_) {
+    ArenaVec<diff::TokenSpan> tokens =
+        diff::detect_tokens(canon_, units.size(), arena_, *ops_);
+    for (const diff::TokenSpan& t : tokens) {
+      std::vector<std::string> per;
+      per.reserve(t.n);
+      for (size_t a = 0; a < t.n; ++a) per.emplace_back(t.per_instance[a]);
+      std::string key = per[0];
+      ctx.session->tokens[std::move(key)] = std::move(per);
+      ++stats_.tokens_harvested;
     }
   }
   return units[0].data;

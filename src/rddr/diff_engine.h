@@ -132,14 +132,13 @@ class DiffEngine {
                        const std::vector<Unit>& units,
                        const CompareContext& ctx, VoteMode mode);
 
-  /// The one forward entry point, called after an agreeing compare():
-  /// harvests ephemeral tokens (CSRF, session ids: alphanumeric runs >= 10
-  /// chars differing across ALL instances, paper §IV-B3) into ctx.session
-  /// and returns instance 0's bytes. Reuses the canonical forms of the
-  /// immediately preceding compare() on the same `units` (no
-  /// re-canonicalisation); falls back to a fresh canonicalisation pass
-  /// otherwise. Harvests only when the plugin opts in, the batch was
-  /// unanimous and ctx.session is set.
+  /// The one forward entry point, called after an agreeing compare() on
+  /// the same `units`: harvests ephemeral tokens (CSRF, session ids:
+  /// alphanumeric runs >= 10 chars differing across ALL instances, paper
+  /// §IV-B3) into ctx.session and returns instance 0's bytes. Harvests
+  /// from that compare()'s canonical forms, only when the plugin opts in,
+  /// the batch was unanimous and ctx.session is set; any other batch
+  /// harvests nothing.
   Bytes forward_downstream(const ProtocolPlugin& plugin,
                            const std::vector<Unit>& units,
                            const CompareContext& ctx);

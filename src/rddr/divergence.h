@@ -2,11 +2,11 @@
 //
 // Every RDDR proxy guarding one protected microservice reports each
 // divergence — interventions and quorum outvotes alike — as a
-// DivergenceRecord into an AttributionSink. The deployment-wide sink is the
-// DivergenceBus: it logs the record, folds it into a per-callsite dedup
-// table keyed by the record's attribution key (`proto|kind|cs=<leaf site>`
-// — the execution-index flavoured corner of the corpus fingerprint space,
-// see scenario/corpus.h), and hands it to every record listener.
+// DivergenceRecord into the deployment's DivergenceBus: it logs the
+// record, folds it into a per-callsite dedup table keyed by the record's
+// attribution key (`proto|kind|cs=<leaf site>` — the execution-index
+// flavoured corner of the corpus fingerprint space, see
+// scenario/corpus.h), and hands it to every record listener.
 //
 // The record stream is also the cross-proxy abort channel: each proxy
 // subscribes to it and, on an intervention reported by a sibling proxy,
@@ -74,15 +74,8 @@ inline std::string attribution_key(const DivergenceRecord& r) {
                    static_cast<unsigned long long>(r.index.leaf_site()));
 }
 
-/// The one reporting surface: everything that observes divergences —
-/// the deployment bus, test doubles, custom sinks — implements this.
-class AttributionSink {
- public:
-  virtual ~AttributionSink() = default;
-  virtual void report(const DivergenceRecord& rec) = 0;
-};
-
-class DivergenceBus : public AttributionSink {
+/// The one reporting surface: every proxy reports every divergence here.
+class DivergenceBus {
  public:
   using RecordListener = std::function<void(const DivergenceRecord&)>;
 
@@ -91,9 +84,9 @@ class DivergenceBus : public AttributionSink {
     record_listeners_.push_back(std::move(l));
   }
 
-  /// The AttributionSink entry point: logs the record, folds it into the
-  /// per-callsite dedup table and notifies record listeners.
-  void report(const DivergenceRecord& rec) override {
+  /// Logs the record, folds it into the per-callsite dedup table and
+  /// notifies record listeners.
+  void report(const DivergenceRecord& rec) {
     records_.push_back(rec);
     ++callsites_[attribution_key(rec)];
     if (rec.is_intervention()) ++interventions_;

@@ -181,8 +181,8 @@ class NWayProxy {
 
   sim::Network& net_;
   sim::Host& host_;
-  /// Fallback sink when constructed without a shared bus: every record
-  /// still flows through one AttributionSink.
+  /// Fallback bus when constructed without a shared one: every record
+  /// still flows through one DivergenceBus.
   DivergenceBus own_bus_;
   DivergenceBus* bus_;  // the shared bus, else &own_bus_
   obs::MetricsRegistry owned_metrics_;  // fallback registry

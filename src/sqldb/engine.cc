@@ -168,36 +168,47 @@ bool expr_has_aggregate(const Expr& e) {
   return false;
 }
 
-Datum coerce(Datum d, Type target) {
-  if (d.is_null()) return d;
-  if (d.type() == target) return d;
+/// Converts `d` in place for a column of type `target`. Text that an int
+/// or float column cannot parse is refused with 22P02, as in Postgres:
+/// false, with `err` set.
+bool coerce(Datum& d, Type target, SqlError& err) {
+  if (d.is_null() || d.type() == target) return true;
   switch (target) {
     case Type::kInt:
-      if (d.type() == Type::kFloat)
-        return Datum::integer(static_cast<int64_t>(std::llround(d.as_float())));
-      if (d.type() == Type::kText) {
+      if (d.type() == Type::kFloat) {
+        d = Datum::integer(static_cast<int64_t>(std::llround(d.as_float())));
+      } else if (d.type() == Type::kText) {
         auto v = parse_i64(d.as_text());
-        return v ? Datum::integer(*v) : d;
+        if (!v) break;
+        d = Datum::integer(*v);
+      } else if (d.type() == Type::kBool) {
+        d = Datum::integer(d.as_bool() ? 1 : 0);
       }
-      if (d.type() == Type::kBool) return Datum::integer(d.as_bool() ? 1 : 0);
-      return d;
+      return true;
     case Type::kFloat:
-      if (d.type() == Type::kInt) return Datum::floating(static_cast<double>(d.as_int()));
-      if (d.type() == Type::kText) {
+      if (d.type() == Type::kInt) {
+        d = Datum::floating(static_cast<double>(d.as_int()));
+      } else if (d.type() == Type::kText) {
         auto v = parse_f64(d.as_text());
-        return v ? Datum::floating(*v) : d;
+        if (!v) break;
+        d = Datum::floating(*v);
       }
-      return d;
+      return true;
     case Type::kText:
-      return Datum::text(d.to_text());
+      d = Datum::text(d.to_text());
+      return true;
     case Type::kBool:
-      if (d.type() == Type::kInt) return Datum::boolean(d.as_int() != 0);
-      if (d.type() == Type::kText)
-        return Datum::boolean(d.as_text() == "t" || d.as_text() == "true");
-      return d;
+      if (d.type() == Type::kInt)
+        d = Datum::boolean(d.as_int() != 0);
+      else if (d.type() == Type::kText)
+        d = Datum::boolean(d.as_text() == "t" || d.as_text() == "true");
+      return true;
     default:
-      return d;
+      return true;
   }
+  err = {"22P02", strformat("invalid input syntax for type %s: \"%s\"",
+                            type_name(target).c_str(), d.as_text().c_str())};
+  return false;
 }
 
 /// The value an evaluation returned, moved out of `tmp` when it lives
@@ -423,11 +434,12 @@ void reindex_row(std::unordered_multimap<int64_t, size_t>& index,
 
 /// A join level's key table: its table's rows keyed by the column of its
 /// ON's equi-conjunct (Evaluator::JoinKey), built on the level's first open
-/// in a statement. Candidates follow Datum::compare's equality, which
-/// compares numbers as doubles: a numeric key is its double value with
-/// -0.0 folded to +0.0, a NULL key matches nothing, and a text, bool or NaN
-/// key, which may equal values of other types, is a candidate for every
-/// outer value.
+/// in a statement. Candidates are a superset of Datum::compare's equality,
+/// which compares numbers as doubles (two integers exactly, which implies
+/// equal doubles), and the ON decides each: a numeric key is its double
+/// value with -0.0 folded to +0.0, a NULL key matches nothing, and a text,
+/// bool or NaN key, which may equal values of other types, is a candidate
+/// for every outer value.
 class JoinKeyTable {
   struct Entry {
     double key;
@@ -1001,7 +1013,10 @@ StatementResult Session::run_insert(const InsertStmt& ins) {
       const Datum* v = ev.eval_constant(*row_exprs[i], tmp);
       if (!v) return fail_with(out, ev.error());
       size_t col = static_cast<size_t>(target_cols[i]);
-      row[col] = coerce(take(v, tmp), t->columns[col].type);
+      row[col] = take(v, tmp);
+      SqlError err;
+      if (!coerce(row[col], t->columns[col].type, err))
+        return fail_with(out, err);
     }
     t->rows.push_back(std::move(row));
     // Noted and indexed per row, not per statement: a later row's eval
@@ -1083,11 +1098,12 @@ StatementResult Session::run_update(const UpdateStmt& up) {
       const SetTarget& set = sets[i];
       Datum tmp;
       const Datum* v = ev.eval(set.value, rows, tmp);
-      if (!v) {
+      SqlError err = v ? SqlError{} : ev.error();
+      Datum value = v ? take(v, tmp) : Datum();
+      if (!v || !coerce(value, t->columns[set.column].type, err)) {
         if (i > 0) db_.note_row_updated(*t, ordinal);
-        return fail_with(out, ev.error());
+        return fail_with(out, err);
       }
-      Datum value = coerce(take(v, tmp), t->columns[set.column].type);
       if (set.index) reindex_row(*set.index, ordinal, row[set.column], value);
       row[set.column] = std::move(value);
     }

@@ -696,10 +696,24 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
             return true;
         }
       }
-      double a = l.type() == Type::kText ? parse_f64(l.as_text()).value_or(0)
-                                         : l.numeric();
-      double b = r.type() == Type::kText ? parse_f64(r.as_text()).value_or(0)
-                                         : r.numeric();
+      // A text operand must read as a number (Postgres: 22P02).
+      auto number = [&](const Datum& d, double& x) {
+        if (d.type() != Type::kText) {
+          x = d.numeric();
+          return true;
+        }
+        auto v = parse_f64(d.as_text());
+        if (!v) {
+          fail("22P02", strformat("invalid input syntax for type double "
+                                  "precision: \"%s\"",
+                                  d.as_text().c_str()));
+          return false;
+        }
+        x = *v;
+        return true;
+      };
+      double a, b;
+      if (!number(l, a) || !number(r, b)) return false;
       switch (n.op) {
         case Op::kAdd: out = Datum::floating(a + b); return true;
         case Op::kSub: out = Datum::floating(a - b); return true;

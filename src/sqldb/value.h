@@ -46,15 +46,15 @@ class Datum {
   std::string to_text() const;
 
   /// Three-valued SQL comparison: nullopt when either side is NULL.
-  /// Numeric types compare numerically (integers as doubles); text
-  /// compares bytewise. Cross-type text/number comparisons attempt numeric
-  /// coercion of the text side (Postgres would error; our subset coerces,
-  /// which is enough for the workloads and keeps both engines consistent).
-  /// The int/int case, the one every keyed predicate takes, is inline.
+  /// Two integers compare exactly, as Postgres int8 does; other numeric
+  /// pairs compare as doubles; text compares bytewise. Cross-type
+  /// text/number comparisons attempt numeric coercion of the text side
+  /// (Postgres would error; our subset coerces, which is enough for the
+  /// workloads and keeps both engines consistent). The int/int case, the
+  /// one every keyed predicate takes, is inline.
   std::optional<int> compare(const Datum& other) const {
     if (type() == Type::kInt && other.type() == Type::kInt) {
-      double x = static_cast<double>(as_int());
-      double y = static_cast<double>(other.as_int());
+      int64_t x = as_int(), y = other.as_int();
       return x < y ? -1 : (x > y ? 1 : 0);
     }
     return compare_other(other);

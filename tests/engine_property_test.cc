@@ -111,6 +111,15 @@ TEST_P(EngineProperty, IndexedEqualityMatchesFullScan) {
   }
 }
 
+/// 2^53: the first int64 whose successor has the same double, so kBig
+/// and kBig + 1 are equal only to a compare that goes through doubles.
+constexpr int64_t kBig = int64_t{1} << 53;
+
+/// `n` below `first_big`, else kBig + (n - first_big).
+int64_t id_or_big(int64_t n, int64_t first_big) {
+  return n < first_big ? n : kBig + (n - first_big);
+}
+
 TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
   // Each random UPDATE/DELETE runs on two identical databases: keyed
   // (`WHERE id = k ...`, an index probe) and scanned (`WHERE id + 0 = k
@@ -130,29 +139,47 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
       Rng d = data;  // identical rows in both
       auto* t = db->create_table(
           "t", {{"id", Type::kInt}, {"v", Type::kInt}, {"s", Type::kText}});
-      // Ids 0..9 with duplicates and NULLs; row 0 has id 0, which the
-      // guard family below fails on.
+      // Ids 0..9 and kBig, kBig + 1 with duplicates and NULLs; row 0 has
+      // id 0, which the guard family below fails on.
       for (int i = 0; i < 40; ++i) {
         Datum id = Datum::integer(0);
         if (i > 0)
-          id = d.uniform(0, 6) > 0 ? Datum::integer(d.uniform(0, 9))
-                                   : Datum::null();
+          id = d.uniform(0, 6) > 0
+                   ? Datum::integer(id_or_big(d.uniform(0, 11), 10))
+                   : Datum::null();
         Datum v = d.uniform(0, 9) > 0 ? Datum::integer(d.uniform(-1, 2))
                                       : Datum::null();
         t->rows.push_back(
             {std::move(id), std::move(v), Datum::text(d.alnum_token(3))});
       }
       t->build_index("id");
+      // Text ids through INSERT: the int column reads a number's text as
+      // that number and refuses any other text, so no text id reaches the
+      // table for either form to read differently.
+      Session s(*db, "postgres");
+      const std::pair<const char*, bool> texts[] = {
+          {"' 7'", false}, {"'9007199254740993'", false},
+          {"'1.0'", true}, {"'x'", true}};
+      for (const auto& [text, refused] : texts) {
+        StatementResult r =
+            s.execute(strformat("INSERT INTO t VALUES (%s, 1, 'ins');", text))
+                .statements[0];
+        ASSERT_EQ(r.failed(), refused) << text << ": " << r.error_message;
+        if (refused) {
+          EXPECT_EQ(*r.error_sqlstate, "22P02") << text;
+        }
+      }
     }
     Session keyed(keyed_db, "postgres"), scanned(scanned_db, "postgres");
     for (int trial = 0; trial < 16; ++trial) {
-      const int64_t k = rng.uniform(0, 12);  // 10..12 are absent keys
+      // 10..12 are absent keys; 13 and 14 stand for kBig and kBig + 1.
+      const int64_t k = id_or_big(rng.uniform(0, 14), 13);
       const std::string key = strformat("%lld", static_cast<long long>(k));
       // The key conjunct, in keyed and scanned spelling.
       const bool key_first = rng.uniform(0, 1) == 0;
       const std::string keyed_pred = key_first ? "id = " + key : key + " = id";
       const std::string scanned_pred = "id + 0 = " + key;
-      // Guard family: `100 / id > 0` fails only on id 0 rows and comes
+      // Guard family: `id / id = 1` fails only on id 0 rows and comes
       // first, so it runs on every row the access path visits.
       const int shape = static_cast<int>(rng.uniform(0, 5));
       const bool guard = shape == 5;
@@ -168,7 +195,7 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
       }
       const bool extra_first = rng.uniform(0, 1) == 0;
       auto where = [&](const std::string& pred) {
-        if (guard) return "100 / id > 0 AND " + pred;
+        if (guard) return "id / id = 1 AND " + pred;
         if (extra.empty()) return pred;
         return extra_first ? extra + " AND " + pred : pred + " AND " + extra;
       };

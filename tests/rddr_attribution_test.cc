@@ -1,7 +1,7 @@
 // Execution indexing & divergence attribution (common/exec_index.h,
 // rddr/divergence.h): index semantics, ambient derivation at dial time,
 // nested propagation through a protected edge (including resync shadow
-// replay), the AttributionSink/DivergenceBus redesign (per-callsite dedup,
+// replay), the DivergenceBus reporting surface (per-callsite dedup,
 // re-entrant listener subscription), targeted path quarantine, and
 // cross-island determinism of attributed records.
 #include <gtest/gtest.h>
@@ -182,7 +182,7 @@ TEST(FlowDerivation, ExplicitFieldsWinAndTopLevelDialsStayEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// AttributionSink / DivergenceBus redesign.
+// DivergenceBus: the one reporting surface.
 
 DivergenceRecord make_record(const std::string& proxy,
                              const std::string& verdict, uint64_t leaf_site) {
@@ -198,12 +198,11 @@ DivergenceRecord make_record(const std::string& proxy,
 
 TEST(DivergenceBus, RecordsDedupPerCallsiteAndCountIsInterventions) {
   DivergenceBus bus;
-  AttributionSink& sink = bus;  // the one reporting surface
 
-  sink.report(make_record("edge", "intervention", 0xaaa));
-  sink.report(make_record("edge", "intervention", 0xaaa));
-  sink.report(make_record("edge", "outvote", 0xaaa));
-  sink.report(make_record("edge", "intervention", 0xbbb));
+  bus.report(make_record("edge", "intervention", 0xaaa));
+  bus.report(make_record("edge", "intervention", 0xaaa));
+  bus.report(make_record("edge", "outvote", 0xaaa));
+  bus.report(make_record("edge", "intervention", 0xbbb));
 
   ASSERT_EQ(bus.records().size(), 4u);
   EXPECT_EQ(bus.count(), 3u);  // interventions only
@@ -225,7 +224,7 @@ TEST(DivergenceBus, RecordsDedupPerCallsiteAndCountIsInterventions) {
   EXPECT_EQ(bus.unique_callsites(), 0u);
   EXPECT_EQ(bus.count(), 0u);
   // The intervention count restarts from zero after clear().
-  sink.report(make_record("edge", "intervention", 0xaaa));
+  bus.report(make_record("edge", "intervention", 0xaaa));
   EXPECT_EQ(bus.count(), 1u);
 }
 

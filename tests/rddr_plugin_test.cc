@@ -206,6 +206,10 @@ TEST(HttpPlugin, CsrfTokensHarvestedOnForward) {
   DiffEngine engine;
   BatchVerdict verdict = engine.compare(plugin, units, ctx, VoteMode::kStrict);
   ASSERT_TRUE(verdict.agreed) << verdict.reason;
+  // A batch the compare() did not see harvests nothing.
+  const std::vector<Unit> copy = units;
+  EXPECT_EQ(engine.forward_downstream(plugin, copy, ctx), copy[0].data);
+  EXPECT_TRUE(state.tokens.empty());
   auto fwd = engine.forward_downstream(plugin, units, ctx);
   // Instance 0's bytes are forwarded (canonical token = instance 0's).
   EXPECT_NE(fwd.find("aaaaaaaaaaaaaaaa"), Bytes::npos);

@@ -5,10 +5,16 @@
 #
 # Uses the `asan` (ASan+UBSan), `ubsan` (UBSan only) and `tsan`
 # (ThreadSanitizer) CMake presets (build dirs: build-asan/, build-ubsan/,
-# build-tsan/). Any extra arguments are passed through to ctest. Note
-# that ctest sees the gtest-discovered *test* names (Suite.Case), not
-# binary names, e.g.
+# build-tsan/). The asan and ubsan lanes run all of ctest, which
+# includes label `pin`: every example and bench run, each exiting 0 with
+# stdout, stderr and written files byte-identical to its golden under
+# tests/golden/paper/ (bench/CMakeLists.txt), so each bench's own
+# self-checks and the paper's outputs are checked under the sanitizers
+# too. Any extra arguments are passed through to ctest. Note that ctest
+# sees the gtest-discovered *test* names (Suite.Case), not binary names,
+# e.g.
 #   tests/run_sanitized.sh -R 'FaultTest|FaultNetTest'
+#   tests/run_sanitized.sh -L pin
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -35,48 +41,6 @@ for preset in asan ubsan; do
   # of the pin.
   RDDR_SIMD=scalar "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
   RDDR_SIMD=sse2 "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
-
-  # The bench self-checks below are ctest's `smoke` label, which the full
-  # ctest run above already covers; they run here only when ctest
-  # arguments narrowed that run to a subset.
-  if [ $# -gt 0 ]; then
-    # Observability smoke under the sanitizers: a seeded divergence run must
-    # close every span and tag the outvoted instance (exits nonzero if not).
-    smoke_dir="$(mktemp -d)"
-    (cd "$smoke_dir" && "$repo/build-$preset/bench/trace_smoke")
-    rm -rf "$smoke_dir"
-
-    # Chaos smoke: a few seeded fault schedules against the self-healing
-    # deployment; exits nonzero (with a shrunk repro on stderr) on any
-    # recovery-invariant violation.
-    "$repo/build-$preset/bench/chaos_sweep" 3
-
-    # Scale-out smoke: a reduced fig5_scaleout sweep; exits nonzero if the
-    # scale-out ratio, shed-latency, shed-protocol (SQLSTATE 53300 / HTTP
-    # 503, never a hang) or same-seed-determinism checks fail. JSON goes to
-    # stdout (dropped here); the check log is on stderr.
-    "$repo/build-$preset/bench/fig5_scaleout" --smoke >/dev/null
-
-    # Durable-storage smoke: crash recovery reproduces the pre-crash
-    # snapshot, incremental deltas beat full snapshots by >10x, and the
-    # recovery trace is seed-deterministic — all virtual-time invariants,
-    # so they hold under sanitizers too.
-    "$repo/build-$preset/bench/storage_recovery" --smoke >/dev/null
-
-    # Adversarial fuzz smoke: a few seeds of the protocol-aware fuzzer per
-    # generated topology — malformed length fields, smuggling variants and
-    # slowloris sessions push hostile bytes through the codecs and proxies,
-    # exactly what the sanitizers should watch. Exits nonzero (shrunk repro
-    # on stderr) on any leak/hang/accounting violation.
-    "$repo/build-$preset/bench/fuzz_sweep" --smoke >/dev/null
-
-    # Attribution smoke: Table I rows replayed through the three-tier
-    # generated topology; exits nonzero unless every divergence attributes
-    # to the exact (request, hop, call site), per-callsite dedup collapses
-    # each tier to one key, and the report is byte-identical across island
-    # counts {1, 2}. The attribution report goes to stderr.
-    "$repo/build-$preset/bench/table1_graph" --smoke
-  fi
 done
 
 # ThreadSanitizer lane: the multi-island executor is the repo's only

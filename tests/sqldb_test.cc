@@ -516,6 +516,120 @@ TEST_F(EngineTest, ColumnErrorsAreRaisedPerEvaluatedRow) {
   EXPECT_EQ(r.rows[1][0].value(), "20");
 }
 
+TEST_F(EngineTest, NumberColumnsRefuseTextThatIsNotANumber) {
+  last(db, "CREATE TABLE n (i int, f float, b bool);");
+  db.find_table("n")->build_index("i");
+  struct Case {
+    const char* sql;
+    const char* text;  // the refused text, named in the message
+  };
+  const Case refused[] = {
+      {"INSERT INTO n VALUES ('1.0', 1, true);", "1.0"},
+      {"INSERT INTO n VALUES ('x', 1, true);", "x"},
+      {"INSERT INTO n VALUES (1, 'abc', true);", "abc"},
+      {"INSERT INTO n (f) VALUES ('');", ""},
+  };
+  for (const auto& c : refused) {
+    auto r = last(db, c.sql);
+    ASSERT_TRUE(r.failed()) << c.sql;
+    EXPECT_EQ(*r.error_sqlstate, "22P02") << c.sql;
+    EXPECT_NE(r.error_message.find(strformat("\"%s\"", c.text)),
+              std::string::npos)
+        << r.error_message;
+  }
+  EXPECT_TRUE(db.find_table("n")->rows.empty());
+  // Text that parses is converted; bool columns keep their own reading.
+  auto r = last(db, "INSERT INTO n VALUES (' 7 ', '2.5', 'yes');");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  // A later row's refused text ends the statement and keeps the rows
+  // before it, as a failing expression does.
+  r = last(db, "INSERT INTO n VALUES (8, 1, true), ('eight', 1, true);");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22P02");
+  r = last(db, "SELECT i, f, b FROM n ORDER BY i;");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].value(), "7");
+  EXPECT_EQ(r.rows[0][1].value(), "2.5");
+  EXPECT_EQ(r.rows[0][2].value(), "f");
+  // UPDATE refuses it per SET; the SETs before the refused one survive,
+  // and the index follows them.
+  r = last(db, "UPDATE n SET i = i + 10, f = 'two' WHERE i = 7;");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22P02");
+  EXPECT_NE(r.error_message.find("\"two\""), std::string::npos);
+  r = last(db, "SELECT f FROM n WHERE i = 17;");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].value(), "2.5");
+  EXPECT_EQ(r.rows_scanned, 1);  // answered by the index
+  r = last(db, "UPDATE n SET f = '3.5', i = '9' WHERE i = 8;");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  r = last(db, "SELECT f FROM n WHERE i = 9;");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].value(), "3.5");
+}
+
+TEST_F(EngineTest, TextArithmeticNeedsNumericText) {
+  for (const char* sql : {"SELECT 'x' + 0;", "SELECT 2 * 'abc';",
+                          "SELECT 'x' + 0 = 0;", "SELECT '1' - 'one';"}) {
+    auto r = last(db, sql);
+    ASSERT_TRUE(r.failed()) << sql;
+    EXPECT_EQ(*r.error_sqlstate, "22P02") << sql;
+  }
+  auto r = last(db, "SELECT 'abc' * 2;");
+  EXPECT_NE(r.error_message.find("\"abc\""), std::string::npos)
+      << r.error_message;
+  r = last(db, "SELECT '1' + 0, '2.5' * 2, ' 3 ' - 1, 1 + NULL;");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  EXPECT_EQ(r.rows[0][0].value(), "1");
+  EXPECT_EQ(r.rows[0][1].value(), "5");
+  EXPECT_EQ(r.rows[0][2].value(), "2");
+  EXPECT_FALSE(r.rows[0][3].has_value());
+}
+
+TEST_F(EngineTest, BigIntsCompareExactlyOnEveryAccessPath) {
+  // 2^53 and 2^53 + 1 share one double; as int8 they differ.
+  last(db,
+       "CREATE TABLE t (id int, v text);"
+       "INSERT INTO t VALUES (9007199254740992, 'a'), (9007199254740993, 'b'),"
+       " (1, 'd');"
+       "CREATE TABLE u (k int);"
+       "INSERT INTO u VALUES (9007199254740993);");
+  db.find_table("t")->build_index("id");
+  auto r = last(db, "SELECT 9007199254740992 = 9007199254740993,"
+                    " 9007199254740992 < 9007199254740993;");
+  EXPECT_EQ(r.rows[0][0].value(), "f");
+  EXPECT_EQ(r.rows[0][1].value(), "t");
+  auto values = [&](const std::string& sql) {
+    auto res = last(db, sql);
+    EXPECT_FALSE(res.failed()) << sql << ": " << res.error_message;
+    std::vector<std::string> out;
+    for (const auto& row : res.rows) out.push_back(row[0].value_or("NULL"));
+    return out;
+  };
+  using V = std::vector<std::string>;
+  // Keyed (index probe) and scanned forms agree.
+  for (const char* where : {"id = 9007199254740993",
+                            "id = 9007199254740993 OR 1 = 0",
+                            "id + 0 = 9007199254740993",
+                            "id > 9007199254740992"})
+    EXPECT_EQ(values(strformat("SELECT v FROM t WHERE %s ORDER BY v;", where)),
+              V{"b"})
+        << where;
+  EXPECT_EQ(values("SELECT v FROM t WHERE id = 1 OR 1 = 0 ORDER BY v;"),
+            V{"d"});
+  // A probing join level and the nested loop agree.
+  EXPECT_EQ(values("SELECT t.v FROM u JOIN t ON t.id = u.k ORDER BY t.v;"),
+            V{"b"});
+  EXPECT_EQ(values("SELECT t.v FROM u JOIN t ON u.k + 0 = t.id ORDER BY t.v;"),
+            V{"b"});
+  // GROUP BY keeps apart what = keeps apart.
+  EXPECT_EQ(values("SELECT count(*) FROM t GROUP BY id;"),
+            (V{"1", "1", "1"}));
+  // A keyed UPDATE changes exactly the row the scanned form would.
+  last(db, "UPDATE t SET v = 'B' WHERE id = 9007199254740993;");
+  EXPECT_EQ(values("SELECT v FROM t ORDER BY id;"), (V{"d", "a", "B"}));
+}
+
 TEST_F(EngineTest, TransactionNoOpsAccepted) {
   auto r = run(db, "postgres", "BEGIN; COMMIT; ROLLBACK; START TRANSACTION;");
   for (const auto& sr : r.statements) EXPECT_FALSE(sr.failed());
