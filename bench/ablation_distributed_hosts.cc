@@ -13,11 +13,8 @@
 #include <memory>
 #include <vector>
 
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "rddr/rddr.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 using namespace rddr;
@@ -31,41 +28,37 @@ double run(bool rddr_enabled, bool distributed, int clients) {
   sim::Simulator simulator;
   sim::Network net(simulator, 50 * sim::kMicrosecond);
   std::vector<std::unique_ptr<sim::Host>> hosts;
-  auto add_host = [&](const std::string& name) -> sim::Host& {
+  auto add_host = [&](const std::string& name) {
     hosts.push_back(
         std::make_unique<sim::Host>(simulator, name, 32, 128LL << 30));
-    return *hosts.back();
+    return hosts.back().get();
   };
-  sim::Host& shared = add_host("node-0");
+  // Co-located, every instance shares node-0; distributed, instance i runs
+  // on node-i.
+  std::vector<sim::Host*> instance_hosts{add_host("node-0")};
+  if (distributed)
+    for (int i = 1; i < 3; ++i)
+      instance_hosts.push_back(add_host("node-" + std::to_string(i)));
 
-  int n = rddr_enabled ? 3 : 1;
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  for (int i = 0; i < n; ++i) {
-    sim::Host& host = distributed && i > 0
-                          ? add_host("node-" + std::to_string(i))
-                          : shared;
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_pgbench(*db, kAccounts, 9);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.cpu_per_query = kCpuPerQuery;
-    so.cpu_per_row = 0;
-    so.rng_seed = 70 + static_cast<uint64_t>(i);
-    dbs.push_back(db);
-    servers.push_back(std::make_unique<sqldb::SqlServer>(net, host, db, so));
-  }
+  sqldb::SqlServer::Options so;
+  so.cpu_per_query = kCpuPerQuery;
+  so.cpu_per_row = 0;
+  so.rng_seed = 70;
+  workloads::Replicas replicas = workloads::start_replicas(
+      net, rddr_enabled ? 3 : 1, workloads::Pgbench{kAccounts}, so,
+      instance_hosts);
   std::unique_ptr<core::NVersionDeployment> rddr;
-  std::string address = "pg-0:5432";
+  std::string address = replicas.addresses[0];
   if (rddr_enabled) {
-    sim::Host& proxy_host = distributed ? add_host("node-proxy") : shared;
+    sim::Host* proxy_host =
+        distributed ? add_host("node-proxy") : instance_hosts[0];
     rddr = core::NVersionDeployment::Builder()
                .listen("front:5432")
-               .versions({"pg-0:5432", "pg-1:5432", "pg-2:5432"})
+               .versions(replicas.addresses)
                .plugin(std::make_shared<core::PgPlugin>())
                .filter_pair(true)
                .cpu_model(50e-6, 2e-9)
-               .build(net, proxy_host);
+               .build(net, *proxy_host);
     address = "front:5432";
   }
   workloads::ClientPoolOptions opts;

@@ -23,13 +23,10 @@
 
 #include "common/log.h"
 #include "netsim/fault.h"
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "proto/json/json.h"
 #include "rddr/deployment.h"
 #include "rddr/plugins.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 using namespace rddr;
@@ -62,27 +59,19 @@ Outcome run_one(core::DegradationPolicy policy, int crashes) {
   sim::Network net(simulator, 10 * sim::kMicrosecond);
   sim::Host host(simulator, "server", 32, 16LL << 30);
 
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  for (int i = 0; i < 3; ++i) {
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_pgbench(*db, kAccounts, 9);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.cpu_per_query = kCpuPerQuery;
-    so.cpu_per_row = 0;
-    so.rng_seed = 20 + static_cast<uint64_t>(i);
-    dbs.push_back(db);
-    servers.push_back(
-        std::make_unique<sqldb::SqlServer>(net, host, db, so));
-  }
+  sqldb::SqlServer::Options so;
+  so.cpu_per_query = kCpuPerQuery;
+  so.cpu_per_row = 0;
+  so.rng_seed = 20;
+  workloads::Replicas replicas = workloads::start_replicas(
+      net, 3, workloads::Pgbench{kAccounts}, so, {&host});
 
   core::HealthTracker::Options health;
   health.reconnect_jitter = 0;  // deterministic across runs
   auto deployment =
       core::NVersionDeployment::Builder()
           .listen("front:5432")
-          .versions({"pg-0:5432", "pg-1:5432", "pg-2:5432"})
+          .versions(replicas.addresses)
           .plugin(std::make_shared<core::PgPlugin>())
           .filter_pair()
           .degradation(policy)

@@ -11,11 +11,8 @@
 #include <memory>
 #include <vector>
 
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "rddr/rddr.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 using namespace rddr;
@@ -38,31 +35,22 @@ Point run_n(int n) {
     sim::Simulator simulator;
     sim::Network net(simulator, 50 * sim::kMicrosecond);
     sim::Host host(simulator, "server", 32, 128LL << 30);
-    std::vector<std::shared_ptr<sqldb::Database>> dbs;
-    std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-    for (int i = 0; i < n; ++i) {
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, kAccounts, 9);
-      sqldb::SqlServer::Options so;
-      so.address = "pg-" + std::to_string(i) + ":5432";
-      so.cpu_per_query = kCpuPerQuery;
-      so.cpu_per_row = 0;
-      so.rng_seed = 40 + static_cast<uint64_t>(i);
-      dbs.push_back(db);
-      servers.push_back(
-          std::make_unique<sqldb::SqlServer>(net, host, db, so));
-    }
+    sqldb::SqlServer::Options so;
+    so.cpu_per_query = kCpuPerQuery;
+    so.cpu_per_row = 0;
+    so.rng_seed = 40;
+    workloads::Replicas replicas = workloads::start_replicas(
+        net, n, workloads::Pgbench{kAccounts}, so, {&host});
     std::unique_ptr<core::NVersionDeployment> rddr;
-    std::string address = "pg-0:5432";
+    std::string address = replicas.addresses[0];
     if (n > 1) {
-      core::NVersionDeployment::Builder b;
-      b.listen("front:5432")
-          .plugin(std::make_shared<core::PgPlugin>())
-          .filter_pair(true)
-          .cpu_model(50e-6, 2e-9);
-      for (int i = 0; i < n; ++i)
-        b.add_version("pg-" + std::to_string(i) + ":5432");
-      rddr = b.build(net, host);
+      rddr = core::NVersionDeployment::Builder()
+                 .listen("front:5432")
+                 .versions(replicas.addresses)
+                 .plugin(std::make_shared<core::PgPlugin>())
+                 .filter_pair(true)
+                 .cpu_model(50e-6, 2e-9)
+                 .build(net, host);
       address = "front:5432";
     }
     host.reset_metrics();

@@ -13,13 +13,9 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "obs/metrics.h"
 #include "rddr/rddr.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
-#include "workloads/tpch.h"
+#include "workloads/harness.h"
 
 using namespace rddr;
 
@@ -32,7 +28,6 @@ struct RunMetrics {
   std::vector<SampleStats> per_query_latency;  // [query index]
   double cpu_max_cores = 0;
   double mem_max_gb = 0;
-  double elapsed_s = 0;
 };
 
 RunMetrics run_deployment(int n_instances, int clients) {
@@ -40,35 +35,28 @@ RunMetrics run_deployment(int n_instances, int clients) {
   sim::Network net(simulator, 50 * sim::kMicrosecond);
   sim::Host host(simulator, "server", kCores, 128LL << 30);
 
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  for (int i = 0; i < n_instances; ++i) {
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_tpch(*db, workloads::TpchScale{kScale}, 42);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.cpu_per_query = 500e-6;
-    so.cpu_per_row = 1e-6;  // per-row scan cost drives the analytics
-    so.rng_seed = 10 + static_cast<uint64_t>(i);
-    dbs.push_back(db);
-    servers.push_back(std::make_unique<sqldb::SqlServer>(net, host, db, so));
-  }
+  sqldb::SqlServer::Options so;
+  so.cpu_per_query = 500e-6;
+  so.cpu_per_row = 1e-6;  // per-row scan cost drives the analytics
+  so.rng_seed = 10;
+  workloads::Replicas replicas =
+      workloads::start_replicas(net, n_instances, workloads::TpchScale{kScale},
+                                so, {&host});
 
   std::unique_ptr<core::NVersionDeployment> proxy;
-  std::string address = "pg-0:5432";
+  std::string address = replicas.addresses[0];
   if (n_instances > 1) {
-    core::NVersionDeployment::Builder b;
-    b.listen("db:5432")
-        .plugin(std::make_shared<core::PgPlugin>())
-        .filter_pair(true);
-    for (int i = 0; i < n_instances; ++i)
-      b.add_version("pg-" + std::to_string(i) + ":5432");
-    proxy = b.build(net, host);
+    proxy = core::NVersionDeployment::Builder()
+                .listen("db:5432")
+                .versions(replicas.addresses)
+                .plugin(std::make_shared<core::PgPlugin>())
+                .filter_pair(true)
+                .build(net, host);
     address = "db:5432";
   }
 
-  // Host resource maxima and pool aggregates are read from the registry:
-  // the host's sampler feeds "server.*" gauges, the client pool "pool.*".
+  // Host resource maxima are read from the registry, which the host's
+  // sampler feeds as "server.*" gauges.
   obs::MetricsRegistry registry;
   host.reset_metrics();
   host.bind_metrics(&registry, "server");
@@ -82,22 +70,19 @@ RunMetrics run_deployment(int n_instances, int clients) {
   opts.address = address;
   opts.clients = clients;
   opts.transactions_per_client = static_cast<int>(queries.size());
-  opts.metrics = &registry;
   opts.next_query = [&queries](Rng&, int, int tx) { return queries[static_cast<size_t>(tx)]; };
   opts.on_tx_complete = [&metrics](int, int tx, double ms) {
     metrics.per_query_latency[static_cast<size_t>(tx)].add(ms);
   };
-  workloads::run_client_pool(simulator, net, opts);
+  workloads::PoolResult pool = workloads::run_client_pool(simulator, net, opts);
   host.stop_sampling();
 
-  uint64_t failed = registry.counter("pool.tx_failed")->value();
-  if (failed > 0)
+  if (pool.failed > 0)
     std::fprintf(stderr, "WARNING: %llu failed transactions\n",
-                 static_cast<unsigned long long>(failed));
+                 static_cast<unsigned long long>(pool.failed));
   metrics.cpu_max_cores =
       registry.gauge("server.cpu_pct")->max_value() / 100.0 * kCores;
   metrics.mem_max_gb = registry.gauge("server.mem_bytes")->max_value() / 1e9;
-  metrics.elapsed_s = registry.gauge("pool.elapsed_s")->value();
   return metrics;
 }
 

@@ -34,13 +34,10 @@
 #include <vector>
 
 #include "common/strutil.h"
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "netsim/parallel.h"
 #include "rddr/rddr.h"
 #include "sqldb/client.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 using namespace rddr;
@@ -84,29 +81,20 @@ Point run_point(size_t shards, double offered_rate, double duration_s,
 
   std::vector<std::unique_ptr<sim::Host>> hosts;
   std::vector<sim::Host*> host_ptrs;
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
+  std::vector<workloads::Replicas> shard_replicas;
   std::vector<std::vector<std::string>> pools;
   for (size_t k = 0; k < shards; ++k) {
     hosts.push_back(std::make_unique<sim::Host>(
         simulator, "node-" + std::to_string(k), 32, 128LL << 30));
     host_ptrs.push_back(hosts.back().get());
-    pools.emplace_back();
-    for (int i = 0; i < 3; ++i) {
-      std::string addr =
-          strformat("pg-s%zu-%d:5432", k, i);
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, accounts, 9);
-      sqldb::SqlServer::Options so;
-      so.address = addr;
-      so.cpu_per_query = kCpuPerQuery;
-      so.cpu_per_row = 0;
-      so.rng_seed = 20 + k * 10 + static_cast<uint64_t>(i);
-      dbs.push_back(db);
-      servers.push_back(
-          std::make_unique<sqldb::SqlServer>(net, *hosts.back(), db, so));
-      pools.back().push_back(addr);
-    }
+    sqldb::SqlServer::Options so;
+    so.cpu_per_query = kCpuPerQuery;
+    so.cpu_per_row = 0;
+    so.rng_seed = 20 + k * 10;
+    shard_replicas.push_back(workloads::start_replicas(
+        net, 3, workloads::Pgbench{accounts}, so, {hosts.back().get()},
+        strformat("pg-s%zu", k)));
+    pools.push_back(shard_replicas.back().addresses);
   }
 
   core::AdmissionOptions adm;  // defaults = unprotected (no rate limit)
@@ -121,7 +109,8 @@ Point run_point(size_t shards, double offered_rate, double duration_s,
                    .listen("front:5432")
                    .plugin(std::make_shared<core::PgPlugin>())
                    .filter_pair(true)
-                   .cpu_model(50e-6, 5e-9)
+                   .cpu_model(workloads::kPaperProxyCpu.per_unit_s,
+                              workloads::kPaperProxyCpu.per_byte_s)
                    .admission(adm)
                    .shard_versions(pools)
                    .islands(islands)
@@ -180,19 +169,10 @@ void check_shed_protocol() {
   sim::Simulator simulator;
   sim::Network net(simulator, 50 * sim::kMicrosecond);
   sim::Host host(simulator, "node", 32, 128LL << 30);
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  std::vector<std::string> pool;
-  for (int i = 0; i < 3; ++i) {
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_pgbench(*db, 100, 9);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.rng_seed = 20 + static_cast<uint64_t>(i);
-    dbs.push_back(db);
-    servers.push_back(std::make_unique<sqldb::SqlServer>(net, host, db, so));
-    pool.push_back(so.address);
-  }
+  sqldb::SqlServer::Options so;
+  so.rng_seed = 20;
+  workloads::Replicas replicas = workloads::start_replicas(
+      net, 3, workloads::Pgbench{100}, so, {&host});
   core::AdmissionOptions adm;
   adm.rate_per_s = 1;  // refill is negligible within the test window
   adm.burst = 1;       // exactly one admission
@@ -201,7 +181,7 @@ void check_shed_protocol() {
   auto front = core::NVersionDeployment::Builder()
                    .name("front")
                    .listen("front:5432")
-                   .versions(pool)
+                   .versions(replicas.addresses)
                    .plugin(std::make_shared<core::PgPlugin>())
                    .filter_pair(true)
                    .admission(adm)

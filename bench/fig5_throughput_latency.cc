@@ -9,108 +9,26 @@
 // finishes in seconds. Expected shape (paper §V-G2): all three track each
 // other at low concurrency (~10% RDDR penalty at 8 clients); RDDR's
 // throughput tapers first because its 3 instances exhaust the 32 cores
-// ~3x sooner; latency grows correspondingly.
+// ~3x sooner; latency grows correspondingly. Every cell is one
+// workloads::run_fig5_point.
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
-#include "netsim/host.h"
-#include "netsim/network.h"
-#include "obs/metrics.h"
-#include "rddr/rddr.h"
-#include "services/tcp_proxy.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
-#include "workloads/pgbench.h"
+#include "workloads/harness.h"
 
 using namespace rddr;
 
 namespace {
 
-constexpr int kAccounts = 20000;
-constexpr int kTxPerClient = 100;
-constexpr double kCpuPerQuery = 2e-3;  // models the paper's SF-100 SELECT
+using workloads::Fig5Front;
 
-enum class Deployment { kBare, kEnvoy, kRddr };
-
-const char* name_of(Deployment d) {
-  switch (d) {
-    case Deployment::kBare: return "1x minipg";
-    case Deployment::kEnvoy: return "1x minipg + envoy";
-    case Deployment::kRddr: return "RDDR (3x minipg)";
+const char* name_of(Fig5Front f) {
+  switch (f) {
+    case Fig5Front::kBare: return "1x minipg";
+    case Fig5Front::kEnvoy: return "1x minipg + envoy";
+    case Fig5Front::kRddr: return "RDDR (3x minipg)";
   }
   return "?";
-}
-
-struct Measurement {
-  double tps = 0;
-  double latency_ms = 0;
-  double failures = 0;
-};
-
-Measurement run_one(Deployment d, int clients) {
-  sim::Simulator simulator;
-  sim::Network net(simulator, 50 * sim::kMicrosecond);
-  sim::Host server_host(simulator, "server", 32, 128LL << 30);
-
-  int n = d == Deployment::kRddr ? 3 : 1;
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  for (int i = 0; i < n; ++i) {
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_pgbench(*db, kAccounts, 9);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.cpu_per_query = kCpuPerQuery;
-    so.cpu_per_row = 0;
-    so.rng_seed = 20 + static_cast<uint64_t>(i);
-    dbs.push_back(db);
-    servers.push_back(
-        std::make_unique<sqldb::SqlServer>(net, server_host, db, so));
-  }
-
-  std::unique_ptr<services::TcpProxy> envoy;
-  std::unique_ptr<core::NVersionDeployment> rddr;
-  std::string address = "pg-0:5432";
-  if (d == Deployment::kEnvoy) {
-    services::TcpProxy::Options po;
-    po.address = "front:5432";
-    po.backend_address = "pg-0:5432";
-    envoy = std::make_unique<services::TcpProxy>(net, server_host, po);
-    address = "front:5432";
-  } else if (d == Deployment::kRddr) {
-    // The cpu model matches the paper's Python proxy: a few hundred us of
-    // tokenize+diff work per message (calibrated to the ~10% penalty at 8
-    // clients).
-    rddr = core::NVersionDeployment::Builder()
-               .listen("front:5432")
-               .versions({"pg-0:5432", "pg-1:5432", "pg-2:5432"})
-               .plugin(std::make_shared<core::PgPlugin>())
-               .filter_pair(true)
-               .cpu_model(50e-6, 5e-9)
-               .build(net, server_host);
-    address = "front:5432";
-  }
-
-  // The pool publishes its aggregates into the registry; the table below
-  // is printed from those series rather than from the PoolResult.
-  obs::MetricsRegistry registry;
-  workloads::ClientPoolOptions opts;
-  opts.address = address;
-  opts.clients = clients;
-  opts.transactions_per_client = kTxPerClient;
-  opts.seed = 5;
-  opts.metrics = &registry;
-  opts.next_query = [](Rng& rng, int, int) {
-    return workloads::pgbench_select_tx(rng, kAccounts);
-  };
-  workloads::run_client_pool(simulator, net, opts);
-
-  Measurement m;
-  m.tps = registry.gauge("pool.tps")->value();
-  m.latency_ms = registry.gauge("pool.latency_mean_ms")->value();
-  m.failures = static_cast<double>(registry.counter("pool.tx_failed")->value());
-  return m;
 }
 
 }  // namespace
@@ -118,10 +36,10 @@ Measurement run_one(Deployment d, int clients) {
 int main() {
   std::printf(
       "=== Figure 5: pgbench throughput and latency (%d tx/client) ===\n\n",
-      kTxPerClient);
+      workloads::kFig5TxPerClient);
   std::printf("%-8s", "clients");
-  for (auto d : {Deployment::kRddr, Deployment::kEnvoy, Deployment::kBare})
-    std::printf(" | %-18s", name_of(d));
+  for (auto f : {Fig5Front::kRddr, Fig5Front::kEnvoy, Fig5Front::kBare})
+    std::printf(" | %-18s", name_of(f));
   std::printf("\n%-8s", "");
   for (int i = 0; i < 3; ++i) std::printf(" | %8s %9s", "tps", "lat(ms)");
   std::printf("\n%s\n", std::string(74, '-').c_str());
@@ -129,12 +47,13 @@ int main() {
   double rddr_at_8 = 0, envoy_at_8 = 0;
   for (int clients : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
     std::printf("%-8d", clients);
-    for (auto d : {Deployment::kRddr, Deployment::kEnvoy, Deployment::kBare}) {
-      Measurement m = run_one(d, clients);
-      std::printf(" | %8.0f %9.2f", m.tps, m.latency_ms);
-      if (m.failures > 0) std::printf("!");
-      if (clients == 8 && d == Deployment::kRddr) rddr_at_8 = m.tps;
-      if (clients == 8 && d == Deployment::kEnvoy) envoy_at_8 = m.tps;
+    for (auto f : {Fig5Front::kRddr, Fig5Front::kEnvoy, Fig5Front::kBare}) {
+      workloads::PoolResult r = workloads::run_fig5_point(f, clients).pool;
+      double tps = r.throughput_tps();
+      std::printf(" | %8.0f %9.2f", tps, r.latency_ms.mean());
+      if (r.failed > 0) std::printf("!");
+      if (clients == 8 && f == Fig5Front::kRddr) rddr_at_8 = tps;
+      if (clients == 8 && f == Fig5Front::kEnvoy) envoy_at_8 = tps;
     }
     std::printf("\n");
   }

@@ -11,14 +11,11 @@
 #include <vector>
 
 #include "netsim/block_device.h"
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "obs/metrics.h"
 #include "rddr/rddr.h"
 #include "services/tcp_proxy.h"
-#include "sqldb/server.h"
 #include "sqldb/storage/storage_engine.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 using namespace rddr;
@@ -38,10 +35,10 @@ struct Series {
   double latency_mean_ms = 0;
 };
 
-/// frame_budget > 0 attaches the durable storage engine to every server
-/// with that buffer-pool budget — the cache-pressure axis: resident
-/// memory is bounded by the budget while misses charge device reads into
-/// query latency.
+/// frame_budget > 0 runs one replica on the durable storage engine with
+/// that buffer-pool budget — the cache-pressure axis: resident memory is
+/// bounded by the budget while misses charge device reads into query
+/// latency.
 Series run_series(int n_instances, bool envoy_front, int clients,
                   int tx_per_client, uint64_t frame_budget = 0) {
   sim::Simulator simulator;
@@ -52,56 +49,46 @@ Series run_series(int n_instances, bool envoy_front, int clients,
   sim::Network net(simulator, 750 * sim::kMicrosecond);
   sim::Host host(simulator, "server", 32, 128LL << 30);
 
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  std::vector<std::shared_ptr<sqldb::storage::StorageEngine>> engines;
-  for (int i = 0; i < n_instances; ++i) {
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_pgbench(*db, kAccounts, 9);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.cpu_per_query = kCpuPerQuery;
-    so.cpu_per_row = 0;
-    so.rng_seed = 30 + static_cast<uint64_t>(i);
-    if (frame_budget > 0) {
-      sim::BlockDevice::Options dev;
-      dev.rng_seed = 40 + static_cast<uint64_t>(i);
-      auto data = std::make_shared<sim::BlockDevice>(dev);
-      dev.rng_seed += 1000;
-      auto wal = std::make_shared<sim::BlockDevice>(dev);
-      sqldb::storage::StorageOptions sto;
-      sto.frame_budget = frame_budget;
-      so.storage = std::make_shared<sqldb::storage::StorageEngine>(
-          simulator, data, wal, sto);
-      so.lineage_seed = 6;
-      engines.push_back(so.storage);
-    }
-    dbs.push_back(db);
-    servers.push_back(std::make_unique<sqldb::SqlServer>(net, host, db, so));
+  sqldb::SqlServer::Options so;
+  so.cpu_per_query = kCpuPerQuery;
+  so.cpu_per_row = 0;
+  so.rng_seed = 30;
+  if (frame_budget > 0) {
+    // One replica, so the template's engine is that replica's own.
+    sim::BlockDevice::Options dev;
+    dev.rng_seed = 40;
+    auto data = std::make_shared<sim::BlockDevice>(dev);
+    dev.rng_seed += 1000;
+    auto wal = std::make_shared<sim::BlockDevice>(dev);
+    sqldb::storage::StorageOptions sto;
+    sto.frame_budget = frame_budget;
+    so.storage = std::make_shared<sqldb::storage::StorageEngine>(
+        simulator, data, wal, sto);
+    so.lineage_seed = 6;
   }
+  workloads::Replicas replicas = workloads::start_replicas(
+      net, n_instances, workloads::Pgbench{kAccounts}, so, {&host});
   // Durable servers open their port only after the modeled bootstrap IO
   // (initial checkpoint); drain it before the clients start connecting.
   if (frame_budget > 0) simulator.run_until_idle();
   std::unique_ptr<services::TcpProxy> envoy;
   std::unique_ptr<core::NVersionDeployment> rddr;
-  std::string address = "pg-0:5432";
+  std::string address = replicas.addresses[0];
   if (envoy_front) {
     services::TcpProxy::Options po;
     po.address = "front:5432";
-    po.backend_address = "pg-0:5432";
+    po.backend_address = address;
     envoy = std::make_unique<services::TcpProxy>(net, host, po);
-    address = "front:5432";
+    address = po.address;
   } else if (n_instances > 1) {
-    core::NVersionDeployment::Builder b;
-    b.listen("front:5432")
-        .plugin(std::make_shared<core::PgPlugin>())
-        .filter_pair(true)
-        // The paper's Python proxy: a few hundred us of tokenize+diff work
-        // per message (calibrated to the ~10% penalty at 8 clients).
-        .cpu_model(50e-6, 5e-9);
-    for (int i = 0; i < n_instances; ++i)
-      b.add_version("pg-" + std::to_string(i) + ":5432");
-    rddr = b.build(net, host);
+    rddr = core::NVersionDeployment::Builder()
+               .listen("front:5432")
+               .versions(replicas.addresses)
+               .plugin(std::make_shared<core::PgPlugin>())
+               .filter_pair(true)
+               .cpu_model(workloads::kPaperProxyCpu.per_unit_s,
+                          workloads::kPaperProxyCpu.per_byte_s)
+               .build(net, host);
     address = "front:5432";
   }
 
@@ -125,9 +112,9 @@ Series run_series(int n_instances, bool envoy_front, int clients,
   s.samples = host.samples();
   s.peak_cpu_pct = registry.gauge("server.cpu_pct")->max_value();
   s.peak_mem_gb = registry.gauge("server.mem_bytes")->max_value() / 1e9;
-  for (const auto& e : engines) {
-    s.pool_hit_rate += e->pool().hit_rate() / engines.size();
-    s.pool_resident_mb += e->pool().resident_bytes() / 1e6;
+  if (so.storage) {
+    s.pool_hit_rate = so.storage->pool().hit_rate();
+    s.pool_resident_mb = so.storage->pool().resident_bytes() / 1e6;
   }
   s.latency_mean_ms = pool.latency_ms.mean();
   return s;

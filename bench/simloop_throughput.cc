@@ -8,8 +8,8 @@
 //    schedules the next — the proxy pump shape), and schedule+cancel
 //    pairs (the timeout-arm/disarm shape that previously leaked into
 //    unordered_map churn).
-//  * fan-out copy efficiency: the fig5 RDDR deployment (3x minipg, 16
-//    pgbench clients, seed 5) with the Network's payload counters —
+//  * fan-out copy efficiency: the Fig 5 RDDR point at 16 clients
+//    (workloads::run_fig5_point) with the Network's payload counters —
 //    bytes copied vs bytes sent. Before the overhaul every sent byte was
 //    copied (ratio 1.0).
 //  * wall time of that fig5 point, as the end-to-end trajectory number.
@@ -31,14 +31,8 @@
 #include <thread>
 #include <vector>
 
-#include "netsim/host.h"
-#include "netsim/network.h"
 #include "netsim/parallel.h"
-#include "obs/metrics.h"
-#include "rddr/rddr.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
-#include "workloads/pgbench.h"
+#include "workloads/harness.h"
 
 using namespace rddr;
 
@@ -114,52 +108,17 @@ struct FanoutResult {
   uint64_t bytes_copied = 0;
 };
 
-// The fig5 RDDR deployment at 16 clients, instrumented (identical config
-// to bench/fig5_throughput_latency.cc and tests/determinism_test.cc).
+// The Fig 5 RDDR point at 16 clients, with the network's payload counters.
+// wall_s covers the whole point: loading the replicas and the run.
 FanoutResult run_fanout_point() {
-  sim::Simulator simulator;
-  sim::Network net(simulator, 50 * sim::kMicrosecond);
-  sim::Host server_host(simulator, "server", 32, 128LL << 30);
-
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-  for (int i = 0; i < 3; ++i) {
-    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-    workloads::load_pgbench(*db, 20000, 9);
-    sqldb::SqlServer::Options so;
-    so.address = "pg-" + std::to_string(i) + ":5432";
-    so.cpu_per_query = 2e-3;
-    so.cpu_per_row = 0;
-    so.rng_seed = 20 + static_cast<uint64_t>(i);
-    dbs.push_back(db);
-    servers.push_back(
-        std::make_unique<sqldb::SqlServer>(net, server_host, db, so));
-  }
-  auto rddr = core::NVersionDeployment::Builder()
-                  .listen("front:5432")
-                  .versions({"pg-0:5432", "pg-1:5432", "pg-2:5432"})
-                  .plugin(std::make_shared<core::PgPlugin>())
-                  .filter_pair(true)
-                  .cpu_model(50e-6, 5e-9)
-                  .build(net, server_host);
-
-  obs::MetricsRegistry registry;
-  workloads::ClientPoolOptions opts;
-  opts.address = "front:5432";
-  opts.clients = 16;
-  opts.transactions_per_client = 100;
-  opts.seed = 5;
-  opts.metrics = &registry;
-  opts.next_query = [](Rng& rng, int, int) {
-    return workloads::pgbench_select_tx(rng, 20000);
-  };
   auto t0 = std::chrono::steady_clock::now();
-  workloads::run_client_pool(simulator, net, opts);
+  workloads::Fig5Point p =
+      workloads::run_fig5_point(workloads::Fig5Front::kRddr, 16);
   FanoutResult r;
   r.wall_s = wall_seconds(t0);
-  r.tps = registry.gauge("pool.tps")->value();
-  r.bytes_sent = net.payload_bytes_sent();
-  r.bytes_copied = net.payload_bytes_copied();
+  r.tps = p.pool.throughput_tps();
+  r.bytes_sent = p.payload_bytes_sent;
+  r.bytes_copied = p.payload_bytes_copied;
   return r;
 }
 

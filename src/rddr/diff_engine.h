@@ -18,7 +18,7 @@
 //     back from the single call.
 //
 // Verdicts and reason strings are bit-identical to the historical
-// pairwise path (tests/determinism_test.cc keeps the fig5/trace goldens
+// pairwise path (the ctest `pin` runs hold every figure and trace golden
 // byte-exact through this engine), and every allocation belongs to the
 // per-engine Arena, reset per batch — steady state allocates nothing.
 #pragma once

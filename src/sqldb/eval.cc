@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/strutil.h"
@@ -583,8 +584,14 @@ bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
       if (d.is_null()) {
         out = Datum();
       } else if (n.op == Op::kNeg) {
-        out = d.type() == Type::kInt ? Datum::integer(-d.as_int())
-                                     : Datum::floating(-d.numeric());
+        if (d.type() != Type::kInt) {
+          out = Datum::floating(-d.numeric());
+        } else if (d.as_int() == INT64_MIN) {
+          fail("22003", "bigint out of range");
+          return false;
+        } else {
+          out = Datum::integer(-d.as_int());
+        }
       } else {
         if (d.type() != Type::kBool) {
           fail("42804", "argument of NOT must be boolean");
@@ -681,20 +688,27 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
       if (n.op == Op::kMod) {
         if (!both_int) return fail("42883", "operator %% requires integers");
         if (r.as_int() == 0) return fail("22012", "division by zero");
-        out = Datum::integer(l.as_int() % r.as_int());
+        // x % -1 is 0 for every x, INT64_MIN included (Postgres int8mod).
+        out = Datum::integer(r.as_int() == -1 ? 0 : l.as_int() % r.as_int());
         return true;
       }
       if (both_int) {
-        int64_t a = l.as_int(), b = r.as_int();
+        // int8 arithmetic that leaves the int64 range is an error, as in
+        // Postgres, never a wrapped value.
+        int64_t a = l.as_int(), b = r.as_int(), res;
+        bool overflow;
         switch (n.op) {
-          case Op::kAdd: out = Datum::integer(a + b); return true;
-          case Op::kSub: out = Datum::integer(a - b); return true;
-          case Op::kMul: out = Datum::integer(a * b); return true;
+          case Op::kAdd: overflow = __builtin_add_overflow(a, b, &res); break;
+          case Op::kSub: overflow = __builtin_sub_overflow(a, b, &res); break;
+          case Op::kMul: overflow = __builtin_mul_overflow(a, b, &res); break;
           default:
             if (b == 0) return fail("22012", "division by zero");
-            out = Datum::integer(a / b);
-            return true;
+            overflow = a == INT64_MIN && b == -1;
+            res = overflow ? 0 : a / b;
         }
+        if (overflow) return fail("22003", "bigint out of range");
+        out = Datum::integer(res);
+        return true;
       }
       // A text operand must read as a number (Postgres: 22P02).
       auto number = [&](const Datum& d, double& x) {
@@ -771,9 +785,16 @@ bool Evaluator::builtin(const Node& n, const Datum* const* args, size_t count,
       return true;
     case Builtin::kAbs:
       if (count != 1) break;
-      if (a0->is_null()) out = Datum();
-      else if (a0->type() == Type::kInt) out = Datum::integer(std::llabs(a0->as_int()));
-      else out = Datum::floating(std::fabs(a0->numeric()));
+      if (a0->is_null()) {
+        out = Datum();
+      } else if (a0->type() != Type::kInt) {
+        out = Datum::floating(std::fabs(a0->numeric()));
+      } else if (a0->as_int() == INT64_MIN) {
+        fail("22003", "bigint out of range");
+        return false;
+      } else {
+        out = Datum::integer(std::llabs(a0->as_int()));
+      }
       return true;
     case Builtin::kSubstr: {
       if (count != 2 && count != 3) {
@@ -789,7 +810,7 @@ bool Evaluator::builtin(const Node& n, const Datum* const* args, size_t count,
       int64_t len = count == 3 && !args[2]->is_null()
                         ? args[2]->as_int()
                         : static_cast<int64_t>(s.size());
-      int64_t begin = std::max<int64_t>(start - 1, 0);
+      int64_t begin = start > 1 ? start - 1 : 0;
       if (begin >= static_cast<int64_t>(s.size()) || len <= 0) {
         out = Datum::text("");
       } else {
@@ -847,7 +868,7 @@ bool Evaluator::builtin(const Node& n, const Datum* const* args, size_t count,
         fail("22012", "division by zero");
         return false;
       }
-      out = Datum::integer(a0->as_int() % d);
+      out = Datum::integer(d == -1 ? 0 : a0->as_int() % d);  // as for %
       return true;
     }
     case Builtin::kPower:
@@ -877,6 +898,7 @@ bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,
   const std::string& fn = e.func_name;
   int64_t count = 0;
   double sum = 0;
+  __int128 int_sum = 0;  // exact while every value is an int
   bool any = false;
   bool all_int = true;
   Datum min_v, max_v;
@@ -905,6 +927,7 @@ bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,
     ++count;
     Type t = v->type();
     if (t != Type::kInt) all_int = false;
+    else int_sum += v->as_int();
     if (t == Type::kInt || t == Type::kFloat || t == Type::kBool)
       sum += v->numeric();
     if (!any) {
@@ -923,7 +946,14 @@ bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,
   } else if (!any) {
     out = Datum();  // SUM/AVG/MIN/MAX over empty -> NULL
   } else if (fn == "sum") {
-    out = all_int ? Datum::integer(static_cast<int64_t>(sum)) : Datum::floating(sum);
+    if (!all_int) {
+      out = Datum::floating(sum);
+    } else if (int_sum > INT64_MAX || int_sum < INT64_MIN) {
+      fail("22003", "bigint out of range");
+      return false;
+    } else {
+      out = Datum::integer(static_cast<int64_t>(int_sum));
+    }
   } else if (fn == "avg") {
     out = Datum::floating(sum / static_cast<double>(count));
   } else if (fn == "min") {

@@ -1,5 +1,6 @@
 #include "workloads/driver.h"
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -20,9 +21,6 @@ struct PoolState {
   sim::Time first_send = -1;
   sim::Time last_done = 0;
   int clients_remaining = 0;
-  obs::Counter* tx_ok = nullptr;
-  obs::Counter* tx_failed = nullptr;
-  obs::Histogram* latency_hist = nullptr;
 };
 
 struct ClientState {
@@ -45,13 +43,10 @@ void issue_next(const std::shared_ptr<PoolState>& pool,
     sim::Time t1 = pool->sim.now();
     if (out.failed()) {
       ++pool->result.failed;
-      if (pool->tx_failed) pool->tx_failed->inc();
     } else {
       ++pool->result.completed;
       double ms = static_cast<double>(t1 - t0) / 1e6;
       pool->result.latency_ms.add(ms);
-      if (pool->tx_ok) pool->tx_ok->inc();
-      if (pool->latency_hist) pool->latency_hist->observe(ms);
       if (pool->options.on_tx_complete)
         pool->options.on_tx_complete(client_id, c->done, ms);
     }
@@ -59,10 +54,8 @@ void issue_next(const std::shared_ptr<PoolState>& pool,
     ++c->done;
     if (out.connection_lost) {
       // Connection gone (e.g. RDDR intervened): count the rest as failed.
-      uint64_t rest = static_cast<uint64_t>(
+      pool->result.failed += static_cast<uint64_t>(
           pool->options.transactions_per_client - c->done);
-      pool->result.failed += rest;
-      if (pool->tx_failed) pool->tx_failed->inc(rest);
       --pool->clients_remaining;
       return;
     }
@@ -75,11 +68,6 @@ void issue_next(const std::shared_ptr<PoolState>& pool,
 PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
                            const ClientPoolOptions& options) {
   auto pool = std::make_shared<PoolState>(PoolState{sim, options, {}, -1, 0});
-  if (options.metrics) {
-    pool->tx_ok = options.metrics->counter("pool.tx_ok");
-    pool->tx_failed = options.metrics->counter("pool.tx_failed");
-    pool->latency_hist = options.metrics->histogram("pool.latency_ms");
-  }
   std::vector<std::shared_ptr<ClientState>> clients;
   Rng seeder(options.seed);
   for (int i = 0; i < options.clients; ++i) {
@@ -105,17 +93,6 @@ PoolResult run_client_pool(sim::Simulator& sim, sim::Network& net,
   }
   pool->result.elapsed =
       pool->first_send >= 0 ? pool->last_done - pool->first_send : 0;
-  if (options.metrics) {
-    // Publish the EXACT aggregates of this run (same doubles PoolResult
-    // reports), so registry consumers print identical numbers.
-    const PoolResult& r = pool->result;
-    options.metrics->gauge("pool.tps")->set(r.throughput_tps());
-    options.metrics->gauge("pool.latency_mean_ms")->set(r.latency_ms.mean());
-    options.metrics->gauge("pool.latency_p50_ms")
-        ->set(r.latency_ms.percentile(50));
-    options.metrics->gauge("pool.elapsed_s")
-        ->set(static_cast<double>(r.elapsed) / 1e9);
-  }
   return pool->result;
 }
 
@@ -138,9 +115,6 @@ struct OpenLoopState {
   Rng rng{0};
   /// Keeps each arrival's client alive until its outcome lands.
   std::map<int, std::unique_ptr<sqldb::PgClient>> clients;
-  obs::Counter* ok = nullptr;
-  obs::Counter* rejected = nullptr;
-  obs::Histogram* latency_hist = nullptr;
 };
 
 void open_loop_arrival(const std::shared_ptr<OpenLoopState>& st) {
@@ -165,12 +139,9 @@ void open_loop_arrival(const std::shared_ptr<OpenLoopState>& st) {
     if (out.failed()) {
       ++st->result.rejected;
       st->result.rejection_ms.add(ms);
-      if (st->rejected) st->rejected->inc();
     } else {
       ++st->result.completed;
       st->result.latency_ms.add(ms);
-      if (st->ok) st->ok->inc();
-      if (st->latency_hist) st->latency_hist->observe(ms);
     }
     st->last_done = std::max(st->last_done, t1);
     --st->outstanding;
@@ -185,43 +156,30 @@ void open_loop_arrival(const std::shared_ptr<OpenLoopState>& st) {
   });
 }
 
+/// The self-scheduling arrival chain: each arrival schedules the next after
+/// a seeded exponential gap, independent of service completions (open
+/// loop). Each pending event holds the state; the state holds no event, so
+/// nothing outlives the chain.
+void open_loop_chain(const std::shared_ptr<OpenLoopState>& st) {
+  open_loop_arrival(st);
+  if (st->scheduled >= st->options.requests) return;
+  double gap_s = st->rng.exponential(1.0 / st->options.rate_per_s);
+  auto gap = static_cast<sim::Time>(gap_s * 1e9);
+  st->sim.schedule(gap > 0 ? gap : 1, [st] { open_loop_chain(st); });
+}
+
 }  // namespace
 
 OpenLoopResult run_open_loop(sim::Simulator& sim, sim::Network& net,
                              const OpenLoopOptions& options) {
   auto st = std::make_shared<OpenLoopState>(sim, net, options);
   st->rng = Rng(options.seed);
-  if (options.metrics) {
-    st->ok = options.metrics->counter("openloop.ok");
-    st->rejected = options.metrics->counter("openloop.rejected");
-    st->latency_hist = options.metrics->histogram("openloop.latency_ms");
-  }
-  // Self-scheduling arrival chain: each arrival schedules the next after a
-  // seeded exponential gap, independent of service completions (open loop).
-  auto fire = std::make_shared<std::function<void()>>();
-  *fire = [st, fire] {
-    open_loop_arrival(st);
-    if (st->scheduled >= st->options.requests) return;
-    double gap_s = st->rng.exponential(1.0 / st->options.rate_per_s);
-    auto gap = static_cast<sim::Time>(gap_s * 1e9);
-    st->sim.schedule(gap > 0 ? gap : 1, [fire] { (*fire)(); });
-  };
-  if (options.requests > 0) (*fire)();
+  if (options.requests > 0) open_loop_chain(st);
   while ((st->outstanding > 0 || st->scheduled < options.requests) &&
          sim.step()) {
   }
   st->result.elapsed =
       st->first_send >= 0 ? st->last_done - st->first_send : 0;
-  if (options.metrics) {
-    const OpenLoopResult& r = st->result;
-    options.metrics->gauge("openloop.goodput_tps")->set(r.goodput_tps());
-    options.metrics->gauge("openloop.latency_p50_ms")
-        ->set(r.latency_ms.percentile(50));
-    options.metrics->gauge("openloop.rejection_p50_ms")
-        ->set(r.rejection_ms.percentile(50));
-    options.metrics->gauge("openloop.elapsed_s")
-        ->set(static_cast<double>(r.elapsed) / 1e9);
-  }
   return st->result;
 }
 

@@ -1,6 +1,8 @@
-// Closed-loop SQL client pool: N concurrent clients, each issuing
-// `transactions` queries back to back. The measurement harness behind the
-// Fig 4/5/6 benches.
+// The two SQL load drivers behind the Fig 4/5/6 benches and the
+// ablations: a closed-loop client pool (N clients, each issuing its
+// transactions back to back) and an open-loop Poisson driver. Each reports
+// through the struct it returns (PoolResult, OpenLoopResult) and nothing
+// else; workloads/harness.h builds the deployments they drive.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +12,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "netsim/network.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace rddr::workloads {
@@ -27,12 +28,6 @@ struct ClientPoolOptions {
   std::function<void(int client_id, int tx_index, double latency_ms)>
       on_tx_complete;
   uint64_t seed = 1;
-  /// Optional registry: the pool publishes "pool.tx_ok"/".tx_failed"
-  /// counters, a "pool.latency_ms" histogram, and — at completion —
-  /// gauges holding the exact PoolResult aggregates ("pool.tps",
-  /// ".latency_mean_ms", ".latency_p50_ms", ".elapsed_s"), so figure
-  /// drivers can read the registry instead of re-deriving numbers.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Optional tracer: each client connection becomes one trace whose id is
   /// carried to the server/proxy via ConnectMeta, linking the pool's
   /// requests to "session" and "db.query" spans downstream.
@@ -75,11 +70,6 @@ struct OpenLoopOptions {
   /// SQL for arrival `req_index` (called once per arrival).
   std::function<std::string(Rng&, int req_index)> next_query;
   uint64_t seed = 1;
-  /// Optional registry: publishes "openloop.ok"/".rejected" counters and a
-  /// "openloop.latency_ms" histogram live, plus exact-aggregate gauges at
-  /// completion (".goodput_tps", ".latency_p50_ms", ".rejection_p50_ms",
-  /// ".elapsed_s").
-  obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
 

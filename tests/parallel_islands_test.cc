@@ -22,12 +22,10 @@
 #include "netsim/network.h"
 #include "netsim/parallel.h"
 #include "netsim/simulator.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rddr/rddr.h"
 #include "scenario/fuzzer.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 namespace rddr {
@@ -227,7 +225,7 @@ TEST(ParallelIslands, SeverDropsBytesInFlightToAnotherIsland) {
 
 // A compact fig5_scaleout point: 4 shards, each with its own host and
 // 3-instance minipg pool, driven by a closed client pool through the
-// sharded frontier. Returns the full determinism surface: pool metrics,
+// sharded frontier. Returns the full determinism surface: pool aggregates,
 // frontier counters, divergences, and the canonical Chrome trace export.
 std::string run_scaleout_fingerprint(size_t islands) {
   sim::Simulator sim;
@@ -237,63 +235,52 @@ std::string run_scaleout_fingerprint(size_t islands) {
   const size_t kShards = 4;
   std::vector<std::unique_ptr<sim::Host>> hosts;
   std::vector<sim::Host*> host_ptrs;
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
+  std::vector<workloads::Replicas> shard_replicas;
   std::vector<std::vector<std::string>> pools;
   for (size_t k = 0; k < kShards; ++k) {
     hosts.push_back(std::make_unique<sim::Host>(
         sim, "node-" + std::to_string(k), 32, 128LL << 30));
     host_ptrs.push_back(hosts.back().get());
-    pools.emplace_back();
-    for (int i = 0; i < 3; ++i) {
-      std::string addr = strformat("pg-s%zu-%d:5432", k, i);
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, 200, 9);
-      sqldb::SqlServer::Options so;
-      so.address = addr;
-      so.cpu_per_query = 2e-3;
-      so.rng_seed = 20 + k * 10 + static_cast<uint64_t>(i);
-      so.tracer = &tracer;
-      dbs.push_back(db);
-      servers.push_back(
-          std::make_unique<sqldb::SqlServer>(net, *hosts.back(), db, so));
-      pools.back().push_back(addr);
-    }
+    sqldb::SqlServer::Options so;
+    so.cpu_per_query = 2e-3;
+    so.rng_seed = 20 + k * 10;
+    so.tracer = &tracer;
+    shard_replicas.push_back(workloads::start_replicas(
+        net, 3, workloads::Pgbench{200}, so, {hosts.back().get()},
+        strformat("pg-s%zu", k)));
+    pools.push_back(shard_replicas.back().addresses);
   }
   auto front = core::NVersionDeployment::Builder()
                    .name("front")
                    .listen("front:5432")
                    .plugin(std::make_shared<core::PgPlugin>())
                    .filter_pair(true)
-                   .cpu_model(50e-6, 5e-9)
+                   .cpu_model(workloads::kPaperProxyCpu.per_unit_s,
+                              workloads::kPaperProxyCpu.per_byte_s)
                    .shard_versions(pools)
                    .trace(&tracer)
                    .islands(islands)
                    .build_frontier(net, host_ptrs);
 
-  obs::MetricsRegistry registry;
   workloads::ClientPoolOptions opts;
   opts.address = "front:5432";
   opts.clients = 8;
   opts.transactions_per_client = 12;
   opts.seed = 5;
-  opts.metrics = &registry;
   opts.tracer = &tracer;
   opts.next_query = [](Rng& rng, int, int) {
     return workloads::pgbench_select_tx(rng, 200);
   };
-  workloads::run_client_pool(sim, net, opts);
+  workloads::PoolResult pool = workloads::run_client_pool(sim, net, opts);
 
   core::ProxyStats agg = front->aggregate_stats();
   std::string fp = strformat(
       "tps=%.17g mean=%.17g p50=%.17g elapsed=%.17g failed=%llu "
       "sessions=%llu units=%llu divergences=%llu shed=%llu bus=%llu\n",
-      registry.gauge("pool.tps")->value(),
-      registry.gauge("pool.latency_mean_ms")->value(),
-      registry.gauge("pool.latency_p50_ms")->value(),
-      registry.gauge("pool.elapsed_s")->value(),
-      static_cast<unsigned long long>(
-          registry.counter("pool.tx_failed")->value()),
+      pool.throughput_tps(), pool.latency_ms.mean(),
+      pool.latency_ms.percentile(50),
+      static_cast<double>(pool.elapsed) / 1e9,
+      static_cast<unsigned long long>(pool.failed),
       static_cast<unsigned long long>(agg.sessions),
       static_cast<unsigned long long>(agg.units_compared),
       static_cast<unsigned long long>(agg.divergences),

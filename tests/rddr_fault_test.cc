@@ -16,8 +16,7 @@
 #include "services/http_service.h"
 #include "services/orchestrator.h"
 #include "sqldb/client.h"
-#include "sqldb/server.h"
-#include "workloads/driver.h"
+#include "workloads/harness.h"
 #include "workloads/pgbench.h"
 
 namespace rddr::core {
@@ -45,19 +44,11 @@ class FaultTest : public ::testing::Test {
   }
 
   /// Three minipg instances pg-0..pg-2 loaded with identical pgbench data.
-  std::vector<std::unique_ptr<sqldb::SqlServer>> make_pg_instances(
-      int accounts) {
-    std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-    for (int i = 0; i < 3; ++i) {
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, accounts, 9);
-      sqldb::SqlServer::Options so;
-      so.address = "pg-" + std::to_string(i) + ":5432";
-      so.rng_seed = 20 + static_cast<uint64_t>(i);
-      servers.push_back(
-          std::make_unique<sqldb::SqlServer>(net, host, db, so));
-    }
-    return servers;
+  workloads::Replicas make_pg_instances() {
+    sqldb::SqlServer::Options so;
+    so.rng_seed = 20;
+    return workloads::start_replicas(net, 3, workloads::Pgbench{100}, so,
+                                     {&host});
   }
 
   IncomingProxy::Config pg_proxy_config(DegradationPolicy policy) {
@@ -75,7 +66,7 @@ class FaultTest : public ::testing::Test {
 // ---------- instance crash mid-session ----------
 
 TEST_F(FaultTest, QuorumSurvivesInstanceCrashMidSession) {
-  auto servers = make_pg_instances(100);
+  auto servers = make_pg_instances();
   DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kQuorum),
                       &bus);
@@ -101,7 +92,7 @@ TEST_F(FaultTest, QuorumSurvivesInstanceCrashMidSession) {
 }
 
 TEST_F(FaultTest, StrictRefusesAfterInstanceCrash) {
-  auto servers = make_pg_instances(100);
+  auto servers = make_pg_instances();
   DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kStrict),
                       &bus);
@@ -124,7 +115,7 @@ TEST_F(FaultTest, StrictRefusesAfterInstanceCrash) {
 // ---------- crash then restart: backoff probe re-admits ----------
 
 TEST_F(FaultTest, CrashThenRestartReconnectsAndReadmits) {
-  auto servers = make_pg_instances(100);
+  auto servers = make_pg_instances();
   DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kQuorum),
                       &bus);
@@ -159,7 +150,7 @@ TEST_F(FaultTest, CrashThenRestartReconnectsAndReadmits) {
 }
 
 TEST_F(FaultTest, ReconnectGivesUpAndMarksInstanceDead) {
-  auto servers = make_pg_instances(100);
+  auto servers = make_pg_instances();
   IncomingProxy::Config cfg = pg_proxy_config(DegradationPolicy::kQuorum);
   cfg.health.reconnect_max_attempts = 3;
   DivergenceBus bus;
@@ -306,7 +297,7 @@ TEST_F(FaultTest, QuorumRefusesBelowTwoHealthy) {
 // ---------- partition between the proxy and one instance ----------
 
 TEST_F(FaultTest, PartitionDropsIsolatedInstanceAndHeals) {
-  auto servers = make_pg_instances(100);
+  auto servers = make_pg_instances();
   DivergenceBus bus;
   IncomingProxy proxy(net, host, pg_proxy_config(DegradationPolicy::kQuorum),
                       &bus);
@@ -396,23 +387,17 @@ class FaultAvailabilityTest : public ::testing::Test {
     sim::Host host(sim, "node", 32, 16LL << 30);
     sim::FaultPlan faults(net);
 
-    std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
-    for (int i = 0; i < 3; ++i) {
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, kAccounts, 9);
-      sqldb::SqlServer::Options so;
-      so.address = "pg-" + std::to_string(i) + ":5432";
-      so.rng_seed = 20 + static_cast<uint64_t>(i);
-      // Slow queries (2 ms CPU) so the crash lands mid-run, not after it.
-      so.cpu_per_query = 2e-3;
-      so.cpu_per_row = 0;
-      servers.push_back(
-          std::make_unique<sqldb::SqlServer>(net, host, db, so));
-    }
+    sqldb::SqlServer::Options so;
+    so.rng_seed = 20;
+    // Slow queries (2 ms CPU) so the crash lands mid-run, not after it.
+    so.cpu_per_query = 2e-3;
+    so.cpu_per_row = 0;
+    workloads::Replicas replicas = workloads::start_replicas(
+        net, 3, workloads::Pgbench{kAccounts}, so, {&host});
 
     IncomingProxy::Config cfg;
     cfg.listen_address = "front:5432";
-    cfg.instance_addresses = {"pg-0:5432", "pg-1:5432", "pg-2:5432"};
+    cfg.instance_addresses = replicas.addresses;
     cfg.plugin = std::make_shared<PgPlugin>();
     cfg.filter_pair = true;
     cfg.degradation = policy;

@@ -13,8 +13,7 @@
 #include "rddr/rddr.h"
 #include "services/http_service.h"
 #include "sqldb/client.h"
-#include "sqldb/server.h"
-#include "workloads/pgbench.h"
+#include "workloads/harness.h"
 
 namespace rddr::core {
 namespace {
@@ -96,22 +95,14 @@ class PgShedRig {
   explicit PgShedRig(AdmissionOptions adm)
       : net_(sim_, 50 * sim::kMicrosecond),
         host_(sim_, "node", 32, 16LL << 30) {
-    std::vector<std::string> pool;
-    for (int i = 0; i < 3; ++i) {
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, 100, 9);
-      sqldb::SqlServer::Options so;
-      so.address = "pg-" + std::to_string(i) + ":5432";
-      so.rng_seed = 20 + static_cast<uint64_t>(i);
-      dbs_.push_back(db);
-      servers_.push_back(
-          std::make_unique<sqldb::SqlServer>(net_, host_, db, so));
-      pool.push_back(so.address);
-    }
+    sqldb::SqlServer::Options so;
+    so.rng_seed = 20;
+    replicas_ = workloads::start_replicas(net_, 3, workloads::Pgbench{100},
+                                          so, {&host_});
     front_ = NVersionDeployment::Builder()
                  .name("front")
                  .listen("front:5432")
-                 .versions(pool)
+                 .versions(replicas_.addresses)
                  .plugin(std::make_shared<PgPlugin>())
                  .filter_pair(true)
                  .admission(adm)
@@ -121,8 +112,7 @@ class PgShedRig {
   sim::Simulator sim_;
   sim::Network net_;
   sim::Host host_;
-  std::vector<std::shared_ptr<sqldb::Database>> dbs_;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers_;
+  workloads::Replicas replicas_;
   std::unique_ptr<Frontier> front_;
 };
 
@@ -300,23 +290,15 @@ TEST(Frontier, DrainedShardReceivesNoNewSessions) {
   sim::Simulator sim;
   sim::Network net(sim, 50 * sim::kMicrosecond);
   sim::Host host(sim, "node", 32, 32LL << 30);
-  std::vector<std::shared_ptr<sqldb::Database>> dbs;
-  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
+  std::vector<workloads::Replicas> shard_replicas;
   std::vector<std::vector<std::string>> pools;
   for (int k = 0; k < 2; ++k) {
-    pools.emplace_back();
-    for (int i = 0; i < 3; ++i) {
-      auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
-      workloads::load_pgbench(*db, 100, 9);
-      sqldb::SqlServer::Options so;
-      so.address = "pg-s" + std::to_string(k) + "-" + std::to_string(i) +
-                   ":5432";
-      so.rng_seed = 20 + static_cast<uint64_t>(k * 10 + i);
-      dbs.push_back(db);
-      servers.push_back(
-          std::make_unique<sqldb::SqlServer>(net, host, db, so));
-      pools.back().push_back(so.address);
-    }
+    sqldb::SqlServer::Options so;
+    so.rng_seed = 20 + static_cast<uint64_t>(k * 10);
+    shard_replicas.push_back(workloads::start_replicas(
+        net, 3, workloads::Pgbench{100}, so, {&host},
+        "pg-s" + std::to_string(k)));
+    pools.push_back(shard_replicas.back().addresses);
   }
   auto front = NVersionDeployment::Builder()
                    .name("front")

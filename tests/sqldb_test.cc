@@ -586,6 +586,50 @@ TEST_F(EngineTest, TextArithmeticNeedsNumericText) {
   EXPECT_FALSE(r.rows[0][3].has_value());
 }
 
+TEST_F(EngineTest, BigIntArithmeticOutOfRangeIsAnError) {
+  last(db,
+       "CREATE TABLE big (v int);"
+       "INSERT INTO big VALUES (4611686018427387904), (4611686018427387904);");
+  for (const char* sql : {
+           "SELECT 9223372036854775807 + 1;",
+           "SELECT -9223372036854775807 - 2;",
+           "SELECT 4611686018427387904 * 2;",
+           "SELECT (-9223372036854775807 - 1) / -1;",
+           "SELECT -(-9223372036854775807 - 1);",
+           "SELECT abs(-9223372036854775807 - 1);",
+           "SELECT sum(v) FROM big;",
+       }) {
+    auto r = last(db, sql);
+    ASSERT_TRUE(r.failed()) << sql;
+    EXPECT_EQ(*r.error_sqlstate, "22003") << sql;
+    EXPECT_EQ(r.error_message, "bigint out of range") << sql;
+  }
+  // In range, the same operations stay exact. x % -1 is 0 for every x, as
+  // in Postgres.
+  auto r = last(db,
+                "SELECT 9223372036854775806 + 1, -9223372036854775807 - 1,"
+                " 3037000499 * 3037000499, (-9223372036854775807 - 1) / 1,"
+                " (-9223372036854775807 - 1) % -1,"
+                " mod(-9223372036854775807 - 1, -1),"
+                " abs(-9223372036854775807), -(-9223372036854775807),"
+                " substr('ab', -9223372036854775807 - 1);");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  EXPECT_EQ(r.rows[0][0].value(), "9223372036854775807");
+  EXPECT_EQ(r.rows[0][1].value(), "-9223372036854775808");
+  EXPECT_EQ(r.rows[0][2].value(), "9223372030926249001");
+  EXPECT_EQ(r.rows[0][3].value(), "-9223372036854775808");
+  EXPECT_EQ(r.rows[0][4].value(), "0");
+  EXPECT_EQ(r.rows[0][5].value(), "0");
+  EXPECT_EQ(r.rows[0][6].value(), "9223372036854775807");
+  EXPECT_EQ(r.rows[0][7].value(), "9223372036854775807");
+  EXPECT_EQ(r.rows[0][8].value(), "ab");
+  // sum() is exact past 2^53 and only its result must fit in int8.
+  r = last(db, "INSERT INTO big VALUES (-4611686018427387904), (1);"
+               "SELECT sum(v) FROM big;");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  EXPECT_EQ(r.rows[0][0].value(), "4611686018427387905");
+}
+
 TEST_F(EngineTest, BigIntsCompareExactlyOnEveryAccessPath) {
   // 2^53 and 2^53 + 1 share one double; as int8 they differ.
   last(db,
