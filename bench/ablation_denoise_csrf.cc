@@ -26,10 +26,8 @@ struct Outcome {
 };
 
 /// N token-emitting instances; `requests` benign GETs; returns pass/block
-/// counts. `simd` selects the DiffEngine kernel level ("auto"/"scalar"):
-/// verdicts must not depend on it.
-Outcome run_token_traffic(bool filter_pair, int requests,
-                          const char* simd = "auto") {
+/// counts.
+Outcome run_token_traffic(bool filter_pair, int requests) {
   sim::Simulator simulator;
   sim::Network net(simulator, 20 * sim::kMicrosecond);
   sim::Host host(simulator, "node", 8, 8LL << 30);
@@ -47,14 +45,11 @@ Outcome run_token_traffic(bool filter_pair, int requests,
     });
     instances.push_back(std::move(s));
   }
-  core::DiffEngineOptions diff;
-  diff.simd = simd;
   auto proxy = core::NVersionDeployment::Builder()
                    .listen("svc:80")
                    .versions({"svc-0:80", "svc-1:80", "svc-2:80"})
                    .plugin(std::make_shared<core::HttpPlugin>())
                    .filter_pair(filter_pair)
-                   .diff(diff)
                    .build(net, host);
 
   Outcome out;
@@ -79,18 +74,11 @@ int main() {
               "32-char token):\n");
   Outcome with_fp = run_token_traffic(true, 50);
   Outcome without_fp = run_token_traffic(false, 50);
-  Outcome with_fp_scalar = run_token_traffic(true, 50, "scalar");
   std::printf("    with de-noising    : %2d/50 passed, %2d blocked\n",
               with_fp.ok, with_fp.blocked);
   std::printf("    without de-noising : %2d/50 passed, %2d blocked "
-              "(every benign response is a false positive)\n",
+              "(every benign response is a false positive)\n\n",
               without_fp.ok, without_fp.blocked);
-  std::printf("    scalar-kernel check: %2d/50 passed, %2d blocked (%s)\n\n",
-              with_fp_scalar.ok, with_fp_scalar.blocked,
-              with_fp_scalar.ok == with_fp.ok &&
-                      with_fp_scalar.blocked == with_fp.blocked
-                  ? "verdicts identical to the SIMD kernels"
-                  : "MISMATCH vs SIMD kernels");
 
   std::printf(
       "[2] Ephemeral-state handling (CSRF round trip):\n"

@@ -8,12 +8,12 @@
 //   * CPU max ~3x at 1 client, falling as the baseline also saturates;
 //   * time avg near 1x at low concurrency, growing once 3N tasks exceed
 //     the core count, approaching a constant (not exponential) factor.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "common/stats.h"
-#include "obs/metrics.h"
 #include "rddr/rddr.h"
 #include "workloads/harness.h"
 
@@ -55,11 +55,7 @@ RunMetrics run_deployment(int n_instances, int clients) {
     address = "db:5432";
   }
 
-  // Host resource maxima are read from the registry, which the host's
-  // sampler feeds as "server.*" gauges.
-  obs::MetricsRegistry registry;
   host.reset_metrics();
-  host.bind_metrics(&registry, "server");
   host.start_sampling(20 * sim::kMillisecond);
 
   const auto& queries = workloads::tpch_queries();
@@ -80,9 +76,14 @@ RunMetrics run_deployment(int n_instances, int clients) {
   if (pool.failed > 0)
     std::fprintf(stderr, "WARNING: %llu failed transactions\n",
                  static_cast<unsigned long long>(pool.failed));
-  metrics.cpu_max_cores =
-      registry.gauge("server.cpu_pct")->max_value() / 100.0 * kCores;
-  metrics.mem_max_gb = registry.gauge("server.mem_bytes")->max_value() / 1e9;
+  // Host resource maxima: the peaks of the sampled series.
+  double cpu_pct = 0, mem_bytes = 0;
+  for (const sim::ResourceSample& r : host.samples()) {
+    cpu_pct = std::max(cpu_pct, r.cpu_pct);
+    mem_bytes = std::max(mem_bytes, r.mem_bytes);
+  }
+  metrics.cpu_max_cores = cpu_pct / 100.0 * kCores;
+  metrics.mem_max_gb = mem_bytes / 1e9;
   return metrics;
 }
 

@@ -6,12 +6,12 @@
 // ~3x the memory of the single-instance baselines with headroom to spare;
 // at 128 clients RDDR pins the host near 100% CPU while the baselines
 // stay below it.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "netsim/block_device.h"
-#include "obs/metrics.h"
 #include "rddr/rddr.h"
 #include "services/tcp_proxy.h"
 #include "sqldb/storage/storage_engine.h"
@@ -27,7 +27,7 @@ constexpr double kCpuPerQuery = 2e-3;
 
 struct Series {
   std::vector<sim::ResourceSample> samples;
-  double peak_cpu_pct = 0;  // registry gauge maxima (same sampler feed)
+  double peak_cpu_pct = 0;  // maxima over `samples`
   double peak_mem_gb = 0;
   // Durable-storage runs only (frame_budget > 0):
   double pool_hit_rate = 0;
@@ -92,9 +92,7 @@ Series run_series(int n_instances, bool envoy_front, int clients,
     address = "front:5432";
   }
 
-  obs::MetricsRegistry registry;
   host.reset_metrics();
-  host.bind_metrics(&registry, "server");
   host.start_sampling(250 * sim::kMillisecond);
 
   workloads::ClientPoolOptions opts;
@@ -110,8 +108,12 @@ Series run_series(int n_instances, bool envoy_front, int clients,
 
   Series s;
   s.samples = host.samples();
-  s.peak_cpu_pct = registry.gauge("server.cpu_pct")->max_value();
-  s.peak_mem_gb = registry.gauge("server.mem_bytes")->max_value() / 1e9;
+  double peak_mem = 0;
+  for (const sim::ResourceSample& r : s.samples) {
+    s.peak_cpu_pct = std::max(s.peak_cpu_pct, r.cpu_pct);
+    peak_mem = std::max(peak_mem, r.mem_bytes);
+  }
+  s.peak_mem_gb = peak_mem / 1e9;
   if (so.storage) {
     s.pool_hit_rate = so.storage->pool().hit_rate();
     s.pool_resident_mb = so.storage->pool().resident_bytes() / 1e6;
@@ -149,7 +151,7 @@ void print_block(int clients, int tx_per_client) {
                 sim::to_seconds(r.time), r.cpu_pct, r.mem_bytes / 1e9,
                 e.cpu_pct, e.mem_bytes / 1e9, b.cpu_pct, b.mem_bytes / 1e9);
   }
-  // Peak summary, read back from the per-run registry gauges.
+  // Peak summary: the maxima of each run's sampled series.
   auto peak = [](const Series& s) {
     return std::pair<double, double>(s.peak_cpu_pct, s.peak_mem_gb);
   };

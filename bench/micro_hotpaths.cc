@@ -110,7 +110,7 @@ std::vector<std::vector<std::string>> denoise_corpus(int64_t lines) {
 // build_noise_mask + masked_compare walk, now on the SIMD diff kernels.
 void BM_NoiseMaskAndCompare(benchmark::State& state) {
   auto inst = denoise_corpus(state.range(0));
-  const core::simd::Ops& ops = core::simd::active_ops();
+  const core::simd::Ops& ops = core::simd::native();
   const size_t lines = inst[0].size();
   for (auto _ : state) {
     bool ok = true;
@@ -132,7 +132,7 @@ BENCHMARK(BM_NoiseMaskAndCompare)->Arg(50)->Arg(500);
 // round, candidates validated in place and materialised only on accept.
 void BM_DenoiseTokenDetect(benchmark::State& state) {
   auto inst = denoise_corpus(state.range(0));
-  const core::simd::Ops& ops = core::simd::active_ops();
+  const core::simd::Ops& ops = core::simd::native();
   core::Arena canon_arena(64 << 10);
   core::CanonicalUnit* canon = canon_arena.alloc_array<core::CanonicalUnit>(3);
   for (size_t i = 0; i < 3; ++i) {

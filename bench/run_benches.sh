@@ -12,14 +12,16 @@
 # ctest label `pin` compares them with tests/golden/paper/.
 #
 #   bench/run_benches.sh          full run (a few minutes)
-#   bench/run_benches.sh --smoke  fast regression gates only: storage
-#                                 recovery, the de-noise+diff items/s floor,
-#                                 the islands oracle/scaling floor and the
-#                                 simulator core events/sec floor
+#   bench/run_benches.sh --smoke  fast regression gates only: the
+#                                 de-noise+diff items/s floor, the islands
+#                                 oracle/scaling floor and the simulator
+#                                 core events/sec floor
 #                                 (RDDR_SIMLOOP_FLOOR, default 1e6). Every
 #                                 gate runs and prints its verdict; the
 #                                 script exits nonzero if any failed.
 #                                 Used by tests/run_sanitized.sh.
+#                                 storage_recovery --smoke runs in tier-1
+#                                 as the pin bench.storage_recovery_smoke.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,11 +50,6 @@ if [ "${1:-}" = "--smoke" ]; then
       FAILED+=("$name")
     fi
   }
-
-  # Storage gate first (deterministic invariants: recovery correctness,
-  # delta-vs-snapshot ratio, trace determinism), then the data-plane and
-  # events/sec floors.
-  gate storage "$BUILD/bench/storage_recovery" --smoke
 
   # De-noise + diff floor: BM_DenoiseTokenDetect/500 (items = lines x 3
   # instances) must stay above RDDR_DENOISE_FLOOR items/s. Default 1.0e8:

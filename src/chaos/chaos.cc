@@ -167,13 +167,12 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
 
   // Peer-kill bookkeeping: which slot last served as a warm source, so
   // the kill_peer_mid_resync watcher knows whom to crash.
-  auto last_warm_source = std::make_shared<size_t>(SIZE_MAX);
+  size_t last_warm_source = SIZE_MAX;
 
   core::ResyncOptions resync;
-  resync.enabled = opts.resync_enabled;
   resync.min_transfer_time = opts.resync_min_transfer;
   using WarmResult = core::ResyncOptions::WarmResult;
-  resync.warm = [&, last_warm_source](size_t i) -> WarmResult {
+  auto warm = [&](size_t i) -> WarmResult {
     auto target = orch.get<sqldb::SqlServer>(names[i]);
     if (!target || !dep) return {};
     const core::HealthTracker& health = dep->incoming().health();
@@ -181,7 +180,7 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
       if (j == i || !health.is_healthy(j)) continue;
       auto source = orch.get<sqldb::SqlServer>(names[j]);
       if (!source) continue;
-      *last_warm_source = j;
+      last_warm_source = j;
       // Incremental first: a delta of the WAL tail or the dirty pages,
       // when the source can build one for this target's exact LSN and
       // lineage (durable profile only).
@@ -220,6 +219,7 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
     }
     return {};  // no trusted peer right now; quarantine retries later
   };
+  if (opts.resync_enabled) resync.warm = warm;
 
   auto do_replace = [&](size_t slot) {
     if (!dep) return;
@@ -264,30 +264,32 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
   // journal replay targets the resyncing instance, and quarantine retries
   // cover a warm that never happened — the invariants below then prove
   // the deployment never readmits partial state.
-  if (opts.kill_peer_mid_resync) {
-    auto killed = std::make_shared<bool>(false);
-    auto pk_watch = std::make_shared<std::function<void()>>();
-    *pk_watch = [&, pk_watch, killed, last_warm_source] {
-      if (*killed) return;
-      const core::HealthTracker& h = dep->incoming().health();
-      for (size_t i = 0; i < names.size(); ++i) {
-        if (h.state(i) != core::HealthTracker::State::kResyncing) continue;
-        size_t victim = *last_warm_source;
-        if (victim == SIZE_MAX || victim == i) continue;
-        *killed = true;
-        std::string victim_name = names[victim];
-        try { orch.crash(victim_name); } catch (const std::exception&) {}
-        last_fault_end =
-            std::max(last_fault_end, sim.now() + 300 * sim::kMillisecond);
-        sim.schedule(300 * sim::kMillisecond, [&, victim_name] {
-          try { orch.restart(victim_name); } catch (const std::exception&) {}
-        });
-        return;
-      }
-      sim.schedule(10 * sim::kMillisecond, [pk_watch] { (*pk_watch)(); });
-    };
-    sim.schedule_at(sim::kMillisecond, [pk_watch] { (*pk_watch)(); });
-  }
+  //
+  // This and every self-rescheduling loop below is a local std::function
+  // that its pending event refers to: nothing holds the event, and the
+  // loop dies with this frame, after the last sim.run_until.
+  bool peer_killed = false;
+  std::function<void()> pk_watch = [&] {
+    if (peer_killed) return;
+    const core::HealthTracker& h = dep->incoming().health();
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (h.state(i) != core::HealthTracker::State::kResyncing) continue;
+      size_t victim = last_warm_source;
+      if (victim == SIZE_MAX || victim == i) continue;
+      peer_killed = true;
+      std::string victim_name = names[victim];
+      try { orch.crash(victim_name); } catch (const std::exception&) {}
+      last_fault_end =
+          std::max(last_fault_end, sim.now() + 300 * sim::kMillisecond);
+      sim.schedule(300 * sim::kMillisecond, [&, victim_name] {
+        try { orch.restart(victim_name); } catch (const std::exception&) {}
+      });
+      return;
+    }
+    sim.schedule(10 * sim::kMillisecond, [&pk_watch] { pk_watch(); });
+  };
+  if (opts.kill_peer_mid_resync)
+    sim.schedule_at(sim::kMillisecond, [&pk_watch] { pk_watch(); });
 
   for (const FaultSpec& f : plan) {
     const size_t slot = f.instance % opts.n_instances;
@@ -411,15 +413,14 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
     size_t issued = 0;
     Rng rng{0};
   };
-  auto clients = std::make_shared<std::vector<Client>>(opts.clients);
+  std::vector<Client> clients(opts.clients);
   {
     Rng root(seed);
     for (size_t c = 0; c < opts.clients; ++c)
-      (*clients)[c].rng = root.fork(100 + c);
+      clients[c].rng = root.fork(100 + c);
   }
-  auto step = std::make_shared<std::function<void(size_t)>>();
-  *step = [&, clients, step](size_t c) {
-    Client& cl = (*clients)[c];
+  std::function<void(size_t)> step = [&](size_t c) {
+    Client& cl = clients[c];
     if (cl.issued >= opts.queries_per_client) {
       if (cl.pg) cl.pg->close();
       return;
@@ -448,24 +449,23 @@ ChaosReport run_chaos(const std::vector<FaultSpec>& plan,
       if (o.failed()) ++rep.refused;
       else ++rep.served;
     });
-    sim.schedule(kClientSpacing, [step, c] { (*step)(c); });
+    sim.schedule(kClientSpacing, [&step, c] { step(c); });
   };
   for (size_t c = 0; c < opts.clients; ++c) {
     sim.schedule_at(10 * sim::kMillisecond +
                         static_cast<sim::Time>(c) * sim::kMillisecond,
-                    [step, c] { (*step)(c); });
+                    [&step, c] { step(c); });
   }
 
   // ---- recovery watcher: first moment back at full N after last fault ----
-  auto watch = std::make_shared<std::function<void()>>();
-  *watch = [&, watch] {
+  std::function<void()> watch = [&] {
     if (dep->incoming().health().healthy_count() == opts.n_instances) {
       if (rep.recovery_time < 0) rep.recovery_time = sim.now() - last_fault_end;
       return;
     }
-    sim.schedule(50 * sim::kMillisecond, [watch] { (*watch)(); });
+    sim.schedule(50 * sim::kMillisecond, [&watch] { watch(); });
   };
-  sim.schedule_at(last_fault_end, [watch] { (*watch)(); });
+  sim.schedule_at(last_fault_end, [&watch] { watch(); });
 
   const sim::Time workload_span =
       static_cast<sim::Time>(opts.queries_per_client) * kClientSpacing +
@@ -645,16 +645,16 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
   // depends on how far the owner island has run inside the current
   // window (tear-free, but not deterministic).
   const IslandId kill_island = front->shard_island(kill);
-  auto watch = std::make_shared<std::function<void()>>();
-  *watch = [&, watch] {
+  // Like run_chaos's loops, a local the pending event refers to.
+  std::function<void()> watch = [&] {
     if (front->shard(kill).incoming().health().healthy_count() ==
         kInstancesPerShard) {
       if (rep.readmit_time < 0) rep.readmit_time = sim.now() - kRestartAt;
       return;
     }
-    sim.schedule(25 * sim::kMillisecond, [watch] { (*watch)(); });
+    sim.schedule(25 * sim::kMillisecond, [&watch] { watch(); });
   };
-  sim.schedule_on(kill_island, kRestartAt, [watch] { (*watch)(); });
+  sim.schedule_on(kill_island, kRestartAt, [&watch] { watch(); });
   uint64_t killed_sessions_at_restart = 0;
   sim.schedule_on(kill_island, kRestartAt, [&] {
     killed_sessions_at_restart = front->shard(kill).incoming().stats().sessions;

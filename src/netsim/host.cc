@@ -155,19 +155,6 @@ double Host::cpu_pct_now() const {
          static_cast<double>(cores_);
 }
 
-void Host::bind_metrics(obs::MetricsRegistry* reg, const std::string& prefix) {
-  if (!reg) {
-    cpu_gauge_ = nullptr;
-    mem_gauge_ = nullptr;
-    return;
-  }
-  const std::string& p = prefix.empty() ? name_ : prefix;
-  cpu_gauge_ = reg->gauge(p + ".cpu_pct");
-  mem_gauge_ = reg->gauge(p + ".mem_bytes");
-  cpu_gauge_->set(cpu_pct_now());
-  mem_gauge_->set(static_cast<double>(memory_bytes_));
-}
-
 void Host::start_sampling(Time interval) {
   assert(interval > 0);
   stop_sampling();
@@ -176,8 +163,6 @@ void Host::start_sampling(Time interval) {
   samples_.push_back(ResourceSample{sim_.now(), cpu_pct_now(),
                                     static_cast<double>(memory_bytes_)});
   last_sample_busy_integral_ = busy_track_.integral(sim_.now());
-  if (cpu_gauge_) cpu_gauge_->set(samples_.back().cpu_pct);
-  if (mem_gauge_) mem_gauge_->set(samples_.back().mem_bytes);
   schedule_sample();
 }
 
@@ -196,8 +181,6 @@ void Host::schedule_sample() {
     samples_.push_back(ResourceSample{
         sim_.now(), 100.0 * mean_busy_cores / static_cast<double>(cores_),
         static_cast<double>(memory_bytes_)});
-    if (cpu_gauge_) cpu_gauge_->set(samples_.back().cpu_pct);
-    if (mem_gauge_) mem_gauge_->set(samples_.back().mem_bytes);
     schedule_sample();
   });
 }

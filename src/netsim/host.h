@@ -15,7 +15,6 @@
 
 #include "common/stats.h"
 #include "netsim/simulator.h"
-#include "obs/metrics.h"
 
 namespace rddr::sim {
 
@@ -86,12 +85,6 @@ class Host {
   void stop_sampling();
   const std::vector<ResourceSample>& samples() const { return samples_; }
 
-  /// Publishes this host's resource readings as gauges in `reg` under
-  /// "<prefix>.cpu_pct" / "<prefix>.mem_bytes" (prefix defaults to the host
-  /// name). Gauges update on every sampling tick, so start_sampling() must
-  /// be active for the series to move; nullptr detaches.
-  void bind_metrics(obs::MetricsRegistry* reg, const std::string& prefix = "");
-
   /// Instantaneous CPU utilisation in percent.
   double cpu_pct_now() const;
 
@@ -139,9 +132,6 @@ class Host {
   uint64_t sample_event_ = 0;
   double last_sample_busy_integral_ = 0;
   std::vector<ResourceSample> samples_;
-
-  obs::Gauge* cpu_gauge_ = nullptr;
-  obs::Gauge* mem_gauge_ = nullptr;
 };
 
 }  // namespace rddr::sim

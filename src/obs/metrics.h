@@ -1,17 +1,16 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //
 // The measurement substrate behind the paper's evaluation (Figs 4-6):
-// every proxy, host, database server, and workload driver publishes into a
-// shared `MetricsRegistry` instead of hand-rolled counter structs. Handles
+// every proxy and database server publishes into a shared
+// `MetricsRegistry` instead of hand-rolled counter structs. Handles
 // (`Counter*`, `Gauge*`, `Histogram*`) are resolved once by name at setup
 // time and are then a single add/store on the hot path; the registry is
 // only walked again at export time. Because everything runs on the
 // deterministic simulator, a metrics dump is exactly reproducible from a
 // seed — `dump_json()` is byte-identical across runs.
 //
-// This layer sits below netsim on purpose: it knows nothing about the
-// simulator, so `Host` can publish resource gauges without a dependency
-// cycle. Time enters only as values (virtual nanoseconds as int64_t).
+// This layer knows nothing about the simulator, and netsim knows nothing
+// about it: time enters only as values (virtual nanoseconds as int64_t).
 //
 // Thread-safety (parallel simulation): mutators go through
 // std::atomic_ref, so concurrent updates from different islands are
@@ -134,7 +133,7 @@ class Histogram {
 };
 
 /// Name -> metric registry. Names are dotted paths ("rddr-in.sessions",
-/// "server.cpu_pct"). Handles stay valid for the registry's lifetime
+/// "pg-0.query_ms"). Handles stay valid for the registry's lifetime
 /// (std::map nodes are stable). Export order is name order, so dumps are
 /// deterministic.
 class MetricsRegistry {

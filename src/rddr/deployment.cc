@@ -109,12 +109,6 @@ NVersionDeployment::Builder& NVersionDeployment::Builder::on_divergence(
   return *this;
 }
 
-NVersionDeployment::Builder& NVersionDeployment::Builder::diff(
-    DiffEngineOptions d) {
-  incoming_.diff = std::move(d);
-  return *this;
-}
-
 NVersionDeployment::Builder& NVersionDeployment::Builder::cpu_model(
     double cpu_per_unit, double cpu_per_byte) {
   incoming_.cpu_per_unit = cpu_per_unit;
@@ -212,7 +206,6 @@ NVersionDeployment::Options NVersionDeployment::Builder::options() const {
       cfg.degradation = incoming_.degradation;
       cfg.health = incoming_.health;
       cfg.unit_timeout = incoming_.unit_timeout;
-      cfg.diff = incoming_.diff;
       cfg.group_size = incoming_.instance_addresses.size();
       // Instances dial the backend under their own container names.
       for (const auto& addr : incoming_.instance_addresses)

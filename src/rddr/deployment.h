@@ -74,9 +74,6 @@ class NVersionDeployment {
     /// record stream (DivergenceBus::subscribe_records), firing once per
     /// record from any proxy of the deployment.
     Builder& on_divergence(std::function<void(const DivergenceRecord&)> cb);
-    /// Batched DiffEngine knobs (SIMD kernel selection, arena sizing),
-    /// applied to every proxy and frontier shard in the deployment.
-    Builder& diff(DiffEngineOptions d);
     /// CPU model for the de-noise+diff work (per compared unit / byte).
     Builder& cpu_model(double cpu_per_unit, double cpu_per_byte);
     Builder& signature_blocking(bool on, uint32_t threshold = 1);

@@ -201,9 +201,8 @@ std::string inst_fail_reason(const InstResult& r, const CanonicalUnit& ref,
 
 }  // namespace
 
-DiffEngine::DiffEngine(const DiffEngineOptions& opts)
-    : ops_(&simd::ops(simd::resolve_level(opts.simd))),
-      arena_(kArenaReserveBytes) {}
+DiffEngine::DiffEngine(const simd::Ops& ops)
+    : ops_(&ops), arena_(kArenaReserveBytes) {}
 
 BatchVerdict DiffEngine::compare(const ProtocolPlugin& plugin,
                                  const std::vector<Unit>& units,

@@ -109,20 +109,12 @@ enum class VoteMode {
   kQuorum,  // leave-one-out majority vote (kQuorum / kFailOpen)
 };
 
-/// Engine knobs, threaded through ProxyOptions::diff and
-/// NVersionDeployment::Builder::diff() down to every proxy and frontier
-/// shard.
-struct DiffEngineOptions {
-  /// Kernel selection: "auto" (SSE2 where built for it), "scalar",
-  /// "sse2". The RDDR_SIMD environment variable overrides this knob
-  /// process-wide.
-  std::string simd = "auto";
-};
-
 class DiffEngine {
  public:
-  DiffEngine() : DiffEngine(DiffEngineOptions{}) {}
-  explicit DiffEngine(const DiffEngineOptions& opts);
+  DiffEngine() : DiffEngine(simd::native()) {}
+  /// Runs `ops` instead of simd::native(): the seam the differential
+  /// tests use to pit a simd::scalar() engine against a native one.
+  explicit DiffEngine(const simd::Ops& ops);
 
   /// The batched N-way compare: canonicalise once, scan, vote. In
   /// kStrict mode the verdict is the plugin-compare outcome (agreed ==
@@ -154,7 +146,6 @@ class DiffEngine {
 
   Arena& arena() { return arena_; }
   const simd::Ops& ops() const { return *ops_; }
-  simd::Level level() const { return ops_->level; }
 
   struct Stats {
     uint64_t batches = 0;         // compare() calls

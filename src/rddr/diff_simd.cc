@@ -1,10 +1,6 @@
 #include "rddr/diff_simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__SSE2__)
-#define RDDR_SIMD_SSE2 1
 #include <emmintrin.h>
 #endif
 
@@ -19,29 +15,31 @@ inline bool is_alnum(unsigned char c) {
 
 // ---------------- scalar ----------------
 
-size_t mismatch_scalar(const char* a, const char* b, size_t n) {
-  size_t i = 0;
+// Each scalar kernel is its byte loop run from index 0; the SSE2 kernels
+// run the same loop over their tail, from the first index no 16-byte
+// lane covered.
+
+size_t mismatch_from(const char* a, const char* b, size_t i, size_t n) {
   while (i < n && a[i] == b[i]) ++i;
   return i;
 }
 
-size_t suffix_len_scalar(const char* a_end, const char* b_end, size_t n) {
-  size_t i = 0;
+size_t suffix_len_from(const char* a_end, const char* b_end, size_t i,
+                       size_t n) {
   while (i < n && a_end[-1 - static_cast<ptrdiff_t>(i)] ==
                       b_end[-1 - static_cast<ptrdiff_t>(i)])
     ++i;
   return i;
 }
 
-size_t find_non_alnum_scalar(const char* p, size_t n) {
-  size_t i = 0;
+size_t find_non_alnum_from(const char* p, size_t i, size_t n) {
   while (i < n && is_alnum(static_cast<unsigned char>(p[i]))) ++i;
   return i;
 }
 
-NwayHit nway_mismatch_scalar(const char* ref, const char* const* cands,
-                             size_t k, size_t n) {
-  for (size_t off = 0; off < n; ++off) {
+NwayHit nway_mismatch_from(const char* ref, const char* const* cands,
+                           size_t k, size_t off, size_t n) {
+  for (; off < n; ++off) {
     char r = ref[off];
     for (size_t j = 0; j < k; ++j)
       if (cands[j][off] != r) return {off, j};
@@ -49,7 +47,24 @@ NwayHit nway_mismatch_scalar(const char* ref, const char* const* cands,
   return {n, SIZE_MAX};
 }
 
-#if RDDR_SIMD_SSE2
+size_t mismatch_scalar(const char* a, const char* b, size_t n) {
+  return mismatch_from(a, b, 0, n);
+}
+
+size_t suffix_len_scalar(const char* a_end, const char* b_end, size_t n) {
+  return suffix_len_from(a_end, b_end, 0, n);
+}
+
+size_t find_non_alnum_scalar(const char* p, size_t n) {
+  return find_non_alnum_from(p, 0, n);
+}
+
+NwayHit nway_mismatch_scalar(const char* ref, const char* const* cands,
+                             size_t k, size_t n) {
+  return nway_mismatch_from(ref, cands, k, 0, n);
+}
+
+#if defined(__SSE2__)
 
 // ---------------- SSE2 (x86-64 baseline) ----------------
 
@@ -67,8 +82,7 @@ size_t mismatch_sse2(const char* a, const char* b, size_t n) {
     uint32_t bad = neq_mask16(a + i, b + i);
     if (bad) return i + static_cast<size_t>(__builtin_ctz(bad));
   }
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
+  return mismatch_from(a, b, i, n);
 }
 
 size_t suffix_len_sse2(const char* a_end, const char* b_end, size_t n) {
@@ -78,10 +92,7 @@ size_t suffix_len_sse2(const char* a_end, const char* b_end, size_t n) {
     if (bad)
       return i + 15 - static_cast<size_t>(31 - __builtin_clz(bad));
   }
-  while (i < n && a_end[-1 - static_cast<ptrdiff_t>(i)] ==
-                      b_end[-1 - static_cast<ptrdiff_t>(i)])
-    ++i;
-  return i;
+  return suffix_len_from(a_end, b_end, i, n);
 }
 
 /// Bitmask of non-alnum bytes within one 16-byte lane. Thresholds are all
@@ -106,8 +117,7 @@ size_t find_non_alnum_sse2(const char* p, size_t n) {
     uint32_t bad = non_alnum_mask16(p + i);
     if (bad) return i + static_cast<size_t>(__builtin_ctz(bad));
   }
-  while (i < n && is_alnum(static_cast<unsigned char>(p[i]))) ++i;
-  return i;
+  return find_non_alnum_from(p, i, n);
 }
 
 NwayHit nway_mismatch_sse2(const char* ref, const char* const* cands,
@@ -129,69 +139,28 @@ NwayHit nway_mismatch_sse2(const char* ref, const char* const* cands,
     }
     if (best.instance != SIZE_MAX) return best;
   }
-  for (; off < n; ++off) {
-    char r = ref[off];
-    for (size_t j = 0; j < k; ++j)
-      if (cands[j][off] != r) return {off, j};
-  }
-  return {n, SIZE_MAX};
+  return nway_mismatch_from(ref, cands, k, off, n);
 }
 
-#endif  // RDDR_SIMD_SSE2
+#endif  // __SSE2__
 
-const Ops kScalarOps = {Level::kScalar, mismatch_scalar, suffix_len_scalar,
+const Ops kScalarOps = {mismatch_scalar, suffix_len_scalar,
                         find_non_alnum_scalar, nway_mismatch_scalar};
-#if RDDR_SIMD_SSE2
-const Ops kSse2Ops = {Level::kSse2, mismatch_sse2, suffix_len_sse2,
-                      find_non_alnum_sse2, nway_mismatch_sse2};
+#if defined(__SSE2__)
+const Ops kSse2Ops = {mismatch_sse2, suffix_len_sse2, find_non_alnum_sse2,
+                      nway_mismatch_sse2};
 #endif
-
-Level parse_level_name(const char* s) {
-  if (std::strcmp(s, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(s, "sse2") == 0) return Level::kSse2;
-  return best_supported();  // "auto" and unknown spellings
-}
 
 }  // namespace
 
-const char* level_name(Level l) {
-  switch (l) {
-    case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
-  }
-  return "?";
-}
-
-Level best_supported() {
-#if RDDR_SIMD_SSE2
-  return Level::kSse2;
+const Ops& native() {
+#if defined(__SSE2__)
+  return kSse2Ops;
 #else
-  return Level::kScalar;
-#endif
-}
-
-Level resolve_level(const std::string& knob) {
-  Level want = parse_level_name(knob.c_str());
-  if (const char* env = std::getenv("RDDR_SIMD"))
-    want = parse_level_name(env);
-  Level best = best_supported();
-  return static_cast<int>(want) > static_cast<int>(best) ? best : want;
-}
-
-const Ops& ops(Level l) {
-#if RDDR_SIMD_SSE2
-  switch (l) {
-    case Level::kScalar: return kScalarOps;
-    case Level::kSse2: return kSse2Ops;
-  }
-#endif
-  (void)l;
   return kScalarOps;
+#endif
 }
 
-const Ops& active_ops() {
-  static const Ops& table = ops(resolve_level("auto"));
-  return table;
-}
+const Ops& scalar() { return kScalarOps; }
 
 }  // namespace rddr::core::simd

@@ -1,12 +1,11 @@
 // SIMD kernels for the diff-and-denoise data plane.
 //
-// Two implementations of each primitive — portable scalar and SSE2 (the
-// x86-64 baseline, so "auto" is SSE2 wherever the compiler targets it) —
-// selected per engine via the DiffEngineOptions::simd knob or pinned for
-// a whole run via the RDDR_SIMD environment variable. Both levels are
+// Two tables of each primitive: native() — SSE2 wherever the build
+// targets it (the x86-64 baseline), scalar otherwise — which every
+// DiffEngine runs, and scalar(), the portable oracle. Both are
 // bit-identical by contract: tests/rddr_diff_engine_test.cc runs a seeded
 // differential property suite asserting identical mismatch offsets, masks
-// and verdicts across every supported level, with scalar as the oracle.
+// and verdicts between the two, with scalar as the oracle.
 //
 // The kernels are byte-exact replacements for the scalar loops the old
 // pairwise de-noise implementation used; none changes comparison semantics.
@@ -15,24 +14,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "common/bytes.h"
 
 namespace rddr::core::simd {
-
-enum class Level : int { kScalar = 0, kSse2 = 1 };
-
-const char* level_name(Level l);
-
-/// Highest level this build supports (kScalar without SSE2).
-Level best_supported();
-
-/// Maps a knob string ("auto", "scalar", "sse2") to a level,
-/// clamped to best_supported(). The RDDR_SIMD environment variable, when
-/// set, overrides the knob (so CI can pin the path for a whole run).
-/// Unknown spellings resolve like "auto".
-Level resolve_level(const std::string& knob);
 
 /// First divergence found by the interleaved N-way scan.
 struct NwayHit {
@@ -40,11 +25,9 @@ struct NwayHit {
   size_t instance = SIZE_MAX;  // candidate index (SIZE_MAX: all equal)
 };
 
-/// One level's kernel table. Engines hold a pointer to the table they
-/// resolved at construction, so two engines in one process can run
-/// different levels (the differential tests rely on this).
+/// One kernel table. Engines hold a pointer to theirs, so the
+/// differential tests can run a scalar engine beside a native one.
 struct Ops {
-  Level level;
   /// First index in [0,n) where a and b differ; n when equal.
   size_t (*mismatch)(const char* a, const char* b, size_t n);
   /// Longest common suffix length (<= n) of the n bytes ENDING at a_end
@@ -60,9 +43,10 @@ struct Ops {
                            size_t k, size_t n);
 };
 
-const Ops& ops(Level l);
-/// ops(resolve_level("auto")) — resolved once per process.
-const Ops& active_ops();
+/// SSE2 where the build defines __SSE2__, scalar() otherwise.
+const Ops& native();
+/// The portable byte loops: the oracle native() is tested against.
+const Ops& scalar();
 
 // ---- thin view-level helpers over a table ----
 

@@ -114,7 +114,7 @@ void IncomingProxy::schedule_reconnect(size_t i) {
       return;
     }
     probe->close();
-    if (config_.resync.enabled && config_.resync.warm) {
+    if (config_.resync.warm) {
       begin_resync(i);
       return;
     }
@@ -525,7 +525,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
         if (!config_.plugin->replayable(u)) continue;
         if (resync_[i].active) {
           journal_unit(i, u);
-        } else if (config_.resync.enabled && health_.is_healthy(i)) {
+        } else if (config_.resync.warm && health_.is_healthy(i)) {
           shadow_unit(s, i, u, ctx);
         }
       }

@@ -32,18 +32,17 @@
 namespace rddr::core {
 
 /// Recovery knobs for the incoming proxy (DESIGN.md "Recovery & resync").
-/// With `enabled` and a `warm` hook set, a quarantined instance that
-/// answers a reconnect probe is not readmitted directly: it enters
-/// HealthTracker::State::kResyncing, `warm` copies state from a trusted
-/// peer (for sqldb: snapshot_database of the lowest healthy replica),
-/// request units arriving during the modelled transfer window are
-/// journaled (bounded) and replayed to the instance afterwards, and only
-/// then is the instance admitted to new sessions. After readmission,
+/// Resync is on exactly when the `warm` hook is set. Then a quarantined
+/// instance that answers a reconnect probe is not readmitted directly: it
+/// enters HealthTracker::State::kResyncing, `warm` copies state from a
+/// trusted peer (for sqldb: snapshot_database of the lowest healthy
+/// replica), request units arriving during the modelled transfer window
+/// are journaled (bounded) and replayed to the instance afterwards, and
+/// only then is the instance admitted to new sessions. After readmission,
 /// client units of sessions that opened while it was away are
 /// shadow-forwarded to it (responses discarded: catch-up shadowing), so
 /// long-lived write sessions cannot silently diverge its state.
 struct ResyncOptions {
-  bool enabled = false;
   /// What one warm-up transfer did. `bytes` sizes the modeled transfer
   /// window; the rest describes the mechanism for counters/spans —
   /// "snapshot" ships the whole database, "pages" only the pages dirtied

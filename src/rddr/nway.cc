@@ -48,7 +48,6 @@ NWayProxy::NWayProxy(sim::Network& net, sim::Host& host,
         h.n_instances = n_instances;
         return h;
       }()),
-      engine_(opts.diff),
       traits_(traits) {
   counters_.bind(*metrics_, opts.name);
   host_.charge_memory(traits_.base_memory_bytes);

@@ -21,6 +21,7 @@
 
 #include "netsim/host.h"
 #include "netsim/network.h"
+#include "rddr/diff_engine.h"
 #include "rddr/options.h"
 
 namespace rddr::core {

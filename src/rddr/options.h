@@ -16,7 +16,6 @@
 #include "netsim/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rddr/diff_engine.h"
 #include "rddr/divergence.h"
 #include "rddr/health.h"
 #include "rddr/plugin.h"
@@ -77,10 +76,6 @@ struct ProxyOptions {
   /// edge sessions share the proxy's own listen site, which is exempt.
   /// 0 (default) disables.
   uint32_t path_quarantine_threshold = 0;
-  /// Batched diff-and-denoise engine knobs (SIMD kernel selection, arena
-  /// sizing). Every proxy — and every frontier shard, which copies its
-  /// shard options wholesale — owns one DiffEngine configured from this.
-  DiffEngineOptions diff;
   /// CPU model for the de-noise+diff work, charged to the proxy host.
   double cpu_per_unit = 15e-6;
   double cpu_per_byte = 2e-9;

@@ -806,17 +806,23 @@ bool Evaluator::builtin(const Node& n, const Datum* const* args, size_t count,
         return true;
       }
       std::string s = a0->to_text();
+      const auto size = static_cast<int64_t>(s.size());
       int64_t start = args[1]->is_null() ? 1 : args[1]->as_int();
-      int64_t len = count == 3 && !args[2]->is_null()
-                        ? args[2]->as_int()
-                        : static_cast<int64_t>(s.size());
-      int64_t begin = start > 1 ? start - 1 : 0;
-      if (begin >= static_cast<int64_t>(s.size()) || len <= 0) {
-        out = Datum::text("");
-      } else {
-        out = Datum::text(s.substr(static_cast<size_t>(begin),
-                                   static_cast<size_t>(len)));
+      // Postgres's window: positions [start, start + len) clipped to
+      // [1, size]. The 2-argument form runs to the end of the string.
+      int64_t end = size + 1;
+      if (count == 3 && !args[2]->is_null()) {
+        int64_t len = args[2]->as_int();
+        if (len < 0) {
+          fail("22011", "negative substring length not allowed");
+          return false;
+        }
+        if (start <= size + 1 - len) end = start + len;  // else past the end
       }
+      int64_t begin = std::max<int64_t>(start, 1);
+      out = Datum::text(begin < end ? s.substr(static_cast<size_t>(begin - 1),
+                                               static_cast<size_t>(end - begin))
+                                    : std::string());
       return true;
     }
     case Builtin::kCoalesce:

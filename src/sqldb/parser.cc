@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <charconv>
+#include <cstdint>
 
 #include "common/strutil.h"
 #include "sqldb/lexer.h"
@@ -800,6 +801,16 @@ class Parser {
       return ExprPtr(std::move(e));
     }
     if (match_op("-")) {
+      // -9223372036854775808 is the literal INT64_MIN, whose magnitude
+      // alone is no int8 (Postgres's doNegate folds it the same way).
+      if (peek().kind == TokKind::kNumber &&
+          peek().text == "9223372036854775808") {
+        advance();
+        auto e = std::make_unique<Expr>();
+        e->kind = ExprKind::kLiteral;
+        e->literal = Datum::integer(INT64_MIN);
+        return ExprPtr(std::move(e));
+      }
       auto inner = parse_unary();
       if (!inner.ok()) return inner;
       auto e = std::make_unique<Expr>();

@@ -33,6 +33,20 @@ namespace {
 
 // ---- raw simulator ----
 
+/// Tick n of island i's chain: logs on island 0 and schedules tick n+1
+/// on its own island. The pending event holds the chain's whole state.
+void island_tick(sim::Simulator& sim, std::vector<std::string>& log,
+                 size_t i, int n) {
+  if (n >= 8) return;
+  sim::Time now = sim.now();
+  sim.schedule_on(0, now + 1000, [&log, i, n, now] {
+    log.push_back(strformat("i%zu n%d t%lld", i, n,
+                            static_cast<long long>(now)));
+  });
+  sim.schedule(700 + static_cast<sim::Time>(i) * 13,
+               [&sim, &log, i, n] { island_tick(sim, log, i, n + 1); });
+}
+
 // A little multi-island program whose output order proves the window
 // merge: four streams tick independently, each tick sends a report event
 // to island 0 (which owns the log), and a global mutation runs midway.
@@ -47,23 +61,9 @@ std::vector<std::string> run_island_program(size_t islands,
     *threads = sim.executor() ? sim.executor()->thread_count() : 0;
   std::vector<std::string> log;  // only touched from island 0 events
 
-  for (size_t i = 0; i < 4; ++i) {
-    auto tick = std::make_shared<std::function<void(int)>>();
-    sim::Simulator* sp = &sim;
-    *tick = [sp, i, tick, &log](int n) {
-      if (n >= 8) return;
-      sim::Time now = sp->now();
-      sp->schedule_on(0, now + 1000,
-                      [&log, i, n, now] {
-                        log.push_back(strformat("i%zu n%d t%lld", i, n,
-                                                static_cast<long long>(now)));
-                      });
-      sp->schedule(700 + static_cast<sim::Time>(i) * 13,
-                   [tick, n] { (*tick)(n + 1); });
-    };
+  for (size_t i = 0; i < 4; ++i)
     sim.schedule_on(static_cast<IslandId>(i), 100 + static_cast<sim::Time>(i),
-                    [tick] { (*tick)(0); });
-  }
+                    [&sim, &log, i] { island_tick(sim, log, i, 0); });
   bool global_saw_aligned_clocks = false;
   sim.schedule_global_at(3000, [&] {
     // At a global event every island's clock sits at the same barrier.

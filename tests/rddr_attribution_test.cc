@@ -476,7 +476,6 @@ TEST(ResyncAttribution, ReplayAndShadowIndicesNestCorrectly) {
   }
 
   ResyncOptions resync;
-  resync.enabled = true;
   resync.min_transfer_time = 600 * sim::kMillisecond;
   resync.warm = [&raws](size_t i) -> ResyncOptions::WarmResult {
     std::string snap = raws[(i + 1) % 3]->dump_snapshot();
@@ -508,19 +507,18 @@ TEST(ResyncAttribution, ReplayAndShadowIndicesNestCorrectly) {
   meta.flow.trace_id = 0xABC;
   auto pg = std::make_unique<sqldb::PgClient>(net, "front:5432", "postgres",
                                               meta);
-  auto issued = std::make_shared<size_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
-  sqldb::PgClient* pgp = pg.get();
-  *step = [&simu, pgp, issued, step] {
-    if (*issued >= 60 || pgp->broken()) return;
-    size_t qi = (*issued)++;
-    pgp->query(strformat("UPDATE pgbench_accounts SET abalance = abalance "
-                         "+ 1 WHERE aid = %zu",
-                         qi % kAccounts + 1),
-               [](sqldb::QueryOutcome) {});
-    simu.schedule(100 * sim::kMillisecond, [step] { (*step)(); });
+  // A local the pending event refers to, so no closure owns itself.
+  size_t issued = 0;
+  std::function<void()> step = [&] {
+    if (issued >= 60 || pg->broken()) return;
+    size_t qi = issued++;
+    pg->query(strformat("UPDATE pgbench_accounts SET abalance = abalance "
+                        "+ 1 WHERE aid = %zu",
+                        qi % kAccounts + 1),
+              [](sqldb::QueryOutcome) {});
+    simu.schedule(100 * sim::kMillisecond, [&step] { step(); });
   };
-  simu.schedule(10 * sim::kMillisecond, [step] { (*step)(); });
+  simu.schedule(10 * sim::kMillisecond, [&step] { step(); });
 
   simu.schedule_at(1 * sim::kSecond, [&relays] { relays[0]->crash(); });
   simu.schedule_at(2 * sim::kSecond, [&relays] { relays[0]->open(); });

@@ -1,37 +1,27 @@
 // Differential property tests for the batched DiffEngine data plane.
 //
-// The SIMD kernels (scalar / SSE2, rddr/diff_simd.h) are
-// bit-identical by contract. This suite enforces that contract three
-// ways:
-//   1. kernel level: every supported Ops table vs naive in-test
-//      references, on adversarial buffers (differences planted on and
-//      around 16-byte lane boundaries and their multiples);
+// The two kernel tables (rddr/diff_simd.h: simd::native(), SSE2 where
+// the build targets it, and simd::scalar(), the oracle) are bit-identical
+// by contract. This suite enforces that contract three ways:
+//   1. kernel level: both tables vs naive in-test references, on
+//      adversarial buffers (differences planted on and around 16-byte
+//      lane boundaries and their multiples);
 //   2. primitive level: masks, masked checks and token detection agree
-//      across levels on seeded random + adversarial corpora;
+//      between native() and scalar() on seeded random + adversarial
+//      corpora;
 //   3. engine level: full batched verdicts (strict and quorum) agree
-//      across engines pinned to different levels, and a whole deployment
-//      run is byte-identical between "scalar" and "auto".
+//      between a default engine and one built on scalar().
 // Plus the steady-state allocation guarantee: a warmed engine's arena
 // never refills again.
-//
-// Note: the RDDR_SIMD environment variable pins resolve_level() for the
-// whole process (tests/run_sanitized.sh uses that to drive this suite
-// with SIMD forced off and on under asan/ubsan). The kernel-table tests
-// below use simd::ops(Level) directly, so every supported kernel is
-// exercised regardless of the pin; the engine-knob tests degrade to
-// same-level comparisons under a pin, which is the intent.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "netsim/host.h"
-#include "netsim/network.h"
+#include "proto/http/message.h"
 #include "rddr/rddr.h"
-#include "services/http_service.h"
 
 namespace rddr::core {
 namespace {
@@ -73,19 +63,14 @@ simd::NwayHit naive_nway(const char* ref, const char* const* cands, size_t k,
   return best;
 }
 
-std::vector<simd::Level> supported_levels() {
-  std::vector<simd::Level> out;
-  for (int l = 0; l <= static_cast<int>(simd::best_supported()); ++l)
-    out.push_back(static_cast<simd::Level>(l));
-  return out;
-}
+struct Table {
+  const char* name;
+  const simd::Ops& ops;
+};
 
-/// Knob spellings for every supported level ("scalar" always included).
-std::vector<std::string> supported_knobs() {
-  std::vector<std::string> out;
-  for (simd::Level l : supported_levels()) out.push_back(simd::level_name(l));
-  return out;
-}
+/// Both kernel tables, the oracle first.
+const Table kTables[] = {{"scalar", simd::scalar()},
+                         {"native", simd::native()}};
 
 // Offsets that straddle the 16-byte SSE2 lanes and their multiples.
 const size_t kLaneOffsets[] = {0,  1,  14, 15, 16, 17, 30, 31,
@@ -93,8 +78,6 @@ const size_t kLaneOffsets[] = {0,  1,  14, 15, 16, 17, 30, 31,
 
 TEST(SimdKernels, MismatchAndSuffixDifferential) {
   Rng rng(1001);
-  auto levels = supported_levels();
-  ASSERT_GE(levels.size(), 1u);
   for (int iter = 0; iter < 300; ++iter) {
     size_t n = static_cast<size_t>(rng.uniform(0, 130));
     std::string a(n, '\0');
@@ -110,19 +93,17 @@ TEST(SimdKernels, MismatchAndSuffixDifferential) {
     }
     size_t want_mis = naive_mismatch(a.data(), b.data(), n);
     size_t want_sfx = naive_suffix_len(a.data() + n, b.data() + n, n);
-    for (simd::Level l : levels) {
-      const simd::Ops& o = simd::ops(l);
-      EXPECT_EQ(o.mismatch(a.data(), b.data(), n), want_mis)
-          << simd::level_name(l) << " n=" << n;
-      EXPECT_EQ(o.suffix_len(a.data() + n, b.data() + n, n), want_sfx)
-          << simd::level_name(l) << " n=" << n;
+    for (const Table& t : kTables) {
+      EXPECT_EQ(t.ops.mismatch(a.data(), b.data(), n), want_mis)
+          << t.name << " n=" << n;
+      EXPECT_EQ(t.ops.suffix_len(a.data() + n, b.data() + n, n), want_sfx)
+          << t.name << " n=" << n;
     }
   }
 }
 
 TEST(SimdKernels, FindNonAlnumDifferential) {
   Rng rng(1002);
-  auto levels = supported_levels();
   for (int iter = 0; iter < 300; ++iter) {
     size_t n = static_cast<size_t>(rng.uniform(0, 130));
     std::string a = rng.alnum_token(n);
@@ -138,15 +119,14 @@ TEST(SimdKernels, FindNonAlnumDifferential) {
       a[off] = poisons[rng.uniform(0, 7)];
     }
     size_t want = naive_find_non_alnum(a.data(), n);
-    for (simd::Level l : levels)
-      EXPECT_EQ(simd::ops(l).find_non_alnum(a.data(), n), want)
-          << simd::level_name(l) << " n=" << n;
+    for (const Table& t : kTables)
+      EXPECT_EQ(t.ops.find_non_alnum(a.data(), n), want)
+          << t.name << " n=" << n;
   }
 }
 
 TEST(SimdKernels, NwayMismatchDifferential) {
   Rng rng(1003);
-  auto levels = supported_levels();
   for (int iter = 0; iter < 300; ++iter) {
     size_t n = static_cast<size_t>(rng.uniform(1, 130));
     size_t k = static_cast<size_t>(rng.uniform(1, 4));
@@ -163,11 +143,10 @@ TEST(SimdKernels, NwayMismatchDifferential) {
     std::vector<const char*> ptrs;
     for (const auto& cand : cands) ptrs.push_back(cand.data());
     simd::NwayHit want = naive_nway(ref.data(), ptrs.data(), k, n);
-    for (simd::Level l : levels) {
-      simd::NwayHit got = simd::ops(l).nway_mismatch(ref.data(), ptrs.data(), k, n);
-      EXPECT_EQ(got.offset, want.offset) << simd::level_name(l) << " n=" << n;
-      EXPECT_EQ(got.instance, want.instance)
-          << simd::level_name(l) << " n=" << n;
+    for (const Table& t : kTables) {
+      simd::NwayHit got = t.ops.nway_mismatch(ref.data(), ptrs.data(), k, n);
+      EXPECT_EQ(got.offset, want.offset) << t.name << " n=" << n;
+      EXPECT_EQ(got.instance, want.instance) << t.name << " n=" << n;
     }
   }
 }
@@ -229,89 +208,70 @@ void fill_canon(CanonicalUnit& out, const std::vector<std::string>& lines,
 
 TEST(DiffDifferential, MasksAndLineChecksAgreeAcrossLevels) {
   Rng rng(2001);
-  auto levels = supported_levels();
   for (int iter = 0; iter < 200; ++iter) {
     auto inst = adversarial_corpus(rng);
     for (size_t i = 0; i < inst[0].size(); ++i) {
       const std::string& a = inst[0][i];
       const std::string& b = inst[1][i];
       const std::string& c = inst[2][i];
-      diff::LineMask ref_mask =
-          diff::build_line_mask(a, b, simd::ops(simd::Level::kScalar));
-      diff::LineCheck ref_chk = diff::masked_line_check(
-          a, c, ref_mask, simd::ops(simd::Level::kScalar));
-      for (simd::Level l : levels) {
-        diff::LineMask m = diff::build_line_mask(a, b, simd::ops(l));
-        EXPECT_EQ(m.active, ref_mask.active) << simd::level_name(l);
-        EXPECT_EQ(m.prefix, ref_mask.prefix) << simd::level_name(l);
-        EXPECT_EQ(m.suffix, ref_mask.suffix) << simd::level_name(l);
-        diff::LineCheck chk = diff::masked_line_check(a, c, m, simd::ops(l));
-        EXPECT_EQ(static_cast<int>(chk.fail), static_cast<int>(ref_chk.fail))
-            << simd::level_name(l);
-        EXPECT_EQ(chk.offset, ref_chk.offset) << simd::level_name(l);
-      }
+      diff::LineMask ref_mask = diff::build_line_mask(a, b, simd::scalar());
+      diff::LineCheck ref_chk =
+          diff::masked_line_check(a, c, ref_mask, simd::scalar());
+      diff::LineMask m = diff::build_line_mask(a, b, simd::native());
+      EXPECT_EQ(m.active, ref_mask.active);
+      EXPECT_EQ(m.prefix, ref_mask.prefix);
+      EXPECT_EQ(m.suffix, ref_mask.suffix);
+      diff::LineCheck chk = diff::masked_line_check(a, c, m, simd::native());
+      EXPECT_EQ(static_cast<int>(chk.fail), static_cast<int>(ref_chk.fail));
+      EXPECT_EQ(chk.offset, ref_chk.offset);
     }
   }
 }
 
 TEST(DiffDifferential, TokenDetectionAgreesAcrossLevels) {
   Rng rng(2002);
-  auto levels = supported_levels();
+  auto tokens = [](const std::vector<std::vector<std::string>>& inst,
+                   const simd::Ops& ops) {
+    Arena arena(4096);
+    CanonicalUnit* canon = arena.alloc_array<CanonicalUnit>(3);
+    for (size_t i = 0; i < 3; ++i) fill_canon(canon[i], inst[i], arena);
+    std::vector<std::vector<std::string>> out;
+    for (const diff::TokenSpan& t : diff::detect_tokens(canon, 3, arena, ops)) {
+      std::vector<std::string> per;
+      for (size_t a = 0; a < t.n; ++a) per.emplace_back(t.per_instance[a]);
+      out.push_back(std::move(per));
+    }
+    return out;
+  };
   for (int iter = 0; iter < 200; ++iter) {
     auto inst = adversarial_corpus(rng);
-    // Reference: scalar.
-    std::vector<std::vector<std::string>> want;
-    for (simd::Level l : levels) {
-      Arena arena(4096);
-      CanonicalUnit* canon = arena.alloc_array<CanonicalUnit>(3);
-      for (size_t i = 0; i < 3; ++i) fill_canon(canon[i], inst[i], arena);
-      ArenaVec<diff::TokenSpan> spans =
-          diff::detect_tokens(canon, 3, arena, simd::ops(l));
-      std::vector<std::vector<std::string>> got;
-      for (const diff::TokenSpan& t : spans) {
-        std::vector<std::string> per;
-        for (size_t a = 0; a < t.n; ++a) per.emplace_back(t.per_instance[a]);
-        got.push_back(std::move(per));
-      }
-      if (l == simd::Level::kScalar) {
-        want = got;
-      } else {
-        EXPECT_EQ(got, want) << simd::level_name(l);
-      }
-    }
+    EXPECT_EQ(tokens(inst, simd::native()), tokens(inst, simd::scalar()));
   }
 }
 
 TEST(DiffDifferential, BatchVerdictsAgreeAcrossLevels) {
   Rng rng(2003);
-  auto knobs = supported_knobs();
+  auto verdict = [](DiffEngine engine,
+                    const std::vector<std::vector<std::string>>& inst,
+                    VoteMode mode) {
+    CanonicalUnit* canon = engine.arena().alloc_array<CanonicalUnit>(3);
+    for (size_t i = 0; i < 3; ++i)
+      fill_canon(canon[i], inst[i], engine.arena());
+    return engine.compare_canonical(canon, 3, /*filter_pair=*/true, mode,
+                                    nullptr, nullptr);
+  };
   for (int iter = 0; iter < 150; ++iter) {
     auto inst = adversarial_corpus(rng);
     for (VoteMode mode : {VoteMode::kStrict, VoteMode::kQuorum}) {
-      bool have_ref = false;
-      BatchVerdict ref;
-      for (const std::string& knob : knobs) {
-        DiffEngineOptions opts;
-        opts.simd = knob;
-        DiffEngine engine(opts);
-        CanonicalUnit* canon = engine.arena().alloc_array<CanonicalUnit>(3);
-        for (size_t i = 0; i < 3; ++i)
-          fill_canon(canon[i], inst[i], engine.arena());
-        BatchVerdict v = engine.compare_canonical(
-            canon, 3, /*filter_pair=*/true, mode, nullptr, nullptr);
-        if (!have_ref) {
-          ref = v;
-          have_ref = true;
-          continue;
-        }
-        EXPECT_EQ(v.unanimous, ref.unanimous) << knob;
-        EXPECT_EQ(v.agreed, ref.agreed) << knob;
-        EXPECT_EQ(v.outlier, ref.outlier) << knob;
-        EXPECT_EQ(v.reason, ref.reason) << knob;
-        EXPECT_EQ(v.region.line, ref.region.line) << knob;
-        EXPECT_EQ(v.region.offset, ref.region.offset) << knob;
-        EXPECT_EQ(v.region.instance, ref.region.instance) << knob;
-      }
+      BatchVerdict ref = verdict(DiffEngine(simd::scalar()), inst, mode);
+      BatchVerdict v = verdict(DiffEngine(), inst, mode);
+      EXPECT_EQ(v.unanimous, ref.unanimous);
+      EXPECT_EQ(v.agreed, ref.agreed);
+      EXPECT_EQ(v.outlier, ref.outlier);
+      EXPECT_EQ(v.reason, ref.reason);
+      EXPECT_EQ(v.region.line, ref.region.line);
+      EXPECT_EQ(v.region.offset, ref.region.offset);
+      EXPECT_EQ(v.region.instance, ref.region.instance);
     }
   }
 }
@@ -378,64 +338,6 @@ TEST(DiffEngineRawShortCircuit, IdenticalBatchesNeverParse) {
   BatchVerdict bad = engine.compare(plugin, mixed, ctx, VoteMode::kStrict);
   EXPECT_FALSE(bad.agreed);
   EXPECT_EQ(engine.stats().raw_equal, 1u);
-}
-
-// ---- deployment byte-identity: Builder.diff scalar vs auto ----
-
-struct DeploymentRun {
-  std::vector<int> statuses;
-  std::vector<Bytes> bodies;
-};
-
-DeploymentRun run_token_deployment(const std::string& simd) {
-  sim::Simulator simulator;
-  sim::Network net(simulator, 20 * sim::kMicrosecond);
-  sim::Host host(simulator, "node", 8, 8LL << 30);
-  std::vector<std::unique_ptr<services::HttpServer>> instances;
-  for (int i = 0; i < 3; ++i) {
-    services::HttpServer::Options o;
-    o.address = "svc-" + std::to_string(i) + ":80";
-    auto s = std::make_unique<services::HttpServer>(net, host, o);
-    auto rng = std::make_shared<Rng>(500 + static_cast<uint64_t>(i));
-    s->set_handler([rng](const http::Request&, services::Responder r) {
-      r(http::make_response(
-          200, "<html><input name=\"csrf\" value=\"" + rng->alnum_token(32) +
-                   "\"><p>stable content</p></html>"));
-    });
-    instances.push_back(std::move(s));
-  }
-  DiffEngineOptions diff;
-  diff.simd = simd;
-  auto proxy = NVersionDeployment::Builder()
-                   .listen("svc:80")
-                   .versions({"svc-0:80", "svc-1:80", "svc-2:80"})
-                   .plugin(std::make_shared<HttpPlugin>())
-                   .filter_pair(true)
-                   .diff(diff)
-                   .build(net, host);
-  DeploymentRun out;
-  for (int i = 0; i < 10; ++i) {
-    int status = -2;
-    Bytes body;
-    services::HttpClient client(net, "client");
-    client.get("svc:80", "/", [&](int s, const http::Response* r) {
-      status = s;
-      if (r) body = r->body;
-    });
-    simulator.run_until_idle();
-    out.statuses.push_back(status);
-    out.bodies.push_back(std::move(body));
-  }
-  return out;
-}
-
-TEST(DiffEngineDeployment, ScalarAndAutoRunsByteIdentical) {
-  DeploymentRun auto_run = run_token_deployment("auto");
-  DeploymentRun scalar_run = run_token_deployment("scalar");
-  EXPECT_EQ(auto_run.statuses, scalar_run.statuses);
-  EXPECT_EQ(auto_run.bodies, scalar_run.bodies);
-  // The benign token pages must actually pass (de-noised, not blocked).
-  for (int s : auto_run.statuses) EXPECT_EQ(s, 200);
 }
 
 }  // namespace

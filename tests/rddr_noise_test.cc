@@ -14,7 +14,7 @@
 namespace rddr::core {
 namespace {
 
-const simd::Ops& O() { return simd::active_ops(); }
+const simd::Ops& O() { return simd::native(); }
 
 /// Builds a per_line canonical unit over `lines` (views into the caller's
 /// strings, which must outlive the arena use).

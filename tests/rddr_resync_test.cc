@@ -45,15 +45,9 @@ class ResyncTest : public ::testing::Test {
     });
   }
 
-  /// Deploys pg-0..pg-2 behind a kQuorum incoming proxy with resync on.
-  void build_deployment(ResyncOptions resync,
-                        uint32_t reconnect_max_attempts = 0,
-                        obs::Tracer* tracer = nullptr) {
-    std::vector<std::string> addresses = orch.deploy_replicas(
-        "pg", "minipg", {"13.0", "13.0", "13.0"}, "db-host", 5432);
-    names.clear();
-    for (const auto& a : addresses) names.push_back(sim::Network::node_of(a));
-
+  /// Resync on: warm a target from the lowest healthy peer's snapshot.
+  ResyncOptions snapshot_resync() {
+    ResyncOptions resync;
     resync.warm = [this](size_t i) -> ResyncOptions::WarmResult {
       auto target = orch.get<sqldb::SqlServer>(names[i]);
       if (!target || !dep) return {};
@@ -68,6 +62,17 @@ class ResyncTest : public ::testing::Test {
       }
       return {};
     };
+    return resync;
+  }
+
+  /// Deploys pg-0..pg-2 behind a kQuorum incoming proxy.
+  void build_deployment(const ResyncOptions& resync,
+                        uint32_t reconnect_max_attempts = 0,
+                        obs::Tracer* tracer = nullptr) {
+    std::vector<std::string> addresses = orch.deploy_replicas(
+        "pg", "minipg", {"13.0", "13.0", "13.0"}, "db-host", 5432);
+    names.clear();
+    for (const auto& a : addresses) names.push_back(sim::Network::node_of(a));
 
     HealthTracker::Options health;
     health.failure_threshold = 1;
@@ -107,41 +112,45 @@ class ResyncTest : public ::testing::Test {
   };
 
   void run_workload(Workload& w, size_t total_queries) {
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &w, total_queries, step] {
-      if (w.issued >= total_queries) {
-        if (w.pg) w.pg->close();
-        return;
-      }
-      if (!w.pg || w.pg->broken() || w.issued % 5 == 0) {
-        if (w.pg) w.pg->close();
-        w.pg = std::make_unique<sqldb::PgClient>(net, "client", "front:5432",
-                                                 "postgres");
-      }
-      size_t qi = w.issued++;
-      std::string sql;
-      if (qi % 3 == 0) {
-        int aid = 1 + static_cast<int>(w.rng.next() % kAccounts);
-        sql = strformat(
-            "UPDATE pgbench_accounts SET abalance = abalance + 7 "
-            "WHERE aid = %d",
-            aid);
-      } else {
-        sql = workloads::pgbench_select_tx(w.rng, kAccounts);
-      }
-      w.pg->query(sql, [&w](sqldb::QueryOutcome o) {
-        (o.failed() ? w.failed : w.ok)++;
-      });
-      sim.schedule(100 * sim::kMillisecond, [step] { (*step)(); });
-    };
-    sim.schedule(10 * sim::kMillisecond, [step] { (*step)(); });
+    sim.schedule(10 * sim::kMillisecond, [this, &w, total_queries] {
+      workload_step(w, total_queries);
+    });
+  }
+
+  /// One query of run_workload's chain. The pending event carries the
+  /// chain; no closure holds itself.
+  void workload_step(Workload& w, size_t total_queries) {
+    if (w.issued >= total_queries) {
+      if (w.pg) w.pg->close();
+      return;
+    }
+    if (!w.pg || w.pg->broken() || w.issued % 5 == 0) {
+      if (w.pg) w.pg->close();
+      w.pg = std::make_unique<sqldb::PgClient>(net, "client", "front:5432",
+                                               "postgres");
+    }
+    size_t qi = w.issued++;
+    std::string sql;
+    if (qi % 3 == 0) {
+      int aid = 1 + static_cast<int>(w.rng.next() % kAccounts);
+      sql = strformat(
+          "UPDATE pgbench_accounts SET abalance = abalance + 7 "
+          "WHERE aid = %d",
+          aid);
+    } else {
+      sql = workloads::pgbench_select_tx(w.rng, kAccounts);
+    }
+    w.pg->query(sql, [&w](sqldb::QueryOutcome o) {
+      (o.failed() ? w.failed : w.ok)++;
+    });
+    sim.schedule(100 * sim::kMillisecond, [this, &w, total_queries] {
+      workload_step(w, total_queries);
+    });
   }
 };
 
 TEST_F(ResyncTest, CrashedReplicaIsReplacedResyncedAndReadmitted) {
-  ResyncOptions resync;
-  resync.enabled = true;
-  build_deployment(resync);
+  build_deployment(snapshot_resync());
 
   Workload w;
   run_workload(w, 60);  // ~6s of traffic
@@ -176,11 +185,9 @@ TEST_F(ResyncTest, CrashedReplicaIsReplacedResyncedAndReadmitted) {
 }
 
 TEST_F(ResyncTest, DeadInstanceTriggersOnInstanceDeadReplacement) {
-  ResyncOptions resync;
-  resync.enabled = true;
   // Small probe budget: the crashed (never restarted) container exhausts
   // it, is declared dead, and on_instance_dead swaps in a replacement.
-  build_deployment(resync, /*reconnect_max_attempts=*/3);
+  build_deployment(snapshot_resync(), /*reconnect_max_attempts=*/3);
 
   Workload w;
   run_workload(w, 40);
@@ -198,8 +205,7 @@ TEST_F(ResyncTest, DeadInstanceTriggersOnInstanceDeadReplacement) {
 }
 
 TEST_F(ResyncTest, WritesDuringTransferWindowAreJournaled) {
-  ResyncOptions resync;
-  resync.enabled = true;
+  ResyncOptions resync = snapshot_resync();
   // Stretch the modelled transfer so live traffic overlaps it: those
   // units must be journaled and replayed, not lost.
   resync.min_transfer_time = 600 * sim::kMillisecond;
@@ -227,8 +233,7 @@ TEST_F(ResyncTest, WritesDuringTransferWindowAreJournaled) {
 }
 
 TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
-  ResyncOptions resync;
-  resync.enabled = true;
+  ResyncOptions resync = snapshot_resync();
   // A wide transfer window under a back-to-back writer: far more than the
   // journal's 256 units land inside it.
   resync.min_transfer_time = 1 * sim::kSecond;
@@ -248,8 +253,9 @@ TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
   bool overflow_seen = false;
   ProxyStats at_overflow;
   Rng rng(23);
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [&, step] {
+  // Both loops below are locals their pending events refer to, so no
+  // closure holds itself.
+  std::function<void()> step = [&] {
     if (dep->incoming().stats().resyncs >= 1 &&
         health.state(0) == HealthTracker::State::kQuarantined) {
       overflow_seen = true;
@@ -261,15 +267,15 @@ TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
     writer->query(strformat("UPDATE pgbench_accounts SET abalance = "
                             "abalance + 1 WHERE aid = %d",
                             aid),
-                  [&, step](sqldb::QueryOutcome o) {
+                  [&](sqldb::QueryOutcome o) {
                     if (!o.failed()) ++writes_ok;
-                    sim.schedule(sim::kMillisecond, [step] { (*step)(); });
+                    sim.schedule(sim::kMillisecond, [&step] { step(); });
                   });
   };
-  sim.schedule_at(200 * sim::kMillisecond, [&, step] {
+  sim.schedule_at(200 * sim::kMillisecond, [&] {
     writer = std::make_unique<sqldb::PgClient>(net, "writer", "front:5432",
                                                "postgres");
-    (*step)();
+    step();
   });
 
   // Readmission must never happen with partial state: the first time
@@ -277,8 +283,7 @@ TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
   int readmitted_after_resyncs = -1;
   bool equal_at_readmission = false;
   bool was_out = false;
-  auto watch = std::make_shared<std::function<void()>>();
-  *watch = [&, watch] {
+  std::function<void()> watch = [&] {
     was_out = was_out || !health.is_healthy(0);
     if (was_out && health.is_healthy(0)) {
       readmitted_after_resyncs =
@@ -289,9 +294,9 @@ TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
                                  ->dump_snapshot();
       return;
     }
-    sim.schedule(sim::kMillisecond, [watch] { (*watch)(); });
+    sim.schedule(sim::kMillisecond, [&watch] { watch(); });
   };
-  sim.schedule_at(0, [watch] { (*watch)(); });
+  sim.schedule_at(0, [&watch] { watch(); });
   sim.run_until(20 * sim::kSecond);
 
   // The first resync overflowed its journal: back to quarantine, nothing
@@ -325,9 +330,7 @@ TEST_F(ResyncTest, JournalOverflowFailsResyncThenRetries) {
 }
 
 TEST_F(ResyncTest, ResyncDisabledReadmitsWithoutTransfer) {
-  ResyncOptions resync;
-  resync.enabled = false;
-  build_deployment(resync);
+  build_deployment(ResyncOptions{});  // no warm hook: resync off
 
   // No traffic at all: with nothing written while the instance was away,
   // plain probe-readmit (the pre-resync behaviour) is still sound.

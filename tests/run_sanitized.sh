@@ -43,15 +43,6 @@ for preset in asan ubsan; do
   cmake --build --preset "$preset" -j "$(nproc)"
   ctest --test-dir "build-$preset" --output-on-failure -j "$(nproc)" "$@"
 
-  # Diff data-plane property suite with the kernel level pinned at both
-  # extremes (RDDR_SIMD overrides the engine knob process-wide): the
-  # scalar run proves the portable path, the sse2 run puts the widest
-  # (and only) vector kernels under the sanitizer. The kernel-table
-  # differential tests inside exercise every supported level regardless
-  # of the pin.
-  RDDR_SIMD=scalar "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
-  RDDR_SIMD=sse2 "$repo/build-$preset/tests/rddr_diff_engine_test" >/dev/null
-
   if [ "$preset" = asan ]; then
     for t in "${lsan_clean[@]}"; do
       ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \

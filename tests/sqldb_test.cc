@@ -630,6 +630,47 @@ TEST_F(EngineTest, BigIntArithmeticOutOfRangeIsAnError) {
   EXPECT_EQ(r.rows[0][0].value(), "4611686018427387905");
 }
 
+TEST_F(EngineTest, SubstrTakesPostgresWindow) {
+  // Positions [start, start + len) clipped to [1, length]; start + len
+  // past int8 clips too.
+  auto r = last(db,
+                "SELECT substr('abcdef', 0, 3), substr('abcdef', -1, 3),"
+                " substr('abcdef', 5, 10), substr('ab', 2, 9223372036854775807),"
+                " substr('abcdef', 2, 0), substr('abcdef', 0),"
+                " substr('abcdef', 3);");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  EXPECT_EQ(r.rows[0][0].value(), "ab");
+  EXPECT_EQ(r.rows[0][1].value(), "a");
+  EXPECT_EQ(r.rows[0][2].value(), "ef");
+  EXPECT_EQ(r.rows[0][3].value(), "b");
+  EXPECT_EQ(r.rows[0][4].value(), "");
+  EXPECT_EQ(r.rows[0][5].value(), "abcdef");
+  EXPECT_EQ(r.rows[0][6].value(), "cdef");
+  r = last(db, "SELECT substr('abcdef', 2, -1);");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22011");
+  EXPECT_EQ(r.error_message, "negative substring length not allowed");
+}
+
+TEST_F(EngineTest, SmallestBigIntLiteralParses) {
+  auto r = last(db, "SELECT -9223372036854775808, - 9223372036854775808 + 1;");
+  ASSERT_FALSE(r.failed()) << r.error_message;
+  EXPECT_EQ(r.rows[0][0].value(), "-9223372036854775808");
+  EXPECT_EQ(r.rows[0][1].value(), "-9223372036854775807");
+  r = last(db, "SELECT -9223372036854775808 - 1;");
+  ASSERT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22003");
+  // Without the minus the magnitude is no int8, and the engine has no
+  // numeric type to hold it.
+  for (const char* sql : {"SELECT 9223372036854775808;",
+                          "SELECT -9223372036854775809;",
+                          "SELECT -(9223372036854775808);"}) {
+    r = last(db, sql);
+    ASSERT_TRUE(r.failed()) << sql;
+    EXPECT_EQ(*r.error_sqlstate, "42601") << sql;
+  }
+}
+
 TEST_F(EngineTest, BigIntsCompareExactlyOnEveryAccessPath) {
   // 2^53 and 2^53 + 1 share one double; as int8 they differ.
   last(db,
