@@ -22,8 +22,13 @@
 //   * shed protocol— a shed pg connection receives SQLSTATE 53300, not a
 //                    hang or a raw close.
 //
-// stdout is the JSON result document (BENCH_scaleout.json); the human
-// table goes to stderr.
+// stdout is the JSON result document and stderr the human table; both
+// are deterministic. tier-1 pins the --smoke run; bench/run_benches.sh
+// checks the full run against tests/golden/paper/fig5_scaleout/ and times
+// it into BENCH_paper.json.
+//
+// --islands=N runs the island-scaling sweep instead (run_island_sweep),
+// whose JSON carries the host wall time of each island count.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -256,8 +261,8 @@ SweepResult run_sweep(const std::vector<double>& grid1,
   return sr;
 }
 
-/// Island-scaling sweep: the 16-shard fig5 deployment run at islands
-/// {1,2,4,8}. Two gates:
+/// Island-scaling sweep: the 16-shard fig5 deployment run at each of
+/// `counts` islands (1 first). Two gates:
 ///   * byte-identity — every island count emits the same point JSON as
 ///     the islands=1 oracle (the determinism contract, end to end);
 ///   * scaling floor — model_speedup (total events / window critical
@@ -333,9 +338,10 @@ int main(int argc, char** argv) {
   }
 
   if (islands_flag > 0) {
-    // Island-mode gate (tests/run_sanitized.sh runs this under TSan):
-    // oracle byte-identity + the model_speedup scaling floor at the
-    // requested count.
+    // Island-mode gate: oracle byte-identity + the model_speedup scaling
+    // floor at the requested count. tests/run_sanitized.sh runs
+    // --smoke --islands=4 under TSan; bench/run_benches.sh runs the full
+    // size at --islands=2 and --islands=8, which together cover 2, 4, 8.
     std::vector<size_t> counts{1};
     if (islands_flag > 1) counts.push_back(islands_flag);
     if (islands_flag != 4) counts.push_back(4);  // the floor's count
@@ -429,22 +435,10 @@ int main(int argc, char** argv) {
 
   check_shed_protocol();
 
-  // Island scaling on the 16-shard deployment: byte-identity vs the
-  // islands=1 oracle plus the model_speedup floor (full mode sweeps
-  // 1/2/4/8; smoke stays on one island and relies on the
-  // dedicated --smoke --islands=4 gate in tests/run_sanitized.sh).
-  std::string parallel_json;
-  if (!smoke) {
-    std::fprintf(stderr, "\n=== Island scaling: 16-shard fig5 ===\n");
-    parallel_json = run_island_sweep(false, {1, 2, 4, 8});
-  }
-
   std::printf("{\n  \"mode\": \"%s\",\n  \"points\": %s,\n"
-              "  \"deterministic\": %s%s%s\n}\n",
+              "  \"deterministic\": %s\n}\n",
               smoke ? "smoke" : "full", a.json.c_str(),
-              a.json == b.json ? "true" : "false",
-              parallel_json.empty() ? "" : ",\n  \"parallel\": ",
-              parallel_json.c_str());
+              a.json == b.json ? "true" : "false");
 
   if (g_failures > 0) {
     std::fprintf(stderr, "\n%d check(s) FAILED\n", g_failures);

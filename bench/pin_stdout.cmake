@@ -1,13 +1,11 @@
 # Runs BIN with ARGS in a fresh working directory DIR, its stdout and
 # stderr going to DIR/stdout and DIR/stderr, and fails unless it exits 0
 # and DIR then holds exactly the files of the committed directory GOLDEN,
-# byte for byte: stdout, stderr and every file the run wrote. With
-# MASK_WALL_MS set, stdout's host-timed `"wall_ms": <n>` fields read
-# `"wall_ms": <masked>` before the comparison. DIR is left in place, so
-# regenerating a golden is copying DIR over it.
+# byte for byte: stdout, stderr and every file the run wrote. DIR is left
+# in place, so regenerating a golden is copying DIR over it.
 #
 #   cmake -DBIN=<exe> [-DARGS=<args>] -DDIR=<dir> -DGOLDEN=<dir>
-#         [-DMASK_WALL_MS=ON] -P pin_stdout.cmake
+#         -P pin_stdout.cmake
 string(STRIP "${BIN} ${ARGS}" run)
 file(REMOVE_RECURSE ${DIR})
 file(MAKE_DIRECTORY ${DIR})
@@ -16,12 +14,6 @@ execute_process(COMMAND ${BIN} ${ARGS} WORKING_DIRECTORY ${DIR}
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${run} exited with ${rc}; see ${DIR}/stderr")
-endif()
-if(MASK_WALL_MS)
-  file(READ ${DIR}/stdout out)
-  string(REGEX REPLACE "\"wall_ms\": [0-9.]+" "\"wall_ms\": <masked>"
-         out "${out}")
-  file(WRITE ${DIR}/stdout "${out}")
 endif()
 
 file(GLOB_RECURSE got RELATIVE ${DIR} ${DIR}/*)

@@ -1,51 +1,33 @@
-// Simulator-core and data-plane throughput benchmark (not a paper figure).
-//
-// Measures the three quantities the zero-copy / allocation-free overhaul
-// targets, and prints one JSON document (committed as BENCH_simloop.json):
+// Simulator-core throughput benchmark (not a paper figure). Every number
+// it prints is a host measurement; bench/run_benches.sh records its JSON
+// in BENCH_paper.json. The paper's virtual outputs, including the Fig 5
+// fan-out copy counters, are checked by tier-1 instead.
 //
 //  * events/sec through the simulator core, under three scheduling
 //    patterns: fill-drain (bulk schedule then run), ping-pong (each event
 //    schedules the next — the proxy pump shape), and schedule+cancel
-//    pairs (the timeout-arm/disarm shape that previously leaked into
-//    unordered_map churn).
-//  * fan-out copy efficiency: the Fig 5 RDDR point at 16 clients
-//    (workloads::run_fig5_point) with the Network's payload counters —
-//    bytes copied vs bytes sent. Before the overhaul every sent byte was
-//    copied (ratio 1.0).
-//  * wall time of that fig5 point, as the end-to-end trajectory number.
+//    pairs (the timeout-arm/disarm shape).
+//  * events/sec through the windowed multi-island executor at 1, 2, 4
+//    and 8 islands.
 //
 // --smoke: quick run of the fill-drain pattern only, exits nonzero if
-// events/sec falls below RDDR_SIMLOOP_FLOOR (default 1e6) — the perf
-// regression gate wired into tests/run_sanitized.sh.
-//
-// Reference numbers in "baseline" were measured at the pre-overhaul seed
-// commit with the same build type (RelWithDebInfo default preset) on the
-// same pattern code, so the speedup fields are apples-to-apples.
+// events/sec falls below kSmokeFloorEps — the perf regression gate run by
+// bench/run_benches.sh --smoke.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "netsim/parallel.h"
-#include "workloads/harness.h"
+#include "netsim/simulator.h"
 
 using namespace rddr;
 
 namespace {
 
-// Pre-overhaul numbers: the seed-commit Simulator (std::priority_queue +
-// unordered_map handlers + std::function) compiled at -O2 -DNDEBUG and run
-// through these exact pattern functions on the same machine.
-// The fig5 *driver* wall-time trajectory is captured by bench/run_benches.sh
-// (baseline: 3.245 s for the full sweep), since the driver is its own binary.
-constexpr double kBaselineFillDrainEps = 4068591;
-constexpr double kBaselinePingpongEps = 19240265;
-constexpr double kBaselineSchedCancelPps = 8574284;
+// The --smoke floor on fill-drain events/sec.
+constexpr double kSmokeFloorEps = 1e6;
 
 double wall_seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -101,44 +83,13 @@ double bench_sched_cancel(size_t total_pairs) {
   return static_cast<double>(total_pairs) / wall_seconds(t0);
 }
 
-struct FanoutResult {
-  double wall_s = 0;
-  double tps = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_copied = 0;
-};
-
-// The Fig 5 RDDR point at 16 clients, with the network's payload counters.
-// wall_s covers the whole point: loading the replicas and the run.
-FanoutResult run_fanout_point() {
-  auto t0 = std::chrono::steady_clock::now();
-  workloads::Fig5Point p =
-      workloads::run_fig5_point(workloads::Fig5Front::kRddr, 16);
-  FanoutResult r;
-  r.wall_s = wall_seconds(t0);
-  r.tps = p.pool.throughput_tps();
-  r.bytes_sent = p.payload_bytes_sent;
-  r.bytes_copied = p.payload_bytes_copied;
-  return r;
-}
-
-struct IslandPoint {
-  size_t islands = 0;
-  double events_per_sec = 0;
-  double model_speedup = 1.0;
-  uint64_t windows = 0;
-  uint64_t barrier_stalls = 0;
-};
-
 // Multi-island event loop: per-island ping-pong chains with a cross-island
 // hop every 32nd event (the shard-column shape — mostly local work, a
 // steady trickle across the cuts). Measures raw events/sec through the
-// windowed executor and its deterministic model_speedup.
-IslandPoint bench_islands(size_t islands, size_t events_per_island) {
+// windowed executor.
+double bench_islands(size_t islands, size_t events_per_island) {
   sim::Simulator sim;
   sim.configure_islands(islands, 10 * sim::kMicrosecond);
-  IslandPoint p;
-  p.islands = islands;
   std::vector<size_t> remaining(islands, events_per_island);
   std::vector<uint64_t> executed(islands, 0);  // written by owner island only
   std::vector<std::function<void()>> hop(islands);
@@ -163,28 +114,18 @@ IslandPoint bench_islands(size_t islands, size_t events_per_island) {
   double wall = wall_seconds(t0);
   uint64_t total = 0;
   for (uint64_t e : executed) total += e;
-  p.events_per_sec = wall > 0 ? static_cast<double>(total) / wall : 0;
-  if (const auto* ex = sim.executor()) {
-    const auto& st = ex->stats();
-    p.model_speedup = st.model_speedup();
-    p.windows = st.windows;
-    p.barrier_stalls = st.barrier_stalls;
-  }
-  return p;
+  return wall > 0 ? static_cast<double>(total) / wall : 0;
 }
 
 int run_smoke() {
-  double floor_eps = 1e6;
-  if (const char* env = std::getenv("RDDR_SIMLOOP_FLOOR"))
-    floor_eps = std::atof(env);
   double eps = bench_fill_drain(200000);
   std::printf("{\"smoke\": {\"fill_drain_events_per_sec\": %.0f, "
               "\"floor\": %.0f, \"pass\": %s}}\n",
-              eps, floor_eps, eps >= floor_eps ? "true" : "false");
-  if (eps < floor_eps) {
+              eps, kSmokeFloorEps, eps >= kSmokeFloorEps ? "true" : "false");
+  if (eps < kSmokeFloorEps) {
     std::fprintf(stderr,
                  "simloop smoke FAILED: %.0f events/sec < floor %.0f\n", eps,
-                 floor_eps);
+                 kSmokeFloorEps);
     return 1;
   }
   return 0;
@@ -198,12 +139,6 @@ int main(int argc, char** argv) {
   double fill_drain = bench_fill_drain(2000000);
   double pingpong = bench_pingpong(1000000);
   double sched_cancel = bench_sched_cancel(4000000);
-  FanoutResult fan = run_fanout_point();
-
-  double copy_ratio =
-      fan.bytes_sent ? static_cast<double>(fan.bytes_copied) /
-                           static_cast<double>(fan.bytes_sent)
-                     : 0.0;
   std::printf("{\n");
   std::printf("  \"simloop\": {\n");
   std::printf("    \"fill_drain_events_per_sec\": %.0f,\n", fill_drain);
@@ -215,44 +150,11 @@ int main(int argc, char** argv) {
   std::printf("    \"islands\": [\n");
   const size_t counts[] = {1, 2, 4, 8};
   for (size_t ci = 0; ci < 4; ++ci) {
-    IslandPoint ip = bench_islands(counts[ci], 200000);
-    std::printf("      {\"islands\": %zu, \"events_per_sec\": %.0f, "
-                "\"model_speedup\": %.4f, \"windows\": %llu, "
-                "\"barrier_stalls\": %llu}%s\n",
-                ip.islands, ip.events_per_sec, ip.model_speedup,
-                static_cast<unsigned long long>(ip.windows),
-                static_cast<unsigned long long>(ip.barrier_stalls),
+    std::printf("      {\"islands\": %zu, \"events_per_sec\": %.0f}%s\n",
+                counts[ci], bench_islands(counts[ci], 200000),
                 ci + 1 < 4 ? "," : "");
   }
   std::printf("    ]\n");
-  std::printf("  },\n");
-  std::printf("  \"fanout_fig5_rddr_16c\": {\n");
-  std::printf("    \"wall_s\": %.4f,\n", fan.wall_s);
-  std::printf("    \"tps\": %.2f,\n", fan.tps);
-  std::printf("    \"payload_bytes_sent\": %llu,\n",
-              static_cast<unsigned long long>(fan.bytes_sent));
-  std::printf("    \"payload_bytes_copied\": %llu,\n",
-              static_cast<unsigned long long>(fan.bytes_copied));
-  std::printf("    \"copy_ratio\": %.4f,\n", copy_ratio);
-  std::printf("    \"fanout_bytes_per_sec\": %.0f\n",
-              fan.wall_s > 0 ? static_cast<double>(fan.bytes_sent) / fan.wall_s
-                             : 0.0);
-  std::printf("  },\n");
-  std::printf("  \"baseline\": {\n");
-  std::printf("    \"fill_drain_events_per_sec\": %.0f,\n",
-              kBaselineFillDrainEps);
-  std::printf("    \"pingpong_events_per_sec\": %.0f,\n",
-              kBaselinePingpongEps);
-  std::printf("    \"sched_cancel_pairs_per_sec\": %.0f,\n",
-              kBaselineSchedCancelPps);
-  std::printf("    \"copy_ratio\": 1.0\n");
-  std::printf("  },\n");
-  std::printf("  \"speedup\": {\n");
-  std::printf("    \"fill_drain\": %.2f,\n", fill_drain / kBaselineFillDrainEps);
-  std::printf("    \"pingpong\": %.2f,\n", pingpong / kBaselinePingpongEps);
-  std::printf("    \"sched_cancel\": %.2f,\n",
-              sched_cancel / kBaselineSchedCancelPps);
-  std::printf("    \"copy_reduction\": %.4f\n", 1.0 - copy_ratio);
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

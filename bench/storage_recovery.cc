@@ -1,9 +1,10 @@
-// Durable-storage benchmark (not a paper figure; committed as
-// BENCH_storage.json).
+// Durable-storage benchmark (not a paper figure; its output is pinned as
+// tests/golden/paper/storage_recovery/).
 //
 // Measures the three quantities the storage engine's recovery path is
-// designed around, all on the deterministic simulator (virtual-time
-// numbers are machine-independent; wall times are informational):
+// designed around, all on the deterministic simulator, so every number
+// is virtual and machine-independent (bench/run_benches.sh times the
+// whole run from outside, into BENCH_paper.json):
 //
 //  * cold-start redo: modeled recovery time (root + page reads + WAL
 //    replay) of a crashed replica as the un-checkpointed WAL tail grows;
@@ -18,9 +19,8 @@
 //  * the 1%-dirty page delta is >10x smaller than the full snapshot;
 //  * recovery reproduces the pre-crash snapshot exactly.
 //
-// --smoke: reduced sizes, checks only, no JSON — the regression gate
-// wired into bench/run_benches.sh --smoke and tests/run_sanitized.sh.
-#include <chrono>
+// --smoke: reduced sizes, the same checks and a one-line summary; tier-1
+// pins it as bench.storage_recovery_smoke.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -41,12 +41,6 @@ using sqldb::storage::StorageEngine;
 using sqldb::storage::StorageOptions;
 
 namespace {
-
-double wall_ms(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// A durable replica: engine + database over its own devices, with the
 /// statement hooks a SqlServer would drive.
@@ -104,7 +98,6 @@ struct ColdStart {
   double recovery_io_ms = 0;  // virtual time: machine-independent
   uint64_t pages_read = 0;
   uint64_t wal_records_replayed = 0;
-  double wall_ms = 0;
   std::string trace;
   std::string snapshot;
 };
@@ -120,10 +113,8 @@ ColdStart cold_start(int accounts, size_t wal_tail, uint64_t seed) {
         static_cast<long long>(rng.uniform(1, accounts))));
   std::string before = snapshot_database(*r.db);
 
-  auto t0 = std::chrono::steady_clock::now();
   auto rec = r.crash_and_recover(opts);
   ColdStart out;
-  out.wall_ms = wall_ms(t0);
   check(rec.ok, "cold-start recovery succeeded");
   check(snapshot_database(*r.db) == before,
         "recovery reproduces the pre-crash snapshot");
@@ -273,12 +264,11 @@ int run(bool smoke) {
   std::printf("{\n  \"cold_start\": [\n");
   for (size_t i = 0; i < cold.size(); ++i)
     std::printf("    {\"wal_tail\": %zu, \"recovery_io_ms\": %.3f, "
-                "\"pages_read\": %llu, \"wal_records_replayed\": %llu, "
-                "\"wall_ms\": %.2f}%s\n",
+                "\"pages_read\": %llu, \"wal_records_replayed\": %llu}%s\n",
                 cold[i].wal_tail, cold[i].recovery_io_ms,
                 static_cast<unsigned long long>(cold[i].pages_read),
                 static_cast<unsigned long long>(cold[i].wal_records_replayed),
-                cold[i].wall_ms, i + 1 < cold.size() ? "," : "");
+                i + 1 < cold.size() ? "," : "");
   std::printf("  ],\n  \"buffer_pool\": [\n");
   for (size_t i = 0; i < pool.size(); ++i)
     std::printf("    {\"frame_budget\": %llu, \"hit_rate\": %.4f, "

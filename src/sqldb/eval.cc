@@ -801,17 +801,19 @@ bool Evaluator::builtin(const Node& n, const Datum* const* args, size_t count,
         fail("42883", "substr expects 2 or 3 arguments");
         return false;
       }
-      if (a0->is_null()) {
-        out = Datum();
-        return true;
-      }
+      // Strict, as in Postgres: any NULL argument yields NULL.
+      for (size_t i = 0; i < count; ++i)
+        if (args[i]->is_null()) {
+          out = Datum();
+          return true;
+        }
       std::string s = a0->to_text();
       const auto size = static_cast<int64_t>(s.size());
-      int64_t start = args[1]->is_null() ? 1 : args[1]->as_int();
+      int64_t start = args[1]->as_int();
       // Postgres's window: positions [start, start + len) clipped to
       // [1, size]. The 2-argument form runs to the end of the string.
       int64_t end = size + 1;
-      if (count == 3 && !args[2]->is_null()) {
+      if (count == 3) {
         int64_t len = args[2]->as_int();
         if (len < 0) {
           fail("22011", "negative substring length not allowed");

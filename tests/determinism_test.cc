@@ -6,7 +6,8 @@
 //  * Fig5Medians       — workloads::run_fig5_point, the Fig 5 RDDR point at
 //                        16 clients, must reproduce the exact pool
 //                        aggregates (tps / latency mean / p50 / elapsed)
-//                        down to the last double bit.
+//                        down to the last double bit, and the network's
+//                        payload bytes sent and copied.
 //  * TraceChromeExport — the trace_smoke scenario (N=3 HTTP quorum with one
 //                        divergent instance, tracer seed 42) must emit the
 //                        Chrome trace_event export that the trace_smoke pin
@@ -91,8 +92,9 @@ std::string run_trace_chrome_export() {
 }
 
 TEST(DeterminismRegression, Fig5Medians) {
-  workloads::PoolResult p =
-      workloads::run_fig5_point(workloads::Fig5Front::kRddr, 16).pool;
+  workloads::Fig5Point point =
+      workloads::run_fig5_point(workloads::Fig5Front::kRddr, 16);
+  const workloads::PoolResult& p = point.pool;
   // Captured at the virtual-time Host scheduler change (which reorders the
   // processor-sharing float arithmetic and so legitimately moved these by
   // ~2e-4 relative); nothing after it may move a single bit of these.
@@ -101,6 +103,10 @@ TEST(DeterminismRegression, Fig5Medians) {
   EXPECT_EQ(p.latency_ms.percentile(50), 3.3599869999999998);
   EXPECT_EQ(static_cast<double>(p.elapsed) / 1e9, 0.33632274899999998);
   EXPECT_EQ(static_cast<double>(p.failed), 0.0);
+  // The network's fan-out counters: bytes handed to send() and the share
+  // of them that was copied rather than shared.
+  EXPECT_EQ(point.payload_bytes_sent, 846223u);
+  EXPECT_EQ(point.payload_bytes_copied, 98973u);
 }
 
 TEST(DeterminismRegression, TraceChromeExport) {

@@ -637,7 +637,8 @@ TEST_F(EngineTest, SubstrTakesPostgresWindow) {
                 "SELECT substr('abcdef', 0, 3), substr('abcdef', -1, 3),"
                 " substr('abcdef', 5, 10), substr('ab', 2, 9223372036854775807),"
                 " substr('abcdef', 2, 0), substr('abcdef', 0),"
-                " substr('abcdef', 3);");
+                " substr('abcdef', 3), substr('abcdef', 2, NULL),"
+                " substr('abcdef', NULL), substr('abcdef', NULL, 2);");
   ASSERT_FALSE(r.failed()) << r.error_message;
   EXPECT_EQ(r.rows[0][0].value(), "ab");
   EXPECT_EQ(r.rows[0][1].value(), "a");
@@ -646,6 +647,10 @@ TEST_F(EngineTest, SubstrTakesPostgresWindow) {
   EXPECT_EQ(r.rows[0][4].value(), "");
   EXPECT_EQ(r.rows[0][5].value(), "abcdef");
   EXPECT_EQ(r.rows[0][6].value(), "cdef");
+  // Strict: a NULL start or length is a NULL result.
+  EXPECT_FALSE(r.rows[0][7].has_value());
+  EXPECT_FALSE(r.rows[0][8].has_value());
+  EXPECT_FALSE(r.rows[0][9].has_value());
   r = last(db, "SELECT substr('abcdef', 2, -1);");
   ASSERT_TRUE(r.failed());
   EXPECT_EQ(*r.error_sqlstate, "22011");
