@@ -1,6 +1,7 @@
 #include "netsim/network.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.h"
 
@@ -93,6 +94,7 @@ void Connection::abort() {
 }
 
 void Connection::set_on_data(DataHandler h) {
+  if (close_delivered_) return;  // never called again: drop it now
   on_data_ = std::move(h);
   if (!pending_.empty() || close_pending_) {
     auto self = shared_from_this();
@@ -101,6 +103,7 @@ void Connection::set_on_data(DataHandler h) {
 }
 
 void Connection::set_on_close(CloseHandler h) {
+  if (close_delivered_) return;
   on_close_ = std::move(h);
   if (close_pending_ && pending_.empty()) {
     auto self = shared_from_this();
@@ -131,6 +134,7 @@ void Connection::flush_pending() {
     // swapping out first.
     std::vector<SharedBytes> chunks;
     chunks.swap(pending_);
+    ++data_frames_;
     if (chunks.size() == 1) {
       on_data_(chunks.front().view());  // common case: zero-copy handoff
     } else {
@@ -141,20 +145,48 @@ void Connection::flush_pending() {
       for (const auto& c : chunks) joined.append(c.view());
       on_data_(joined);
     }
+    --data_frames_;
+    // A nested frame delivered the close but could not release the
+    // handler this frame was running; the outermost frame does.
+    if (close_delivered_ && data_frames_ == 0) std::exchange(on_data_, nullptr);
   }
-  if (close_pending_ && pending_.empty()) {
+  if (!close_delivered_ && close_pending_ && pending_.empty()) {
     close_delivered_ = true;
     open_ = false;
-    if (on_close_) {
-      auto h = std::move(on_close_);
-      on_close_ = nullptr;
-      h();
-    }
+    // Nothing is delivered to this half again, so it lets go of both
+    // handlers. on_data is dropped only after on_close returns, and only
+    // when no on_data frame of this half is running.
+    CloseHandler on_close = std::exchange(on_close_, nullptr);
+    DataHandler on_data;
+    if (data_frames_ == 0) on_data = std::exchange(on_data_, nullptr);
+    if (on_close) on_close();
   }
+}
+
+void Connection::release_handlers() {
+  // Each is emptied before its closure is destroyed, so a destructor that
+  // reaches back into this half finds no handler.
+  std::exchange(on_close_, nullptr);
+  std::exchange(on_data_, nullptr);
 }
 
 Network::Network(Simulator& sim, Time default_latency)
     : sim_(sim), default_latency_(default_latency) {}
+
+Network::~Network() {
+  // Halves still open here (keep-alive sessions, proxy lanes) hold
+  // handlers that hold the halves. Take the registry out first: dropping a
+  // handler may run destructors that close other connections.
+  std::vector<Registered> registry;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    registry.swap(registry_);
+  }
+  for (const Registered& r : registry) {
+    if (auto client = r.client.lock()) client->release_handlers();
+    if (auto server = r.server.lock()) server->release_handlers();
+  }
+}
 
 void Network::listen(const std::string& address, AcceptHandler on_accept) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -264,7 +296,16 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
   server->route_hint_ = route_hint;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    registry_.push_back(client);
+    registry_.push_back({client, server});
+    if (registry_.size() >= 2 * std::max<size_t>(registry_pruned_size_, 64)) {
+      registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
+                                     [](const Registered& r) {
+                                       return r.client.expired() &&
+                                              r.server.expired();
+                                     }),
+                      registry_.end());
+      registry_pruned_size_ = registry_.size();
+    }
   }
   // Accept fires after one link latency, on the server half's island;
   // re-check the listener and fault state then so a service that stopped
@@ -302,17 +343,18 @@ void Network::sever_matching(
     const std::function<bool(const Connection&, const Connection&)>& pred) {
   // Collect first, break after: the pass below only schedules events, but
   // keeping it outside the registry walk leaves the walk side-effect free.
+  // Only connections with both halves alive are severed; an entry is
+  // pruned once both are gone (one live half still needs ~Network).
   std::vector<std::pair<ConnPtr, ConnPtr>> doomed;
   std::lock_guard<std::mutex> lock(mu_);
   registry_.erase(
       std::remove_if(registry_.begin(), registry_.end(),
-                     [&](const std::weak_ptr<Connection>& w) {
-                       auto c = w.lock();
-                       if (!c) return true;  // prune expired
-                       auto peer = c->peer_.lock();
-                       if (!peer) return true;
-                       if (pred(*c, *peer)) doomed.emplace_back(c, peer);
-                       return false;
+                     [&](const Registered& r) {
+                       auto c = r.client.lock();
+                       auto peer = r.server.lock();
+                       if (c && peer && pred(*c, *peer))
+                         doomed.emplace_back(c, peer);
+                       return !c && !peer;
                      }),
       registry_.end());
   // Both halves break now, unlike a client RST (abort()), whose peer hears
@@ -402,10 +444,10 @@ size_t Network::live_connections(const std::string& node) {
   size_t n = 0;
   std::lock_guard<std::mutex> lock(mu_);
   registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
-                                 [&](const std::weak_ptr<Connection>& w) {
-                                   auto c = w.lock();
-                                   if (!c) return true;
-                                   auto peer = c->peer_.lock();
+                                 [&](const Registered& r) {
+                                   auto c = r.client.lock();
+                                   auto peer = r.server.lock();
+                                   if (!c) return !peer;
                                    bool touches =
                                        c->local_node() == node ||
                                        (peer && peer->local_node() == node);

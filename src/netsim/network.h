@@ -97,6 +97,16 @@ struct ConnectMeta {
 /// One endpoint of a duplex byte-stream connection. Obtained from
 /// Network::connect (client half) or a listener callback (server half).
 /// Lifetime is shared between the two halves and any in-flight events.
+///
+/// Handler release: handlers usually capture session state that holds the
+/// connection itself, a cycle that would keep both alive forever. So a
+/// half drops its handlers once it can never call them again: when its
+/// close is delivered (graceful close, the peer's RST from abort(), or a
+/// sever), on_data is released after on_close returns; and when the
+/// Network is destroyed, every half still alive drops both. Handlers set
+/// on a half after its close was delivered are dropped at once. A data
+/// handler that is still running when its own half's close is delivered
+/// is released by its outermost frame as it unwinds, never mid-call.
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
   using DataHandler = std::function<void(ByteView)>;
@@ -178,6 +188,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void deliver(SharedBytes data);  // runs on the *receiving* half
   void deliver_close();            // runs on the *receiving* half
   void flush_pending();
+  /// Drops both handlers (and whatever they captured).
+  void release_handlers();
   Time next_arrival();  // FIFO watermark + fault adjustments
 
   Simulator& sim_;
@@ -194,6 +206,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool aborted_ = false;  // break observed "now"; drop same-tick arrivals
   bool close_delivered_ = false;
   bool close_pending_ = false;
+  int data_frames_ = 0;  // on_data calls of this half now running
   Time last_arrival_ = 0;  // per-direction FIFO watermark (arrivals at peer)
   std::vector<SharedBytes> pending_;  // received, not yet handed to on_data
   // Per-site invocation counters for execution-index derivation.
@@ -243,6 +256,10 @@ class Network {
   using AcceptHandler = std::function<void(ConnPtr)>;
 
   explicit Network(Simulator& sim, Time default_latency = 50 * kMicrosecond);
+
+  /// Releases the handlers of every connection half still alive, which
+  /// frees the halves that only their own handlers kept alive.
+  ~Network();
 
   /// Registers a listener for `address` (e.g. "minipg-0:5432"). Replaces any
   /// existing listener for the same address.
@@ -391,7 +408,15 @@ class Network {
   std::map<std::string, AcceptHandler> listeners_;
   std::map<std::string, IslandId> node_islands_;     // setup-time only
   std::map<std::string, IslandRouter> island_routers_;  // setup-time only
-  std::vector<std::weak_ptr<Connection>> registry_;  // client halves
+  // Both halves of every connection opened, pruned in connect() each time
+  // the registry doubles (amortised O(1)). Order is connect order, which
+  // fixes the order sever_matching breaks connections in.
+  struct Registered {
+    std::weak_ptr<Connection> client;
+    std::weak_ptr<Connection> server;
+  };
+  std::vector<Registered> registry_;
+  size_t registry_pruned_size_ = 0;  // registry_.size() after the last prune
   std::set<std::string> down_nodes_;
   std::set<std::string> refused_addresses_;
   std::map<std::string, Time> extra_latency_;

@@ -113,6 +113,8 @@ bool SqlServer::load_snapshot(std::string_view snapshot, std::string* error,
 void SqlServer::on_accept(sim::ConnPtr conn) {
   auto c = std::make_shared<Conn>();
   c->conn = std::move(conn);
+  // The handler owns the session state; the network drops it, and with it
+  // this half, once the close is delivered (netsim/network.h).
   c->conn->set_on_data([this, c](ByteView data) {
     c->reader.feed(data);
     if (c->reader.failed()) {
@@ -123,7 +125,6 @@ void SqlServer::on_accept(sim::ConnPtr conn) {
     }
     for (const auto& msg : c->reader.take()) on_message(c, msg);
   });
-  c->conn->set_on_close([c] { /* shared_ptr keeps state until drained */ });
 }
 
 void SqlServer::on_message(const std::shared_ptr<Conn>& c,

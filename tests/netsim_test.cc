@@ -1,12 +1,15 @@
 // Unit tests for the simulator, network, and processor-sharing host.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/rng.h"
 #include "netsim/host.h"
 #include "netsim/network.h"
 #include "netsim/simulator.h"
+#include "proto/pgwire/pgwire.h"
+#include "sqldb/server.h"
 
 namespace rddr::sim {
 namespace {
@@ -605,6 +608,166 @@ TEST(NetworkSharedBytes, CloseStillDeliversSentBytesFirst) {
   sim.run_until_idle();
   EXPECT_EQ(got, "onetwo");
   EXPECT_TRUE(closed);
+}
+
+// ---- connection lifetime: handlers release their halves ----
+
+bool all_expired(const std::vector<std::weak_ptr<Connection>>& halves) {
+  return std::all_of(halves.begin(), halves.end(),
+                     [](const auto& w) { return w.expired(); });
+}
+
+// Records the connection half each SELECT runs under: the SqlServer
+// executes queries inside its data handler, where that half is the
+// ambient flow.
+class ServerHalfTap : public sqldb::MutationListener {
+ public:
+  explicit ServerHalfTap(std::vector<std::weak_ptr<Connection>>& halves)
+      : halves_(halves) {}
+  void on_scan(const sqldb::TableData&, const std::vector<size_t>*) override {
+    if (Connection* c = current_flow()) halves_.push_back(c->weak_from_this());
+  }
+
+ private:
+  std::vector<std::weak_ptr<Connection>>& halves_;
+};
+
+TEST(ConnectionLifetime, QueryCyclesAgainstSqlServerFreeBothHalves) {
+  Simulator sim;
+  Network net(sim, 10 * kMicrosecond);
+  Host host(sim, "db", 8, 8LL << 30);
+  auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("10.7"));
+  sqldb::Session(*db, "postgres")
+      .execute("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2);");
+  std::vector<std::weak_ptr<Connection>> client_halves, server_halves;
+  ServerHalfTap tap(server_halves);
+  db->set_mutation_listener(&tap);
+  sqldb::SqlServer::Options so;
+  so.address = "db:5432";
+  sqldb::SqlServer server(net, host, db, so);
+
+  // Each client's handler holds its own half (the usual cycle) and ends
+  // the session after the query's ReadyForQuery: Terminate, then close.
+  constexpr int kCycles = 1000;
+  int rows = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    ConnPtr conn = net.connect("db:5432", {.source = "app"});
+    ASSERT_NE(conn, nullptr);
+    client_halves.push_back(conn);
+    auto reader = std::make_shared<pg::MessageReader>(false);
+    auto ready = std::make_shared<int>(0);
+    conn->set_on_data([conn, reader, ready, &rows](ByteView d) {
+      reader->feed(d);
+      for (const pg::Message& m : reader->take()) {
+        if (m.type == 'D') ++rows;
+        if (m.type == 'Z' && ++*ready == 2) {
+          conn->send(pg::build_terminate());
+          conn->close();
+        }
+      }
+    });
+    conn->send(pg::build_startup({{"user", "postgres"}, {"database", "app"}}));
+    conn->send(pg::build_query("SELECT a FROM t;"));
+  }
+  sim.run_until_idle();
+  db->set_mutation_listener(nullptr);
+  EXPECT_EQ(rows, 2 * kCycles);
+  EXPECT_EQ(server_halves.size(), static_cast<size_t>(kCycles));
+  EXPECT_TRUE(all_expired(client_halves));
+  EXPECT_TRUE(all_expired(server_halves));
+}
+
+TEST(ConnectionLifetime, HandlersThatCloseAbortOrReinstallOnTheirOwnHalf) {
+  Simulator sim;
+  auto net = std::make_unique<Network>(sim, 100);
+  std::vector<std::weak_ptr<Connection>> clients, servers;
+  int closes = 0;
+  // Every close handler installs a data handler holding its own half;
+  // it must be dropped, since no data reaches that half again.
+  auto reinstall = [&closes](const ConnPtr& c) {
+    c->set_on_close([c, &closes] {
+      ++closes;
+      c->set_on_data([c](ByteView) { c->send("late"); });
+    });
+  };
+  // The server's data handler closes or aborts its own half.
+  net->listen("svc:80", [&](ConnPtr c) {
+    servers.push_back(c);
+    c->set_on_data([c](ByteView d) {
+      if (d == "abort") c->abort();
+      else c->close();
+    });
+    reinstall(c);
+  });
+  for (const char* cmd : {"close", "abort"}) {
+    ConnPtr client = net->connect("svc:80", {.source = "cli"});
+    clients.push_back(client);
+    reinstall(client);
+    client->send(cmd);
+  }
+  sim.run_until_idle();
+  ASSERT_EQ(servers.size(), 2u);
+  // Both clients hear the close; of the servers only the one that aborted
+  // does (its own RST). A graceful close is delivered to the peer alone,
+  // so the half that closed keeps its handlers until the Network goes.
+  EXPECT_EQ(closes, 3);
+  EXPECT_TRUE(all_expired(clients));
+  EXPECT_TRUE(servers[1].expired());
+  EXPECT_FALSE(servers[0].expired());
+  net.reset();
+  EXPECT_TRUE(servers[0].expired());
+}
+
+TEST(ConnectionLifetime, CloseDeliveredInsideTheRunningDataHandlerWaitsForIt) {
+  // A data handler that drives the simulator re-enters its own half: the
+  // RST it queued by abort() is delivered while it is still running. The
+  // closure it runs in (and what it captured) must outlive the call.
+  Simulator sim;
+  Network net(sim, 100);
+  std::weak_ptr<int> state_alive;
+  std::weak_ptr<Connection> server_half;
+  bool closed = false, alive_after_nested_close = false;
+  net.listen("svc:80", [&](ConnPtr c) {
+    server_half = c;
+    auto state = std::make_shared<int>(0);  // owned by the data handler
+    state_alive = state;
+    c->set_on_data([c, state, &sim, &closed, &alive_after_nested_close,
+                    &state_alive](ByteView) {
+      c->abort();
+      sim.run_until_idle();
+      alive_after_nested_close = closed && !state_alive.expired();
+      ++*state;
+    });
+    c->set_on_close([&closed] { closed = true; });
+  });
+  ConnPtr client = net.connect("svc:80", {.source = "cli"});
+  client->send("x");
+  client.reset();
+  sim.run_until_idle();
+  EXPECT_TRUE(alive_after_nested_close);
+  EXPECT_TRUE(state_alive.expired());  // released once the frame unwound
+  EXPECT_TRUE(server_half.expired());
+}
+
+TEST(ConnectionLifetime, OpenKeepAliveHalfExpiresWithTheNetwork) {
+  Simulator sim;
+  auto net = std::make_unique<Network>(sim, 100);
+  std::vector<std::weak_ptr<Connection>> halves;
+  net->listen("svc:80", [&](ConnPtr c) {
+    halves.push_back(c);
+    c->set_on_data([c](ByteView d) { c->send(d); });  // never closes
+  });
+  ConnPtr client = net->connect("svc:80", {.source = "cli"});
+  halves.push_back(client);
+  Bytes echoed;
+  client->set_on_data([client, &echoed](ByteView d) { echoed += Bytes(d); });
+  client->send("ping");
+  client.reset();
+  sim.run_until_idle();
+  EXPECT_EQ(echoed, "ping");
+  EXPECT_FALSE(all_expired(halves));
+  net.reset();
+  EXPECT_TRUE(all_expired(halves));
 }
 
 }  // namespace

@@ -20,35 +20,17 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
-# Leak checking is off by default: netsim Connections are kept alive by
-# self-referential on_data handlers, a reference cycle that frees no
-# Connection. That is a real leak, the one ROADMAP item 1 measures and
-# means to fix; until then LSan would fail most binaries. Opt back in with
-#   ASAN_OPTIONS=detect_leaks=1 tests/run_sanitized.sh
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0:strict_string_checks=1}"
+# Leak checking is on: the network releases a connection's handlers once
+# its close is delivered and when the Network is destroyed, which breaks
+# the handler -> session -> connection cycles (netsim/network.h), so
+# every test, example and bench run frees what it allocates.
+export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
-
-# LSan ratchet: the test binaries that free everything they allocate. The
-# asan lane runs each once more with leak checking on, so a new leak in
-# any of them fails the lane. ROADMAP item 1 turns leak checking on for
-# the whole suite and empties this list.
-lsan_clean=(
-  common_test engine_property_test proto_http_test proto_wire_test
-  rddr_health_test rddr_noise_test rddr_plugin_test sqldb_parser_test
-  sqldb_snapshot_test sqldb_test variant_libs_test
-)
 
 for preset in asan ubsan; do
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
   ctest --test-dir "build-$preset" --output-on-failure -j "$(nproc)" "$@"
-
-  if [ "$preset" = asan ]; then
-    for t in "${lsan_clean[@]}"; do
-      ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
-        "$repo/build-asan/tests/$t" >/dev/null
-    done
-  fi
 done
 
 # ThreadSanitizer lane: the multi-island executor is the repo's only
