@@ -1,10 +1,10 @@
 #include "sqldb/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/strutil.h"
 #include "sqldb/eval.h"
@@ -78,34 +78,129 @@ int TableData::find_column(std::string_view col) const {
   return -1;
 }
 
-void TableData::build_index(const std::string& column) {
-  int idx = find_column(column);
-  if (idx < 0) return;
-  auto& map = hash_indexes[idx];
-  map.clear();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Datum& d = rows[i][static_cast<size_t>(idx)];
-    if (d.type() == Type::kInt) map.emplace(d.as_int(), i);
+void IntIndex::rehash(size_t keys) {
+  size_t slots = 16;
+  while (4 * keys > 3 * slots) slots *= 2;
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(slots, Slot{0, kNone, kNone});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  // The chains stay in next_, so only the slots move.
+  for (const Slot& o : old)
+    if (o.head != kNone) slots_[probe(o.key)] = o;
+}
+
+size_t IntIndex::probe(int64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = home(key);
+  while (slots_[i].head != kNone && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+const IntIndex::Slot* IntIndex::find(int64_t key) const {
+  if (slots_.empty()) return nullptr;
+  const Slot& s = slots_[probe(key)];
+  return s.head == kNone ? nullptr : &s;
+}
+
+void IntIndex::build(const std::vector<Row>& rows, size_t column) {
+  size_t keyed = 0;
+  for (const Row& row : rows) keyed += row[column].type() == Type::kInt;
+  slots_.clear();
+  keys_ = 0;
+  rehash(keyed);
+  next_.assign(rows.size(), kNone);
+  for (size_t i = 0; i < rows.size(); ++i)
+    if (rows[i][column].type() == Type::kInt)
+      insert(rows[i][column].as_int(), i);
+}
+
+void IntIndex::insert(int64_t key, size_t ordinal) {
+  const auto r = static_cast<uint32_t>(ordinal);
+  if (ordinal >= next_.size()) next_.resize(ordinal + 1, kNone);
+  // Room for one more key, whether or not `key` is new.
+  if (4 * (keys_ + 1) > 3 * slots_.size()) rehash(keys_ + 1);
+  Slot* s = &slots_[probe(key)];
+  if (s->head == kNone) {
+    *s = Slot{key, r, r};
+    next_[r] = kNone;
+    ++keys_;
+    return;
+  }
+  if (r > s->tail) {  // appends land here
+    next_[s->tail] = r;
+    next_[r] = kNone;
+    s->tail = r;
+  } else if (r < s->head) {
+    next_[r] = s->head;
+    s->head = r;
+  } else {
+    uint32_t prev = s->head;
+    while (next_[prev] < r) prev = next_[prev];
+    next_[r] = next_[prev];
+    next_[prev] = r;
   }
 }
 
+void IntIndex::erase(int64_t key, size_t ordinal) {
+  const auto r = static_cast<uint32_t>(ordinal);
+  size_t i = probe(key);
+  Slot& s = slots_[i];
+  if (s.head != r) {
+    uint32_t prev = s.head;
+    while (next_[prev] != r) prev = next_[prev];
+    next_[prev] = next_[r];
+    if (s.tail == r) s.tail = prev;
+    return;
+  }
+  s.head = next_[r];
+  if (s.head != kNone) return;
+  // The key's last row: empty its slot, shifting back each later slot of
+  // the cluster whose home does not lie cyclically in (i, j].
+  --keys_;
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (i + 1) & mask; slots_[j].head != kNone; j = (j + 1) & mask) {
+    const size_t h = home(slots_[j].key);
+    if (i < j ? (i < h && h <= j) : (i < h || h <= j)) continue;
+    slots_[i] = slots_[j];
+    i = j;
+  }
+  slots_[i].head = kNone;
+}
+
+bool IntIndex::operator==(const IntIndex& other) const {
+  if (keys_ != other.keys_) return false;
+  for (const Slot& s : slots_) {
+    if (s.head == kNone) continue;
+    const Slot* o = other.find(s.key);
+    if (!o) return false;
+    uint32_t a = s.head, b = o->head;
+    while (a == b && a != kNone) {
+      a = next_[a];
+      b = other.next_[b];
+    }
+    if (a != b) return false;
+  }
+  return true;
+}
+
+void TableData::build_index(const std::string& column) {
+  int idx = find_column(column);
+  if (idx < 0) return;
+  hash_indexes[idx].build(rows, static_cast<size_t>(idx));
+}
+
 void TableData::index_appended(size_t first_new_row) {
-  for (auto& [col, map] : hash_indexes) {
+  for (auto& [col, index] : hash_indexes) {
     for (size_t i = first_new_row; i < rows.size(); ++i) {
       const Datum& d = rows[i][static_cast<size_t>(col)];
-      if (d.type() == Type::kInt) map.emplace(d.as_int(), i);
+      if (d.type() == Type::kInt) index.insert(d.as_int(), i);
     }
   }
 }
 
 void TableData::rebuild_indexes() {
-  for (auto& [col, map] : hash_indexes) {
-    map.clear();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Datum& d = rows[i][static_cast<size_t>(col)];
-      if (d.type() == Type::kInt) map.emplace(d.as_int(), i);
-    }
-  }
+  for (auto& [col, index] : hash_indexes)
+    index.build(rows, static_cast<size_t>(col));
 }
 
 int64_t TableData::approx_bytes() const {
@@ -206,8 +301,10 @@ bool coerce(Datum& d, Type target, SqlError& err) {
     default:
       return true;
   }
-  err = {"22P02", strformat("invalid input syntax for type %s: \"%s\"",
-                            type_name(target).c_str(), d.as_text().c_str())};
+  const std::string_view text = d.as_text();
+  err = {"22P02", strformat("invalid input syntax for type %s: \"%.*s\"",
+                            type_name(target).c_str(),
+                            static_cast<int>(text.size()), text.data())};
   return false;
 }
 
@@ -311,8 +408,8 @@ bool rls_applies(const TableData& t, const std::string& user) {
 
 /// Resolves the first "col = <int literal>" conjunct of `e` that a
 /// hash index covers, visiting AND operands right to left. Returns the
-/// matching row ordinals (sorted, so scan order stays deterministic), or
-/// nullopt for a full scan.
+/// matching row ordinals (ascending, so scan order stays deterministic),
+/// or nullopt for a full scan.
 std::optional<std::vector<size_t>> index_candidates(const TableData& t,
                                                     const Expr* e) {
   if (!e || e->kind != ExprKind::kBinary) return std::nullopt;
@@ -331,10 +428,9 @@ std::optional<std::vector<size_t>> index_candidates(const TableData& t,
   if (ci < 0) return std::nullopt;
   auto it = t.hash_indexes.find(ci);
   if (it == t.hash_indexes.end()) return std::nullopt;
-  auto [b, end] = it->second.equal_range(lit->literal.as_int());
   std::vector<size_t> out;
-  for (auto i = b; i != end; ++i) out.push_back(i->second);
-  std::sort(out.begin(), out.end());
+  it->second.for_each(lit->literal.as_int(),
+                      [&](size_t ordinal) { out.push_back(ordinal); });
   return out;
 }
 
@@ -414,22 +510,15 @@ void probe_statistics(const Database& db, const std::string& user,
   }
 }
 
-/// Moves row `ordinal` from `before` to `after` in a hash index on one of
-/// its columns (only integer keys are indexed).
-void reindex_row(std::unordered_multimap<int64_t, size_t>& index,
-                 size_t ordinal, const Datum& before, const Datum& after) {
+/// Moves row `ordinal` from `before` to `after` in an index on one of its
+/// columns (only integer keys are indexed).
+void reindex_row(IntIndex& index, size_t ordinal, const Datum& before,
+                 const Datum& after) {
   bool had = before.type() == Type::kInt;
   bool has = after.type() == Type::kInt;
   if (had && has && before.as_int() == after.as_int()) return;
-  if (had) {
-    auto [b, end] = index.equal_range(before.as_int());
-    for (auto it = b; it != end; ++it)
-      if (it->second == ordinal) {
-        index.erase(it);
-        break;
-      }
-  }
-  if (has) index.emplace(after.as_int(), ordinal);
+  if (had) index.erase(before.as_int(), ordinal);
+  if (has) index.insert(after.as_int(), ordinal);
 }
 
 /// A join level's key table: its table's rows keyed by the column of its
@@ -1048,7 +1137,7 @@ StatementResult Session::run_update(const UpdateStmt& up) {
   struct SetTarget {
     size_t column;
     BoundExpr value;
-    std::unordered_multimap<int64_t, size_t>* index;  // null: not indexed
+    IntIndex* index;  // null: not indexed
   };
   std::vector<SetTarget> sets;
   sets.reserve(up.sets.size());

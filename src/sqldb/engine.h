@@ -24,7 +24,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sqldb/ast.h"
@@ -70,6 +69,58 @@ struct Column {
 
 using Row = std::vector<Datum>;
 
+/// Equality index on an integer column: an open-addressing table (linear
+/// probing, load at most 3/4) from key to the first and last row holding
+/// it, and a per-row `next` array that chains the rows of one key in
+/// ascending ordinal order. Rows whose cell is not an integer are absent;
+/// row ordinals are stored in 32 bits.
+class IntIndex {
+ public:
+  /// Indexes column `column` of `rows` from scratch.
+  void build(const std::vector<Row>& rows, size_t column);
+  /// Adds row `ordinal` under `key`, keeping the key's rows ascending.
+  void insert(int64_t key, size_t ordinal);
+  /// Removes row `ordinal` from under `key`, where it must be.
+  void erase(int64_t key, size_t ordinal);
+  /// Calls `f(ordinal)` for each row under `key`, ascending.
+  template <typename F>
+  void for_each(int64_t key, F&& f) const {
+    const Slot* s = find(key);
+    if (!s) return;
+    // Stops at the tail, so a key with one row never reads next_.
+    for (uint32_t r = s->head;; r = next_[r]) {
+      f(r);
+      if (r == s->tail) return;
+    }
+  }
+
+  /// Same keys, each with the same rows (however the tables were laid out).
+  bool operator==(const IntIndex& other) const;
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  struct Slot {
+    int64_t key;
+    uint32_t head;  // kNone: the slot is empty
+    uint32_t tail;
+  };
+
+  size_t home(int64_t key) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// The slot holding `key`, or the empty slot that ends its probe.
+  size_t probe(int64_t key) const;
+  const Slot* find(int64_t key) const;
+  /// Resizes the table for `keys` keys, keeping its entries.
+  void rehash(size_t keys);
+
+  std::vector<Slot> slots_;     // a power of two in size, or empty
+  std::vector<uint32_t> next_;  // per row: the key's next row, or kNone
+  size_t keys_ = 0;
+  unsigned shift_ = 64;         // 64 - log2(slots_.size())
+};
+
 struct Policy {
   std::string name;
   std::string role;  // empty = applies to all
@@ -84,10 +135,10 @@ struct TableData {
   bool rls_enabled = false;
   std::map<std::string, std::set<std::string>> grants;  // privilege -> users
   std::vector<Policy> policies;
-  /// Equality hash indexes: column ordinal -> integer key -> row
-  /// ordinals. SELECT, UPDATE and DELETE all probe them for a
-  /// `col = <int literal>` conjunct: pgbench's primary-key lookups.
-  std::map<int, std::unordered_multimap<int64_t, size_t>> hash_indexes;
+  /// Equality indexes by column ordinal. SELECT, UPDATE and DELETE all
+  /// probe them for a `col = <int literal>` conjunct: pgbench's
+  /// primary-key lookups.
+  std::map<int, IntIndex> hash_indexes;
 
   int find_column(std::string_view col) const;
   /// Approximate resident bytes (row overhead + datum payloads).

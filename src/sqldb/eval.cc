@@ -716,11 +716,12 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
           x = d.numeric();
           return true;
         }
-        auto v = parse_f64(d.as_text());
+        const std::string_view text = d.as_text();
+        auto v = parse_f64(text);
         if (!v) {
           fail("22P02", strformat("invalid input syntax for type double "
-                                  "precision: \"%s\"",
-                                  d.as_text().c_str()));
+                                  "precision: \"%.*s\"",
+                                  static_cast<int>(text.size()), text.data()));
           return false;
         }
         x = *v;

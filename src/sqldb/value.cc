@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 
 #include "common/strutil.h"
@@ -35,6 +36,48 @@ std::optional<Type> parse_type_name(std::string_view s) {
   return std::nullopt;
 }
 
+Datum Datum::text(std::string_view s) {
+  Datum d(Type::kText);
+  if (s.size() > kInlineText) {
+    d.copy_to_heap(s);
+  } else {
+    if (!s.empty()) std::memcpy(d.buf_, s.data(), s.size());
+    d.len_ = static_cast<uint8_t>(s.size());
+  }
+  return d;
+}
+
+void Datum::copy_to_heap(std::string_view s) {
+  char* heap = new char[s.size()];
+  std::memcpy(heap, s.data(), s.size());
+  const size_t size = s.size();
+  std::memcpy(buf_, &heap, sizeof heap);
+  std::memcpy(buf_ + 8, &size, sizeof size);
+  len_ = kHeap;
+}
+
+void Datum::copy_from(const Datum& other) {
+  std::memcpy(static_cast<void*>(this), &other, sizeof *this);
+  if (other.on_heap()) copy_to_heap(other.as_text());
+}
+
+Datum& Datum::operator=(const Datum& other) {
+  if (this != &other) *this = Datum(other);
+  return *this;
+}
+
+bool Datum::operator==(const Datum& other) const {
+  if (type() != other.type()) return false;
+  switch (type()) {
+    case Type::kNull: return true;
+    case Type::kBool: return as_bool() == other.as_bool();
+    case Type::kInt: return as_int() == other.as_int();
+    case Type::kFloat: return as_float() == other.as_float();
+    case Type::kText: return as_text() == other.as_text();
+  }
+  return false;
+}
+
 double Datum::numeric() const {
   switch (type()) {
     case Type::kBool: return as_bool() ? 1.0 : 0.0;
@@ -60,7 +103,7 @@ std::string Datum::to_text() const {
       std::snprintf(buf, sizeof(buf), "%.12g", d);
       return buf;
     }
-    case Type::kText: return as_text();
+    case Type::kText: return std::string(as_text());
   }
   return "";
 }
@@ -109,7 +152,7 @@ size_t Datum::hash() const {
         return std::hash<int64_t>()(static_cast<int64_t>(d));
       return std::hash<double>()(d);
     }
-    case Type::kText: return std::hash<std::string>()(as_text());
+    case Type::kText: return std::hash<std::string_view>()(as_text());
   }
   return 0;
 }

@@ -2,11 +2,12 @@
 // (NULL propagation, text casts, t/f booleans).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
-#include <type_traits>
-#include <variant>
+#include <string_view>
 
 namespace rddr::sqldb {
 
@@ -19,24 +20,67 @@ std::string type_name(Type t);
 /// float/double/real/numeric, text/varchar/char). Returns nullopt otherwise.
 std::optional<Type> parse_type_name(std::string_view s);
 
-/// A single SQL value. NULL is the monostate alternative.
+/// A single SQL value: a 24-byte tagged union. Text of up to kInlineText
+/// bytes lives inside the datum; longer text owns one exactly-sized heap
+/// block. Tables hold one Datum per cell, so the size is the per-cell
+/// cost of every replica's dataset.
 class Datum {
  public:
+  static constexpr size_t kInlineText = 22;
+
   Datum() = default;  // NULL
   static Datum null() { return Datum(); }
-  static Datum boolean(bool b) { return Datum(b); }
-  static Datum integer(int64_t i) { return Datum(i); }
-  static Datum floating(double d) { return Datum(d); }
-  static Datum text(std::string s) { return Datum(std::move(s)); }
+  static Datum boolean(bool b) {
+    Datum d(Type::kBool);
+    d.buf_[0] = b;
+    return d;
+  }
+  static Datum integer(int64_t i) {
+    Datum d(Type::kInt);
+    std::memcpy(d.buf_, &i, sizeof i);
+    return d;
+  }
+  static Datum floating(double f) {
+    Datum d(Type::kFloat);
+    std::memcpy(d.buf_, &f, sizeof f);
+    return d;
+  }
+  static Datum text(std::string_view s);
 
-  /// The alternatives of `v_` are declared in Type's order (checked below).
-  Type type() const { return static_cast<Type>(v_.index()); }
-  bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
+  Datum(const Datum& other) { copy_from(other); }
+  Datum(Datum&& other) noexcept { take_from(other); }
+  Datum& operator=(const Datum& other);
+  Datum& operator=(Datum&& other) noexcept {
+    if (this != &other) {
+      release();
+      take_from(other);
+    }
+    return *this;
+  }
+  ~Datum() { release(); }
 
-  bool as_bool() const { return std::get<bool>(v_); }
-  int64_t as_int() const { return std::get<int64_t>(v_); }
-  double as_float() const { return std::get<double>(v_); }
-  const std::string& as_text() const { return std::get<std::string>(v_); }
+  Type type() const { return static_cast<Type>(tag_); }
+  bool is_null() const { return type() == Type::kNull; }
+
+  // Each accessor requires its type (asserted in debug builds).
+  bool as_bool() const {
+    assert(type() == Type::kBool);
+    return buf_[0] != 0;
+  }
+  int64_t as_int() const {
+    assert(type() == Type::kInt);
+    return load<int64_t>(0);
+  }
+  double as_float() const {
+    assert(type() == Type::kFloat);
+    return load<double>(0);
+  }
+  /// Valid while the datum lives and is not assigned to.
+  std::string_view as_text() const {
+    assert(type() == Type::kText);
+    if (len_ != kHeap) return {buf_, len_};
+    return {load<const char*>(0), load<size_t>(8)};
+  }
 
   /// Numeric view (int widened to double); only for kInt/kFloat/kBool.
   double numeric() const;
@@ -64,26 +108,45 @@ class Datum {
   bool group_equal(const Datum& other) const;
   size_t hash() const;
 
-  bool operator==(const Datum& other) const { return v_ == other.v_; }
+  /// Same type and same value: NULL equals NULL, floats compare with
+  /// `==` (NaN unequal to itself), text bytewise.
+  bool operator==(const Datum& other) const;
 
  private:
-  using Value = std::variant<std::monostate, bool, int64_t, double, std::string>;
-  template <Type T, typename Alt>
-  static constexpr bool kAltIs =
-      std::is_same_v<std::variant_alternative_t<static_cast<size_t>(T), Value>,
-                     Alt>;
-  // type() casts the variant index to Type.
-  static_assert(kAltIs<Type::kNull, std::monostate> &&
-                kAltIs<Type::kBool, bool> && kAltIs<Type::kInt, int64_t> &&
-                kAltIs<Type::kFloat, double> &&
-                kAltIs<Type::kText, std::string> &&
-                std::variant_size_v<Value> == 5);
+  /// len_ of a text whose bytes are on the heap.
+  static constexpr uint8_t kHeap = 0xFF;
 
-  explicit Datum(Value v) : v_(std::move(v)) {}
+  explicit Datum(Type t) : tag_(static_cast<uint8_t>(t)) {}
+
+  template <typename T>
+  T load(size_t at) const {
+    T v;
+    std::memcpy(&v, buf_ + at, sizeof v);
+    return v;
+  }
+  bool on_heap() const { return len_ == kHeap; }
+  void release() {
+    if (on_heap()) delete[] load<char*>(0);
+  }
+  /// Makes this a heap text holding a new copy of `s`.
+  void copy_to_heap(std::string_view s);
+  void copy_from(const Datum& other);
+  /// Steals `other`'s bytes. A moved-from text is empty, as a moved-from
+  /// std::string is; other types keep their value.
+  void take_from(Datum& other) {
+    std::memcpy(static_cast<void*>(this), &other, sizeof *this);
+    if (other.type() == Type::kText) other.len_ = 0;
+  }
   /// compare() for every pair but int/int.
   std::optional<int> compare_other(const Datum& other) const;
 
-  Value v_;
+  // bool in byte 0; int64, double or a heap text's pointer in bytes
+  // 0..7 and its size in 8..15; an inline text in bytes 0..len_-1.
+  alignas(8) char buf_[kInlineText] = {};
+  uint8_t len_ = 0;  // text: inline length, or kHeap
+  uint8_t tag_ = 0;  // Type
 };
+
+static_assert(sizeof(Datum) == 24);
 
 }  // namespace rddr::sqldb

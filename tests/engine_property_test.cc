@@ -115,9 +115,15 @@ TEST_P(EngineProperty, IndexedEqualityMatchesFullScan) {
 /// and kBig + 1 are equal only to a compare that goes through doubles.
 constexpr int64_t kBig = int64_t{1} << 53;
 
-/// `n` below `first_big`, else kBig + (n - first_big).
-int64_t id_or_big(int64_t n, int64_t first_big) {
-  return n < first_big ? n : kBig + (n - first_big);
+/// The ids of KeyedDmlMatchesScannedForm: 0..9 for n < 10, then kBig,
+/// kBig + 1, INT64_MIN, INT64_MAX, -1 and -7 for n = 10..15. The
+/// negative ids other than INT64_MIN have no literal spelling (`-7`
+/// parses as a negation, which no index serves), so they are stored and
+/// SET but never probed.
+int64_t dml_id(int64_t n) {
+  static constexpr int64_t kPast[] = {kBig,      kBig + 1, INT64_MIN,
+                                      INT64_MAX, -1,       -7};
+  return n < 10 ? n : kPast[n - 10];
 }
 
 TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
@@ -139,18 +145,20 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
       Rng d = data;  // identical rows in both
       auto* t = db->create_table(
           "t", {{"id", Type::kInt}, {"v", Type::kInt}, {"s", Type::kText}});
-      // Ids 0..9 and kBig, kBig + 1 with duplicates and NULLs; row 0 has
-      // id 0, which the guard family below fails on.
+      // Ids 0..9 and the edge ids of dml_id with duplicates and NULLs;
+      // row 0 has id 0, which the guard family below fails on. Texts of
+      // 0, 3, 22, 23 and 64 bytes sit on both sides of Datum's inline
+      // limit.
+      static constexpr size_t kTextBytes[] = {0, 3, 22, 23, 64};
       for (int i = 0; i < 40; ++i) {
         Datum id = Datum::integer(0);
         if (i > 0)
-          id = d.uniform(0, 6) > 0
-                   ? Datum::integer(id_or_big(d.uniform(0, 11), 10))
-                   : Datum::null();
+          id = d.uniform(0, 6) > 0 ? Datum::integer(dml_id(d.uniform(0, 15)))
+                                   : Datum::null();
         Datum v = d.uniform(0, 9) > 0 ? Datum::integer(d.uniform(-1, 2))
                                       : Datum::null();
-        t->rows.push_back(
-            {std::move(id), std::move(v), Datum::text(d.alnum_token(3))});
+        t->rows.push_back({std::move(id), std::move(v),
+                           Datum::text(d.alnum_token(kTextBytes[d.uniform(0, 4)]))});
       }
       t->build_index("id");
       // Text ids through INSERT: the int column reads a number's text as
@@ -171,9 +179,11 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
       }
     }
     Session keyed(keyed_db, "postgres"), scanned(scanned_db, "postgres");
-    for (int trial = 0; trial < 16; ++trial) {
-      // 10..12 are absent keys; 13 and 14 stand for kBig and kBig + 1.
-      const int64_t k = id_or_big(rng.uniform(0, 14), 13);
+    for (int trial = 0; trial < 32; ++trial) {
+      // No table starts with keys 10..12; 13..16 stand for kBig, kBig + 1,
+      // INT64_MIN and INT64_MAX.
+      const int64_t n = rng.uniform(0, 16);
+      const int64_t k = n < 13 ? n : dml_id(n - 3);
       const std::string key = strformat("%lld", static_cast<long long>(k));
       // The key conjunct, in keyed and scanned spelling.
       const bool key_first = rng.uniform(0, 1) == 0;
@@ -203,12 +213,21 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
           "v = v + 1",
           "v = 10 / v",                // fails on a matched v = 0 row
           "v = v + 1, id = 100 / v",   // fails after its first SET applied
-          "id = id + 1",               // moves the indexed column
+          "id = id + 1",               // moves the indexed column; 22003
+                                       // on INT64_MAX
           "id = NULL, s = 'moved'",    // takes the row out of the index
           "s = 'set'",
+          "id = 3",                    // onto a key most tables hold
+          "id = 12",                   // onto a key no table starts with
+          "id = -7, s = ''",           // onto a negative key
+          "id = -9223372036854775808",  // onto INT64_MIN
+          "s = 'twenty-two bytes long.'",  // the longest inline text
+          // The shortest heap text; fails after it on a v = 0 row.
+          "s = 'twenty-three bytes long', v = 10 / v",
+          "s = s || s || s",           // grows a text across the limit
       };
       const bool is_delete = rng.uniform(0, 3) == 0;
-      const char* set = guard ? kSets[0] : kSets[rng.uniform(0, 5)];
+      const char* set = guard ? kSets[0] : kSets[rng.uniform(0, 12)];
       auto statement = [&](const std::string& pred) {
         return (is_delete ? std::string("DELETE FROM t WHERE ")
                           : "UPDATE t SET " + std::string(set) + " WHERE ") +
@@ -619,7 +638,7 @@ const char* const kGenColumns[] = {"i", "f", "s", "n"};
 std::string literal_for(const Datum& d) {
   switch (d.type()) {
     case Type::kNull: return "null";
-    case Type::kText: return "'" + d.as_text() + "'";
+    case Type::kText: return "'" + std::string(d.as_text()) + "'";
     case Type::kFloat:
       return d.as_float() < 0 ? strformat("(-%.1f)", -d.as_float())
                               : strformat("%.1f", d.as_float());

@@ -242,11 +242,20 @@ TEST(SnapshotTest, TruncatedGarbageAndWrongVersionAreDistinguished) {
   EXPECT_TRUE(db.tables().empty());  // cleared, never half-warmed
 }
 
-/// One seeded adversarial datum: delimiter soup, empty strings, hexfloat
+/// One seeded adversarial datum: delimiter soup, empty strings, texts on
+/// both sides of Datum's 22-byte inline limit, embedded NULs, hexfloat
 /// edge values, ±inf and NaN — everything the tab/newline-framed text
-/// format could plausibly mangle.
+/// format or the datum layout could plausibly mangle.
 Datum adversarial_datum(Rng& rng) {
-  switch (rng.next() % 10) {
+  switch (rng.next() % 13) {
+    case 10: return Datum::text(std::string(21, 'x') + '\t');
+    case 11: return Datum::text(std::string(22, '\n') + 'y');
+    case 12: {
+      // NULs inside an inline (19-byte) or a heap (29-byte) text.
+      std::string nul("\0nul\0in\tthe\0middle\0", 19);
+      if (rng.next() % 2) nul.append(10, '\0');
+      return Datum::text(nul);
+    }
     case 0: return Datum::null();
     case 1: return Datum::text("");
     case 2: return Datum::text("tab\tnl\nbsl\\cr\rmix\t\\n");

@@ -2,6 +2,10 @@
 // user-defined operators, and the version-gated CVE behaviours.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+
 #include "common/strutil.h"
 #include "sqldb/engine.h"
 #include "sqldb/parser.h"
@@ -903,6 +907,150 @@ TEST(Cve2019_10130, FilterPairProducesIdenticalNotices) {
   auto ra = run_attack(a), rb = run_attack(b);
   EXPECT_EQ(ra.statements[0].notices, rb.statements[0].notices);
   EXPECT_EQ(ra.statements[0].rows, rb.statements[0].rows);
+}
+
+
+// ---------- Datum layout ----------
+
+/// Texts around Datum's 22-byte inline limit, a large one, and ones with
+/// embedded NULs (inline and on the heap).
+std::vector<std::string> layout_texts() {
+  return {"",
+          std::string(22, 'a'),
+          std::string(23, 'b'),
+          std::string(4096, 'c'),
+          std::string("nul\0inside", 10),
+          std::string(22, '\0'),
+          std::string(23, '\0'),
+          std::string("a heap text\0with a NUL in it", 29)};
+}
+
+TEST(DatumLayout, TextsSurviveCopyMoveAndSelfAssignment) {
+  static_assert(sizeof(Datum) == 24);
+  for (const std::string& s : layout_texts()) {
+    SCOPED_TRACE(s.size());
+    const Datum d = Datum::text(s);
+    ASSERT_EQ(d.type(), Type::kText);
+    EXPECT_EQ(d.as_text(), s);
+
+    Datum copy(d);
+    EXPECT_EQ(copy.as_text(), s);
+    EXPECT_EQ(d.as_text(), s);
+    if (s.size() > Datum::kInlineText) {
+      EXPECT_NE(copy.as_text().data(), d.as_text().data());  // owns a copy
+    }
+
+    Datum moved(std::move(copy));
+    EXPECT_EQ(moved.as_text(), s);
+    // A moved-from text is empty, as a moved-from std::string is.
+    EXPECT_EQ(copy.type(), Type::kText);
+    EXPECT_EQ(copy.as_text(), "");
+
+    Datum assigned = Datum::integer(7);
+    assigned = moved;  // copy over a non-text
+    EXPECT_EQ(assigned.as_text(), s);
+    Datum over = Datum::text(std::string(100, 'z'));
+    over = std::move(assigned);  // move over a heap text
+    EXPECT_EQ(over.as_text(), s);
+    over = Datum::text(std::string(30, 'y'));  // heap over anything
+    over = d;
+    EXPECT_EQ(over.as_text(), s);
+
+    Datum& alias = over;
+    over = alias;  // self copy-assignment
+    EXPECT_EQ(over.as_text(), s);
+    over = std::move(alias);  // self move-assignment
+    EXPECT_EQ(over.as_text(), s);
+    EXPECT_TRUE(over == d);
+  }
+}
+
+TEST(DatumLayout, TextsSurviveVectorGrowth) {
+  const std::vector<std::string> texts = layout_texts();
+  std::vector<Datum> v;  // no reserve: every growth moves the datums
+  for (size_t i = 0; i < 300; ++i) {
+    if (i % 3 == 2)
+      v.push_back(Datum::integer(static_cast<int64_t>(i)));
+    else
+      v.push_back(Datum::text(texts[i % texts.size()]));
+  }
+  v.insert(v.begin(), Datum::text(texts[3]));  // shifts every element up
+  v.erase(v.begin() + 1, v.begin() + 31);      // and 30 back down
+  ASSERT_EQ(v.size(), 271u);
+  EXPECT_EQ(v[0].as_text(), texts[3]);
+  for (size_t j = 1; j < v.size(); ++j) {
+    const size_t i = j + 29;
+    if (i % 3 == 2) {
+      EXPECT_EQ(v[j].as_int(), static_cast<int64_t>(i));
+    } else {
+      EXPECT_EQ(v[j].as_text(), texts[i % texts.size()]) << i;
+    }
+  }
+  std::vector<Datum> copy = v;
+  EXPECT_EQ(copy, v);
+}
+
+TEST(DatumLayout, CompareGroupEqualHashAndEqualityAgree) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Datum> values = {
+      Datum::null(),         Datum::boolean(false),   Datum::boolean(true),
+      Datum::integer(0),     Datum::integer(1),       Datum::integer(-1),
+      Datum::integer(INT64_MIN), Datum::integer(INT64_MAX),
+      Datum::floating(0.0),  Datum::floating(-0.0),   Datum::floating(1.0),
+      Datum::floating(1.5),  Datum::floating(-1e300), Datum::floating(nan),
+      Datum::text("1"),      Datum::text("1.5"),      Datum::text("t"),
+  };
+  for (const std::string& s : layout_texts()) values.push_back(Datum::text(s));
+  values.push_back(Datum::text(std::string(22, 'a') + 'a'));  // 23 > 22 a's
+  for (const Datum& a : values) {
+    // Hash values stay std::hash's: text like std::string, integers like
+    // int64_t.
+    if (a.type() == Type::kText) {
+      EXPECT_EQ(a.hash(), std::hash<std::string>()(std::string(a.as_text())));
+    }
+    if (a.type() == Type::kInt) {
+      EXPECT_EQ(a.hash(), std::hash<int64_t>()(a.as_int()));
+    }
+    for (const Datum& b : values) {
+      SCOPED_TRACE(a.to_text() + " vs " + b.to_text());
+      const std::optional<int> ab = a.compare(b), ba = b.compare(a);
+      ASSERT_EQ(ab.has_value(), !a.is_null() && !b.is_null());
+      ASSERT_EQ(ab.has_value(), ba.has_value());
+      if (ab) {
+        EXPECT_EQ(*ab, -*ba);
+      }
+      const bool grouped = a.group_equal(b);
+      EXPECT_EQ(grouped, b.group_equal(a));
+      EXPECT_EQ(grouped, (a.is_null() && b.is_null()) || (ab && *ab == 0));
+      if (a == b) {
+        EXPECT_TRUE(grouped);
+      }
+      // Values that group together hash together within a type and
+      // across integers and floats. NaN is the exception: it compares
+      // equal to every number (doubles compare by < and >), so it groups
+      // with them but hashes by its bits.
+      auto is_nan = [](const Datum& d) {
+        return d.type() == Type::kFloat && std::isnan(d.as_float());
+      };
+      const bool numeric = (a.type() == Type::kInt || a.type() == Type::kFloat) &&
+                           (b.type() == Type::kInt || b.type() == Type::kFloat);
+      if (grouped && (a.type() == b.type() || numeric) && is_nan(a) == is_nan(b)) {
+        EXPECT_EQ(a.hash(), b.hash());
+      }
+      // Equality is the type plus the value; only NaN is unequal to itself.
+      if (&a == &b) {
+        EXPECT_EQ(a == b, !is_nan(a));
+      }
+      if (a.type() != b.type()) {
+        EXPECT_FALSE(a == b);
+      } else if (a.type() != Type::kFloat) {
+        EXPECT_EQ(a == b, grouped);
+      }
+      const Datum copy = b;
+      EXPECT_EQ(a == copy, a == b);
+      EXPECT_EQ(a.compare(copy), ab);
+    }
+  }
 }
 
 }  // namespace
