@@ -50,7 +50,10 @@ void BM_PgFrameMessages(benchmark::State& state) {
   for (auto _ : state) {
     pg::MessageReader r(false);
     r.feed(wire);
-    benchmark::DoNotOptimize(r.take());
+    r.take([](const pg::Message& m) {
+      benchmark::DoNotOptimize(m.payload.data());
+      return true;
+    });
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(wire.size()));
@@ -162,7 +165,7 @@ void BM_DiffEngineCompare3(benchmark::State& state) {
   auto page = [&](const std::string& tok) {
     http::Response r = http::make_response(
         200, "<html><input value=\"" + tok + "\"><p>body body body</p></html>");
-    return core::Unit{r.to_bytes(), "http-resp"};
+    return core::Unit{SharedBytes(r.to_bytes()), "http-resp"};
   };
   std::vector<core::Unit> units{page(rng.alnum_token(32)),
                                 page(rng.alnum_token(32)),

@@ -3,15 +3,14 @@
 namespace rddr {
 
 void put_u32_be(Bytes& out, uint32_t v) {
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>(v & 0xff));
+  const char b[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
+                     static_cast<char>(v >> 8), static_cast<char>(v)};
+  out.append(b, 4);
 }
 
 void put_u16_be(Bytes& out, uint16_t v) {
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>(v & 0xff));
+  const char b[2] = {static_cast<char>(v >> 8), static_cast<char>(v)};
+  out.append(b, 2);
 }
 
 uint32_t get_u32_be(ByteView b, size_t pos) {

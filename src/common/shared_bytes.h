@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 
 #include "common/bytes.h"
@@ -22,24 +23,28 @@ class SharedBytes {
 
   /// Takes ownership of `owned` (no payload copy; the string's heap
   /// storage moves into the shared cell).
-  explicit SharedBytes(Bytes&& owned)
-      : buf_(std::make_shared<const Bytes>(std::move(owned))),
-        len_(buf_->size()) {}
+  explicit SharedBytes(Bytes&& owned) : len_(owned.size()) {
+    auto cell = std::make_shared<const Bytes>(std::move(owned));
+    buf_ = std::shared_ptr<const char>(cell, cell->data());
+  }
 
   /// Materialises a copy of `copied` — the one copy a payload pays when it
-  /// enters the shared data plane from a non-owning view.
-  explicit SharedBytes(ByteView copied)
-      : buf_(std::make_shared<const Bytes>(copied)), len_(buf_->size()) {}
+  /// enters the shared data plane from a non-owning view. The bytes and
+  /// their refcount share one allocation.
+  explicit SharedBytes(ByteView copied) : len_(copied.size()) {
+    auto cell = std::make_shared_for_overwrite<char[]>(copied.size());
+    char* first = cell.get();
+    if (!copied.empty()) std::memcpy(first, copied.data(), copied.size());
+    buf_ = std::shared_ptr<const char>(std::move(cell), first);
+  }
 
   /// View of the addressed range. Valid while any SharedBytes aliasing the
   /// buffer is alive.
-  ByteView view() const {
-    return buf_ ? ByteView(buf_->data() + off_, len_) : ByteView();
-  }
+  ByteView view() const { return ByteView(data(), len_); }
 
   size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
-  const char* data() const { return buf_ ? buf_->data() + off_ : nullptr; }
+  const char* data() const { return buf_ ? buf_.get() + off_ : nullptr; }
 
   /// Sub-view sharing the same buffer: [offset, offset+len) of this view,
   /// clamped to the view's bounds. No bytes move.
@@ -56,7 +61,7 @@ class SharedBytes {
   long use_count() const { return buf_.use_count(); }
 
  private:
-  std::shared_ptr<const Bytes> buf_;
+  std::shared_ptr<const char> buf_;  // the buffer's first byte
   size_t off_ = 0;
   size_t len_ = 0;
 };

@@ -113,6 +113,12 @@ void Connection::set_on_close(CloseHandler h) {
 
 void Connection::deliver(SharedBytes data) {
   if (close_delivered_ || aborted_) return;
+  if (pending_.empty() && on_data_) {
+    // Nothing is queued ahead of it: straight to the handler.
+    FlowScope flow_scope(this);
+    hand_over(data.view());
+    return;
+  }
   pending_.push_back(std::move(data));
   flush_pending();
 }
@@ -134,21 +140,16 @@ void Connection::flush_pending() {
     // swapping out first.
     std::vector<SharedBytes> chunks;
     chunks.swap(pending_);
-    ++data_frames_;
     if (chunks.size() == 1) {
-      on_data_(chunks.front().view());  // common case: zero-copy handoff
+      hand_over(chunks.front().view());  // zero-copy handoff
     } else {
       Bytes joined;
       size_t total = 0;
       for (const auto& c : chunks) total += c.size();
       joined.reserve(total);
       for (const auto& c : chunks) joined.append(c.view());
-      on_data_(joined);
+      hand_over(joined);
     }
-    --data_frames_;
-    // A nested frame delivered the close but could not release the
-    // handler this frame was running; the outermost frame does.
-    if (close_delivered_ && data_frames_ == 0) std::exchange(on_data_, nullptr);
   }
   if (!close_delivered_ && close_pending_ && pending_.empty()) {
     close_delivered_ = true;
@@ -161,6 +162,15 @@ void Connection::flush_pending() {
     if (data_frames_ == 0) on_data = std::exchange(on_data_, nullptr);
     if (on_close) on_close();
   }
+}
+
+void Connection::hand_over(ByteView data) {
+  ++data_frames_;
+  on_data_(data);
+  --data_frames_;
+  // A nested frame delivered the close but could not release the handler
+  // this frame was running; the outermost frame does.
+  if (close_delivered_ && data_frames_ == 0) std::exchange(on_data_, nullptr);
 }
 
 void Connection::release_handlers() {

@@ -188,6 +188,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void deliver(SharedBytes data);  // runs on the *receiving* half
   void deliver_close();            // runs on the *receiving* half
   void flush_pending();
+  /// Runs on_data on `data`, releasing it afterwards if the close was
+  /// delivered meanwhile.
+  void hand_over(ByteView data);
   /// Drops both handlers (and whatever they captured).
   void release_handlers();
   Time next_arrival();  // FIFO watermark + fault adjustments

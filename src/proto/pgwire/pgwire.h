@@ -22,52 +22,113 @@
 
 namespace rddr::pg {
 
-/// A framed protocol message. `type == 0` denotes the (untyped) startup
-/// packet.
+/// One framed message, as views into the MessageReader that framed it.
+/// `type == 0` denotes the (untyped) startup packet.
 struct Message {
   char type = 0;
-  Bytes payload;
-
-  bool operator==(const Message&) const = default;
+  /// The whole frame as it crossed the wire: type byte (none for the
+  /// startup packet), length, payload.
+  ByteView wire;
+  /// The bytes after the length.
+  ByteView payload;
 };
 
-/// Incremental frame reader for one direction of a connection.
+/// Incremental frame reader for one direction of a connection. It keeps
+/// one buffer for its lifetime: feed() appends to it and frames by
+/// offset, take() hands out views, and the bytes taken are dropped at the
+/// next feed(), so a steady stream costs no allocation.
 class MessageReader {
  public:
   /// `expect_startup` — true for the server side of a fresh connection,
   /// where the first packet has no type byte.
   explicit MessageReader(bool expect_startup);
 
+  /// Appends `data` and frames every message it completes. Invalidates the
+  /// messages taken so far.
   void feed(ByteView data);
-  std::vector<Message> take();
+
+  /// Hands each message framed and not yet taken to `f(const Message&)`,
+  /// in order, until `f` returns false; the rest wait for the next take().
+  /// The views are valid until the next feed(). Nothing of the reader is
+  /// touched after `f` returns false, so `f` may then have destroyed it.
+  template <typename F>
+  void take(F&& f) {
+    while (untaken_ > 0)
+      if (!f(next_message())) return;
+  }
+  /// How many messages take() would hand out, and their bytes.
+  size_t untaken() const { return untaken_; }
+  ByteView untaken_bytes() const {
+    return ByteView(buf_).substr(taken_, framed_ - taken_);
+  }
 
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
 
   /// Not-yet-framed bytes (pass-through fallback after a framing failure).
-  const Bytes& unconsumed() const { return buf_; }
+  ByteView unconsumed() const { return ByteView(buf_).substr(framed_); }
 
  private:
   void parse();
+  void fail(std::string error);
+  /// The first untaken message, which it marks taken.
+  Message next_message();
 
   bool expect_startup_;
+  bool startup_untaken_ = false;  // the first untaken message is the startup
   bool failed_ = false;
   std::string error_;
   Bytes buf_;
-  std::vector<Message> ready_;
+  size_t taken_ = 0;   // buf_[0, taken_) went out through take()
+  size_t framed_ = 0;  // buf_[0, framed_) is framed
+  size_t untaken_ = 0;  // messages in buf_[taken_, framed_)
 };
 
-// ---- Frontend builders ----
+// ---- Encoders ----
+//
+// Each message has one encoder, which appends it to `out` and writes its
+// length last. The build_* forms return it in a buffer of its own.
 
 /// Startup packet: protocol 3.0 + parameters (user, database, ...).
-Bytes build_startup(const std::map<std::string, std::string>& params);
+void append_startup(Bytes& out, const std::map<std::string, std::string>& params);
 /// Simple query ('Q').
-Bytes build_query(std::string_view sql);
+void append_query(Bytes& out, std::string_view sql);
 /// Terminate ('X').
+void append_terminate(Bytes& out);
+void append_auth_ok(Bytes& out);
+void append_parameter_status(Bytes& out, std::string_view name,
+                             std::string_view value);
+void append_backend_key_data(Bytes& out, uint32_t pid, uint32_t secret);
+void append_ready_for_query(Bytes& out, char txn_status = 'I');
+void append_row_description(Bytes& out,
+                            const std::vector<std::string>& column_names);
+void append_command_complete(Bytes& out, std::string_view tag);
+void append_error(Bytes& out, std::string_view sqlstate,
+                  std::string_view message);
+void append_notice(Bytes& out, std::string_view message);
+
+/// DataRow, cell by cell: construct, then per column either null() or
+/// open_text() followed by appending the value's text to the returned
+/// buffer (`out` itself, so a value renders straight into the message),
+/// then finish().
+class DataRowWriter {
+ public:
+  DataRowWriter(Bytes& out, uint16_t columns);
+  void null();
+  Bytes& open_text();
+  void finish();
+
+ private:
+  void close_cell();
+
+  Bytes& out_;
+  size_t at_;                // the message's length field
+  size_t cell_ = Bytes::npos;  // the open text cell's length field
+};
+
+Bytes build_startup(const std::map<std::string, std::string>& params);
+Bytes build_query(std::string_view sql);
 Bytes build_terminate();
-
-// ---- Backend builders ----
-
 Bytes build_auth_ok();
 Bytes build_parameter_status(std::string_view name, std::string_view value);
 Bytes build_backend_key_data(uint32_t pid, uint32_t secret);
@@ -84,8 +145,8 @@ Bytes build_notice(std::string_view message);
 /// Startup parameters (key/value pairs). Returns nullopt on malformed data.
 std::optional<std::map<std::string, std::string>> parse_startup(ByteView payload);
 
-/// SQL text of a Query message.
-std::optional<std::string> parse_query(ByteView payload);
+/// SQL text of a Query message (a view into `payload`).
+std::optional<std::string_view> parse_query(ByteView payload);
 
 /// Column names from a RowDescription.
 std::optional<std::vector<std::string>> parse_row_description(ByteView payload);

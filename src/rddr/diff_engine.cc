@@ -218,7 +218,8 @@ BatchVerdict DiffEngine::compare(const ProtocolPlugin& plugin,
   bool raw_equal = n >= 2;
   for (size_t i = 1; i < n && raw_equal; ++i)
     raw_equal =
-        units[i].kind == units[0].kind && units[i].data == units[0].data;
+        units[i].kind == units[0].kind &&
+        units[i].data.view() == units[0].data.view();
   if (raw_equal) {
     ++stats_.raw_equal;
     arena_.reset();
@@ -520,9 +521,9 @@ BatchVerdict DiffEngine::compare_canonical(const CanonicalUnit* canon,
   return v;
 }
 
-Bytes DiffEngine::forward_downstream(const ProtocolPlugin& plugin,
-                                     const std::vector<Unit>& units,
-                                     const CompareContext& ctx) {
+SharedBytes DiffEngine::forward_downstream(const ProtocolPlugin& plugin,
+                                           const std::vector<Unit>& units,
+                                           const CompareContext& ctx) {
   // A token differs across every instance, so only a unanimous batch whose
   // canonical forms were not all equal can hold one. Those forms are the
   // preceding compare()'s, still in the arena; a byte-identical batch

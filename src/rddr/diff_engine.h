@@ -130,10 +130,10 @@ class DiffEngine {
   /// §IV-B3) into ctx.session and returns instance 0's bytes. Harvests
   /// from that compare()'s canonical forms, only when the plugin opts in,
   /// the batch was unanimous and ctx.session is set; any other batch
-  /// harvests nothing.
-  Bytes forward_downstream(const ProtocolPlugin& plugin,
-                           const std::vector<Unit>& units,
-                           const CompareContext& ctx);
+  /// harvests nothing. The bytes are instance 0's unit itself, not a copy.
+  SharedBytes forward_downstream(const ProtocolPlugin& plugin,
+                                 const std::vector<Unit>& units,
+                                 const CompareContext& ctx);
 
   /// Core primitive under compare(): verdict over already-canonical
   /// units. Exposed for tests and microbenches; `plugin`/`units` may be

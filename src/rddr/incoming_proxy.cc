@@ -473,7 +473,7 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
     for (auto& u : s->client_framer->take()) {
       s->last_progress = net_.simulator().now();
       if (config_.signature_blocking) {
-        uint64_t fp = std::hash<std::string>()(u.data);
+        uint64_t fp = std::hash<ByteView>()(u.data.view());
         auto hit = signatures_.find(fp);
         if (hit != signatures_.end() &&
             hit->second >= config_.signature_threshold) {
@@ -501,16 +501,14 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
         config_.tracer->tag(ev, "fanout", strformat("%zu", s->live()));
         config_.tracer->tag(ev, "bytes", strformat("%zu", u.data.size()));
       }
-      // Identity-rewrite fast path: materialise the unit once and fan the
-      // same refcounted buffer out to every participating instance. Plugins
-      // that restore per-instance tokens (HTTP) take the rewrite path.
+      // Identity-rewrite fast path: fan the unit's own refcounted bytes
+      // out to every participating instance. Plugins that restore
+      // per-instance tokens (HTTP) take the rewrite path.
       const bool identity = config_.plugin->rewrites_identity();
-      SharedBytes shared;
-      if (identity) shared = SharedBytes(Bytes(u.data));
       for (size_t i = 0; i < s->lanes.size(); ++i) {
         if (s->lanes[i].participating) {
           if (identity) {
-            s->lanes[i].conn->send(shared);
+            s->lanes[i].conn->send(u.data);
           } else {
             s->lanes[i].conn->send(
                 SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
@@ -588,11 +586,9 @@ SessionState* IncomingProxy::token_state(NWayFlow&, size_t n) {
 void IncomingProxy::forward(const FlowPtr& f, const std::vector<Unit>& units,
                             const CompareContext& ctx) {
   auto& s = static_cast<Session&>(*f);
-  Bytes fwd = engine_.forward_downstream(*config_.plugin, units, ctx);
+  SharedBytes fwd = engine_.forward_downstream(*config_.plugin, units, ctx);
   s.last_progress = net_.simulator().now();
-  if (s.client->is_open()) s.client->send(SharedBytes(std::move(fwd)));
-  pump(f);
-  arm_unit_timeout(f);
+  if (s.client->is_open()) s.client->send(std::move(fwd));
 }
 
 void IncomingProxy::arm_idle(const std::shared_ptr<Session>& s) {

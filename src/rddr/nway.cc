@@ -165,103 +165,116 @@ void NWayProxy::on_lane_data(const FlowPtr& f, size_t slot, ByteView data) {
 void NWayProxy::compare_next(const FlowPtr& f) {
   const ProxyOptions& opts = options();
   cancel_event(f->timeout_event);
-  auto units = std::make_shared<std::vector<Unit>>();
-  std::vector<size_t> idxmap;  // unit position -> slot
+  NWayFlow::Batch& b = f->batch;
   size_t bytes = 0;
   for (size_t i = 0; i < f->lanes.size(); ++i) {
     Lane& l = f->lanes[i];
     if (!l.participating) continue;
     bytes += l.queue.front().data.size();
-    units->push_back(std::move(l.queue.front()));
+    b.units.push_back(std::move(l.queue.front()));
     l.queue.pop_front();
-    idxmap.push_back(i);
+    b.slots.push_back(i);
   }
-  units_consumed(idxmap.size());
+  units_consumed(b.slots.size());
   f->busy = true;
-  obs::SpanId diff_span = 0;
-  const sim::Time diff_start = net_.simulator().now();
+  b.span = 0;
+  b.start = net_.simulator().now();
   if (opts.tracer) {
-    diff_span = opts.tracer->begin(f->trace, f->root_span, "diff", opts.name);
-    opts.tracer->tag(diff_span, "instances", strformat("%zu", idxmap.size()));
+    b.span = opts.tracer->begin(f->trace, f->root_span, "diff", opts.name);
+    opts.tracer->tag(b.span, "instances", strformat("%zu", b.slots.size()));
   }
   double cost =
       opts.cpu_per_unit + static_cast<double>(bytes) * opts.cpu_per_byte;
-  host_.run_task(cost, [this, f, units, idxmap = std::move(idxmap), diff_span,
-                        diff_start] {
-    const ProxyOptions& opts = options();
+  host_.run_task(cost, [this, f] {
     f->busy = false;
-    counters_.compare_ms->observe(
-        static_cast<double>(net_.simulator().now() - diff_start) / 1e6);
-    obs::Tracer* tracer = opts.tracer;
-    if (tracer) {
-      // The de-noise pass runs inside the engine's compare; a marker span
-      // keeps it visible in the taxonomy.
-      obs::SpanId dn = tracer->event(f->trace, diff_span, "denoise", opts.name);
-      tracer->tag(dn, "filter_pair", opts.filter_pair ? "true" : "false");
-    }
-    if (f->ended) {
-      if (tracer) tracer->end(diff_span);
-      return;
-    }
-    counters_.units_compared->inc();
     CompareContext ctx;
-    // The de-noise mask needs the filter pair in slots 0/1; a degraded
-    // batch may have lost one of them.
-    ctx.filter_pair = opts.filter_pair && f->pair_ok && idxmap.size() >= 2 &&
-                      idxmap[0] == 0 && idxmap[1] == 1;
-    ctx.variance = &opts.variance;
-    ctx.session = token_state(*f, idxmap.size());
-    auto verdict = [&](const char* v) -> obs::SpanId {
-      if (!tracer) return 0;
-      obs::SpanId sp = tracer->event(f->trace, diff_span, "verdict", opts.name);
-      tracer->tag(sp, "verdict", v);
-      return sp;
-    };
-
-    // A strict verdict never names an outlier, and under kStrict no health
-    // failure is ever recorded, so one vote serves every policy.
-    BatchVerdict vote = engine_.compare(
-        *opts.plugin, *units, ctx,
-        opts.degradation == DegradationPolicy::kStrict ? VoteMode::kStrict
-                                                       : VoteMode::kQuorum);
-    if (!vote.agreed) {
-      obs::SpanId sp = verdict("divergent");
-      if (tracer) {
-        tracer->tag(sp, "reason", vote.reason);
-        tracer->end(diff_span);
-      }
-      intervene(f, vote.reason, &vote, units.get());
-      return;
-    }
-    if (vote.outlier != SIZE_MAX) {
-      size_t slot = idxmap[vote.outlier];
-      counters_.quorum_outvotes->inc();
-      record_divergence("outvote", vote.reason, &vote, units.get(), *f);
-      obs::SpanId sp = verdict("outvoted");
-      if (tracer) tracer->tag(sp, "outvoted_instance", strformat("%zu", slot));
-      RDDR_LOG_WARN("%s: %s: instance %zu outvoted by quorum (%zu-of-%zu "
-                    "agree); %s",
-                    opts.name.c_str(), f->label.c_str(), slot,
-                    units->size() - 1, units->size(), traits_.outvote_action);
-      units->erase(units->begin() + static_cast<std::ptrdiff_t>(vote.outlier));
-      // The batch lost a member: the filter pair survives only if both its
-      // slots did, and token harvesting needs the full group.
-      ctx.filter_pair = ctx.filter_pair && vote.outlier > 1;
-      ctx.session = nullptr;
-      if (!outvoted(f, slot)) {
-        if (tracer) tracer->end(diff_span);
-        return;
-      }
-    } else {
-      for (size_t i : idxmap) {
-        size_t h = health_index(*f, i);
-        if (h != SIZE_MAX) health_.record_success(h);
-      }
-      verdict("agree");
-    }
-    if (tracer) tracer->end(diff_span);
-    forward(f, *units, ctx);
+    const bool go = settle_batch(f, ctx);
+    if (go) forward(f, f->batch.units, ctx);
+    // The batch's bytes are downstream or refused: let go of them before
+    // the next batch is popped.
+    f->batch.units.clear();
+    f->batch.slots.clear();
+    if (!go) return;
+    pump(f);
+    if (!traits_.arm_timer_in_pump) arm_unit_timeout(f);
   });
+}
+
+bool NWayProxy::settle_batch(const FlowPtr& f, CompareContext& ctx) {
+  const ProxyOptions& opts = options();
+  std::vector<Unit>& units = f->batch.units;
+  const std::vector<size_t>& slots = f->batch.slots;
+  const obs::SpanId diff_span = f->batch.span;
+  counters_.compare_ms->observe(
+      static_cast<double>(net_.simulator().now() - f->batch.start) / 1e6);
+  obs::Tracer* tracer = opts.tracer;
+  if (tracer) {
+    // The de-noise pass runs inside the engine's compare; a marker span
+    // keeps it visible in the taxonomy.
+    obs::SpanId dn = tracer->event(f->trace, diff_span, "denoise", opts.name);
+    tracer->tag(dn, "filter_pair", opts.filter_pair ? "true" : "false");
+  }
+  if (f->ended) {
+    if (tracer) tracer->end(diff_span);
+    return false;
+  }
+  counters_.units_compared->inc();
+  // The de-noise mask needs the filter pair in slots 0/1; a degraded
+  // batch may have lost one of them.
+  ctx.filter_pair = opts.filter_pair && f->pair_ok && slots.size() >= 2 &&
+                    slots[0] == 0 && slots[1] == 1;
+  ctx.variance = &opts.variance;
+  ctx.session = token_state(*f, slots.size());
+  auto verdict = [&](const char* v) -> obs::SpanId {
+    if (!tracer) return 0;
+    obs::SpanId sp = tracer->event(f->trace, diff_span, "verdict", opts.name);
+    tracer->tag(sp, "verdict", v);
+    return sp;
+  };
+
+  // A strict verdict never names an outlier, and under kStrict no health
+  // failure is ever recorded, so one vote serves every policy.
+  BatchVerdict vote = engine_.compare(
+      *opts.plugin, units, ctx,
+      opts.degradation == DegradationPolicy::kStrict ? VoteMode::kStrict
+                                                     : VoteMode::kQuorum);
+  if (!vote.agreed) {
+    obs::SpanId sp = verdict("divergent");
+    if (tracer) {
+      tracer->tag(sp, "reason", vote.reason);
+      tracer->end(diff_span);
+    }
+    intervene(f, vote.reason, &vote, &units);
+    return false;
+  }
+  if (vote.outlier != SIZE_MAX) {
+    size_t slot = slots[vote.outlier];
+    counters_.quorum_outvotes->inc();
+    record_divergence("outvote", vote.reason, &vote, &units, *f);
+    obs::SpanId sp = verdict("outvoted");
+    if (tracer) tracer->tag(sp, "outvoted_instance", strformat("%zu", slot));
+    RDDR_LOG_WARN("%s: %s: instance %zu outvoted by quorum (%zu-of-%zu "
+                  "agree); %s",
+                  opts.name.c_str(), f->label.c_str(), slot,
+                  units.size() - 1, units.size(), traits_.outvote_action);
+    units.erase(units.begin() + static_cast<std::ptrdiff_t>(vote.outlier));
+    // The batch lost a member: the filter pair survives only if both its
+    // slots did, and token harvesting needs the full group.
+    ctx.filter_pair = ctx.filter_pair && vote.outlier > 1;
+    ctx.session = nullptr;
+    if (!outvoted(f, slot)) {
+      if (tracer) tracer->end(diff_span);
+      return false;
+    }
+  } else {
+    for (size_t i : slots) {
+      size_t h = health_index(*f, i);
+      if (h != SIZE_MAX) health_.record_success(h);
+    }
+    verdict("agree");
+  }
+  if (tracer) tracer->end(diff_span);
+  return true;
 }
 
 bool NWayProxy::drop_lane(const FlowPtr& f, size_t slot,
@@ -318,7 +331,7 @@ void NWayProxy::record_divergence(const char* verdict_class,
   rec.reason = reason;
   if (units && !units->empty()) {
     rec.unit_kind = (*units)[0].kind;
-    rec.unit_data = (*units)[0].data;
+    rec.unit_data = Bytes((*units)[0].data.view());
   }
   if (verdict) {
     rec.region_line = verdict->region.line;

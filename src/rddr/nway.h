@@ -57,6 +57,16 @@ struct NWayFlow {
   obs::SpanId root_span = 0;
   ExecutionIndex index;
 
+  /// The batch the compare task works on while `busy`: one unit per live
+  /// lane and the slot each came from. It lives in the flow, so its
+  /// vectors keep their capacity from batch to batch.
+  struct Batch {
+    std::vector<Unit> units;
+    std::vector<size_t> slots;
+    obs::SpanId span = 0;  // "diff" span (0 when untraced)
+    sim::Time start = 0;
+  } batch;
+
   size_t live() const;
   /// Whether some live lane has a unit queued / has none.
   bool any_queued() const;
@@ -158,7 +168,7 @@ class NWayProxy {
   virtual bool outvoted(const FlowPtr& f, size_t slot) = 0;
   /// Fail-open: forwards the survivor's raw bytes downstream.
   virtual void pass_through(NWayFlow& f, ByteView data) = 0;
-  /// Forwards the agreed batch and keeps the flow going.
+  /// Forwards the agreed batch (the flow then pumps the next one).
   virtual void forward(const FlowPtr& f, const std::vector<Unit>& units,
                        const CompareContext& ctx) = 0;
   /// Token table a batch of `n` instances harvests into (null: none).
@@ -202,6 +212,9 @@ class NWayProxy {
   void on_unit_timeout(const FlowPtr& f);
   /// Pops one unit per live lane and runs the compare task on the host.
   void compare_next(const FlowPtr& f);
+  /// The compare task: votes on f->batch and acts on the verdict. True
+  /// when the batch went downstream and the flow goes on.
+  bool settle_batch(const FlowPtr& f, CompareContext& ctx);
 
   const Traits traits_;
 };

@@ -315,7 +315,6 @@ void OutgoingProxy::forward(const FlowPtr& f, const std::vector<Unit>& units,
   auto& g = static_cast<Group&>(*f);
   counters_.units_replicated->inc();
   if (g.backend && g.backend->is_open()) g.backend->send(units[0].data);
-  pump(f);
 }
 
 SessionState* OutgoingProxy::token_state(NWayFlow& f, size_t) {

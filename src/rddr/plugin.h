@@ -15,14 +15,17 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/shared_bytes.h"
 #include "rddr/arena.h"
 
 namespace rddr::core {
 
 /// One comparable protocol unit (an HTTP message, a pgwire message, a
-/// line, ...). `data` is the exact wire form, suitable for forwarding.
+/// line, ...). `data` is the exact wire form, suitable for forwarding: a
+/// slice of the buffer its framer cut it from, so copying a Unit, queueing
+/// it or sending it moves no bytes.
 struct Unit {
-  Bytes data;
+  SharedBytes data;
   /// Protocol-specific tag for quick structural checks ("http", "pg:Q",
   /// "pg:D", "line", ...). Units with different kinds always diverge.
   std::string kind;
@@ -127,7 +130,7 @@ class ProtocolPlugin {
     (void)ctx;
     out.klass = unit.kind;
     out.what = ByteView("unit");
-    out.lines.push_back(arena, ByteView(unit.data));
+    out.lines.push_back(arena, unit.data.view());
   }
 
   /// Reason string when instance i's comparability class differs from
@@ -150,7 +153,7 @@ class ProtocolPlugin {
                                      const CompareContext& ctx) const {
     (void)instance;
     (void)ctx;
-    return unit.data;
+    return Bytes(unit.data.view());
   }
 
   /// True iff rewrite_for_instance is the identity for EVERY unit, instance

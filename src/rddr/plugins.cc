@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/strutil.h"
 #include "proto/http/coding.h"
@@ -21,14 +22,13 @@ class LineFramer : public StreamFramer {
   void feed(ByteView data) override { buf_.append(data); }
   std::vector<Unit> take() override {
     std::vector<Unit> out;
-    size_t nl;
-    while ((nl = buf_.find('\n')) != Bytes::npos) {
-      Unit u;
-      u.data = buf_.substr(0, nl + 1);
-      u.kind = "line";
-      buf_.erase(0, nl + 1);
-      out.push_back(std::move(u));
+    size_t start = 0, nl;
+    while ((nl = buf_.find('\n', start)) != Bytes::npos) {
+      out.push_back(Unit{SharedBytes(buf_.substr(start, nl + 1 - start)),
+                         "line"});
+      start = nl + 1;
     }
+    buf_.erase(0, start);
     return out;
   }
   bool failed() const override { return false; }
@@ -49,10 +49,7 @@ class HttpRequestFramer : public StreamFramer {
   std::vector<Unit> take() override {
     std::vector<Unit> out;
     for (auto& req : parser_.take()) {
-      Unit u;
-      u.data = std::move(req.raw);
-      u.kind = "http-req";
-      out.push_back(std::move(u));
+      out.push_back(Unit{SharedBytes(std::move(req.raw)), "http-req"});
     }
     return out;
   }
@@ -78,10 +75,7 @@ class HttpResponseFramer : public StreamFramer {
   std::vector<Unit> take() override {
     std::vector<Unit> out;
     for (auto& resp : parser_.take()) {
-      Unit u;
-      u.data = std::move(resp.raw);
-      u.kind = "http-resp";
-      out.push_back(std::move(u));
+      out.push_back(Unit{SharedBytes(std::move(resp.raw)), "http-resp"});
     }
     return out;
   }
@@ -92,40 +86,39 @@ class HttpResponseFramer : public StreamFramer {
   http::ResponseParser parser_;
 };
 
+/// pgwire messages. Each feed copies the messages it completes once, out
+/// of the reader's buffer into one shared chunk, and every unit is a slice
+/// of that chunk.
 class PgFramer : public StreamFramer {
  public:
   explicit PgFramer(bool expect_startup) : reader_(expect_startup) {}
-  void feed(ByteView data) override { reader_.feed(data); }
-  std::vector<Unit> take() override {
-    std::vector<Unit> out;
-    for (auto& msg : reader_.take()) {
-      Unit u;
-      if (msg.type == 0) {
-        u.kind = "pg:startup";
-        uint32_t len = static_cast<uint32_t>(msg.payload.size() + 4);
-        put_u32_be(u.data, len);
-        u.data += msg.payload;
-      } else {
-        u.kind = std::string("pg:") + msg.type;
-        u.data.push_back(msg.type);
-        put_u32_be(u.data, static_cast<uint32_t>(msg.payload.size() + 4));
-        u.data += msg.payload;
-      }
-      out.push_back(std::move(u));
-    }
-    return out;
+  void feed(ByteView data) override {
+    reader_.feed(data);
+    const ByteView framed = reader_.untaken_bytes();
+    if (framed.empty()) return;
+    const SharedBytes chunk{framed};
+    ready_.reserve(ready_.size() + reader_.untaken());
+    reader_.take([&](const pg::Message& msg) {
+      ready_.push_back(Unit{
+          chunk.slice(static_cast<size_t>(msg.wire.data() - framed.data()),
+                      msg.wire.size()),
+          msg.type == 0 ? std::string("pg:startup")
+                        : std::string{'p', 'g', ':', msg.type}});
+      return true;
+    });
   }
+  std::vector<Unit> take() override { return std::exchange(ready_, {}); }
   bool failed() const override { return reader_.failed(); }
-  Bytes unconsumed() const override { return reader_.unconsumed(); }
+  Bytes unconsumed() const override { return Bytes(reader_.unconsumed()); }
 
  private:
   pg::MessageReader reader_;
+  std::vector<Unit> ready_;  // framed, not yet taken
 };
 
 /// Extracts a pg message payload back out of a framed unit.
 ByteView pg_payload(const Unit& u) {
-  if (u.kind == "pg:startup") return ByteView(u.data).substr(4);
-  return ByteView(u.data).substr(5);
+  return u.data.view().substr(u.kind == "pg:startup" ? 4 : 5);
 }
 
 /// ParameterStatus name: the NUL-terminated first field of the payload.
@@ -147,7 +140,7 @@ void TcpLinePlugin::canonicalize(const Unit& unit, const CompareContext&,
                                  Arena& arena, CanonicalUnit& out) const {
   out.klass = unit.kind;
   out.what = ByteView("line");
-  out.lines.push_back(arena, ByteView(unit.data));
+  out.lines.push_back(arena, unit.data.view());
 }
 
 // ---------- HttpPlugin ----------
@@ -165,11 +158,11 @@ void HttpPlugin::canonicalize(const Unit& unit, const CompareContext& ctx,
   out.what = ByteView("unit");
   out.per_line = true;
   http::ResponseParser parser(HttpRequestFramer::lenient_options());
-  parser.feed(unit.data);
+  parser.feed(unit.data.view());
   auto msgs = parser.take();
   if (msgs.size() != 1) {
     // Unparseable: compare raw bytes as lines.
-    for (const auto& l : split_lines(unit.data))
+    for (const auto& l : split_lines(unit.data.view()))
       out.lines.push_back(arena, arena.copy(l));
     return;
   }
@@ -229,22 +222,23 @@ std::vector<std::string> HttpPlugin::comparable_lines(
 
 Bytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,
                                        const CompareContext& ctx) const {
+  const ByteView data = unit.data.view();
   if (!opts_.handle_ephemeral_state || !ctx.session ||
       ctx.session->tokens.empty())
-    return unit.data;
+    return Bytes(data);
   // Find tokens present in this request.
   bool any = false;
   for (const auto& [canonical, _] : ctx.session->tokens) {
-    if (unit.data.find(canonical) != Bytes::npos) {
+    if (data.find(canonical) != ByteView::npos) {
       any = true;
       break;
     }
   }
-  if (!any) return unit.data;
+  if (!any) return Bytes(data);
 
   // Re-frame so Content-Length stays correct if token lengths differ.
   http::RequestParser parser(HttpRequestFramer::lenient_options());
-  parser.feed(unit.data);
+  parser.feed(data);
   auto msgs = parser.take();
   std::vector<std::string> used;
   Bytes out;
@@ -278,7 +272,7 @@ Bytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,
   } else {
     // Could not re-frame: raw replacement (token lengths match in all our
     // generators, so Content-Length is preserved).
-    out = unit.data;
+    out = data;
     for (const auto& [canonical, per_instance] : ctx.session->tokens) {
       if (out.find(canonical) != Bytes::npos) {
         out = replace_all(out, canonical, per_instance[instance]);
@@ -348,19 +342,19 @@ void PgPlugin::canonicalize(const Unit& unit, const CompareContext& ctx,
         if (name == ign) out.exempt = true;
     }
     out.what = ByteView("ParameterStatus");
-    out.lines.push_back(arena, ByteView(unit.data));
+    out.lines.push_back(arena, unit.data.view());
     return;
   } else if (kind == "pg:Q") {
     // Query merge (outgoing proxy): compare SQL text so divergence reasons
     // are readable ("...WHERE id = ''' OR ..." beats raw frame bytes).
     out.what = ByteView("Query SQL");
     auto q = pg::parse_query(pg_payload(unit));
-    out.lines.push_back(arena, q ? arena.copy(*q) : ByteView(unit.data));
+    out.lines.push_back(arena, q ? arena.copy(*q) : unit.data.view());
     return;
   }
   out.what = arena.copy(
       "message " + pg::type_name(kind.size() > 3 ? kind[3] : '?'));
-  out.lines.push_back(arena, ByteView(unit.data));
+  out.lines.push_back(arena, unit.data.view());
 }
 
 std::string PgPlugin::class_mismatch_reason(const std::vector<Unit>& units,

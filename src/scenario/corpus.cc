@@ -69,9 +69,7 @@ std::string fingerprint(const core::DivergenceRecord& r,
     // Resolve the diff region against the same comparison form the proxy
     // diffed (ignore rules shift line indices, so the run's variance is
     // required for alignment).
-    core::Unit unit;
-    unit.data = r.unit_data;
-    unit.kind = r.unit_kind;
+    const core::Unit unit{SharedBytes(ByteView(r.unit_data)), r.unit_kind};
     const std::vector<std::string> lines =
         core::HttpPlugin().comparable_lines(unit, &run_variance);
     if (r.region_line < lines.size()) {

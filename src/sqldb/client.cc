@@ -20,7 +20,8 @@ PgClient::PgClient(sim::Network& net, const std::string& address,
   }
   conn_->set_on_data([this](ByteView d) { on_data(d); });
   conn_->set_on_close([this] { on_close(); });
-  conn_->send(pg::build_startup({{"user", user}, {"database", "app"}}));
+  conn_->send(
+      SharedBytes(pg::build_startup({{"user", user}, {"database", "app"}})));
 }
 
 PgClient::~PgClient() {
@@ -40,7 +41,7 @@ void PgClient::query(const std::string& sql, QueryCallback cb) {
 
 void PgClient::close() {
   if (conn_ && conn_->is_open()) {
-    conn_->send(pg::build_terminate());
+    conn_->send(SharedBytes(pg::build_terminate()));
     conn_->close();
   }
   // Queries still awaiting a response will never get one on a closed
@@ -53,7 +54,7 @@ void PgClient::maybe_send_next() {
   in_flight_ = true;
   ready_ = false;
   current_ = QueryOutcome{};
-  conn_->send(pg::build_query(queue_.front().first));
+  conn_->send(SharedBytes(pg::build_query(queue_.front().first)));
 }
 
 void PgClient::finish_cycle() {
@@ -75,63 +76,69 @@ void PgClient::on_data(ByteView data) {
     on_close();
     return;
   }
-  for (const auto& msg : reader_.take()) {
-    switch (msg.type) {
-      case 'R':
-        break;  // auth ok
-      case 'S': {
-        // ParameterStatus: name/value c-strings.
-        size_t nul = msg.payload.find('\0');
-        if (nul != Bytes::npos && nul + 1 < msg.payload.size()) {
-          std::string name = msg.payload.substr(0, nul);
-          std::string value =
-              msg.payload.substr(nul + 1, msg.payload.size() - nul - 2);
-          server_params_[name] = value;
-        }
-        break;
+  reader_.take([this](const pg::Message& msg) { return on_message(msg); });
+}
+
+bool PgClient::on_message(const pg::Message& msg) {
+  switch (msg.type) {
+    case 'R':
+      break;  // auth ok
+    case 'S': {
+      // ParameterStatus: name/value c-strings.
+      size_t nul = msg.payload.find('\0');
+      if (nul != ByteView::npos && nul + 1 < msg.payload.size()) {
+        server_params_[std::string(msg.payload.substr(0, nul))] =
+            msg.payload.substr(nul + 1, msg.payload.size() - nul - 2);
       }
-      case 'K':
-        break;  // backend key data (instance-local noise)
-      case 'T': {
-        auto names = pg::parse_row_description(msg.payload);
-        if (names) current_.columns = std::move(*names);
-        break;
-      }
-      case 'D': {
-        auto row = pg::parse_data_row(msg.payload);
-        if (row) current_.rows.push_back(std::move(*row));
-        break;
-      }
-      case 'C': {
-        size_t nul = msg.payload.find('\0');
-        current_.command_tags.push_back(msg.payload.substr(0, nul));
-        break;
-      }
-      case 'N': {
-        auto f = pg::parse_error_fields(msg.payload);
-        if (f) current_.notices.push_back(f->message);
-        break;
-      }
-      case 'E': {
-        auto f = pg::parse_error_fields(msg.payload);
-        if (f) {
-          current_.error_sqlstate = f->sqlstate;
-          current_.error_message = f->message;
-        } else {
-          current_.error_sqlstate = "XX000";
-        }
-        break;
-      }
-      case 'Z': {
-        ready_ = true;
-        if (in_flight_) finish_cycle();
-        else maybe_send_next();
-        break;
-      }
-      default:
-        RDDR_LOG_WARN("pg client: unexpected message '%c'", msg.type);
+      break;
     }
+    case 'K':
+      break;  // backend key data (instance-local noise)
+    case 'T': {
+      auto names = pg::parse_row_description(msg.payload);
+      if (names) current_.columns = std::move(*names);
+      break;
+    }
+    case 'D': {
+      auto row = pg::parse_data_row(msg.payload);
+      if (row) current_.rows.push_back(std::move(*row));
+      break;
+    }
+    case 'C': {
+      current_.command_tags.emplace_back(
+          msg.payload.substr(0, msg.payload.find('\0')));
+      break;
+    }
+    case 'N': {
+      auto f = pg::parse_error_fields(msg.payload);
+      if (f) current_.notices.push_back(f->message);
+      break;
+    }
+    case 'E': {
+      auto f = pg::parse_error_fields(msg.payload);
+      if (f) {
+        current_.error_sqlstate = f->sqlstate;
+        current_.error_message = f->message;
+      } else {
+        current_.error_sqlstate = "XX000";
+      }
+      break;
+    }
+    case 'Z': {
+      ready_ = true;
+      if (!in_flight_) {
+        maybe_send_next();
+        break;
+      }
+      // The cycle's callback may hold the last reference to this client:
+      // stop the walk so that nothing of it is touched afterwards.
+      finish_cycle();
+      return false;
+    }
+    default:
+      RDDR_LOG_WARN("pg client: unexpected message '%c'", msg.type);
   }
+  return true;
 }
 
 void PgClient::on_close() {

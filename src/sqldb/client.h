@@ -67,6 +67,8 @@ class PgClient {
 
  private:
   void on_data(ByteView data);
+  /// Handles one framed message; false when it ended a query cycle.
+  bool on_message(const pg::Message& msg);
   void on_close();
   void maybe_send_next();
   void finish_cycle();

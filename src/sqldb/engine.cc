@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <tuple>
 
 #include "common/strutil.h"
@@ -331,12 +332,12 @@ Session::Session(Database& db, std::string user)
   settings_["client_min_messages"] = "notice";
 }
 
-std::string Session::setting(std::string_view name) const {
+std::string_view Session::setting(std::string_view name) const {
   auto it = settings_.find(name);
-  return it == settings_.end() ? "" : it->second;
+  return it == settings_.end() ? std::string_view() : it->second;
 }
 
-ExecResult Session::execute(std::string_view sql) {
+ExecResult Session::execute(std::string_view sql, RowForm form) {
   ExecResult result;
   auto parsed = parse_sql(sql);
   if (!parsed.ok()) {
@@ -346,10 +347,24 @@ ExecResult Session::execute(std::string_view sql) {
     result.statements.push_back(std::move(sr));
     return result;
   }
+  result.statements.reserve(parsed.value().size());
   for (const auto& st : parsed.value()) {
     StatementResult sr = run_statement(st);
     bool failed = sr.failed();
     result.rows_scanned += sr.rows_scanned;
+    if (form == RowForm::kText && sr.row_count > 0) {
+      const size_t width = sr.columns.size();
+      sr.rows.resize(sr.row_count);
+      for (size_t r = 0; r < sr.row_count; ++r) {
+        sr.rows[r].reserve(width);
+        for (size_t c = 0; c < width; ++c) {
+          const Datum& d = sr.cells[r * width + c];
+          if (d.is_null()) sr.rows[r].emplace_back();
+          else sr.rows[r].emplace_back(d.to_text());
+        }
+      }
+      sr.cells.clear();
+    }
     result.statements.push_back(std::move(sr));
     if (failed) break;  // simple-protocol scripts abort at first error
   }
@@ -406,32 +421,45 @@ bool rls_applies(const TableData& t, const std::string& user) {
   return t.rls_enabled && user != "postgres" && user != t.owner;
 }
 
-/// Resolves the first "col = <int literal>" conjunct of `e` that a
-/// hash index covers, visiting AND operands right to left. Returns the
-/// matching row ordinals (ascending, so scan order stays deterministic),
-/// or nullopt for a full scan.
-std::optional<std::vector<size_t>> index_candidates(const TableData& t,
-                                                    const Expr* e) {
+/// The value of an integer literal, or of a negated one (`-7`, which
+/// Postgres folds into a constant too).
+std::optional<int64_t> int_literal(const Expr& e) {
+  if (e.kind == ExprKind::kLiteral && e.literal.type() == Type::kInt)
+    return e.literal.as_int();
+  if (e.kind == ExprKind::kUnary && e.op == "-") {
+    // INT64_MIN has its own literal; negating it would overflow.
+    std::optional<int64_t> v = int_literal(*e.args[0]);
+    if (v && *v != INT64_MIN) return -*v;
+  }
+  return std::nullopt;
+}
+
+/// An index lookup: the rows `index` holds under `key`.
+struct IndexProbe {
+  const IntIndex* index;
+  int64_t key;
+};
+
+/// The first "col = <int literal>" conjunct of `e` that a hash index
+/// covers, visiting AND operands right to left; none for a full scan.
+std::optional<IndexProbe> index_probe(const TableData& t, const Expr* e) {
   if (!e || e->kind != ExprKind::kBinary) return std::nullopt;
   if (e->op == "and") {
-    if (auto out = index_candidates(t, e->args[1].get())) return out;
-    return index_candidates(t, e->args[0].get());
+    if (auto out = index_probe(t, e->args[1].get())) return out;
+    return index_probe(t, e->args[0].get());
   }
   if (e->op != "=") return std::nullopt;
   const Expr* col = e->args[0].get();
   const Expr* lit = e->args[1].get();
-  if (col->kind == ExprKind::kLiteral) std::swap(col, lit);
-  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
-      lit->literal.type() != Type::kInt)
-    return std::nullopt;
+  if (col->kind != ExprKind::kColumnRef) std::swap(col, lit);
+  if (col->kind != ExprKind::kColumnRef) return std::nullopt;
+  std::optional<int64_t> key = int_literal(*lit);
+  if (!key) return std::nullopt;
   int ci = t.find_column(col->column);
   if (ci < 0) return std::nullopt;
   auto it = t.hash_indexes.find(ci);
   if (it == t.hash_indexes.end()) return std::nullopt;
-  std::vector<size_t> out;
-  it->second.for_each(lit->literal.as_int(),
-                      [&](size_t ordinal) { out.push_back(ordinal); });
-  return out;
+  return IndexProbe{&it->second, *key};
 }
 
 /// Planner statistics probe: the CVE site. Selectivity estimation for
@@ -624,26 +652,38 @@ class JoinKeyTable {
 
 // ---------- Access path ----------
 
-/// The row ordinals one pass over a table visits, ascending: the
-/// hash-index candidates of its WHERE clause, or every row when no index
-/// applies. SELECT, UPDATE and DELETE all walk their table through it, so
-/// a WHERE clause is evaluated only on the rows the access path visits.
+/// The row ordinals one pass over a table visits, ascending: the rows its
+/// WHERE clause's indexed key holds, walked in the index's own chain, or
+/// every row when no index applies. SELECT, UPDATE and DELETE all walk
+/// their table through it, so a WHERE clause is evaluated only on the
+/// rows the access path visits.
 struct Session::AccessPath {
-  std::optional<std::vector<size_t>> candidates;  // nullopt: heap scan
+  const IntIndex* index = nullptr;  // null: heap scan
+  int64_t key = 0;
   size_t heap_rows = 0;
 
-  size_t size() const { return candidates ? candidates->size() : heap_rows; }
-  size_t operator[](size_t i) const {
-    return candidates ? (*candidates)[i] : i;
+  /// Calls `f(ordinal)` for each row, until it returns false; false when
+  /// it did.
+  template <typename F>
+  bool each(F&& f) const {
+    if (index) return index->for_each(key, f);
+    for (size_t i = 0; i < heap_rows; ++i)
+      if (!f(i)) return false;
+    return true;
   }
 };
 
 Session::AccessPath Session::open_scan(const TableData& t, const Expr* where) {
-  AccessPath path{index_candidates(t, where), t.rows.size()};
+  AccessPath path;
+  path.heap_rows = t.rows.size();
+  if (std::optional<IndexProbe> probe = index_probe(t, where)) {
+    path.index = probe->index;
+    path.key = probe->key;
+  }
   // Buffer-pool modeling: tell the storage layer which pages this pass
-  // touches (all of them for a heap scan, just the candidates' pages for
+  // touches (all of them for a heap scan, just the key's rows' pages for
   // an index probe).
-  db_.note_scan(t, path.candidates ? &*path.candidates : nullptr);
+  db_.note_scan(t, path.index, path.key);
   return path;
 }
 
@@ -674,12 +714,15 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     for (size_t i = 0; i < width; ++i) {
       std::string line = (i == 0 ? "Seq Scan on " : "  Nested Loop join with ")
                          + sel.from[i].table;
-      out.rows.push_back({line});
+      out.cells.push_back(Datum::text(line));
       if (sel.from[i].join_on)
-        out.rows.push_back({"    Join Filter: " + sel.from[i].join_on->to_string()});
+        out.cells.push_back(Datum::text("    Join Filter: " +
+                                        sel.from[i].join_on->to_string()));
     }
-    if (from.empty()) out.rows.push_back({"Result"});
-    if (sel.where) out.rows.push_back({"  Filter: " + sel.where->to_string()});
+    if (from.empty()) out.cells.push_back(Datum::text("Result"));
+    if (sel.where)
+      out.cells.push_back(Datum::text("  Filter: " + sel.where->to_string()));
+    out.row_count = out.cells.size();
     out.command_tag = "EXPLAIN";
     return out;
   }
@@ -792,11 +835,10 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     const AccessPath path =
         open_scan(t, level == 0 && width == 1 ? sel.where.get() : nullptr);
     if (!plan.keys) {
-      for (size_t i = 0; i < path.size(); ++i) {
+      return path.each([&](size_t ordinal) {
         out.rows_scanned += 1;
-        if (!visit(t.rows[path[i]])) return false;
-      }
-      return true;
+        return visit(t.rows[ordinal]);
+      });
     }
     // A probing level visits only the rows its ON's key conjunct can
     // admit, ascending, and counts rows as the nested loop reaches them:
@@ -820,33 +862,38 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     return width ? matches.data() + m * width : nullptr;
   };
 
-  struct ResultRow {
-    std::vector<Datum> values;      // projected
-    std::vector<Datum> order_keys;  // evaluated ORDER BY keys
-    size_t match = 0;               // source rows (non-grouped path)
+  // ---- Project by reference. ----
+  // Result row r's values are cells[r * ncols, (r + 1) * ncols). Each points
+  // into a table row, at a statement literal, or into `computed` (a deque,
+  // made on first use, so the pointers stay put as it grows). A
+  // non-grouped result row r comes from match r.
+  const size_t ncols = out.columns.size();
+  std::vector<const Datum*> cells;
+  std::optional<std::deque<Datum>> computed;
+  auto keep = [&computed](const Datum* v, Datum& tmp) -> const Datum* {
+    if (v != &tmp) return v;
+    if (!computed) computed.emplace();
+    return &computed->emplace_back(std::move(tmp));
   };
-  std::vector<ResultRow> results;
+  size_t n_results = 0;
 
   if (!has_agg) {
-    results.reserve(n_matches);
+    cells.reserve(n_matches * ncols);
     for (size_t m = 0; m < n_matches; ++m) {
       const Row* const* rows = match_rows(m);
-      ResultRow rr;
-      rr.match = m;
-      rr.values.reserve(out.columns.size());
       for (size_t i = 0; i < sel.items.size(); ++i) {
         if (sel.items[i].star) {
           for (size_t l = 0; l < width; ++l)
-            rr.values.insert(rr.values.end(), rows[l]->begin(), rows[l]->end());
+            for (const Datum& d : *rows[l]) cells.push_back(&d);
           continue;
         }
         Datum tmp;
         const Datum* v = ev.eval(items[i], rows, tmp);
         if (!v) return fail_with(out, ev.error());
-        rr.values.push_back(take(v, tmp));
+        cells.push_back(keep(v, tmp));
       }
-      results.push_back(std::move(rr));
     }
+    n_results = n_matches;
   } else {
     // ---- Grouped / aggregated path. ----
     // Each match's keys are evaluated in place (`key` points into a row,
@@ -924,7 +971,6 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
         if (!v) return fail_with(out, ev.error());
         if (!datum_is_true(*v)) continue;
       }
-      ResultRow rr;
       for (size_t i = 0; i < sel.items.size(); ++i) {
         if (sel.items[i].star) {
           out.error_sqlstate = "42803";
@@ -934,11 +980,22 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
         Datum tmp;
         const Datum* v = ev.eval_group(items[i], rows, tmp);
         if (!v) return fail_with(out, ev.error());
-        rr.values.push_back(take(v, tmp));
+        cells.push_back(keep(v, tmp));
       }
-      results.push_back(std::move(rr));
+      ++n_results;
     }
   }
+
+  // Result rows in output order when they are sorted below; empty when
+  // they go out in production order.
+  std::vector<size_t> order;
+  auto number_results = [&] {
+    order.resize(n_results);
+    for (size_t r = 0; r < n_results; ++r) order[r] = r;
+  };
+  auto cell = [&](size_t r, size_t c) -> const Datum& {
+    return *cells[r * ncols + c];
+  };
 
   // ---- ORDER BY ----
   if (!sel.order_by.empty()) {
@@ -988,15 +1045,18 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
       specs.push_back(ks);
     }
     // Evaluate expression keys (non-grouped path only).
-    for (auto& rr : results) {
-      for (size_t k = 0; k < specs.size(); ++k) {
+    const size_t nk = specs.size();
+    std::vector<const Datum*> keys;  // nk per result row
+    keys.reserve(n_results * nk);
+    for (size_t r = 0; r < n_results; ++r) {
+      for (size_t k = 0; k < nk; ++k) {
         if (specs[k].select_index >= 0) {
-          rr.order_keys.push_back(rr.values[static_cast<size_t>(specs[k].select_index)]);
+          keys.push_back(&cell(r, static_cast<size_t>(specs[k].select_index)));
         } else if (!has_agg && width > 0) {
           Datum tmp;
-          const Datum* v = ev.eval(order_by[k], match_rows(rr.match), tmp);
+          const Datum* v = ev.eval(order_by[k], match_rows(r), tmp);
           if (!v) return fail_with(out, ev.error());
-          rr.order_keys.push_back(take(v, tmp));
+          keys.push_back(keep(v, tmp));
         } else {
           out.error_sqlstate = "42803";
           out.error_message =
@@ -1006,56 +1066,56 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
         }
       }
     }
-    std::stable_sort(results.begin(), results.end(),
-                     [&](const ResultRow& a, const ResultRow& b) {
-                       for (size_t i = 0; i < specs.size(); ++i) {
-                         auto c = a.order_keys[i].compare(b.order_keys[i]);
-                         int cv;
-                         if (!c) {
-                           // NULLS LAST (asc) / FIRST (desc), like Postgres.
-                           bool an = a.order_keys[i].is_null();
-                           bool bn = b.order_keys[i].is_null();
-                           if (an == bn) continue;
-                           cv = an ? 1 : -1;
-                         } else {
-                           cv = *c;
-                         }
-                         if (cv == 0) continue;
-                         return specs[i].descending ? cv > 0 : cv < 0;
-                       }
-                       return false;
-                     });
+    number_results();
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (size_t i = 0; i < nk; ++i) {
+        const Datum& ka = *keys[a * nk + i];
+        const Datum& kb = *keys[b * nk + i];
+        auto c = ka.compare(kb);
+        int cv;
+        if (!c) {
+          // NULLS LAST (asc) / FIRST (desc), like Postgres.
+          bool an = ka.is_null(), bn = kb.is_null();
+          if (an == bn) continue;
+          cv = an ? 1 : -1;
+        } else {
+          cv = *c;
+        }
+        if (cv == 0) continue;
+        return specs[i].descending ? cv > 0 : cv < 0;
+      }
+      return false;
+    });
   } else if (!db_.info().scan_insertion_order) {
     // roachdb personality: unordered SELECTs come back sorted — the
     // paper's "unspecified row order" hazard, reproduced deliberately.
-    std::sort(results.begin(), results.end(),
-              [](const ResultRow& a, const ResultRow& b) {
-                for (size_t i = 0; i < a.values.size() && i < b.values.size();
-                     ++i) {
-                  auto c = a.values[i].compare(b.values[i]);
-                  if (!c) {
-                    bool an = a.values[i].is_null(), bn = b.values[i].is_null();
-                    if (an != bn) return bn;
-                    continue;
-                  }
-                  if (*c != 0) return *c < 0;
-                }
-                return false;
-              });
+    number_results();
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (size_t i = 0; i < ncols; ++i) {
+        auto c = cell(a, i).compare(cell(b, i));
+        if (!c) {
+          bool an = cell(a, i).is_null(), bn = cell(b, i).is_null();
+          if (an != bn) return bn;
+          continue;
+        }
+        if (*c != 0) return *c < 0;
+      }
+      return false;
+    });
   }
 
-  if (sel.limit && static_cast<int64_t>(results.size()) > *sel.limit)
-    results.resize(static_cast<size_t>(*sel.limit));
+  size_t n_out = n_results;
+  if (sel.limit && static_cast<int64_t>(n_out) > *sel.limit)
+    n_out = static_cast<size_t>(*sel.limit);
 
-  for (const auto& rr : results) {
-    std::vector<std::optional<std::string>> row;
-    for (const auto& d : rr.values) {
-      if (d.is_null()) row.push_back(std::nullopt);
-      else row.push_back(d.to_text());
-    }
-    out.rows.push_back(std::move(row));
+  // The one copy of each value: into the statement's result.
+  out.cells.reserve(n_out * ncols);
+  for (size_t i = 0; i < n_out; ++i) {
+    const size_t r = order.empty() ? i : order[i];
+    for (size_t c = 0; c < ncols; ++c) out.cells.push_back(cell(r, c));
   }
-  out.command_tag = "SELECT " + std::to_string(out.rows.size());
+  out.row_count = n_out;
+  out.command_tag = "SELECT " + std::to_string(n_out);
   return out;
 }
 
@@ -1157,11 +1217,18 @@ StatementResult Session::run_update(const UpdateStmt& up) {
   std::vector<BoundExpr> policies;
   if (rls) policies = ev.bind_policies(*t);
   int64_t updated = 0;
-  // The candidates are fixed before any SET runs, so a row whose indexed
-  // column moves is visited once, as in a heap scan.
+  // An index path's rows are fixed before any SET runs, so a row whose
+  // indexed column moves is visited once, as in a heap scan.
   const AccessPath path = open_scan(*t, up.where.get());
-  for (size_t i = 0; i < path.size(); ++i) {
-    const size_t ordinal = path[i];
+  std::vector<size_t> keyed;
+  if (path.index)
+    path.each([&keyed](size_t ordinal) {
+      keyed.push_back(ordinal);
+      return true;
+    });
+  const size_t visits = path.index ? keyed.size() : path.heap_rows;
+  for (size_t i = 0; i < visits; ++i) {
+    const size_t ordinal = path.index ? keyed[i] : i;
     Row& row = t->rows[ordinal];
     const Row* rows[] = {&row};
     out.rows_scanned += 1;
@@ -1227,8 +1294,7 @@ StatementResult Session::run_delete(const DeleteStmt& del) {
   int64_t deleted = 0;
   size_t first_removed = t->rows.size();
   const AccessPath path = open_scan(*t, del.where.get());
-  for (size_t i = 0; i < path.size(); ++i) {
-    const size_t ordinal = path[i];
+  const bool decided = path.each([&](size_t ordinal) {
     const Row* rows[] = {&t->rows[ordinal]};
     out.rows_scanned += 1;
     bool remove = true;
@@ -1240,13 +1306,16 @@ StatementResult Session::run_delete(const DeleteStmt& del) {
     if (remove && where != kNoExpr) {
       Datum tmp;
       const Datum* v = ev.eval(where, rows, tmp);
-      if (!v) return fail_with(out, ev.error());
+      if (!v) return false;
       remove = datum_is_true(*v);
     }
-    if (!remove) continue;
-    doomed[ordinal] = true;
-    if (++deleted == 1) first_removed = ordinal;
-  }
+    if (remove) {
+      doomed[ordinal] = true;
+      if (++deleted == 1) first_removed = ordinal;
+    }
+    return true;
+  });
+  if (!decided) return fail_with(out, ev.error());
   if (deleted > 0) {
     size_t old_row_count = t->rows.size();
     size_t kept = first_removed;

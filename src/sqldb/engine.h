@@ -82,15 +82,16 @@ class IntIndex {
   void insert(int64_t key, size_t ordinal);
   /// Removes row `ordinal` from under `key`, where it must be.
   void erase(int64_t key, size_t ordinal);
-  /// Calls `f(ordinal)` for each row under `key`, ascending.
+  /// Calls `f(ordinal)` for each row under `key`, ascending, until it
+  /// returns false; false when it did.
   template <typename F>
-  void for_each(int64_t key, F&& f) const {
+  bool for_each(int64_t key, F&& f) const {
     const Slot* s = find(key);
-    if (!s) return;
+    if (!s) return true;
     // Stops at the tail, so a key with one row never reads next_.
     for (uint32_t r = s->head;; r = next_[r]) {
-      f(r);
-      if (r == s->tail) return;
+      if (!f(size_t{r})) return false;
+      if (r == s->tail) return true;
     }
   }
 
@@ -167,11 +168,22 @@ struct OperatorDef {
   std::string restrict_estimator;  // non-empty => planner estimation hook
 };
 
+/// How Session::execute hands back a rowset's values.
+enum class RowForm {
+  kText,   // StatementResult::rows: each value as Postgres prints it
+  kCells,  // StatementResult::cells: the values themselves, for a caller
+           // that renders them on its own (the pgwire server)
+};
+
 /// Result of one statement.
 struct StatementResult {
   bool is_rowset = false;  // SELECT / EXPLAIN produce rows
   std::vector<std::string> columns;
-  std::vector<std::vector<std::optional<std::string>>> rows;  // text values
+  /// RowForm::kText: text values, nullopt for NULL.
+  std::vector<std::vector<std::optional<std::string>>> rows;
+  /// RowForm::kCells: row-major, columns.size() values per row.
+  std::vector<Datum> cells;
+  size_t row_count = 0;  // rows of a rowset, in either form
   std::string command_tag;          // "SELECT 3", "CREATE TABLE", ...
   std::vector<std::string> notices; // RAISE NOTICE output (pre-filtering)
   std::optional<std::string> error_sqlstate;
@@ -220,13 +232,14 @@ class MutationListener {
   virtual void on_catalog_changed(const TableData& table) { (void)table; }
   /// Database-level catalog change: functions / operators.
   virtual void on_schema_changed() {}
-  /// A SELECT, UPDATE or DELETE pass visited `table`: `candidates` lists
-  /// the row ordinals when an index narrowed it, null for a full heap
-  /// scan. Read-only (does not advance the mutation epoch).
-  virtual void on_scan(const TableData& table,
-                       const std::vector<size_t>* candidates) {
+  /// A SELECT, UPDATE or DELETE pass visited `table`: the rows `index`
+  /// holds under `key` when an index narrowed it, every row when `index`
+  /// is null. Read-only (does not advance the mutation epoch).
+  virtual void on_scan(const TableData& table, const IntIndex* index,
+                       int64_t key) {
     (void)table;
-    (void)candidates;
+    (void)index;
+    (void)key;
   }
 };
 
@@ -287,8 +300,8 @@ class Database {
   void note_schema_changed() {
     if (listener_) listener_->on_schema_changed();
   }
-  void note_scan(const TableData& t, const std::vector<size_t>* candidates) {
-    if (listener_) listener_->on_scan(t, candidates);
+  void note_scan(const TableData& t, const IntIndex* index, int64_t key) {
+    if (listener_) listener_->on_scan(t, index, key);
   }
 
   EngineInfo info_;
@@ -306,12 +319,12 @@ class Session {
 
   /// Parses and executes a script (the simple-protocol behaviour: stop at
   /// the first failing statement).
-  ExecResult execute(std::string_view sql);
+  ExecResult execute(std::string_view sql, RowForm form = RowForm::kText);
 
   const std::string& user() const { return user_; }
 
   /// Current value of a session setting ("" when unset).
-  std::string setting(std::string_view name) const;
+  std::string_view setting(std::string_view name) const;
 
  private:
   struct AccessPath;  // engine.cc

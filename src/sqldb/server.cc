@@ -123,7 +123,10 @@ void SqlServer::on_accept(sim::ConnPtr conn) {
       c->conn->close();
       return;
     }
-    for (const auto& msg : c->reader.take()) on_message(c, msg);
+    c->reader.take([&](const pg::Message& msg) {
+      on_message(c, msg);
+      return true;
+    });
   });
 }
 
@@ -138,18 +141,18 @@ void SqlServer::on_message(const std::shared_ptr<Conn>& c,
     }
     c->session = std::make_unique<Session>(*db_, user);
     Bytes out;
-    out += pg::build_auth_ok();
+    pg::append_auth_ok(out);
     // server_version is deterministic per-build known variance; the
     // backend key is instance-local randomness (filter-pair fodder).
-    out += pg::build_parameter_status("server_version", db_->info().version);
-    out += pg::build_parameter_status("server_encoding", "UTF8");
-    out += pg::build_parameter_status("application_name", db_->info().product);
+    pg::append_parameter_status(out, "server_version", db_->info().version);
+    pg::append_parameter_status(out, "server_encoding", "UTF8");
+    pg::append_parameter_status(out, "application_name", db_->info().product);
     for (const auto& [k, v] : opts_.startup_params)
-      out += pg::build_parameter_status(k, v);
-    out += pg::build_backend_key_data(
-        static_cast<uint32_t>(rng_.uniform(1000, 65000)),
+      pg::append_parameter_status(out, k, v);
+    pg::append_backend_key_data(
+        out, static_cast<uint32_t>(rng_.uniform(1000, 65000)),
         static_cast<uint32_t>(rng_.next() & 0xffffffff));
-    out += pg::build_ready_for_query();
+    pg::append_ready_for_query(out);
     c->conn->send(SharedBytes(std::move(out)));
     return;
   }
@@ -160,39 +163,41 @@ void SqlServer::on_message(const std::shared_ptr<Conn>& c,
   if (msg.type == 'Q') {
     auto sql = pg::parse_query(msg.payload);
     if (!sql || !c->session) {
-      c->conn->send(pg::build_error("08P01", "malformed Query message"));
-      c->conn->send(pg::build_ready_for_query());
+      c->conn->send(
+          SharedBytes(pg::build_error("08P01", "malformed Query message")));
+      c->conn->send(SharedBytes(pg::build_ready_for_query()));
       return;
     }
     handle_query(c, *sql);
     return;
   }
   // Unsupported message type (this subset has no extended protocol).
-  c->conn->send(pg::build_error("0A000", std::string("unsupported message: ") +
-                                             pg::type_name(msg.type)));
-  c->conn->send(pg::build_ready_for_query());
+  c->conn->send(SharedBytes(pg::build_error(
+      "0A000",
+      std::string("unsupported message: ") + pg::type_name(msg.type))));
+  c->conn->send(SharedBytes(pg::build_ready_for_query()));
 }
 
 void SqlServer::handle_query(const std::shared_ptr<Conn>& c,
-                             const std::string& sql) {
+                             std::string_view sql) {
   // Execute against the engine immediately: state mutates in network
   // delivery order across *all* connections, pipelined or not, so e.g. a
   // resync journal replay that has been delivered is visible to queries
   // arriving later on other connections. Only the response waits for the
   // host to grant the virtual CPU cost, FIFO per connection.
   if (opts_.storage) opts_.storage->begin_statement();
-  ExecResult result = c->session->execute(sql);
+  ExecResult result = c->session->execute(sql, RowForm::kCells);
   sim::Time storage_io =
       opts_.storage ? opts_.storage->end_statement(c->session->user(), sql)
                     : 0;
   ++queries_served_;
   if (query_counter_) query_counter_->inc();
   refresh_memory_charge();
-  bool notices_enabled = true;
-  std::string cmm = to_lower(c->session->setting("client_min_messages"));
-  if (cmm == "warning" || cmm == "error") notices_enabled = false;
+  const std::string_view cmm = c->session->setting("client_min_messages");
+  const bool notices_enabled =
+      !iequals(cmm, "warning") && !iequals(cmm, "error");
 
-  Conn::PendingResponse p;
+  Conn::PendingResponse& p = c->queued.emplace_back();
   p.cost = opts_.cpu_per_query +
            static_cast<double>(result.rows_scanned) * opts_.cpu_per_row;
   p.io = storage_io;
@@ -209,55 +214,71 @@ void SqlServer::handle_query(const std::shared_ptr<Conn>& c,
                       strformat("%llu", static_cast<unsigned long long>(
                                             result.rows_scanned)));
   }
+  // The whole response goes into one buffer, sized once for the usual
+  // case, with each value rendered straight into its DataRow.
+  size_t bytes = 128;
+  for (const auto& sr : result.statements)
+    bytes += 32 * sr.columns.size() + 16 * sr.cells.size() + 7 * sr.row_count;
+  Bytes& out = p.out;
+  out.reserve(bytes);
   for (const auto& sr : result.statements) {
     if (notices_enabled)
-      for (const auto& n : sr.notices) p.out += pg::build_notice(n);
+      for (const auto& n : sr.notices) pg::append_notice(out, n);
     if (sr.failed()) {
-      p.out += pg::build_error(*sr.error_sqlstate, sr.error_message);
+      pg::append_error(out, *sr.error_sqlstate, sr.error_message);
       break;  // remaining statements were aborted by the engine
     }
     if (sr.is_rowset) {
-      p.out += pg::build_row_description(sr.columns);
-      for (const auto& row : sr.rows) p.out += pg::build_data_row(row);
+      pg::append_row_description(out, sr.columns);
+      const size_t width = sr.columns.size();
+      for (size_t r = 0; r < sr.row_count; ++r) {
+        pg::DataRowWriter row(out, static_cast<uint16_t>(width));
+        for (size_t col = 0; col < width; ++col) {
+          const Datum& d = sr.cells[r * width + col];
+          if (d.is_null()) row.null();
+          else d.append_text(row.open_text());
+        }
+        row.finish();
+      }
     }
-    p.out += pg::build_command_complete(sr.command_tag);
+    pg::append_command_complete(out, sr.command_tag);
   }
-  p.out += pg::build_ready_for_query();
-  c->queued.push_back(std::move(p));
-  if (!c->busy) pump_responses(c);
+  pg::append_ready_for_query(out);
+  pump_responses(c);
 }
 
 void SqlServer::pump_responses(const std::shared_ptr<Conn>& c) {
-  if (c->queued.empty()) return;
+  if (c->busy || c->queued.empty()) return;
   c->busy = true;
-  Conn::PendingResponse p = std::move(c->queued.front());
-  c->queued.erase(c->queued.begin());
-  host_.run_task(p.cost, [this, c, p = std::move(p)]() mutable {
-    auto deliver = [this, c](Conn::PendingResponse resp) {
-      if (opts_.tracer) opts_.tracer->end(resp.span);
-      if (query_ms_)
-        query_ms_->observe(
-            static_cast<double>(net_.simulator().now() - resp.started) / 1e6);
-      // The query already executed at delivery; a response to a closed
-      // connection is simply dropped. The response buffer moves into the
-      // data plane without a copy.
-      if (c->conn->is_open()) c->conn->send(SharedBytes(std::move(resp.out)));
-      c->busy = false;
-      pump_responses(c);
-    };
-    if (p.io > 0) {
+  // The response stays at the head of the queue until it is sent, so the
+  // task captures only the connection.
+  host_.run_task(c->queued.front().cost, [this, c] {
+    const sim::Time io = c->queued.front().io;
+    if (io > 0) {
       // Storage latency (buffer-pool misses, WAL sync) extends the
       // response time past the CPU grant — still FIFO per connection.
-      net_.simulator().schedule(
-          p.io, [alive = alive_, deliver = std::move(deliver),
-                 p = std::move(p)]() mutable {
-            if (!*alive) return;
-            deliver(std::move(p));
-          });
+      net_.simulator().schedule(io, [this, alive = alive_, c] {
+        if (*alive) deliver_response(c);
+      });
       return;
     }
-    deliver(std::move(p));
+    deliver_response(c);
   });
+}
+
+void SqlServer::deliver_response(const std::shared_ptr<Conn>& c) {
+  Conn::PendingResponse resp = std::move(c->queued.front());
+  c->queued.erase(c->queued.begin());
+  if (opts_.tracer) opts_.tracer->end(resp.span);
+  if (query_ms_)
+    query_ms_->observe(
+        static_cast<double>(net_.simulator().now() - resp.started) / 1e6);
+  // The query already executed at delivery; a response to a closed
+  // connection is simply dropped. The response buffer moves into the
+  // data plane without a copy.
+  if (c->conn->is_open()) c->conn->send(SharedBytes(std::move(resp.out)));
+  c->busy = false;
+  pump_responses(c);
 }
 
 }  // namespace rddr::sqldb

@@ -109,8 +109,11 @@ class SqlServer {
   struct Conn;
   void on_accept(sim::ConnPtr conn);
   void on_message(const std::shared_ptr<Conn>& c, const pg::Message& msg);
-  void handle_query(const std::shared_ptr<Conn>& c, const std::string& sql);
+  void handle_query(const std::shared_ptr<Conn>& c, std::string_view sql);
+  /// Starts the host task for the response at the head of `c`'s queue.
   void pump_responses(const std::shared_ptr<Conn>& c);
+  /// Sends the head response, then pumps the next.
+  void deliver_response(const std::shared_ptr<Conn>& c);
 
   sim::Network& net_;
   sim::Host& host_;

@@ -811,19 +811,20 @@ void StorageEngine::on_catalog_changed(const TableData& table) {
 
 void StorageEngine::on_schema_changed() { statement_mutated_ = true; }
 
-void StorageEngine::on_scan(const TableData& table,
-                            const std::vector<size_t>* candidates) {
+void StorageEngine::on_scan(const TableData& table, const IntIndex* index,
+                            int64_t key) {
   TableState& ts = ensure_table(table);
   constexpr sim::Time miss_cost = sim::BlockDevice::kReadLatency;
-  if (candidates) {
+  if (index) {
     uint64_t last = UINT64_MAX;
-    for (size_t ord : *candidates) {
+    index->for_each(key, [&](size_t ord) {
       uint64_t p = ord / opts_.rows_per_page;
-      if (p == last) continue;  // candidate lists cluster by page
+      if (p == last) return true;  // a key's rows cluster by page
       last = p;
       if (!pool_.touch({table.name, p}, ts.avg_page_bytes))
         pending_io_ += miss_cost;
-    }
+      return true;
+    });
     return;
   }
   uint64_t np = npages(table.rows.size());

@@ -209,8 +209,8 @@ class StorageEngine : public MutationListener {
   void on_table_dropped(const std::string& name) override;
   void on_catalog_changed(const TableData& table) override;
   void on_schema_changed() override;
-  void on_scan(const TableData& table,
-               const std::vector<size_t>* candidates) override;
+  void on_scan(const TableData& table, const IntIndex* index,
+               int64_t key) override;
 
  private:
   struct TableState {

@@ -1,5 +1,6 @@
 #include "sqldb/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -88,24 +89,34 @@ double Datum::numeric() const {
 }
 
 std::string Datum::to_text() const {
+  std::string out;
+  append_text(out);
+  return out;
+}
+
+void Datum::append_text(std::string& out) const {
   switch (type()) {
-    case Type::kNull: return "";
-    case Type::kBool: return as_bool() ? "t" : "f";
-    case Type::kInt: return std::to_string(as_int());
+    case Type::kNull: return;
+    case Type::kBool: out.push_back(as_bool() ? 't' : 'f'); return;
+    case Type::kInt: {
+      char buf[24];
+      auto end = std::to_chars(buf, buf + sizeof buf, as_int()).ptr;
+      out.append(buf, end);
+      return;
+    }
     case Type::kFloat: {
       double d = as_float();
-      if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-        return buf;
-      }
       char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.12g", d);
-      return buf;
+      int n;
+      if (d == std::floor(d) && std::fabs(d) < 1e15)
+        n = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+      else
+        n = std::snprintf(buf, sizeof(buf), "%.12g", d);
+      out.append(buf, static_cast<size_t>(n));
+      return;
     }
-    case Type::kText: return std::string(as_text());
+    case Type::kText: out.append(as_text()); return;
   }
-  return "";
 }
 
 std::optional<int> Datum::compare_other(const Datum& other) const {

@@ -88,6 +88,8 @@ class Datum {
   /// Postgres text output: integers plain, floats shortest, bools "t"/"f".
   /// NULL renders as an empty string (callers emit wire NULL separately).
   std::string to_text() const;
+  /// Appends to_text() to `out`.
+  void append_text(std::string& out) const;
 
   /// Three-valued SQL comparison: nullopt when either side is NULL.
   /// Two integers compare exactly, as Postgres int8 does; other numeric

@@ -116,10 +116,9 @@ TEST_P(EngineProperty, IndexedEqualityMatchesFullScan) {
 constexpr int64_t kBig = int64_t{1} << 53;
 
 /// The ids of KeyedDmlMatchesScannedForm: 0..9 for n < 10, then kBig,
-/// kBig + 1, INT64_MIN, INT64_MAX, -1 and -7 for n = 10..15. The
-/// negative ids other than INT64_MIN have no literal spelling (`-7`
-/// parses as a negation, which no index serves), so they are stored and
-/// SET but never probed.
+/// kBig + 1, INT64_MIN, INT64_MAX, -1 and -7 for n = 10..15. A negative
+/// id is spelled as a negation (`-7`), which the index serves as Postgres
+/// folds it: a constant key.
 int64_t dml_id(int64_t n) {
   static constexpr int64_t kPast[] = {kBig,      kBig + 1, INT64_MIN,
                                       INT64_MAX, -1,       -7};
@@ -180,9 +179,9 @@ TEST_P(EngineProperty, KeyedDmlMatchesScannedForm) {
     }
     Session keyed(keyed_db, "postgres"), scanned(scanned_db, "postgres");
     for (int trial = 0; trial < 32; ++trial) {
-      // No table starts with keys 10..12; 13..16 stand for kBig, kBig + 1,
-      // INT64_MIN and INT64_MAX.
-      const int64_t n = rng.uniform(0, 16);
+      // No table starts with keys 10..12; 13..18 stand for kBig, kBig + 1,
+      // INT64_MIN, INT64_MAX, -1 and -7.
+      const int64_t n = rng.uniform(0, 18);
       const int64_t k = n < 13 ? n : dml_id(n - 3);
       const std::string key = strformat("%lld", static_cast<long long>(k));
       // The key conjunct, in keyed and scanned spelling.

@@ -624,7 +624,8 @@ class ServerHalfTap : public sqldb::MutationListener {
  public:
   explicit ServerHalfTap(std::vector<std::weak_ptr<Connection>>& halves)
       : halves_(halves) {}
-  void on_scan(const sqldb::TableData&, const std::vector<size_t>*) override {
+  void on_scan(const sqldb::TableData&, const sqldb::IntIndex*,
+               int64_t) override {
     if (Connection* c = current_flow()) halves_.push_back(c->weak_from_this());
   }
 
@@ -658,13 +659,14 @@ TEST(ConnectionLifetime, QueryCyclesAgainstSqlServerFreeBothHalves) {
     auto ready = std::make_shared<int>(0);
     conn->set_on_data([conn, reader, ready, &rows](ByteView d) {
       reader->feed(d);
-      for (const pg::Message& m : reader->take()) {
+      reader->take([&](const pg::Message& m) {
         if (m.type == 'D') ++rows;
         if (m.type == 'Z' && ++*ready == 2) {
           conn->send(pg::build_terminate());
           conn->close();
         }
-      }
+        return true;
+      });
     });
     conn->send(pg::build_startup({{"user", "postgres"}, {"database", "app"}}));
     conn->send(pg::build_query("SELECT a FROM t;"));

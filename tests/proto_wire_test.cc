@@ -9,11 +9,22 @@ namespace {
 
 using namespace rddr::pg;
 
+/// Every message `r` framed and has not handed out yet (views valid until
+/// its next feed).
+std::vector<Message> take_all(MessageReader& r) {
+  std::vector<Message> out;
+  r.take([&out](const Message& m) {
+    out.push_back(m);
+    return true;
+  });
+  return out;
+}
+
 TEST(PgWire, StartupRoundTrip) {
   Bytes wire = build_startup({{"user", "alice"}, {"database", "app"}});
   MessageReader r(/*expect_startup=*/true);
   r.feed(wire);
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].type, 0);
   auto params = parse_startup(msgs[0].payload);
@@ -25,7 +36,7 @@ TEST(PgWire, StartupRoundTrip) {
 TEST(PgWire, QueryRoundTrip) {
   MessageReader r(false);
   r.feed(build_query("SELECT 1;"));
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].type, 'Q');
   EXPECT_EQ(parse_query(msgs[0].payload).value(), "SELECT 1;");
@@ -37,7 +48,7 @@ TEST(PgWire, IncrementalFraming) {
   size_t total = 0;
   for (char c : wire) {
     r.feed(ByteView(&c, 1));
-    total += r.take().size();
+    total += take_all(r).size();
   }
   EXPECT_EQ(total, 2u);
 }
@@ -47,7 +58,7 @@ TEST(PgWire, DataRowRoundTripWithNull) {
   Bytes wire = build_data_row(cols);
   MessageReader r(false);
   r.feed(wire);
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   ASSERT_EQ(msgs.size(), 1u);
   ASSERT_EQ(msgs[0].type, 'D');
   auto decoded = parse_data_row(msgs[0].payload);
@@ -59,7 +70,7 @@ TEST(PgWire, RowDescriptionRoundTrip) {
   Bytes wire = build_row_description({"id", "name", "score"});
   MessageReader r(false);
   r.feed(wire);
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   auto names = parse_row_description(msgs[0].payload);
   ASSERT_TRUE(names.has_value());
   EXPECT_EQ(*names, (std::vector<std::string>{"id", "name", "score"}));
@@ -69,7 +80,7 @@ TEST(PgWire, ErrorAndNoticeFields) {
   MessageReader r(false);
   r.feed(build_error("42501", "permission denied"));
   r.feed(build_notice("leak 1 2"));
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   ASSERT_EQ(msgs.size(), 2u);
   auto ef = parse_error_fields(msgs[0].payload);
   ASSERT_TRUE(ef.has_value());
@@ -102,7 +113,7 @@ TEST(PgWire, BinaryPayloadSurvivesFraming) {
   Bytes wire = build_data_row({payload});
   MessageReader r(false);
   r.feed(wire);
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   auto cols = parse_data_row(msgs[0].payload);
   EXPECT_EQ((*cols)[0].value(), payload);
 }
@@ -194,7 +205,7 @@ TEST(PgWireHardening, NonPrintableTypeByteFailsDistinctly) {
   r.feed(wire);
   EXPECT_TRUE(r.failed());
   EXPECT_NE(r.error().find("invalid message type byte"), std::string::npos);
-  EXPECT_EQ(r.take().size(), 0u);
+  EXPECT_EQ(take_all(r).size(), 0u);
 }
 
 TEST(PgWireHardening, TypeByteCheckedBeforeLengthArrives) {
@@ -208,7 +219,7 @@ TEST(PgWireHardening, TypeByteCheckedBeforeLengthArrives) {
 TEST(PgWireHardening, PrintableTypesStillFrame) {
   MessageReader r(false);
   r.feed(build_query("SELECT 1;") + build_terminate());
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_FALSE(r.failed());
 }
@@ -219,9 +230,9 @@ TEST(PgWireHardening, StartupWithoutTerminatorRejected) {
   Bytes wire = build_startup({{"user", "alice"}});
   MessageReader r(true);
   r.feed(wire);
-  auto msgs = r.take();
+  auto msgs = take_all(r);
   ASSERT_EQ(msgs.size(), 1u);
-  Bytes truncated = msgs[0].payload;
+  Bytes truncated(msgs[0].payload);
   truncated.pop_back();  // drop the list terminator
   EXPECT_FALSE(parse_startup(truncated).has_value());
   EXPECT_TRUE(parse_startup(msgs[0].payload).has_value());

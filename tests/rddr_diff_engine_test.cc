@@ -285,7 +285,7 @@ TEST(DiffEngineArena, WarmEngineNeverRefills) {
   auto page = [&](const std::string& tok) {
     http::Response r = http::make_response(
         200, "<html><input value=\"" + tok + "\"><p>body body body</p></html>");
-    return Unit{r.to_bytes(), "http-resp"};
+    return Unit{SharedBytes(r.to_bytes()), "http-resp"};
   };
   std::vector<Unit> units{page(rng.alnum_token(32)), page(rng.alnum_token(32)),
                           page(rng.alnum_token(32))};
@@ -313,7 +313,7 @@ TEST(DiffEngineRawShortCircuit, IdenticalBatchesNeverParse) {
   DiffEngine engine;
   http::Response r =
       http::make_response(200, "<html><p>same everywhere</p></html>");
-  Unit u{r.to_bytes(), "http-resp"};
+  Unit u{SharedBytes(r.to_bytes()), "http-resp"};
   std::vector<Unit> units{u, u, u};
   KnownVariance kv;
   SessionState session;
@@ -329,8 +329,9 @@ TEST(DiffEngineRawShortCircuit, IdenticalBatchesNeverParse) {
   // forward_downstream reuses the raw verdict: provably no tokens, so no
   // re-canonicalisation and no arena growth.
   Arena::Stats before = engine.arena().stats();
-  Bytes fwd = engine.forward_downstream(plugin, units, ctx);
-  EXPECT_EQ(fwd, units[0].data);
+  SharedBytes fwd = engine.forward_downstream(plugin, units, ctx);
+  EXPECT_EQ(fwd.view(), units[0].data.view());
+  EXPECT_EQ(fwd.data(), units[0].data.data());  // the unit's own bytes
   EXPECT_TRUE(session.tokens.empty());
   EXPECT_EQ(engine.arena().stats().high_water, before.high_water);
   // A kind mismatch defeats the shortcut even with identical payloads.

@@ -2,6 +2,7 @@
 // ephemeral-token capture/restore.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "proto/http/coding.h"
 #include "proto/http/parser.h"
 #include "proto/pgwire/pgwire.h"
@@ -12,7 +13,7 @@ namespace rddr::core {
 namespace {
 
 Unit make_unit(Bytes data, std::string kind) {
-  return Unit{std::move(data), std::move(kind)};
+  return Unit{SharedBytes(std::move(data)), std::move(kind)};
 }
 
 /// Strict N-way compare through the one comparison implementation, the
@@ -38,11 +39,11 @@ TEST(TcpLinePlugin, FramesLines) {
   framer->feed("hello\nwor");
   auto units = framer->take();
   ASSERT_EQ(units.size(), 1u);
-  EXPECT_EQ(units[0].data, "hello\n");
+  EXPECT_EQ(units[0].data.view(), "hello\n");
   framer->feed("ld\n");
   units = framer->take();
   ASSERT_EQ(units.size(), 1u);
-  EXPECT_EQ(units[0].data, "world\n");
+  EXPECT_EQ(units[0].data.view(), "world\n");
   EXPECT_EQ(framer->unconsumed(), "");
 }
 
@@ -208,11 +209,12 @@ TEST(HttpPlugin, CsrfTokensHarvestedOnForward) {
   ASSERT_TRUE(verdict.agreed) << verdict.reason;
   // A batch the compare() did not see harvests nothing.
   const std::vector<Unit> copy = units;
-  EXPECT_EQ(engine.forward_downstream(plugin, copy, ctx), copy[0].data);
+  EXPECT_EQ(engine.forward_downstream(plugin, copy, ctx).view(),
+            copy[0].data.view());
   EXPECT_TRUE(state.tokens.empty());
   auto fwd = engine.forward_downstream(plugin, units, ctx);
   // Instance 0's bytes are forwarded (canonical token = instance 0's).
-  EXPECT_NE(fwd.find("aaaaaaaaaaaaaaaa"), Bytes::npos);
+  EXPECT_NE(fwd.view().find("aaaaaaaaaaaaaaaa"), ByteView::npos);
   ASSERT_EQ(state.tokens.size(), 1u);
   const auto& per = state.tokens.begin()->second;
   EXPECT_EQ(per[1], "bbbbbbbbbbbbbbbb");
@@ -231,7 +233,7 @@ TEST(HttpPlugin, RewriteRestoresPerInstanceToken) {
   req.method = "POST";
   req.target = "/submit";
   req.body = "id=1&user_token=aaaaaaaaaaaaaaaa";
-  Unit u{req.to_bytes(), "http-req"};
+  Unit u{SharedBytes(req.to_bytes()), "http-req"};
   Bytes for_1 = plugin.rewrite_for_instance(u, 1, ctx);
   EXPECT_NE(for_1.find("bbbbbbbbbbbbbbbb"), Bytes::npos);
   EXPECT_EQ(for_1.find("aaaaaaaaaaaaaaaa"), Bytes::npos);
@@ -256,7 +258,7 @@ TEST(HttpPlugin, RewriteFixesContentLengthForUnequalTokens) {
   req.method = "POST";
   req.target = "/s";
   req.body = "user_token=aaaaaaaaaaaaaaaa";
-  Unit u{req.to_bytes(), "http-req"};
+  Unit u{SharedBytes(req.to_bytes()), "http-req"};
   Bytes rewritten = plugin.rewrite_for_instance(u, 1, ctx);
   http::RequestParser parser;
   parser.feed(rewritten);
@@ -287,13 +289,91 @@ TEST(PgPlugin, FramesTypedMessagesAndStartup) {
   EXPECT_EQ(units[1].kind, "pg:Q");
 }
 
+/// A seeded stream of valid pgwire messages and the unit kind of each: a
+/// startup packet first when `startup`, then a random mix that includes
+/// empty payloads and, at a random place, one 64 KiB DataRow.
+struct PgStream {
+  Bytes bytes;
+  std::vector<std::string> kinds;
+};
+PgStream random_pg_stream(Rng& rng, bool startup) {
+  PgStream out;
+  auto add = [&out](Bytes msg, std::string kind) {
+    out.bytes += msg;
+    out.kinds.push_back(std::move(kind));
+  };
+  if (startup) add(pg::build_startup({{"user", rng.alnum_token(5)}}), "pg:startup");
+  const int n = static_cast<int>(rng.uniform(2, 12));
+  const int big = static_cast<int>(rng.uniform(0, n - 1));
+  for (int i = 0; i < n; ++i) {
+    if (i == big) {
+      add(pg::build_data_row({std::string(64 * 1024, 'x'), std::nullopt}),
+          "pg:D");
+      continue;
+    }
+    switch (rng.uniform(0, 4)) {
+      case 0: add(pg::build_query("SELECT " + rng.alnum_token(
+                      static_cast<size_t>(rng.uniform(0, 40))) + ";"), "pg:Q");
+        break;
+      case 1: add(pg::build_terminate(), "pg:X"); break;  // empty payload
+      case 2: add(Bytes("H\0\0\0\4", 5), "pg:H"); break;  // empty payload
+      case 3: add(pg::build_ready_for_query(), "pg:Z"); break;
+      default: add(pg::build_data_row({rng.alnum_token(3), std::nullopt}), "pg:D");
+    }
+  }
+  return out;
+}
+
+TEST(PgPlugin, FramingPropertyAcrossChunkSplits) {
+  // Whatever the chunking, the units are the stream cut at message
+  // boundaries: their bytes concatenate back to it and their kinds follow
+  // the messages. After a bad type byte mid-stream, the units are exactly
+  // the messages before it and unconsumed() exactly the rest of what was
+  // fed.
+  PgPlugin plugin;
+  Rng rng(29);
+  constexpr size_t kMaxChunk[] = {1, 7, 300, 5000, SIZE_MAX};
+  for (int round = 0; round < 40; ++round) {
+    const bool c2s = round % 2 == 0;
+    const PgStream good = random_pg_stream(rng, c2s);
+    const bool corrupt = round % 4 >= 2;
+    Bytes stream = good.bytes;
+    if (corrupt) stream += Bytes("\x01\0\0\0\4", 5) + pg::build_terminate();
+    const size_t max_chunk = kMaxChunk[round % 5];
+    SCOPED_TRACE(testing::Message() << "round " << round << " max chunk "
+                                    << max_chunk << " corrupt " << corrupt);
+    auto framer = plugin.make_framer(c2s ? Direction::kClientToServer
+                                         : Direction::kServerToClient);
+    Bytes framed;
+    std::vector<std::string> kinds;
+    size_t fed = 0;
+    while (fed < stream.size() && !framer->failed()) {
+      const size_t chunk = std::min<size_t>(
+          stream.size() - fed,
+          static_cast<size_t>(rng.uniform(
+              1, static_cast<int64_t>(std::min<size_t>(max_chunk, 1 << 20)))));
+      framer->feed(ByteView(stream).substr(fed, chunk));
+      fed += chunk;
+      for (const Unit& u : framer->take()) {
+        framed += u.data.view();
+        kinds.push_back(u.kind);
+      }
+    }
+    EXPECT_EQ(framed, good.bytes);
+    EXPECT_EQ(kinds, good.kinds);
+    EXPECT_EQ(framer->failed(), corrupt);
+    EXPECT_EQ(framer->unconsumed(),
+              stream.substr(good.bytes.size(), fed - good.bytes.size()));
+  }
+}
+
 TEST(PgPlugin, BackendKeyDataIgnored) {
   PgPlugin plugin;
   KnownVariance kv;
   CompareContext ctx;
   ctx.variance = &kv;
   auto key = [](uint32_t pid) {
-    return Unit{pg::build_backend_key_data(pid, pid * 7), "pg:K"};
+    return Unit{SharedBytes(pg::build_backend_key_data(pid, pid * 7)), "pg:K"};
   };
   EXPECT_TRUE(compare(plugin, {key(100), key(200), key(300)}, ctx).agreed);
 }
@@ -304,7 +384,8 @@ TEST(PgPlugin, ServerVersionParamIgnoredByDefault) {
   CompareContext ctx;
   ctx.variance = &kv;
   auto param = [](const char* v) {
-    return Unit{pg::build_parameter_status("server_version", v), "pg:S"};
+    return Unit{SharedBytes(pg::build_parameter_status("server_version", v)),
+                "pg:S"};
   };
   EXPECT_TRUE(
       compare(plugin, {param("10.7"), param("10.7"), param("10.9")}, ctx)
@@ -317,7 +398,8 @@ TEST(PgPlugin, OtherParamMismatchDiverges) {
   CompareContext ctx;
   ctx.variance = &kv;
   auto param = [](const char* v) {
-    return Unit{pg::build_parameter_status("server_encoding", v), "pg:S"};
+    return Unit{SharedBytes(pg::build_parameter_status("server_encoding", v)),
+                "pg:S"};
   };
   EXPECT_FALSE(
       compare(plugin, {param("UTF8"), param("UTF8"), param("LATIN1")}, ctx)
@@ -328,7 +410,7 @@ TEST(PgPlugin, DataRowMismatchDiverges) {
   PgPlugin plugin;
   CompareContext ctx;
   auto row = [](const char* v) {
-    return Unit{pg::build_data_row({std::string(v)}), "pg:D"};
+    return Unit{SharedBytes(pg::build_data_row({std::string(v)})), "pg:D"};
   };
   EXPECT_TRUE(compare(plugin, {row("alice"), row("alice")}, ctx).agreed);
   EXPECT_FALSE(compare(plugin, {row("alice"), row("mallory")}, ctx).agreed);
@@ -339,8 +421,8 @@ TEST(PgPlugin, NoticeCountMismatchIsKindMismatch) {
   // the k-th unit kinds differ and that alone is divergence.
   PgPlugin plugin;
   CompareContext ctx;
-  Unit notice{pg::build_notice("leak 42, 1000"), "pg:N"};
-  Unit row{pg::build_data_row({std::string("42")}), "pg:D"};
+  Unit notice{SharedBytes(pg::build_notice("leak 42, 1000")), "pg:N"};
+  Unit row{SharedBytes(pg::build_data_row({std::string("42")})), "pg:D"};
   auto out = compare(plugin, {notice, notice, row}, ctx);
   EXPECT_FALSE(out.agreed);
   EXPECT_NE(out.reason.find("kind mismatch"), std::string::npos);
@@ -352,7 +434,9 @@ TEST(PgPlugin, QueryMergeCompare) {
   PgPlugin plugin;
   CompareContext ctx;
   ctx.filter_pair = true;
-  auto q = [](const std::string& sql) { return Unit{pg::build_query(sql), "pg:Q"}; };
+  auto q = [](const std::string& sql) {
+    return Unit{SharedBytes(pg::build_query(sql)), "pg:Q"};
+  };
   std::string inject =
       "SELECT * FROM users WHERE id = '' OR '1'='1' ORDER BY 1;";
   std::string sanitized =

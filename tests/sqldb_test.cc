@@ -415,6 +415,27 @@ TEST_F(EngineTest, FailedUpdateKeepsIndexConsistent) {
   EXPECT_EQ(r6.rows_scanned, 1);  // answered by the index
 }
 
+TEST_F(EngineTest, NegativeKeysAreProbed) {
+  // `-7` parses as a negation of 7, which Postgres folds into a constant;
+  // the index serves it like any other integer key, on either side.
+  last(db, "CREATE TABLE n (id int, v text);");
+  db.find_table("n")->build_index("id");
+  std::string insert = "INSERT INTO n VALUES ";
+  for (int i = 0; i < 100; ++i)
+    insert += strformat("%s(%d,'v%d')", i ? "," : "", i - 50, i - 50);
+  last(db, insert + ";");
+  for (const char* where : {"id = -7", "-7 = id", "id = -7 AND v <> ''"}) {
+    auto r = last(db, std::string("SELECT v FROM n WHERE ") + where + ";");
+    ASSERT_EQ(r.rows.size(), 1u) << where;
+    EXPECT_EQ(r.rows[0][0].value(), "v-7") << where;
+    EXPECT_EQ(r.rows_scanned, 1) << where;  // answered by the index
+  }
+  // INT64_MIN has a literal of its own; its negation is no key.
+  auto r = last(db, "SELECT v FROM n WHERE id = -(-9223372036854775808);");
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(*r.error_sqlstate, "22003");
+}
+
 TEST_F(EngineTest, FailedInsertKeepsIndexConsistent) {
   last(db, "CREATE TABLE k (id int, v text);");
   db.find_table("k")->build_index("id");
