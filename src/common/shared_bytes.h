@@ -2,8 +2,8 @@
 //
 // The data plane materialises a payload once and shares it: the netsim
 // link holds a reference while the bytes are "in flight", and the N-way
-// proxy fan-out sends the same buffer to every instance when the protocol
-// plugin's per-instance rewrite is the identity (`rewrites_identity()`).
+// proxy fan-out sends the same buffer to every instance unless the
+// protocol plugin rewrites a unit for one of them.
 // Copying a SharedBytes bumps a refcount; slicing adjusts offset/length
 // without touching the payload. The underlying Bytes is immutable once
 // wrapped — never mutate through a stashed reference.

@@ -70,6 +70,8 @@ Frontier::Frontier(sim::Network& net, std::vector<sim::Host*> shard_hosts,
   shed_deadline_ = metrics_->counter(opts_.name + ".shed_deadline");
   shed_queue_full_ = metrics_->counter(opts_.name + ".shed_queue_full");
   shed_unroutable_ = metrics_->counter(opts_.name + ".shed_unroutable");
+  if (opts_.plugin)
+    overload_response_ = SharedBytes(opts_.plugin->overload_response());
 
   sim::Time now = net_.simulator().now();
   shard_state_.resize(opts_.shards.size());
@@ -235,10 +237,7 @@ void Frontier::shed(Waiting& w, const std::string& reason,
     if (shard >= 0) opts_.tracer->tag(span, "shard", std::to_string(shard));
   }
   if (w.conn && w.conn->is_open()) {
-    if (opts_.plugin) {
-      Bytes resp = opts_.plugin->overload_response();
-      if (!resp.empty()) w.conn->send(resp);
-    }
+    if (!overload_response_.empty()) w.conn->send(overload_response_);
     w.conn->close();
   }
   RDDR_LOG_DEBUG("%s: shed connection (%s)", opts_.name.c_str(),

@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "rddr/deployment.h"
 
 namespace rddr::core {
@@ -198,6 +199,7 @@ class Frontier {
   obs::Counter* shed_deadline_ = nullptr;
   obs::Counter* shed_queue_full_ = nullptr;
   obs::Counter* shed_unroutable_ = nullptr;
+  SharedBytes overload_response_;  // built once, sent to every shed connection
   std::vector<std::unique_ptr<NVersionDeployment>> shards_;
   /// Routing is (admin flag && pool health); the flags are synced into the
   /// ring lazily on each route, hence mutable.

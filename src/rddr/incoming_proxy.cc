@@ -237,7 +237,7 @@ void IncomingProxy::finish_resync(size_t i) {
     ctx.variance = &config_.variance;
     ctx.session = &token_state_;
     for (const Unit& u : rs.journal) {
-      conn->send(SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
+      conn->send(config_.plugin->rewrite_for_instance(u, i, ctx));
       counters_.journal_replayed_requests->inc();
       ++replayed;
     }
@@ -290,7 +290,7 @@ void IncomingProxy::shadow_unit(const std::shared_ptr<Session>& s, size_t i,
     Bytes preamble = config_.plugin->resync_preamble();
     if (!preamble.empty()) sh->send(preamble);
   }
-  sh->send(SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
+  sh->send(config_.plugin->rewrite_for_instance(u, i, ctx));
   counters_.journal_replayed_requests->inc();
 }
 
@@ -447,25 +447,13 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
 
   s->client->set_on_data([this, s](ByteView data) {
     if (s->ended) return;
-    if (s->client_passthrough) {
-      // Wrap once; all N upstreams share the buffer.
-      SharedBytes shared{data};
+    auto replicate_raw = [&s](ByteView bytes) {
+      SharedBytes shared{bytes};  // wrap once; all N upstreams share it
       for (Lane& l : s->lanes)
         if (l.conn && l.conn->is_open()) l.conn->send(shared);
-      return;
-    }
+    };
+    if (s->client_passthrough) return replicate_raw(data);
     s->client_framer->feed(data);
-    if (s->client_framer->failed()) {
-      // The client speaks something our framer does not understand; fall
-      // back to raw replication so the instances decide (their responses
-      // are still diffed).
-      s->client_passthrough = true;
-      counters_.passthrough_sessions->inc();
-      SharedBytes rest{Bytes(s->client_framer->unconsumed())};
-      for (Lane& l : s->lanes)
-        if (l.conn && l.conn->is_open()) l.conn->send(rest);
-      return;
-    }
     CompareContext ctx;
     ctx.filter_pair = config_.filter_pair;
     ctx.variance = &config_.variance;
@@ -501,18 +489,12 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
         config_.tracer->tag(ev, "fanout", strformat("%zu", s->live()));
         config_.tracer->tag(ev, "bytes", strformat("%zu", u.data.size()));
       }
-      // Identity-rewrite fast path: fan the unit's own refcounted bytes
-      // out to every participating instance. Plugins that restore
-      // per-instance tokens (HTTP) take the rewrite path.
-      const bool identity = config_.plugin->rewrites_identity();
+      // Each instance gets its rewrite of the unit: the unit's own shared
+      // bytes unless the plugin restores that instance's tokens (HTTP).
       for (size_t i = 0; i < s->lanes.size(); ++i) {
         if (s->lanes[i].participating) {
-          if (identity) {
-            s->lanes[i].conn->send(u.data);
-          } else {
-            s->lanes[i].conn->send(
-                SharedBytes(config_.plugin->rewrite_for_instance(u, i, ctx)));
-          }
+          s->lanes[i].conn->send(
+              config_.plugin->rewrite_for_instance(u, i, ctx));
           continue;
         }
         // Instance absent from this session. Mid-resync its copy of this
@@ -527,6 +509,15 @@ void IncomingProxy::on_accept(sim::ConnPtr conn) {
           shadow_unit(s, i, u, ctx);
         }
       }
+    }
+    if (s->client_framer->failed()) {
+      // The client speaks something our framer does not understand. The
+      // units it completed before the failure went out above; from here
+      // on, replicate raw bytes and let the instances decide (their
+      // responses are still diffed).
+      s->client_passthrough = true;
+      counters_.passthrough_sessions->inc();
+      replicate_raw(s->client_framer->unconsumed());
     }
   });
   s->client->set_on_close([this, s] {

@@ -148,22 +148,13 @@ class ProtocolPlugin {
   virtual bool harvest_tokens() const { return false; }
 
   /// Rewrites a client->server unit for a specific instance (restores that
-  /// instance's own ephemeral tokens). Default: forward unchanged.
-  virtual Bytes rewrite_for_instance(const Unit& unit, size_t instance,
-                                     const CompareContext& ctx) const {
-    (void)instance;
-    (void)ctx;
-    return Bytes(unit.data.view());
+  /// instance's own ephemeral tokens). Default: the unit's own bytes, so
+  /// every instance is sent the one shared buffer.
+  virtual SharedBytes rewrite_for_instance(
+      const Unit& unit, size_t /*instance*/,
+      const CompareContext& /*ctx*/) const {
+    return unit.data;
   }
-
-  /// True iff rewrite_for_instance is the identity for EVERY unit, instance
-  /// and session state — the proxy then fans one shared buffer out to all N
-  /// instances instead of materialising N rewrites. A plugin overriding
-  /// rewrite_for_instance MUST leave this false (or return false whenever a
-  /// rewrite could fire); claiming identity while rewriting would silently
-  /// send un-rewritten bytes. Deliberately defaults to false so forgetting
-  /// the flag costs copies, never correctness.
-  virtual bool rewrites_identity() const { return false; }
 
   /// Whether a client->server unit may be re-sent on a fresh connection
   /// when journal-replaying or catch-up shadowing a recovering instance.

@@ -220,21 +220,18 @@ std::vector<std::string> HttpPlugin::comparable_lines(
   return lines;
 }
 
-Bytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,
-                                       const CompareContext& ctx) const {
+SharedBytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,
+                                             const CompareContext& ctx) const {
   const ByteView data = unit.data.view();
   if (!opts_.handle_ephemeral_state || !ctx.session ||
       ctx.session->tokens.empty())
-    return Bytes(data);
-  // Find tokens present in this request.
-  bool any = false;
-  for (const auto& [canonical, _] : ctx.session->tokens) {
-    if (data.find(canonical) != ByteView::npos) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return Bytes(data);
+    return unit.data;
+  // A request that carries no harvested token goes out as it is.
+  const auto& tokens = ctx.session->tokens;
+  if (std::none_of(tokens.begin(), tokens.end(), [&](const auto& t) {
+        return data.find(t.first) != ByteView::npos;
+      }))
+    return unit.data;
 
   // Re-frame so Content-Length stays correct if token lengths differ.
   http::RequestParser parser(HttpRequestFramer::lenient_options());
@@ -287,7 +284,7 @@ Bytes HttpPlugin::rewrite_for_instance(const Unit& unit, size_t instance,
     used.erase(std::unique(used.begin(), used.end()), used.end());
     for (const auto& c : used) ctx.session->tokens.erase(c);
   }
-  return out;
+  return SharedBytes(std::move(out));
 }
 
 Bytes HttpPlugin::intervention_response() const {

@@ -18,8 +18,6 @@ class TcpLinePlugin : public ProtocolPlugin {
   std::unique_ptr<StreamFramer> make_framer(Direction dir) const override;
   void canonicalize(const Unit& unit, const CompareContext& ctx, Arena& arena,
                     CanonicalUnit& out) const override;
-  /// No per-instance rewriting: requests fan out as one shared buffer.
-  bool rewrites_identity() const override { return true; }
 };
 
 /// HTTP/1.1. Units are whole messages. Responses are compared line-wise
@@ -46,8 +44,9 @@ class HttpPlugin : public ProtocolPlugin {
                     CanonicalUnit& out) const override;
   /// §IV-B3 token harvesting runs in the DiffEngine when enabled.
   bool harvest_tokens() const override { return opts_.handle_ephemeral_state; }
-  Bytes rewrite_for_instance(const Unit& unit, size_t instance,
-                             const CompareContext& ctx) const override;
+  /// The unit's own bytes unless it carries a harvested token.
+  SharedBytes rewrite_for_instance(const Unit& unit, size_t instance,
+                                   const CompareContext& ctx) const override;
   Bytes intervention_response() const override;
   /// 503 Service Unavailable with Retry-After (front-tier load shedding).
   Bytes overload_response() const override;
@@ -83,9 +82,6 @@ class PgPlugin : public ProtocolPlugin {
   /// Startup and Terminate belong to the original client connection, not
   /// the replay stream.
   bool replayable(const Unit& unit) const override;
-  /// pgwire requests carry no ephemeral tokens to restore (BackendKeyData
-  /// flows server->client only), so the fan-out is zero-copy.
-  bool rewrites_identity() const override { return true; }
 };
 
 }  // namespace rddr::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <tuple>
 
@@ -261,51 +260,6 @@ bool expr_has_aggregate(const Expr& e) {
   if (e.kind == ExprKind::kAggregate) return true;
   for (const auto& a : e.args)
     if (a && expr_has_aggregate(*a)) return true;
-  return false;
-}
-
-/// Converts `d` in place for a column of type `target`. Text that an int
-/// or float column cannot parse is refused with 22P02, as in Postgres:
-/// false, with `err` set.
-bool coerce(Datum& d, Type target, SqlError& err) {
-  if (d.is_null() || d.type() == target) return true;
-  switch (target) {
-    case Type::kInt:
-      if (d.type() == Type::kFloat) {
-        d = Datum::integer(static_cast<int64_t>(std::llround(d.as_float())));
-      } else if (d.type() == Type::kText) {
-        auto v = parse_i64(d.as_text());
-        if (!v) break;
-        d = Datum::integer(*v);
-      } else if (d.type() == Type::kBool) {
-        d = Datum::integer(d.as_bool() ? 1 : 0);
-      }
-      return true;
-    case Type::kFloat:
-      if (d.type() == Type::kInt) {
-        d = Datum::floating(static_cast<double>(d.as_int()));
-      } else if (d.type() == Type::kText) {
-        auto v = parse_f64(d.as_text());
-        if (!v) break;
-        d = Datum::floating(*v);
-      }
-      return true;
-    case Type::kText:
-      d = Datum::text(d.to_text());
-      return true;
-    case Type::kBool:
-      if (d.type() == Type::kInt)
-        d = Datum::boolean(d.as_int() != 0);
-      else if (d.type() == Type::kText)
-        d = Datum::boolean(d.as_text() == "t" || d.as_text() == "true");
-      return true;
-    default:
-      return true;
-  }
-  const std::string_view text = d.as_text();
-  err = {"22P02", strformat("invalid input syntax for type %s: \"%.*s\"",
-                            type_name(target).c_str(),
-                            static_cast<int>(text.size()), text.data())};
   return false;
 }
 

@@ -29,11 +29,6 @@ enum class Op : uint8_t {
   kIsNull, kLike, kBetween, kInList, kCase,
 };
 
-enum class Builtin : uint8_t {
-  kUnknown, kLower, kUpper, kLength, kAbs, kSubstr, kCoalesce, kConcat,
-  kRound, kFloor, kCeil, kMod, kPower, kVersion, kCurrentUser,
-};
-
 Op binary_op(const std::string& op) {
   static const std::pair<std::string_view, Op> kOps[] = {
       {"and", Op::kAnd}, {"or", Op::kOr},   {"=", Op::kEq},   {"<>", Op::kNe},
@@ -44,22 +39,6 @@ Op binary_op(const std::string& op) {
   for (const auto& [symbol, code] : kOps)
     if (op == symbol) return code;
   return Op::kCustomOp;
-}
-
-Builtin builtin_of(const std::string& name) {
-  static const std::pair<std::string_view, Builtin> kNames[] = {
-      {"lower", Builtin::kLower},       {"upper", Builtin::kUpper},
-      {"length", Builtin::kLength},     {"abs", Builtin::kAbs},
-      {"substr", Builtin::kSubstr},     {"substring", Builtin::kSubstr},
-      {"coalesce", Builtin::kCoalesce}, {"concat", Builtin::kConcat},
-      {"round", Builtin::kRound},       {"floor", Builtin::kFloor},
-      {"ceil", Builtin::kCeil},         {"mod", Builtin::kMod},
-      {"power", Builtin::kPower},       {"version", Builtin::kVersion},
-      {"current_user", Builtin::kCurrentUser},
-  };
-  for (const auto& [n, code] : kNames)
-    if (name == n) return code;
-  return Builtin::kUnknown;
 }
 
 bool like_match(std::string_view text, std::string_view pat) {
@@ -138,19 +117,20 @@ Datum in_list(bool negated, const Datum& v, const Datum* const* items,
   return Datum::boolean(negated);
 }
 
-/// Text view of a datum without copying text values.
-struct TextOf {
-  explicit TextOf(const Datum& d) {
-    if (d.type() == Type::kText) {
-      view = d.as_text();
-    } else {
-      owned = d.to_text();
-      view = owned;
-    }
-  }
-  std::string owned;
-  std::string_view view;
-};
+/// `d` read as `kind`, as coerce() reads it for a column: `d` itself, or
+/// `tmp` holding the reading, or null with `err` set when it does not read.
+const Datum* read_as(ArgKind kind, const Datum& d, Datum& tmp,
+                     SqlError& err) {
+  const Type t = d.type();
+  Type as = t;
+  if (kind == ArgKind::kText) as = Type::kText;
+  if (kind == ArgKind::kInt8) as = Type::kInt;
+  if (kind == ArgKind::kNumber && t == Type::kBool) as = Type::kInt;
+  if (kind == ArgKind::kNumber && t == Type::kText) as = Type::kFloat;
+  if (as == t || t == Type::kNull) return &d;
+  tmp = d;
+  return coerce(tmp, as, err) ? &tmp : nullptr;
+}
 
 /// Operand values of one node: pointers to each value plus storage for
 /// the ones computed into temporaries. Up to four operands need no heap.
@@ -181,11 +161,179 @@ class Operands {
   const Datum** ptr_ = inline_ptr_;
 };
 
+// ---------- builtins ----------
+
+/// Characters of UTF-8 `s`: the bytes that start one.
+int64_t utf8_length(std::string_view s) {
+  return std::count_if(s.begin(), s.end(),
+                       [](char c) { return (c & 0xC0) != 0x80; });
+}
+
+/// Byte offset of character `n` (from 0) of UTF-8 `s`, or its size.
+size_t utf8_offset(std::string_view s, int64_t n) {
+  for (size_t i = 0; i < s.size(); ++i)
+    if ((s[i] & 0xC0) != 0x80 && n-- == 0) return i;
+  return s.size();
+}
+
+using Args = const BuiltinArgs&;
+constexpr ArgKind kText = ArgKind::kText, kNumber = ArgKind::kNumber,
+                  kInt8 = ArgKind::kInt8;
+constexpr uint8_t kVariadic = BuiltinDef::kVariadic;
+
+// Names, arity, strict, argument kinds, declared errors and body of each
+// builtin, as PostgreSQL 16 defines its namesake (§9.3 mathematical, §9.4
+// string, §9.18 conditional and §9.26 session information functions).
+constexpr BuiltinDef kBuiltins[] = {
+    {{"lower"}, 1, 1, true, {kText}, {},
+     [](Args a) { return Datum::text(to_lower(a.v[0]->as_text())); }},
+    {{"upper"}, 1, 1, true, {kText}, {},
+     [](Args a) { return Datum::text(to_upper(a.v[0]->as_text())); }},
+    {{"length"}, 1, 1, true, {kText}, {},
+     [](Args a) { return Datum::integer(utf8_length(a.v[0]->as_text())); }},
+    {{"substr", "substring"}, 2, 3, true, {kText, kInt8, kInt8},
+     {{"22011", "negative substring length not allowed", "'abc', 1, -1"}},
+     [](Args a) {
+       // Characters [start, start + len) clipped to [1, length]; the
+       // 2-argument form runs to the end.
+       const std::string_view s = a.v[0]->as_text();
+       const int64_t size = utf8_length(s), start = a.v[1]->as_int();
+       const int64_t len = a.count == 3 ? a.v[2]->as_int() : 0;
+       if (len < 0) return a.raise(0);
+       const int64_t end =
+           a.count == 3 && start <= size + 1 - len ? start + len : size + 1;
+       const int64_t begin = std::max<int64_t>(start, 1);
+       if (begin >= end) return Datum::text("");
+       const size_t from = utf8_offset(s, begin - 1);
+       return Datum::text(s.substr(from, utf8_offset(s, end - 1) - from));
+     }},
+    {{"concat"}, 1, kVariadic, false, {}, {}, [](Args a) {
+       std::string s;  // a NULL argument adds nothing
+       for (size_t i = 0; i < a.count; ++i) a.v[i]->append_text(s);
+       return Datum::text(s);
+     }},
+    {{"coalesce"}, 1, kVariadic, false, {}, {}, [](Args a) {
+       for (size_t i = 0; i < a.count; ++i)
+         if (!a.v[i]->is_null()) return *a.v[i];
+       return Datum();
+     }},
+    {{"abs"}, 1, 1, true, {kNumber},
+     {{"22003", "bigint out of range", "-9223372036854775808"}},
+     [](Args a) {
+       const Datum& x = *a.v[0];
+       if (x.type() == Type::kFloat)
+         return Datum::floating(std::fabs(x.as_float()));
+       if (x.as_int() == INT64_MIN) return a.raise(0);
+       return Datum::integer(std::llabs(x.as_int()));
+     }},
+    {{"round"}, 1, 2, true, {kNumber, kInt8}, {}, [](Args a) {
+       // Half away from zero, as Postgres rounds numeric.
+       const double digits = a.count == 2 ? a.v[1]->numeric() : 0;
+       const double scale = std::pow(10.0, digits);
+       return Datum::floating(std::round(a.v[0]->numeric() * scale) / scale);
+     }},
+    {{"floor"}, 1, 1, true, {kNumber}, {},
+     [](Args a) { return Datum::floating(std::floor(a.v[0]->numeric())); }},
+    {{"ceil"}, 1, 1, true, {kNumber}, {},
+     [](Args a) { return Datum::floating(std::ceil(a.v[0]->numeric())); }},
+    {{"mod"}, 2, 2, true, {kNumber, kNumber},
+     {{"22012", "division by zero", "1, 0"}},
+     [](Args a) {
+       const Datum &x = *a.v[0], &y = *a.v[1];
+       if (y.numeric() == 0) return a.raise(0);
+       if (x.type() != Type::kInt || y.type() != Type::kInt)
+         return Datum::floating(std::fmod(x.numeric(), y.numeric()));
+       // x % -1 is 0 for every x, INT64_MIN included (Postgres int8mod).
+       return Datum::integer(y.as_int() == -1 ? 0 : x.as_int() % y.as_int());
+     }},
+    {{"power"}, 2, 2, true, {kNumber, kNumber},
+     {{"2201F", "zero raised to a negative power is undefined", "0, -1"},
+      {"2201F",
+       "a negative number raised to a non-integer power yields a complex "
+       "result",
+       "-8, 0.5"},
+      {"22003", "value out of range: overflow", "10, 400"},
+      {"22003", "value out of range: underflow", "10, -400"}},
+     [](Args a) {
+       const double x = a.v[0]->numeric(), y = a.v[1]->numeric();
+       const double r = std::pow(x, y);
+       if (x == 0 && y < 0) return a.raise(0);
+       if (x < 0 && y != std::floor(y)) return a.raise(1);
+       if (std::isinf(r)) return a.raise(2);
+       if (r == 0 && x != 0) return a.raise(3);
+       return Datum::floating(r);
+     }},
+    {{"version"}, 0, 0, true, {}, {},
+     [](Args a) { return Datum::text(a.db.info().version_banner); }},
+    {{"current_user"}, 0, 0, true, {}, {},
+     [](Args a) { return Datum::text(a.user); }},
+};
+
+constexpr uint8_t kNoBuiltin = UINT8_MAX;
+
+uint8_t builtin_of(std::string_view name) {
+  for (uint8_t i = 0; i < std::size(kBuiltins); ++i)
+    for (std::string_view n : kBuiltins[i].names)
+      if (n == name) return i;
+  return kNoBuiltin;
+}
+
+const BuiltinDef& kModBuiltin = kBuiltins[builtin_of("mod")];
+
 }  // namespace
+
+std::span<const BuiltinDef> builtins() { return kBuiltins; }
+
+bool coerce(Datum& d, Type target, SqlError& err) {
+  if (d.is_null() || d.type() == target) return true;
+  switch (target) {
+    case Type::kInt:
+      if (d.type() == Type::kFloat) {
+        const double x = std::round(d.as_float());
+        if (!(x >= -0x1p63 && x < 0x1p63)) {
+          err = {"22003", "bigint out of range"};
+          return false;
+        }
+        d = Datum::integer(static_cast<int64_t>(x));
+      } else if (d.type() == Type::kText) {
+        auto v = parse_i64(d.as_text());
+        if (!v) break;
+        d = Datum::integer(*v);
+      } else if (d.type() == Type::kBool) {
+        d = Datum::integer(d.as_bool() ? 1 : 0);
+      }
+      return true;
+    case Type::kFloat:
+      if (d.type() == Type::kInt) {
+        d = Datum::floating(static_cast<double>(d.as_int()));
+      } else if (d.type() == Type::kText) {
+        auto v = parse_f64(d.as_text());
+        if (!v) break;
+        d = Datum::floating(*v);
+      }
+      return true;
+    case Type::kText:
+      d = Datum::text(d.to_text());
+      return true;
+    case Type::kBool:
+      if (d.type() == Type::kInt)
+        d = Datum::boolean(d.as_int() != 0);
+      else if (d.type() == Type::kText)
+        d = Datum::boolean(d.as_text() == "t" || d.as_text() == "true");
+      return true;
+    default:
+      return true;
+  }
+  const std::string_view text = d.as_text();
+  err = {"22P02", strformat("invalid input syntax for type %s: \"%.*s\"",
+                            type_name(target).c_str(),
+                            static_cast<int>(text.size()), text.data())};
+  return false;
+}
 
 struct Evaluator::Node {
   Op op = Op::kLiteral;
-  Builtin builtin = Builtin::kUnknown;  // kCall
+  uint8_t builtin = kNoBuiltin;  // kCall: index into kBuiltins
   bool ambiguous = false;               // kBadColumn
   uint32_t level = 0;                   // kColumn: FROM level
   uint32_t column = 0;                  // kColumn: column ordinal
@@ -617,7 +765,9 @@ bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
         out = Datum();
         return true;
       }
-      bool m = like_match(TextOf(*v[0]).view, TextOf(*v[1]).view);
+      Datum t, p;
+      bool m = like_match(read_as(kText, *v[0], t, error_)->as_text(),
+                          read_as(kText, *v[1], p, error_)->as_text());
       out = Datum::boolean(e.negated ? !m : m);
       return true;
     }
@@ -678,21 +828,16 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
       out = l.is_null() || r.is_null() ? Datum()
                                        : Datum::text(l.to_text() + r.to_text());
       return true;
-    case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv:
-    case Op::kMod: {
+    case Op::kMod: {  // x % y is mod(x, y), as in Postgres
+      const Datum* args[] = {&l, &r};
+      return builtin(kModBuiltin, "mod", args, 2, out);
+    }
+    case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv: {
       if (l.is_null() || r.is_null()) {
         out = Datum();
         return true;
       }
-      bool both_int = l.type() == Type::kInt && r.type() == Type::kInt;
-      if (n.op == Op::kMod) {
-        if (!both_int) return fail("42883", "operator %% requires integers");
-        if (r.as_int() == 0) return fail("22012", "division by zero");
-        // x % -1 is 0 for every x, INT64_MIN included (Postgres int8mod).
-        out = Datum::integer(r.as_int() == -1 ? 0 : l.as_int() % r.as_int());
-        return true;
-      }
-      if (both_int) {
+      if (l.type() == Type::kInt && r.type() == Type::kInt) {
         // int8 arithmetic that leaves the int64 range is an error, as in
         // Postgres, never a wrapped value.
         int64_t a = l.as_int(), b = r.as_int(), res;
@@ -711,24 +856,12 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
         return true;
       }
       // A text operand must read as a number (Postgres: 22P02).
-      auto number = [&](const Datum& d, double& x) {
-        if (d.type() != Type::kText) {
-          x = d.numeric();
-          return true;
-        }
-        const std::string_view text = d.as_text();
-        auto v = parse_f64(text);
-        if (!v) {
-          fail("22P02", strformat("invalid input syntax for type double "
-                                  "precision: \"%.*s\"",
-                                  static_cast<int>(text.size()), text.data()));
-          return false;
-        }
-        x = *v;
-        return true;
-      };
-      double a, b;
-      if (!number(l, a) || !number(r, b)) return false;
+      Datum lt, rt;
+      const Datum* ln = read_as(kNumber, l, lt, error_);
+      if (!ln) return false;
+      const Datum* rn = read_as(kNumber, r, rt, error_);
+      if (!rn) return false;
+      const double a = ln->numeric(), b = rn->numeric();
       switch (n.op) {
         case Op::kAdd: out = Datum::floating(a + b); return true;
         case Op::kSub: out = Datum::floating(a - b); return true;
@@ -757,148 +890,36 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
 
 bool Evaluator::call(const Node& n, const Datum* const* args, size_t count,
                      Datum& out) {
-  auto fit = db_.functions().find(n.src->func_name);
+  const std::string& name = n.src->func_name;
+  auto fit = db_.functions().find(name);
   if (fit != db_.functions().end())
     return call_function(fit->second, args, count, out);
-  return builtin(n, args, count, out);
+  if (n.builtin == kNoBuiltin)
+    return fail("42883", "unknown function: " + name);
+  return builtin(kBuiltins[n.builtin], name, args, count, out);
 }
 
-bool Evaluator::builtin(const Node& n, const Datum* const* args, size_t count,
-                        Datum& out) {
-  const std::string& name = n.src->func_name;
-  const Datum* a0 = count > 0 ? args[0] : nullptr;
-  switch (n.builtin) {
-    case Builtin::kLower:
-    case Builtin::kUpper:
-      if (count != 1) break;
-      if (a0->is_null()) {
-        out = Datum();
-      } else {
-        out = Datum::text(n.builtin == Builtin::kLower ? to_lower(a0->to_text())
-                                                       : to_upper(a0->to_text()));
-      }
-      return true;
-    case Builtin::kLength:
-      if (count != 1) break;
-      out = a0->is_null()
-                ? Datum()
-                : Datum::integer(static_cast<int64_t>(TextOf(*a0).view.size()));
-      return true;
-    case Builtin::kAbs:
-      if (count != 1) break;
-      if (a0->is_null()) {
-        out = Datum();
-      } else if (a0->type() != Type::kInt) {
-        out = Datum::floating(std::fabs(a0->numeric()));
-      } else if (a0->as_int() == INT64_MIN) {
-        fail("22003", "bigint out of range");
-        return false;
-      } else {
-        out = Datum::integer(std::llabs(a0->as_int()));
-      }
-      return true;
-    case Builtin::kSubstr: {
-      if (count != 2 && count != 3) {
-        fail("42883", "substr expects 2 or 3 arguments");
-        return false;
-      }
-      // Strict, as in Postgres: any NULL argument yields NULL.
-      for (size_t i = 0; i < count; ++i)
-        if (args[i]->is_null()) {
-          out = Datum();
-          return true;
-        }
-      std::string s = a0->to_text();
-      const auto size = static_cast<int64_t>(s.size());
-      int64_t start = args[1]->as_int();
-      // Postgres's window: positions [start, start + len) clipped to
-      // [1, size]. The 2-argument form runs to the end of the string.
-      int64_t end = size + 1;
-      if (count == 3) {
-        int64_t len = args[2]->as_int();
-        if (len < 0) {
-          fail("22011", "negative substring length not allowed");
-          return false;
-        }
-        if (start <= size + 1 - len) end = start + len;  // else past the end
-      }
-      int64_t begin = std::max<int64_t>(start, 1);
-      out = Datum::text(begin < end ? s.substr(static_cast<size_t>(begin - 1),
-                                               static_cast<size_t>(end - begin))
-                                    : std::string());
-      return true;
-    }
-    case Builtin::kCoalesce:
-      out = Datum();
-      for (size_t i = 0; i < count; ++i)
-        if (!args[i]->is_null()) {
-          out = *args[i];
-          break;
-        }
-      return true;
-    case Builtin::kConcat: {
-      std::string s;
-      for (size_t i = 0; i < count; ++i) s += TextOf(*args[i]).view;
-      out = Datum::text(std::move(s));
-      return true;
-    }
-    case Builtin::kRound: {
-      if (count == 0 || count > 2) {
-        fail("42883", "round arity");
-        return false;
-      }
-      if (a0->is_null()) {
-        out = Datum();
-        return true;
-      }
-      double v = a0->numeric();
-      int digits = count == 2 && !args[1]->is_null()
-                       ? static_cast<int>(args[1]->as_int())
-                       : 0;
-      double scale = std::pow(10.0, digits);
-      out = Datum::floating(std::round(v * scale) / scale);
-      return true;
-    }
-    case Builtin::kFloor:
-    case Builtin::kCeil:
-      if (count != 1) break;
-      if (a0->is_null()) out = Datum();
-      else if (n.builtin == Builtin::kFloor) out = Datum::floating(std::floor(a0->numeric()));
-      else out = Datum::floating(std::ceil(a0->numeric()));
-      return true;
-    case Builtin::kMod: {
-      if (count != 2) break;
-      if (a0->is_null() || args[1]->is_null()) {
-        out = Datum();
-        return true;
-      }
-      int64_t d = args[1]->as_int();
-      if (d == 0) {
-        fail("22012", "division by zero");
-        return false;
-      }
-      out = Datum::integer(d == -1 ? 0 : a0->as_int() % d);  // as for %
-      return true;
-    }
-    case Builtin::kPower:
-      if (count != 2) break;
-      out = a0->is_null() || args[1]->is_null()
-                ? Datum()
-                : Datum::floating(std::pow(a0->numeric(), args[1]->numeric()));
-      return true;
-    case Builtin::kVersion:
-      if (count != 0) break;
-      out = Datum::text(db_.info().version_banner);
-      return true;
-    case Builtin::kCurrentUser:
-      if (count != 0) break;
-      out = Datum::text(user_);
-      return true;
-    case Builtin::kUnknown:
-      break;
+bool Evaluator::builtin(const BuiltinDef& def, std::string_view name,
+                        const Datum* const* args, size_t count, Datum& out) {
+  if (count < def.min_args ||
+      (def.max_args != kVariadic && count > def.max_args))
+    return fail("42883", strformat("function %.*s(%zu arguments) does not exist",
+                                   static_cast<int>(name.size()), name.data(),
+                                   count));
+  out = Datum();
+  for (size_t i = 0; def.strict && i < count; ++i)
+    if (args[i]->is_null()) return true;
+  Datum read[3];
+  const Datum* v[3];
+  for (size_t i = 0; i < count && i < 3; ++i) {
+    v[i] = read_as(def.kinds[i], *args[i], read[i], error_);
+    if (!v[i]) return false;
   }
-  fail("42883", "unknown function: " + name);
-  return false;
+  const BuiltinArgs a{count <= 3 ? v : args, count, db_, user_};
+  out = def.body(a);
+  if (!a.raised) return true;
+  const BuiltinDef::Error& e = def.errors[a.raised - 1];
+  return fail(e.sqlstate, e.message);
 }
 
 bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,

@@ -2,10 +2,10 @@
 //
 // Each statement binds its expressions once, against the FROM entries
 // they can see: a column reference becomes (FROM level, column ordinal),
-// an operator symbol or builtin name becomes an enum, and a literal stays
-// where the parser put it. Evaluation then reads row values in place
-// through the scan's row pointers, with no per-row scope, name lookup or
-// value copy.
+// an operator symbol becomes an enum, a builtin name its builtins()
+// entry, and a literal stays where the parser put it. Evaluation then
+// reads row values in place through the scan's row pointers, with no
+// per-row scope, name lookup or value copy.
 //
 // Binding never fails. A reference that names no column, or one that is
 // ambiguous, binds to a node that raises 42703 / 42702 when a row actually
@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sqldb/engine.h"
@@ -56,6 +57,50 @@ struct GroupRows {
     return width ? matches + members[i] * width : nullptr;
   }
 };
+
+/// Converts `d` in place for a column of type `target`. Text that an int
+/// or float column cannot parse is refused with 22P02, and a float past
+/// int8 with 22003, as in Postgres: false, with `err` set.
+bool coerce(Datum& d, Type target, SqlError& err);
+
+/// What a builtin's argument is read as, as coerce() reads a value for a
+/// column: kAny as it is, kText as text, kNumber as an int or float (text
+/// as a float, a bool as an int), and kInt8 as an int.
+enum class ArgKind : uint8_t { kAny, kText, kNumber, kInt8 };
+
+/// A builtin's arguments once read as their kinds, and the session state
+/// that version() and current_user() read.
+struct BuiltinArgs {
+  const Datum* const* v;
+  size_t count;
+  const Database& db;
+  const std::string& user;
+  mutable int raised = 0;  // k + 1 once errors[k] is raised
+
+  Datum raise(int k) const {
+    raised = k + 1;
+    return Datum();
+  }
+};
+
+/// One SQL builtin's contract, declared once. The evaluator checks the
+/// arity (42883), gives NULL when a strict builtin has a NULL argument and
+/// reads each argument as its kind (a variadic builtin's as they are); the
+/// body then only computes the value, or raises one of `errors`.
+struct BuiltinDef {
+  /// An error the body raises, with an argument list that raises it.
+  struct Error { const char *sqlstate, *message, *example; };
+  static constexpr uint8_t kVariadic = UINT8_MAX;  // max_args: no limit
+  std::string_view names[2];  // the second is an alias, or empty
+  uint8_t min_args, max_args;
+  bool strict;
+  ArgKind kinds[3];
+  Error errors[4];
+  Datum (*body)(const BuiltinArgs& a);
+};
+
+/// Every builtin function, in one table.
+std::span<const BuiltinDef> builtins();
 
 /// Root of a bound expression; kNoExpr marks an absent one.
 using BoundExpr = uint32_t;
@@ -129,8 +174,8 @@ class Evaluator {
   bool apply(const Node& n, const Datum* const* v, size_t count, Datum& out);
   bool binary(const Node& n, const Datum& l, const Datum& r, Datum& out);
   bool call(const Node& n, const Datum* const* args, size_t count, Datum& out);
-  bool builtin(const Node& n, const Datum* const* args, size_t count,
-               Datum& out);
+  bool builtin(const BuiltinDef& def, std::string_view name,
+               const Datum* const* args, size_t count, Datum& out);
   bool aggregate(const Node* prog, const Node& n, const GroupRows& g,
                  Datum& out);
   const Datum* column_without_row(const Node& n, Datum& tmp);

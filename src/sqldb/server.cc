@@ -116,17 +116,19 @@ void SqlServer::on_accept(sim::ConnPtr conn) {
   // The handler owns the session state; the network drops it, and with it
   // this half, once the close is delivered (netsim/network.h).
   c->conn->set_on_data([this, c](ByteView data) {
+    if (c->reader.failed()) return;  // closes once its answers are sent
     c->reader.feed(data);
-    if (c->reader.failed()) {
-      RDDR_LOG_WARN("pgwire framing error on %s: %s", opts_.address.c_str(),
-                    c->reader.error().c_str());
-      c->conn->close();
-      return;
-    }
     c->reader.take([&](const pg::Message& msg) {
       on_message(c, msg);
       return true;
     });
+    if (c->reader.failed()) {
+      // Answer what came before the error, as a server reading one
+      // message at a time would, then close.
+      RDDR_LOG_WARN("pgwire framing error on %s: %s", opts_.address.c_str(),
+                    c->reader.error().c_str());
+      if (c->queued.empty()) c->conn->close();
+    }
   });
 }
 
@@ -278,6 +280,7 @@ void SqlServer::deliver_response(const std::shared_ptr<Conn>& c) {
   // data plane without a copy.
   if (c->conn->is_open()) c->conn->send(SharedBytes(std::move(resp.out)));
   c->busy = false;
+  if (c->reader.failed() && c->queued.empty()) c->conn->close();
   pump_responses(c);
 }
 

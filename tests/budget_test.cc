@@ -18,6 +18,7 @@
 #include "sqldb/engine.h"
 #include "workloads/harness.h"
 #include "workloads/pgbench.h"
+#include "workloads/tpch.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define RDDR_COUNTING_NEW 0
@@ -106,6 +107,27 @@ TEST(Budget, PgbenchReadOnlyPerTransaction) {
   // travel as slices and the executor projects by reference. The SQL
   // parser's 36 are the largest share left.
   EXPECT_LE(static_cast<double>(count.allocations()) / tx, 97.0);
+}
+
+TEST(Budget, TpchQueriesPerQuery) {
+  if (!RDDR_COUNTING_NEW) GTEST_SKIP() << "the sanitizer owns operator new";
+  sqldb::Database db(sqldb::minipg_info("13.0"));
+  workloads::load_tpch(db, workloads::TpchScale{0.25}, 1);
+  sqldb::Session session(db, "postgres");
+  const auto& queries = workloads::tpch_queries();
+  AllocationCount count;
+  for (const std::string& sql : queries) {
+    sqldb::ExecResult r = session.execute(sql);
+    ASSERT_EQ(r.statements.size(), 1u) << sql;
+    ASSERT_FALSE(r.statements[0].failed())
+        << sql << ": " << r.statements[0].error_message;
+  }
+  const double per_query = static_cast<double>(count.allocations()) /
+                           static_cast<double>(queries.size());
+  // Parse, plan, join key tables, groups and result cells: 1457
+  // allocations for the 15 queries, the same with one switch case per
+  // builtin as with the builtin table.
+  EXPECT_LE(per_query, 1457.0 / 15);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // hand computation over random data, engine personalities agree on ordered
 // queries for random seeds, indexed SELECT/UPDATE/DELETE and probing joins
 // agree with their heap-scan forms, LIKE agrees with a reference matcher,
-// and value comparison is a proper ordering.
+// value comparison is a proper ordering, and every builtin keeps the
+// contract its builtins() entry declares.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "sqldb/engine.h"
+#include "sqldb/eval.h"
 #include "sqldb/snapshot.h"
 #include "workloads/tpch.h"
 
@@ -787,6 +789,128 @@ TEST_P(EngineProperty, BoundColumnsMatchLiteralEvaluation) {
     EXPECT_EQ(projected.rows, values) << with_columns;
     ASSERT_FALSE(filtered.failed()) << with_columns << ": " << filtered.error_message;
     EXPECT_EQ(filtered.rows, kept) << with_columns;
+  }
+}
+
+namespace {
+/// Literal arguments of each kind, all of which read as that kind.
+std::vector<std::string> samples_of(ArgKind kind) {
+  switch (kind) {
+    case ArgKind::kText: return {"'héllo'", "'abc'", "''"};
+    case ArgKind::kNumber: return {"2", "-3", "2.5", "0"};
+    case ArgKind::kInt8: return {"2", "0", "-1"};
+    default: return {"'x'", "1", "null"};
+  }
+}
+
+ArgKind kind_of(const BuiltinDef& def, size_t i) {
+  return i < std::size(def.kinds) ? def.kinds[i] : ArgKind::kAny;
+}
+
+std::string outcome(const StatementResult& r) {
+  if (r.failed()) return "ERROR " + *r.error_sqlstate + " " + r.error_message;
+  if (r.rows.size() != 1 || r.rows[0].size() != 1)
+    return strformat("%zu rows", r.rows.size());
+  return r.rows[0][0].value_or("NULL");
+}
+
+/// `name(args)` with literal arguments, as the outcome of its SELECT-list
+/// spelling. The same call over a row holding the arguments must agree
+/// in the SELECT list, in a WHERE filter and in an UPDATE's SET.
+std::string call_outcome(std::string_view name,
+                         const std::vector<std::string>& args) {
+  Database db(minipg_info("13.0"));
+  Session s(db, "postgres");
+  std::string columns, literals, references;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    const char* type = a[0] == '\'' || a == "null" ? "text"
+                       : a.find('.') != std::string::npos ? "float" : "int";
+    columns += strformat("a%zu %s, ", i, type);
+    literals += (i ? ", " : "") + a;
+    references += strformat("%sa%zu", i ? ", " : "", i);
+  }
+  s.execute("CREATE TABLE args (" + columns + "out text);");
+  s.execute("INSERT INTO args VALUES (" + literals +
+            (args.empty() ? "" : ", ") + "null);");
+  const std::string call = std::string(name) + "(" + literals + ")";
+  const std::string over_row = std::string(name) + "(" + references + ")";
+  auto run = [&](const std::string& sql) {
+    return s.execute(sql).statements[0];
+  };
+  const std::string selected = outcome(run("SELECT " + call + ";"));
+  EXPECT_EQ(outcome(run("SELECT " + over_row + " FROM args;")), selected)
+      << call;
+  // The row passes the filter iff its value renders as `selected`.
+  auto filtered = run("SELECT 'kept' FROM args WHERE coalesce(" + over_row +
+                      " || '', 'NULL') = '" + selected + "';");
+  auto updated = run("UPDATE args SET out = " + over_row + ";");
+  if (selected.starts_with("ERROR ")) {
+    EXPECT_EQ(outcome(filtered), selected) << call;
+    EXPECT_EQ(outcome(updated), selected) << call;
+  } else {
+    EXPECT_EQ(outcome(filtered), "kept") << call;
+    EXPECT_FALSE(updated.failed()) << call << ": " << updated.error_message;
+    EXPECT_EQ(outcome(run("SELECT out FROM args;")), selected) << call;
+  }
+  return selected;
+}
+}  // namespace
+
+TEST(BuiltinContract, EveryEntryKeepsItsContract) {
+  for (const BuiltinDef& def : builtins()) {
+    const std::string_view name = def.names[0];
+    SCOPED_TRACE(std::string(name));
+    if (def.max_args == BuiltinDef::kVariadic) {
+      // The evaluator reads the arguments of a variadic builtin as they are.
+      for (ArgKind kind : def.kinds) EXPECT_EQ(kind, ArgKind::kAny);
+    }
+    const size_t widest = std::min<size_t>(def.max_args, def.min_args + 2u);
+    for (size_t n = def.min_args; n <= widest; ++n) {
+      // Every tuple of samples, through every name and spelling.
+      std::vector<std::string> args(n);
+      std::vector<size_t> pick(n, 0);
+      while (true) {
+        for (size_t i = 0; i < n; ++i)
+          args[i] = samples_of(kind_of(def, i))[pick[i]];
+        const std::string got = call_outcome(name, args);
+        for (std::string_view alias : def.names) {
+          if (!alias.empty() && alias != name) {
+            EXPECT_EQ(call_outcome(alias, args), got) << alias;
+          }
+        }
+        size_t i = 0;
+        while (i < n && ++pick[i] == samples_of(kind_of(def, i)).size())
+          pick[i++] = 0;
+        if (i == n) break;
+      }
+      // Strict: NULL in any one position gives NULL.
+      for (size_t p = 0; def.strict && p < n; ++p) {
+        for (size_t i = 0; i < n; ++i) args[i] = samples_of(kind_of(def, i))[0];
+        args[p] = "null";
+        EXPECT_EQ(call_outcome(name, args), "NULL") << "NULL at " << p;
+      }
+    }
+    // Each declared error, raised by its example with its SQLSTATE.
+    for (const BuiltinDef::Error& e : def.errors) {
+      if (!e.sqlstate) continue;
+      std::vector<std::string> args = split(e.example, ',');
+      for (auto& a : args) a = std::string(trim(a));
+      EXPECT_EQ(call_outcome(name, args),
+                strformat("ERROR %s %s", e.sqlstate, e.message))
+          << e.example;
+    }
+    // Outside the arity range there is no such function.
+    auto no_such_function = [&](size_t n) {
+      const std::vector<std::string> args(n, samples_of(kind_of(def, 0))[0]);
+      return call_outcome(name, args).starts_with("ERROR 42883 ");
+    };
+    if (def.max_args != BuiltinDef::kVariadic) {
+      EXPECT_TRUE(no_such_function(def.max_args + 1u));
+    }
+    if (def.min_args > 0) {
+      EXPECT_TRUE(no_such_function(def.min_args - 1u));
+    }
   }
 }
 

@@ -234,14 +234,14 @@ TEST(HttpPlugin, RewriteRestoresPerInstanceToken) {
   req.target = "/submit";
   req.body = "id=1&user_token=aaaaaaaaaaaaaaaa";
   Unit u{SharedBytes(req.to_bytes()), "http-req"};
-  Bytes for_1 = plugin.rewrite_for_instance(u, 1, ctx);
+  const Bytes for_1(plugin.rewrite_for_instance(u, 1, ctx).view());
   EXPECT_NE(for_1.find("bbbbbbbbbbbbbbbb"), Bytes::npos);
   EXPECT_EQ(for_1.find("aaaaaaaaaaaaaaaa"), Bytes::npos);
   // Token still present until the LAST instance is rewritten.
   EXPECT_EQ(state.tokens.size(), 1u);
-  Bytes for_0 = plugin.rewrite_for_instance(u, 0, ctx);
+  const Bytes for_0(plugin.rewrite_for_instance(u, 0, ctx).view());
   EXPECT_NE(for_0.find("aaaaaaaaaaaaaaaa"), Bytes::npos);
-  Bytes for_2 = plugin.rewrite_for_instance(u, 2, ctx);
+  const Bytes for_2(plugin.rewrite_for_instance(u, 2, ctx).view());
   EXPECT_NE(for_2.find("cccccccccccccccc"), Bytes::npos);
   // Deleted after full fan-out (paper: tokens are ephemeral).
   EXPECT_TRUE(state.tokens.empty());
@@ -259,7 +259,7 @@ TEST(HttpPlugin, RewriteFixesContentLengthForUnequalTokens) {
   req.target = "/s";
   req.body = "user_token=aaaaaaaaaaaaaaaa";
   Unit u{SharedBytes(req.to_bytes()), "http-req"};
-  Bytes rewritten = plugin.rewrite_for_instance(u, 1, ctx);
+  const Bytes rewritten(plugin.rewrite_for_instance(u, 1, ctx).view());
   http::RequestParser parser;
   parser.feed(rewritten);
   auto msgs = parser.take();

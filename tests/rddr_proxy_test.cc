@@ -10,6 +10,7 @@
 #include "rddr/plugins.h"
 #include "proto/http/coding.h"
 #include "proto/http/parser.h"
+#include "proto/pgwire/pgwire.h"
 #include "services/http_service.h"
 #include "services/static_server.h"
 #include "sqldb/client.h"
@@ -465,6 +466,48 @@ TEST_F(ProxyTest, CompressedResponsesDiffedDecoded) {
 }
 
 // ---------- Outgoing proxy ----------
+
+TEST_F(ProxyTest, PgUnitsFramedBeforeAFramingFailureAreReplicated) {
+  // One client chunk holds a whole Query and then a message type the
+  // framer refuses. The Query still reaches every instance and its rows
+  // come back; only the bytes from the failure on go through raw.
+  IncomingProxy::Config cfg;
+  cfg.listen_address = "front:5432";
+  cfg.plugin = std::make_shared<PgPlugin>();
+  std::vector<std::unique_ptr<sqldb::SqlServer>> servers;
+  for (int i = 0; i < 3; ++i) {
+    sqldb::SqlServer::Options so;
+    so.address = "pg-" + std::to_string(i) + ":5432";
+    auto db = std::make_shared<sqldb::Database>(sqldb::minipg_info("13.0"));
+    servers.push_back(std::make_unique<sqldb::SqlServer>(net, host, db, so));
+    cfg.instance_addresses.push_back(so.address);
+  }
+  IncomingProxy proxy(net, host, cfg);
+  auto conn = net.connect("front:5432");
+  ASSERT_TRUE(conn);
+  pg::MessageReader reader(false);
+  std::string types;
+  std::vector<std::optional<std::string>> first_cells;
+  conn->set_on_data([&](ByteView data) {
+    reader.feed(data);
+    reader.take([&](const pg::Message& m) {
+      types.push_back(m.type);
+      if (m.type == 'D')
+        first_cells.push_back(pg::parse_data_row(m.payload)->at(0));
+      return true;
+    });
+  });
+  conn->send(pg::build_startup({{"user", "postgres"}}));
+  sim.run_until_idle();
+  ASSERT_FALSE(types.empty());
+  ASSERT_EQ(types.back(), 'Z');
+  Bytes chunk = pg::build_query("SELECT 1;");
+  chunk.append("\x01\0\0\0\4", 5);
+  conn->send(chunk);
+  sim.run_until_idle();
+  EXPECT_EQ(first_cells, (std::vector<std::optional<std::string>>{"1"}))
+      << "message types received: " << types;
+}
 
 TEST_F(ProxyTest, OutgoingProxyMergesAgreeingRequests) {
   // Backend sqldb instance.
