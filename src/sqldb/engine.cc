@@ -230,12 +230,12 @@ TableData* Database::create_table(const std::string& name,
   return &it->second;
 }
 
-TableData* Database::find_table(const std::string& name) {
+TableData* Database::find_table(std::string_view name) {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : &it->second;
 }
 
-const TableData* Database::find_table(const std::string& name) const {
+const TableData* Database::find_table(std::string_view name) const {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : &it->second;
 }
@@ -256,10 +256,10 @@ int64_t Database::total_rows() const {
 
 namespace {
 
-bool expr_has_aggregate(const Expr& e) {
-  if (e.kind == ExprKind::kAggregate) return true;
-  for (const auto& a : e.args)
-    if (a && expr_has_aggregate(*a)) return true;
+bool expr_has_aggregate(const Node& e) {
+  if (e.op == Op::kAggregate) return true;
+  for (const Node* k = e.first; k; k = k->next)
+    if (expr_has_aggregate(*k)) return true;
   return false;
 }
 
@@ -270,11 +270,18 @@ Datum take(const Datum* v, Datum& tmp) {
   return *v;
 }
 
-/// Ends a statement with the evaluator's error.
-StatementResult fail_with(StatementResult& out, const SqlError& e) {
+/// Fails `out` with `e`; returning the result ends the statement.
+StatementResult&& fail_with(StatementResult& out, const SqlError& e) {
   out.error_sqlstate = e.sqlstate;
   out.error_message = e.message;
   return std::move(out);
+}
+
+/// Fails `out` for naming a table that does not exist.
+StatementResult&& no_such_relation(StatementResult& out,
+                                   std::string_view table) {
+  return fail_with(out,
+                   {"42P01", "relation does not exist: " + std::string(table)});
 }
 
 }  // namespace
@@ -296,14 +303,13 @@ ExecResult Session::execute(std::string_view sql, RowForm form) {
   auto parsed = parse_sql(sql);
   if (!parsed.ok()) {
     StatementResult sr;
-    sr.error_sqlstate = "42601";
-    sr.error_message = parsed.error();
-    result.statements.push_back(std::move(sr));
+    result.statements.push_back(fail_with(sr, {"42601", parsed.error()}));
     return result;
   }
-  result.statements.reserve(parsed.value().size());
-  for (const auto& st : parsed.value()) {
-    StatementResult sr = run_statement(st);
+  Script& script = parsed.value();
+  result.statements.reserve(script.size());
+  for (Statement& st : script) {
+    StatementResult sr = run_statement(st, script.arena());
     bool failed = sr.failed();
     result.rows_scanned += sr.rows_scanned;
     if (form == RowForm::kText && sr.row_count > 0) {
@@ -325,12 +331,12 @@ ExecResult Session::execute(std::string_view sql, RowForm form) {
   return result;
 }
 
-StatementResult Session::run_statement(const Statement& st) {
+StatementResult Session::run_statement(Statement& st, Arena& arena) {
   using K = Statement::Kind;
   switch (st.kind) {
-    case K::kSelect: return run_select(*st.select, false);
+    case K::kSelect: return run_select(*st.select, false, arena);
     case K::kInsert: return run_insert(*st.insert);
-    case K::kUpdate: return run_update(*st.update);
+    case K::kUpdate: return run_update(*st.update, arena);
     case K::kDelete: return run_delete(*st.del);
     case K::kCreateTable: return run_create_table(*st.create_table);
     case K::kDropTable: return run_drop_table(*st.drop_table);
@@ -341,10 +347,10 @@ StatementResult Session::run_statement(const Statement& st) {
     case K::kAlterTableRls: return run_alter_rls(*st.alter_rls);
     case K::kCreatePolicy: return run_create_policy(*st.create_policy);
     case K::kExplain:
-      return run_select(*st.explain->select, true);
+      return run_select(*st.select, true, arena);
     case K::kTxn: {
       StatementResult sr;
-      sr.command_tag = to_upper(st.txn->keyword);
+      sr.command_tag = to_upper(st.txn_keyword);
       return sr;
     }
   }
@@ -377,12 +383,12 @@ bool rls_applies(const TableData& t, const std::string& user) {
 
 /// The value of an integer literal, or of a negated one (`-7`, which
 /// Postgres folds into a constant too).
-std::optional<int64_t> int_literal(const Expr& e) {
-  if (e.kind == ExprKind::kLiteral && e.literal.type() == Type::kInt)
+std::optional<int64_t> int_literal(const Node& e) {
+  if (e.op == Op::kLiteral && e.literal.type() == Type::kInt)
     return e.literal.as_int();
-  if (e.kind == ExprKind::kUnary && e.op == "-") {
+  if (e.op == Op::kNeg) {
     // INT64_MIN has its own literal; negating it would overflow.
-    std::optional<int64_t> v = int_literal(*e.args[0]);
+    std::optional<int64_t> v = int_literal(*e.first);
     if (v && *v != INT64_MIN) return -*v;
   }
   return std::nullopt;
@@ -396,20 +402,20 @@ struct IndexProbe {
 
 /// The first "col = <int literal>" conjunct of `e` that a hash index
 /// covers, visiting AND operands right to left; none for a full scan.
-std::optional<IndexProbe> index_probe(const TableData& t, const Expr* e) {
-  if (!e || e->kind != ExprKind::kBinary) return std::nullopt;
-  if (e->op == "and") {
-    if (auto out = index_probe(t, e->args[1].get())) return out;
-    return index_probe(t, e->args[0].get());
+std::optional<IndexProbe> index_probe(const TableData& t, const Node* e) {
+  if (!e) return std::nullopt;
+  if (e->op == Op::kAnd) {
+    if (auto out = index_probe(t, &e->kid(1))) return out;
+    return index_probe(t, e->first);
   }
-  if (e->op != "=") return std::nullopt;
-  const Expr* col = e->args[0].get();
-  const Expr* lit = e->args[1].get();
-  if (col->kind != ExprKind::kColumnRef) std::swap(col, lit);
-  if (col->kind != ExprKind::kColumnRef) return std::nullopt;
+  if (e->op != Op::kEq) return std::nullopt;
+  const Node* col = e->first;
+  const Node* lit = col->next;
+  if (!is_column_ref(col->op)) std::swap(col, lit);
+  if (!is_column_ref(col->op)) return std::nullopt;
   std::optional<int64_t> key = int_literal(*lit);
   if (!key) return std::nullopt;
-  int ci = t.find_column(col->column);
+  int ci = t.find_column(col->name);
   if (ci < 0) return std::nullopt;
   auto it = t.hash_indexes.find(ci);
   if (it == t.hash_indexes.end()) return std::nullopt;
@@ -423,34 +429,26 @@ std::optional<IndexProbe> index_probe(const TableData& t, const Expr* e) {
 ///   - privilege unchecked (CVE-2017-7484) on vulnerable builds;
 ///   - RLS unchecked (CVE-2019-10130) on vulnerable builds.
 /// Visits `e` bottom-up, probing every such operator it contains.
-void probe_statistics(const Database& db, const std::string& user,
-                      const Expr& e, std::span<const ScopeLevel> from,
-                      StatementResult& out) {
-  for (const auto& a : e.args)
-    if (a) probe_statistics(db, user, *a, from, out);
-  if (e.kind != ExprKind::kBinary) return;
-  auto oit = db.operators().find(e.op);
+void probe_statistics(const Database& db, const std::string& user, Node& e,
+                      std::span<const ScopeLevel> from, StatementResult& out) {
+  for (Node* k = e.first; k; k = k->next)
+    probe_statistics(db, user, *k, from, out);
+  if (!is_binary(e.op)) return;
+  auto oit = db.operators().find(e.name);
   if (oit == db.operators().end()) return;
   if (oit->second.restrict_estimator.empty()) return;
   auto fit = db.functions().find(oit->second.procedure);
   if (fit == db.functions().end()) return;
   // Identify the column operand and its table.
-  const Expr* col_expr = nullptr;
-  const Expr* other = nullptr;
-  if (e.args[0]->kind == ExprKind::kColumnRef) {
-    col_expr = e.args[0].get();
-    other = e.args[1].get();
-  } else if (e.args[1]->kind == ExprKind::kColumnRef) {
-    col_expr = e.args[1].get();
-    other = e.args[0].get();
-  } else {
-    return;
-  }
+  Node* col_expr = e.first;
+  Node* other = col_expr->next;
+  if (!is_column_ref(col_expr->op)) std::swap(col_expr, other);
+  if (!is_column_ref(col_expr->op)) return;
   const TableData* table = nullptr;
   size_t col_idx = 0;
   for (const auto& level : from) {
-    if (!col_expr->table.empty() && *level.alias != col_expr->table) continue;
-    int idx = level.table->find_column(col_expr->column);
+    if (!col_expr->table.empty() && level.alias != col_expr->table) continue;
+    int idx = level.table->find_column(col_expr->name);
     if (idx >= 0) {
       table = level.table;
       col_idx = static_cast<size_t>(idx);
@@ -466,18 +464,16 @@ void probe_statistics(const Database& db, const std::string& user,
   Datum const_tmp;
   const Datum* const_side = constant.eval_constant(*other, const_tmp);
   if (!const_side) return;
-  bool col_on_left = col_expr == e.args[0].get();
+  bool col_on_left = col_expr == e.first;
   // Sample rows; RLS gate (fixed in 10.8+ for CVE-2019-10130).
   Evaluator ev(db, user, &out.notices);
   bool rls = rls_applies(*table, user) && !db.info().vulns.stats_leak_ignores_rls;
-  std::vector<BoundExpr> policies;
-  if (rls) policies = ev.bind_policies(*table);
   size_t sampled = 0;
   for (const auto& row : table->rows) {
     if (sampled >= kStatsSampleRows) break;
     if (rls) {
       bool visible = false;
-      if (!ev.row_visible(policies, row, visible) || !visible) {
+      if (!ev.row_visible(*table, row, visible) || !visible) {
         ev.clear_error();
         continue;
       }
@@ -627,7 +623,7 @@ struct Session::AccessPath {
   }
 };
 
-Session::AccessPath Session::open_scan(const TableData& t, const Expr* where) {
+Session::AccessPath Session::open_scan(const TableData& t, const Node* where) {
   AccessPath path;
   path.heap_rows = t.rows.size();
   if (std::optional<IndexProbe> probe = index_probe(t, where)) {
@@ -643,39 +639,34 @@ Session::AccessPath Session::open_scan(const TableData& t, const Expr* where) {
 
 // ---------- SELECT ----------
 
-StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
+StatementResult Session::run_select(SelectStmt& sel, bool explain_only,
+                                    Arena& arena) {
   StatementResult out;
   out.is_rowset = true;
 
   // Resolve FROM tables; expressions see them as scope levels, in order.
-  std::vector<ScopeLevel> from;
-  from.reserve(sel.from.size());
-  for (const auto& tr : sel.from) {
-    const TableData* t = db_.find_table(tr.table);
-    if (!t) {
-      out.error_sqlstate = "42P01";
-      out.error_message = "relation does not exist: " + tr.table;
-      return out;
-    }
-    from.push_back(ScopeLevel{&tr.alias, t});
+  const size_t width = sel.from.size();
+  const std::span<ScopeLevel> from(arena.make<ScopeLevel>(width), width);
+  for (size_t l = 0; l < width; ++l) {
+    const TableRef& tr = sel.from[l];
+    from[l] = ScopeLevel{tr.alias, db_.find_table(tr.table)};
+    if (!from[l].table) return no_such_relation(out, tr.table);
   }
-  const size_t width = from.size();
 
   if (sel.where) probe_statistics(db_, user_, *sel.where, from, out);
 
   if (explain_only) {
     out.columns = {"QUERY PLAN"};
     for (size_t i = 0; i < width; ++i) {
-      std::string line = (i == 0 ? "Seq Scan on " : "  Nested Loop join with ")
-                         + sel.from[i].table;
-      out.cells.push_back(Datum::text(line));
+      std::string line(i == 0 ? "Seq Scan on " : "  Nested Loop join with ");
+      out.cells.push_back(Datum::text(line.append(sel.from[i].table)));
       if (sel.from[i].join_on)
         out.cells.push_back(Datum::text("    Join Filter: " +
-                                        sel.from[i].join_on->to_string()));
+                                        to_sql(*sel.from[i].join_on)));
     }
     if (from.empty()) out.cells.push_back(Datum::text("Result"));
     if (sel.where)
-      out.cells.push_back(Datum::text("  Filter: " + sel.where->to_string()));
+      out.cells.push_back(Datum::text("  Filter: " + to_sql(*sel.where)));
     out.row_count = out.cells.size();
     out.command_tag = "EXPLAIN";
     return out;
@@ -684,11 +675,9 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
   // Privilege checks happen *after* planning — that ordering is the
   // CVE-2017-7484 leak-before-denial behaviour.
   for (const auto& level : from) {
-    if (!can_select(*level.table, user_)) {
-      out.error_sqlstate = "42501";
-      out.error_message = "permission denied for table " + level.table->name;
-      return out;
-    }
+    if (!can_select(*level.table, user_))
+      return fail_with(out, {"42501", "permission denied for table " +
+                                          level.table->name});
   }
 
   // Determine grouping.
@@ -698,13 +687,11 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
   if (sel.having) has_agg = true;
 
   // Output column names.
-  auto derive_name = [](const SelectItem& item) -> std::string {
+  auto derive_name = [](const SelectItem& item) -> std::string_view {
     if (!item.alias.empty()) return item.alias;
-    if (!item.expr) return "?column?";
-    if (item.expr->kind == ExprKind::kColumnRef) return item.expr->column;
-    if (item.expr->kind == ExprKind::kAggregate ||
-        item.expr->kind == ExprKind::kFuncCall)
-      return item.expr->func_name;
+    if (is_column_ref(item.expr->op) || item.expr->op == Op::kAggregate ||
+        item.expr->op == Op::kCall)
+      return item.expr->name;
     return "?column?";
   };
 
@@ -713,54 +700,49 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
       for (const auto& level : from)
         for (const auto& col : level.table->columns) out.columns.push_back(col.name);
     } else {
-      out.columns.push_back(derive_name(item));
+      out.columns.emplace_back(derive_name(item));
     }
   }
 
   // ---- Bind every expression once, against the levels it can see. ----
   Evaluator ev(db_, user_, &out.notices);
-  const BoundExpr where = sel.where ? ev.bind(*sel.where, from) : kNoExpr;
+  const Node* const where = sel.where ? ev.bind(*sel.where, from) : nullptr;
   struct LevelPlan {
-    BoundExpr join_on = kNoExpr;  // sees levels [0, this one]
+    const Node* join_on = nullptr;  // sees levels [0, this one]
     bool rls = false;
-    std::vector<BoundExpr> policies;
-    std::unique_ptr<JoinKeyTable> keys;  // set: the level probes, see scan
+    JoinKeyTable* keys = nullptr;  // set: the level probes, see scan
   };
-  std::vector<LevelPlan> levels(width);
+  LevelPlan* levels = arena.make<LevelPlan>(width);
+  std::vector<std::unique_ptr<JoinKeyTable>> key_tables;
   for (size_t l = 0; l < width; ++l) {
     LevelPlan& plan = levels[l];
     if (sel.from[l].join_on)
-      plan.join_on =
-          ev.bind(*sel.from[l].join_on, std::span(from).first(l + 1));
+      plan.join_on = ev.bind(*sel.from[l].join_on, from.first(l + 1));
     plan.rls = rls_applies(*from[l].table, user_);
-    if (plan.rls) plan.policies = ev.bind_policies(*from[l].table);
-    if (l > 0 && plan.join_on != kNoExpr && !plan.rls)
+    if (l > 0 && plan.join_on && !plan.rls)
       if (auto key = ev.join_key(plan.join_on, static_cast<uint32_t>(l)))
-        plan.keys = std::make_unique<JoinKeyTable>(*key);
+        plan.keys =
+            key_tables.emplace_back(std::make_unique<JoinKeyTable>(*key)).get();
   }
-  std::vector<BoundExpr> items;
-  items.reserve(sel.items.size());
   for (const auto& item : sel.items)
-    items.push_back(item.star ? kNoExpr : ev.bind(*item.expr, from));
-  std::vector<BoundExpr> group_by;
-  for (const auto& g : sel.group_by) group_by.push_back(ev.bind(*g, from));
-  const BoundExpr having = sel.having ? ev.bind(*sel.having, from) : kNoExpr;
-  std::vector<BoundExpr> order_by;
-  for (const auto& oi : sel.order_by) order_by.push_back(ev.bind(*oi.expr, from));
+    if (!item.star) ev.bind(*item.expr, from);
+  for (Node* g : sel.group_by) ev.bind(*g, from);
+  const Node* const having = sel.having ? ev.bind(*sel.having, from) : nullptr;
+  for (const auto& oi : sel.order_by) ev.bind(*oi.expr, from);
 
   // ---- Build the joined, filtered row stream. ----
-  std::vector<const Row*> matches;  // `width` row pointers per match
+  List<const Row*> matches;  // `width` row pointers per match
   size_t n_matches = 0;
-  std::vector<const Row*> acc(width);
+  const Row** acc = arena.make<const Row*>(width);
   auto scan = [&](auto& self, size_t level) -> bool {
     if (level == width) {
-      if (where != kNoExpr) {
+      if (where) {
         Datum tmp;
-        const Datum* v = ev.eval(where, acc.data(), tmp);
+        const Datum* v = ev.eval(where, acc, tmp);
         if (!v) return false;
         if (!datum_is_true(*v)) return true;
       }
-      matches.insert(matches.end(), acc.begin(), acc.end());
+      for (size_t l = 0; l < width; ++l) matches.push_back(arena, acc[l]);
       ++n_matches;
       return true;
     }
@@ -770,14 +752,14 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     auto visit = [&](const Row& row) -> bool {
       if (plan.rls) {
         bool visible = false;
-        if (!ev.row_visible(plan.policies, row, visible)) return false;
+        if (!ev.row_visible(t, row, visible)) return false;
         if (!visible) return true;
       }
       acc[level] = &row;
       // Apply the JOIN ON condition as soon as its table is in scope.
-      if (plan.join_on != kNoExpr) {
+      if (plan.join_on) {
         Datum tmp;
-        const Datum* v = ev.eval(plan.join_on, acc.data(), tmp);
+        const Datum* v = ev.eval(plan.join_on, acc, tmp);
         if (!v) return false;
         if (!datum_is_true(*v)) return true;
       }
@@ -787,7 +769,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     // level is modeled as the nested loop: one heap scan of its table per
     // outer row, every row counted.
     const AccessPath path =
-        open_scan(t, level == 0 && width == 1 ? sel.where.get() : nullptr);
+        open_scan(t, level == 0 && width == 1 ? sel.where : nullptr);
     if (!plan.keys) {
       return path.each([&](size_t ordinal) {
         out.rows_scanned += 1;
@@ -797,7 +779,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     // A probing level visits only the rows its ON's key conjunct can
     // admit, ascending, and counts rows as the nested loop reaches them:
     // ordinal o has counted o + 1, the finished level every row.
-    auto candidates = plan.keys->candidates(t, acc.data());
+    auto candidates = plan.keys->candidates(t, acc);
     size_t counted = 0;
     for (size_t o; candidates.next(o);) {
       out.rows_scanned += static_cast<int64_t>(o + 1 - counted);
@@ -813,7 +795,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     return fail_with(out, ev.error());
   }
   auto match_rows = [&](size_t m) -> const Row* const* {
-    return width ? matches.data() + m * width : nullptr;
+    return width ? matches.begin() + m * width : nullptr;
   };
 
   // ---- Project by reference. ----
@@ -822,7 +804,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
   // made on first use, so the pointers stay put as it grows). A
   // non-grouped result row r comes from match r.
   const size_t ncols = out.columns.size();
-  std::vector<const Datum*> cells;
+  List<const Datum*> cells;
   std::optional<std::deque<Datum>> computed;
   auto keep = [&computed](const Datum* v, Datum& tmp) -> const Datum* {
     if (v != &tmp) return v;
@@ -832,19 +814,19 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
   size_t n_results = 0;
 
   if (!has_agg) {
-    cells.reserve(n_matches * ncols);
+    cells.reserve(arena, n_matches * ncols);
     for (size_t m = 0; m < n_matches; ++m) {
       const Row* const* rows = match_rows(m);
-      for (size_t i = 0; i < sel.items.size(); ++i) {
-        if (sel.items[i].star) {
+      for (const SelectItem& item : sel.items) {
+        if (item.star) {
           for (size_t l = 0; l < width; ++l)
-            for (const Datum& d : *rows[l]) cells.push_back(&d);
+            for (const Datum& d : *rows[l]) cells.push_back(arena, &d);
           continue;
         }
         Datum tmp;
-        const Datum* v = ev.eval(items[i], rows, tmp);
+        const Datum* v = ev.eval(item.expr, rows, tmp);
         if (!v) return fail_with(out, ev.error());
-        cells.push_back(keep(v, tmp));
+        cells.push_back(arena, keep(v, tmp));
       }
     }
     n_results = n_matches;
@@ -856,7 +838,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     // linearly from the keys' hash. Groups with equal hashes lie along one
     // probe sequence in creation order, so a match joins the first-created
     // group whose hash and keys are equal.
-    const size_t nk = group_by.size();
+    const size_t nk = sel.group_by.size();
     std::vector<Datum> key_tmp(nk);
     std::vector<const Datum*> key(nk);
     std::vector<Datum> group_keys;   // nk per group
@@ -869,7 +851,7 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     for (size_t m = 0; m < n_matches; ++m) {
       size_t h = 1469598103u;
       for (size_t i = 0; i < nk; ++i) {
-        key[i] = ev.eval(group_by[i], match_rows(m), key_tmp[i]);
+        key[i] = ev.eval(sel.group_by[i], match_rows(m), key_tmp[i]);
         if (!key[i]) return fail_with(out, ev.error());
         h = h * 1099511628211ull ^ key[i]->hash();
       }
@@ -916,25 +898,23 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     }
 
     for (size_t g = 0; g < n_groups; ++g) {
-      const GroupRows rows{matches.data(), width, members.data() + first[g],
+      const GroupRows rows{matches.begin(), width, members.data() + first[g],
                            first[g + 1] - first[g]};
       // HAVING filter.
-      if (having != kNoExpr) {
+      if (having) {
         Datum tmp;
         const Datum* v = ev.eval_group(having, rows, tmp);
         if (!v) return fail_with(out, ev.error());
         if (!datum_is_true(*v)) continue;
       }
-      for (size_t i = 0; i < sel.items.size(); ++i) {
-        if (sel.items[i].star) {
-          out.error_sqlstate = "42803";
-          out.error_message = "SELECT * not allowed with GROUP BY";
-          return out;
-        }
+      for (const SelectItem& item : sel.items) {
+        if (item.star)
+          return fail_with(out,
+                           {"42803", "SELECT * not allowed with GROUP BY"});
         Datum tmp;
-        const Datum* v = ev.eval_group(items[i], rows, tmp);
+        const Datum* v = ev.eval_group(item.expr, rows, tmp);
         if (!v) return fail_with(out, ev.error());
-        cells.push_back(keep(v, tmp));
+        cells.push_back(arena, keep(v, tmp));
       }
       ++n_results;
     }
@@ -964,18 +944,15 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
     for (const auto& oi : sel.order_by) {
       KeySpec ks;
       ks.descending = oi.descending;
-      const Expr& e = *oi.expr;
-      if (e.kind == ExprKind::kLiteral && e.literal.type() == Type::kInt) {
+      const Node& e = *oi.expr;
+      if (e.op == Op::kLiteral && e.literal.type() == Type::kInt) {
         int pos = static_cast<int>(e.literal.as_int());
-        if (pos < 1 || pos > static_cast<int>(out.columns.size())) {
-          out.error_sqlstate = "42P10";
-          out.error_message = "ORDER BY position out of range";
-          return out;
-        }
+        if (pos < 1 || pos > static_cast<int>(out.columns.size()))
+          return fail_with(out, {"42P10", "ORDER BY position out of range"});
         ks.select_index = pos - 1;
       } else {
         // Alias or expression match against select items.
-        std::string estr = e.to_string();
+        std::string estr = to_sql(e);
         int col = 0;
         bool found = false;
         for (size_t i = 0; i < sel.items.size() && !found; ++i) {
@@ -986,9 +963,9 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
             for (const auto& level : from)
               width_i += static_cast<int>(level.table->columns.size());
           } else {
-            if ((e.kind == ExprKind::kColumnRef && e.table.empty() &&
-                 item.alias == e.column) ||
-                (item.expr && item.expr->to_string() == estr)) {
+            if ((is_column_ref(e.op) && e.table.empty() &&
+                 item.alias == e.name) ||
+                (item.expr && to_sql(*item.expr) == estr)) {
               ks.select_index = col;
               found = true;
             }
@@ -1008,15 +985,13 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
           keys.push_back(&cell(r, static_cast<size_t>(specs[k].select_index)));
         } else if (!has_agg && width > 0) {
           Datum tmp;
-          const Datum* v = ev.eval(order_by[k], match_rows(r), tmp);
+          const Datum* v = ev.eval(sel.order_by[k].expr, match_rows(r), tmp);
           if (!v) return fail_with(out, ev.error());
           keys.push_back(keep(v, tmp));
         } else {
-          out.error_sqlstate = "42803";
-          out.error_message =
-              "ORDER BY expression must appear in the select list for "
-              "aggregate queries";
-          return out;
+          return fail_with(out, {"42803",
+                                 "ORDER BY expression must appear in the "
+                                 "select list for aggregate queries"});
         }
       }
     }
@@ -1075,41 +1050,28 @@ StatementResult Session::run_select(const SelectStmt& sel, bool explain_only) {
 
 // ---------- DML / DDL ----------
 
-StatementResult Session::run_insert(const InsertStmt& ins) {
+StatementResult Session::run_insert(InsertStmt& ins) {
   StatementResult out;
-  TableData* t = db_.find_table(ins.table);
-  if (!t) {
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + ins.table;
-    return out;
-  }
-  if (!can_modify(*t, user_, "INSERT")) {
-    out.error_sqlstate = "42501";
-    out.error_message = "permission denied for table " + t->name;
-    return out;
-  }
+  TableData* t = table_for(ins.table, "INSERT", out);
+  if (!t) return out;
   std::vector<int> target_cols;
   if (ins.columns.empty()) {
     for (size_t i = 0; i < t->columns.size(); ++i)
       target_cols.push_back(static_cast<int>(i));
   } else {
-    for (const auto& c : ins.columns) {
+    for (std::string_view c : ins.columns) {
       int idx = t->find_column(c);
-      if (idx < 0) {
-        out.error_sqlstate = "42703";
-        out.error_message = "column does not exist: " + c;
-        return out;
-      }
+      if (idx < 0)
+        return fail_with(out,
+                         {"42703", "column does not exist: " + std::string(c)});
       target_cols.push_back(idx);
     }
   }
   Evaluator ev(db_, user_, &out.notices);
-  for (const auto& row_exprs : ins.rows) {
-    if (row_exprs.size() != target_cols.size()) {
-      out.error_sqlstate = "42601";
-      out.error_message = "INSERT value count does not match column count";
-      return out;
-    }
+  for (const List<Node*>& row_exprs : ins.rows) {
+    if (row_exprs.size() != target_cols.size())
+      return fail_with(
+          out, {"42601", "INSERT value count does not match column count"});
     Row row(t->columns.size());  // defaults to NULL
     for (size_t i = 0; i < row_exprs.size(); ++i) {
       Datum tmp;
@@ -1133,51 +1095,39 @@ StatementResult Session::run_insert(const InsertStmt& ins) {
   return out;
 }
 
-StatementResult Session::run_update(const UpdateStmt& up) {
+StatementResult Session::run_update(UpdateStmt& up, Arena& arena) {
   StatementResult out;
-  TableData* t = db_.find_table(up.table);
-  if (!t) {
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + up.table;
-    return out;
-  }
-  if (!can_modify(*t, user_, "UPDATE")) {
-    out.error_sqlstate = "42501";
-    out.error_message = "permission denied for table " + t->name;
-    return out;
-  }
+  TableData* t = table_for(up.table, "UPDATE", out);
+  if (!t) return out;
   Evaluator ev(db_, user_, &out.notices);
-  const ScopeLevel scope[] = {{&t->name, t}};
+  const ScopeLevel scope[] = {{t->name, t}};
   struct SetTarget {
     size_t column;
-    BoundExpr value;
+    const Node* value;
     IntIndex* index;  // null: not indexed
   };
-  std::vector<SetTarget> sets;
-  sets.reserve(up.sets.size());
+  List<SetTarget> sets;
+  sets.reserve(arena, up.sets.size());
   for (const auto& [col, expr] : up.sets) {
     int idx = t->find_column(col);
-    if (idx < 0) {
-      out.error_sqlstate = "42703";
-      out.error_message = "column does not exist: " + col;
-      return out;
-    }
+    if (idx < 0)
+      return fail_with(out,
+                       {"42703", "column does not exist: " + std::string(col)});
     auto it = t->hash_indexes.find(idx);
-    sets.push_back(SetTarget{static_cast<size_t>(idx), ev.bind(*expr, scope),
-                             it == t->hash_indexes.end() ? nullptr : &it->second});
+    IntIndex* index = it == t->hash_indexes.end() ? nullptr : &it->second;
+    sets.push_back(arena,
+                   {static_cast<size_t>(idx), ev.bind(*expr, scope), index});
   }
-  const BoundExpr where = up.where ? ev.bind(*up.where, scope) : kNoExpr;
+  const Node* const where = up.where ? ev.bind(*up.where, scope) : nullptr;
   const bool rls = rls_applies(*t, user_);
-  std::vector<BoundExpr> policies;
-  if (rls) policies = ev.bind_policies(*t);
   int64_t updated = 0;
   // An index path's rows are fixed before any SET runs, so a row whose
   // indexed column moves is visited once, as in a heap scan.
-  const AccessPath path = open_scan(*t, up.where.get());
-  std::vector<size_t> keyed;
+  const AccessPath path = open_scan(*t, up.where);
+  List<size_t> keyed;
   if (path.index)
-    path.each([&keyed](size_t ordinal) {
-      keyed.push_back(ordinal);
+    path.each([&](size_t ordinal) {
+      keyed.push_back(arena, ordinal);
       return true;
     });
   const size_t visits = path.index ? keyed.size() : path.heap_rows;
@@ -1188,13 +1138,13 @@ StatementResult Session::run_update(const UpdateStmt& up) {
     out.rows_scanned += 1;
     if (rls) {
       bool visible = false;
-      if (!ev.row_visible(policies, row, visible)) {
+      if (!ev.row_visible(*t, row, visible)) {
         ev.clear_error();  // a failing policy hides the row
         continue;
       }
       if (!visible) continue;
     }
-    if (where != kNoExpr) {
+    if (where) {
       Datum tmp;
       const Datum* v = ev.eval(where, rows, tmp);
       if (!v) return fail_with(out, ev.error());
@@ -1224,40 +1174,29 @@ StatementResult Session::run_update(const UpdateStmt& up) {
   return out;
 }
 
-StatementResult Session::run_delete(const DeleteStmt& del) {
+StatementResult Session::run_delete(DeleteStmt& del) {
   StatementResult out;
-  TableData* t = db_.find_table(del.table);
-  if (!t) {
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + del.table;
-    return out;
-  }
-  if (!can_modify(*t, user_, "DELETE")) {
-    out.error_sqlstate = "42501";
-    out.error_message = "permission denied for table " + t->name;
-    return out;
-  }
+  TableData* t = table_for(del.table, "DELETE", out);
+  if (!t) return out;
   Evaluator ev(db_, user_, &out.notices);
-  const ScopeLevel scope[] = {{&t->name, t}};
-  const BoundExpr where = del.where ? ev.bind(*del.where, scope) : kNoExpr;
+  const ScopeLevel scope[] = {{t->name, t}};
+  const Node* const where = del.where ? ev.bind(*del.where, scope) : nullptr;
   const bool rls = rls_applies(*t, user_);
-  std::vector<BoundExpr> policies;
-  if (rls) policies = ev.bind_policies(*t);
   // Decide every row first, so a failing WHERE leaves the table as it was.
   std::vector<bool> doomed(t->rows.size());
   int64_t deleted = 0;
   size_t first_removed = t->rows.size();
-  const AccessPath path = open_scan(*t, del.where.get());
+  const AccessPath path = open_scan(*t, del.where);
   const bool decided = path.each([&](size_t ordinal) {
     const Row* rows[] = {&t->rows[ordinal]};
     out.rows_scanned += 1;
     bool remove = true;
     if (rls) {
       bool visible = false;
-      remove = ev.row_visible(policies, *rows[0], visible) && visible;
+      remove = ev.row_visible(*t, *rows[0], visible) && visible;
       ev.clear_error();  // a failing policy keeps the row
     }
-    if (remove && where != kNoExpr) {
+    if (remove && where) {
       Datum tmp;
       const Datum* v = ev.eval(where, rows, tmp);
       if (!v) return false;
@@ -1285,14 +1224,13 @@ StatementResult Session::run_delete(const DeleteStmt& del) {
 
 StatementResult Session::run_create_table(const CreateTableStmt& ct) {
   StatementResult out;
-  if (db_.find_table(ct.table)) {
-    out.error_sqlstate = "42P07";
-    out.error_message = "relation already exists: " + ct.table;
-    return out;
-  }
+  if (db_.find_table(ct.table))
+    return fail_with(
+        out, {"42P07", "relation already exists: " + std::string(ct.table)});
   std::vector<Column> cols;
-  for (const auto& c : ct.columns) cols.push_back(Column{c.name, c.type});
-  TableData* t = db_.create_table(ct.table, std::move(cols));
+  for (const auto& c : ct.columns)
+    cols.push_back(Column{std::string(c.name), c.type});
+  TableData* t = db_.create_table(std::string(ct.table), std::move(cols));
   t->owner = user_;  // covered by create_table's listener notification
   out.command_tag = "CREATE TABLE";
   return out;
@@ -1300,58 +1238,70 @@ StatementResult Session::run_create_table(const CreateTableStmt& ct) {
 
 StatementResult Session::run_drop_table(const DropTableStmt& d) {
   StatementResult out;
-  TableData* t = db_.find_table(d.table);
-  if (!t) {
-    if (d.if_exists) {
-      out.command_tag = "DROP TABLE";
-      out.notices.push_back("table \"" + d.table + "\" does not exist, skipping");
-      return out;
-    }
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + d.table;
+  const std::string name(d.table);
+  if (d.if_exists && !db_.find_table(name)) {
+    out.command_tag = "DROP TABLE";
+    out.notices.push_back("table \"" + name + "\" does not exist, skipping");
     return out;
   }
-  if (user_ != "postgres" && user_ != t->owner) {
-    out.error_sqlstate = "42501";
-    out.error_message = "must be owner of table " + d.table;
-    return out;
-  }
-  db_.tables_.erase(d.table);
-  db_.note_table_dropped(d.table);
+  if (!table_for(name, nullptr, out)) return out;
+  db_.tables_.erase(name);
+  db_.note_table_dropped(name);
   out.command_tag = "DROP TABLE";
   return out;
 }
 
+/// The table `name` when the session user may write it with `privilege`,
+/// or, with none, change its catalog entry as its owner; else null, with
+/// `out` failed.
+TableData* Session::table_for(std::string_view name, const char* privilege,
+                              StatementResult& out) {
+  TableData* t = db_.find_table(name);
+  if (!t) {
+    no_such_relation(out, name);
+  } else if (privilege ? !can_modify(*t, user_, privilege)
+                       : user_ != "postgres" && user_ != t->owner) {
+    fail_with(out, {"42501", (privilege ? "permission denied for table "
+                                        : "must be owner of table ") +
+                                 t->name});
+    t = nullptr;
+  }
+  return t;
+}
+
+namespace {
+
+/// The catalog's own copy of a statement's expression, bound against
+/// `scope`: the statement's program printed and parsed again.
+std::optional<Script> catalog_copy(const Node& e,
+                                   std::span<const ScopeLevel> scope,
+                                   StatementResult& out) {
+  auto copy = parse_bound(to_sql(e), scope);
+  if (copy.ok()) return std::move(copy.take());
+  fail_with(out, {"42601", "internal: " + copy.error()});
+  return std::nullopt;
+}
+
+}  // namespace
+
 StatementResult Session::run_create_function(const CreateFunctionStmt& fn) {
   StatementResult out;
-  if (!db_.info().supports_udf) {
-    out.error_sqlstate = "0A000";
-    out.error_message =
-        "unimplemented: user-defined functions are not supported";
-    return out;
-  }
+  if (!db_.info().supports_udf)
+    return fail_with(out, {"0A000",
+                           "unimplemented: user-defined functions are not "
+                           "supported"});
   FunctionDef def;
   def.name = fn.name;
   def.nargs = fn.arg_types.size();
-  def.notice_format = fn.notice_format;
-  for (const auto& a : fn.notice_args) {
-    // Deep-copy via re-parse of the printed form (exprs are move-only).
-    auto copy = parse_expression(a->to_string());
-    if (!copy.ok()) {
-      out.error_sqlstate = "42601";
-      out.error_message = "internal: " + copy.error();
-      return out;
-    }
-    def.notice_args.push_back(std::move(copy.take()));
+  if (fn.notice_format) def.notice_format = std::string(*fn.notice_format);
+  for (const Node* a : fn.notice_args) {
+    auto copy = catalog_copy(*a, {}, out);
+    if (!copy) return out;
+    def.notice_args.push_back(std::move(*copy));
   }
   if (fn.return_expr) {
-    auto copy = parse_expression(fn.return_expr->to_string());
-    if (!copy.ok()) {
-      out.error_sqlstate = "42601";
-      out.error_message = "internal: " + copy.error();
-      return out;
-    }
-    def.return_expr = std::move(copy.take());
+    def.return_expr = catalog_copy(*fn.return_expr, {}, out);
+    if (!def.return_expr) return out;
   }
   db_.functions_[def.name] = std::move(def);
   db_.note_schema_changed();
@@ -1361,17 +1311,13 @@ StatementResult Session::run_create_function(const CreateFunctionStmt& fn) {
 
 StatementResult Session::run_create_operator(const CreateOperatorStmt& op) {
   StatementResult out;
-  if (!db_.info().supports_udf) {
-    out.error_sqlstate = "0A000";
-    out.error_message =
-        "unimplemented: user-defined operators are not supported";
-    return out;
-  }
-  if (db_.functions_.find(op.procedure) == db_.functions_.end()) {
-    out.error_sqlstate = "42883";
-    out.error_message = "function does not exist: " + op.procedure;
-    return out;
-  }
+  if (!db_.info().supports_udf)
+    return fail_with(out, {"0A000",
+                           "unimplemented: user-defined operators are not "
+                           "supported"});
+  if (!db_.functions_.contains(op.procedure))
+    return fail_with(out, {"42883", "function does not exist: " +
+                                    std::string(op.procedure)});
   OperatorDef def;
   def.symbol = op.symbol;
   def.procedure = op.procedure;
@@ -1392,12 +1338,10 @@ StatementResult Session::run_set(const SetStmt& set) {
     std::string level = value;
     if (level.empty() && name.size() > kPrefix.size())
       level = std::string(trim(name.substr(kPrefix.size())));
-    if (db_.info().forces_serializable && level != "serializable") {
-      out.error_sqlstate = "0A000";
-      out.error_message = "unimplemented: isolation level " + level +
-                          " (only serializable is supported)";
-      return out;
-    }
+    if (db_.info().forces_serializable && level != "serializable")
+      return fail_with(out, {"0A000", "unimplemented: isolation level " +
+                                          level +
+                                          " (only serializable is supported)"});
     settings_["transaction_isolation"] = level;
     out.command_tag = "SET";
     return out;
@@ -1409,18 +1353,9 @@ StatementResult Session::run_set(const SetStmt& set) {
 
 StatementResult Session::run_grant(const GrantStmt& g) {
   StatementResult out;
-  TableData* t = db_.find_table(g.table);
-  if (!t) {
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + g.table;
-    return out;
-  }
-  if (user_ != "postgres" && user_ != t->owner) {
-    out.error_sqlstate = "42501";
-    out.error_message = "must be owner of table " + g.table;
-    return out;
-  }
-  t->grants[g.privilege].insert(g.grantee);
+  TableData* t = table_for(g.table, nullptr, out);
+  if (!t) return out;
+  t->grants[std::string(g.privilege)].emplace(g.grantee);
   db_.note_catalog_changed(*t);
   out.command_tag = "GRANT";
   return out;
@@ -1428,17 +1363,8 @@ StatementResult Session::run_grant(const GrantStmt& g) {
 
 StatementResult Session::run_alter_rls(const AlterTableRlsStmt& a) {
   StatementResult out;
-  TableData* t = db_.find_table(a.table);
-  if (!t) {
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + a.table;
-    return out;
-  }
-  if (user_ != "postgres" && user_ != t->owner) {
-    out.error_sqlstate = "42501";
-    out.error_message = "must be owner of table " + a.table;
-    return out;
-  }
+  TableData* t = table_for(a.table, nullptr, out);
+  if (!t) return out;
   t->rls_enabled = a.enable;
   db_.note_catalog_changed(*t);
   out.command_tag = "ALTER TABLE";
@@ -1447,28 +1373,13 @@ StatementResult Session::run_alter_rls(const AlterTableRlsStmt& a) {
 
 StatementResult Session::run_create_policy(const CreatePolicyStmt& p) {
   StatementResult out;
-  TableData* t = db_.find_table(p.table);
-  if (!t) {
-    out.error_sqlstate = "42P01";
-    out.error_message = "relation does not exist: " + p.table;
-    return out;
-  }
-  if (user_ != "postgres" && user_ != t->owner) {
-    out.error_sqlstate = "42501";
-    out.error_message = "must be owner of table " + p.table;
-    return out;
-  }
-  Policy pol;
-  pol.name = p.name;
-  pol.role = p.role;
-  auto copy = parse_expression(p.using_expr->to_string());
-  if (!copy.ok()) {
-    out.error_sqlstate = "42601";
-    out.error_message = "internal: " + copy.error();
-    return out;
-  }
-  pol.using_expr = std::move(copy.take());
-  t->policies.push_back(std::move(pol));
+  TableData* t = table_for(p.table, nullptr, out);
+  if (!t) return out;
+  const ScopeLevel scope[] = {{t->name, t}};
+  auto copy = catalog_copy(*p.using_expr, scope, out);
+  if (!copy) return out;
+  t->policies.push_back(
+      Policy{std::string(p.name), std::string(p.role), std::move(*copy)});
   db_.note_catalog_changed(*t);
   out.command_tag = "CREATE POLICY";
   return out;

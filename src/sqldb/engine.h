@@ -122,10 +122,12 @@ class IntIndex {
   unsigned shift_ = 64;         // 64 - log2(slots_.size())
 };
 
+/// A row-level security policy. Its USING expression is its own copy,
+/// bound against its table when the policy is created.
 struct Policy {
   std::string name;
   std::string role;  // empty = applies to all
-  ExprPtr using_expr;
+  Script using_expr;
 };
 
 struct TableData {
@@ -154,12 +156,14 @@ struct TableData {
   void rebuild_indexes();
 };
 
+/// A user-defined function. Its body's expressions are its own copies,
+/// bound (with no FROM row in scope) when the function is created.
 struct FunctionDef {
   std::string name;
   size_t nargs = 0;
   std::optional<std::string> notice_format;
-  std::vector<ExprPtr> notice_args;
-  ExprPtr return_expr;
+  std::vector<Script> notice_args;
+  std::optional<Script> return_expr;
 };
 
 struct OperatorDef {
@@ -253,22 +257,20 @@ class Database {
   /// Bulk-load API (workload generators): creates owned by `postgres`.
   TableData* create_table(const std::string& name,
                           std::vector<Column> columns);
-  TableData* find_table(const std::string& name);
-  const TableData* find_table(const std::string& name) const;
+  TableData* find_table(std::string_view name);
+  const TableData* find_table(std::string_view name) const;
 
   /// Approximate resident size of all tables (memory model).
   int64_t approx_bytes() const;
   int64_t total_rows() const;
 
-  const std::map<std::string, FunctionDef>& functions() const {
-    return functions_;
-  }
-  const std::map<std::string, OperatorDef>& operators() const {
-    return operators_;
-  }
+  template <typename T>
+  using Catalog = std::map<std::string, T, std::less<>>;
+  const Catalog<FunctionDef>& functions() const { return functions_; }
+  const Catalog<OperatorDef>& operators() const { return operators_; }
 
   /// Read access for the snapshot writer (sqldb/snapshot.h).
-  const std::map<std::string, TableData>& tables() const { return tables_; }
+  const Catalog<TableData>& tables() const { return tables_; }
 
   /// Attaches/detaches the (single, not owned) mutation listener.
   void set_mutation_listener(MutationListener* listener) {
@@ -305,9 +307,9 @@ class Database {
   }
 
   EngineInfo info_;
-  std::map<std::string, TableData> tables_;
-  std::map<std::string, FunctionDef> functions_;
-  std::map<std::string, OperatorDef> operators_;
+  Catalog<TableData> tables_;
+  Catalog<FunctionDef> functions_;
+  Catalog<OperatorDef> operators_;
   MutationListener* listener_ = nullptr;
 };
 
@@ -330,13 +332,15 @@ class Session {
   struct AccessPath;  // engine.cc
   /// The rows one pass over `t` visits, chosen by `where`'s indexed
   /// equality conjuncts; reports the pass to the buffer-pool model.
-  AccessPath open_scan(const TableData& t, const Expr* where);
+  AccessPath open_scan(const TableData& t, const Node* where);
 
-  StatementResult run_statement(const Statement& st);
-  StatementResult run_select(const SelectStmt& sel, bool explain_only);
-  StatementResult run_insert(const InsertStmt& ins);
-  StatementResult run_update(const UpdateStmt& up);
-  StatementResult run_delete(const DeleteStmt& del);
+  /// Runs one statement, keeping its working arrays in `arena`, which
+  /// lives as long as the statement does.
+  StatementResult run_statement(Statement& st, Arena& arena);
+  StatementResult run_select(SelectStmt& sel, bool explain_only, Arena& arena);
+  StatementResult run_insert(InsertStmt& ins);
+  StatementResult run_update(UpdateStmt& up, Arena& arena);
+  StatementResult run_delete(DeleteStmt& del);
   StatementResult run_create_table(const CreateTableStmt& ct);
   StatementResult run_drop_table(const DropTableStmt& d);
   StatementResult run_create_function(const CreateFunctionStmt& fn);
@@ -345,6 +349,8 @@ class Session {
   StatementResult run_grant(const GrantStmt& g);
   StatementResult run_alter_rls(const AlterTableRlsStmt& a);
   StatementResult run_create_policy(const CreatePolicyStmt& p);
+  TableData* table_for(std::string_view name, const char* privilege,
+                       StatementResult& out);
 
   Database& db_;
   std::string user_;

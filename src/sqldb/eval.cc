@@ -6,40 +6,13 @@
 #include <cstdlib>
 
 #include "common/strutil.h"
+#include "sqldb/parser.h"
 
 namespace rddr::sqldb {
 
 namespace {
 
 constexpr int kMaxFunctionDepth = 16;
-
-enum class Op : uint8_t {
-  kLiteral,
-  kColumn,      // FROM level + column ordinal
-  kBadColumn,   // unresolvable: 42703, or 42702 when ambiguous
-  kCurrentUser, // bare current_user that names no column
-  kParam,
-  kNeg, kNot,
-  kAnd, kOr,
-  kEq, kNe, kLt, kLe, kGt, kGe,
-  kConcat, kAdd, kSub, kMul, kDiv, kMod,
-  kCustomOp,    // resolved through the operator catalog at call time
-  kCall,        // user-defined function first, else the builtin
-  kAggregate,
-  kIsNull, kLike, kBetween, kInList, kCase,
-};
-
-Op binary_op(const std::string& op) {
-  static const std::pair<std::string_view, Op> kOps[] = {
-      {"and", Op::kAnd}, {"or", Op::kOr},   {"=", Op::kEq},   {"<>", Op::kNe},
-      {"!=", Op::kNe},   {"<", Op::kLt},    {"<=", Op::kLe},  {">", Op::kGt},
-      {">=", Op::kGe},   {"||", Op::kConcat}, {"+", Op::kAdd}, {"-", Op::kSub},
-      {"*", Op::kMul},   {"/", Op::kDiv},   {"%", Op::kMod},
-  };
-  for (const auto& [symbol, code] : kOps)
-    if (op == symbol) return code;
-  return Op::kCustomOp;
-}
 
 bool like_match(std::string_view text, std::string_view pat) {
   // Iterative wildcard match: '%' any run, '_' one char.
@@ -269,7 +242,11 @@ constexpr BuiltinDef kBuiltins[] = {
      [](Args a) { return Datum::text(a.user); }},
 };
 
-constexpr uint8_t kNoBuiltin = UINT8_MAX;
+const BuiltinDef& kModBuiltin = kBuiltins[builtin_of("mod")];
+
+}  // namespace
+
+std::span<const BuiltinDef> builtins() { return kBuiltins; }
 
 uint8_t builtin_of(std::string_view name) {
   for (uint8_t i = 0; i < std::size(kBuiltins); ++i)
@@ -277,12 +254,6 @@ uint8_t builtin_of(std::string_view name) {
       if (n == name) return i;
   return kNoBuiltin;
 }
-
-const BuiltinDef& kModBuiltin = kBuiltins[builtin_of("mod")];
-
-}  // namespace
-
-std::span<const BuiltinDef> builtins() { return kBuiltins; }
 
 bool coerce(Datum& d, Type target, SqlError& err) {
   if (d.is_null() || d.type() == target) return true;
@@ -331,129 +302,65 @@ bool coerce(Datum& d, Type target, SqlError& err) {
   return false;
 }
 
-struct Evaluator::Node {
-  Op op = Op::kLiteral;
-  uint8_t builtin = kNoBuiltin;  // kCall: index into kBuiltins
-  bool ambiguous = false;               // kBadColumn
-  uint32_t level = 0;                   // kColumn: FROM level
-  uint32_t column = 0;                  // kColumn: column ordinal
-  uint32_t first_kid = 0;  // operands are nodes [first_kid, first_kid + n_kids)
-  uint32_t n_kids = 0;
-  const Expr* src = nullptr;  // literal value, names and flags
-
-  const Node& kid(const Node* prog, size_t i) const {
-    return prog[first_kid + i];
-  }
-};
-
-struct Evaluator::FunctionBody {
-  const FunctionDef* def = nullptr;
-  std::vector<Node> nodes;
-  std::vector<uint32_t> notice_args;
-  uint32_t return_expr = kNoExpr;
-};
-
-Evaluator::Evaluator(const Database& db, const std::string& user,
-                     std::vector<std::string>* notices)
-    : db_(db), user_(user), notices_(notices) {
-  nodes_.reserve(16);
-}
-
-Evaluator::~Evaluator() = default;
-
 // ---------- binding ----------
 
-BoundExpr Evaluator::bind(const Expr& e, std::span<const ScopeLevel> scope) {
-  auto at = static_cast<uint32_t>(nodes_.size());
-  nodes_.emplace_back();
-  bind_into(nodes_, at, e, scope);
-  return at;
-}
-
-std::vector<BoundExpr> Evaluator::bind_policies(const TableData& t) {
-  const ScopeLevel level{&t.name, &t};
-  std::vector<BoundExpr> roots;
-  for (const auto& pol : t.policies)
-    if (pol.role.empty() || pol.role == user_)
-      roots.push_back(bind(*pol.using_expr, {&level, 1}));
-  return roots;
-}
-
-void Evaluator::bind_into(std::vector<Node>& nodes, uint32_t at, const Expr& e,
-                          std::span<const ScopeLevel> scope) {
-  Node n;
-  n.src = &e;
-  switch (e.kind) {
-    case ExprKind::kLiteral: n.op = Op::kLiteral; break;
-    case ExprKind::kParam: n.op = Op::kParam; break;
-    case ExprKind::kColumnRef: {
-      // The scope is the same for every row, so resolution is too; only
-      // its errors wait for a row to be evaluated.
-      bool found = false;
-      for (size_t l = 0; l < scope.size(); ++l) {
-        if (!e.table.empty() && *scope[l].alias != e.table) continue;
-        int idx = scope[l].table->find_column(e.column);
-        if (idx < 0) continue;
-        if (found) {
-          n.ambiguous = true;
-          break;
-        }
-        found = true;
-        n.level = static_cast<uint32_t>(l);
-        n.column = static_cast<uint32_t>(idx);
-        if (!e.table.empty()) break;
-      }
-      if (found && !n.ambiguous) {
-        n.op = Op::kColumn;
-      } else if (!found && e.table.empty() && e.column == "current_user") {
-        // Postgres exposes current_user as a bare keyword, not a call.
-        n.op = Op::kCurrentUser;
-      } else {
-        n.op = Op::kBadColumn;
-      }
+const Node* Evaluator::bind(Node& e, std::span<const ScopeLevel> scope) {
+  for (Node* k = e.first; k; k = k->next) bind(*k, scope);
+  if (!is_column_ref(e.op)) return &e;
+  // The scope is the same for every row, so resolution is too; only its
+  // errors wait for a row to be evaluated.
+  bool found = false;
+  e.ambiguous = false;
+  for (size_t l = 0; l < scope.size(); ++l) {
+    if (!e.table.empty() && scope[l].alias != e.table) continue;
+    int idx = scope[l].table->find_column(e.name);
+    if (idx < 0) continue;
+    if (found) {
+      e.ambiguous = true;
       break;
     }
-    case ExprKind::kUnary: n.op = e.op == "-" ? Op::kNeg : Op::kNot; break;
-    case ExprKind::kBinary: n.op = binary_op(e.op); break;
-    case ExprKind::kFuncCall:
-      n.op = Op::kCall;
-      n.builtin = builtin_of(e.func_name);
-      break;
-    case ExprKind::kAggregate: n.op = Op::kAggregate; break;
-    case ExprKind::kIsNull: n.op = Op::kIsNull; break;
-    case ExprKind::kLike: n.op = Op::kLike; break;
-    case ExprKind::kBetween: n.op = Op::kBetween; break;
-    case ExprKind::kInList: n.op = Op::kInList; break;
-    case ExprKind::kCase: n.op = Op::kCase; break;
+    found = true;
+    e.level = static_cast<uint32_t>(l);
+    e.column = static_cast<uint32_t>(idx);
+    if (!e.table.empty()) break;
   }
-  n.n_kids = static_cast<uint32_t>(e.args.size());
-  n.first_kid = static_cast<uint32_t>(nodes.size());
-  nodes.resize(nodes.size() + e.args.size());
-  for (size_t i = 0; i < e.args.size(); ++i)
-    bind_into(nodes, n.first_kid + static_cast<uint32_t>(i), *e.args[i], scope);
-  nodes[at] = n;
+  if (found && !e.ambiguous) {
+    e.op = Op::kColumn;
+  } else if (!found && e.table.empty() && e.name == "current_user") {
+    // Postgres exposes current_user as a bare keyword, not a call.
+    e.op = Op::kCurrentUser;
+  } else {
+    e.op = Op::kBadColumn;
+  }
+  return &e;
 }
 
-std::optional<Evaluator::JoinKey> Evaluator::join_key(BoundExpr on,
+Result<Script> parse_bound(std::string_view sql,
+                           std::span<const ScopeLevel> scope) {
+  auto parsed = parse_expression(sql);
+  if (parsed.ok()) Evaluator::bind(parsed.value().expression(), scope);
+  return parsed;
+}
+
+std::optional<Evaluator::JoinKey> Evaluator::join_key(const Node* on,
                                                      uint32_t level) const {
-  const Node* prog = nodes_.data();
   auto calls_catalog = [&](auto& self, const Node& n) -> bool {
     if (n.op == Op::kCustomOp ||
-        (n.op == Op::kCall && db_.functions().count(n.src->func_name)))
+        (n.op == Op::kCall && db_.functions().contains(n.name)))
       return true;
-    for (size_t i = 0; i < n.n_kids; ++i)
-      if (self(self, n.kid(prog, i))) return true;
+    for (const Node* k = n.first; k; k = k->next)
+      if (self(self, *k)) return true;
     return false;
   };
-  if (calls_catalog(calls_catalog, prog[on])) return std::nullopt;
+  if (calls_catalog(calls_catalog, *on)) return std::nullopt;
   auto find = [&](auto& self, const Node& n) -> std::optional<JoinKey> {
     if (n.op == Op::kAnd) {
-      if (auto key = self(self, n.kid(prog, 0))) return key;
-      return self(self, n.kid(prog, 1));
+      if (auto key = self(self, n.kid(0))) return key;
+      return self(self, n.kid(1));
     }
     if (n.op != Op::kEq) return std::nullopt;
-    const Node& a = n.kid(prog, 0);
-    const Node& b = n.kid(prog, 1);
+    const Node& a = n.kid(0);
+    const Node& b = n.kid(1);
     if (a.op != Op::kColumn || b.op != Op::kColumn) return std::nullopt;
     if (a.level == level && b.level < level)
       return JoinKey{a.column, b.level, b.column};
@@ -461,59 +368,37 @@ std::optional<Evaluator::JoinKey> Evaluator::join_key(BoundExpr on,
       return JoinKey{b.column, a.level, a.column};
     return std::nullopt;
   };
-  return find(find, prog[on]);
-}
-
-const Evaluator::FunctionBody& Evaluator::function_body(const FunctionDef& fn) {
-  for (const auto& body : functions_)
-    if (body->def == &fn) return *body;
-  // Bodies see no FROM row: their column references can only be the
-  // current_user keyword or a 42703.
-  auto body = std::make_unique<FunctionBody>();
-  body->def = &fn;
-  auto bind_root = [&](const Expr& e) {
-    auto at = static_cast<uint32_t>(body->nodes.size());
-    body->nodes.emplace_back();
-    bind_into(body->nodes, at, e, {});
-    return at;
-  };
-  for (const auto& a : fn.notice_args) body->notice_args.push_back(bind_root(*a));
-  if (fn.return_expr) body->return_expr = bind_root(*fn.return_expr);
-  functions_.push_back(std::move(body));
-  return *functions_.back();
+  return find(find, *on);
 }
 
 // ---------- evaluation entry points ----------
 
-const Datum* Evaluator::eval(BoundExpr root, const Row* const* rows,
+const Datum* Evaluator::eval(const Node* root, const Row* const* rows,
                              Datum& tmp) {
   rows_ = rows;
-  return ev(nodes_.data(), nodes_[root], tmp);
+  return ev(*root, tmp);
 }
 
-const Datum* Evaluator::eval_constant(const Expr& e, Datum& tmp) {
-  // The result points at `tmp` or into `e` itself, never into the nodes.
-  const size_t mark = nodes_.size();
-  const Datum* v = eval(bind(e, {}), nullptr, tmp);
-  nodes_.resize(mark);
-  return v;
+const Datum* Evaluator::eval_constant(Node& e, Datum& tmp) {
+  return eval(bind(e, {}), nullptr, tmp);
 }
 
-const Datum* Evaluator::eval_group(BoundExpr root, const GroupRows& group,
+const Datum* Evaluator::eval_group(const Node* root, const GroupRows& group,
                                    Datum& tmp) {
-  return ev_group(nodes_.data(), nodes_[root], group, tmp);
+  return ev_group(*root, group, tmp);
 }
 
-bool Evaluator::row_visible(const std::vector<BoundExpr>& policies,
-                            const Row& row, bool& visible) {
+bool Evaluator::row_visible(const TableData& t, const Row& row,
+                            bool& visible) {
   auto* notices = notices_;
   notices_ = nullptr;
   const Row* scope = &row;
   visible = false;
   bool ok = true;
-  for (BoundExpr root : policies) {
+  for (const Policy& pol : t.policies) {
+    if (!pol.role.empty() && pol.role != user_) continue;
     Datum tmp;
-    const Datum* v = eval(root, &scope, tmp);
+    const Datum* v = eval(&pol.using_expr.expression(), &scope, tmp);
     if (!v) {
       ok = false;
       break;
@@ -535,8 +420,6 @@ bool Evaluator::call_function(const FunctionDef& fn, const Datum* const* args,
                             fn.name.c_str(), fn.nargs, count));
     return false;
   }
-  const FunctionBody& body = function_body(fn);
-  const Node* prog = body.nodes.data();
   std::vector<Datum> params;
   params.reserve(count);
   for (size_t i = 0; i < count; ++i) params.push_back(*args[i]);
@@ -548,9 +431,9 @@ bool Evaluator::call_function(const FunctionDef& fn, const Datum* const* args,
   bool ok = true;
   if (fn.notice_format && notices_) {
     std::vector<Datum> values;
-    for (uint32_t root : body.notice_args) {
+    for (const Script& arg : fn.notice_args) {
       Datum tmp;
-      const Datum* v = ev(prog, prog[root], tmp);
+      const Datum* v = ev(arg.expression(), tmp);
       if (!v) {
         ok = false;
         break;
@@ -560,11 +443,11 @@ bool Evaluator::call_function(const FunctionDef& fn, const Datum* const* args,
     if (ok) notices_->push_back(expand_notice(*fn.notice_format, values));
   }
   if (ok) {
-    if (body.return_expr == kNoExpr) {
+    if (!fn.return_expr) {
       out = Datum();
     } else {
       Datum tmp;
-      const Datum* v = ev(prog, prog[body.return_expr], tmp);
+      const Datum* v = ev(fn.return_expr->expression(), tmp);
       if (v) out = *v;
       ok = v != nullptr;
     }
@@ -584,30 +467,30 @@ const Datum* Evaluator::fail(std::string sqlstate, std::string message) {
 
 /// Leaves, which most operands are, are read here without a call into
 /// the node switch.
-inline const Datum* Evaluator::ev(const Node* prog, const Node& n,
-                                  Datum& tmp) {
+inline const Datum* Evaluator::ev(const Node& n, Datum& tmp) {
   if (n.op == Op::kColumn) return &(*rows_[n.level])[n.column];
-  if (n.op == Op::kLiteral) return &n.src->literal;
-  return ev_node(prog, n, tmp);
+  if (n.op == Op::kLiteral) return &n.literal;
+  return ev_node(n, tmp);
 }
 
-const Datum* Evaluator::ev_node(const Node* prog, const Node& n, Datum& tmp) {
+const Datum* Evaluator::ev_node(const Node& n, Datum& tmp) {
   switch (n.op) {
     case Op::kLiteral:
     case Op::kColumn:
-      return ev(prog, n, tmp);
+      return ev(n, tmp);
     case Op::kBadColumn:
       if (n.ambiguous)
-        return fail("42702", "ambiguous column reference: " + n.src->column);
+        return fail("42702",
+                    "ambiguous column reference: " + std::string(n.name));
       return column_without_row(n, tmp);
     case Op::kCurrentUser:
       tmp = Datum::text(user_);
       return &tmp;
     case Op::kParam: {
-      int i = n.src->param_index;
-      if (!params_ || i < 1 || static_cast<size_t>(i) > params_->size())
-        return fail("42P02", strformat("parameter $%d out of range", i));
-      return &(*params_)[static_cast<size_t>(i - 1)];
+      const size_t i = n.column;
+      if (!params_ || i < 1 || i > params_->size())
+        return fail("42P02", strformat("parameter $%zu out of range", i));
+      return &(*params_)[i - 1];
     }
     case Op::kAnd:
     case Op::kOr: {
@@ -615,7 +498,7 @@ const Datum* Evaluator::ev_node(const Node* prog, const Node& n, Datum& tmp) {
       // when the left one does not decide.
       bool is_and = n.op == Op::kAnd;
       Datum lt;
-      const Datum* l = ev(prog, n.kid(prog, 0), lt);
+      const Datum* l = ev(*n.first, lt);
       if (!l) return nullptr;
       bool l_true = datum_is_true(*l);
       if ((is_and && !l->is_null() && !l_true) || (!is_and && l_true)) {
@@ -623,19 +506,19 @@ const Datum* Evaluator::ev_node(const Node* prog, const Node& n, Datum& tmp) {
         return &tmp;
       }
       Datum rt;
-      const Datum* r = ev(prog, n.kid(prog, 1), rt);
+      const Datum* r = ev(*n.first->next, rt);
       if (!r) return nullptr;
       tmp = logic(is_and, *l, *r);
       return &tmp;
     }
     case Op::kInList: {
       Datum vt;
-      const Datum* v = ev(prog, n.kid(prog, 0), vt);
+      const Datum* v = ev(*n.first, vt);
       if (!v) return nullptr;
       bool saw_null = v->is_null();
-      for (size_t i = 1; i < n.n_kids; ++i) {
+      for (const Node* k = n.first->next; k; k = k->next) {
         Datum it;
-        const Datum* item = ev(prog, n.kid(prog, i), it);
+        const Datum* item = ev(*k, it);
         if (!item) return nullptr;
         auto c = v->compare(*item);
         if (!c) {
@@ -643,34 +526,35 @@ const Datum* Evaluator::ev_node(const Node* prog, const Node& n, Datum& tmp) {
           continue;
         }
         if (*c == 0) {
-          tmp = Datum::boolean(!n.src->negated);
+          tmp = Datum::boolean(!n.negated);
           return &tmp;
         }
       }
-      tmp = saw_null ? Datum() : Datum::boolean(n.src->negated);
+      tmp = saw_null ? Datum() : Datum::boolean(n.negated);
       return &tmp;
     }
     case Op::kCase: {
-      size_t pairs = (n.n_kids - (n.src->case_has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
+      const Node* k = n.first;
+      for (size_t i = 0; i + 1 < n.n_kids; i += 2, k = k->next->next) {
         Datum ct;
-        const Datum* c = ev(prog, n.kid(prog, 2 * i), ct);
+        const Datum* c = ev(*k, ct);
         if (!c) return nullptr;
-        if (datum_is_true(*c)) return ev(prog, n.kid(prog, 2 * i + 1), tmp);
+        if (datum_is_true(*c)) return ev(*k->next, tmp);
       }
-      if (n.src->case_has_else) return ev(prog, n.kid(prog, n.n_kids - 1), tmp);
+      if (n.has_else) return ev(*k, tmp);
       tmp = Datum();
       return &tmp;
     }
     case Op::kAggregate:
-      return fail("42803", "aggregate not allowed here: " + n.src->func_name);
+      return fail("42803",
+                  "aggregate not allowed here: " + std::string(n.name));
     case Op::kEq: case Op::kNe: case Op::kLt: case Op::kLe: case Op::kGt:
     case Op::kGe: case Op::kConcat: case Op::kAdd: case Op::kSub:
     case Op::kMul: case Op::kDiv: case Op::kMod: case Op::kCustomOp: {
       Datum lt, rt;
-      const Datum* l = ev(prog, n.kid(prog, 0), lt);
+      const Datum* l = ev(*n.first, lt);
       if (!l) return nullptr;
-      const Datum* r = ev(prog, n.kid(prog, 1), rt);
+      const Datum* r = ev(*n.first->next, rt);
       if (!r) return nullptr;
       return binary(n, *l, *r, tmp) ? &tmp : nullptr;
     }
@@ -680,30 +564,31 @@ const Datum* Evaluator::ev_node(const Node* prog, const Node& n, Datum& tmp) {
   }
   // Strict nodes: every operand, in order, then the operator.
   Operands ops(n.n_kids);
-  for (size_t i = 0; i < n.n_kids; ++i) {
-    const Datum* v = ev(prog, n.kid(prog, i), ops.tmp(i));
+  size_t i = 0;
+  for (const Node* k = n.first; k; k = k->next, ++i) {
+    const Datum* v = ev(*k, ops.tmp(i));
     if (!v) return nullptr;
     ops.set(i, v);
   }
   return apply(n, ops.values(), n.n_kids, tmp) ? &tmp : nullptr;
 }
 
-const Datum* Evaluator::ev_group(const Node* prog, const Node& n,
-                                 const GroupRows& g, Datum& tmp) {
-  if (n.op == Op::kAggregate)
-    return aggregate(prog, n, g, tmp) ? &tmp : nullptr;
+const Datum* Evaluator::ev_group(const Node& n, const GroupRows& g,
+                                 Datum& tmp) {
+  if (n.op == Op::kAggregate) return aggregate(n, g, tmp) ? &tmp : nullptr;
   if (n.n_kids == 0) {
     if (g.size == 0 && (n.op == Op::kColumn || n.op == Op::kBadColumn ||
                         n.op == Op::kCurrentUser))
       return column_without_row(n, tmp);
     rows_ = g.size ? g.member(0) : nullptr;
-    return ev(prog, n, tmp);
+    return ev(n, tmp);
   }
   // Every operand is evaluated (no short-circuit), then the operator is
   // applied to the values.
   Operands ops(n.n_kids);
-  for (size_t i = 0; i < n.n_kids; ++i) {
-    const Datum* v = ev_group(prog, n.kid(prog, i), g, ops.tmp(i));
+  size_t i = 0;
+  for (const Node* k = n.first; k; k = k->next, ++i) {
+    const Datum* v = ev_group(*k, g, ops.tmp(i));
     if (!v) return nullptr;
     ops.set(i, v);
   }
@@ -713,18 +598,17 @@ const Datum* Evaluator::ev_group(const Node* prog, const Node& n,
 /// A column reference evaluated with no row in scope: only the bare
 /// current_user keyword has a value.
 const Datum* Evaluator::column_without_row(const Node& n, Datum& tmp) {
-  const Expr& e = *n.src;
-  if (e.table.empty() && e.column == "current_user") {
+  if (n.table.empty() && n.name == "current_user") {
     tmp = Datum::text(user_);
     return &tmp;
   }
-  return fail("42703", "column does not exist: " +
-                           (e.table.empty() ? e.column : e.table + "." + e.column));
+  std::string name(n.table);
+  if (!name.empty()) name += '.';
+  return fail("42703", "column does not exist: " + name.append(n.name));
 }
 
 bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
                       Datum& out) {
-  const Expr& e = *n.src;
   switch (n.op) {
     case Op::kNeg:
     case Op::kNot: {
@@ -732,13 +616,17 @@ bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
       if (d.is_null()) {
         out = Datum();
       } else if (n.op == Op::kNeg) {
-        if (d.type() != Type::kInt) {
-          out = Datum::floating(-d.numeric());
-        } else if (d.as_int() == INT64_MIN) {
+        // Text must read as a number, as for binary arithmetic (22P02).
+        Datum t;
+        const Datum* x = read_as(kNumber, d, t, error_);
+        if (!x) return false;
+        if (x->type() != Type::kInt) {
+          out = Datum::floating(-x->numeric());
+        } else if (x->as_int() == INT64_MIN) {
           fail("22003", "bigint out of range");
           return false;
         } else {
-          out = Datum::integer(-d.as_int());
+          out = Datum::integer(-x->as_int());
         }
       } else {
         if (d.type() != Type::kBool) {
@@ -757,7 +645,7 @@ bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
       return call(n, v, count, out);
     case Op::kIsNull: {
       bool isnull = v[0]->is_null();
-      out = Datum::boolean(e.negated ? !isnull : isnull);
+      out = Datum::boolean(n.negated ? !isnull : isnull);
       return true;
     }
     case Op::kLike: {
@@ -768,7 +656,7 @@ bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
       Datum t, p;
       bool m = like_match(read_as(kText, *v[0], t, error_)->as_text(),
                           read_as(kText, *v[1], p, error_)->as_text());
-      out = Datum::boolean(e.negated ? !m : m);
+      out = Datum::boolean(n.negated ? !m : m);
       return true;
     }
     case Op::kBetween: {
@@ -778,22 +666,22 @@ bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
         out = Datum();
       } else {
         bool in = *c1 >= 0 && *c2 <= 0;
-        out = Datum::boolean(e.negated ? !in : in);
+        out = Datum::boolean(n.negated ? !in : in);
       }
       return true;
     }
     case Op::kInList:
-      out = in_list(e.negated, *v[0], v + 1, count - 1);
+      out = in_list(n.negated, *v[0], v + 1, count - 1);
       return true;
     case Op::kCase: {
-      size_t pairs = (count - (e.case_has_else ? 1 : 0)) / 2;
+      size_t pairs = (count - (n.has_else ? 1 : 0)) / 2;
       for (size_t i = 0; i < pairs; ++i) {
         if (datum_is_true(*v[2 * i])) {
           out = *v[2 * i + 1];
           return true;
         }
       }
-      out = e.case_has_else ? *v[count - 1] : Datum();
+      out = n.has_else ? *v[count - 1] : Datum();
       return true;
     }
     default:
@@ -874,10 +762,9 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
     }
     default: {
       // Custom operator: resolve via the operator catalog.
-      const std::string& op = n.src->op;
-      auto oit = db_.operators().find(op);
+      auto oit = db_.operators().find(n.name);
       if (oit == db_.operators().end())
-        return fail("42883", "operator does not exist: " + op);
+        return fail("42883", "operator does not exist: " + std::string(n.name));
       auto fit = db_.functions().find(oit->second.procedure);
       if (fit == db_.functions().end())
         return fail("42883",
@@ -890,13 +777,12 @@ bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
 
 bool Evaluator::call(const Node& n, const Datum* const* args, size_t count,
                      Datum& out) {
-  const std::string& name = n.src->func_name;
-  auto fit = db_.functions().find(name);
+  auto fit = db_.functions().find(n.name);
   if (fit != db_.functions().end())
     return call_function(fit->second, args, count, out);
   if (n.builtin == kNoBuiltin)
-    return fail("42883", "unknown function: " + name);
-  return builtin(kBuiltins[n.builtin], name, args, count, out);
+    return fail("42883", "unknown function: " + std::string(n.name));
+  return builtin(kBuiltins[n.builtin], n.name, args, count, out);
 }
 
 bool Evaluator::builtin(const BuiltinDef& def, std::string_view name,
@@ -922,10 +808,8 @@ bool Evaluator::builtin(const BuiltinDef& def, std::string_view name,
   return fail(e.sqlstate, e.message);
 }
 
-bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,
-                          Datum& out) {
-  const Expr& e = *n.src;
-  const std::string& fn = e.func_name;
+bool Evaluator::aggregate(const Node& n, const GroupRows& g, Datum& out) {
+  const std::string_view fn = n.name;
   int64_t count = 0;
   double sum = 0;
   __int128 int_sum = 0;  // exact while every value is an int
@@ -937,14 +821,14 @@ bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,
   for (size_t i = 0; i < g.size; ++i) {
     Datum tmp;
     const Datum* v = &one;
-    if (!e.star) {
+    if (!n.star) {
       if (n.n_kids == 0) continue;  // no argument: nothing to aggregate
       rows_ = g.member(i);
-      v = ev(prog, n.kid(prog, 0), tmp);
+      v = ev(*n.first, tmp);
       if (!v) return false;
     }
     if (v->is_null()) continue;
-    if (e.distinct) {
+    if (n.distinct) {
       bool dup = false;
       for (const auto& s : seen)
         if (s.group_equal(*v)) {
@@ -991,7 +875,7 @@ bool Evaluator::aggregate(const Node* prog, const Node& n, const GroupRows& g,
   } else if (fn == "max") {
     out = std::move(max_v);
   } else {
-    fail("42883", "unknown aggregate: " + fn);
+    fail("42883", "unknown aggregate: " + std::string(fn));
     return false;
   }
   return true;

@@ -1,28 +1,31 @@
-// Bound expression evaluation for the sqldb executor (private to sqldb).
+// Evaluation of bound expression programs for the sqldb executor
+// (private to sqldb).
 //
-// Each statement binds its expressions once, against the FROM entries
-// they can see: a column reference becomes (FROM level, column ordinal),
-// an operator symbol becomes an enum, a builtin name its builtins()
-// entry, and a literal stays where the parser put it. Evaluation then
-// reads row values in place through the scan's row pointers, with no
-// per-row scope, name lookup or value copy.
+// An expression is the one program of Nodes the parser emitted (ast.h),
+// with its operators, builtins and literals already resolved. Binding
+// resolves the rest in place, once per statement, against the FROM
+// entries the expression can see: a column reference becomes (FROM level,
+// column ordinal). Evaluation then reads row values in place through the
+// scan's row pointers, with no per-row scope, name lookup or value copy.
+// A program is evaluated where it lives: a statement's in its Script's
+// arena, a row-level policy's or function body's in its catalog entry,
+// which owns its own copy and is bound once, when it is created.
 //
 // Binding never fails. A reference that names no column, or one that is
 // ambiguous, binds to a node that raises 42703 / 42702 when a row actually
 // evaluates it, so a query over an empty table, or a branch that is never
 // taken, reports no error. User-defined functions and custom operators are
-// still looked up in the catalog at call time; a function body is bound on
-// its first call in the statement, with its parameters as slots.
+// looked up in the catalog at call time.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "sqldb/engine.h"
 
 namespace rddr::sqldb {
@@ -41,7 +44,7 @@ inline bool datum_is_true(const Datum& d) {
 /// One FROM entry as expressions see it: qualified references match
 /// `alias`, and columns resolve against `table`.
 struct ScopeLevel {
-  const std::string* alias;
+  std::string_view alias;
   const TableData* table;
 };
 
@@ -101,29 +104,31 @@ struct BuiltinDef {
 
 /// Every builtin function, in one table.
 std::span<const BuiltinDef> builtins();
+/// The builtins() index of the builtin called `name`, or kNoBuiltin.
+uint8_t builtin_of(std::string_view name);
 
-/// Root of a bound expression; kNoExpr marks an absent one.
-using BoundExpr = uint32_t;
-inline constexpr BoundExpr kNoExpr = UINT32_MAX;
+/// A catalog entry's own copy of an expression: `sql` parsed and bound
+/// against `scope` (a policy's table, or none for a function body).
+Result<Script> parse_bound(std::string_view sql,
+                           std::span<const ScopeLevel> scope);
 
-/// The bound expressions of one statement plus its evaluation state.
-/// Evaluation results point either into a row, into the statement's
-/// literals, or at the caller's `tmp`; they are valid until the next
-/// evaluation. On error the result is null and error() says why.
+/// The evaluation state of one statement. Evaluation results point either
+/// into a row, at a literal of the program, or at the caller's `tmp`; they
+/// are valid until the next evaluation. On error the result is null and
+/// error() says why.
 class Evaluator {
  public:
   /// `notices` receives RAISE NOTICE output; null discards it.
   Evaluator(const Database& db, const std::string& user,
-            std::vector<std::string>* notices);
-  ~Evaluator();
+            std::vector<std::string>* notices)
+      : db_(db), user_(user), notices_(notices) {}
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// Binds `e` against `scope` (FROM order). Must not be called while an
-  /// evaluation is in progress.
-  BoundExpr bind(const Expr& e, std::span<const ScopeLevel> scope);
-  /// Binds the policies of `t` that apply to this user, in catalog order.
-  std::vector<BoundExpr> bind_policies(const TableData& t);
+  /// Binds the column references of `e` in place against `scope` (FROM
+  /// order), replacing any earlier binding. Must not be called while `e`
+  /// is being evaluated.
+  static const Node* bind(Node& e, std::span<const ScopeLevel> scope);
 
   /// A conjunct `a = b` of a JOIN ON whose sides are plain column
   /// references: one to the join's own FROM level, one to an earlier level.
@@ -136,22 +141,22 @@ class Evaluator {
   /// `level`. None when there is none, or when `on` calls a user-defined
   /// function or custom operator anywhere: each may emit notices or reach
   /// the catalog on every row it sees.
-  std::optional<JoinKey> join_key(BoundExpr on, uint32_t level) const;
+  std::optional<JoinKey> join_key(const Node* on, uint32_t level) const;
 
   /// Evaluates `root` with FROM level k's current row at rows[k].
-  const Datum* eval(BoundExpr root, const Row* const* rows, Datum& tmp);
-  /// Evaluates `root` once with no FROM row in scope (INSERT values, the
-  /// planner probe's constant side) and drops its binding.
-  const Datum* eval_constant(const Expr& e, Datum& tmp);
+  const Datum* eval(const Node* root, const Row* const* rows, Datum& tmp);
+  /// Binds `e` with no FROM row in scope and evaluates it (INSERT values,
+  /// the planner probe's constant side).
+  const Datum* eval_constant(Node& e, Datum& tmp);
   /// Evaluates a HAVING or select-list root of an aggregate query for one
   /// group: aggregates run over the members, every other leaf reads the
   /// first member's rows (none for an empty group), and inner nodes
   /// evaluate all their operands before applying the operator.
-  const Datum* eval_group(BoundExpr root, const GroupRows& group, Datum& tmp);
-  /// Row-level security: sets `visible` when any of `policies` admits
-  /// `row`. Policy evaluation emits no notices. False on error.
-  bool row_visible(const std::vector<BoundExpr>& policies, const Row& row,
-                   bool& visible);
+  const Datum* eval_group(const Node* root, const GroupRows& group, Datum& tmp);
+  /// Row-level security: sets `visible` when any policy of `t` that
+  /// applies to this user admits `row`, a row of `t`. Policy evaluation
+  /// emits no notices. False on error.
+  bool row_visible(const TableData& t, const Row& row, bool& visible);
   /// Calls a user-defined function on evaluated arguments.
   bool call_function(const FunctionDef& fn, const Datum* const* args,
                      size_t count, Datum& out);
@@ -160,32 +165,21 @@ class Evaluator {
   void clear_error() { error_ = SqlError{}; }
 
  private:
-  struct Node;
-  struct FunctionBody;
-
-  void bind_into(std::vector<Node>& nodes, uint32_t at, const Expr& e,
-                 std::span<const ScopeLevel> scope);
-  const FunctionBody& function_body(const FunctionDef& fn);
-
-  const Datum* ev(const Node* prog, const Node& n, Datum& tmp);
-  const Datum* ev_node(const Node* prog, const Node& n, Datum& tmp);
-  const Datum* ev_group(const Node* prog, const Node& n, const GroupRows& g,
-                        Datum& tmp);
+  const Datum* ev(const Node& n, Datum& tmp);
+  const Datum* ev_node(const Node& n, Datum& tmp);
+  const Datum* ev_group(const Node& n, const GroupRows& g, Datum& tmp);
   bool apply(const Node& n, const Datum* const* v, size_t count, Datum& out);
   bool binary(const Node& n, const Datum& l, const Datum& r, Datum& out);
   bool call(const Node& n, const Datum* const* args, size_t count, Datum& out);
   bool builtin(const BuiltinDef& def, std::string_view name,
                const Datum* const* args, size_t count, Datum& out);
-  bool aggregate(const Node* prog, const Node& n, const GroupRows& g,
-                 Datum& out);
+  bool aggregate(const Node& n, const GroupRows& g, Datum& out);
   const Datum* column_without_row(const Node& n, Datum& tmp);
   const Datum* fail(std::string sqlstate, std::string message);
 
   const Database& db_;
   const std::string& user_;
   std::vector<std::string>* notices_;
-  std::vector<Node> nodes_;
-  std::vector<std::unique_ptr<FunctionBody>> functions_;
   // Evaluation state: the current FROM rows, the current function's
   // arguments, and the function call depth.
   const Row* const* rows_ = nullptr;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <new>
 
 #include "common/strutil.h"
 
@@ -69,17 +70,20 @@ char lower(char c) {
 Result<TokenList> lex_sql(std::string_view sql) {
   const size_t n = sql.size();
   if (n >= UINT32_MAX) return Err("query text too long");
-  TokenList list;
   // Scanning reads `sql`; normalization writes the same offsets of `buf`
   // (or, for '' escapes, lower ones), so it never disturbs unread input.
-  list.buf_ = std::make_unique_for_overwrite<char[]>(n);
-  char* buf = list.buf_.get();
-  if (n) std::memcpy(buf, sql.data(), n);
-  // Reserve the bound once, so the array never grows; a short query gets
-  // a small array, which malloc serves from its per-size caches.
-  std::vector<Token>& out = list.toks_;
+  // The token array comes first in the block, so it is aligned; sizing
+  // it for the bound once means it never grows.
   const size_t bound = token_bound(sql);
-  out.reserve(bound);
+  TokenList list;
+  list.block_ =
+      std::make_unique_for_overwrite<char[]>(bound * sizeof(Token) + n);
+  list.toks_ = reinterpret_cast<Token*>(list.block_.get());
+  char* buf = list.block_.get() + bound * sizeof(Token);
+  if (n) std::memcpy(buf, sql.data(), n);
+  auto emplace = [&list]() -> Token& {
+    return *new (&list.toks_[list.size_++]) Token{};
+  };
   auto view = [buf](size_t start, size_t end) {
     return std::string_view(buf + start, end - start);
   };
@@ -103,7 +107,7 @@ Result<TokenList> lex_sql(std::string_view sql) {
       i = end + 2;
       continue;
     }
-    Token& tok = out.emplace_back();
+    Token& tok = emplace();
     tok.offset = static_cast<uint32_t>(i);
     if (is(c, kAlpha)) {
       size_t start = i;
@@ -213,10 +217,10 @@ Result<TokenList> lex_sql(std::string_view sql) {
       }
     }
   }
-  Token& end = out.emplace_back();
+  Token& end = emplace();
   end.kind = TokKind::kEnd;
   end.offset = static_cast<uint32_t>(n);
-  assert(out.size() <= bound);
+  assert(list.size_ <= bound);
   return list;
 }
 

@@ -6,20 +6,20 @@
 // (--), and multi-character operator symbols so user-defined operators like
 // `>>>` and `<<<` lex as single tokens.
 //
-// Tokens own no strings. `lex_sql` copies the input once into a buffer
+// Tokens own no strings. `lex_sql` copies the input once into a block
 // owned by the returned `TokenList`, normalizes that copy in place
 // (unquoted identifiers lowercased, '' escapes resolved) and hands out
-// `string_view`s into it. Lifetime rule: a token's `text` is valid exactly
-// as long as the `TokenList` that produced it. Moving the list keeps every
-// view valid (the buffer never moves); destroying it invalidates them all,
-// so copy a view into a `std::string` before keeping it past the list.
+// `string_view`s into it; the same block holds the token array. Lifetime
+// rule: a token's `text` is valid exactly as long as the `TokenList` that
+// produced it. Moving the list keeps every view valid (the block never
+// moves); destroying it invalidates them all, so copy a view into a
+// `std::string` before keeping it past the list.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 
@@ -45,20 +45,23 @@ struct Token {
 /// views point into. A list from `lex_sql` always ends with a kEnd token.
 class TokenList {
  public:
-  size_t size() const { return toks_.size(); }
+  size_t size() const { return size_; }
   const Token& operator[](size_t i) const { return toks_[i]; }
-  const Token& back() const { return toks_.back(); }
+  const Token& back() const { return toks_[size_ - 1]; }
 
  private:
   friend Result<TokenList> lex_sql(std::string_view sql);
 
-  std::unique_ptr<char[]> buf_;  // heap-stable: views survive a move
-  std::vector<Token> toks_;
+  // The token array (room for an upper bound on the count), then the
+  // text; heap-stable, so views survive a move.
+  std::unique_ptr<char[]> block_;
+  Token* toks_ = nullptr;
+  size_t size_ = 0;
 };
 
-/// Tokenizes SQL text with two heap allocations (the buffer and the token
-/// array), whatever the token count. Fails on unterminated
-/// strings/comments, stray characters and texts of 4 GiB or more.
+/// Tokenizes SQL text with one heap allocation, whatever the token count.
+/// Fails on unterminated strings/comments, stray characters and texts of
+/// 4 GiB or more.
 Result<TokenList> lex_sql(std::string_view sql);
 
 }  // namespace rddr::sqldb

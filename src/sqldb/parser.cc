@@ -1,11 +1,12 @@
 #include "sqldb/parser.h"
 
-#include <cassert>
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <utility>
 
 #include "common/strutil.h"
-#include "sqldb/lexer.h"
+#include "sqldb/eval.h"
 
 namespace rddr::sqldb {
 
@@ -25,15 +26,27 @@ int binary_precedence(std::string_view op) {
   return 4;  // custom operator symbols
 }
 
-/// Reads all of `s` as a base-10 integer of type T: nullopt when it is
+/// Reads all of `s` as a base-10 number of type T: nullopt when it is
 /// not one or does not fit.
 template <typename T>
-std::optional<T> parse_int(std::string_view s) {
+std::optional<T> parse_number(std::string_view s) {
   T v{};
   const char* end = s.data() + s.size();
   auto [p, ec] = std::from_chars(s.data(), end, v);
   if (ec != std::errc() || p != end) return std::nullopt;
   return v;
+}
+
+Op binary_op(std::string_view op) {
+  static const std::pair<std::string_view, Op> kOps[] = {
+      {"and", Op::kAnd}, {"or", Op::kOr},   {"=", Op::kEq},   {"<>", Op::kNe},
+      {"!=", Op::kNe},   {"<", Op::kLt},    {"<=", Op::kLe},  {">", Op::kGt},
+      {">=", Op::kGe},   {"||", Op::kConcat}, {"+", Op::kAdd}, {"-", Op::kSub},
+      {"*", Op::kMul},   {"/", Op::kDiv},   {"%", Op::kMod},
+  };
+  for (const auto& [symbol, code] : kOps)
+    if (op == symbol) return code;
+  return Op::kCustomOp;
 }
 
 bool is_aggregate_name(std::string_view name) {
@@ -54,12 +67,26 @@ bool is_reserved_word(std::string_view s) {
          s == "end" || s == "grant" || s == "alter" || s == "explain";
 }
 
+}  // namespace
+
 class Parser {
  public:
-  explicit Parser(TokenList toks) : toks_(std::move(toks)) {}
+  Parser(const TokenList& toks, Script& script)
+      : toks_(toks), script_(script), arena_(script.arena_) {}
 
-  Result<std::vector<Statement>> parse_script() {
-    std::vector<Statement> stmts;
+  /// parse_expression's work when `expression` is set, else parse_sql's.
+  static Result<Script> parse(std::string_view sql, bool expression) {
+    auto toks = lex_sql(sql);
+    if (!toks.ok()) return Err(toks.error());
+    Script script(std::move(toks.take()));
+    Parser p(script.text_, script);
+    auto parsed = expression ? p.parse_single_expression() : p.parse_script();
+    if (!parsed.ok()) return Err(parsed.error());
+    return script;
+  }
+
+ private:
+  Result<bool> parse_script() {
     while (!at_end()) {
       if (peek().kind == TokKind::kSemicolon) {
         advance();
@@ -67,21 +94,21 @@ class Parser {
       }
       auto s = parse_statement();
       if (!s.ok()) return Err(s.error());
-      stmts.push_back(std::move(s.take()));
+      script_.statements_.push_back(arena_, s.value());
       if (!at_end() && peek().kind != TokKind::kSemicolon)
         return unexpected("';' or end of input");
     }
-    return stmts;
+    return true;
   }
 
-  Result<ExprPtr> parse_single_expression() {
+  Result<bool> parse_single_expression() {
     auto e = parse_expr(0);
-    if (!e.ok()) return e;
+    if (!e.ok()) return Err(e.error());
     if (!at_end()) return unexpected("end of expression");
-    return e;
+    script_.expression_ = e.value();
+    return true;
   }
 
- private:
   // ---- token helpers ----
   const Token& peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
@@ -126,15 +153,23 @@ class Parser {
                          got.c_str(), static_cast<size_t>(t.offset)));
   }
 
-  /// The identifier's view; callers copy it only when the AST keeps it.
   Result<std::string_view> expect_ident(std::string_view what) {
     if (peek().kind != TokKind::kIdent) return unexpected(what);
     return advance().text;
   }
 
+  /// A statement of `kind` whose body `field` points at a new T.
+  template <typename T>
+  Statement statement(Statement::Kind kind, T* Statement::*field, T*& body) {
+    Statement st;
+    st.kind = kind;
+    st.*field = body = arena_.make<T>();
+    return st;
+  }
+
   // ---- statements ----
   Result<Statement> parse_statement() {
-    if (peek_kw("select")) return wrap_select();
+    if (peek_kw("select")) return parse_select(Statement::Kind::kSelect);
     if (peek_kw("insert")) return parse_insert();
     if (peek_kw("update")) return parse_update();
     if (peek_kw("delete")) return parse_delete();
@@ -150,18 +185,10 @@ class Parser {
     return unexpected("a statement keyword");
   }
 
-  Result<Statement> wrap_select() {
-    auto sel = parse_select();
-    if (!sel.ok()) return Err(sel.error());
-    Statement st;
-    st.kind = Statement::Kind::kSelect;
-    st.select = std::make_unique<SelectStmt>(std::move(sel.take()));
-    return st;
-  }
-
-  Result<SelectStmt> parse_select() {
+  Result<Statement> parse_select(Statement::Kind kind) {
     if (!match_kw("select")) return unexpected("SELECT");
-    SelectStmt sel;
+    SelectStmt* sel;
+    Statement st = statement(kind, &Statement::select, sel);
     // Select list.
     while (true) {
       SelectItem item;
@@ -170,96 +197,79 @@ class Parser {
       } else {
         auto e = parse_expr(0);
         if (!e.ok()) return Err(e.error());
-        item.expr = std::move(e.take());
+        item.expr = e.value();
         if (match_kw("as")) {
           auto a = expect_ident("alias");
           if (!a.ok()) return Err(a.error());
-          item.alias = a.take();
+          item.alias = a.value();
         } else if (peek().kind == TokKind::kIdent && !is_clause_kw(peek().text)) {
           item.alias = advance().text;
         }
       }
-      sel.items.push_back(std::move(item));
+      sel->items.push_back(arena_, item);
       if (!match(TokKind::kComma)) break;
     }
-    // FROM.
+    // FROM: comma-joined table references, each possibly followed by a
+    // chain of JOIN ... ON ... (LEFT is treated as INNER in this subset).
     if (match_kw("from")) {
-      while (true) {
+      do {
         auto tr = parse_table_ref();
         if (!tr.ok()) return Err(tr.error());
-        sel.from.push_back(std::move(tr.take()));
-        if (match(TokKind::kComma)) continue;
-        if (peek_kw("join") || peek_kw("inner") || peek_kw("left")) {
+        sel->from.push_back(arena_, tr.value());
+        for (bool first = true; peek_kw("join") || peek_kw("inner") ||
+                                (first && peek_kw("left"));
+             first = false) {
           match_kw("inner");
-          match_kw("left");  // LEFT treated as INNER in this subset
+          if (first) match_kw("left");
           if (!match_kw("join")) return unexpected("JOIN");
-          auto tr2 = parse_table_ref();
-          if (!tr2.ok()) return Err(tr2.error());
+          auto joined = parse_table_ref();
+          if (!joined.ok()) return Err(joined.error());
           if (!match_kw("on")) return unexpected("ON");
           auto cond = parse_expr(0);
           if (!cond.ok()) return Err(cond.error());
-          TableRef ref = std::move(tr2.take());
-          ref.join_on = std::move(cond.take());
-          sel.from.push_back(std::move(ref));
-          // Allow chains of JOIN ... ON ...
-          while (peek_kw("join") || peek_kw("inner")) {
-            match_kw("inner");
-            if (!match_kw("join")) return unexpected("JOIN");
-            auto tr3 = parse_table_ref();
-            if (!tr3.ok()) return Err(tr3.error());
-            if (!match_kw("on")) return unexpected("ON");
-            auto cond3 = parse_expr(0);
-            if (!cond3.ok()) return Err(cond3.error());
-            TableRef ref3 = std::move(tr3.take());
-            ref3.join_on = std::move(cond3.take());
-            sel.from.push_back(std::move(ref3));
-          }
-          if (match(TokKind::kComma)) continue;
+          joined.value().join_on = cond.value();
+          sel->from.push_back(arena_, joined.value());
         }
-        break;
-      }
+      } while (match(TokKind::kComma));
     }
     if (match_kw("where")) {
       auto e = parse_expr(0);
       if (!e.ok()) return Err(e.error());
-      sel.where = std::move(e.take());
+      sel->where = e.value();
     }
     if (peek_kw("group")) {
       advance();
       if (!match_kw("by")) return unexpected("BY");
-      while (true) {
+      do {
         auto e = parse_expr(0);
         if (!e.ok()) return Err(e.error());
-        sel.group_by.push_back(std::move(e.take()));
-        if (!match(TokKind::kComma)) break;
-      }
+        sel->group_by.push_back(arena_, e.value());
+      } while (match(TokKind::kComma));
     }
     if (match_kw("having")) {
       auto e = parse_expr(0);
       if (!e.ok()) return Err(e.error());
-      sel.having = std::move(e.take());
+      sel->having = e.value();
     }
     if (peek_kw("order")) {
       advance();
       if (!match_kw("by")) return unexpected("BY");
-      while (true) {
-        OrderItem oi;
+      do {
         auto e = parse_expr(0);
         if (!e.ok()) return Err(e.error());
-        oi.expr = std::move(e.take());
+        OrderItem oi{e.value()};
         if (match_kw("desc")) oi.descending = true;
         else match_kw("asc");
-        sel.order_by.push_back(std::move(oi));
-        if (!match(TokKind::kComma)) break;
-      }
+        sel->order_by.push_back(arena_, oi);
+      } while (match(TokKind::kComma));
     }
     if (match_kw("limit")) {
       if (peek().kind != TokKind::kNumber) return unexpected("limit count");
-      auto v = parse_int<int64_t>(advance().text);
+      auto v = parse_number<int64_t>(advance().text);
       if (!v) return Err("bad LIMIT value");
-      sel.limit = *v;
+      sel->limit = *v;
     }
-    return sel;
+    return st;
   }
 
   static bool is_clause_kw(std::string_view s) {
@@ -273,15 +283,14 @@ class Parser {
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
     TableRef ref;
-    ref.table = t.take();
+    ref.table = ref.alias = t.value();
     if (match_kw("as")) {
       auto a = expect_ident("alias");
       if (!a.ok()) return Err(a.error());
-      ref.alias = a.take();
+      ref.alias = a.value();
     } else if (peek().kind == TokKind::kIdent && !is_clause_kw(peek().text)) {
       ref.alias = advance().text;
     }
-    if (ref.alias.empty()) ref.alias = ref.table;
     return ref;
   }
 
@@ -290,34 +299,31 @@ class Parser {
     if (!match_kw("into")) return unexpected("INTO");
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    InsertStmt ins;
-    ins.table = t.take();
+    InsertStmt* ins;
+    Statement st = statement(Statement::Kind::kInsert, &Statement::insert, ins);
+    ins->table = t.value();
     if (match(TokKind::kLParen)) {
       while (true) {
         auto c = expect_ident("column name");
         if (!c.ok()) return Err(c.error());
-        ins.columns.emplace_back(c.take());
+        ins->columns.push_back(arena_, c.value());
         if (match(TokKind::kRParen)) break;
         if (!match(TokKind::kComma)) return unexpected("',' or ')'");
       }
     }
     if (!match_kw("values")) return unexpected("VALUES");
-    while (true) {
+    do {
       if (!match(TokKind::kLParen)) return unexpected("'('");
-      std::vector<ExprPtr> row;
+      List<Node*> row;
       while (true) {
         auto e = parse_expr(0);
         if (!e.ok()) return Err(e.error());
-        row.push_back(std::move(e.take()));
+        row.push_back(arena_, e.value());
         if (match(TokKind::kRParen)) break;
         if (!match(TokKind::kComma)) return unexpected("',' or ')'");
       }
-      ins.rows.push_back(std::move(row));
-      if (!match(TokKind::kComma)) break;
-    }
-    Statement st;
-    st.kind = Statement::Kind::kInsert;
-    st.insert = std::make_unique<InsertStmt>(std::move(ins));
+      ins->rows.push_back(arena_, row);
+    } while (match(TokKind::kComma));
     return st;
   }
 
@@ -325,26 +331,23 @@ class Parser {
     advance();  // UPDATE
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    UpdateStmt up;
-    up.table = t.take();
+    UpdateStmt* up;
+    Statement st = statement(Statement::Kind::kUpdate, &Statement::update, up);
+    up->table = t.value();
     if (!match_kw("set")) return unexpected("SET");
-    while (true) {
+    do {
       auto c = expect_ident("column name");
       if (!c.ok()) return Err(c.error());
       if (!match_op("=")) return unexpected("'='");
       auto e = parse_expr(0);
       if (!e.ok()) return Err(e.error());
-      up.sets.emplace_back(c.take(), std::move(e.take()));
-      if (!match(TokKind::kComma)) break;
-    }
+      up->sets.push_back(arena_, SetClause{c.value(), e.value()});
+    } while (match(TokKind::kComma));
     if (match_kw("where")) {
       auto e = parse_expr(0);
       if (!e.ok()) return Err(e.error());
-      up.where = std::move(e.take());
+      up->where = e.value();
     }
-    Statement st;
-    st.kind = Statement::Kind::kUpdate;
-    st.update = std::make_unique<UpdateStmt>(std::move(up));
     return st;
   }
 
@@ -353,16 +356,14 @@ class Parser {
     if (!match_kw("from")) return unexpected("FROM");
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    DeleteStmt del;
-    del.table = t.take();
+    DeleteStmt* del;
+    Statement st = statement(Statement::Kind::kDelete, &Statement::del, del);
+    del->table = t.value();
     if (match_kw("where")) {
       auto e = parse_expr(0);
       if (!e.ok()) return Err(e.error());
-      del.where = std::move(e.take());
+      del->where = e.value();
     }
-    Statement st;
-    st.kind = Statement::Kind::kDelete;
-    st.del = std::make_unique<DeleteStmt>(std::move(del));
     return st;
   }
 
@@ -384,8 +385,10 @@ class Parser {
   Result<Statement> parse_create_table() {
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    CreateTableStmt ct;
-    ct.table = t.take();
+    CreateTableStmt* ct;
+    Statement st =
+        statement(Statement::Kind::kCreateTable, &Statement::create_table, ct);
+    ct->table = t.value();
     if (!match(TokKind::kLParen)) return unexpected("'('");
     while (true) {
       auto c = expect_ident("column name");
@@ -405,13 +408,10 @@ class Parser {
           advance();
         }
       }
-      ct.columns.push_back(ColumnDef{std::string(c.take()), ty.take()});
+      ct->columns.push_back(arena_, ColumnDef{c.value(), ty.value()});
       if (match(TokKind::kRParen)) break;
       if (!match(TokKind::kComma)) return unexpected("',' or ')'");
     }
-    Statement st;
-    st.kind = Statement::Kind::kCreateTable;
-    st.create_table = std::make_unique<CreateTableStmt>(std::move(ct));
     return st;
   }
 
@@ -420,7 +420,7 @@ class Parser {
   Result<Type> parse_type_spec() {
     auto first = expect_ident("type name");
     if (!first.ok()) return Err(first.error());
-    std::string_view name = first.take();
+    std::string_view name = first.value();
     if (name == "double" && peek_kw("precision")) {
       advance();
       name = "double precision";
@@ -441,15 +441,17 @@ class Parser {
   Result<Statement> parse_create_function() {
     auto nm = expect_ident("function name");
     if (!nm.ok()) return Err(nm.error());
-    CreateFunctionStmt fn;
-    fn.name = nm.take();
+    CreateFunctionStmt* fn;
+    Statement st = statement(Statement::Kind::kCreateFunction,
+                             &Statement::create_function, fn);
+    fn->name = nm.value();
     if (!match(TokKind::kLParen)) return unexpected("'('");
     if (!match(TokKind::kRParen)) {
       while (true) {
         // Arg may be "type" or "name type"; our subset is positional types.
         auto ty = parse_type_spec();
         if (!ty.ok()) return Err(ty.error());
-        fn.arg_types.push_back(ty.take());
+        fn->arg_types.push_back(arena_, ty.value());
         if (match(TokKind::kRParen)) break;
         if (!match(TokKind::kComma)) return unexpected("',' or ')'");
       }
@@ -457,32 +459,31 @@ class Parser {
     if (!match_kw("returns")) return unexpected("RETURNS");
     auto rty = parse_type_spec();
     if (!rty.ok()) return Err(rty.error());
-    fn.return_type = rty.take();
+    fn->return_type = rty.value();
     if (!match_kw("as")) return unexpected("AS");
     if (peek().kind != TokKind::kString) return unexpected("function body string");
     std::string_view body = advance().text;
     if (!match_kw("language")) return unexpected("LANGUAGE");
     auto lang = expect_ident("language name");
     if (!lang.ok()) return Err(lang.error());
-    fn.language = lang.take();
+    fn->language = lang.value();
     match_kw("immutable");
     match_kw("stable");
     match_kw("volatile");
-    auto parsed = parse_plpgsql_body(body, fn);
+    auto parsed = parse_plpgsql_body(body, *fn);
     if (!parsed.ok()) return Err(parsed.error());
-    Statement st;
-    st.kind = Statement::Kind::kCreateFunction;
-    st.create_function = std::make_unique<CreateFunctionStmt>(std::move(fn));
     return st;
   }
 
   /// Parses the plpgsql subset:
   ///   BEGIN [RAISE NOTICE 'fmt' [, expr]* ;] RETURN expr ; END [;]
+  /// The body's own text joins the script's, which its nodes view.
   Result<bool> parse_plpgsql_body(std::string_view body,
                                   CreateFunctionStmt& fn) {
     auto toks = lex_sql(body);
     if (!toks.ok()) return Err("in function body: " + toks.error());
-    Parser sub(std::move(toks.take()));
+    script_.bodies_.push_back(std::move(toks.take()));
+    Parser sub(script_.bodies_.back(), script_);
     if (!sub.match_kw("begin")) return sub.unexpected("BEGIN");
     if (sub.peek_kw("raise")) {
       sub.advance();
@@ -493,14 +494,14 @@ class Parser {
       while (sub.match(TokKind::kComma)) {
         auto e = sub.parse_expr(0);
         if (!e.ok()) return Err(e.error());
-        fn.notice_args.push_back(std::move(e.take()));
+        fn.notice_args.push_back(arena_, e.value());
       }
       if (!sub.match(TokKind::kSemicolon)) return sub.unexpected("';'");
     }
     if (!sub.match_kw("return")) return sub.unexpected("RETURN");
     auto ret = sub.parse_expr(0);
     if (!ret.ok()) return Err(ret.error());
-    fn.return_expr = std::move(ret.take());
+    fn.return_expr = ret.value();
     if (!sub.match(TokKind::kSemicolon)) return sub.unexpected("';'");
     if (!sub.match_kw("end")) return sub.unexpected("END");
     sub.match(TokKind::kSemicolon);
@@ -510,30 +511,25 @@ class Parser {
 
   Result<Statement> parse_create_operator() {
     if (peek().kind != TokKind::kOperator) return unexpected("operator symbol");
-    CreateOperatorStmt op;
-    op.symbol = advance().text;
+    CreateOperatorStmt* op;
+    Statement st = statement(Statement::Kind::kCreateOperator,
+                             &Statement::create_operator, op);
+    op->symbol = advance().text;
     if (!match(TokKind::kLParen)) return unexpected("'('");
     while (true) {
       auto key = expect_ident("operator attribute");
       if (!key.ok()) return Err(key.error());
       if (!match_op("=")) return unexpected("'='");
-      std::string_view k = key.take();
-      if (k == "procedure" || k == "function") {
-        auto v = expect_ident("procedure name");
+      std::string_view k = key.value();
+      if (k == "procedure" || k == "function" || k == "restrict") {
+        auto v = expect_ident(k == "restrict" ? "estimator name"
+                                              : "procedure name");
         if (!v.ok()) return Err(v.error());
-        op.procedure = v.take();
-      } else if (k == "leftarg") {
+        (k == "restrict" ? op->restrict_estimator : op->procedure) = v.value();
+      } else if (k == "leftarg" || k == "rightarg") {
         auto ty = parse_type_spec();
         if (!ty.ok()) return Err(ty.error());
-        op.left_type = ty.take();
-      } else if (k == "rightarg") {
-        auto ty = parse_type_spec();
-        if (!ty.ok()) return Err(ty.error());
-        op.right_type = ty.take();
-      } else if (k == "restrict") {
-        auto v = expect_ident("estimator name");
-        if (!v.ok()) return Err(v.error());
-        op.restrict_estimator = v.take();
+        (k == "leftarg" ? op->left_type : op->right_type) = ty.value();
       } else {
         return Err(strformat("unknown operator attribute: %.*s",
                              static_cast<int>(k.size()), k.data()));
@@ -541,55 +537,50 @@ class Parser {
       if (match(TokKind::kRParen)) break;
       if (!match(TokKind::kComma)) return unexpected("',' or ')'");
     }
-    Statement st;
-    st.kind = Statement::Kind::kCreateOperator;
-    st.create_operator = std::make_unique<CreateOperatorStmt>(std::move(op));
     return st;
   }
 
   Result<Statement> parse_create_policy_stmt() {
     auto nm = expect_ident("policy name");
     if (!nm.ok()) return Err(nm.error());
-    CreatePolicyStmt pol;
-    pol.name = nm.take();
+    CreatePolicyStmt* pol;
+    Statement st = statement(Statement::Kind::kCreatePolicy,
+                             &Statement::create_policy, pol);
+    pol->name = nm.value();
     if (!match_kw("on")) return unexpected("ON");
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    pol.table = t.take();
+    pol->table = t.value();
     if (match_kw("for")) {
       advance();  // SELECT/ALL/...
     }
     if (match_kw("to")) {
       auto r = expect_ident("role name");
       if (!r.ok()) return Err(r.error());
-      pol.role = r.take();
+      pol->role = r.value();
     }
     if (!match_kw("using")) return unexpected("USING");
     if (!match(TokKind::kLParen)) return unexpected("'('");
     auto e = parse_expr(0);
     if (!e.ok()) return Err(e.error());
-    pol.using_expr = std::move(e.take());
+    pol->using_expr = e.value();
     if (!match(TokKind::kRParen)) return unexpected("')'");
-    Statement st;
-    st.kind = Statement::Kind::kCreatePolicy;
-    st.create_policy = std::make_unique<CreatePolicyStmt>(std::move(pol));
     return st;
   }
 
   Result<Statement> parse_drop() {
     advance();  // DROP
     if (!match_kw("table")) return unexpected("TABLE");
-    DropTableStmt d;
+    DropTableStmt* d;
+    Statement st =
+        statement(Statement::Kind::kDropTable, &Statement::drop_table, d);
     if (match_kw("if")) {
       if (!match_kw("exists")) return unexpected("EXISTS");
-      d.if_exists = true;
+      d->if_exists = true;
     }
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    d.table = t.take();
-    Statement st;
-    st.kind = Statement::Kind::kDropTable;
-    st.drop_table = std::make_unique<DropTableStmt>(std::move(d));
+    d->table = t.value();
     return st;
   }
 
@@ -598,28 +589,29 @@ class Parser {
     if (!match_kw("table")) return unexpected("TABLE");
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    AlterTableRlsStmt a;
-    a.table = t.take();
-    if (match_kw("enable")) a.enable = true;
-    else if (match_kw("disable")) a.enable = false;
+    AlterTableRlsStmt* a;
+    Statement st =
+        statement(Statement::Kind::kAlterTableRls, &Statement::alter_rls, a);
+    a->table = t.value();
+    if (match_kw("enable")) a->enable = true;
+    else if (match_kw("disable")) a->enable = false;
     else return unexpected("ENABLE or DISABLE");
     if (!match_kw("row")) return unexpected("ROW");
     if (!match_kw("level")) return unexpected("LEVEL");
     if (!match_kw("security")) return unexpected("SECURITY");
-    Statement st;
-    st.kind = Statement::Kind::kAlterTableRls;
-    st.alter_rls = std::make_unique<AlterTableRlsStmt>(std::move(a));
     return st;
   }
 
   Result<Statement> parse_set() {
     advance();  // SET
-    SetStmt set;
+    SetStmt* set;
+    Statement st = statement(Statement::Kind::kSet, &Statement::set, set);
     // Name: one or more idents up to TO/=/end, joined by single spaces.
+    std::string name, value;
     size_t name_parts = 0;
     while (peek().kind == TokKind::kIdent && !peek_kw("to")) {
-      if (name_parts++) set.name += ' ';
-      set.name += advance().text;
+      if (name_parts++) name += ' ';
+      name += advance().text;
       if (peek().kind == TokKind::kOperator && peek().text == "=") break;
     }
     if (!name_parts) return unexpected("setting name");
@@ -628,13 +620,12 @@ class Parser {
       // (punctuation contributes its empty text).
       for (bool first = true; !at_end() && peek().kind != TokKind::kSemicolon;
            first = false) {
-        if (!first) set.value += ' ';
-        set.value += advance().text;
+        if (!first) value += ' ';
+        value += advance().text;
       }
     }
-    Statement st;
-    st.kind = Statement::Kind::kSet;
-    st.set = std::make_unique<SetStmt>(std::move(set));
+    set->name = arena_.copy(name);
+    set->value = arena_.copy(value);
     return st;
   }
 
@@ -642,26 +633,23 @@ class Parser {
     advance();  // GRANT
     auto p = expect_ident("privilege");
     if (!p.ok()) return Err(p.error());
-    GrantStmt g;
-    g.privilege = to_upper(p.take());
+    GrantStmt* g;
+    Statement st = statement(Statement::Kind::kGrant, &Statement::grant, g);
+    g->privilege = arena_.copy(to_upper(p.value()));
     if (!match_kw("on")) return unexpected("ON");
     match_kw("table");
     auto t = expect_ident("table name");
     if (!t.ok()) return Err(t.error());
-    g.table = t.take();
+    g->table = t.value();
     if (!match_kw("to")) return unexpected("TO");
     auto u = expect_ident("grantee");
     if (!u.ok()) return Err(u.error());
-    g.grantee = u.take();
-    Statement st;
-    st.kind = Statement::Kind::kGrant;
-    st.grant = std::make_unique<GrantStmt>(std::move(g));
+    g->grantee = u.value();
     return st;
   }
 
   Result<Statement> parse_explain() {
     advance();  // EXPLAIN
-    ExplainStmt ex;
     if (match(TokKind::kLParen)) {
       // Options such as (COSTS OFF) are accepted and ignored: this engine
       // never prints costs.
@@ -673,46 +661,53 @@ class Parser {
         match(TokKind::kComma);
       }
     }
-    auto sel = parse_select();
-    if (!sel.ok()) return Err(sel.error());
-    ex.select = std::make_unique<SelectStmt>(std::move(sel.take()));
-    Statement st;
-    st.kind = Statement::Kind::kExplain;
-    st.explain = std::make_unique<ExplainStmt>(std::move(ex));
-    return st;
+    return parse_select(Statement::Kind::kExplain);
   }
 
   Result<Statement> parse_txn() {
-    TxnStmt t;
-    t.keyword = advance().text;
-    if (t.keyword == "start") {
+    Statement st;
+    st.kind = Statement::Kind::kTxn;
+    st.txn_keyword = advance().text;
+    if (st.txn_keyword == "start") {
       if (!match_kw("transaction")) return unexpected("TRANSACTION");
-      t.keyword = "begin";
+      st.txn_keyword = "begin";
     }
     match_kw("transaction");
     match_kw("work");
-    Statement st;
-    st.kind = Statement::Kind::kTxn;
-    st.txn = std::make_unique<TxnStmt>(std::move(t));
     return st;
   }
 
   // ---- expressions ----
-  Result<ExprPtr> parse_expr(int min_prec) {
+
+  /// A new node whose operands are `kids`, in order.
+  Node* node(Op op, std::initializer_list<Node*> kids = {},
+             std::string_view name = {}) {
+    Node* n = arena_.make<Node>();
+    n->op = op;
+    n->name = name;
+    for (Node* k : kids) append(n, k);
+    return n;
+  }
+  /// Adds `kid` as the last operand of `n`.
+  static void append(Node* n, Node* kid) {
+    Node** at = &n->first;
+    while (*at) at = &(*at)->next;
+    *at = kid;
+    ++n->n_kids;
+  }
+
+  Result<Node*> parse_expr(int min_prec) {
     auto lhs = parse_unary();
     if (!lhs.ok()) return lhs;
-    ExprPtr left = std::move(lhs.take());
+    Node* left = lhs.value();
     while (true) {
       // Postfix predicates (IS NULL, LIKE, BETWEEN, IN) at precedence 3.
       if (min_prec <= 3 && peek_kw("is")) {
         advance();
         bool neg = match_kw("not");
         if (!match_kw("null")) return unexpected("NULL");
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kIsNull;
-        e->negated = neg;
-        e->args.push_back(std::move(left));
-        left = std::move(e);
+        left = node(Op::kIsNull, {left});
+        left->negated = neg;
         continue;
       }
       bool neg = false;
@@ -725,12 +720,8 @@ class Parser {
       if (min_prec <= 3 && match_kw("like")) {
         auto rhs = parse_expr(4);
         if (!rhs.ok()) return rhs;
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kLike;
-        e->negated = neg;
-        e->args.push_back(std::move(left));
-        e->args.push_back(std::move(rhs.take()));
-        left = std::move(e);
+        left = node(Op::kLike, {left, rhs.value()});
+        left->negated = neg;
         continue;
       }
       if (min_prec <= 3 && match_kw("between")) {
@@ -739,29 +730,22 @@ class Parser {
         if (!match_kw("and")) return unexpected("AND");
         auto hi = parse_expr(4);
         if (!hi.ok()) return hi;
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kBetween;
-        e->negated = neg;
-        e->args.push_back(std::move(left));
-        e->args.push_back(std::move(lo.take()));
-        e->args.push_back(std::move(hi.take()));
-        left = std::move(e);
+        left = node(Op::kBetween, {left, lo.value(), hi.value()});
+        left->negated = neg;
         continue;
       }
       if (min_prec <= 3 && match_kw("in")) {
         if (!match(TokKind::kLParen)) return unexpected("'('");
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kInList;
-        e->negated = neg;
-        e->args.push_back(std::move(left));
-        while (true) {
+        left = node(Op::kInList, {left});
+        left->negated = neg;
+        for (Node* last = left->first;; last = last->next) {
           auto item = parse_expr(0);
           if (!item.ok()) return item;
-          e->args.push_back(std::move(item.take()));
+          last->next = item.value();
+          ++left->n_kids;
           if (match(TokKind::kRParen)) break;
           if (!match(TokKind::kComma)) return unexpected("',' or ')'");
         }
-        left = std::move(e);
         continue;
       }
       pos_ = save;  // undo a lone NOT that wasn't followed by LIKE/IN/BETWEEN
@@ -779,26 +763,16 @@ class Parser {
       advance();
       auto rhs = parse_expr(prec + 1);
       if (!rhs.ok()) return rhs;
-      auto e = std::make_unique<Expr>();
-      e->kind = ExprKind::kBinary;
-      e->op = op;
-      e->args.reserve(2);
-      e->args.push_back(std::move(left));
-      e->args.push_back(std::move(rhs.take()));
-      left = std::move(e);
+      left = node(binary_op(op), {left, rhs.value()}, op);
     }
     return left;
   }
 
-  Result<ExprPtr> parse_unary() {
+  Result<Node*> parse_unary() {
     if (match_kw("not")) {
       auto inner = parse_expr(3);
       if (!inner.ok()) return inner;
-      auto e = std::make_unique<Expr>();
-      e->kind = ExprKind::kUnary;
-      e->op = "not";
-      e->args.push_back(std::move(inner.take()));
-      return ExprPtr(std::move(e));
+      return node(Op::kNot, {inner.value()});
     }
     if (match_op("-")) {
       // -9223372036854775808 is the literal INT64_MIN, whose magnitude
@@ -806,63 +780,55 @@ class Parser {
       if (peek().kind == TokKind::kNumber &&
           peek().text == "9223372036854775808") {
         advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kLiteral;
+        Node* e = node(Op::kLiteral);
         e->literal = Datum::integer(INT64_MIN);
-        return ExprPtr(std::move(e));
+        return e;
       }
       auto inner = parse_unary();
       if (!inner.ok()) return inner;
-      auto e = std::make_unique<Expr>();
-      e->kind = ExprKind::kUnary;
-      e->op = "-";
-      e->args.push_back(std::move(inner.take()));
-      return ExprPtr(std::move(e));
+      return node(Op::kNeg, {inner.value()});
     }
     if (match_op("+")) return parse_unary();
     return parse_primary();
   }
 
-  Result<ExprPtr> parse_primary() {
+  Result<Node*> parse_primary() {
     const Token& t = peek();
     switch (t.kind) {
       case TokKind::kNumber: {
         advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kLiteral;
+        Node* e = node(Op::kLiteral);
         const int len = static_cast<int>(t.text.size());
         if (t.text.find_first_of(".eE") != std::string_view::npos) {
-          auto d = parse_f64(t.text);
+          auto d = parse_number<double>(t.text);
           if (!d)
             return Err(strformat("bad numeric literal: %.*s", len, t.text.data()));
           e->literal = Datum::floating(*d);
         } else {
-          auto i = parse_int<int64_t>(t.text);
+          auto i = parse_number<int64_t>(t.text);
           if (!i)
             return Err(strformat("bad integer literal: %.*s", len, t.text.data()));
           e->literal = Datum::integer(*i);
         }
-        return ExprPtr(std::move(e));
+        return e;
       }
       case TokKind::kString: {
         advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kLiteral;
-        e->literal = Datum::text(std::string(t.text));
-        return ExprPtr(std::move(e));
+        Node* e = node(Op::kLiteral);
+        e->literal = Datum::view(t.text);
+        return e;
       }
       case TokKind::kParam: {
-        auto n = parse_int<int>(t.text);
+        auto n = parse_number<int>(t.text);
         if (!n)
           return Err(strformat(
               "syntax error: parameter number $%.*s out of range at offset %zu",
               static_cast<int>(t.text.size()), t.text.data(),
               static_cast<size_t>(t.offset)));
         advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kParam;
-        e->param_index = *n;
-        return ExprPtr(std::move(e));
+        Node* e = node(Op::kParam);
+        e->column = static_cast<uint32_t>(*n);
+        return e;
       }
       case TokKind::kLParen: {
         advance();
@@ -874,16 +840,13 @@ class Parser {
       case TokKind::kIdent: {
         if (t.text == "null") {
           advance();
-          auto e = std::make_unique<Expr>();
-          e->kind = ExprKind::kLiteral;
-          return ExprPtr(std::move(e));
+          return node(Op::kLiteral);
         }
         if (t.text == "true" || t.text == "false") {
           advance();
-          auto e = std::make_unique<Expr>();
-          e->kind = ExprKind::kLiteral;
+          Node* e = node(Op::kLiteral);
           e->literal = Datum::boolean(t.text == "true");
-          return ExprPtr(std::move(e));
+          return e;
         }
         if (t.text == "case") return parse_case();
         if (is_reserved_word(t.text)) return unexpected("an expression");
@@ -891,175 +854,269 @@ class Parser {
         if (peek(1).kind == TokKind::kLParen) {
           std::string_view name = advance().text;
           advance();  // '('
-          auto e = std::make_unique<Expr>();
-          e->kind = is_aggregate_name(name) ? ExprKind::kAggregate
-                                            : ExprKind::kFuncCall;
-          e->func_name = name;
+          Node* e = node(is_aggregate_name(name) ? Op::kAggregate : Op::kCall,
+                         {}, name);
+          if (e->op == Op::kCall) e->builtin = builtin_of(name);
           if (match_op("*")) {
             e->star = true;
             if (!match(TokKind::kRParen)) return unexpected("')'");
-            return ExprPtr(std::move(e));
+            return e;
           }
           if (match_kw("distinct")) e->distinct = true;
           if (!match(TokKind::kRParen)) {
-            while (true) {
+            for (Node** last = &e->first;; last = &(*last)->next) {
               auto arg = parse_expr(0);
               if (!arg.ok()) return arg;
-              e->args.push_back(std::move(arg.take()));
+              *last = arg.value();
+              ++e->n_kids;
               if (match(TokKind::kRParen)) break;
               if (!match(TokKind::kComma)) return unexpected("',' or ')'");
             }
           }
-          return ExprPtr(std::move(e));
+          return e;
         }
-        // Column reference (possibly qualified).
-        std::string_view first = advance().text;
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::kColumnRef;
+        // Column reference (possibly qualified), bound later.
+        Node* e = node(Op::kBadColumn, {}, advance().text);
         if (match(TokKind::kDot)) {
           auto col = expect_ident("column name");
           if (!col.ok()) return Err(col.error());
-          e->table = first;
-          e->column = col.take();
-        } else {
-          e->column = first;
+          e->table = e->name;
+          e->name = col.value();
         }
-        return ExprPtr(std::move(e));
+        return e;
       }
       default:
         return unexpected("an expression");
     }
   }
 
-  Result<ExprPtr> parse_case() {
+  Result<Node*> parse_case() {
     advance();  // CASE
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::kCase;
+    Node* e = node(Op::kCase);
     while (match_kw("when")) {
       auto cond = parse_expr(0);
       if (!cond.ok()) return cond;
       if (!match_kw("then")) return unexpected("THEN");
       auto val = parse_expr(0);
       if (!val.ok()) return val;
-      e->args.push_back(std::move(cond.take()));
-      e->args.push_back(std::move(val.take()));
+      append(e, cond.value());
+      append(e, val.value());
     }
-    if (e->args.empty()) return unexpected("WHEN");
+    if (!e->first) return unexpected("WHEN");
     if (match_kw("else")) {
       auto val = parse_expr(0);
       if (!val.ok()) return val;
-      e->args.push_back(std::move(val.take()));
-      e->case_has_else = true;
+      append(e, val.value());
+      e->has_else = true;
     }
     if (!match_kw("end")) return unexpected("END");
-    return ExprPtr(std::move(e));
+    return e;
   }
 
-  TokenList toks_;
+  const TokenList& toks_;
+  Script& script_;
+  Arena& arena_;
   size_t pos_ = 0;
 };
 
-}  // namespace
+// ---- scripts and arenas ----
 
-Result<std::vector<Statement>> parse_sql(std::string_view sql) {
-  auto toks = lex_sql(sql);
-  if (!toks.ok()) return Err(toks.error());
-  Parser p(std::move(toks.take()));
-  return p.parse_script();
+Arena::Arena(Arena&& other) noexcept
+    : head_(std::exchange(other.head_, nullptr)),
+      cur_(std::exchange(other.cur_, nullptr)),
+      end_(std::exchange(other.end_, nullptr)),
+      next_(other.next_) {}
+
+Arena& Arena::operator=(Arena&& other) noexcept {
+  std::swap(head_, other.head_);
+  std::swap(cur_, other.cur_);
+  std::swap(end_, other.end_);
+  std::swap(next_, other.next_);
+  return *this;
 }
 
-Result<ExprPtr> parse_expression(std::string_view text) {
-  auto toks = lex_sql(text);
-  if (!toks.ok()) return Err(toks.error());
-  Parser p(std::move(toks.take()));
-  return p.parse_single_expression();
+Arena::~Arena() {
+  while (head_) ::operator delete(std::exchange(head_, head_->prev));
 }
 
-// ---- Expr printing ----
-
-ExprPtr make_literal(Datum d) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kLiteral;
-  e->literal = std::move(d);
-  return e;
+void* Arena::allocate(size_t bytes, size_t align) {
+  auto aligned = [align](char* p) {
+    return (reinterpret_cast<uintptr_t>(p) + align - 1) & ~(align - 1);
+  };
+  if (!cur_ || aligned(cur_) + bytes > reinterpret_cast<uintptr_t>(end_)) {
+    const size_t size = std::max(next_, bytes + align);
+    next_ = 2 * size;
+    auto* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
+    block->prev = head_;
+    head_ = block;
+    cur_ = reinterpret_cast<char*>(block + 1);
+    end_ = cur_ + size;
+  }
+  char* p = reinterpret_cast<char*>(aligned(cur_));
+  cur_ = p + bytes;
+  return p;
 }
 
-ExprPtr make_column(std::string table, std::string column) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kColumnRef;
-  e->table = std::move(table);
-  e->column = std::move(column);
-  return e;
+std::string_view Arena::copy(std::string_view s) {
+  char* p = static_cast<char*>(allocate(s.size(), 1));
+  if (!s.empty()) std::memcpy(p, s.data(), s.size());
+  return {p, s.size()};
 }
 
-ExprPtr make_binary(std::string op, ExprPtr lhs, ExprPtr rhs) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kBinary;
-  e->op = std::move(op);
-  e->args.push_back(std::move(lhs));
-  e->args.push_back(std::move(rhs));
-  return e;
+// The first block holds a short statement's nodes and lists and what its
+// execution keeps: a node's 96 bytes per token, which keeps a point
+// SELECT's block within malloc's per-size caches.
+Script::Script(TokenList text)
+    : text_(std::move(text)), arena_(32 + 96 * text_.size()) {}
+
+Result<Script> parse_sql(std::string_view sql) {
+  return Parser::parse(sql, false);
 }
 
-std::string Expr::to_string() const {
-  switch (kind) {
-    case ExprKind::kLiteral:
-      if (literal.is_null()) return "NULL";
-      if (literal.type() == Type::kText)
-        return "'" + replace_all(literal.as_text(), "'", "''") + "'";
-      // Booleans must print as keywords ("t"/"f" would re-parse as column
-      // references — to_string() output must round-trip through the parser).
-      if (literal.type() == Type::kBool)
-        return literal.as_bool() ? "true" : "false";
-      return literal.to_text();
-    case ExprKind::kColumnRef:
-      return table.empty() ? column : table + "." + column;
-    case ExprKind::kParam:
-      return "$" + std::to_string(param_index);
-    case ExprKind::kUnary:
-      return op == "not" ? "NOT " + args[0]->to_string()
-                         : "(" + op + args[0]->to_string() + ")";
-    case ExprKind::kBinary:
-      return "(" + args[0]->to_string() + " " + op + " " +
-             args[1]->to_string() + ")";
-    case ExprKind::kFuncCall:
-    case ExprKind::kAggregate: {
-      std::string s = func_name + "(";
-      if (star) s += "*";
-      for (size_t i = 0; i < args.size(); ++i) {
-        if (i) s += ", ";
-        s += args[i]->to_string();
-      }
-      return s + ")";
+Result<Script> parse_expression(std::string_view text) {
+  return Parser::parse(text, true);
+}
+
+// ---- printing ----
+
+namespace {
+
+void print(const Node& n, std::string& out);
+
+/// Prints operand `k`. NOT and the postfix predicates have no parentheses
+/// of their own, so what follows could extend them when parsed back; they
+/// get some unless the parent's syntax `closes` the operand (an AND/OR
+/// operand, NOT's, a call argument or list item, a CASE part).
+void print_kid(const Node& k, std::string& out, bool closes) {
+  const bool wrap = !closes && (k.op == Op::kNot || k.op == Op::kIsNull ||
+                                k.op == Op::kLike || k.op == Op::kBetween ||
+                                k.op == Op::kInList);
+  if (wrap) out += '(';
+  print(k, out);
+  if (wrap) out += ')';
+}
+
+/// Operands from `k` on, comma-separated.
+void print_list(const Node* k, std::string& out) {
+  for (; k; k = k->next) {
+    print_kid(*k, out, true);
+    if (k->next) out += ", ";
+  }
+}
+
+/// A name as the lexer reads it back: quoted unless a plain identifier.
+void print_name(std::string_view s, std::string& out) {
+  constexpr std::string_view kWord = "abcdefghijklmnopqrstuvwxyz0123456789_";
+  const bool plain = !s.empty() && !(s[0] >= '0' && s[0] <= '9') &&
+                     s.find_first_not_of(kWord) == std::string_view::npos;
+  if (!plain) out += '"';
+  out += s;
+  if (!plain) out += '"';
+}
+
+void print_literal(const Datum& d, std::string& out) {
+  switch (d.type()) {
+    case Type::kNull: out += "NULL"; return;
+    case Type::kText:
+      out.append("'").append(replace_all(d.as_text(), "'", "''")).append("'");
+      return;
+    // Booleans print as keywords: "t"/"f" would parse back as columns.
+    case Type::kBool: out += d.as_bool() ? "true" : "false"; return;
+    case Type::kFloat: {
+      // The shortest text that reads back as this double, and as a float.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof buf, d.as_float()).ptr;
+      out.append(buf, end);
+      if (std::string_view(buf, end).find_first_not_of("-0123456789") ==
+          std::string_view::npos)
+        out += ".0";
+      return;
     }
-    case ExprKind::kIsNull:
-      return args[0]->to_string() + (negated ? " IS NOT NULL" : " IS NULL");
-    case ExprKind::kLike:
-      return args[0]->to_string() + (negated ? " NOT LIKE " : " LIKE ") +
-             args[1]->to_string();
-    case ExprKind::kBetween:
-      return args[0]->to_string() + (negated ? " NOT BETWEEN " : " BETWEEN ") +
-             args[1]->to_string() + " AND " + args[2]->to_string();
-    case ExprKind::kInList: {
-      std::string s = args[0]->to_string() + (negated ? " NOT IN (" : " IN (");
-      for (size_t i = 1; i < args.size(); ++i) {
-        if (i > 1) s += ", ";
-        s += args[i]->to_string();
+    default: d.append_text(out); return;
+  }
+}
+
+void print(const Node& n, std::string& out) {
+  switch (n.op) {
+    case Op::kLiteral: return print_literal(n.literal, out);
+    case Op::kColumn: case Op::kBadColumn: case Op::kCurrentUser:
+      if (!n.table.empty()) {
+        print_name(n.table, out);
+        out += '.';
       }
-      return s + ")";
+      return print_name(n.name, out);
+    case Op::kParam: out += strformat("$%u", n.column); return;
+    case Op::kNot:
+      out += "NOT ";
+      return print_kid(*n.first, out, true);
+    case Op::kNeg: {
+      out += "(-";
+      const size_t at = out.size();
+      print_kid(*n.first, out, false);
+      if (out[at] == '-') out.insert(at, 1, ' ');  // "--" starts a comment
+      out += ')';
+      return;
     }
-    case ExprKind::kCase: {
-      std::string s = "CASE";
-      size_t pairs = args.size() / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        s += " WHEN " + args[2 * i]->to_string() + " THEN " +
-             args[2 * i + 1]->to_string();
+    case Op::kCall: case Op::kAggregate: {
+      print_name(n.name, out);
+      out += n.star ? "(*" : n.distinct ? "(DISTINCT " : "(";
+      print_list(n.first, out);
+      out += ')';
+      return;
+    }
+    case Op::kIsNull:
+      print_kid(*n.first, out, false);
+      out += n.negated ? " IS NOT NULL" : " IS NULL";
+      return;
+    case Op::kLike:
+      print_kid(n.kid(0), out, false);
+      out += n.negated ? " NOT LIKE " : " LIKE ";
+      return print_kid(n.kid(1), out, false);
+    case Op::kBetween:
+      print_kid(n.kid(0), out, false);
+      out += n.negated ? " NOT BETWEEN " : " BETWEEN ";
+      print_kid(n.kid(1), out, false);
+      out += " AND ";
+      return print_kid(n.kid(2), out, false);
+    case Op::kInList:
+      print_kid(*n.first, out, false);
+      out += n.negated ? " NOT IN (" : " IN (";
+      print_list(n.first->next, out);
+      out += ')';
+      return;
+    case Op::kCase: {
+      out += "CASE";
+      const Node* k = n.first;
+      for (size_t i = 0; i + 1 < n.n_kids; i += 2, k = k->next->next) {
+        out += " WHEN ";
+        print_kid(*k, out, true);
+        out += " THEN ";
+        print_kid(*k->next, out, true);
       }
-      if (case_has_else) s += " ELSE " + args.back()->to_string();
-      return s + " END";
+      if (n.has_else) {
+        out += " ELSE ";
+        print_kid(*k, out, true);
+      }
+      out += " END";
+      return;
+    }
+    default: {  // is_binary(n.op)
+      const bool logic = n.op == Op::kAnd || n.op == Op::kOr;
+      out += '(';
+      print_kid(n.kid(0), out, logic);
+      out.append(" ").append(n.name).append(" ");
+      print_kid(n.kid(1), out, logic);
+      out += ')';
     }
   }
-  return "?";
+}
+
+}  // namespace
+
+std::string to_sql(const Node& n) {
+  std::string out;
+  print(n, out);
+  return out;
 }
 
 }  // namespace rddr::sqldb

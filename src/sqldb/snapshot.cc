@@ -2,7 +2,7 @@
 
 #include "common/strutil.h"
 #include "sqldb/codec.h"
-#include "sqldb/parser.h"
+#include "sqldb/eval.h"
 
 namespace rddr::sqldb {
 
@@ -28,7 +28,7 @@ void write_table_catalog(const TableData& t, std::string& out) {
       out += "G " + escape_field(priv) + "\t" + escape_field(u) + "\n";
   for (const auto& p : t.policies)
     out += "P " + escape_field(p.name) + "\t" + escape_field(p.role) + "\t" +
-           escape_field(p.using_expr ? p.using_expr->to_string() : "") + "\n";
+           escape_field(to_sql(p.using_expr.expression())) + "\n";
   for (const auto& [col, index] : t.hash_indexes) {
     (void)index;
     if (col >= 0 && static_cast<size_t>(col) < t.columns.size())
@@ -46,10 +46,11 @@ void write_routines(const Database& db, std::string& out) {
            strformat("\t%zu", fn.notice_args.size());
     for (const auto& a : fn.notice_args) {
       out += '\t';
-      out += escape_field(a->to_string());
+      out += escape_field(to_sql(a.expression()));
     }
     out += strformat("\t%d\t", fn.return_expr ? 1 : 0) +
-           escape_field(fn.return_expr ? fn.return_expr->to_string() : "") +
+           escape_field(fn.return_expr ? to_sql(fn.return_expr->expression())
+                                       : "") +
            "\n";
   }
   for (const auto& [symbol, op] : db.operators()) {
@@ -185,17 +186,13 @@ bool SnapshotReader::load(Database& db, const std::vector<std::string>& lines,
       case 'P': {
         if (!table || fields.size() != 3)
           return fail(error, strformat("snapshot line %zu: bad policy", ln + 1));
-        Policy p;
-        p.name = unescape_field(fields[0]);
-        p.role = unescape_field(fields[1]);
-        std::string expr = unescape_field(fields[2]);
-        if (!expr.empty()) {
-          auto parsed = parse_expression(expr);
-          if (!parsed.ok())
-            return fail(error, "snapshot: policy expr: " + parsed.error());
-          p.using_expr = parsed.take();
-        }
-        table->policies.push_back(std::move(p));
+        const ScopeLevel scope[] = {{table->name, table}};
+        auto parsed = parse_bound(unescape_field(fields[2]), scope);
+        if (!parsed.ok())
+          return fail(error, "snapshot: policy expr: " + parsed.error());
+        table->policies.push_back(Policy{unescape_field(fields[0]),
+                                         unescape_field(fields[1]),
+                                         std::move(parsed.take())});
         break;
       }
       case 'X': {
@@ -241,15 +238,15 @@ bool SnapshotReader::load(Database& db, const std::vector<std::string>& lines,
         fn.nargs = static_cast<size_t>(*nargs);
         if (fields[2] == "1") fn.notice_format = unescape_field(fields[3]);
         for (int64_t i = 0; i < *n_notice; ++i) {
-          auto parsed =
-              parse_expression(unescape_field(fields[5 + static_cast<size_t>(i)]));
+          auto parsed = parse_bound(
+              unescape_field(fields[5 + static_cast<size_t>(i)]), {});
           if (!parsed.ok())
             return fail(error, "snapshot: notice expr: " + parsed.error());
           fn.notice_args.push_back(parsed.take());
         }
         size_t ret_flag = 5 + static_cast<size_t>(*n_notice);
         if (fields[ret_flag] == "1") {
-          auto parsed = parse_expression(unescape_field(fields[ret_flag + 1]));
+          auto parsed = parse_bound(unescape_field(fields[ret_flag + 1]), {});
           if (!parsed.ok())
             return fail(error, "snapshot: return expr: " + parsed.error());
           fn.return_expr = parsed.take();

@@ -51,13 +51,15 @@ Datum Datum::text(std::string_view s) {
 void Datum::copy_to_heap(std::string_view s) {
   char* heap = new char[s.size()];
   std::memcpy(heap, s.data(), s.size());
-  const size_t size = s.size();
-  std::memcpy(buf_, &heap, sizeof heap);
-  std::memcpy(buf_ + 8, &size, sizeof size);
+  store({heap, s.size()});
   len_ = kHeap;
 }
 
 void Datum::copy_from(const Datum& other) {
+  if (other.len_ == kView) {
+    *this = text(other.as_text());
+    return;
+  }
   std::memcpy(static_cast<void*>(this), &other, sizeof *this);
   if (other.on_heap()) copy_to_heap(other.as_text());
 }

@@ -22,8 +22,8 @@ std::optional<Type> parse_type_name(std::string_view s);
 
 /// A single SQL value: a 24-byte tagged union. Text of up to kInlineText
 /// bytes lives inside the datum; longer text owns one exactly-sized heap
-/// block. Tables hold one Datum per cell, so the size is the per-cell
-/// cost of every replica's dataset.
+/// block, or views bytes it does not own (view()). Tables hold one Datum
+/// per cell, so the size is the per-cell cost of every replica's dataset.
 class Datum {
  public:
   static constexpr size_t kInlineText = 22;
@@ -46,6 +46,15 @@ class Datum {
     return d;
   }
   static Datum text(std::string_view s);
+  /// Text that views `s`, which must outlive it and what it is moved to:
+  /// a parsed literal, whose bytes the statement's text holds. A copy of
+  /// it owns its bytes.
+  static Datum view(std::string_view s) {
+    Datum d(Type::kText);
+    d.store(s);
+    d.len_ = kView;
+    return d;
+  }
 
   Datum(const Datum& other) { copy_from(other); }
   Datum(Datum&& other) noexcept { take_from(other); }
@@ -78,7 +87,7 @@ class Datum {
   /// Valid while the datum lives and is not assigned to.
   std::string_view as_text() const {
     assert(type() == Type::kText);
-    if (len_ != kHeap) return {buf_, len_};
+    if (len_ <= kInlineText) return {buf_, len_};
     return {load<const char*>(0), load<size_t>(8)};
   }
 
@@ -115,8 +124,8 @@ class Datum {
   bool operator==(const Datum& other) const;
 
  private:
-  /// len_ of a text whose bytes are on the heap.
-  static constexpr uint8_t kHeap = 0xFF;
+  /// len_ of a text whose bytes are on the heap, or viewed.
+  static constexpr uint8_t kHeap = 0xFF, kView = 0xFE;
 
   explicit Datum(Type t) : tag_(static_cast<uint8_t>(t)) {}
 
@@ -127,6 +136,12 @@ class Datum {
     return v;
   }
   bool on_heap() const { return len_ == kHeap; }
+  void store(std::string_view s) {
+    const char* p = s.data();
+    const size_t size = s.size();
+    std::memcpy(buf_, &p, sizeof p);
+    std::memcpy(buf_ + 8, &size, sizeof size);
+  }
   void release() {
     if (on_heap()) delete[] load<char*>(0);
   }

@@ -16,6 +16,7 @@
 
 #include "rddr/rddr.h"
 #include "sqldb/engine.h"
+#include "sqldb/parser.h"
 #include "workloads/harness.h"
 #include "workloads/pgbench.h"
 #include "workloads/tpch.h"
@@ -69,6 +70,37 @@ TEST(Budget, PgbenchLoadPerAccountRow) {
   EXPECT_LE(bytes, 150.4);
 }
 
+// The pgbench -S point SELECT, once parsed and once executed on a warm
+// session: the statement text, its lists and nodes go in one block each.
+constexpr const char* kPointSelect =
+    "SELECT abalance FROM pgbench_accounts WHERE aid = 1234;";
+
+TEST(Budget, PointSelectParse) {
+  if (!RDDR_COUNTING_NEW) GTEST_SKIP() << "the sanitizer owns operator new";
+  AllocationCount count;
+  auto parsed = sqldb::parse_sql(kPointSelect);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  // The lexer's block (text and tokens) and the statement's arena. The
+  // Expr tree with its strings and child vectors took 13.
+  EXPECT_LE(count.allocations(), 2u);
+}
+
+TEST(Budget, PointSelectExecute) {
+  if (!RDDR_COUNTING_NEW) GTEST_SKIP() << "the sanitizer owns operator new";
+  sqldb::Database db(sqldb::minipg_info("13.0"));
+  workloads::load_pgbench(db, 2000, 9);
+  sqldb::Session session(db, "postgres");
+  ASSERT_EQ(session.execute(kPointSelect).statements[0].row_count, 1u);
+  AllocationCount count;
+  sqldb::ExecResult r = session.execute(kPointSelect);
+  ASSERT_EQ(r.statements[0].row_count, 1u);
+  // Parsing's 2; the result's statement array, column names and cells,
+  // and its text rows (the array and the one row). Binding and the scan
+  // keep their working arrays in the statement's arena. It took 25 with a
+  // second, bound copy of each expression.
+  EXPECT_LE(count.allocations(), 7u);
+}
+
 TEST(Budget, PgbenchReadOnlyPerTransaction) {
   if (!RDDR_COUNTING_NEW) GTEST_SKIP() << "the sanitizer owns operator new";
   constexpr int kAccounts = 2000;
@@ -103,10 +135,10 @@ TEST(Budget, PgbenchReadOnlyPerTransaction) {
   // proxy's framing, diff and forward, the network, three replicas'
   // parse, execute and response, and the connections' setup spread over
   // the run. It was 209.7 while every pgwire message was copied out of
-  // the reader, re-framed and copied again per hop; 96.0 since the bytes
-  // travel as slices and the executor projects by reference. The SQL
-  // parser's 36 are the largest share left.
-  EXPECT_LE(static_cast<double>(count.allocations()) / tx, 97.0);
+  // the reader, re-framed and copied again per hop; 96.0 once the bytes
+  // travelled as slices and the executor projected by reference; 42.04
+  // since each replica parses into one statement block and binds in place.
+  EXPECT_LE(static_cast<double>(count.allocations()) / tx, 42.04);
 }
 
 TEST(Budget, TpchQueriesPerQuery) {
@@ -124,10 +156,10 @@ TEST(Budget, TpchQueriesPerQuery) {
   }
   const double per_query = static_cast<double>(count.allocations()) /
                            static_cast<double>(queries.size());
-  // Parse, plan, join key tables, groups and result cells: 1457
-  // allocations for the 15 queries, the same with one switch case per
-  // builtin as with the builtin table.
-  EXPECT_LE(per_query, 1457.0 / 15);
+  // Parse, plan, join key tables, groups and result cells: 630
+  // allocations for the 15 queries. It was 1457 while the parser built an
+  // Expr tree and binding copied it into a second program.
+  EXPECT_LE(per_query, 630.0 / 15);
 }
 
 }  // namespace

@@ -2,17 +2,20 @@
 // hand computation over random data, engine personalities agree on ordered
 // queries for random seeds, indexed SELECT/UPDATE/DELETE and probing joins
 // agree with their heap-scan forms, LIKE agrees with a reference matcher,
-// value comparison is a proper ordering, and every builtin keeps the
-// contract its builtins() entry declares.
+// value comparison is a proper ordering, every builtin keeps the contract
+// its builtins() entry declares, and every printed expression parses back
+// to the same program.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "sqldb/engine.h"
 #include "sqldb/eval.h"
+#include "sqldb/parser.h"
 #include "sqldb/snapshot.h"
 #include "workloads/tpch.h"
 
@@ -789,6 +792,111 @@ TEST_P(EngineProperty, BoundColumnsMatchLiteralEvaluation) {
     EXPECT_EQ(projected.rows, values) << with_columns;
     ASSERT_FALSE(filtered.failed()) << with_columns << ": " << filtered.error_message;
     EXPECT_EQ(filtered.rows, kept) << with_columns;
+  }
+}
+
+namespace {
+/// Same operators, names, literals (type and value), flags and operands.
+bool same_program(const Node& a, const Node& b) {
+  if (a.op != b.op || a.name != b.name || a.table != b.table ||
+      a.negated != b.negated || a.star != b.star || a.distinct != b.distinct ||
+      a.has_else != b.has_else || a.column != b.column ||
+      a.n_kids != b.n_kids || !(a.literal == b.literal))
+    return false;
+  const Node *x = a.first, *y = b.first;
+  for (; x && y; x = x->next, y = y->next)
+    if (!same_program(*x, *y)) return false;
+  return !x && !y;
+}
+
+/// Every expression of `st`, in statement order.
+std::vector<const Node*> expressions_of(const Statement& st) {
+  std::vector<const Node*> out;
+  auto add = [&out](const Node* e) {
+    if (e) out.push_back(e);
+  };
+  if (const SelectStmt* sel = st.select) {
+    for (const SelectItem& item : sel->items) add(item.expr);
+    for (const TableRef& ref : sel->from) add(ref.join_on);
+    add(sel->where);
+    for (const Node* g : sel->group_by) add(g);
+    add(sel->having);
+    for (const OrderItem& oi : sel->order_by) add(oi.expr);
+  }
+  if (st.insert)
+    for (const List<Node*>& row : st.insert->rows)
+      for (const Node* v : row) add(v);
+  if (st.update) {
+    for (const SetClause& set : st.update->sets) add(set.value);
+    add(st.update->where);
+  }
+  if (st.del) add(st.del->where);
+  if (st.create_function) {
+    for (const Node* a : st.create_function->notice_args) add(a);
+    add(st.create_function->return_expr);
+  }
+  if (st.create_policy) add(st.create_policy->using_expr);
+  return out;
+}
+
+/// Parses `sql`, prints each expression, parses that and checks that the
+/// two programs are the same and print the same.
+void expect_round_trip(const std::string& sql) {
+  auto parsed = parse_sql(sql);
+  if (!parsed.ok()) return;  // a refused text has no program to print
+  for (const Statement& st : parsed.value()) {
+    for (const Node* e : expressions_of(st)) {
+      const std::string printed = to_sql(*e);
+      auto again = parse_expression(printed);
+      ASSERT_TRUE(again.ok()) << sql << "\n  printed " << printed << ": "
+                              << again.error();
+      EXPECT_EQ(to_sql(again.value().expression()), printed) << sql;
+      EXPECT_TRUE(same_program(*e, again.value().expression()))
+          << sql << "\n  printed " << printed;
+    }
+  }
+}
+}  // namespace
+
+TEST(ParserRoundTrip, TpchQueriesAndSemanticsGolden) {
+  // The EXPLAIN printer is also how the catalog copies a policy or a
+  // function body, so what it prints must parse back to the program.
+  for (const std::string& q : workloads::tpch_queries()) {
+    ASSERT_TRUE(parse_sql(q).ok()) << q;
+    expect_round_trip(q);
+  }
+  // Each form the printer must spell with care: a float with an integral
+  // value, INT64_MIN under a minus, quoted names, DISTINCT, and NOT and
+  // the postfix predicates as operands.
+  for (const char* sql :
+       {"SELECT 2.0 * x, -(-9223372036854775808), \"Mixed Case\", "
+        "\"t x\".\"y\" FROM t;",
+        "SELECT count(DISTINCT x) FROM t GROUP BY y HAVING sum(x) > 1.5e20;",
+        "SELECT a = (b IS NULL), (NOT a) IS NULL, -(x IS NULL), "
+        "x LIKE (y LIKE z), a BETWEEN (b IN (1)) AND NOT c FROM t;"}) {
+    ASSERT_TRUE(parse_sql(sql).ok()) << sql;
+    expect_round_trip(sql);
+  }
+  std::ifstream in(std::string(RDDR_SOURCE_DIR) +
+                   "/tests/golden/sql_semantics.txt");
+  ASSERT_TRUE(in);
+  int statements = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    expect_round_trip(line.substr(0, line.find(" => ")));
+    ++statements;
+  }
+  EXPECT_GT(statements, 90);
+}
+
+TEST_P(EngineProperty, RandomExpressionsRoundTrip) {
+  Rng rng(seed() * 17 + 3);
+  std::vector<Datum> row;
+  for (int c = 0; c < 4; ++c) row.push_back(random_value(rng, c));
+  for (int trial = 0; trial < 40; ++trial) {
+    GenExpr e = gen_expr(rng, 3);
+    expect_round_trip("SELECT " + render(e, nullptr) + " FROM t WHERE " +
+                      render(e, &row) + ";");
   }
 }
 

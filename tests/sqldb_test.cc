@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #include "common/strutil.h"
 #include "sqldb/engine.h"
@@ -324,6 +325,58 @@ TEST_F(EngineTest, UserDefinedFunctionAndOperator) {
   for (const auto& n : r.notices)
     if (n == "leak 9 5") saw = true;
   EXPECT_TRUE(saw);
+}
+
+TEST_F(EngineTest, CatalogProgramsOutliveTheirStatementText) {
+  // A function body, an operator's planner probe and a policy run from
+  // the catalog's own copies of their programs and texts, and a long text
+  // literal is stored as the table's own copy: each defining text is
+  // freed, and 100 unrelated statements run, before any is used.
+  Session admin(db, "postgres");
+  for (const char* sql :
+       {"CREATE TABLE notes (id int, owner_name text, body text);",
+        "INSERT INTO notes VALUES (1, 'alice', "
+        "'alice''s note, longer than a datum holds inline: a-secret'), "
+        "(2, 'bob', 'b-secret');",
+        "CREATE FUNCTION gt(int, int) RETURNS bool AS "
+        "$$BEGIN RAISE NOTICE 'gt % ''%''', $1, $2 || '-arg'; "
+        "RETURN $1 > $2; END$$ LANGUAGE plpgsql;",
+        "CREATE OPERATOR >>> (procedure=gt, leftarg=int, rightarg=int, "
+        "restrict=scalargtsel);",
+        "ALTER TABLE notes ENABLE ROW LEVEL SECURITY;",
+        "CREATE POLICY own ON notes TO alice "
+        "USING (owner_name = current_user AND body LIKE '%-secret');",
+        "GRANT SELECT ON notes TO alice;"}) {
+    auto text = std::make_unique<std::string>(sql);
+    auto r = admin.execute(*text);
+    ASSERT_FALSE(r.statements[0].failed())
+        << sql << ": " << r.statements[0].error_message;
+    text->assign(text->size(), '#');
+  }
+  for (int i = 0; i < 100; ++i) {
+    auto r = admin.execute(strformat(
+        "SELECT 'unrelated statement number %d' || body FROM notes "
+        "WHERE id = %d;",
+        i, i % 3));
+    ASSERT_FALSE(r.statements[0].failed()) << r.statements[0].error_message;
+  }
+  auto called = last(db, "SELECT gt(2, 1), gt(1, 2);");
+  ASSERT_FALSE(called.failed()) << called.error_message;
+  EXPECT_EQ(called.rows[0][0], "t");
+  EXPECT_EQ(called.rows[0][1], "f");
+  EXPECT_EQ(called.notices,
+            (std::vector<std::string>{"gt 2 '1-arg'", "gt 1 '2-arg'"}));
+  // The planner probe samples both rows through the operator's procedure.
+  auto probed = last(db, "EXPLAIN SELECT * FROM notes WHERE id >>> 0;");
+  ASSERT_FALSE(probed.failed()) << probed.error_message;
+  EXPECT_EQ(probed.notices,
+            (std::vector<std::string>{"gt 1 '0-arg'", "gt 2 '0-arg'"}));
+  EXPECT_EQ(probed.rows[1][0], "  Filter: (id >>> 0)");
+  auto visible = last(db, "SELECT body FROM notes ORDER BY id;", "alice");
+  ASSERT_FALSE(visible.failed()) << visible.error_message;
+  ASSERT_EQ(visible.rows.size(), 1u);
+  EXPECT_EQ(visible.rows[0][0],
+            "alice's note, longer than a datum holds inline: a-secret");
 }
 
 TEST_F(EngineTest, OperatorRequiresExistingProcedure) {
