@@ -26,20 +26,14 @@
 // are deterministic. tier-1 pins the --smoke run; bench/run_benches.sh
 // checks the full run against tests/golden/paper/fig5_scaleout/ and times
 // it into BENCH_paper.json.
-//
-// --islands=N runs the island-scaling sweep instead (run_island_sweep),
-// whose JSON carries the host wall time of each island count.
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/strutil.h"
-#include "netsim/parallel.h"
 #include "rddr/rddr.h"
 #include "sqldb/client.h"
 #include "workloads/harness.h"
@@ -68,19 +62,13 @@ struct Point {
   double offered_rate = 0;
   bool protected_tier = true;
   workloads::OpenLoopResult r;
-  // Executor instrumentation (islands > 1 only).
-  double wall_s = 0;
-  double model_speedup = 1.0;
-  uint64_t windows = 0;
-  uint64_t barrier_stalls = 0;
 };
 
 /// One deployment + one open-loop run. Shard k gets its own 32-core host
 /// carrying its proxy pair and its 3 minipg instances (fig5's co-located
-/// placement, replicated per shard). `islands > 1` partitions the event
-/// loop (islands=1 is the sequential oracle with identical semantics).
+/// placement, replicated per shard).
 Point run_point(size_t shards, double offered_rate, double duration_s,
-                int accounts, bool protected_tier, size_t islands = 1) {
+                int accounts, bool protected_tier) {
   sim::Simulator simulator;
   sim::Network net(simulator, 50 * sim::kMicrosecond);
 
@@ -118,7 +106,6 @@ Point run_point(size_t shards, double offered_rate, double duration_s,
                               workloads::kPaperProxyCpu.per_byte_s)
                    .admission(adm)
                    .shard_versions(pools)
-                   .islands(islands)
                    .build_frontier(net, host_ptrs);
 
   workloads::OpenLoopOptions opts;
@@ -133,17 +120,7 @@ Point run_point(size_t shards, double offered_rate, double duration_s,
   p.shards = shards;
   p.offered_rate = offered_rate;
   p.protected_tier = protected_tier;
-  auto t0 = std::chrono::steady_clock::now();
   p.r = workloads::run_open_loop(simulator, net, opts);
-  p.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-  if (const auto* ex = simulator.executor()) {
-    const auto& st = ex->stats();
-    p.model_speedup = st.model_speedup();
-    p.windows = st.windows;
-    p.barrier_stalls = st.barrier_stalls;
-  }
   return p;
 }
 
@@ -261,100 +238,12 @@ SweepResult run_sweep(const std::vector<double>& grid1,
   return sr;
 }
 
-/// Island-scaling sweep: the 16-shard fig5 deployment run at each of
-/// `counts` islands (1 first). Two gates:
-///   * byte-identity — every island count emits the same point JSON as
-///     the islands=1 oracle (the determinism contract, end to end);
-///   * scaling floor — model_speedup (total events / window critical
-///     path, a deterministic property of the partitioning) >= 1.8x at 4
-///     islands. The wall-clock floor only arms on machines with >= 4
-///     hardware cores; model_speedup gates everywhere, including CI
-///     boxes with 1 core where wall time cannot scale.
-std::string run_island_sweep(bool smoke, const std::vector<size_t>& counts) {
-  const size_t shards = 16;
-  const double rate = smoke ? 22400 : 44800;  // 16 x (1400 | 2800) /s
-  const double duration_s = smoke ? 0.1 : 0.25;
-  const int accounts = smoke ? 2000 : 20000;
-  const unsigned cores = std::thread::hardware_concurrency();
-
-  std::string json = "[\n";
-  std::string oracle_json;
-  double wall1 = 0;
-  bool first = true;
-  for (size_t n : counts) {
-    Point p = run_point(shards, rate, duration_s, accounts, true, n);
-    std::string pj = point_json(p);
-    if (n == 1) {
-      oracle_json = pj;
-      wall1 = p.wall_s;
-    } else {
-      CHECK_MSG(pj == oracle_json,
-                "islands=%zu point JSON differs from the islands=1 oracle",
-                n);
-    }
-    if (n == 4)
-      CHECK_MSG(p.model_speedup >= 1.8,
-                "scaling floor: model_speedup %.2f < 1.8 at 4 islands "
-                "(16-shard fig5)",
-                p.model_speedup);
-    if (n >= 4 && cores >= 4 && wall1 > 0)
-      CHECK_MSG(p.wall_s < wall1,
-                "wall-clock floor (%u cores): islands=%zu wall %.3fs not "
-                "below islands=1 wall %.3fs",
-                cores, n, p.wall_s, wall1);
-    std::fprintf(stderr,
-                 "[islands] n=%zu wall %.3fs model_speedup %.2fx windows "
-                 "%llu stalls %llu\n",
-                 n, p.wall_s, p.model_speedup,
-                 static_cast<unsigned long long>(p.windows),
-                 static_cast<unsigned long long>(p.barrier_stalls));
-    if (!first) json += ",\n";
-    first = false;
-    json += strformat(
-        "    {\"islands\": %zu, \"wall_s\": %.4f, \"model_speedup\": %.4f, "
-        "\"windows\": %llu, \"barrier_stalls\": %llu, "
-        "\"byte_identical_to_oracle\": %s}",
-        n, p.wall_s, p.model_speedup,
-        static_cast<unsigned long long>(p.windows),
-        static_cast<unsigned long long>(p.barrier_stalls),
-        n == 1 || point_json(p) == oracle_json ? "true" : "false");
-  }
-  json += "\n  ]";
-  return strformat(
-      "{\n  \"deployment\": \"fig5-16shard\", \"offered_rate\": %.0f,\n"
-      "  \"hardware_cores\": %u,\n  \"sweep\": %s\n  }",
-      rate, cores, json.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  size_t islands_flag = 0;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strncmp(argv[i], "--islands=", 10) == 0)
-      islands_flag = static_cast<size_t>(std::atoi(argv[i] + 10));
-  }
-
-  if (islands_flag > 0) {
-    // Island-mode gate: oracle byte-identity + the model_speedup scaling
-    // floor at the requested count. tests/run_sanitized.sh runs
-    // --smoke --islands=4 under TSan; bench/run_benches.sh runs the full
-    // size at --islands=2 and --islands=8, which together cover 2, 4, 8.
-    std::vector<size_t> counts{1};
-    if (islands_flag > 1) counts.push_back(islands_flag);
-    if (islands_flag != 4) counts.push_back(4);  // the floor's count
-    std::string pj = run_island_sweep(smoke, counts);
-    std::printf("{\n  \"mode\": \"%s\",\n  \"parallel\": %s\n}\n",
-                smoke ? "islands-smoke" : "islands", pj.c_str());
-    if (g_failures > 0) {
-      std::fprintf(stderr, "\n%d island check(s) FAILED\n", g_failures);
-      return 1;
-    }
-    std::fprintf(stderr, "\nall island checks passed\n");
-    return 0;
-  }
 
   // Grids chosen around the per-shard admission cap (4200/s) and the
   // ~5300 tps pool capacity: saturation (shed fraction >= 1/3) lands at

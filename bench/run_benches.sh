@@ -5,20 +5,17 @@
 #   BENCH_paper.json    — nproc and build type; wall time and peak RSS
 #                         (bench/host_cost) of every `pin` run and of the
 #                         full fig5_scaleout, each run alone in a fresh
-#                         directory under the build dir; the island
-#                         sweep's wall time per island count;
+#                         directory under the build dir;
 #                         simloop_throughput's events/s
 #   BENCH_hotpaths.json — google-benchmark JSON for the micro hot paths
 # at the repo root. The full fig5_scaleout runs through pin_stdout.cmake
-# against tests/golden/paper/fig5_scaleout/; the island checks run at
-# --islands=2 and --islands=8 (islands 1, 2, 4 and 8 between them). If
-# any run exits nonzero, the script does too, after writing the file.
+# against tests/golden/paper/fig5_scaleout/. If any run exits nonzero,
+# the script does too, after writing the file.
 #
 #   bench/run_benches.sh          full run (about two minutes)
 #   bench/run_benches.sh --smoke  fast regression gates only: the
-#                                 de-noise+diff items/s floor, the islands
-#                                 oracle/scaling floor and the simulator
-#                                 core events/sec floor. Every gate runs
+#                                 de-noise+diff items/s floor and the
+#                                 simulator core events/sec floor. Every gate runs
 #                                 and prints its verdict; the script exits
 #                                 nonzero if any failed.
 #                                 Used by tests/run_sanitized.sh.
@@ -33,8 +30,8 @@ if [ ! -d "$BUILD" ]; then
 fi
 
 if [ "${1:-}" = "--smoke" ]; then
-  cmake --build "$BUILD" -j --target micro_hotpaths fig5_scaleout \
-      simloop_throughput >/dev/null
+  cmake --build "$BUILD" -j --target micro_hotpaths simloop_throughput \
+      >/dev/null
 
   # Runs one gate, prints its verdict on stderr and records a failure; a
   # failing gate never stops the later ones.
@@ -67,11 +64,6 @@ if [ "${1:-}" = "--smoke" ]; then
       printf "denoise+diff: %.3g items/s (floor %.3g)\n", v + 0, f + 0
       exit (v + 0 >= f + 0) ? 0 : 1
     }'
-
-  # Island scaling floor: the 16-shard fig5 point on the partitioned
-  # event loop must stay byte-identical to the islands=1 oracle and keep
-  # model_speedup >= 1.8x at 4 islands (JSON dropped; checks on stderr).
-  gate islands "$BUILD/bench/fig5_scaleout" --smoke --islands=4 >/dev/null
 
   gate simloop "$BUILD/bench/simloop_throughput" --smoke
 
@@ -134,13 +126,6 @@ runs["fig5_scaleout"], _ = timed("fig5_scaleout", [
     f"-DGOLDEN={root}/tests/golden/paper/fig5_scaleout",
     "-P", f"{root}/bench/pin_stdout.cmake"])
 
-islands = {}
-for n in (2, 8):
-    _, out = timed(f"fig5_scaleout_islands{n}",
-                   [f"{build}/bench/fig5_scaleout", f"--islands={n}"])
-    islands[f"--islands={n}"] = {
-        str(p["islands"]): p["wall_s"] for p in json.loads(out)["parallel"]["sweep"]}
-
 _, out = timed("simloop_throughput", [f"{build}/bench/simloop_throughput"])
 
 with open(f"{build}/CMakeCache.txt") as f:
@@ -150,7 +135,6 @@ ledger = {
              # CMakeLists.txt builds RelWithDebInfo when none is given.
              "build_type": build_type or "RelWithDebInfo"},
     "runs": runs,
-    "islands_wall_s": islands,
     "simloop_throughput": json.loads(out),
 }
 with open(f"{root}/BENCH_paper.json", "w") as f:

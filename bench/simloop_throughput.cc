@@ -7,8 +7,6 @@
 //    patterns: fill-drain (bulk schedule then run), ping-pong (each event
 //    schedules the next — the proxy pump shape), and schedule+cancel
 //    pairs (the timeout-arm/disarm shape).
-//  * events/sec through the windowed multi-island executor at 1, 2, 4
-//    and 8 islands.
 //
 // --smoke: quick run of the fill-drain pattern only, exits nonzero if
 // events/sec falls below kSmokeFloorEps — the perf regression gate run by
@@ -17,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "netsim/simulator.h"
@@ -83,40 +80,6 @@ double bench_sched_cancel(size_t total_pairs) {
   return static_cast<double>(total_pairs) / wall_seconds(t0);
 }
 
-// Multi-island event loop: per-island ping-pong chains with a cross-island
-// hop every 32nd event (the shard-column shape — mostly local work, a
-// steady trickle across the cuts). Measures raw events/sec through the
-// windowed executor.
-double bench_islands(size_t islands, size_t events_per_island) {
-  sim::Simulator sim;
-  sim.configure_islands(islands, 10 * sim::kMicrosecond);
-  std::vector<size_t> remaining(islands, events_per_island);
-  std::vector<uint64_t> executed(islands, 0);  // written by owner island only
-  std::vector<std::function<void()>> hop(islands);
-  for (size_t i = 0; i < islands; ++i) {
-    hop[i] = [&, i] {
-      ++executed[i];
-      if (remaining[i] == 0 || --remaining[i] == 0) return;
-      if (remaining[i] % 32 == 0 && islands > 1) {
-        // Cross-island hop: must clear the conservative lookahead.
-        size_t j = (i + 1) % islands;
-        sim.schedule_on(j, sim.now() + 20 * sim::kMicrosecond,
-                        [&, j] { hop[j](); });
-      } else {
-        sim.schedule_on(i, sim.now() + sim::kMicrosecond, [&, i] { hop[i](); });
-      }
-    };
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < islands; ++i)
-    sim.schedule_on(i, sim::kMicrosecond * (i + 1), [&, i] { hop[i](); });
-  sim.run_until_idle();
-  double wall = wall_seconds(t0);
-  uint64_t total = 0;
-  for (uint64_t e : executed) total += e;
-  return wall > 0 ? static_cast<double>(total) / wall : 0;
-}
-
 int run_smoke() {
   double eps = bench_fill_drain(200000);
   std::printf("{\"smoke\": {\"fill_drain_events_per_sec\": %.0f, "
@@ -144,17 +107,6 @@ int main(int argc, char** argv) {
   std::printf("    \"fill_drain_events_per_sec\": %.0f,\n", fill_drain);
   std::printf("    \"pingpong_events_per_sec\": %.0f,\n", pingpong);
   std::printf("    \"sched_cancel_pairs_per_sec\": %.0f\n", sched_cancel);
-  std::printf("  },\n");
-  std::printf("  \"parallel\": {\n");
-  std::printf("    \"threads\": %u,\n", std::thread::hardware_concurrency());
-  std::printf("    \"islands\": [\n");
-  const size_t counts[] = {1, 2, 4, 8};
-  for (size_t ci = 0; ci < 4; ++ci) {
-    std::printf("      {\"islands\": %zu, \"events_per_sec\": %.0f}%s\n",
-                counts[ci], bench_islands(counts[ci], 200000),
-                ci + 1 < 4 ? "," : "");
-  }
-  std::printf("    ]\n");
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

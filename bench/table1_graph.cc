@@ -27,8 +27,8 @@
 //   * per-callsite dedup: all web-tier rows collapse to ONE attribution
 //     key, and every data-tier intervention collapses onto mid-0's dial
 //     site however many request paths (3 app instances) crossed it;
-//   * determinism: the full attribution report is byte-identical across
-//     island counts {1, 2, 4} ({1, 2} under --smoke).
+//   * determinism: a second replay in the same process renders a
+//     byte-identical attribution report.
 //
 // Full runs print a JSON summary (pinned by ctest as
 // tests/golden/paper/table1_graph/stdout); any violated invariant exits
@@ -83,21 +83,20 @@ const Row kRows[] = {
 constexpr size_t kNumRows = sizeof(kRows) / sizeof(kRows[0]);
 
 struct Replay {
-  std::string report;                         // cross-island comparison surface
+  std::string report;                         // the determinism surface
   std::vector<std::vector<DivergenceRecord>> per_row;  // by Table I row
 };
 
-/// Runs the whole replay on `islands` islands and renders the attribution
-/// report. Everything in the report is a pure function of the simulated
-/// execution, so any island count must produce identical bytes.
-Replay run_replay(size_t islands) {
+/// Runs the whole replay and renders the attribution report. Everything in
+/// the report is a pure function of the simulated execution, so every
+/// replay must produce identical bytes.
+Replay run_replay() {
   sim::Simulator sim;
   sim::Network net(sim, 10 * sim::kMicrosecond);
 
   TopologyOptions topts;
   topts.kind = 2;  // http-diamond-pg: the three-tier graph
   topts.seed = 42;
-  topts.islands = islands;
   // Miner-tuned variance: the per-version build stamps are known-benign,
   // so the only divergences left are the planted secrets — one per row.
   topts.variance.pg_ignore_params.push_back("build_sha");
@@ -152,8 +151,6 @@ Replay run_replay(size_t islands) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const std::vector<size_t> island_counts =
-      smoke ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4};
 
   // Expected call sites, recomputed independently of the data plane.
   const uint64_t edge_site = ExecutionIndex::site_id("edge-http", "front:80");
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
     ++failures;
   };
 
-  Replay base = run_replay(island_counts[0]);
+  Replay base = run_replay();
 
   // Per-row attribution: expected proxy, trace, hop depth, root, leaf.
   for (size_t i = 0; i < kNumRows; ++i) {
@@ -223,27 +220,16 @@ int main(int argc, char** argv) {
     fail(strformat("data-tier rows span %zu attribution keys, want 1",
                    inner_keys.size()));
 
-  // Determinism: byte-identical attribution report across island counts.
-  bool deterministic = true;
-  for (size_t k = 1; k < island_counts.size(); ++k) {
-    Replay other = run_replay(island_counts[k]);
-    if (other.report != base.report) {
-      deterministic = false;
-      fail(strformat("attribution report differs between islands=%zu and "
-                     "islands=%zu",
-                     island_counts[0], island_counts[k]));
-    }
-  }
+  // Determinism: a repeat replay renders the same attribution report.
+  const bool deterministic = run_replay().report == base.report;
+  if (!deterministic) fail("attribution report differs on a repeat replay");
 
   std::fprintf(stderr, "%s", base.report.c_str());
   std::fprintf(stderr,
                "table1 graph replay: %zu rows, %zu web-tier + %zu data-tier "
-               "interventions, %zu+%zu attribution keys, islands {",
+               "interventions, %zu+%zu attribution keys, repeat replay %s\n",
                kNumRows, outer_records, inner_records, outer_keys.size(),
-               inner_keys.size());
-  for (size_t k = 0; k < island_counts.size(); ++k)
-    std::fprintf(stderr, "%s%zu", k ? "," : "", island_counts[k]);
-  std::fprintf(stderr, "} %s\n",
+               inner_keys.size(),
                deterministic ? "byte-identical" : "DIVERGED");
 
   if (!smoke) {
@@ -265,7 +251,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(mid0_site));
     std::printf("  \"web_tier_attribution_keys\": %zu,\n", outer_keys.size());
     std::printf("  \"data_tier_attribution_keys\": %zu,\n", inner_keys.size());
-    std::printf("  \"islands_checked\": %zu,\n", island_counts.size());
+    std::printf("  \"replays_checked\": 2,\n");
     std::printf("  \"deterministic\": %s,\n", deterministic ? "true" : "false");
     std::printf("  \"failures\": %d\n}\n", failures);
   }

@@ -619,32 +619,20 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
                    .health(health)
                    .unit_timeout(250 * sim::kMillisecond)
                    .shard_versions(pools)
-                   .islands(opts.islands)
                    .build_frontier(net, proxy_host);
-  // One proxy host => every shard shares one island; the shared db host
-  // carries all the pools' SqlServers, so its completion events must run
-  // on that island too (cpu tasks and connection events interleave).
-  db_host.pin_island(front->shard_island(0));
 
   const size_t kill = kKillShard % opts.shards;
-  // Global events: fault-state mutations run at a barrier with every
-  // island parked (plain island-0 events on a 1-island run).
-  sim.schedule_global_at(kKillAt, [&] {
+  sim.schedule_at(kKillAt, [&] {
     for (const std::string& a : pools[kill])
       net.crash_node(sim::Network::node_of(a));
   });
-  sim.schedule_global_at(kRestartAt, [&] {
+  sim.schedule_at(kRestartAt, [&] {
     for (const std::string& a : pools[kill])
       net.restart_node(sim::Network::node_of(a));
   });
 
   // Readmit watcher: first moment the killed shard's pool is back at full
   // health after the restart.
-  // The watcher samples the killed shard's live health, so it must run
-  // on that shard's island: a cross-island read would see a snapshot that
-  // depends on how far the owner island has run inside the current
-  // window (tear-free, but not deterministic).
-  const IslandId kill_island = front->shard_island(kill);
   // Like run_chaos's loops, a local the pending event refers to.
   std::function<void()> watch = [&] {
     if (front->shard(kill).incoming().health().healthy_count() ==
@@ -654,9 +642,9 @@ ShardKillReport run_shard_kill(const ShardKillOptions& opts, uint64_t seed) {
     }
     sim.schedule(25 * sim::kMillisecond, [&watch] { watch(); });
   };
-  sim.schedule_on(kill_island, kRestartAt, [&watch] { watch(); });
+  sim.schedule_at(kRestartAt, [&watch] { watch(); });
   uint64_t killed_sessions_at_restart = 0;
-  sim.schedule_on(kill_island, kRestartAt, [&] {
+  sim.schedule_at(kRestartAt, [&] {
     killed_sessions_at_restart = front->shard(kill).incoming().stats().sessions;
   });
 

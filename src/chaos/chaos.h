@@ -165,11 +165,6 @@ struct ShardKillOptions {
   size_t sessions = 150;
   /// Extra drain time after the last session for probes to readmit.
   sim::Time settle = 15 * sim::kSecond;
-  /// Partition the simulation into this many islands (<= 1 = one island,
-  /// the sequential oracle for the parallel runs — see
-  /// NVersionDeployment::Builder::islands). The report must be identical
-  /// for every value of this knob.
-  size_t islands = 1;
 };
 
 struct ShardKillReport {

@@ -16,8 +16,7 @@
 // while delivering to handlers, and Network::connect() extends the inbound
 // index by one child frame. Determinism: sites hash static strings, seqs
 // count per (parent connection, site) — both are functions of the simulated
-// execution only, so indices are byte-identical across island layouts and
-// thread counts.
+// execution only, so same-seed runs give byte-identical indices.
 #pragma once
 
 #include <cstdint>

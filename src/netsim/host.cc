@@ -167,11 +167,7 @@ void Host::start_sampling(Time interval) {
 }
 
 void Host::schedule_sample() {
-  // schedule_on, not schedule: start_sampling() may be called from setup
-  // code on island 0 while the host is pinned elsewhere; every subsequent
-  // tick then stays island-local (real, cancellable ids).
-  sample_event_ = sim_.schedule_on(island_, sim_.now() + sample_interval_,
-                                   [this] {
+  sample_event_ = sim_.schedule(sample_interval_, [this] {
     sample_event_ = 0;
     settle();
     double integral = busy_track_.integral(sim_.now());

@@ -41,14 +41,6 @@ class Host {
   const std::string& name() const { return name_; }
   int cores() const { return cores_; }
 
-  /// Pins the host to an island (setup-time; 0 by default). All of the
-  /// host's self-scheduled events (completions, samplers) run there, so
-  /// the services charging CPU to this host must be pinned to the same
-  /// island — the deployment builder's islands() knob keeps a shard's
-  /// hosts, proxies and backends together.
-  void pin_island(IslandId island) { island_ = island; }
-  IslandId island() const { return island_; }
-
   /// Runs a CPU task needing `cpu_seconds` of one core; `done` fires when
   /// the task completes under processor sharing (nullptr: fire-and-forget).
   /// Zero-cost tasks complete on the next event. On a failed host the task
@@ -111,7 +103,6 @@ class Host {
 
   Simulator& sim_;
   std::string name_;
-  IslandId island_ = 0;
   int cores_;
   int64_t memory_capacity_;
   int64_t memory_bytes_ = 0;

@@ -32,7 +32,7 @@ Time Connection::next_arrival() {
 
 void Connection::send(ByteView data) {
   if (!open_ || data.empty()) return;
-  net_.payload_bytes_copied_.fetch_add(data.size(), std::memory_order_relaxed);
+  net_.payload_bytes_copied_ += data.size();
   send_shared(SharedBytes(data));
 }
 
@@ -48,13 +48,11 @@ void Connection::send_shared(SharedBytes data) {
   // connection itself is severed separately; this guards the window
   // between the fault firing and the close delivery.
   if (!net_.link_up(local_node_, peer->local_node_)) return;
-  net_.payload_bytes_sent_.fetch_add(data.size(), std::memory_order_relaxed);
+  net_.payload_bytes_sent_ += data.size();
   // FIFO per direction: never deliver earlier than a previous delivery.
-  Time arrival = next_arrival();
-  sim_.schedule_on(peer->island_, arrival,
-                   [peer, data = std::move(data)]() mutable {
-                     peer->deliver(std::move(data));
-                   });
+  sim_.schedule_at(next_arrival(), [peer, data = std::move(data)]() mutable {
+    peer->deliver(std::move(data));
+  });
 }
 
 void Connection::close() {
@@ -62,8 +60,7 @@ void Connection::close() {
   open_ = false;
   auto peer = peer_.lock();
   if (!peer) return;
-  Time arrival = next_arrival();
-  sim_.schedule_on(peer->island_, arrival, [peer] { peer->deliver_close(); });
+  sim_.schedule_at(next_arrival(), [peer] { peer->deliver_close(); });
 }
 
 void Connection::break_now() {
@@ -74,7 +71,7 @@ void Connection::break_now() {
   // queued for this very tick, which would otherwise run before the
   // deliver_close scheduled here.
   auto self = shared_from_this();
-  sim_.schedule_on(island_, sim_.now(), [self] { self->deliver_close(); });
+  sim_.schedule(0, [self] { self->deliver_close(); });
 }
 
 void Connection::abort() {
@@ -82,10 +79,8 @@ void Connection::abort() {
   auto peer = peer_.lock();
   if (!peer) return;
   // The RST travels like data: one link latency later, after anything
-  // already on the wire (FIFO watermark). That keeps the notification
-  // outside the conservative window when the peer is on another island.
-  Time arrival = next_arrival();
-  sim_.schedule_on(peer->island_, arrival, [peer] {
+  // already on the wire (FIFO watermark).
+  sim_.schedule_at(next_arrival(), [peer] {
     peer->open_ = false;
     peer->aborted_ = true;
     peer->pending_.clear();
@@ -98,7 +93,7 @@ void Connection::set_on_data(DataHandler h) {
   on_data_ = std::move(h);
   if (!pending_.empty() || close_pending_) {
     auto self = shared_from_this();
-    sim_.schedule_on(island_, sim_.now(), [self] { self->flush_pending(); });
+    sim_.schedule(0, [self] { self->flush_pending(); });
   }
 }
 
@@ -107,7 +102,7 @@ void Connection::set_on_close(CloseHandler h) {
   on_close_ = std::move(h);
   if (close_pending_ && pending_.empty()) {
     auto self = shared_from_this();
-    sim_.schedule_on(island_, sim_.now(), [self] { self->flush_pending(); });
+    sim_.schedule(0, [self] { self->flush_pending(); });
   }
 }
 
@@ -188,10 +183,7 @@ Network::~Network() {
   // handlers that hold the halves. Take the registry out first: dropping a
   // handler may run destructors that close other connections.
   std::vector<Registered> registry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    registry.swap(registry_);
-  }
+  registry.swap(registry_);
   for (const Registered& r : registry) {
     if (auto client = r.client.lock()) client->release_handlers();
     if (auto server = r.server.lock()) server->release_handlers();
@@ -199,45 +191,20 @@ Network::~Network() {
 }
 
 void Network::listen(const std::string& address, AcceptHandler on_accept) {
-  std::lock_guard<std::mutex> lock(mu_);
   listeners_[address] = std::move(on_accept);
 }
 
 void Network::unlisten(const std::string& address) {
-  std::lock_guard<std::mutex> lock(mu_);
   listeners_.erase(address);
 }
 
 bool Network::has_listener(const std::string& address) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return listeners_.count(address) > 0;
 }
 
-void Network::set_node_island(const std::string& node, IslandId island) {
-  node_islands_[node] = island;
-}
-
-IslandId Network::node_island(const std::string& node) const {
-  auto it = node_islands_.find(node);
-  return it == node_islands_.end() ? 0 : it->second;
-}
-
-std::vector<std::string> Network::listener_nodes() const {
-  std::vector<std::string> nodes;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    nodes.reserve(listeners_.size());
-    for (const auto& [address, fn] : listeners_) nodes.push_back(node_of(address));
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  return nodes;
-}
-
-void Network::set_island_router(const std::string& address,
-                                IslandRouter router) {
-  if (router) island_routers_[address] = std::move(router);
-  else island_routers_.erase(address);
+void Network::set_route_hook(const std::string& address, RouteHook hook) {
+  if (hook) route_hooks_[address] = std::move(hook);
+  else route_hooks_.erase(address);
 }
 
 ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
@@ -260,7 +227,7 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
   // call site = (dialing node, dialed address), seq = that site's
   // invocation ordinal within the ambient connection's execution — which
   // is a pure function of simulated execution order, so the derived index
-  // is byte-identical across island layouts and thread counts.
+  // replays byte-identically.
   if (Connection* amb = current_flow()) {
     const FlowContext& in = amb->flow();
     if (meta.flow.trace_id == 0) {
@@ -272,63 +239,43 @@ ConnPtr Network::connect(const std::string& address, ConnectMeta meta) {
       meta.flow.index = in.index.child(site, amb->next_child_seq(site));
     }
   }
-  // Island placement (outside the lock: routers are user code). The
-  // client half joins the dialing context's island; the server half
-  // joins the listener node's island unless a router overrides it —
-  // routing is decided here, at dial time, so both halves are born on
-  // their final islands and never migrate.
-  IslandId client_island = current_island();
-  if (client_island >= sim_.island_count()) client_island = 0;
-  IslandId server_island = node_island(dst_node);
+  // Routing is decided here, at dial time, against the state of this
+  // instant; the accepting service reads the hint off the connection.
   uint32_t route_hint = UINT32_MAX;
-  auto rit = island_routers_.find(address);
-  if (rit != island_routers_.end())
-    server_island = rit->second(meta, route_hint);
-  if (server_island >= sim_.island_count()) server_island = 0;
+  auto rit = route_hooks_.find(address);
+  if (rit != route_hooks_.end()) route_hint = rit->second(meta);
   if (!has_listener(address)) {
     RDDR_LOG_DEBUG("connect to %s refused (no listener)", address.c_str());
     return nullptr;
   }
-  // Per-island id spaces (no cross-thread coordination; dense ids when
-  // only island 0 exists).
-  uint64_t id = (static_cast<uint64_t>(client_island) << 48) |
-                ++next_conn_local_[client_island];
-  conns_opened_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t id = ++conns_opened_;
   auto client = std::shared_ptr<Connection>(
       new Connection(*this, id, meta, address, /*is_client_half=*/true));
   auto server = std::shared_ptr<Connection>(
       new Connection(*this, id, meta, address, /*is_client_half=*/false));
   client->peer_ = server;
   server->peer_ = client;
-  client->island_ = client_island;
-  server->island_ = server_island;
   client->route_hint_ = route_hint;
   server->route_hint_ = route_hint;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    registry_.push_back({client, server});
-    if (registry_.size() >= 2 * std::max<size_t>(registry_pruned_size_, 64)) {
-      registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
-                                     [](const Registered& r) {
-                                       return r.client.expired() &&
-                                              r.server.expired();
-                                     }),
-                      registry_.end());
-      registry_pruned_size_ = registry_.size();
-    }
+  registry_.push_back({client, server});
+  if (registry_.size() >= 2 * std::max<size_t>(registry_pruned_size_, 64)) {
+    registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
+                                   [](const Registered& r) {
+                                     return r.client.expired() &&
+                                            r.server.expired();
+                                   }),
+                    registry_.end());
+    registry_pruned_size_ = registry_.size();
   }
-  // Accept fires after one link latency, on the server half's island;
-  // re-check the listener and fault state then so a service that stopped
-  // (or crashed) in the meantime refuses cleanly.
-  sim_.schedule_on(server_island, sim_.now() + default_latency_, [server] {
+  // Accept fires after one link latency; re-check the listener and fault
+  // state then so a service that stopped (or crashed) in the meantime
+  // refuses cleanly.
+  sim_.schedule(default_latency_, [server] {
     Network& net = server->net_;
     const std::string& addr = server->dialed_address();
     AcceptHandler handler;
-    {
-      std::lock_guard<std::mutex> lock(net.mu_);
-      auto lit = net.listeners_.find(addr);
-      if (lit != net.listeners_.end()) handler = lit->second;
-    }
+    auto lit = net.listeners_.find(addr);
+    if (lit != net.listeners_.end()) handler = lit->second;
     if (!handler || net.node_down(node_of(addr))) {
       server->close();
       return;
@@ -356,7 +303,6 @@ void Network::sever_matching(
   // Only connections with both halves alive are severed; an entry is
   // pruned once both are gone (one live half still needs ~Network).
   std::vector<std::pair<ConnPtr, ConnPtr>> doomed;
-  std::lock_guard<std::mutex> lock(mu_);
   registry_.erase(
       std::remove_if(registry_.begin(), registry_.end(),
                      [&](const Registered& r) {
@@ -370,8 +316,7 @@ void Network::sever_matching(
   // Both halves break now, unlike a client RST (abort()), whose peer hears
   // one latency later: the node being severed is going away, and a byte
   // still in flight toward its half must not be delivered into whatever
-  // its handlers captured. Sequential contexts only (see network.h), so
-  // touching a half on another island is safe.
+  // its handlers captured.
   for (auto& [client, server] : doomed) {
     client->break_now();
     server->break_now();
@@ -454,7 +399,6 @@ Time Network::fault_delay(const std::string& from_node,
 
 size_t Network::live_connections(const std::string& node) {
   size_t n = 0;
-  std::lock_guard<std::mutex> lock(mu_);
   registry_.erase(std::remove_if(registry_.begin(), registry_.end(),
                                  [&](const Registered& r) {
                                    auto c = r.client.lock();

@@ -18,8 +18,7 @@
 // without copying it — the same buffer can be in flight on many
 // connections at once (the proxies' N-way fan-out). send(ByteView) is the
 // compatibility path that materialises one copy on entry. Every send is
-// its own delivery event, so delivery granularity never depends on where
-// the island cut falls.
+// its own delivery event.
 //
 // Fault injection: the network additionally models node crashes, refused
 // addresses, per-node latency spikes, one-sided egress stalls, and
@@ -28,26 +27,12 @@
 // listener "pg-1:5432" — or a connecting container's ConnectMeta::source.
 // Every fault is plain deterministic state on the Network, so seeded runs
 // replay byte-identically with faults active.
-// Islands (DESIGN.md "Parallel simulation"): every connection half lives
-// on the island of the node it runs on (client half: the dialing
-// container's island at connect() time; server half: the listener node's
-// island, or whatever an installed island router decides). Deliveries
-// targeting the peer half are scheduled on the *peer's* island, so a
-// cross-island send travels through the executor's mailbox and arrives
-// at least one link latency later — which is exactly the conservative
-// lookahead the barrier relies on. The semantics are the same at every
-// island count, one included, so a 1-island run is the byte-identical
-// oracle for any N-island run.
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -145,9 +130,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   /// Next invocation ordinal for a child dial from site `site` within this
   /// connection's execution. Deterministic: counts per (connection, site)
-  /// in handler execution order, which the simulator fixes independently
-  /// of island layout. Used by Network::connect() when deriving a child
-  /// execution index from the ambient flow.
+  /// in handler execution order, which the simulator fixes. Used by
+  /// Network::connect() when deriving a child execution index from the
+  /// ambient flow.
   uint32_t next_child_seq(uint64_t site) { return child_seq_[site]++; }
 
   /// Address the client dialled (both halves see the same value).
@@ -160,13 +145,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// the listener's node for the server half.
   const std::string& local_node() const;
 
-  /// Island this half's events execute on (0 on a 1-island simulator).
-  IslandId island() const { return island_; }
-
-  /// Routing decision recorded by an island router at connect() time
-  /// (Network::set_island_router); UINT32_MAX when no router ran. The
-  /// frontier uses this to trust the dial-time shard choice instead of
-  /// re-deriving it at accept time.
+  /// Routing decision of the dialed address's route hook, taken at
+  /// connect() time (Network::set_route_hook); UINT32_MAX when no hook
+  /// ran. The frontier uses this to trust the dial-time shard choice
+  /// instead of re-deriving it at accept time.
   uint32_t route_hint() const { return route_hint_; }
 
   /// Resets the connection (the client-issued RST): this half sees
@@ -182,8 +164,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
              std::string dialed_address, bool is_client_half);
 
   void send_shared(SharedBytes data);
-  /// Marks this half broken and schedules its close at now() on its own
-  /// island; data arriving afterwards is dropped.
+  /// Marks this half broken and schedules its close at now(); data
+  /// arriving afterwards is dropped.
   void break_now();
   void deliver(SharedBytes data);  // runs on the *receiving* half
   void deliver_close();            // runs on the *receiving* half
@@ -201,7 +183,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   ConnectMeta meta_;
   std::string dialed_address_;
   bool is_client_half_;
-  IslandId island_ = 0;
   uint32_t route_hint_ = UINT32_MAX;
   std::string local_node_;   // cached node name for fault lookups
   std::weak_ptr<Connection> peer_;
@@ -221,21 +202,18 @@ class Connection : public std::enable_shared_from_this<Connection> {
 using ConnPtr = std::shared_ptr<Connection>;
 
 namespace detail {
-/// Ambient connection whose handlers are currently executing on this
-/// thread (nullptr outside any handler). Thread-local like the island
-/// context (common/exec_context.h): islands never migrate a running
-/// handler across threads, so the ambient flow is race-free by
-/// construction.
-inline thread_local Connection* g_current_flow = nullptr;
+/// Ambient connection whose handlers are currently executing (nullptr
+/// outside any handler).
+inline Connection* g_current_flow = nullptr;
 }  // namespace detail
 
-/// Connection whose handlers the current thread is executing, or nullptr.
+/// Connection whose handlers are executing right now, or nullptr.
 /// Network::connect() derives FlowContext defaults from it; services that
 /// defer work off the handler stack (e.g. into a host task) re-install the
 /// scope around the deferred body with FlowScope.
 inline Connection* current_flow() { return detail::g_current_flow; }
 
-/// RAII scope that makes `conn` the ambient flow for the calling thread.
+/// RAII scope that makes `conn` the ambient flow.
 /// Installed by the network around data/close/accept handler delivery;
 /// also usable by services that run request handlers outside the delivery
 /// event (restoring the previous ambient on destruction).
@@ -281,55 +259,32 @@ class Network {
   ConnPtr connect(const std::string& address, ConnectMeta meta = {});
 
   /// Link latency of each direction of every connection, fixed for the
-  /// network's lifetime. Faults only ever add to it, so it is the
-  /// lookahead a multi-island simulator runs with (configure_islands).
+  /// network's lifetime. Faults only ever add to it.
   Time default_latency() const { return default_latency_; }
 
   Simulator& simulator() { return sim_; }
 
   /// Total connections ever opened (diagnostics).
-  uint64_t connections_opened() const {
-    return conns_opened_.load(std::memory_order_relaxed);
-  }
+  uint64_t connections_opened() const { return conns_opened_; }
 
   /// Total payload bytes put on the wire by Connection::send (both
   /// overloads). Diagnostics for the copy-efficiency benchmarks.
-  uint64_t payload_bytes_sent() const {
-    return payload_bytes_sent_.load(std::memory_order_relaxed);
-  }
+  uint64_t payload_bytes_sent() const { return payload_bytes_sent_; }
 
   /// Payload bytes that were *copied* to enter the data plane — the
   /// send(ByteView) path. send(SharedBytes) moves none. Before the
   /// zero-copy overhaul every sent byte was copied, so
   /// copied/sent measures the fan-out savings directly.
-  uint64_t payload_bytes_copied() const {
-    return payload_bytes_copied_.load(std::memory_order_relaxed);
-  }
+  uint64_t payload_bytes_copied() const { return payload_bytes_copied_; }
 
-  // ---- islands ----
-
-  /// Pins a node name to an island: connection halves on that node and
-  /// its accept events execute there. Setup-time only (before running).
-  /// Unpinned nodes live on island 0.
-  void set_node_island(const std::string& node, IslandId island);
-
-  /// Island a node is pinned to (0 when unpinned).
-  IslandId node_island(const std::string& node) const;
-
-  /// Node names of every registered listener (deduplicated, sorted).
-  /// Lets a scenario pin its whole service graph to an island without
-  /// tracking each listen address itself.
-  std::vector<std::string> listener_nodes() const;
-
-  /// Decides the island of the *server half* for one dialed address,
-  /// overriding the listener node's pin. `route_hint` (opaque to the
-  /// network) is recorded on the connection for the accepting service —
-  /// the frontier stores the shard index so routing is decided exactly
-  /// once, at dial time. Must be deterministic given the meta. Setup and
-  /// teardown only; an empty router removes the address's router.
-  using IslandRouter =
-      std::function<IslandId(const ConnectMeta& meta, uint32_t& route_hint)>;
-  void set_island_router(const std::string& address, IslandRouter router);
+  /// Dial-time route hook for one address: connect() calls it with the
+  /// dial's (flow-derived) meta and records what it returns on both
+  /// halves as Connection::route_hint(), opaque to the network. The
+  /// frontier stores the shard index, so routing is decided exactly once,
+  /// at dial time, against the health of that instant. Must be
+  /// deterministic given the meta. An empty hook removes the address's.
+  using RouteHook = std::function<uint32_t(const ConnectMeta& meta)>;
+  void set_route_hook(const std::string& address, RouteHook hook);
 
   // ---- fault injection (usually driven via FaultPlan, netsim/fault.h) ----
 
@@ -344,9 +299,7 @@ class Network {
   ///
   /// Severing (crash, sever_node, partition) breaks both halves at once,
   /// so nothing in flight can reach a half whose owner is being torn
-  /// down. It therefore touches halves on every island and must run from
-  /// a sequential context: setup, a schedule_global_at event, or a
-  /// 1-island loop.
+  /// down.
   void crash_node(const std::string& node);
   void restart_node(const std::string& node);
   bool node_down(const std::string& node) const;
@@ -394,23 +347,11 @@ class Network {
 
   Simulator& sim_;
   const Time default_latency_;
-  // Per-(caller-)island connection-id spaces keep id allocation
-  // deterministic without cross-thread coordination: id =
-  // island << 48 | island-local counter. With one island this reproduces
-  // the historical dense 1,2,3,... sequence exactly.
-  std::array<uint64_t, kMaxIslands> next_conn_local_{};
-  std::atomic<uint64_t> conns_opened_{0};
-  std::atomic<uint64_t> payload_bytes_sent_{0};
-  std::atomic<uint64_t> payload_bytes_copied_{0};
-  // Guards the maps that connect() (any island) and accept/listen events
-  // (server islands) both touch. Never held while running user callbacks.
-  // The fault-state containers below are NOT guarded: they are only
-  // mutated by global events (all workers parked at a barrier) and read
-  // during windows, which the barrier's acquire/release edges order.
-  mutable std::mutex mu_;
+  uint64_t conns_opened_ = 0;  // also the last connection id (dense 1, 2, ...)
+  uint64_t payload_bytes_sent_ = 0;
+  uint64_t payload_bytes_copied_ = 0;
   std::map<std::string, AcceptHandler> listeners_;
-  std::map<std::string, IslandId> node_islands_;     // setup-time only
-  std::map<std::string, IslandRouter> island_routers_;  // setup-time only
+  std::map<std::string, RouteHook> route_hooks_;
   // Both halves of every connection opened, pruned in connect() each time
   // the registry doubles (amortised O(1)). Order is connect order, which
   // fixes the order sever_matching breaks connections in.

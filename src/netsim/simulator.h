@@ -8,27 +8,17 @@
 //
 // The event loop is allocation-lean: callbacks live inline in a reusable
 // slot table (InlineFunction small-buffer storage — no per-event heap
-// allocation for typical captures), the ready queue is a plain binary heap
+// allocation for typical captures), the ready queue is a plain 4-ary heap
 // of 24-byte entries, and cancellation is a generation check — O(1), no
 // hash tables, no state retained for cancelled or fired ids.
 //
-// Islands (DESIGN.md "Parallel simulation"): the event loop can be
-// partitioned into up to kMaxIslands independent sub-loops, each with its
-// own heap, clock, slot table and sequence counter. Configure them with
-// `configure_islands`; a ParallelExecutor (netsim/parallel.h) then runs
-// the islands on worker threads under conservative time-window barriers,
-// exchanging cross-island events through per-island outboxes that are
-// merged in deterministic (time, source island, source order) order at
-// each barrier. A simulator that never configures more than one island
-// runs the plain single-threaded loop on island 0; the network semantics
-// above it are the same at every island count.
+// There is one event loop and it runs on the calling thread (DESIGN.md
+// "One event loop").
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/exec_context.h"
 #include "common/inline_function.h"
 
 namespace rddr::sim {
@@ -52,7 +42,7 @@ using EventFn = InlineFunction<48>;
 
 class ParallelExecutor;
 
-/// Event loop over virtual time; single-threaded per island.
+/// Event loop over virtual time.
 class Simulator {
  public:
   Simulator();
@@ -60,88 +50,48 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
-  /// Current virtual time of the calling context's island.
-  Time now() const { return cur().now; }
+  /// Current virtual time.
+  Time now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute virtual time `t` (clamped to now())
-  /// on the current island. Returns a nonzero id usable with `cancel`.
+  /// Schedules `fn` to run at absolute virtual time `t` (clamped to now()).
+  /// Returns a nonzero id usable with `cancel`.
   uint64_t schedule_at(Time t, EventFn fn);
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
   uint64_t schedule(Time delay, EventFn fn);
 
-  /// Schedules `fn` at absolute time `t` on island `island`. On the
-  /// current island this is exactly schedule_at. Cross-island schedules
-  /// issued while a parallel window is executing are routed through the
-  /// island's outbox and merged at the next barrier; those return 0 (they
-  /// cannot be cancelled). `t` must respect the conservative lookahead —
-  /// the executor clamps (and counts) violations.
-  uint64_t schedule_on(IslandId island, Time t, EventFn fn);
-
-  /// Schedules `fn` at absolute time `t` as a GLOBAL event: one that may
-  /// mutate state shared by all islands (fault injection, partition
-  /// state). Under a ParallelExecutor, global events run at a barrier
-  /// with every worker parked and every island clock advanced to `t`;
-  /// without one they are ordinary island-0 events. Either way they count
-  /// as island-0 events in events_executed(). Must be called from
-  /// setup or from another global event, never from inside a parallel
-  /// window.
-  void schedule_global_at(Time t, EventFn fn);
-
   /// Cancels a pending event: O(1), idempotent, and a no-op if the event
   /// already ran or was cancelled. Retains no per-id state either way.
-  /// Ids encode their island, so cancelling another island's event is
-  /// safe from sequential contexts (setup/teardown); never cancel a
-  /// foreign island's event from inside a parallel window.
   void cancel(uint64_t id);
 
   /// Runs the next pending event. Returns false when the queue is empty.
-  /// Under a ParallelExecutor this processes one conservative window
-  /// (possibly many events) and returns whether anything ran.
   bool step();
 
   /// Runs events until none remain or `max_events` were processed.
   /// Returns the number of events processed.
   size_t run_until_idle(size_t max_events = SIZE_MAX);
 
-  /// Runs all events with time <= t, then advances the clock(s) to t.
+  /// Runs all events with time <= t, then advances the clock to t.
   void run_until(Time t);
 
-  /// Number of events executed so far across all islands (diagnostic).
-  uint64_t events_executed() const;
+  /// Number of events executed so far (diagnostic).
+  uint64_t events_executed() const { return executed_; }
 
   /// Number of events currently pending (exact: cancelled and fired events
-  /// never count). Includes global events; excludes in-window outboxes.
-  size_t pending_events() const;
+  /// never count).
+  size_t pending_events() const { return live_; }
 
-  // ---- islands ----
-
-  /// Partitions the loop into `count` islands (1..kMaxIslands). Island 0
-  /// keeps everything scheduled so far; new islands start empty at the
-  /// current time. With count >= 2 a ParallelExecutor is created and
-  /// step()/run_until_idle()/run_until() drive conservative windows
-  /// instead of the single-island loop. Call once, before running.
-  /// `lookahead` is the smallest delay of any cross-island schedule —
-  /// callers pass their network's link latency — and is clamped to >= 1.
-  /// With count == 1 nothing changes: no executor is created and the loop
-  /// stays single-threaded.
-  void configure_islands(size_t count, Time lookahead);
-
-  /// Number of islands (1 when never configured).
-  size_t island_count() const { return islands_.size(); }
-
-  /// Executor driving multi-island runs; nullptr when island_count()<=1.
-  ParallelExecutor* executor() { return exec_.get(); }
+  /// Always nullptr. Exists only because perfbench/src/workloads.cc reads
+  /// executor stats through it (netsim/parallel.h).
+  ParallelExecutor* executor() const { return nullptr; }
 
  private:
-  friend class ParallelExecutor;
-
   // Ready queue entry: 24 bytes, POD, ordered by (time, seq). The callback
   // stays in its slot so heap sift operations move only these.
   struct HeapEntry {
     Time time;
     uint64_t seq;   // FIFO tie-break for identical times
-    uint32_t slot;  // index into slots
+    uint32_t slot;  // index into slots_
     uint32_t gen;   // must match the slot's generation to be live
   };
 
@@ -155,72 +105,29 @@ class Simulator {
     bool armed = false;
   };
 
-  // A cross-island event captured during a parallel window, merged into
-  // its destination heap at the next barrier.
-  struct OutMsg {
-    Time time;
-    IslandId dest;
-    EventFn fn;
-  };
-
-  struct Island {
-    Time now = 0;
-    uint64_t next_seq = 0;
-    uint64_t executed = 0;
-    uint64_t window_events = 0;  // events run in the current window
-    size_t live = 0;
-    std::vector<HeapEntry> heap;  // binary min-heap by (time, seq)
-    std::vector<Slot> slots;
-    uint32_t free_head = kNilSlot;
-    IslandId id = 0;
-    std::vector<OutMsg> outbox;  // appended during windows, owner thread only
-  };
-
-  struct GlobalEvent {
-    Time time;
-    uint64_t seq;
-    EventFn fn;
-  };
-
   static constexpr uint32_t kNilSlot = UINT32_MAX;
-  // Event-id layout: [63:58] island, [57:30] generation, [29:0] slot+1.
-  static constexpr int kIdSlotBits = 30;
-  static constexpr int kIdGenBits = 28;
-  static constexpr uint64_t kIdSlotMask = (1ull << kIdSlotBits) - 1;
-  static constexpr uint64_t kIdGenMask = (1ull << kIdGenBits) - 1;
+  static constexpr Time kNoEvent = INT64_MAX;
 
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
-  /// Island bound to the calling context: current_island() clamped to the
-  /// configured range, so stray thread-local state can never escape
-  /// island 0 on an unconfigured simulator.
-  Island& cur() const {
-    IslandId i = current_island();
-    return *islands_[i < islands_.size() ? i : 0];
-  }
+  uint32_t alloc_slot();
+  void release_slot(uint32_t slot);
+  void heap_push(const HeapEntry& e);
+  HeapEntry heap_pop();
+  /// Next live (non-cancelled) event time, popping stale entries;
+  /// kNoEvent when empty.
+  Time next_live_time();
 
-  uint32_t alloc_slot(Island& isl);
-  void release_slot(Island& isl, uint32_t slot);
-  void heap_push(Island& isl, const HeapEntry& e);
-  HeapEntry heap_pop(Island& isl);
-  uint64_t push_event(Island& isl, Time t, EventFn fn);
-  /// Next live (non-cancelled) event time on `isl`, popping stale
-  /// entries; kNoEvent when empty.
-  Time next_live_time(Island& isl);
-  bool step_island(Island& isl);
-  /// Runs `isl`'s events with time < end (worker-thread entry point).
-  size_t drain_island(Island& isl, Time end, size_t max_events);
-
-  static constexpr Time kNoEvent = INT64_MAX;
-
-  std::vector<std::unique_ptr<Island>> islands_;
-  std::vector<GlobalEvent> global_;  // min-heap by (time, seq)
-  uint64_t global_seq_ = 0;
-  bool in_parallel_phase_ = false;  // set by the executor around windows
-  std::unique_ptr<ParallelExecutor> exec_;
+  Time now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t executed_ = 0;
+  size_t live_ = 0;
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap by (time, seq)
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNilSlot;
 };
 
 }  // namespace rddr::sim

@@ -13,12 +13,9 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 void Histogram::observe(double v) {
   size_t i = 0;
   while (i < bounds_.size() && v > bounds_[i]) ++i;
-  std::atomic_ref<uint64_t>(counts_[i]).fetch_add(1,
-                                                  std::memory_order_relaxed);
-  std::atomic_ref<uint64_t>(count_).fetch_add(1, std::memory_order_relaxed);
-  std::atomic_ref<int64_t>(sum_fp_).fetch_add(
-      static_cast<int64_t>(std::llround(v * kFixedPointScale)),
-      std::memory_order_relaxed);
+  ++counts_[i];
+  ++count_;
+  sum_fp_ += static_cast<int64_t>(std::llround(v * kFixedPointScale));
 }
 
 double Histogram::percentile(double p) const {
@@ -49,18 +46,15 @@ std::vector<double> Histogram::default_latency_ms_bounds() {
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return &counters_[name];
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return &gauges_[name];
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name,
                                       std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     if (bounds.empty()) bounds = Histogram::default_latency_ms_bounds();
@@ -70,20 +64,17 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Histogram* MetricsRegistry::find_histogram(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 json::Value MetricsRegistry::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   json::Object counters;
   for (const auto& [name, c] : counters_)
     counters[name] = static_cast<int64_t>(c.value());

@@ -11,25 +11,11 @@
 //
 // This layer knows nothing about the simulator, and netsim knows nothing
 // about it: time enters only as values (virtual nanoseconds as int64_t).
-//
-// Thread-safety (parallel simulation): mutators go through
-// std::atomic_ref, so concurrent updates from different islands are
-// races-free, and every accumulation is *order-independent* (counter
-// adds commute; the histogram sum is fixed-point so floating-point
-// non-associativity cannot leak thread interleaving into dumps; the
-// gauge max is a CAS max). Determinism of *last-write* gauge values and
-// of read-modify sequences still requires each metric to have a single
-// owning island — which the deployment layout guarantees (per-shard
-// metric names). Registry creation/lookup is mutex-guarded; handles stay
-// valid and lock-free on the hot path.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,15 +23,11 @@
 
 namespace rddr::obs {
 
-/// Monotonic event count. Hot-path cost: one relaxed 64-bit add.
+/// Monotonic event count. Hot-path cost: one 64-bit add.
 class Counter {
  public:
-  void inc(uint64_t n = 1) {
-    std::atomic_ref<uint64_t>(v_).fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t value() const {
-    return std::atomic_ref<const uint64_t>(v_).load(std::memory_order_relaxed);
-  }
+  void inc(uint64_t n = 1) { v_ += n; }
+  uint64_t value() const { return v_; }
 
  private:
   uint64_t v_ = 0;
@@ -57,29 +39,18 @@ class Counter {
 class Gauge {
  public:
   void set(double v) {
-    std::atomic_ref<double>(v_).store(v, std::memory_order_relaxed);
-    std::atomic_ref<uint8_t>(seen_).store(1, std::memory_order_relaxed);
-    // CAS-max from -inf: order-independent, so concurrent setters always
-    // converge to the true maximum.
-    std::atomic_ref<double> mx(max_);
-    double cur = mx.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !mx.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+    v_ = v;
+    if (!seen_ || v > max_) max_ = v;
+    seen_ = true;
   }
-  double value() const {
-    return std::atomic_ref<const double>(v_).load(std::memory_order_relaxed);
-  }
-  double max_value() const {
-    if (!std::atomic_ref<const uint8_t>(seen_).load(std::memory_order_relaxed))
-      return 0.0;
-    return std::atomic_ref<const double>(max_).load(std::memory_order_relaxed);
-  }
+  double value() const { return v_; }
+  /// 0 until the first set().
+  double max_value() const { return max_; }
 
  private:
   double v_ = 0;
-  double max_ = -std::numeric_limits<double>::infinity();
-  uint8_t seen_ = 0;
+  double max_ = 0;
+  bool seen_ = false;
 };
 
 /// Fixed-bucket histogram. `bounds` are inclusive upper bounds of each
@@ -94,21 +65,13 @@ class Histogram {
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
-  /// Stable to read concurrently only via relaxed loads; export happens
-  /// after the run, where plain reads are fine.
   const std::vector<uint64_t>& counts() const { return counts_; }
-  uint64_t count() const {
-    return std::atomic_ref<const uint64_t>(count_).load(
-        std::memory_order_relaxed);
-  }
-  /// The sum accumulates in 44.20 fixed point: integer adds commute
-  /// exactly, so the value is identical no matter how observations
-  /// interleave across islands (double accumulation would leak thread
-  /// timing through non-associativity). ~1e-6 absolute resolution.
+  uint64_t count() const { return count_; }
+  /// The sum accumulates in 44.20 fixed point (~1e-6 absolute
+  /// resolution): every printed mean and dumped sum is read from it, so
+  /// it is part of the pinned outputs.
   double sum() const {
-    return static_cast<double>(std::atomic_ref<const int64_t>(sum_fp_).load(
-               std::memory_order_relaxed)) /
-           kFixedPointScale;
+    return static_cast<double>(sum_fp_) / kFixedPointScale;
   }
   double mean() const {
     uint64_t n = count();
@@ -158,9 +121,6 @@ class MetricsRegistry {
   std::string dump_json() const { return to_json().dump(); }
 
  private:
-  // Guards map structure only (creation, lookup, export walk); metric
-  // values themselves are updated lock-free through the handles.
-  mutable std::mutex mu_;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;

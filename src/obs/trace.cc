@@ -19,7 +19,6 @@ TraceId Tracer::new_trace() {
 }
 
 Tracer::IdStream* Tracer::id_stream(const std::string& owner) {
-  std::lock_guard<std::mutex> lock(stream_mu_);
   auto it = id_streams_.find(owner);
   if (it == id_streams_.end())
     it = id_streams_
@@ -30,28 +29,21 @@ Tracer::IdStream* Tracer::id_stream(const std::string& owner) {
 
 SpanId Tracer::begin(TraceId trace, SpanId parent, std::string name,
                      std::string category) {
-  IslandId lane = current_island();
-  if (lane >= kMaxIslands) lane = 0;
-  Lane& l = lanes_[lane];
   Span s;
-  s.id = (static_cast<uint64_t>(lane) << kIdIndexBits) | (l.spans.size() + 1);
+  s.id = spans_.size() + 1;
   s.parent = parent;
   s.trace = trace;
   s.name = std::move(name);
   s.category = std::move(category);
   s.start = clock_();
-  l.spans.push_back(std::move(s));
-  ++l.open;
-  return l.spans.back().id;
+  spans_.push_back(std::move(s));
+  ++open_;
+  return spans_.back().id;
 }
 
 Span* Tracer::find_mutable(SpanId span) {
-  if (span == 0) return nullptr;
-  const uint64_t lane = span >> kIdIndexBits;
-  const uint64_t idx = (span & kIdIndexMask);
-  if (lane >= kMaxIslands || idx == 0 || idx > lanes_[lane].spans.size())
-    return nullptr;
-  return &lanes_[lane].spans[idx - 1];
+  if (span == 0 || span > spans_.size()) return nullptr;
+  return &spans_[span - 1];
 }
 
 void Tracer::tag(SpanId span, std::string key, std::string value) {
@@ -63,7 +55,7 @@ void Tracer::end(SpanId span) {
   Span* s = find_mutable(span);
   if (!s || !s->open()) return;
   s->end = clock_();
-  --lanes_[span >> kIdIndexBits].open;
+  --open_;
 }
 
 SpanId Tracer::event(TraceId trace, SpanId parent, std::string name,
@@ -77,37 +69,12 @@ const Span* Tracer::find(SpanId span) const {
   return const_cast<Tracer*>(this)->find_mutable(span);
 }
 
-size_t Tracer::open_spans() const {
-  size_t n = 0;
-  for (const Lane& l : lanes_) n += l.open;
-  return n;
-}
-
-size_t Tracer::span_count() const {
-  size_t n = 0;
-  for (const Lane& l : lanes_) n += l.spans.size();
-  return n;
-}
-
-std::vector<Span> Tracer::spans() const {
-  std::vector<Span> out;
-  out.reserve(span_count());
-  for (const Lane& l : lanes_)
-    out.insert(out.end(), l.spans.begin(), l.spans.end());
-  return out;
-}
-
 std::string Tracer::export_chrome() const {
   std::vector<const Span*> order;
-  order.reserve(span_count());
-  for (const Lane& l : lanes_)
-    for (const Span& s : l.spans) order.push_back(&s);
-  // Canonical order: (trace, start) with the lane-concat order as the
-  // stable tiebreak. Within one lane the tiebreak is the lane-local
-  // creation order (island-count-invariant); across lanes a
-  // (trace, start) tie would need two same-trace spans at the same
-  // nanosecond on different islands, which nonzero cross-island latency
-  // rules out. Dense renumbering then strips the lane bits from the ids.
+  order.reserve(spans_.size());
+  for (const Span& s : spans_) order.push_back(&s);
+  // Canonical order: (trace, start) with recording order as the stable
+  // tiebreak, then dense renumbering in that order.
   std::stable_sort(order.begin(), order.end(),
                    [](const Span* a, const Span* b) {
                      if (a->trace != b->trace) return a->trace < b->trace;
@@ -153,10 +120,8 @@ std::string Tracer::export_chrome() const {
 }
 
 void Tracer::clear() {
-  for (Lane& l : lanes_) {
-    l.spans.clear();
-    l.open = 0;
-  }
+  spans_.clear();
+  open_ = 0;
 }
 
 }  // namespace rddr::obs

@@ -14,32 +14,22 @@
 // this layer itself knows nothing about netsim — it reads time through a
 // clock callback.
 //
-// Parallel simulation: spans are recorded into per-island lanes (the
-// recording island is read from the thread-local execution context), so
-// concurrent islands never touch each other's storage. Two things keep
-// exports island-count-invariant:
-//   * Trace ids for components that may live off island 0 come from
-//     per-owner IdStreams (`id_stream("front-s3")`), whose draw order
-//     depends only on that component's own event order — never on how
-//     components interleave globally.
-//   * export_chrome() canonicalises: spans sort by (trace, start, lane,
-//     lane order) and are densely renumbered, so the bytes do not depend
-//     on which lane a span was recorded in. (The only escape is two spans
-//     of one trace at the same nanosecond in different lanes — causally
-//     impossible for a request that hops islands through nonzero-latency
-//     links.)
+// Two things keep the exported bytes a function of each component's own
+// behaviour rather than of how components interleave:
+//   * Components draw trace ids from per-owner IdStreams
+//     (`id_stream("front-s3")`), whose draw order depends only on that
+//     component's own event order.
+//   * export_chrome() canonicalises: spans sort by (trace, start,
+//     recording order) and are densely renumbered.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/exec_context.h"
 #include "common/rng.h"
 
 namespace rddr::obs {
@@ -64,25 +54,23 @@ struct Span {
   bool open() const { return end < 0; }
 };
 
-/// Records spans for any number of traces. Span ids encode (lane, dense
-/// index), so lookup is O(1); trace ids come from Rng streams forked off
-/// `seed`, so they look like the random request ids of a real system yet
-/// replay exactly.
+/// Records spans for any number of traces. Span ids are dense recording
+/// indices from 1, so lookup is O(1); trace ids come from Rng streams
+/// forked off `seed`, so they look like the random request ids of a real
+/// system yet replay exactly.
 class Tracer {
  public:
   /// `clock` supplies the current virtual time (e.g. a lambda over
   /// Simulator::now()).
   Tracer(std::function<TimeNs()> clock, uint64_t seed);
 
-  /// Allocates a fresh trace ID (never 0) from the tracer-global stream.
-  /// Island-0 contexts only (the workload driver, tests); components
-  /// that can be pinned elsewhere must use their own id_stream() so the
-  /// draw order cannot depend on the island layout.
+  /// Allocates a fresh trace ID (never 0) from the tracer-global stream
+  /// (the workload driver, tests). Components use their own id_stream(),
+  /// so their draws do not depend on what else runs.
   TraceId new_trace();
 
   /// Independent deterministic trace-id stream scoped to one owning
-  /// component. The handle is stable for the tracer's lifetime; each
-  /// stream must only be used from its owner's (single) island.
+  /// component. The handle is stable for the tracer's lifetime.
   class IdStream {
    public:
     TraceId next_trace() {
@@ -98,8 +86,7 @@ class Tracer {
   };
   IdStream* id_stream(const std::string& owner);
 
-  /// Opens a span; `parent` 0 makes it the trace root. Records on the
-  /// calling context's island lane.
+  /// Opens a span; `parent` 0 makes it the trace root.
   SpanId begin(TraceId trace, SpanId parent, std::string name,
                std::string category);
 
@@ -113,41 +100,30 @@ class Tracer {
   SpanId event(TraceId trace, SpanId parent, std::string name,
                std::string category);
 
-  /// Every recorded span, lane by lane (lane-local recording order). On a
-  /// 1-island run that is simply recording order.
-  std::vector<Span> spans() const;
+  /// Every recorded span, in recording order.
+  const std::vector<Span>& spans() const { return spans_; }
 
   const Span* find(SpanId span) const;
-  size_t open_spans() const;
-  size_t span_count() const;
+  size_t open_spans() const { return open_; }
+  size_t span_count() const { return spans_.size(); }
 
   /// Chrome trace_event JSON ("X" complete events, ts/dur in
   /// microseconds); load via chrome://tracing or https://ui.perfetto.dev.
   /// Open spans are exported as zero-length with an "unclosed" tag so
-  /// they stay visible. Output is byte-identical for identical runs and
-  /// across island counts (canonical ordering + dense renumbering, see
-  /// file comment).
+  /// they stay visible. Output is byte-identical for identical runs
+  /// (canonical ordering + dense renumbering, see file comment).
   std::string export_chrome() const;
 
   void clear();
 
  private:
-  struct Lane {
-    std::vector<Span> spans;
-    size_t open = 0;
-  };
-
-  // Span-id layout: [63:58] lane, [57:0] index+1.
-  static constexpr int kIdIndexBits = 58;
-  static constexpr uint64_t kIdIndexMask = (1ull << kIdIndexBits) - 1;
-
   Span* find_mutable(SpanId span);
 
   std::function<TimeNs()> clock_;
   uint64_t seed_;
   Rng rng_;
-  std::array<Lane, kMaxIslands> lanes_;
-  std::mutex stream_mu_;  // guards id_streams_ creation only
+  std::vector<Span> spans_;  // span id k is spans_[k - 1]
+  size_t open_ = 0;
   std::map<std::string, IdStream> id_streams_;
 };
 

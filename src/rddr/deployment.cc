@@ -187,11 +187,6 @@ NVersionDeployment::Builder& NVersionDeployment::Builder::shard_versions(
   return *this;
 }
 
-NVersionDeployment::Builder& NVersionDeployment::Builder::islands(size_t n) {
-  islands_ = n;
-  return *this;
-}
-
 NVersionDeployment::Options NVersionDeployment::Builder::options() const {
   Options opts;
   opts.incoming = incoming_;

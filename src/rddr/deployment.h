@@ -109,18 +109,9 @@ class NVersionDeployment {
     /// set it overrides versions() and implies shards(pools.size());
     /// without it every shard fronts the shared versions() pool.
     Builder& shard_versions(std::vector<std::vector<std::string>> pools);
-    /// Partitions the simulation into `n` islands (netsim/parallel.h) and
-    /// pins each shard's column — host, proxies, instance nodes, suffixed
-    /// backend listeners — to one island (island 0 keeps the public
-    /// listener, the workload driver and anything unpinned; shards spread
-    /// over islands 1..n-1). n <= 1 (the default) is one island: the
-    /// sequential run, with no worker threads, whose outputs are the
-    /// byte-identical oracle for any n > 1. Determinism across island
-    /// counts requires the shard columns to be disjoint: per-shard pools
-    /// (shard_versions) qualify; a pool or backend shared by two shards
-    /// may see same-tick deliveries from different islands whose merge
-    /// order is island-dependent.
-    Builder& islands(size_t n);
+    /// Accepted and ignored: every deployment runs on the one event loop.
+    /// It exists only because perfbench/src/workloads.cc calls it.
+    Builder& islands(size_t) { return *this; }
 
     /// The fully resolved Options this builder would deploy (shared knobs
     /// propagated into each outgoing config).
@@ -150,7 +141,6 @@ class NVersionDeployment {
     size_t shards_ = 1;
     AdmissionOptions admission_;
     std::function<void(sim::FaultPlan&)> faults_;
-    size_t islands_ = 1;
   };
 
   /// All proxies run on `proxy_host` and share one DivergenceBus.

@@ -99,22 +99,19 @@ Frontier::Frontier(sim::Network& net, std::vector<sim::Host*> shard_hosts,
 
   net_.listen(opts_.listen_address,
               [this](sim::ConnPtr c) { on_accept(std::move(c)); });
-  // The shard is decided at dial time so the server half of the
-  // connection — and with it on_accept, the admission queue, and the
-  // handoff — lives on the shard's island. on_accept trusts the recorded
-  // hint, so the decision is made exactly once.
-  net_.set_island_router(
-      opts_.listen_address,
-      [this](const sim::ConnectMeta& meta, uint32_t& hint) -> IslandId {
-        size_t k = route_for_key(meta.source.empty() ? "anon" : meta.source);
-        hint = static_cast<uint32_t>(k);
-        return k < shards_.size() ? shard_island(k) : 0;
-      });
+  // The shard is decided at dial time, against the pool health of that
+  // instant; on_accept trusts the recorded hint, so the decision is made
+  // exactly once.
+  net_.set_route_hook(opts_.listen_address,
+                      [this](const sim::ConnectMeta& meta) -> uint32_t {
+                        return static_cast<uint32_t>(route_for_key(
+                            meta.source.empty() ? "anon" : meta.source));
+                      });
 }
 
 Frontier::~Frontier() {
   net_.unlisten(opts_.listen_address);
-  net_.set_island_router(opts_.listen_address, nullptr);
+  net_.set_route_hook(opts_.listen_address, nullptr);
   for (auto& st : shard_state_) {
     if (st.token_wake_event) net_.simulator().cancel(st.token_wake_event);
     for (auto& w : st.queue) {
@@ -157,16 +154,14 @@ uint64_t Frontier::divergences() const {
 
 void Frontier::on_accept(sim::ConnPtr conn) {
   offered_->inc();
-  // The dial-time router already picked the shard (and this callback runs
-  // on that shard's island); re-deciding here could disagree with where
-  // the connection landed. An unroutable dial carries hint >= shards.
+  // The dial-time route hook already picked the shard; re-deciding here,
+  // one link latency later, could disagree with it. An unroutable dial
+  // carries hint >= shards.
   const size_t k = conn->route_hint();
   Waiting w;
   w.conn = std::move(conn);
   w.enqueued = net_.simulator().now();
-  // The connection id is unique and already known on this island; a
-  // frontier-global counter would race across shard islands.
-  w.seq = w.conn->id();
+  w.seq = w.conn->id();  // unique per connection
   if (k >= shards_.size()) {
     shed(w, "unroutable", shed_unroutable_, -1);
     return;
@@ -221,9 +216,8 @@ void Frontier::shed(Waiting& w, const std::string& reason,
   counters_.shed->inc();
   if (reason_ctr) reason_ctr->inc();
   if (opts_.tracer) {
-    // Stream per shard: sheds for different shards run on different
-    // islands, and a shared stream's draw order would depend on how the
-    // islands interleave.
+    // Stream per shard: one shard's trace ids never depend on how its
+    // sheds interleave with other shards'.
     const std::string stream = shard >= 0
                                    ? opts_.name + ".shed.s" +
                                          std::to_string(shard)
@@ -333,8 +327,6 @@ std::unique_ptr<Frontier> NVersionDeployment::Builder::build_frontier(
   fo.tracer = incoming_.tracer;
   size_t S = shard_versions_.empty() ? std::max<size_t>(1, shards_)
                                      : shard_versions_.size();
-  if (islands_ > 1)
-    net.simulator().configure_islands(islands_, net.default_latency());
   for (size_t k = 0; k < S; ++k) {
     Builder per = *this;
     per.incoming_.name = incoming_.name + "-s" + std::to_string(k);
@@ -346,18 +338,6 @@ std::unique_ptr<Frontier> NVersionDeployment::Builder::build_frontier(
     // name (shared-pool deployments usually have no backend() at all).
     for (auto& b : per.backends_)
       b.cfg.listen_address = shard_suffixed(b.cfg.listen_address, k);
-    // Shards sharing a host share its island (the host's completion
-    // events run there); island 0 is reserved for the public listener and
-    // the driver, so shards spread over 1..islands-1.
-    const size_t h = shard_hosts.empty() ? 0 : k % shard_hosts.size();
-    const IslandId isl =
-        islands_ <= 1 ? 0 : static_cast<IslandId>(1 + h % (islands_ - 1));
-    fo.shard_islands.push_back(isl);
-    if (h < shard_hosts.size()) shard_hosts[h]->pin_island(isl);
-    for (const auto& a : per.incoming_.instance_addresses)
-      net.set_node_island(sim::Network::node_of(a), isl);
-    for (const auto& b : per.backends_)
-      net.set_node_island(sim::Network::node_of(b.cfg.listen_address), isl);
     fo.shards.push_back(per.options());
   }
   return std::make_unique<Frontier>(net, shard_hosts, std::move(fo));

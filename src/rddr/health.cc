@@ -1,7 +1,6 @@
 #include "rddr/health.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace rddr::core {
 
@@ -20,20 +19,12 @@ HealthTracker::HealthTracker(Options options)
   healthy_ = inst_.size();
 }
 
-size_t HealthTracker::healthy_count() const {
-  return std::atomic_ref<const size_t>(healthy_).load(
-      std::memory_order_relaxed);
-}
-
 void HealthTracker::set_state(size_t i, State next) {
   auto& in = inst_.at(i);
   if (in.state == next) return;
-  size_t n = healthy_;
-  if (in.state == State::kHealthy) --n;
-  if (next == State::kHealthy) ++n;
+  if (in.state == State::kHealthy) --healthy_;
+  if (next == State::kHealthy) ++healthy_;
   in.state = next;
-  if (n != healthy_)
-    std::atomic_ref<size_t>(healthy_).store(n, std::memory_order_relaxed);
 }
 
 bool HealthTracker::record_failure(size_t i) {

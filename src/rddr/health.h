@@ -65,10 +65,8 @@ class HealthTracker {
 
   State state(size_t i) const { return inst_.at(i).state; }
   bool is_healthy(size_t i) const { return state(i) == State::kHealthy; }
-  /// O(1): a cached count maintained on every transition. Read with a
-  /// relaxed atomic so cross-island observers (status collectors) see a
-  /// torn-free value without taking a dependency on the owner's island.
-  size_t healthy_count() const;
+  /// O(1): a cached count maintained on every transition.
+  size_t healthy_count() const { return healthy_; }
   size_t n_instances() const { return inst_.size(); }
 
   /// Records one failure. Returns true when this crossed the threshold

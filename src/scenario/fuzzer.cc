@@ -328,7 +328,6 @@ class FuzzRunner {
     topts.variance = opts_.variance;
     topts.unit_timeout = opts_.unit_timeout;
     topts.idle_timeout = opts_.idle_timeout;
-    topts.islands = opts_.islands;
     topts.on_divergence = [this](const core::DivergenceRecord& r) {
       corpus_.push_back(r);
     };

@@ -62,18 +62,6 @@ Topology::Topology(sim::Simulator& sim, sim::Network& net,
     case 2: build_http_diamond(); break;
     default: build_pg_direct(); break;
   }
-  apply_islands();
-}
-
-void Topology::apply_islands() {
-  if (opts_.islands <= 1) return;
-  sim_.configure_islands(opts_.islands, net_.default_latency());
-  // Every service host and every listening node joins island 1; the fuzz
-  // harness's clients stay on island 0 and reach the graph across the
-  // entry links, whose latency bounds the executor's lookahead.
-  for (auto& h : hosts_) h->pin_island(1);
-  for (const std::string& n : net_.listener_nodes())
-    net_.set_node_island(n, 1);
 }
 
 Topology::~Topology() = default;

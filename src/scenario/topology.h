@@ -65,12 +65,6 @@ struct TopologyOptions {
   /// 0 disables it — the fuzzer's self-test uses that to prove the
   /// no-hang invariant actually fires).
   sim::Time idle_timeout = 600 * sim::kMillisecond;
-  /// Partition the simulation into this many islands (<= 1 = one
-  /// island). The service graph is one tightly coupled column (shared
-  /// hosts, same-tick fan-out joins), so it is pinned to one island and
-  /// the harness drives it from island 0 across the entry links; every
-  /// islands value must produce an identical run.
-  size_t islands = 1;
 };
 
 class Topology {
@@ -117,7 +111,6 @@ class Topology {
   int accounts() const { return accounts_; }
 
  private:
-  void apply_islands();
   void build_pg_direct();
   void build_http_fanout();
   void build_http_diamond();

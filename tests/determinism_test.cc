@@ -14,20 +14,29 @@
 //                        holds (tests/golden/paper/trace_smoke/).
 //  * RepeatedRunsAgree — two runs in one process agree, which the pins
 //                        (one run per process) cannot check.
+//  * ScaleoutFingerprintSameSeedTwice, ShardKillReportSameSeedTwice,
+//    FuzzReportSameSeedTwice — the same in-process repeat for the sharded
+//    frontier (pool aggregates, counters and the Chrome export), the
+//    shard-kill chaos report and the adversarial fuzzer's report.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "chaos/chaos.h"
+#include "common/strutil.h"
 #include "netsim/host.h"
 #include "netsim/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rddr/rddr.h"
+#include "scenario/fuzzer.h"
 #include "services/http_service.h"
 #include "workloads/harness.h"
+#include "workloads/pgbench.h"
 
 namespace rddr {
 namespace {
@@ -127,6 +136,101 @@ TEST(DeterminismRegression, RepeatedRunsAgree) {
   std::string a = run_trace_chrome_export();
   std::string b = run_trace_chrome_export();
   EXPECT_EQ(a, b);
+}
+
+// A compact fig5_scaleout point: 4 shards, each with its own host and
+// 3-instance minipg pool, driven by a closed client pool through the
+// sharded frontier. Returns the full determinism surface: pool aggregates,
+// frontier counters, divergences, and the canonical Chrome trace export.
+std::string run_scaleout_fingerprint() {
+  sim::Simulator sim;
+  sim::Network net(sim, 50 * sim::kMicrosecond);
+  obs::Tracer tracer([&sim] { return sim.now(); }, /*seed=*/42);
+
+  const size_t kShards = 4;
+  std::vector<std::unique_ptr<sim::Host>> hosts;
+  std::vector<sim::Host*> host_ptrs;
+  std::vector<workloads::Replicas> shard_replicas;
+  std::vector<std::vector<std::string>> pools;
+  for (size_t k = 0; k < kShards; ++k) {
+    hosts.push_back(std::make_unique<sim::Host>(
+        sim, "node-" + std::to_string(k), 32, 128LL << 30));
+    host_ptrs.push_back(hosts.back().get());
+    sqldb::SqlServer::Options so;
+    so.cpu_per_query = 2e-3;
+    so.rng_seed = 20 + k * 10;
+    so.tracer = &tracer;
+    shard_replicas.push_back(workloads::start_replicas(
+        net, 3, workloads::Pgbench{200}, so, {hosts.back().get()},
+        strformat("pg-s%zu", k)));
+    pools.push_back(shard_replicas.back().addresses);
+  }
+  auto front = core::NVersionDeployment::Builder()
+                   .name("front")
+                   .listen("front:5432")
+                   .plugin(std::make_shared<core::PgPlugin>())
+                   .filter_pair(true)
+                   .cpu_model(workloads::kPaperProxyCpu.per_unit_s,
+                              workloads::kPaperProxyCpu.per_byte_s)
+                   .shard_versions(pools)
+                   .trace(&tracer)
+                   .build_frontier(net, host_ptrs);
+
+  workloads::ClientPoolOptions opts;
+  opts.address = "front:5432";
+  opts.clients = 8;
+  opts.transactions_per_client = 12;
+  opts.seed = 5;
+  opts.tracer = &tracer;
+  opts.next_query = [](Rng& rng, int, int) {
+    return workloads::pgbench_select_tx(rng, 200);
+  };
+  workloads::PoolResult pool = workloads::run_client_pool(sim, net, opts);
+
+  core::ProxyStats agg = front->aggregate_stats();
+  std::string fp = strformat(
+      "tps=%.17g mean=%.17g p50=%.17g elapsed=%.17g failed=%llu "
+      "sessions=%llu units=%llu divergences=%llu shed=%llu bus=%llu\n",
+      pool.throughput_tps(), pool.latency_ms.mean(),
+      pool.latency_ms.percentile(50),
+      static_cast<double>(pool.elapsed) / 1e9,
+      static_cast<unsigned long long>(pool.failed),
+      static_cast<unsigned long long>(agg.sessions),
+      static_cast<unsigned long long>(agg.units_compared),
+      static_cast<unsigned long long>(agg.divergences),
+      static_cast<unsigned long long>(front->stats().shed),
+      static_cast<unsigned long long>(front->divergences()));
+  fp += tracer.export_chrome();
+  return fp;
+}
+
+TEST(DeterminismRegression, ScaleoutFingerprintSameSeedTwice) {
+  const std::string first = run_scaleout_fingerprint();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, run_scaleout_fingerprint());
+}
+
+TEST(DeterminismRegression, ShardKillReportSameSeedTwice) {
+  chaos::ShardKillOptions opts;
+  opts.sessions = 60;
+  opts.settle = 8 * sim::kSecond;
+  const std::string first = chaos::run_shard_kill(opts, /*seed=*/7).summary();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, chaos::run_shard_kill(opts, /*seed=*/7).summary());
+}
+
+TEST(DeterminismRegression, FuzzReportSameSeedTwice) {
+  for (int topo = 0; topo < 2; ++topo) {
+    SCOPED_TRACE(strformat("topology=%d", topo));
+    scenario::FuzzOptions fopts;
+    fopts.topology = topo;
+    fopts.benign_sessions = 6;
+    fopts.ops_per_family = 1;
+    const std::string first =
+        scenario::run_fuzz_seed(/*seed=*/11, fopts).summary();
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, scenario::run_fuzz_seed(/*seed=*/11, fopts).summary());
+  }
 }
 
 }  // namespace

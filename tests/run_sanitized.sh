@@ -3,11 +3,10 @@
 #
 #   tests/run_sanitized.sh [ctest-args...]
 #
-# Uses the `asan` (ASan+UBSan), `ubsan` (UBSan only) and `tsan`
-# (ThreadSanitizer) CMake presets (build dirs: build-asan/, build-ubsan/,
-# build-tsan/). The asan and ubsan lanes run all of ctest, which
-# includes label `pin`: every example and bench run, each exiting 0 with
-# stdout, stderr and written files byte-identical to its golden under
+# Uses the `asan` (ASan+UBSan) and `ubsan` (UBSan only) CMake presets
+# (build dirs: build-asan/, build-ubsan/). Both lanes run all of ctest,
+# which includes label `pin`: every example and bench run, each exiting
+# 0 with stdout, stderr and written files byte-identical to its golden under
 # tests/golden/paper/ (bench/CMakeLists.txt), so each bench's own
 # self-checks and the paper's outputs are checked under the sanitizers
 # too. Any extra arguments are passed through to ctest. Note that ctest
@@ -32,28 +31,6 @@ for preset in asan ubsan; do
   cmake --build --preset "$preset" -j "$(nproc)"
   ctest --test-dir "build-$preset" --output-on-failure -j "$(nproc)" "$@"
 done
-
-# ThreadSanitizer lane: the multi-island executor is the repo's only
-# real concurrency, so tsan runs the parallel-focused suites (executor,
-# netsim, frontier, chaos/fuzz island property tests) plus the 16-shard
-# island gate. RDDR_PARALLEL_THREADS=2 forces real worker threads even
-# on single-core CI boxes, where the hardware default would collapse to
-# one thread and tsan would have nothing to watch. Thread count never
-# affects results — only what tsan gets to race-check.
-cmake --preset tsan
-cmake --build --preset tsan -j "$(nproc)"
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-RDDR_PARALLEL_THREADS=2 \
-  ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R 'Parallel|Simulator|Network|Frontier|Fault' "$@"
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" RDDR_PARALLEL_THREADS=2 \
-  "$repo/build-tsan/bench/fig5_scaleout" --smoke --islands=4 >/dev/null
-
-# Attribution under tsan: the islands={1,2} replay runs the multi-island
-# executor with real worker threads; the byte-identity check then proves
-# execution indices are unaffected by scheduling.
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" RDDR_PARALLEL_THREADS=2 \
-  "$repo/build-tsan/bench/table1_graph" --smoke
 
 # Perf smoke (optimised build, not sanitized — sanitizers skew timing):
 # the simulator core must stay above the events/sec floor. See
