@@ -3,14 +3,12 @@
 # ctest label `pin` compares them with tests/golden/paper/; this script
 # measures what producing them costs on this host. It writes
 #   BENCH_paper.json    — nproc and build type; wall time and peak RSS
-#                         (bench/host_cost) of every `pin` run and of the
-#                         full fig5_scaleout, each run alone in a fresh
-#                         directory under the build dir;
+#                         (bench/host_cost) of every `pin` run, each run
+#                         alone in a fresh directory under the build dir;
 #                         simloop_throughput's events/s
 #   BENCH_hotpaths.json — google-benchmark JSON for the micro hot paths
-# at the repo root. The full fig5_scaleout runs through pin_stdout.cmake
-# against tests/golden/paper/fig5_scaleout/. If any run exits nonzero,
-# the script does too, after writing the file.
+# at the repo root. If any run exits nonzero, the script does too, after
+# writing the file.
 #
 #   bench/run_benches.sh          full run (about two minutes)
 #   bench/run_benches.sh --smoke  fast regression gates only: the
@@ -117,14 +115,6 @@ for test in pins:
     d = dict(a[2:].split("=", 1) for a in test["command"] if a.startswith("-D"))
     name = os.path.basename(d["DIR"])
     runs[name], _ = timed(name, [d["BIN"]] + d["ARGS"].split())
-
-# The full fig5_scaleout, checked against its golden as a pin would be
-# (its wall_s includes cmake's ~0.04 s).
-runs["fig5_scaleout"], _ = timed("fig5_scaleout", [
-    "cmake", f"-DBIN={build}/bench/fig5_scaleout",
-    f"-DDIR={build}/bench/pin/fig5_scaleout",
-    f"-DGOLDEN={root}/tests/golden/paper/fig5_scaleout",
-    "-P", f"{root}/bench/pin_stdout.cmake"])
 
 _, out = timed("simloop_throughput", [f"{build}/bench/simloop_throughput"])
 

@@ -111,10 +111,8 @@ enum class Op : uint8_t {
   kBadColumn,   // unbound, or names no column (42703) or several (42702)
   kCurrentUser, // bare current_user that names no column
   kParam,       // $n (function bodies)
-  kNeg, kNot,
   kAnd, kOr,
-  kEq, kNe, kLt, kLe, kGt, kGe,
-  kConcat, kAdd, kSub, kMul, kDiv, kMod,
+  kOperator,    // a builtin operator: NOT, -, +, =, || ...
   kCustomOp,    // resolved through the operator catalog at call time
   kCall,        // user-defined function first, else the builtin
   kAggregate,   // COUNT/SUM/AVG/MIN/MAX (no operand for COUNT(*))
@@ -128,7 +126,7 @@ inline constexpr uint8_t kNoBuiltin = UINT8_MAX;
 /// tested value and then the list.
 struct Node {
   Op op = Op::kLiteral;
-  uint8_t builtin = kNoBuiltin;  // kCall: index into builtins()
+  uint8_t builtin = kNoBuiltin;  // kCall, kOperator: index into builtins()
   bool negated = false;    // IS NOT NULL / NOT LIKE / NOT IN / NOT BETWEEN
   bool star = false;       // COUNT(*)
   bool distinct = false;   // COUNT(DISTINCT x)
@@ -139,7 +137,7 @@ struct Node {
   uint32_t column = 0;  // kColumn: column ordinal; kParam: n of $n
   Node* first = nullptr;
   Node* next = nullptr;
-  std::string_view name;   // column, function or operator symbol
+  std::string_view name;   // column, function, operator symbol or "not"
   std::string_view table;  // column qualifier, may be empty
   Datum literal;           // kLiteral; text views the statement's text
 
@@ -153,7 +151,15 @@ struct Node {
 inline bool is_column_ref(Op op) {
   return op == Op::kColumn || op == Op::kBadColumn || op == Op::kCurrentUser;
 }
-inline bool is_binary(Op op) { return op >= Op::kAnd && op <= Op::kCustomOp; }
+/// AND, OR, or an operator between two operands.
+inline bool is_infix(const Node& n) {
+  return n.op >= Op::kAnd && n.op <= Op::kCustomOp && n.n_kids == 2;
+}
+/// The builtin operator `symbol` applied to `arity` operands.
+inline bool is_operator(const Node& n, std::string_view symbol,
+                        uint32_t arity = 2) {
+  return n.op == Op::kOperator && n.n_kids == arity && n.name == symbol;
+}
 
 /// The expression as SQL that parses back to the same program (EXPLAIN
 /// output, catalog copies and snapshots).

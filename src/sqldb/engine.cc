@@ -386,7 +386,7 @@ bool rls_applies(const TableData& t, const std::string& user) {
 std::optional<int64_t> int_literal(const Node& e) {
   if (e.op == Op::kLiteral && e.literal.type() == Type::kInt)
     return e.literal.as_int();
-  if (e.op == Op::kNeg) {
+  if (is_operator(e, "-", 1)) {
     // INT64_MIN has its own literal; negating it would overflow.
     std::optional<int64_t> v = int_literal(*e.first);
     if (v && *v != INT64_MIN) return -*v;
@@ -408,7 +408,7 @@ std::optional<IndexProbe> index_probe(const TableData& t, const Node* e) {
     if (auto out = index_probe(t, &e->kid(1))) return out;
     return index_probe(t, e->first);
   }
-  if (e->op != Op::kEq) return std::nullopt;
+  if (!is_operator(*e, "=")) return std::nullopt;
   const Node* col = e->first;
   const Node* lit = col->next;
   if (!is_column_ref(col->op)) std::swap(col, lit);
@@ -433,7 +433,7 @@ void probe_statistics(const Database& db, const std::string& user, Node& e,
                       std::span<const ScopeLevel> from, StatementResult& out) {
   for (Node* k = e.first; k; k = k->next)
     probe_statistics(db, user, *k, from, out);
-  if (!is_binary(e.op)) return;
+  if (!is_infix(e)) return;
   auto oit = db.operators().find(e.name);
   if (oit == db.operators().end()) return;
   if (oit->second.restrict_estimator.empty()) return;
@@ -727,7 +727,8 @@ StatementResult Session::run_select(SelectStmt& sel, bool explain_only,
   for (const auto& item : sel.items)
     if (!item.star) ev.bind(*item.expr, from);
   for (Node* g : sel.group_by) ev.bind(*g, from);
-  const Node* const having = sel.having ? ev.bind(*sel.having, from) : nullptr;
+  Node* const having = sel.having;
+  if (having) ev.bind(*having, from);
   for (const auto& oi : sel.order_by) ev.bind(*oi.expr, from);
 
   // ---- Build the joined, filtered row stream. ----
@@ -903,7 +904,7 @@ StatementResult Session::run_select(SelectStmt& sel, bool explain_only,
       // HAVING filter.
       if (having) {
         Datum tmp;
-        const Datum* v = ev.eval_group(having, rows, tmp);
+        const Datum* v = ev.eval_group(*having, rows, tmp);
         if (!v) return fail_with(out, ev.error());
         if (!datum_is_true(*v)) continue;
       }
@@ -912,7 +913,7 @@ StatementResult Session::run_select(SelectStmt& sel, bool explain_only,
           return fail_with(out,
                            {"42803", "SELECT * not allowed with GROUP BY"});
         Datum tmp;
-        const Datum* v = ev.eval_group(item.expr, rows, tmp);
+        const Datum* v = ev.eval_group(*item.expr, rows, tmp);
         if (!v) return fail_with(out, ev.error());
         cells.push_back(arena, keep(v, tmp));
       }

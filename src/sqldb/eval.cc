@@ -54,40 +54,16 @@ std::string expand_notice(const std::string& fmt,
   return out;
 }
 
-/// SQL three-valued AND/OR of two operands. The left-only outcomes are
-/// the ones the lazy evaluator short-circuits on.
-Datum logic(bool is_and, const Datum& l, const Datum& r) {
-  bool l_known = !l.is_null();
-  bool l_true = datum_is_true(l);
-  if (is_and && l_known && !l_true) return Datum::boolean(false);
-  if (!is_and && l_true) return Datum::boolean(true);
-  bool r_known = !r.is_null();
-  bool r_true = datum_is_true(r);
-  if (is_and) {
-    if (!l_known || !r_known)
-      return r_known && !r_true ? Datum::boolean(false) : Datum();
-    return Datum::boolean(l_true && r_true);
-  }
-  if (!l_known || !r_known) return r_true ? Datum::boolean(true) : Datum();
-  return Datum::boolean(l_true || r_true);
-}
-
-/// IN-list membership of `v` among `items`: true on a match, NULL when a
-/// comparison was unknown, false otherwise (NOT IN inverts the known
-/// outcomes).
-Datum in_list(bool negated, const Datum& v, const Datum* const* items,
-              size_t count) {
-  bool saw_null = v.is_null();
-  for (size_t i = 0; i < count; ++i) {
-    auto c = v.compare(*items[i]);
-    if (!c) {
-      saw_null = true;
-      continue;
-    }
-    if (*c == 0) return Datum::boolean(!negated);
-  }
-  if (saw_null) return Datum();
-  return Datum::boolean(negated);
+/// Whether an argument of kind `kind` keeps a value of type `t` as it is.
+bool keeps(ArgKind kind, Type t) {
+  constexpr unsigned kNull = 1u << int(Type::kNull);
+  constexpr unsigned kKeeps[] = {
+      ~0u,                                                      // kAny
+      kNull | 1u << int(Type::kText),                           // kText
+      kNull | 1u << int(Type::kInt) | 1u << int(Type::kFloat),  // kNumber
+      kNull | 1u << int(Type::kInt),                            // kInt8
+  };
+  return kKeeps[int(kind)] >> int(t) & 1;
 }
 
 /// `d` read as `kind`, as coerce() reads it for a column: `d` itself, or
@@ -95,18 +71,42 @@ Datum in_list(bool negated, const Datum& v, const Datum* const* items,
 const Datum* read_as(ArgKind kind, const Datum& d, Datum& tmp,
                      SqlError& err) {
   const Type t = d.type();
-  Type as = t;
-  if (kind == ArgKind::kText) as = Type::kText;
-  if (kind == ArgKind::kInt8) as = Type::kInt;
-  if (kind == ArgKind::kNumber && t == Type::kBool) as = Type::kInt;
-  if (kind == ArgKind::kNumber && t == Type::kText) as = Type::kFloat;
-  if (as == t || t == Type::kNull) return &d;
+  if (keeps(kind, t)) return &d;
+  // A number reads a bool as an int and text as a float.
+  const Type as = kind == ArgKind::kText ? Type::kText
+                  : kind == ArgKind::kInt8 || t == Type::kBool ? Type::kInt
+                                                                : Type::kFloat;
   tmp = d;
   return coerce(tmp, as, err) ? &tmp : nullptr;
 }
 
+/// Each of a builtin's `count` arguments `v[i]` read as its kind, into
+/// `read[i]` when that changes it; false with `err` set when one does not
+/// read.
+[[gnu::noinline]] bool read_args(const BuiltinDef& def, const Datum** v,
+                                 Datum* read, size_t count, SqlError& err) {
+  for (size_t i = 0; i < std::size(def.kinds) && i < count; ++i)
+    if (!(v[i] = read_as(def.kinds[i], *v[i], read[i], err))) return false;
+  return true;
+}
+
+// The ends of a builtin call that fail, out of line: false, with `err`
+// set to 42883 for a call outside the arity, or to a declared error.
+[[gnu::cold]] bool no_such_builtin(std::string_view name, size_t count,
+                                   SqlError& err) {
+  err = {"42883",
+         strformat("function %.*s(%zu arguments) does not exist",
+                   static_cast<int>(name.size()), name.data(), count)};
+  return false;
+}
+[[gnu::cold]] bool raise(const BuiltinDef::Error& e, SqlError& err) {
+  err = {e.sqlstate, e.message};
+  return false;
+}
+
 /// Operand values of one node: pointers to each value plus storage for
-/// the ones computed into temporaries. Up to four operands need no heap.
+/// the ones computed into temporaries, or read as a builtin's argument
+/// kind. Up to four operands need no heap.
 class Operands {
  public:
   explicit Operands(size_t n) {
@@ -120,9 +120,8 @@ class Operands {
   Operands(const Operands&) = delete;
   Operands& operator=(const Operands&) = delete;
 
-  Datum& tmp(size_t i) { return tmp_[i]; }
-  void set(size_t i, const Datum* v) { ptr_[i] = v; }
-  const Datum* const* values() const { return ptr_; }
+  Datum* tmp() { return tmp_; }
+  const Datum** values() { return ptr_; }
 
  private:
   static constexpr size_t kInline = 4;
@@ -154,9 +153,28 @@ constexpr ArgKind kText = ArgKind::kText, kNumber = ArgKind::kNumber,
                   kInt8 = ArgKind::kInt8;
 constexpr uint8_t kVariadic = BuiltinDef::kVariadic;
 
+/// `x op y` of two numbers: int8 when both are ints, where leaving the
+/// int64 range raises errors[0] (22003), as in Postgres, never a wrapped
+/// value; a double otherwise.
+template <typename IntOp, typename FloatOp>
+Datum arithmetic(Args a, IntOp overflows, FloatOp op) {
+  const Datum &x = *a.v[0], &y = *a.v[1];
+  if (x.type() != Type::kInt || y.type() != Type::kInt)
+    return Datum::floating(op(x.numeric(), y.numeric()));
+  int64_t r;
+  if (overflows(x.as_int(), y.as_int(), r)) return a.raise(0);
+  return Datum::integer(r);
+}
+
+/// The three-way comparison of a comparison operator's two arguments,
+/// neither of them NULL.
+int compare(Args a) { return *a.v[0]->compare(*a.v[1]); }
+
 // Names, arity, strict, argument kinds, declared errors and body of each
-// builtin, as PostgreSQL 16 defines its namesake (§9.3 mathematical, §9.4
-// string, §9.18 conditional and §9.26 session information functions).
+// builtin, as PostgreSQL 16 defines its namesake (§9.1 logical, §9.2
+// comparison and §9.3 mathematical operators, §9.3 mathematical, §9.4
+// string, §9.18 conditional and §9.26 session information functions). An
+// operator is named by its symbol; `-` is both negation and subtraction.
 constexpr BuiltinDef kBuiltins[] = {
     {{"lower"}, 1, 1, true, {kText}, {},
      [](Args a) { return Datum::text(to_lower(a.v[0]->as_text())); }},
@@ -209,7 +227,7 @@ constexpr BuiltinDef kBuiltins[] = {
      [](Args a) { return Datum::floating(std::floor(a.v[0]->numeric())); }},
     {{"ceil"}, 1, 1, true, {kNumber}, {},
      [](Args a) { return Datum::floating(std::ceil(a.v[0]->numeric())); }},
-    {{"mod"}, 2, 2, true, {kNumber, kNumber},
+    {{"mod", "%"}, 2, 2, true, {kNumber, kNumber},
      {{"22012", "division by zero", "1, 0"}},
      [](Args a) {
        const Datum &x = *a.v[0], &y = *a.v[1];
@@ -240,9 +258,76 @@ constexpr BuiltinDef kBuiltins[] = {
      [](Args a) { return Datum::text(a.db.info().version_banner); }},
     {{"current_user"}, 0, 0, true, {}, {},
      [](Args a) { return Datum::text(a.user); }},
+    {{"not"}, 1, 1, true, {},
+     {{"42804", "argument of NOT must be boolean", "1"}},
+     [](Args a) {
+       const Datum& x = *a.v[0];
+       if (x.type() != Type::kBool) return a.raise(0);
+       return Datum::boolean(!x.as_bool());
+     }},
+    {{"+"}, 2, 2, true, {kNumber, kNumber},
+     {{"22003", "bigint out of range", "9223372036854775807, 1"}},
+     [](Args a) {
+       return arithmetic(
+           a, [](int64_t x, int64_t y, int64_t& r) {
+             return __builtin_add_overflow(x, y, &r);
+           },
+           [](double x, double y) { return x + y; });
+     }},
+    {{"-"}, 1, 2, true, {kNumber, kNumber},
+     {{"22003", "bigint out of range", "-9223372036854775808, 1"},
+      {"22003", "bigint out of range", "-9223372036854775808"}},
+     [](Args a) {
+       if (a.count == 2)
+         return arithmetic(
+             a, [](int64_t x, int64_t y, int64_t& r) {
+               return __builtin_sub_overflow(x, y, &r);
+             },
+             [](double x, double y) { return x - y; });
+       const Datum& x = *a.v[0];
+       if (x.type() != Type::kInt) return Datum::floating(-x.numeric());
+       if (x.as_int() == INT64_MIN) return a.raise(1);
+       return Datum::integer(-x.as_int());
+     }},
+    {{"*"}, 2, 2, true, {kNumber, kNumber},
+     {{"22003", "bigint out of range", "4611686018427387904, 2"}},
+     [](Args a) {
+       return arithmetic(
+           a, [](int64_t x, int64_t y, int64_t& r) {
+             return __builtin_mul_overflow(x, y, &r);
+           },
+           [](double x, double y) { return x * y; });
+     }},
+    {{"/"}, 2, 2, true, {kNumber, kNumber},
+     {{"22012", "division by zero", "1, 0"},
+      {"22003", "bigint out of range", "-9223372036854775808, -1"}},
+     [](Args a) {
+       const Datum &x = *a.v[0], &y = *a.v[1];
+       if (x.type() != Type::kInt || y.type() != Type::kInt) {
+         if (y.numeric() == 0) return a.raise(0);
+         return Datum::floating(x.numeric() / y.numeric());
+       }
+       if (y.as_int() == 0) return a.raise(0);
+       if (x.as_int() == INT64_MIN && y.as_int() == -1) return a.raise(1);
+       return Datum::integer(x.as_int() / y.as_int());
+     }},
+    {{"||"}, 2, 2, true, {kText, kText}, {}, [](Args a) {
+       std::string s(a.v[0]->as_text());
+       return Datum::text(s.append(a.v[1]->as_text()));
+     }},
+    {{"="}, 2, 2, true, {}, {},
+     [](Args a) { return Datum::boolean(compare(a) == 0); }},
+    {{"<>", "!="}, 2, 2, true, {}, {},
+     [](Args a) { return Datum::boolean(compare(a) != 0); }},
+    {{"<"}, 2, 2, true, {}, {},
+     [](Args a) { return Datum::boolean(compare(a) < 0); }},
+    {{"<="}, 2, 2, true, {}, {},
+     [](Args a) { return Datum::boolean(compare(a) <= 0); }},
+    {{">"}, 2, 2, true, {}, {},
+     [](Args a) { return Datum::boolean(compare(a) > 0); }},
+    {{">="}, 2, 2, true, {}, {},
+     [](Args a) { return Datum::boolean(compare(a) >= 0); }},
 };
-
-const BuiltinDef& kModBuiltin = kBuiltins[builtin_of("mod")];
 
 }  // namespace
 
@@ -253,6 +338,10 @@ uint8_t builtin_of(std::string_view name) {
     for (std::string_view n : kBuiltins[i].names)
       if (n == name) return i;
   return kNoBuiltin;
+}
+
+bool is_operator_name(std::string_view name) {
+  return name == "not" || !(name[0] >= 'a' && name[0] <= 'z');
 }
 
 bool coerce(Datum& d, Type target, SqlError& err) {
@@ -358,7 +447,7 @@ std::optional<Evaluator::JoinKey> Evaluator::join_key(const Node* on,
       if (auto key = self(self, n.kid(0))) return key;
       return self(self, n.kid(1));
     }
-    if (n.op != Op::kEq) return std::nullopt;
+    if (!is_operator(n, "=")) return std::nullopt;
     const Node& a = n.kid(0);
     const Node& b = n.kid(1);
     if (a.op != Op::kColumn || b.op != Op::kColumn) return std::nullopt;
@@ -383,9 +472,13 @@ const Datum* Evaluator::eval_constant(Node& e, Datum& tmp) {
   return eval(bind(e, {}), nullptr, tmp);
 }
 
-const Datum* Evaluator::eval_group(const Node* root, const GroupRows& group,
+const Datum* Evaluator::eval_group(Node& root, const GroupRows& group,
                                    Datum& tmp) {
-  return ev_group(*root, group, tmp);
+  if (group.size == 0) bind(root, {});
+  group_ = &group;
+  const Datum* v = eval(&root, group.size ? group.member(0) : nullptr, tmp);
+  group_ = nullptr;
+  return v;
 }
 
 bool Evaluator::row_visible(const TableData& t, const Row& row,
@@ -424,8 +517,10 @@ bool Evaluator::call_function(const FunctionDef& fn, const Datum* const* args,
   params.reserve(count);
   for (size_t i = 0; i < count; ++i) params.push_back(*args[i]);
   const Row* const* rows = rows_;
+  const GroupRows* group = group_;
   const std::vector<Datum>* outer_params = params_;
   rows_ = nullptr;
+  group_ = nullptr;
   params_ = &params;
   ++depth_;
   bool ok = true;
@@ -454,6 +549,7 @@ bool Evaluator::call_function(const FunctionDef& fn, const Datum* const* args,
   }
   --depth_;
   params_ = outer_params;
+  group_ = group;
   rows_ = rows;
   return ok;
 }
@@ -471,6 +567,35 @@ inline const Datum* Evaluator::ev(const Node& n, Datum& tmp) {
   if (n.op == Op::kColumn) return &(*rows_[n.level])[n.column];
   if (n.op == Op::kLiteral) return &n.literal;
   return ev_node(n, tmp);
+}
+
+/// The builtin prologue, for functions and operators alike: `def`'s arity
+/// (42883), NULL for a NULL argument of a strict builtin, and each
+/// argument read as its kind (read_args). Then the body computes `out` or
+/// raises a declared error.
+[[gnu::always_inline]] inline bool Evaluator::builtin(
+    const BuiltinDef& def, std::string_view name, const Datum** v, Datum* read,
+    size_t count, Datum& out) {
+  if (count < def.min_args ||
+      (def.max_args != kVariadic && count > def.max_args)) [[unlikely]]
+    return no_such_builtin(name, count, error_);
+  for (size_t i = 0; def.strict && i < count; ++i) {
+    if (v[i]->is_null()) {
+      out = Datum();
+      return true;
+    }
+  }
+  // Most arguments already have a type their kind keeps.
+  for (size_t i = 0; i < std::size(def.kinds) && i < count; ++i) {
+    if (keeps(def.kinds[i], v[i]->type())) continue;
+    if (!read_args(def, v, read, count, error_)) return false;
+    break;
+  }
+  const BuiltinArgs a{v, count, db_, user_};
+  out = def.body(a);
+  if (!a.raised) [[likely]]
+    return true;
+  return raise(def.errors[a.raised - 1], error_);
 }
 
 const Datum* Evaluator::ev_node(const Node& n, Datum& tmp) {
@@ -494,21 +619,21 @@ const Datum* Evaluator::ev_node(const Node& n, Datum& tmp) {
     }
     case Op::kAnd:
     case Op::kOr: {
-      // Three-valued short-circuit: the right side is evaluated only
-      // when the left one does not decide.
-      bool is_and = n.op == Op::kAnd;
-      Datum lt;
+      // Three-valued logic: a side decides when it is false for AND or
+      // true for OR, so the right side is evaluated only when the left
+      // one does not.
+      const bool is_and = n.op == Op::kAnd;
+      auto decides = [is_and](const Datum& d) {
+        return is_and ? !d.is_null() && !datum_is_true(d) : datum_is_true(d);
+      };
+      Datum lt, rt;
       const Datum* l = ev(*n.first, lt);
       if (!l) return nullptr;
-      bool l_true = datum_is_true(*l);
-      if ((is_and && !l->is_null() && !l_true) || (!is_and && l_true)) {
-        tmp = Datum::boolean(l_true);
-        return &tmp;
-      }
-      Datum rt;
-      const Datum* r = ev(*n.first->next, rt);
+      const Datum* r = decides(*l) ? l : ev(*n.first->next, rt);
       if (!r) return nullptr;
-      tmp = logic(is_and, *l, *r);
+      if (decides(*r)) tmp = Datum::boolean(!is_and);
+      else if (l->is_null() || r->is_null()) tmp = Datum();
+      else tmp = Datum::boolean(is_and);
       return &tmp;
     }
     case Op::kInList: {
@@ -546,53 +671,78 @@ const Datum* Evaluator::ev_node(const Node& n, Datum& tmp) {
       return &tmp;
     }
     case Op::kAggregate:
+      if (group_) return aggregate(n, *group_, tmp) ? &tmp : nullptr;
       return fail("42803",
                   "aggregate not allowed here: " + std::string(n.name));
-    case Op::kEq: case Op::kNe: case Op::kLt: case Op::kLe: case Op::kGt:
-    case Op::kGe: case Op::kConcat: case Op::kAdd: case Op::kSub:
-    case Op::kMul: case Op::kDiv: case Op::kMod: case Op::kCustomOp: {
-      Datum lt, rt;
-      const Datum* l = ev(*n.first, lt);
-      if (!l) return nullptr;
-      const Datum* r = ev(*n.first->next, rt);
-      if (!r) return nullptr;
-      return binary(n, *l, *r, tmp) ? &tmp : nullptr;
+    case Op::kOperator: {
+      Datum t[2];
+      const Datum* v[2];
+      if (!(v[0] = ev(*n.first, t[0]))) return nullptr;
+      if (n.n_kids == 2 && !(v[1] = ev(*n.first->next, t[1]))) return nullptr;
+      return builtin(kBuiltins[n.builtin], n.name, v, t, n.n_kids, tmp)
+                 ? &tmp
+                 : nullptr;
     }
-    case Op::kNeg: case Op::kNot: case Op::kCall: case Op::kIsNull:
-    case Op::kLike: case Op::kBetween:
+    case Op::kIsNull: {
+      const Datum* v = ev(*n.first, tmp);
+      if (!v) return nullptr;
+      tmp = Datum::boolean(v->is_null() != n.negated);
+      return &tmp;
+    }
+    case Op::kCustomOp:
+    case Op::kCall:
+    case Op::kLike:
+    case Op::kBetween:
       break;
   }
-  // Strict nodes: every operand, in order, then the operator.
+  // Every operand, in order, then the operator.
   Operands ops(n.n_kids);
+  const Datum** v = ops.values();
   size_t i = 0;
-  for (const Node* k = n.first; k; k = k->next, ++i) {
-    const Datum* v = ev(*k, ops.tmp(i));
-    if (!v) return nullptr;
-    ops.set(i, v);
+  for (const Node* k = n.first; k; k = k->next, ++i)
+    if (!(v[i] = ev(*k, ops.tmp()[i]))) return nullptr;
+  switch (n.op) {
+    case Op::kLike: {
+      if (v[0]->is_null() || v[1]->is_null()) {
+        tmp = Datum();
+        return &tmp;
+      }
+      Datum t, p;
+      const bool m = like_match(read_as(kText, *v[0], t, error_)->as_text(),
+                                read_as(kText, *v[1], p, error_)->as_text());
+      tmp = Datum::boolean(m != n.negated);
+      return &tmp;
+    }
+    case Op::kBetween: {
+      auto c1 = v[0]->compare(*v[1]);
+      auto c2 = v[0]->compare(*v[2]);
+      tmp = !c1 || !c2 ? Datum()
+                       : Datum::boolean((*c1 >= 0 && *c2 <= 0) != n.negated);
+      return &tmp;
+    }
+    case Op::kCall: {
+      // A user-defined function shadows the builtin of its name.
+      auto fit = db_.functions().find(n.name);
+      if (fit != db_.functions().end())
+        return call_function(fit->second, v, n.n_kids, tmp) ? &tmp : nullptr;
+      if (n.builtin == kNoBuiltin)
+        return fail("42883", "unknown function: " + std::string(n.name));
+      return builtin(kBuiltins[n.builtin], n.name, v, ops.tmp(), n.n_kids, tmp)
+                 ? &tmp
+                 : nullptr;
+    }
+    default: {
+      // Custom operator: resolved through the operator catalog.
+      auto oit = db_.operators().find(n.name);
+      if (oit == db_.operators().end())
+        return fail("42883", "operator does not exist: " + std::string(n.name));
+      auto fit = db_.functions().find(oit->second.procedure);
+      if (fit == db_.functions().end())
+        return fail("42883",
+                    "operator procedure missing: " + oit->second.procedure);
+      return call_function(fit->second, v, 2, tmp) ? &tmp : nullptr;
+    }
   }
-  return apply(n, ops.values(), n.n_kids, tmp) ? &tmp : nullptr;
-}
-
-const Datum* Evaluator::ev_group(const Node& n, const GroupRows& g,
-                                 Datum& tmp) {
-  if (n.op == Op::kAggregate) return aggregate(n, g, tmp) ? &tmp : nullptr;
-  if (n.n_kids == 0) {
-    if (g.size == 0 && (n.op == Op::kColumn || n.op == Op::kBadColumn ||
-                        n.op == Op::kCurrentUser))
-      return column_without_row(n, tmp);
-    rows_ = g.size ? g.member(0) : nullptr;
-    return ev(n, tmp);
-  }
-  // Every operand is evaluated (no short-circuit), then the operator is
-  // applied to the values.
-  Operands ops(n.n_kids);
-  size_t i = 0;
-  for (const Node* k = n.first; k; k = k->next, ++i) {
-    const Datum* v = ev_group(*k, g, ops.tmp(i));
-    if (!v) return nullptr;
-    ops.set(i, v);
-  }
-  return apply(n, ops.values(), n.n_kids, tmp) ? &tmp : nullptr;
 }
 
 /// A column reference evaluated with no row in scope: only the bare
@@ -607,207 +757,6 @@ const Datum* Evaluator::column_without_row(const Node& n, Datum& tmp) {
   return fail("42703", "column does not exist: " + name.append(n.name));
 }
 
-bool Evaluator::apply(const Node& n, const Datum* const* v, size_t count,
-                      Datum& out) {
-  switch (n.op) {
-    case Op::kNeg:
-    case Op::kNot: {
-      const Datum& d = *v[0];
-      if (d.is_null()) {
-        out = Datum();
-      } else if (n.op == Op::kNeg) {
-        // Text must read as a number, as for binary arithmetic (22P02).
-        Datum t;
-        const Datum* x = read_as(kNumber, d, t, error_);
-        if (!x) return false;
-        if (x->type() != Type::kInt) {
-          out = Datum::floating(-x->numeric());
-        } else if (x->as_int() == INT64_MIN) {
-          fail("22003", "bigint out of range");
-          return false;
-        } else {
-          out = Datum::integer(-x->as_int());
-        }
-      } else {
-        if (d.type() != Type::kBool) {
-          fail("42804", "argument of NOT must be boolean");
-          return false;
-        }
-        out = Datum::boolean(!d.as_bool());
-      }
-      return true;
-    }
-    case Op::kAnd:
-    case Op::kOr:
-      out = logic(n.op == Op::kAnd, *v[0], *v[1]);
-      return true;
-    case Op::kCall:
-      return call(n, v, count, out);
-    case Op::kIsNull: {
-      bool isnull = v[0]->is_null();
-      out = Datum::boolean(n.negated ? !isnull : isnull);
-      return true;
-    }
-    case Op::kLike: {
-      if (v[0]->is_null() || v[1]->is_null()) {
-        out = Datum();
-        return true;
-      }
-      Datum t, p;
-      bool m = like_match(read_as(kText, *v[0], t, error_)->as_text(),
-                          read_as(kText, *v[1], p, error_)->as_text());
-      out = Datum::boolean(n.negated ? !m : m);
-      return true;
-    }
-    case Op::kBetween: {
-      auto c1 = v[0]->compare(*v[1]);
-      auto c2 = v[0]->compare(*v[2]);
-      if (!c1 || !c2) {
-        out = Datum();
-      } else {
-        bool in = *c1 >= 0 && *c2 <= 0;
-        out = Datum::boolean(n.negated ? !in : in);
-      }
-      return true;
-    }
-    case Op::kInList:
-      out = in_list(n.negated, *v[0], v + 1, count - 1);
-      return true;
-    case Op::kCase: {
-      size_t pairs = (count - (n.has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        if (datum_is_true(*v[2 * i])) {
-          out = *v[2 * i + 1];
-          return true;
-        }
-      }
-      out = n.has_else ? *v[count - 1] : Datum();
-      return true;
-    }
-    default:
-      return binary(n, *v[0], *v[1], out);
-  }
-}
-
-bool Evaluator::binary(const Node& n, const Datum& l, const Datum& r,
-                       Datum& out) {
-  switch (n.op) {
-    case Op::kEq: case Op::kNe: case Op::kLt: case Op::kLe: case Op::kGt:
-    case Op::kGe: {
-      auto c = l.compare(r);
-      if (!c) {
-        out = Datum();  // NULL comparison
-        return true;
-      }
-      int cv = *c;
-      bool res = false;
-      switch (n.op) {
-        case Op::kEq: res = cv == 0; break;
-        case Op::kNe: res = cv != 0; break;
-        case Op::kLt: res = cv < 0; break;
-        case Op::kLe: res = cv <= 0; break;
-        case Op::kGt: res = cv > 0; break;
-        default: res = cv >= 0;
-      }
-      out = Datum::boolean(res);
-      return true;
-    }
-    case Op::kConcat:
-      out = l.is_null() || r.is_null() ? Datum()
-                                       : Datum::text(l.to_text() + r.to_text());
-      return true;
-    case Op::kMod: {  // x % y is mod(x, y), as in Postgres
-      const Datum* args[] = {&l, &r};
-      return builtin(kModBuiltin, "mod", args, 2, out);
-    }
-    case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv: {
-      if (l.is_null() || r.is_null()) {
-        out = Datum();
-        return true;
-      }
-      if (l.type() == Type::kInt && r.type() == Type::kInt) {
-        // int8 arithmetic that leaves the int64 range is an error, as in
-        // Postgres, never a wrapped value.
-        int64_t a = l.as_int(), b = r.as_int(), res;
-        bool overflow;
-        switch (n.op) {
-          case Op::kAdd: overflow = __builtin_add_overflow(a, b, &res); break;
-          case Op::kSub: overflow = __builtin_sub_overflow(a, b, &res); break;
-          case Op::kMul: overflow = __builtin_mul_overflow(a, b, &res); break;
-          default:
-            if (b == 0) return fail("22012", "division by zero");
-            overflow = a == INT64_MIN && b == -1;
-            res = overflow ? 0 : a / b;
-        }
-        if (overflow) return fail("22003", "bigint out of range");
-        out = Datum::integer(res);
-        return true;
-      }
-      // A text operand must read as a number (Postgres: 22P02).
-      Datum lt, rt;
-      const Datum* ln = read_as(kNumber, l, lt, error_);
-      if (!ln) return false;
-      const Datum* rn = read_as(kNumber, r, rt, error_);
-      if (!rn) return false;
-      const double a = ln->numeric(), b = rn->numeric();
-      switch (n.op) {
-        case Op::kAdd: out = Datum::floating(a + b); return true;
-        case Op::kSub: out = Datum::floating(a - b); return true;
-        case Op::kMul: out = Datum::floating(a * b); return true;
-        default:
-          if (b == 0) return fail("22012", "division by zero");
-          out = Datum::floating(a / b);
-          return true;
-      }
-    }
-    default: {
-      // Custom operator: resolve via the operator catalog.
-      auto oit = db_.operators().find(n.name);
-      if (oit == db_.operators().end())
-        return fail("42883", "operator does not exist: " + std::string(n.name));
-      auto fit = db_.functions().find(oit->second.procedure);
-      if (fit == db_.functions().end())
-        return fail("42883",
-                    "operator procedure missing: " + oit->second.procedure);
-      const Datum* args[] = {&l, &r};
-      return call_function(fit->second, args, 2, out);
-    }
-  }
-}
-
-bool Evaluator::call(const Node& n, const Datum* const* args, size_t count,
-                     Datum& out) {
-  auto fit = db_.functions().find(n.name);
-  if (fit != db_.functions().end())
-    return call_function(fit->second, args, count, out);
-  if (n.builtin == kNoBuiltin)
-    return fail("42883", "unknown function: " + std::string(n.name));
-  return builtin(kBuiltins[n.builtin], n.name, args, count, out);
-}
-
-bool Evaluator::builtin(const BuiltinDef& def, std::string_view name,
-                        const Datum* const* args, size_t count, Datum& out) {
-  if (count < def.min_args ||
-      (def.max_args != kVariadic && count > def.max_args))
-    return fail("42883", strformat("function %.*s(%zu arguments) does not exist",
-                                   static_cast<int>(name.size()), name.data(),
-                                   count));
-  out = Datum();
-  for (size_t i = 0; def.strict && i < count; ++i)
-    if (args[i]->is_null()) return true;
-  Datum read[3];
-  const Datum* v[3];
-  for (size_t i = 0; i < count && i < 3; ++i) {
-    v[i] = read_as(def.kinds[i], *args[i], read[i], error_);
-    if (!v[i]) return false;
-  }
-  const BuiltinArgs a{count <= 3 ? v : args, count, db_, user_};
-  out = def.body(a);
-  if (!a.raised) return true;
-  const BuiltinDef::Error& e = def.errors[a.raised - 1];
-  return fail(e.sqlstate, e.message);
-}
-
 bool Evaluator::aggregate(const Node& n, const GroupRows& g, Datum& out) {
   const std::string_view fn = n.name;
   int64_t count = 0;
@@ -818,6 +767,11 @@ bool Evaluator::aggregate(const Node& n, const GroupRows& g, Datum& out) {
   Datum min_v, max_v;
   std::vector<Datum> seen;  // DISTINCT support
   const Datum one = Datum::integer(1);
+  // The argument is evaluated for each member as for a row, where an
+  // aggregate is not allowed (42803). An error ends the evaluation, so
+  // only a success puts the group and its first member back in scope.
+  const Row* const* rows = rows_;
+  group_ = nullptr;
   for (size_t i = 0; i < g.size; ++i) {
     Datum tmp;
     const Datum* v = &one;
@@ -855,6 +809,8 @@ bool Evaluator::aggregate(const Node& n, const GroupRows& g, Datum& out) {
       if (c2 && *c2 > 0) max_v = *v;
     }
   }
+  rows_ = rows;
+  group_ = &g;
   if (fn == "count") {
     out = Datum::integer(count);
   } else if (!any) {

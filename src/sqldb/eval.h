@@ -86,10 +86,11 @@ struct BuiltinArgs {
   }
 };
 
-/// One SQL builtin's contract, declared once. The evaluator checks the
-/// arity (42883), gives NULL when a strict builtin has a NULL argument and
-/// reads each argument as its kind (a variadic builtin's as they are); the
-/// body then only computes the value, or raises one of `errors`.
+/// One SQL builtin function's or operator's contract, declared once. The
+/// evaluator checks the arity (42883), gives NULL when a strict builtin has
+/// a NULL argument and reads each argument as its kind (a variadic
+/// builtin's as they are); the body then only computes the value, or
+/// raises one of `errors`.
 struct BuiltinDef {
   /// An error the body raises, with an argument list that raises it.
   struct Error { const char *sqlstate, *message, *example; };
@@ -102,10 +103,14 @@ struct BuiltinDef {
   Datum (*body)(const BuiltinArgs& a);
 };
 
-/// Every builtin function, in one table.
+/// Every builtin function and operator, in one table.
 std::span<const BuiltinDef> builtins();
 /// The builtins() index of the builtin called `name`, or kNoBuiltin.
 uint8_t builtin_of(std::string_view name);
+/// True when the builtin name `name` is an operator: a symbol, or the NOT
+/// keyword, spelled before its one operand and between its two. Any other
+/// name is a function's, called as `name(args)`.
+bool is_operator_name(std::string_view name);
 
 /// A catalog entry's own copy of an expression: `sql` parsed and bound
 /// against `scope` (a policy's table, or none for a function body).
@@ -149,10 +154,11 @@ class Evaluator {
   /// the planner probe's constant side).
   const Datum* eval_constant(Node& e, Datum& tmp);
   /// Evaluates a HAVING or select-list root of an aggregate query for one
-  /// group: aggregates run over the members, every other leaf reads the
-  /// first member's rows (none for an empty group), and inner nodes
-  /// evaluate all their operands before applying the operator.
-  const Datum* eval_group(const Node* root, const GroupRows& group, Datum& tmp);
+  /// group, as eval() evaluates a row: aggregates run over the members,
+  /// every other leaf reads the first member's rows, and AND, OR, CASE and
+  /// IN evaluate only the operands they need. An empty group has no row in
+  /// scope, so `root` is first bound to none, as eval_constant binds.
+  const Datum* eval_group(Node& root, const GroupRows& group, Datum& tmp);
   /// Row-level security: sets `visible` when any policy of `t` that
   /// applies to this user admits `row`, a row of `t`. Policy evaluation
   /// emits no notices. False on error.
@@ -167,12 +173,8 @@ class Evaluator {
  private:
   const Datum* ev(const Node& n, Datum& tmp);
   const Datum* ev_node(const Node& n, Datum& tmp);
-  const Datum* ev_group(const Node& n, const GroupRows& g, Datum& tmp);
-  bool apply(const Node& n, const Datum* const* v, size_t count, Datum& out);
-  bool binary(const Node& n, const Datum& l, const Datum& r, Datum& out);
-  bool call(const Node& n, const Datum* const* args, size_t count, Datum& out);
-  bool builtin(const BuiltinDef& def, std::string_view name,
-               const Datum* const* args, size_t count, Datum& out);
+  bool builtin(const BuiltinDef& def, std::string_view name, const Datum** v,
+               Datum* read, size_t count, Datum& out);
   bool aggregate(const Node& n, const GroupRows& g, Datum& out);
   const Datum* column_without_row(const Node& n, Datum& tmp);
   const Datum* fail(std::string sqlstate, std::string message);
@@ -180,9 +182,11 @@ class Evaluator {
   const Database& db_;
   const std::string& user_;
   std::vector<std::string>* notices_;
-  // Evaluation state: the current FROM rows, the current function's
-  // arguments, and the function call depth.
+  // Evaluation state: the current FROM rows, the group eval_group
+  // evaluates, the current function's arguments, and the function call
+  // depth.
   const Row* const* rows_ = nullptr;
+  const GroupRows* group_ = nullptr;
   const std::vector<Datum>* params_ = nullptr;
   int depth_ = 0;
   SqlError error_;

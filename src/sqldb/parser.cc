@@ -37,18 +37,6 @@ std::optional<T> parse_number(std::string_view s) {
   return v;
 }
 
-Op binary_op(std::string_view op) {
-  static const std::pair<std::string_view, Op> kOps[] = {
-      {"and", Op::kAnd}, {"or", Op::kOr},   {"=", Op::kEq},   {"<>", Op::kNe},
-      {"!=", Op::kNe},   {"<", Op::kLt},    {"<=", Op::kLe},  {">", Op::kGt},
-      {">=", Op::kGe},   {"||", Op::kConcat}, {"+", Op::kAdd}, {"-", Op::kSub},
-      {"*", Op::kMul},   {"/", Op::kDiv},   {"%", Op::kMod},
-  };
-  for (const auto& [symbol, code] : kOps)
-    if (op == symbol) return code;
-  return Op::kCustomOp;
-}
-
 bool is_aggregate_name(std::string_view name) {
   return name == "count" || name == "sum" || name == "avg" || name == "min" ||
          name == "max";
@@ -688,6 +676,16 @@ class Parser {
     for (Node* k : kids) append(n, k);
     return n;
   }
+  /// The builtin operator `symbol` ("not" for NOT) over `kids`, or a
+  /// custom operator, which the catalog resolves at call time, when no
+  /// builtin has that symbol.
+  Node* operator_node(std::string_view symbol,
+                      std::initializer_list<Node*> kids) {
+    Node* n = node(Op::kOperator, kids, symbol);
+    n->builtin = builtin_of(symbol);
+    if (n->builtin == kNoBuiltin) n->op = Op::kCustomOp;
+    return n;
+  }
   /// Adds `kid` as the last operand of `n`.
   static void append(Node* n, Node* kid) {
     Node** at = &n->first;
@@ -763,7 +761,10 @@ class Parser {
       advance();
       auto rhs = parse_expr(prec + 1);
       if (!rhs.ok()) return rhs;
-      left = node(binary_op(op), {left, rhs.value()}, op);
+      if (op == "and" || op == "or")
+        left = node(op == "and" ? Op::kAnd : Op::kOr, {left, rhs.value()}, op);
+      else
+        left = operator_node(op, {left, rhs.value()});
     }
     return left;
   }
@@ -772,7 +773,7 @@ class Parser {
     if (match_kw("not")) {
       auto inner = parse_expr(3);
       if (!inner.ok()) return inner;
-      return node(Op::kNot, {inner.value()});
+      return operator_node("not", {inner.value()});
     }
     if (match_op("-")) {
       // -9223372036854775808 is the literal INT64_MIN, whose magnitude
@@ -786,7 +787,7 @@ class Parser {
       }
       auto inner = parse_unary();
       if (!inner.ok()) return inner;
-      return node(Op::kNeg, {inner.value()});
+      return operator_node("-", {inner.value()});
     }
     if (match_op("+")) return parse_unary();
     return parse_primary();
@@ -856,7 +857,8 @@ class Parser {
           advance();  // '('
           Node* e = node(is_aggregate_name(name) ? Op::kAggregate : Op::kCall,
                          {}, name);
-          if (e->op == Op::kCall) e->builtin = builtin_of(name);
+          if (e->op == Op::kCall && !is_operator_name(name))
+            e->builtin = builtin_of(name);
           if (match_op("*")) {
             e->star = true;
             if (!match(TokKind::kRParen)) return unexpected("')'");
@@ -988,9 +990,9 @@ void print(const Node& n, std::string& out);
 /// get some unless the parent's syntax `closes` the operand (an AND/OR
 /// operand, NOT's, a call argument or list item, a CASE part).
 void print_kid(const Node& k, std::string& out, bool closes) {
-  const bool wrap = !closes && (k.op == Op::kNot || k.op == Op::kIsNull ||
-                                k.op == Op::kLike || k.op == Op::kBetween ||
-                                k.op == Op::kInList);
+  const bool wrap = !closes && (is_operator(k, "not", 1) ||
+                                k.op == Op::kIsNull || k.op == Op::kLike ||
+                                k.op == Op::kBetween || k.op == Op::kInList);
   if (wrap) out += '(';
   print(k, out);
   if (wrap) out += ')';
@@ -1046,17 +1048,6 @@ void print(const Node& n, std::string& out) {
       }
       return print_name(n.name, out);
     case Op::kParam: out += strformat("$%u", n.column); return;
-    case Op::kNot:
-      out += "NOT ";
-      return print_kid(*n.first, out, true);
-    case Op::kNeg: {
-      out += "(-";
-      const size_t at = out.size();
-      print_kid(*n.first, out, false);
-      if (out[at] == '-') out.insert(at, 1, ' ');  // "--" starts a comment
-      out += ')';
-      return;
-    }
     case Op::kCall: case Op::kAggregate: {
       print_name(n.name, out);
       out += n.star ? "(*" : n.distinct ? "(DISTINCT " : "(";
@@ -1100,7 +1091,21 @@ void print(const Node& n, std::string& out) {
       out += " END";
       return;
     }
-    default: {  // is_binary(n.op)
+    case Op::kOperator:
+      if (n.name == "not") {
+        out += "NOT ";
+        return print_kid(*n.first, out, true);
+      }
+      if (n.n_kids == 1) {
+        out += "(-";
+        const size_t at = out.size();
+        print_kid(*n.first, out, false);
+        if (out[at] == '-') out.insert(at, 1, ' ');  // "--" starts a comment
+        out += ')';
+        return;
+      }
+      [[fallthrough]];
+    default: {  // is_infix(n)
       const bool logic = n.op == Op::kAnd || n.op == Op::kOr;
       out += '(';
       print_kid(n.kid(0), out, logic);

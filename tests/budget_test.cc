@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/strutil.h"
 #include "rddr/rddr.h"
 #include "sqldb/engine.h"
@@ -107,6 +108,37 @@ TEST(Budget, PointSelectExecute) {
   // keep their working arrays in the statement's arena. It took 25 with a
   // second, bound copy of each expression.
   EXPECT_LE(count.allocations(), 7u);
+}
+
+TEST(Budget, KeyedUpdateExecute) {
+  if (!RDDR_COUNTING_NEW) GTEST_SKIP() << "the sanitizer owns operator new";
+  constexpr int kAccounts = 2000;
+  constexpr int kStatements = 100;
+  sqldb::Database db(sqldb::minipg_info("13.0"));
+  workloads::load_pgbench(db, kAccounts, 9);
+  sqldb::Session session(db, "postgres");
+  Rng rng(5);
+  auto next = [&] {
+    return strformat(
+        "UPDATE pgbench_accounts SET abalance = abalance + %lld "
+        "WHERE aid = %lld;",
+        static_cast<long long>(rng.uniform(-5000, 5000)),
+        static_cast<long long>(rng.uniform(1, kAccounts)));
+  };
+  ASSERT_EQ(session.execute(next()).statements[0].command_tag, "UPDATE 1");
+  std::vector<std::string> texts;
+  for (int i = 0; i < kStatements; ++i) texts.push_back(next());
+  AllocationCount count;
+  for (const std::string& sql : texts) {
+    sqldb::ExecResult r = session.execute(sql);
+    ASSERT_EQ(r.statements[0].command_tag, "UPDATE 1") << sql;
+  }
+  const double per_statement =
+      static_cast<double>(count.allocations()) / kStatements;
+  // Parsing's 2 and the result's statement array: the index probe, the
+  // SET's arithmetic (through the builtin prologue) and the in-place
+  // update of the row allocate nothing.
+  EXPECT_LE(per_statement, 3.0);
 }
 
 TEST(Budget, PgbenchReadOnlyPerTransaction) {
